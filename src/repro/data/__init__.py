@@ -1,9 +1,9 @@
 """``repro.data`` — synthetic multi-domain datasets and FL partitioning.
 
 Substitutes for PACS / Office-Home / IWildCam (no dataset downloads in the
-sandbox; see DESIGN.md §2): shared class content rendered through per-domain
-styles, plus the domain-based client-heterogeneity partitioner of Bai et al.
-that the paper's experiments are built on.
+sandbox; see README.md, "Architecture map"): shared class content rendered
+through per-domain styles, plus the domain-based client-heterogeneity
+partitioner of Bai et al. that the paper's experiments are built on.
 """
 
 from repro.data.content import ContentBank, smooth_noise

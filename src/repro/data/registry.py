@@ -1,11 +1,11 @@
 """Builders for the three benchmark suites used in the paper's evaluation.
 
 Each builder mirrors the structure of the real dataset (domain count, class
-count, split roles) at a scale a numpy training stack can handle; DESIGN.md §2
-documents the substitution.  Styles are *hand-shaped* per suite so the
-domains carry the qualitative character of their namesakes (e.g. the PACS
-"sketch" stand-in is desaturated and high-contrast, "photo" is neutral), and
-every builder accepts a seed so experiments are reproducible.
+count, split roles) at a scale a numpy training stack can handle; README.md
+("Architecture map") documents the substitution.  Styles are *hand-shaped*
+per suite so the domains carry the qualitative character of their namesakes
+(e.g. the PACS "sketch" stand-in is desaturated and high-contrast, "photo" is
+neutral), and every builder accepts a seed so experiments are reproducible.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """``repro.nn`` — a from-scratch numpy neural-network framework.
 
-This package substitutes for PyTorch in the sandbox (see DESIGN.md §2):
-explicit per-layer forward/backward, seeded initialization, PyTorch-style
-state dicts for federated weight exchange, and the loss functions PARDON's
-objective is built from.
+This package substitutes for PyTorch in the sandbox (see README.md,
+"Architecture map"): explicit per-layer forward/backward, seeded
+initialization, PyTorch-style state dicts for federated weight exchange, and
+the loss functions PARDON's objective is built from.
 """
 
 from repro.nn.module import Module, Parameter, Sequential

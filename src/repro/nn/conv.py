@@ -2,7 +2,15 @@
 
 Conv2d is implemented with im2col: patches are gathered into a matrix so the
 convolution becomes one matmul, which is the only way to get acceptable
-throughput from numpy.  Input layout is NCHW throughout the library.
+throughput from numpy.
+
+Memory layout.  Arrays are NCHW at the API — shapes, axis order and
+``Flatten``'s feature order are unchanged — but the conv data path is
+channels-last (NHWC) *in memory*: ``im2col`` gathers from an NHWC zero-padded
+buffer into columns ordered ``(ki, kj, c)``, the GEMM output ``(rows, out)``
+is already NHWC and is handed on as an NCHW-shaped transposed view, and
+``col2im`` scatters ``c``-contiguous runs back.  Elementwise layers keep the
+layout of their input, so from one conv to the next nothing is transposed.
 """
 
 from __future__ import annotations
@@ -12,7 +20,16 @@ import numpy as np
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
-__all__ = ["Conv2d", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "im2col", "col2im"]
+__all__ = [
+    "Conv2d",
+    "MaxPool2d",
+    "AvgPool2d",
+    "GlobalAvgPool2d",
+    "im2col",
+    "col2im",
+    "conv2d",
+    "weight_matrix",
+]
 
 
 def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -25,25 +42,29 @@ def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-# Reusable zero-padded staging buffers, keyed by (shape, dtype).  A training
-# step calls im2col once per conv layer per batch with identical shapes, so
-# reusing the allocation avoids a fresh np.pad (allocate + border fill) every
-# call.  Only the interior is overwritten; the border is zeroed once at
-# allocation and never touched again, which is exactly the constant padding
-# np.pad produced.  The cap bounds memory when many distinct shapes cycle
-# through (e.g. several model architectures in one process).
+# Reusable zero-padded NHWC staging buffers, keyed by (shape, dtype), most
+# recently used last.  A training step calls im2col once per conv layer per
+# batch with identical shapes, so reusing the allocation avoids a fresh
+# zero-fill (and, at these sizes, a fresh mmap + page faults) every call.
+# Only the interior is overwritten; the border is zeroed once at allocation
+# and never touched again.  The byte budget bounds memory when many distinct
+# shapes cycle through; eviction is least-recently-used, one entry at a time,
+# so the handful of shapes a round alternates between never evict each other.
 _PAD_SCRATCH: dict[tuple, np.ndarray] = {}
-_PAD_SCRATCH_MAX_ENTRIES = 8
+_PAD_SCRATCH_MAX_BYTES = 64 << 20
 
 
 def _padded_scratch(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    key = (shape, np.dtype(dtype).str)
-    buffer = _PAD_SCRATCH.get(key)
+    key = (shape, dtype.str)
+    buffer = _PAD_SCRATCH.pop(key, None)
     if buffer is None:
-        if len(_PAD_SCRATCH) >= _PAD_SCRATCH_MAX_ENTRIES:
-            _PAD_SCRATCH.clear()
         buffer = np.zeros(shape, dtype=dtype)
-        _PAD_SCRATCH[key] = buffer
+        if buffer.nbytes > _PAD_SCRATCH_MAX_BYTES:
+            return buffer
+        held = sum(entry.nbytes for entry in _PAD_SCRATCH.values())
+        while held + buffer.nbytes > _PAD_SCRATCH_MAX_BYTES:
+            held -= _PAD_SCRATCH.pop(next(iter(_PAD_SCRATCH))).nbytes
+    _PAD_SCRATCH[key] = buffer
     return buffer
 
 
@@ -53,36 +74,31 @@ def im2col(
     """Rearrange sliding ``kernel x kernel`` patches of NCHW ``x`` into rows.
 
     Returns ``(cols, (out_h, out_w))`` where ``cols`` has shape
-    ``(batch * out_h * out_w, channels * kernel * kernel)``.
+    ``(batch * out_h * out_w, kernel * kernel * channels)``, each row ordered
+    ``(ki, kj, c)`` so a copied run is ``kernel * channels`` contiguous values.
     """
     batch, channels, height, width = x.shape
     out_h = _out_size(height, kernel, stride, padding)
     out_w = _out_size(width, kernel, stride, padding)
+    x = x.transpose(0, 2, 3, 1)
     if padding:
         padded = _padded_scratch(
-            (batch, channels, height + 2 * padding, width + 2 * padding), x.dtype
+            (batch, height + 2 * padding, width + 2 * padding, channels), x.dtype
         )
-        padded[:, :, padding : padding + height, padding : padding + width] = x
+        padded[:, padding : padding + height, padding : padding + width] = x
         x = padded
-    # Strided view: (batch, channels, out_h, out_w, kernel, kernel)
-    strides = (
-        x.strides[0],
-        x.strides[1],
-        x.strides[2] * stride,
-        x.strides[3] * stride,
-        x.strides[2],
-        x.strides[3],
+    s_batch, s_row, s_col, s_chan = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(batch, out_h, out_w, kernel, kernel, channels),
+        strides=(s_batch, s_row * stride, s_col * stride, s_row, s_col, s_chan),
     )
-    shape = (batch, channels, out_h, out_w, kernel, kernel)
-    patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(
-        batch * out_h * out_w, channels * kernel * kernel
-    )
-    if not cols.flags["C_CONTIGUOUS"]:
+    cols = patches.reshape(batch * out_h * out_w, kernel * kernel * channels)
+    if not cols.flags.c_contiguous:
         # reshape returned a non-contiguous view (rare layouts, e.g. 1x1
         # kernels); downstream matmuls want contiguous rows, so copy here.
         cols = np.ascontiguousarray(cols)
-    elif padding and np.shares_memory(cols, x):
+    elif padding and np.may_share_memory(cols, x):
         # reshape returned a view into the reusable scratch buffer; callers
         # cache cols across forward/backward, so detach it.
         cols = cols.copy()
@@ -96,27 +112,56 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Scatter-add column rows back into an NCHW tensor (adjoint of im2col)."""
+    """Scatter-add column rows back into an NCHW tensor (adjoint of im2col).
+
+    The result is NCHW-shaped and channels-last in memory.
+    """
     batch, channels, height, width = x_shape
     out_h = _out_size(height, kernel, stride, padding)
     out_w = _out_size(width, kernel, stride, padding)
     padded = np.zeros(
-        (batch, channels, height + 2 * padding, width + 2 * padding), dtype=cols.dtype
+        (batch, height + 2 * padding, width + 2 * padding, channels), dtype=cols.dtype
     )
-    patches = cols.reshape(batch, out_h, out_w, channels, kernel, kernel).transpose(
-        0, 3, 1, 2, 4, 5
-    )
+    patches = cols.reshape(batch, out_h, out_w, kernel, kernel, channels)
     for ki in range(kernel):
         for kj in range(kernel):
             padded[
                 :,
-                :,
                 ki : ki + stride * out_h : stride,
                 kj : kj + stride * out_w : stride,
-            ] += patches[:, :, :, :, ki, kj]
+            ] += patches[:, :, :, ki, kj]
     if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+        padded = padded[:, padding:-padding, padding:-padding]
+    return padded.transpose(0, 3, 1, 2)
+
+
+def weight_matrix(weight: np.ndarray) -> np.ndarray:
+    """``(..., out, in, k, k)`` conv weights as ``(..., out, k*k*in)`` rows in
+    im2col's ``(ki, kj, c)`` column order (a small contiguous copy)."""
+    lead = weight.ndim - 3
+    permuted = np.moveaxis(weight, lead, -1)
+    return permuted.reshape(weight.shape[:lead] + (-1,))
+
+
+def conv2d(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray | None,
+    stride: int,
+    padding: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Convolve NCHW ``x`` with ``(out, in, k, k)`` weights.
+
+    Returns ``(out, cols)``: the NCHW-shaped, channels-last-in-memory output
+    and the patch matrix the backward pass needs.
+    """
+    out_channels, _, kernel, _ = weight.shape
+    cols, (out_h, out_w) = im2col(x, kernel, stride, padding)
+    out = cols @ weight_matrix(weight).T
+    if bias is not None:
+        out += bias
+    out = out.reshape(x.shape[0], out_h, out_w, out_channels).transpose(0, 3, 1, 2)
+    return out, cols
 
 
 class Conv2d(Module):
@@ -152,42 +197,45 @@ class Conv2d(Module):
         )
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None
-        self._out_hw: tuple[int, int] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"Conv2d expected (batch, {self.in_channels}, H, W), got {x.shape}"
             )
-        cols, (out_h, out_w) = im2col(x, self.kernel_size, self.stride, self.padding)
-        self._cols = cols
+        out, self._cols = conv2d(
+            x,
+            self.weight.data,
+            None if self.bias is None else self.bias.data,
+            self.stride,
+            self.padding,
+        )
         self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
-        weight_matrix = self.weight.data.reshape(self.out_channels, -1)
-        out = cols @ weight_matrix.T
-        if self.bias is not None:
-            out = out + self.bias.data
-        batch = x.shape[0]
-        return out.reshape(batch, out_h, out_w, self.out_channels).transpose(
-            0, 3, 1, 2
-        )
+        return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None or self._out_hw is None:
+    def _accumulate(self, grad_output: np.ndarray) -> np.ndarray:
+        """Add the parameter gradients; returns ``grad_output`` as GEMM rows."""
+        if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
-        batch = self._x_shape[0]
-        out_h, out_w = self._out_hw
-        grad_rows = grad_output.transpose(0, 2, 3, 1).reshape(
-            batch * out_h * out_w, self.out_channels
+        grad_rows = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
+        kernel = self.kernel_size
+        self.weight.grad += (
+            (grad_rows.T @ self._cols)
+            .reshape(self.out_channels, kernel, kernel, self.in_channels)
+            .transpose(0, 3, 1, 2)
         )
-        weight_matrix = self.weight.data.reshape(self.out_channels, -1)
-        self.weight.grad += (grad_rows.T @ self._cols).reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += grad_rows.sum(axis=0)
-        grad_cols = grad_rows @ weight_matrix
+        return grad_rows
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        grad_cols = self._accumulate(grad_output) @ weight_matrix(self.weight.data)
         return col2im(
             grad_cols, self._x_shape, self.kernel_size, self.stride, self.padding
         )
+
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        self._accumulate(grad_output)
 
 
 class MaxPool2d(Module):
@@ -218,7 +266,7 @@ class MaxPool2d(Module):
         out_h, out_w = self._out_hw
         grad_cols = np.zeros(
             (batch * channels * out_h * out_w, self.kernel_size * self.kernel_size),
-            dtype=np.float64,
+            dtype=grad_output.dtype,
         )
         grad_cols[np.arange(grad_cols.shape[0]), self._argmax] = grad_output.reshape(-1)
         grad = col2im(
@@ -239,6 +287,7 @@ class AvgPool2d(Module):
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
         self._x_shape: tuple[int, int, int, int] | None = None
+        self._out_hw: tuple[int, int] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         batch, channels, height, width = x.shape

@@ -45,8 +45,18 @@ from repro.nn.conv import (
     MaxPool2d,
     col2im,
     im2col,
+    weight_matrix,
 )
-from repro.nn.layers import Flatten, LeakyReLU, Linear, ReLU, Sigmoid, Tanh
+from repro.nn.layers import (
+    Flatten,
+    LeakyReLU,
+    Linear,
+    ReLU,
+    Sigmoid,
+    Tanh,
+    in_memory_order,
+    memory_axes,
+)
 from repro.nn.models import FeatureClassifierModel
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.norm import BatchNorm2d, InstanceNorm2d, LayerNorm
@@ -94,7 +104,8 @@ class EnsembleConv2d(EnsembleModule):
     """K independent Conv2d layers as one batched im2col matmul.
 
     One ``im2col`` over the flattened ``(K*B, C, H, W)`` input feeds a single
-    ``(K, B*oh*ow, C*k*k) @ (K, C*k*k, out)`` batched product.
+    ``(K, B*oh*ow, k*k*C) @ (K, k*k*C, out)`` batched product; layout and
+    column order are :class:`Conv2d`'s (see :mod:`repro.nn.conv`).
     """
 
     def __init__(self, template: Conv2d, ensemble_size: int) -> None:
@@ -112,7 +123,6 @@ class EnsembleConv2d(EnsembleModule):
         )
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
-        self._out_hw: tuple[int, int] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if (
@@ -130,38 +140,46 @@ class EnsembleConv2d(EnsembleModule):
         cols = cols.reshape(stack, batch * out_h * out_w, -1)
         self._cols = cols
         self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
-        weight_matrix = self.weight.data.reshape(stack, self.out_channels, -1)
-        out = np.matmul(cols, weight_matrix.transpose(0, 2, 1))
+        out = np.matmul(cols, weight_matrix(self.weight.data).transpose(0, 2, 1))
         if self.bias is not None:
-            out = out + self.bias.data[:, None, :]
+            out += self.bias.data[:, None, :]
         return out.reshape(stack, batch, out_h, out_w, self.out_channels).transpose(
             0, 1, 4, 2, 3
         )
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None or self._out_hw is None:
+    def _accumulate(self, grad_output: np.ndarray) -> np.ndarray:
+        """Add the parameter gradients; returns ``grad_output`` as GEMM rows."""
+        if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
-        stack, batch = self._x_shape[:2]
-        out_h, out_w = self._out_hw
+        stack, kernel = self.ensemble_size, self.kernel_size
         grad_rows = grad_output.transpose(0, 1, 3, 4, 2).reshape(
-            stack, batch * out_h * out_w, self.out_channels
+            stack, -1, self.out_channels
         )
-        weight_matrix = self.weight.data.reshape(stack, self.out_channels, -1)
-        self.weight.grad += np.matmul(
-            grad_rows.transpose(0, 2, 1), self._cols
-        ).reshape(self.weight.data.shape)
+        self.weight.grad += (
+            np.matmul(grad_rows.transpose(0, 2, 1), self._cols)
+            .reshape(stack, self.out_channels, kernel, kernel, self.in_channels)
+            .transpose(0, 1, 4, 2, 3)
+        )
         if self.bias is not None:
             self.bias.grad += grad_rows.sum(axis=1)
-        grad_cols = np.matmul(grad_rows, weight_matrix)
+        return grad_rows
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        grad_cols = np.matmul(
+            self._accumulate(grad_output), weight_matrix(self.weight.data)
+        )
+        stack, batch = self._x_shape[:2]
         flat = col2im(
-            grad_cols.reshape(stack * batch * out_h * out_w, -1),
+            grad_cols.reshape(-1, grad_cols.shape[2]),
             (stack * batch,) + self._x_shape[2:],
             self.kernel_size,
             self.stride,
             self.padding,
         )
         return flat.reshape(self._x_shape)
+
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        self._accumulate(grad_output)
 
 
 class EnsembleLinear(EnsembleModule):
@@ -205,20 +223,23 @@ class EnsembleLinear(EnsembleModule):
 
 
 class EnsembleFlatten(EnsembleModule):
-    """Collapse all axes after ``(K, batch)`` into one."""
+    """Collapse all axes after ``(K, batch)`` into one; like :class:`Flatten`,
+    ``backward`` returns the gradient in the forward input's memory layout."""
 
     def __init__(self, ensemble_size: int) -> None:
         super().__init__(ensemble_size)
         self._shape: tuple[int, ...] | None = None
+        self._axes: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._shape = x.shape
+        self._axes = memory_axes(x)
         return x.reshape(x.shape[0], x.shape[1], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._shape is None:
             raise RuntimeError("backward called before forward")
-        return grad_output.reshape(self._shape)
+        return in_memory_order(grad_output.reshape(self._shape), self._axes)
 
 
 class EnsembleSpatialPool(EnsembleModule):

@@ -10,6 +10,23 @@ from repro.nn.module import Module, Parameter
 __all__ = ["Linear", "ReLU", "LeakyReLU", "Tanh", "Sigmoid", "Flatten", "Dropout"]
 
 
+def memory_axes(x: np.ndarray) -> tuple[int, ...] | None:
+    """Axes of ``x`` from slowest- to fastest-varying in memory, or ``None``
+    when ``x`` is C-contiguous (the axes are already in that order)."""
+    if x.flags.c_contiguous:
+        return None
+    strides = x.strides
+    return tuple(sorted(range(x.ndim), key=lambda axis: -strides[axis]))
+
+
+def in_memory_order(x: np.ndarray, axes: tuple[int, ...] | None) -> np.ndarray:
+    """``x`` (same shape, same values) laid out in memory in ``axes`` order."""
+    if axes is None:
+        return x
+    inverse = sorted(range(len(axes)), key=axes.__getitem__)
+    return np.ascontiguousarray(x.transpose(axes)).transpose(inverse)
+
+
 class Linear(Module):
     """Affine map ``y = x @ W + b`` over the last axis of 2-D input."""
 
@@ -59,7 +76,10 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        # One ufunc pass that keeps x's memory layout.  fmax drops NaN and, on
+        # a -0.0 / +0.0 tie, returns its second operand, so this is bit-equal
+        # to np.where(x > 0, x, 0.0).
+        return np.fmax(x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -122,20 +142,27 @@ class Sigmoid(Module):
 
 
 class Flatten(Module):
-    """Collapse all axes after the batch axis into one."""
+    """Collapse all axes after the batch axis into one.
+
+    ``backward`` returns the gradient in the memory layout of the forward
+    input (channels-last after a conv stack), so the elementwise and conv
+    backward passes upstream see operands that agree in layout.
+    """
 
     def __init__(self) -> None:
         super().__init__()
         self._shape: tuple[int, ...] | None = None
+        self._axes: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._shape = x.shape
+        self._axes = memory_axes(x)
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._shape is None:
             raise RuntimeError("backward called before forward")
-        return grad_output.reshape(self._shape)
+        return in_memory_order(grad_output.reshape(self._shape), self._axes)
 
 
 class Dropout(Module):

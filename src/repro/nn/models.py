@@ -53,11 +53,15 @@ class FeatureClassifierModel(Module):
         self,
         grad_logits: np.ndarray | None = None,
         grad_embedding: np.ndarray | None = None,
-    ) -> np.ndarray:
+        input_grad: bool = True,
+    ) -> np.ndarray | None:
         """Back-propagate gradients arriving at the logits and/or embedding.
 
         Returns the gradient with respect to the input batch (useful for
-        input-space attacks and the loss-landscape tooling).
+        input-space attacks and the loss-landscape tooling).  A training step
+        that only wants the parameter gradients passes ``input_grad=False``
+        for this one call; the first layer then skips computing it and the
+        return value is ``None``.
         """
         if grad_logits is None and grad_embedding is None:
             raise ValueError("at least one of grad_logits/grad_embedding required")
@@ -69,7 +73,10 @@ class FeatureClassifierModel(Module):
                 total_grad_embedding = grad_embedding.copy()
             else:
                 total_grad_embedding = total_grad_embedding + grad_embedding
-        return self.features.backward(total_grad_embedding)
+        if input_grad:
+            return self.features.backward(total_grad_embedding)
+        self.features.backward_params(total_grad_embedding)
+        return None
 
     def predict_logits(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Evaluation-mode logits, computed in batches to bound memory."""

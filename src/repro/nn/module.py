@@ -208,6 +208,15 @@ class Module:
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        """``backward`` for a caller that does not consume the input gradient.
+
+        Accumulates exactly the parameter gradients ``backward`` would.  Layers
+        whose input gradient is costly (the convolutions) override this to
+        skip computing it; a training step uses it for the first layer.
+        """
+        self.backward(grad_output)
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
@@ -237,3 +246,10 @@ class Sequential(Module):
         for layer in reversed(self.layers):
             grad_output = layer.backward(grad_output)
         return grad_output
+
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        if not self.layers:
+            return
+        for layer in reversed(self.layers[1:]):
+            grad_output = layer.backward(grad_output)
+        self.layers[0].backward_params(grad_output)

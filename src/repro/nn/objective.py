@@ -661,7 +661,9 @@ def run_objective_epochs(
             )
             loss = objective.evaluate(ctx)
             model.backward(
-                grad_logits=ctx.grad_logits, grad_embedding=ctx.grad_embedding
+                grad_logits=ctx.grad_logits,
+                grad_embedding=ctx.grad_embedding,
+                input_grad=False,
             )
             optimizer.step()
             losses.append(loss)
@@ -723,7 +725,9 @@ def run_objective_ensemble(
             )
             totals = objective.evaluate_ensemble(ctx)
             emodel.backward(
-                grad_logits=ctx.grad_logits, grad_embedding=ctx.grad_embedding
+                grad_logits=ctx.grad_logits,
+                grad_embedding=ctx.grad_embedding,
+                input_grad=False,
             )
             optimizer.step()
             batch_totals.append(totals)

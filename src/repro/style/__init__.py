@@ -1,8 +1,8 @@
 """``repro.style`` — the AdaIN style-transfer substrate.
 
 Frozen public encoders (the pre-trained-VGG substitute), style statistics,
-and AdaIN re-styling in feature and image space.  See DESIGN.md §2 for the
-substitution rationale.
+and AdaIN re-styling in feature and image space.  See README.md
+("Architecture map") for the substitution rationale.
 """
 
 from repro.style.encoder import (

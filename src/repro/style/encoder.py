@@ -127,14 +127,11 @@ class FrozenConvEncoder:
 
     def encode(self, images: np.ndarray) -> np.ndarray:
         """NCHW images -> (N, out_channels, H/4, W/4) frozen features."""
-        from repro.nn.conv import im2col
+        from repro.nn.conv import conv2d
 
         x = images
         for weight in (self.weight1, self.weight2):
-            out_ch = weight.shape[0]
-            cols, (oh, ow) = im2col(x, kernel=3, stride=2, padding=1)
-            out = cols @ weight.reshape(out_ch, -1).T
-            x = out.reshape(x.shape[0], oh, ow, out_ch).transpose(0, 3, 1, 2)
+            x, _ = conv2d(x, weight, None, stride=2, padding=1)
             x = np.maximum(x, 0.0)
         return x
 

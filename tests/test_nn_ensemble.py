@@ -60,6 +60,7 @@ from repro.nn import (
     load_state_broadcast,
     load_state_stack,
 )
+from repro.nn import conv
 from repro.nn.conv import im2col
 from repro.nn.ensemble import ensemble_cross_entropy
 from repro.nn.losses import CrossEntropyLoss
@@ -193,6 +194,28 @@ class TestLayerParity:
 
     def test_flatten(self):
         _assert_slicewise_equal(lambda rng: Flatten(), (3, 2, 4, 5))
+
+    def test_channels_last_activations_through_every_spatial_layer(self):
+        """Conv outputs are NHWC in memory and elementwise layers keep that
+        layout, so norm, pool and 1x1-conv layers all see strided input; the
+        per-slice reductions must still be the template's, bit for bit."""
+        _assert_slicewise_equal(
+            lambda rng: Sequential(
+                Conv2d(3, 5, kernel_size=3, stride=1, padding=1, rng=rng),
+                ReLU(),
+                BatchNorm2d(5),
+                MaxPool2d(2),
+                Conv2d(5, 6, kernel_size=3, stride=2, padding=1, rng=rng),
+                InstanceNorm2d(6),
+                LeakyReLU(0.1),
+                AvgPool2d(2),
+                Conv2d(6, 4, kernel_size=1, rng=rng),
+                Tanh(),
+                GlobalAvgPool2d(),
+                Linear(4, 3, rng=rng),
+            ),
+            (4, 3, 16, 16),
+        )
 
     def test_full_cnn_model(self):
         """The whole PARDON backbone: split-gradient routing included."""
@@ -677,3 +700,45 @@ class TestIm2colScratch:
         padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         ref_cols, _ = im2col(padded, kernel=3, stride=1, padding=0)
         assert np.array_equal(cols, ref_cols)
+
+    # Shaped like one pacs_* round of the perf benchmark: two conv layers, each
+    # seeing the stacked train batch, the train tail, the 256-image eval chunk
+    # and an eval tail (NCHW input shapes; kernel 3, stride 2, padding 1).
+    ROUND_SHAPES = [
+        (batch, channels, side, side)
+        for batch in (320, 120, 256, 88)
+        for channels, side in ((3, 16), (16, 8))
+    ]
+
+    def test_one_rounds_shapes_do_not_evict_each_other(self, monkeypatch):
+        monkeypatch.setattr(conv, "_PAD_SCRATCH", {})
+        for shape in self.ROUND_SHAPES:
+            im2col(np.ones(shape), kernel=3, stride=2, padding=1)
+        first_round = dict(conv._PAD_SCRATCH)
+        assert len(first_round) == len(self.ROUND_SHAPES)
+        # Other shapes arrive between rounds (style encoders, probes) ...
+        for side in (5, 7, 9):
+            im2col(np.ones((4, 3, side, side)), kernel=3, stride=1, padding=1)
+        # ... and the next round still finds every one of its buffers.
+        for shape in self.ROUND_SHAPES:
+            im2col(np.ones(shape), kernel=3, stride=2, padding=1)
+        for key, buffer in first_round.items():
+            assert conv._PAD_SCRATCH[key] is buffer
+
+    def test_scratch_is_byte_bounded_with_lru_eviction(self, monkeypatch):
+        float64 = np.dtype(np.float64)
+        monkeypatch.setattr(conv, "_PAD_SCRATCH", {})
+        monkeypatch.setattr(conv, "_PAD_SCRATCH_MAX_BYTES", 3 * 16 * float64.itemsize)
+        conv._padded_scratch((4, 4), float64)
+        conv._padded_scratch((4, 4, 1), float64)
+        conv._padded_scratch((4, 4, 1, 1), float64)
+        conv._padded_scratch((4, 4), float64)  # refreshed: now most recent
+        conv._padded_scratch((2, 8), float64)  # evicts (4, 4, 1), the oldest
+        assert [key[0] for key in conv._PAD_SCRATCH] == [(4, 4, 1, 1), (4, 4), (2, 8)]
+        held = sum(buffer.nbytes for buffer in conv._PAD_SCRATCH.values())
+        assert held <= conv._PAD_SCRATCH_MAX_BYTES
+        # A buffer over the whole budget is handed out but never retained.
+        big = conv._padded_scratch((4, 4, 4), float64)
+        assert big.shape == (4, 4, 4) and not big.any()
+        assert ((4, 4, 4), float64.str) not in conv._PAD_SCRATCH
+        assert len(conv._PAD_SCRATCH) == 3

@@ -51,6 +51,27 @@ class TestActivations:
         out = nn.ReLU().forward(np.array([[-1.0, 0.0, 2.0]]))
         np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
+    @pytest.mark.parametrize("step", [1, 2, 3], ids=["contiguous", "step2", "step3"])
+    def test_relu_is_bit_equal_to_where(self, step):
+        """±0.0 -> +0.0, NaN -> 0.0, -inf -> 0.0: the ufunc form must agree with
+        np.where(x > 0, x, 0.0) bit for bit, on SIMD bodies and scalar tails."""
+        tiny = np.finfo(np.float64).tiny
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 5e-324, -5e-324]
+        x = np.array((special + [1.5, -2.5]) * 7)[::step]
+        with np.errstate(invalid="ignore"):
+            out = nn.ReLU().forward(x)
+            expected = np.where(x > 0, x, 0.0)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+    def test_relu_keeps_the_memory_layout_of_its_input(self, rng):
+        x = rng.normal(size=(2, 4, 4, 3)).transpose(0, 3, 1, 2)
+        layer = nn.ReLU()
+        out = layer.forward(x)
+        assert out.strides == x.strides
+        np.testing.assert_array_equal(out, np.where(x > 0, x, 0.0))
+        assert layer.backward(out).strides == x.strides
+
     def test_leaky_relu_scales_negatives(self):
         out = nn.LeakyReLU(0.1).forward(np.array([[-2.0, 3.0]]))
         np.testing.assert_allclose(out, [[-0.2, 3.0]])
@@ -72,6 +93,18 @@ class TestFlatten:
 
     def test_gradients(self, rng):
         check_module_gradients(nn.Flatten(), rng.normal(size=(2, 3, 4, 4)))
+
+    def test_backward_returns_the_forward_inputs_memory_layout(self, rng):
+        """After a conv stack the input is an NCHW view of NHWC memory; the
+        gradient must come back laid out the same way (values unchanged)."""
+        layer = nn.Flatten()
+        x = rng.normal(size=(2, 4, 4, 3)).transpose(0, 3, 1, 2)
+        out = layer.forward(x)
+        np.testing.assert_array_equal(out, np.ascontiguousarray(x).reshape(2, -1))
+        grad_out = rng.normal(size=out.shape)
+        grad = layer.backward(grad_out)
+        assert grad.strides == x.strides
+        np.testing.assert_array_equal(grad, grad_out.reshape(x.shape))
 
 
 class TestDropout:

@@ -173,6 +173,31 @@ class TestModels:
         classifier_grads = [p.grad for _, p in model.classifier.named_parameters()]
         assert all(np.all(g == 0) for g in classifier_grads)
 
+    @pytest.mark.parametrize(
+        "builder", [nn.build_cnn_model, nn.build_mlp_model], ids=["cnn", "mlp"]
+    )
+    def test_input_grad_false_changes_only_the_return_value(self, builder, rng):
+        """``input_grad=False`` is per call: parameter gradients are bitwise
+        the default call's, and the next default call returns ∂L/∂x again."""
+        model = builder((3, 8, 8), num_classes=3, rng=rng)
+        x = rng.normal(size=(2, 3, 8, 8))
+        grad_logits = rng.normal(size=model.forward(x).shape)
+        model.zero_grad()
+        grad_input = model.backward(grad_logits=grad_logits)
+        assert grad_input.shape == x.shape
+        expected = [p.grad.copy() for p in model.parameters()]
+
+        model.zero_grad()
+        model.forward(x)
+        assert model.backward(grad_logits=grad_logits, input_grad=False) is None
+        for param, grad in zip(model.parameters(), expected):
+            assert np.array_equal(param.grad, grad)
+
+        model.forward(x)
+        np.testing.assert_array_equal(
+            model.backward(grad_logits=grad_logits), grad_input
+        )
+
     def test_predict_logits_batches_consistently(self, rng):
         model = nn.build_cnn_model((3, 16, 16), num_classes=4, rng=rng)
         x = rng.normal(size=(10, 3, 16, 16))

@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 
 from tests.gradcheck import numeric_gradient
+from repro.data.synthetic import LabeledDataset
+from repro.fl.strategy import LocalTrainingConfig
+from repro.nn.ensemble import ensemble_of
+from repro.nn.models import build_cnn_model
 from repro.nn.objective import (
     OBJECTIVE_TERMS,
     ClassAlignTerm,
@@ -27,6 +31,8 @@ from repro.nn.objective import (
     parse_objective_overrides,
     prototype_nce,
     register_objective_term,
+    run_objective_ensemble,
+    run_objective_epochs,
 )
 
 BUILTIN_TERMS = (
@@ -403,3 +409,61 @@ class TestEnsemblePath:
                 err_msg=f"{name}: slice {k} grad_embedding diverges",
             )
             assert losses[k] == scalar_loss, f"{name}: slice {k} loss diverges"
+
+
+class TestRunnersLeaveTheInputGradientAlone:
+    """The runners skip the first layer's input gradient for their own steps
+    only.  The server probes, and the ensemble backend reuses, the very model
+    instances they train, so a direct ``backward`` afterwards must still
+    return the full ∂L/∂x (checked against finite differences)."""
+
+    OBJECTIVE = CompositeObjective([("ce", 1.0), ("embed_l2", 0.1)])
+    CONFIG = LocalTrainingConfig(batch_size=4)
+
+    @staticmethod
+    def _input_gradient(model, x, rng):
+        embeddings = model.forward_features(x)
+        grad_logits = rng.normal(size=model.forward_logits(embeddings).shape)
+        grad_embedding = rng.normal(size=embeddings.shape)
+
+        def scalar():
+            embeddings = model.forward_features(x)
+            logits = model.forward_logits(embeddings)
+            return float(
+                np.sum(logits * grad_logits) + np.sum(embeddings * grad_embedding)
+            )
+
+        analytic = model.backward(
+            grad_logits=grad_logits, grad_embedding=grad_embedding
+        )
+        return analytic, numeric_gradient(scalar, x)
+
+    def test_scalar_runner(self, rng):
+        model = build_cnn_model((3, 8, 8), 4, rng, widths=(3, 4), embed_dim=5)
+        dataset = LabeledDataset(
+            rng.normal(size=(10, 3, 8, 8)), rng.integers(0, 4, 10), np.zeros(10)
+        )
+        secondary = rng.normal(size=dataset.images.shape)
+        before = model.state_dict()
+        run_objective_epochs(
+            model, dataset, self.OBJECTIVE, self.CONFIG, rng, secondary=secondary
+        )
+        assert any(np.any(before[k] != v) for k, v in model.state_dict().items())
+        x = rng.normal(size=(2, 3, 8, 8))
+        analytic, numeric = self._input_gradient(model, x, rng)
+        assert analytic.shape == x.shape
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-6)
+
+    def test_ensemble_runner(self, rng):
+        template = build_cnn_model((3, 8, 8), 4, rng, widths=(3, 4), embed_dim=5)
+        emodel = ensemble_of(template, 2)
+        images = rng.normal(size=(2, 10, 3, 8, 8))
+        labels = rng.integers(0, 4, size=(2, 10))
+        rngs = [np.random.default_rng(seed) for seed in (1, 2)]
+        run_objective_ensemble(
+            emodel, images, labels, self.OBJECTIVE, self.CONFIG, rngs
+        )
+        x = rng.normal(size=(2, 2, 3, 8, 8))
+        analytic, numeric = self._input_gradient(emodel, x, rng)
+        assert analytic.shape == x.shape
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-6)
