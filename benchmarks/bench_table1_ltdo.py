@@ -2,8 +2,9 @@
 
 Paper setting: two domains train, the other two serve as validation/test
 alternately; N=100 clients, 20% sampled, lambda=0.1, 50 rounds.  Scaled
-here per DESIGN.md §4; the *shape* to check is: Ours best AVG on both
-datasets, FedSR near chance, CCST competitive but behind Ours.
+here (see ``common.py``; README "Architecture map"); the *shape* to check
+is: Ours best AVG on both datasets, FedSR near chance, CCST competitive but
+behind Ours.
 """
 
 from __future__ import annotations

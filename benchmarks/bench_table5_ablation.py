@@ -7,7 +7,9 @@ the most among single-component removals; dropping both clusterings with
 generic augmentation positives (v4) is worst.
 
 An extended sweep additionally ablates the median-vs-mean choice of Eq. 5
-and the gamma coefficients — the design decisions DESIGN.md §5 calls out.
+and the gamma coefficients — the design choices exposed as
+``repro.core.config.PardonConfig`` fields (README "Architecture map",
+``repro.core`` row).
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def _run_variants(suite) -> str:
 
 
 def _run_extended(suite) -> str:
-    """Design-choice ablations beyond the paper's grid (DESIGN.md §5)."""
+    """Design-choice ablations beyond the paper's grid (``PardonConfig``
+    fields; README "Architecture map", ``repro.core`` row)."""
     split = {"train": [2, 3], "val": [1], "test": [0]}
     cases = [
         ("median (Eq. 5, default)", PardonConfig()),

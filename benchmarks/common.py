@@ -1,7 +1,8 @@
 """Shared infrastructure for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper at a scale the
-numpy substrate can run in minutes (DESIGN.md §4 maps experiment -> bench).
+numpy substrate can run in minutes (one ``bench_<table|fig>*.py`` per
+experiment — README "Architecture map").
 Results are printed as ASCII tables AND written to ``benchmarks/results/``;
 the conftest dumps them into the terminal at session end so they survive
 pytest's output capture.

@@ -1,105 +1,72 @@
 """Client-execution engines: how one round's local updates actually run.
 
 The round loop in :mod:`repro.fl.server` is *what* federated learning does
-(sample, broadcast, locally train, aggregate); this module is *how* the
-local-training fan-out executes.  Two engines share one contract:
+(sample, broadcast, locally train, aggregate); an engine is *how* the
+local-training fan-out executes.  There is **one round lifecycle** — the
+driver :meth:`repro.fl.round.Executor.run_round`, which no engine
+overrides::
 
-* :class:`SerialExecutor` — trains every participant in order on the
-  server's workspace model.  Bit-identical to the historical behaviour and
-  the default everywhere.
-* :class:`ParallelExecutor` — fans participants out to a pool of worker
-  processes with *pool-resident clients*: each client has a sticky home
-  worker (``client_id % num_workers``), its dataset ships there once per
-  pool lifetime, and afterwards only deltas travel (see the wire protocol
-  below).  Wall-clock scales with workers instead of with the participant
-  count (paper §IV-B-3's scalability axis).
+    plan ─▶ register ─▶ broadcast ─▶ group ─▶ dispatch ─▶ collect ─▶ close
+     │        │            │           │         │           │          │
+     │        │            │           │         │           │          └ RoundTimeoutError · deadline
+     │        │            │           │         │           │            history · LRU eviction · stats
+     │        │            │           │         │           └ arrival order; stops at: all answered ·
+     │        │            │           │         │             accepted ≥ quorum · deadline · no live lane
+     │        │            │           │         └ wave by wave (one wave unless ``pipelined=False``)
+     │        │            │           └ one task per home under a batched backend, faulted clients alone
+     │        │            └ encoded once per distinct reference chain, one handle per home
+     │        └ newcomers (+ piggy-backed evictions), once per client per lane lifetime
+     └ pinned replay, or fault-plan triage + crash victims
 
-Both return the same :class:`ClientUpdate` records in sampling order, so
-aggregation — and therefore the whole run trace — is independent of the
+— and three *lane sets* that only know a mechanism:
+
+==========  ==================  =========================  ==================  ===================
+lane        crash victim        lost endpoint              deadline            quorum close
+==========  ==================  =========================  ==================  ===================
+in-process  skipped             —                          cooperative: an     first K in
+(serial)                                                   over-budget hang    sampling order
+                                                           never starts
+pool        dispatched: the     slot rebuilt, clients      drop ``deadline``;  first K to arrive;
+(parallel)  worker really       re-registered, full-frame  task absorbed as    the rest absorbed
+            ``os._exit``s       re-broadcast, lost tasks   a zombie future     as zombie futures
+                                re-run (victim / killed
+                                twice: drop ``crash``)
+socket      never dispatched    drop ``disconnect``; its   drop ``deadline``;  first K to arrive;
+(remote)    (drop ``crash``)    clients re-home next       late upload         late uploads
+                                round                      discarded by id     discarded by id
+==========  ==================  =========================  ==================  ===================
+
+All lanes return the same :class:`ClientUpdate` records in sampling order,
+so aggregation — and therefore the whole run trace — is independent of the
 engine.  Determinism holds because per-(client, round) RNG seeds are derived
 from the :class:`repro.utils.rng.SeedTree` *before* dispatch and travel with
-the task.
+the task.  :class:`SerialExecutor` is the default everywhere;
+:class:`ParallelExecutor` scales wall-clock with workers instead of with
+the participant count (paper §IV-B-3's scalability axis);
+:class:`repro.fl.net.executor.RemoteExecutor` speaks the pool's protocol
+over framed sockets to agent processes on other machines.
 
-Wire protocol (parallel engine)
--------------------------------
-Mirrors the per-round-traffic argument PARDON makes against cross-sharing
-methods (§IV-B-3, Fig. 4b): clients keep their data, only deltas travel.
-
-1. **Registration** (once per client per pool lifetime): the full
-   :class:`Client` — dataset and scratch included — ships to its home
-   worker, then both sides mark the scratch clean.  The codec (below) is
-   negotiated here: its spec travels with the worker init, so both
-   endpoints build the same pipeline before any state crosses.
-2. **Broadcast** (once per participating worker per round): the strategy
-   blob and the codec-encoded global weights; workers cache the strategy
-   decode keyed on the blob bytes.
-3. **Task** (per co-resident group per round):
-   ``(client_ids, round_index, seeds, scratch_syncs, fault)`` — each
-   scratch sync is ``None`` unless server-side code touched that client's
-   scratch between rounds.  Under the ``loop`` compute backend every task
-   is a singleton group; a batched backend (``ensemble``) packs a home
-   worker's fault-free participants into one task, while faulted clients
-   always ride alone.
-4. **Delta upload** (per group per round): the list of
-   :class:`ClientUpdate` records in group order, each ``state``
-   codec-encoded and each ``scratch_delta`` carrying only the scratch keys
-   the local update wrote or removed — PARDON's style-transfer cache
-   crosses the wire once, not every round.
-
-Weight payloads in both directions additionally pass through a pluggable
-**codec** (:mod:`repro.fl.codec`): ``identity`` ships raw state dicts
-(the historical wire), ``delta`` ships lossless compressed diffs against
-reference states both endpoints hold (workers keep the previous broadcast;
-the server keeps each client's last acknowledged upload), and ``fp16`` /
-``qint8`` quantize.  Stateful codec references reset whenever their
-endpoint resets — pool rebuilds clear every reference, and re-registering
-a client clears that client's upload chain on both sides.
-
-*How* the encoded broadcast blob reaches the workers is a pluggable
-**transport** (:mod:`repro.fl.transport`), negotiated at pool build like
-the codec: ``pipe`` pickles one full copy into each participating worker's
-pipe, ``shm`` writes the blob once into a shared-memory segment and ships
-workers only a tiny handle.  Broadcast decode is *overlapped* on every
-transport: the worker's broadcast handler just records the handle, and the
-decode runs lazily at the round's first tensor touch — inside the local
-phase, concurrent with other workers' training and the server's dispatch —
-with its wall clock stamped on the first task's
-:attr:`ClientUpdate.decode_seconds` so :class:`repro.fl.timing.PhaseTimer`
-can report the overlap window.
-
-*How the clients that landed in one place actually train* is a pluggable
-**compute backend** (:mod:`repro.fl.compute`), negotiated at pool build
-like the codec and the transport: ``loop`` runs the historical per-client
-loop, ``ensemble`` stacks each co-resident group along a leading axis and
-trains it as fused batched matmuls (:mod:`repro.nn.ensemble`), and
-``auto`` (the default) resolves to ``ensemble`` whenever every module of
-the model converts.  Per-client results are bitwise independent of the
-grouping, so the trace stays engine- and backend-invariant.
-
-Both engines also host the **fault-tolerance layer**
-(:mod:`repro.fl.faults`): a deterministic, seeded fault plan injects
-client dropouts, worker crashes, stragglers, and corrupted uploads; a
-round ``deadline`` lets the parallel engine close a round with whatever
-updates arrived (survivors aggregate, stragglers are absorbed into the
-next round, crashed pool slots are rebuilt in place), and the engines
-publish each round's casualties in a
-:class:`repro.fl.faults.RoundFaultReport` so the server can record them.
-
-Every hop is byte-counted *post-codec* in :class:`WireStats` — both as the
-bytes each endpoint actually saw (``bytes_down``) and deduplicated across
-the fan-out (``unique_bytes_down``: the broadcast blob counts once per
-round, not once per worker); the server folds the counters into
-:class:`repro.fl.timing.TimingReport` so benches can print measured
-traffic next to the analytic :mod:`repro.fl.communication` model.
+What crosses a wire lane, and how both ends stay in lockstep, is
+:mod:`repro.fl.wire` (registration → broadcast → task → delta upload,
+byte-counted post-codec in :class:`WireStats`).  Three axes are negotiated
+when the lanes open, each a registry with its own module: the **codec**
+(:mod:`repro.fl.codec` — what bytes represent a state), the **transport**
+(:mod:`repro.fl.transport` — how the broadcast blob reaches the workers;
+its decode is lazy, at the round's first tensor touch, so it overlaps
+other workers' training) and the **compute backend**
+(:mod:`repro.fl.compute` — how co-resident clients train; per-client
+results are bitwise independent of the grouping).  The driver also hosts
+the fault-tolerance layer (:mod:`repro.fl.faults`): a seeded fault plan,
+round deadlines and quorum early-close, with each round's casualties
+published in a :class:`repro.fl.faults.RoundFaultReport`.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import pickle
 import sys
 import time
-from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -108,34 +75,32 @@ from concurrent.futures import (
     wait as _futures_wait,
 )
 from concurrent.futures.process import BrokenProcessPool as _BrokenPool
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Sequence
-
-import multiprocessing
-import numpy as np
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.fl.client import Client, ScratchDelta
-from repro.fl.codec import Codec, Payload, make_codec
-from repro.fl.compute import ComputeBackend, make_compute, resolve_compute
+from repro.fl.codec import Codec
 from repro.fl.faults import (
     AdaptiveDeadline,
-    FaultEvent,
     FaultPlan,
     FixedDeadline,
-    RoundFaultReport,
-    RoundTimeoutError,
-    byzantine_state,
-    make_deadline_policy,
-    make_fault_plan,
-    poison_state,
-    state_is_corrupt,
+    apply_update_fault,
+    sleep_injected,
 )
+from repro.fl.round import LOST, Executor, time_left
 from repro.fl.transport import Transport, make_transport, resolve_transport
-from repro.nn.serialize import StateDict, decode_payload, encode_payload
+from repro.fl.wire import (
+    WireStats,
+    WorkerRuntime,
+    _run_resident_task,
+    _worker_broadcast,
+    _worker_init,
+    _worker_register,
+)
+from repro.nn.serialize import StateDict, encode_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.fl.aggregate import AggregationStream
-    from repro.fl.strategy import Strategy
+    from repro.fl.round import _Row
     from repro.nn.models import FeatureClassifierModel
 
 __all__ = [
@@ -244,794 +209,70 @@ class ClientUpdate:
         )
 
 
-@dataclass
-class WireStats:
-    """Cumulative bytes an engine moved across the process boundary.
-
-    ``registration_bytes`` also counts the per-worker model template — the
-    whole one-time cost of making a pool resident.  Serial execution has no
-    wire, so its stats stay zero.
-
-    The ``unique_*`` counters deduplicate the fan-out: each distinct
-    payload counts once regardless of how many workers received it — the
-    model template once (not once per worker), each round's strategy blob
-    and each distinct encoded broadcast blob once (not once per
-    participating worker).  ``bytes_down`` is what the endpoints actually
-    saw and therefore transport-dependent (the pipe transport really does
-    copy the broadcast per worker); ``unique_bytes_down`` is the
-    information-content floor both transports share, and the gap between
-    the two is exactly what the shm transport's single-copy broadcast
-    eliminates.
-    """
-
-    registration_bytes: int = 0
-    broadcast_bytes: int = 0
-    task_bytes: int = 0
-    upload_bytes: int = 0
-    unique_registration_bytes: int = 0
-    unique_broadcast_bytes: int = 0
-
-    @property
-    def bytes_down(self) -> int:
-        """Server → worker traffic (registration + broadcast + tasks)."""
-        return self.registration_bytes + self.broadcast_bytes + self.task_bytes
-
-    @property
-    def unique_bytes_down(self) -> int:
-        """Downlink traffic with fan-out duplicates counted once (each
-        distinct broadcast blob once per round, the model template once)."""
-        return (
-            self.unique_registration_bytes
-            + self.unique_broadcast_bytes
-            + self.task_bytes
-        )
-
-    @property
-    def bytes_up(self) -> int:
-        """Worker → server traffic (delta uploads)."""
-        return self.upload_bytes
-
-
-class Executor:
-    """Engine contract: run one round's sampled clients, in sampling order.
-
-    ``participants`` and ``seeds`` are aligned; ``model`` is the server's
-    architecture template (serial engines train on it directly, parallel
-    engines clone it per worker).  Implementations must return one
-    :class:`ClientUpdate` per participant, in the same order, with decoded
-    (post-codec) states.
-
-    ``codec`` is the wire codec for weight payloads (a spec string or a
-    built :class:`repro.fl.codec.Codec`).  Engines must keep the round
-    trace *codec-invariant for lossless codecs* and *engine-invariant for
-    every codec*: an in-process engine reproduces a lossy wire by
-    round-tripping states through the codec, exactly as a worker would see
-    them.
-
-    ``faults`` injects a deterministic chaos schedule
-    (:class:`repro.fl.faults.FaultPlan`, or its spec string) and
-    ``deadline`` bounds each round's wall clock; both default to off.  An
-    engine with faults or a deadline may return *fewer* updates than
-    participants — the survivors, still in sampling order — and must
-    publish what it dropped (and why) in :attr:`last_fault_report` so the
-    server can reweight aggregation over the survivors and record the
-    round's casualties.  The fault layer's observable effect (who survives
-    each round) must stay engine-invariant: the chaos tests compare
-    serial and parallel traces bit-for-bit under one plan.
-
-    ``compute`` selects the compute backend (:mod:`repro.fl.compute`) that
-    trains each co-resident client group — ``"auto"`` (default) resolves
-    against the model at pool build, ``"loop"``/``"ensemble"``/``"strict"``
-    force a backend.  Per-client numerics are bitwise independent of the
-    backend and the grouping, so the choice is pure throughput.
-    """
-
-    #: The wire transport, for engines that have a wire (the serial engine
-    #: keeps the ``None`` default — there is no process boundary to cross).
-    transport: "Transport | None" = None
-
-    #: Broadcast/train/upload overlap the most recent round achieved, in
-    #: seconds: endpoint busy-time that ran concurrently with other remote
-    #: work instead of serializing behind it.  Only pipelined multi-host
-    #: engines (:class:`repro.fl.net.executor.RemoteExecutor`) report a
-    #: nonzero value; the server folds it into the timing report.
-    last_overlap_seconds: float = 0.0
-
-    def __init__(
-        self,
-        codec: "str | Codec" = "identity",
-        faults: "str | FaultPlan | None" = None,
-        deadline: "float | str | FixedDeadline | AdaptiveDeadline | None" = None,
-        compute: str = "auto",
-        quorum: int | None = None,
-    ) -> None:
-        self.codec = make_codec(codec)
-        #: The configured compute spec; ``auto`` until a model resolves it.
-        self.compute = resolve_compute(compute)
-        self.fault_plan = make_fault_plan(faults)
-        #: The round-deadline policy (:mod:`repro.fl.faults`): ``None`` for
-        #: no deadline, :class:`FixedDeadline` for the historical constant
-        #: budget, :class:`AdaptiveDeadline` for percentile-of-recent-rounds.
-        self.deadline_policy = make_deadline_policy(deadline)
-        if quorum is not None and int(quorum) < 1:
-            raise ValueError(f"quorum must be >= 1, got {quorum}")
-        #: Early-close floor: the round closes at the first ``quorum``
-        #: accepted uploads (``None`` = wait for everyone).
-        self.quorum = None if quorum is None else int(quorum)
-        #: The most recent round's fault outcome (who dropped and why,
-        #: injected straggler seconds, rebuilt worker slots).  Always
-        #: refreshed by run_round, even for fault-free rounds.
-        self.last_fault_report: RoundFaultReport | None = None
-        self._backend: ComputeBackend | None = None
-        # Measured durations of recent completed rounds, feeding adaptive
-        # deadline policies.  Bounded: no policy window reaches past this.
-        self._round_durations: "deque[float]" = deque(maxlen=32)
-        # round_index -> (accepted client ids, recorded drop map): when set,
-        # run_round replays exactly that membership instead of running its
-        # own round control.  See set_replay.
-        self._replay: (
-            "dict[int, tuple[tuple[int, ...], dict[int, str]]] | None"
-        ) = None
-
-    @property
-    def deadline(self) -> float | None:
-        """Back-compat view of :attr:`deadline_policy`: the fixed per-round
-        seconds, or ``None`` (adaptive policies resolve per round)."""
-        if isinstance(self.deadline_policy, FixedDeadline):
-            return self.deadline_policy.seconds
-        return None
-
-    @property
-    def records_accepted(self) -> bool:
-        """Whether round membership depends on wall clock (quorum races,
-        adaptive deadlines) or on a pinned replay — exactly the cases where
-        the server must record ``RoundRecord.accepted`` for exact replay."""
-        return (
-            self.quorum is not None
-            or self._replay is not None
-            or (self.deadline_policy is not None and self.deadline_policy.adaptive)
-        )
-
-    def set_replay(self, history: object) -> None:
-        """Pin future rounds to a recorded accepted-set per round.
-
-        ``history`` is a :class:`repro.fl.history.RunHistory` (or any
-        iterable of :class:`repro.fl.history.RoundRecord`) whose records
-        carry :attr:`~repro.fl.history.RoundRecord.accepted` — i.e. they
-        came from a quorum / adaptive-deadline run.  A replayed round
-        dispatches exactly the recorded accepted clients (in sampling
-        order), copies the recorded drop map verbatim, and applies no
-        deadline or quorum logic of its own, so the trace is bit-identical
-        to the recorded run on *any* engine — even though the original
-        membership was decided by a wall-clock race.
-        """
-        records = getattr(history, "records", history)
-        replay: "dict[int, tuple[tuple[int, ...], dict[int, str]]]" = {}
-        for record in records:
-            if record.accepted is None:
-                raise ValueError(
-                    f"round {record.round_index} has no recorded accepted "
-                    f"set; only quorum/adaptive-deadline runs record one"
-                )
-            replay[record.round_index] = (
-                tuple(record.accepted),
-                dict(record.dropped),
-            )
-        self._replay = replay
-
-    def clear_replay(self) -> None:
-        """Return to live round control after :meth:`set_replay`."""
-        self._replay = None
-
-    def _current_deadline(self) -> float | None:
-        """This round's wall-clock budget under the configured policy."""
-        if self.deadline_policy is None:
-            return None
-        return self.deadline_policy.resolve(tuple(self._round_durations))
-
-    def _observe_round_duration(self, seconds: float) -> None:
-        """Feed a completed round's duration to adaptive deadline policies
-        (fixed policies ignore history, so don't bother recording)."""
-        if self.deadline_policy is not None and self.deadline_policy.adaptive:
-            self._round_durations.append(float(seconds))
-
-    def _replay_membership(
-        self,
-        participants: Sequence[Client],
-        seeds: Sequence[int],
-        round_index: int,
-        report: RoundFaultReport,
-    ) -> "tuple[list[tuple[Client, int]], dict[int, FaultEvent]] | None":
-        """Resolve a pinned replay for this round, if any.
-
-        Returns the dispatch pairs (the recorded accepted clients, in
-        sampling order) and the fault events to re-inject into them —
-        update-level faults only (straggler sleeps, byzantine payloads):
-        membership faults (dropout, crash, deadline, quorum) are already
-        baked into the recorded drop map, which is copied onto ``report``
-        verbatim.  In particular the plan's crash victim is *not*
-        re-picked — it would deterministically select a fresh victim from
-        the narrowed accepted set.
-        """
-        if self._replay is None:
-            return None
-        entry = self._replay.get(round_index)
-        if entry is None:
-            raise ValueError(
-                f"replay is set but has no entry for round {round_index}"
-            )
-        accepted_ids, recorded_dropped = entry
-        report.dropped.update(recorded_dropped)
-        accepted = set(accepted_ids)
-        pairs = [
-            (client, seed)
-            for client, seed in zip(participants, seeds)
-            if client.client_id in accepted
-        ]
-        injected: dict[int, FaultEvent] = {}
-        if self.fault_plan is not None:
-            for client, _ in pairs:
-                event = self.fault_plan.fault_for(client.client_id, round_index)
-                if event is not None and event.kind in (
-                    "straggler", "hang", "corrupt", "byzantine"
-                ):
-                    injected[client.client_id] = event
-                    if event.kind in ("straggler", "hang"):
-                        report.straggler_seconds += event.delay_seconds
-        return pairs, injected
-
-    def run_round(
-        self,
-        strategy: "Strategy",
-        model: "FeatureClassifierModel",
-        global_state: StateDict,
-        participants: Sequence[Client],
-        round_index: int,
-        seeds: Sequence[int],
-        stream: "AggregationStream | None" = None,
-    ) -> list[ClientUpdate]:
-        """Run one round's local updates; with ``stream`` the engine folds
-        each *accepted* upload into the online aggregation accumulator as
-        membership resolves and frees its ``state`` — the returned updates
-        then carry ``state=None`` and the caller finalizes the stream
-        instead of re-reducing the batch.  ``stream.count`` always equals
-        the number of returned updates, which is how
-        :meth:`repro.fl.strategy.Strategy.aggregate` cross-checks that the
-        engine and the stream saw the same round."""
-        raise NotImplementedError
-
-    def _compute_backend(self, model: "FeatureClassifierModel") -> ComputeBackend:
-        """The round's compute backend, with ``auto`` resolved late against
-        the actual model (mirrors how codec/transport negotiate at build).
-
-        The built backend is kept across rounds so its internal caches (the
-        ensemble backend memoizes stacked module clones per group size)
-        survive the round loop — backends are stateless with respect to
-        results, so reuse can never change a trace."""
-        spec = resolve_compute(self.compute, model)
-        if self._backend is None or self._backend.spec != spec:
-            self._backend = make_compute(spec)
-        return self._backend
-
-    def wire_stats(self) -> WireStats:
-        """Snapshot of the engine's cumulative wire traffic (zero when the
-        engine moves nothing across a process boundary)."""
-        return WireStats()
-
-    def close(self) -> None:
-        """Release any worker resources.  Idempotent; engines may be reused
-        after closing (pools are rebuilt lazily)."""
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 class SerialExecutor(Executor):
     """Train participants one after another on the server's workspace model.
 
-    The workspace pattern means zero copies: the global weights are loaded
-    into ``model`` before each participant, so state never leaks between
-    clients through the model object.
+    The in-process lane of the round driver.  The workspace pattern means
+    zero copies: the global weights are loaded into ``model`` before each
+    participant, so state never leaks between clients through the model
+    object.
 
     There is no wire, so lossless codecs (identity, delta) are a strict
     no-op — states decode bit-exactly, and skipping the round-trip is what
     keeps this engine zero-copy.  Lossy codecs *are* round-tripped (one
     broadcast round-trip per round, one upload round-trip per update) so a
-    quantized run traces identically here and on the parallel engine.
+    quantized run traces identically here and on the wire lanes.
 
-    Faults inject in-process: dropped-before-dispatch clients are simply
-    skipped, survivor stragglers really sleep their injected delay, crash
-    victims are skipped at the point the parallel engine's worker would
-    die, and corrupted uploads are poisoned then rejected by the same
-    validation the parallel server runs — so a faulty run's trace matches
-    the parallel engines bit-for-bit.  A round ``deadline`` on this engine
-    is *cooperative* (no preemption in-process): it only decides which
-    injected stragglers/hangs are dropped up front.
+    Faults inject in-process (survivor stragglers really sleep, corrupted
+    uploads are poisoned then rejected by the acceptance check every
+    lane's uploads pass), and "arrival order" is sampling order, so a
+    ``quorum`` deterministically keeps the first K accepted uploads — the
+    canonical accepted set a wall-clock engine replays.
     """
 
-    def run_round(
-        self,
-        strategy: "Strategy",
-        model: "FeatureClassifierModel",
-        global_state: StateDict,
-        participants: Sequence[Client],
-        round_index: int,
-        seeds: Sequence[int],
-        stream: "AggregationStream | None" = None,
-    ) -> list[ClientUpdate]:
-        round_start = time.perf_counter()
-        round_deadline = self._current_deadline()
-        report = RoundFaultReport(round_index=round_index)
-        replay = self._replay_membership(participants, seeds, round_index, report)
-        # What a worker would train from: identical to global_state for
-        # lossless codecs, the dequantized broadcast for lossy ones.
-        wire_state = self.codec.roundtrip(global_state)
-        # Fault triage first, then one backend call over the survivors: the
-        # whole round is a single co-resident group in-process, which the
-        # ensemble backend trains as one (or a few) fused stacks.  Slice
-        # independence keeps each client's numerics identical to the
-        # per-client loop, so this grouping is invisible in the trace.
-        survivors: "list[tuple[Client, int, FaultEvent | None]]" = []
-        if replay is not None:
-            # Pinned membership: dispatch exactly the recorded accepted
-            # clients, re-injecting only the update-level faults (sleeps,
-            # byzantine payloads) that shape what they upload.
-            for client, seed in replay[0]:
-                fault = replay[1].get(client.client_id)
-                client.scratch.collect_delta()
-                if fault is not None and fault.kind in ("straggler", "hang"):
-                    time.sleep(fault.delay_seconds)
-                survivors.append((client, seed, fault))
-        else:
-            actions = (
-                self.fault_plan.actions_for_round(
-                    [client.client_id for client in participants],
-                    round_index,
-                    round_deadline,
-                )
-                if self.fault_plan is not None
-                else None
-            )
-            if actions:
-                report.straggler_seconds = actions.straggler_seconds
-                report.dropped.update(actions.skipped)
-            for client, seed in zip(participants, seeds):
-                fault = None
-                if actions is not None:
-                    if client.client_id in actions.skipped:
-                        continue
-                    fault = actions.injected.get(client.client_id)
-                if fault is not None and fault.kind == "crash":
-                    # The parallel victim dies on task receipt, after the
-                    # server's dispatch-time scratch sync; mirror that sync
-                    # point so dirty-tracking stays engine-invariant.
-                    client.scratch.collect_delta()
-                    report.dropped[client.client_id] = "crash"
-                    continue
-                if fault is not None and fault.kind == "hang":
-                    # No preemption in-process: approximate the parallel
-                    # engine's wall-clock timeout with the cooperative rule.
-                    if round_deadline is not None and (
-                        fault.delay_seconds >= round_deadline
-                    ):
-                        report.dropped[client.client_id] = "deadline"
-                        continue
-                # Same sync point the parallel engine has before each task:
-                # any server-side scratch edits are "shipped" to the
-                # training side — a no-op in-process — so the upload delta
-                # carries only what the update itself writes, identically
-                # on every engine.
-                client.scratch.collect_delta()
-                if fault is not None and fault.kind in ("straggler", "hang"):
-                    time.sleep(fault.delay_seconds)
-                survivors.append((client, seed, fault))
-        backend = self._compute_backend(model)
-        group_updates = backend.run_group(
+    def open(self, model: "FeatureClassifierModel") -> None:
+        self._model = model
+        self._compute_backend(model)
+
+    def home(self, client_id: int) -> int:
+        return 0  # the whole round is one co-resident group in-process
+
+    def send_broadcast(
+        self, home: int, strategy: object, state: StateDict, round_index: int
+    ) -> None:
+        self._frame = (strategy, state, round_index)
+        self._queued: "list[tuple[int, _Row]]" = []
+
+    def submit(self, task_id: int, home: int, row: "_Row") -> None:
+        self._queued.append((task_id, row))
+
+    def poll(self, timeout: "float | None") -> "list[tuple[int, list[ClientUpdate]]]":
+        """Train everything queued as ONE backend call — the ensemble
+        backend fuses it into one (or a few) stacks; slice independence
+        keeps each client's numerics identical to the per-client loop —
+        and hand the updates back row by row, in dispatch order."""
+        queued, self._queued = self._queued, []
+        strategy, state, round_index = self._frame
+        self._frame = None  # do not pin a (dequantized) model copy between rounds
+        for _, row in queued:
+            sleep_injected(row.fault)
+        # One client per row in-process (see ``Executor._group``).
+        updates = self._backend.run_group(
             strategy,
-            model,
-            wire_state,
-            [client for client, _, _ in survivors],
+            self._model,
+            state,
+            [row.clients[0] for _, row in queued],
             round_index,
-            [seed for _, seed, _ in survivors],
+            [row.seeds[0] for _, row in queued],
         )
-        norm_screen = (
-            self.fault_plan.norm_screen if self.fault_plan is not None else None
-        )
-        updates = []
-        for (client, _, fault), update in zip(survivors, group_updates):
-            if fault is not None:
-                if fault.kind in ("straggler", "hang"):
-                    update.straggler_seconds = fault.delay_seconds
-                elif fault.kind == "corrupt":
-                    update.state = poison_state(update.state)
-                elif fault.kind == "byzantine":
-                    # Same hook point as the worker: the attack replaces
-                    # the honest upload before it hits the wire codec, and
-                    # is computed against the decoded broadcast the client
-                    # trained from.
-                    update.state = byzantine_state(
-                        update.state, wire_state, fault
-                    )
+        for (_, row), update in zip(queued, updates):
+            if row.fault is not None:
+                apply_update_fault(update, row.fault, state)
             if not self.codec.lossless:
                 # Mirror the upload hop: the server-side aggregation must
                 # consume exactly what a decoded wire upload would hold.
                 update.state = self.codec.roundtrip(update.state)
-            if self.fault_plan is not None and state_is_corrupt(
-                update.state, ref=global_state, norm_screen=norm_screen
-            ):
-                # Same acceptance check the parallel server runs on every
-                # decoded upload: the weights are distrusted, the scratch
-                # is not (in-process it was already applied in place).
-                report.dropped[client.client_id] = "corrupt"
-                continue
-            updates.append(update)
-        if replay is None and self.quorum is not None and len(updates) > self.quorum:
-            # Serial "arrival order" is sampling order, so the early close
-            # deterministically keeps the first `quorum` accepted uploads —
-            # the canonical accepted set a wall-clock engine replays.
-            report.early_closed = True
-            for update in updates[self.quorum :]:
-                report.dropped[update.client_id] = "quorum"
-            updates = updates[: self.quorum]
-        if stream is not None:
-            # Membership is final past the quorum cut: fold the accepted
-            # uploads into the online accumulator in sampling order and
-            # free each state — the server's aggregation memory is the
-            # accumulator, not the round's update set.
-            for position, update in enumerate(updates):
-                stream.fold(update.state, float(update.num_samples), position)
-                update.state = None
-        self.last_fault_report = report
-        self._observe_round_duration(time.perf_counter() - round_start)
-        return updates
-
-
-class _DroppedTask:
-    """Sentinel standing in for a task future that will never produce an
-    update (the crash victim, or a client given up on after re-execution
-    also lost its worker); collection records the drop and moves on."""
-
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str) -> None:
-        self.reason = reason
-
-
-def _ingest_group_upload(
-    engine: "Executor",
-    row: "list",
-    wire: object,
-    global_state: StateDict,
-    results: "dict[int, ClientUpdate]",
-    report: RoundFaultReport,
-    stream: "AggregationStream | None" = None,
-) -> int:
-    """Decode one group row's upload into ``results`` (keyed by dispatch
-    position), syncing scratch and running the acceptance checks; returns
-    how many updates were accepted.
-
-    Shared verbatim by every wire-crossing engine — the process pool
-    (:class:`ParallelExecutor`) and the socket engine
-    (:class:`repro.fl.net.executor.RemoteExecutor`) — so upload semantics
-    (codec chains, scratch materialization, corruption screening,
-    streaming folds) are literally one code path.  ``engine`` supplies
-    ``wire``/``codec``/``fault_plan``/``_upload_refs`` and, optionally, a
-    ``transport`` whose ``recv_upload`` unwraps the wire bytes.
-
-    The decode order is fixed per row, so every collection strategy
-    (index order, arrival order under a quorum, pipelined arrival order)
-    advances the codec reference chains identically for any given set of
-    ingested rows.
-    """
-    clients, _, positions, _ = row
-    blob = wire if engine.transport is None else engine.transport.recv_upload(wire)
-    engine.wire.upload_bytes += len(blob)
-    row_updates: list[ClientUpdate] = decode_payload(blob)
-    norm_screen = (
-        engine.fault_plan.norm_screen if engine.fault_plan is not None else None
-    )
-    accepted = 0
-    for client, position, update in zip(clients, positions, row_updates):
-        # Restore the codec-encoded state before anything
-        # downstream (aggregation, benches) touches the update.
-        decoded = engine.codec.decode(
-            update.state, engine._upload_refs.get(update.client_id)
-        )
-        update.state = decoded
-        if engine.codec.stateful:
-            engine._upload_refs[update.client_id] = decoded
-        # The out-of-band decode hands back read-only views into
-        # the upload blob.  That is fine for ``state`` (dropped
-        # after aggregation), but scratch outlives the round:
-        # materialize the delta so server-side scratch holds owned,
-        # writable values instead of pinning every client's blob
-        # for the session.
-        if update.scratch_delta:
-            update.scratch_delta = pickle.loads(
-                pickle.dumps(
-                    update.scratch_delta, pickle.HIGHEST_PROTOCOL
-                )
-            )
-        # Sync the server-side copy; applying (rather than
-        # recording) keeps its dirty set empty, so nothing bounces
-        # back next round.
-        client.scratch.apply_delta(update.scratch_delta)
-        if engine.fault_plan is not None and state_is_corrupt(
-            update.state, ref=global_state, norm_screen=norm_screen
-        ):
-            # Acceptance check on every decoded upload: distrust
-            # the weights, keep the scratch (applied above — the
-            # serial engine's in-process run mutates it the same
-            # way), and leave both reference chains advanced so the
-            # next delta still decodes bit-exactly.
-            report.dropped[client.client_id] = "corrupt"
-            continue
-        results[position] = update
-        accepted += 1
-        if stream is not None:
-            # Streaming aggregation overlaps collection: fold the
-            # accepted upload into the online accumulator the moment
-            # it passes the checks and free the decoded state — the
-            # server holds the accumulator plus at most the stateful
-            # codec's bounded reference chain, never the round's full
-            # update set.
-            stream.fold(update.state, float(update.num_samples), position)
-            update.state = None
-    return accepted
-
-
-# -- the training endpoint ----------------------------------------------------
-#
-# One single-process pool per worker slot gives deterministic task routing:
-# submissions to a slot run FIFO in one long-lived process, so a client's
-# home worker keeps its dataset, scratch, and the round's broadcast state
-# without any cross-worker coordination.  All of that per-endpoint state
-# lives in a WorkerRuntime: pool workers install one as a module-global
-# singleton (process-wide, exactly like the historical module globals);
-# remote agents (repro.fl.net.agent) build one per server connection, so
-# in-process agent threads never share state.  Either way the training
-# side of the wire protocol is the same object running the same code.
-
-
-class WorkerRuntime:
-    """The training endpoint's half of the wire protocol.
-
-    Holds everything a worker keeps between messages: the decoded model
-    template, the negotiated codec/transport/compute, resident clients,
-    the current round's (lazily decoded) broadcast, and the stateful-codec
-    reference states — the previous decoded broadcast and each resident
-    client's last uploaded state, which advance in lockstep with the
-    server-side chains because lossless decoding is bit-exact (that
-    invariant is why stateful codecs must be lossless).
-
-    Construction *is* negotiation: the four arguments are the pool
-    initargs — and, verbatim, the meta a remote agent receives in its
-    handshake welcome — so every endpoint builds the same pipeline from
-    the same strings before any state crosses the wire.
-    """
-
-    def __init__(
-        self,
-        model_blob: bytes,
-        codec_spec: str,
-        transport_spec: str,
-        compute_spec: str,
-    ) -> None:
-        self.model: "FeatureClassifierModel" = decode_payload(model_blob)
-        self.codec: Codec = make_codec(codec_spec)  # the negotiated wire codec
-        self.transport: Transport = make_transport(transport_spec)  # ...and transport
-        self.compute: ComputeBackend = make_compute(compute_spec)  # ...and compute
-        self.clients: dict[int, Client] = {}
-        self.strategy_blob: "bytes | None" = None
-        self.strategy: "Strategy | None" = None
-        self.state: StateDict | None = None
-        self.round_index: "int | None" = None
-        # The not-yet-decoded broadcast: (transport handle, round index).
-        # The broadcast handler only records it; the decode runs lazily at
-        # the round's first tensor touch (see ensure_round_state) so it
-        # overlaps the server's dispatch and the other workers' training
-        # instead of serializing behind a per-round barrier.
-        self.pending: "tuple[object, int] | None" = None
-        self.bcast_ref: StateDict | None = None
-        self.upload_refs: dict[int, StateDict] = {}
-
-    def register(self, clients_blob: bytes) -> int:
-        """Make the shipped clients resident; replaces same-id residents.
-
-        The blob also carries the ids the server's LRU evicted from this
-        endpoint since the last registration — piggybacked here so
-        worker-side copies (and their upload reference chains) are freed
-        without a dedicated message.  Either half may be empty: a
-        pure-eviction flush ships no clients, a pure registration no
-        evictions.
-        """
-        clients: "list[Client]"
-        evict_ids: "tuple[int, ...]"
-        clients, evict_ids = decode_payload(clients_blob)
-        for client_id in evict_ids:
-            self.clients.pop(client_id, None)
-            self.upload_refs.pop(client_id, None)
-        for client in clients:
-            client.scratch.mark_clean()  # registration is the sync point
-            self.clients[client.client_id] = client
-            # A fresh resident starts a fresh upload-reference chain; the
-            # server drops its copy at the same point.
-            self.upload_refs.pop(client.client_id, None)
-        return len(clients)
-
-    def set_strategy(self, strategy_blob: bytes) -> "Strategy":
-        if strategy_blob != self.strategy_blob:
-            self.strategy = decode_payload(strategy_blob)
-            self.strategy_blob = strategy_blob
-        return self.strategy
-
-    def broadcast(
-        self, strategy_blob: bytes, handle: object, round_index: int
-    ) -> float:
-        """Record one round's strategy + broadcast handle.
-
-        Deliberately does *not* decode the weights — that happens lazily at
-        the round's first tensor touch (:meth:`ensure_round_state`),
-        overlapping the decode with the server's task dispatch and the
-        other workers' training.  Returns the handler-entry
-        ``perf_counter`` timestamp; on the platforms this library runs,
-        ``perf_counter`` reads a system-wide monotonic clock, so a
-        same-host server can subtract its submit timestamp to measure the
-        transport's dispatch latency (pickling + pipe transfer for
-        ``pipe``, a tiny handle for ``shm``).
-        """
-        entry = time.perf_counter()
-        self.set_strategy(strategy_blob)
-        self.pending = (handle, round_index)
-        return entry
-
-    def ensure_round_state(self, round_index: int) -> float:
-        """Decode the pending broadcast if this task is the round's first
-        tensor touch on this endpoint; returns the decode wall clock (0.0
-        when the round state is already installed)."""
-        decode_seconds = 0.0
-        if self.pending is not None and self.pending[1] == round_index:
-            handle, pending_round = self.pending
-            start = time.perf_counter()
-            # fetch() is a pipe no-op / a zero-copy shm view / a tcp pull;
-            # decode_payload reads it out-of-band, so the codec decodes
-            # straight from the transport's buffer without an intermediate
-            # copy.
-            payload: Payload = decode_payload(self.transport.fetch(handle))
-            self.state = self.codec.decode(payload, self.bcast_ref)
-            if self.codec.stateful:
-                self.bcast_ref = self.state
-            self.round_index = pending_round
-            self.pending = None
-            decode_seconds = time.perf_counter() - start
-        if self.state is None or self.round_index != round_index:  # pragma: no cover
-            raise RuntimeError(
-                f"task for round {round_index} arrived without its broadcast "
-                f"(endpoint is at round {self.round_index})"
-            )
-        return decode_seconds
-
-    def run_task(
-        self,
-        task: "tuple[tuple[int, ...], int, tuple[int, ...], tuple[bytes | None, ...], FaultEvent | None]",
-    ) -> bytes:
-        """Train one co-resident client group and upload its updates.
-
-        ``task`` carries the group's client ids, their per-client seeds and
-        scratch-sync blobs, and at most one fault event.  Faulted clients
-        always dispatch as singleton groups (the server enforces this), so
-        a fault applies to ``client_ids[0]`` unambiguously; fault-free
-        clients of one endpoint may share a group, which the compute
-        backend trains as one fused stack.  The upload is always a *list*
-        of updates, in group order.
-
-        Crash faults are the *dispatcher's* problem, not this method's:
-        the pool wrapper (:func:`_run_resident_task`) hard-exits the
-        process before getting here, and the remote executor never
-        dispatches a crash victim at all (a remote agent is not the
-        server's process to kill).
-        """
-        client_ids, round_index, seeds, scratch_syncs, fault = task
-        if self.strategy is None:  # pragma: no cover - protocol violation
-            raise RuntimeError("endpoint received a task before init/broadcast")
-        decode_seconds = self.ensure_round_state(round_index)
-        clients: list[Client] = []
-        for client_id, scratch_sync in zip(client_ids, scratch_syncs):
-            client = self.clients.get(client_id)
-            if client is None:  # pragma: no cover - protocol violation
-                raise RuntimeError(
-                    f"client {client_id} is not resident on this endpoint"
-                )
-            if scratch_sync is not None:
-                client.scratch.apply_delta(decode_payload(scratch_sync))
-            clients.append(client)
-        straggler_seconds = 0.0
-        if fault is not None and fault.kind in ("straggler", "hang"):
-            # Injected slowness, slept before the update so train_seconds
-            # keeps measuring genuine compute.  A "hang" sleeps past the
-            # server's round deadline; the server drops it and absorbs the
-            # eventual result as a zombie.
-            time.sleep(fault.delay_seconds)
-            straggler_seconds = fault.delay_seconds
-        updates = self.compute.run_group(
-            self.strategy, self.model, self.state, clients,
-            round_index, list(seeds),
-        )
-        # The lazy broadcast decode ran inside this task; stamp it once, on
-        # the group's first update, so PhaseTimer's overlap accounting
-        # counts it exactly once per endpoint per round.
-        if updates:
-            updates[0].decode_seconds = decode_seconds
-            updates[0].straggler_seconds = straggler_seconds
-        if fault is not None and fault.kind == "corrupt":
-            # Poison *before* the codec, like a corrupted upload on a real
-            # wire; the server's acceptance check catches it after decode.
-            updates[0].state = poison_state(updates[0].state)
-        elif fault is not None and fault.kind == "byzantine":
-            # The adversary trains honestly, then uploads an attack state
-            # built against the broadcast it received — pre-codec, like any
-            # real client-side tampering.  Byzantine clients dispatch as
-            # singleton groups, so the attack targets updates[0].
-            updates[0].state = byzantine_state(
-                updates[0].state, self.state, fault
-            )
-        # Codec-encode each upload; ``update.state`` carries the Payload
-        # across the wire and the server restores a decoded state before
-        # anyone else sees the update.
-        for update in updates:
-            state = update.state
-            update.state = self.codec.encode(
-                state, self.upload_refs.get(update.client_id)
-            )
-            if self.codec.stateful:
-                self.upload_refs[update.client_id] = state
-        return self.transport.send_upload(encode_payload(updates))
-
-
-# The pool worker's process-wide runtime, installed by _worker_init.
-_WORKER_RUNTIME: "WorkerRuntime | None" = None
-
-
-def _worker_init(
-    model_blob: bytes, codec_spec: str, transport_spec: str, compute_spec: str
-) -> None:
-    # A fresh runtime replaces whatever fork inherited from a sibling pool's
-    # module state, wholesale.
-    global _WORKER_RUNTIME
-    _WORKER_RUNTIME = WorkerRuntime(
-        model_blob, codec_spec, transport_spec, compute_spec
-    )
-
-
-def _worker_register(clients_blob: bytes) -> int:
-    return _WORKER_RUNTIME.register(clients_blob)
-
-
-def _worker_broadcast(
-    strategy_blob: bytes, handle: object, round_index: int
-) -> float:
-    return _WORKER_RUNTIME.broadcast(strategy_blob, handle, round_index)
-
-
-def _run_resident_task(
-    task: "tuple[tuple[int, ...], int, tuple[int, ...], tuple[bytes | None, ...], FaultEvent | None]",
-) -> bytes:
-    fault = task[4]
-    if fault is not None and fault.kind == "crash":
-        # Simulate a hard worker crash: no cleanup, no exception back up
-        # the pipe — the pool just loses this process, exactly like a
-        # kill -9.  os._exit skips atexit/finalizers on purpose.
-        os._exit(1)
-    if _WORKER_RUNTIME is None:  # pragma: no cover - protocol violation
-        raise RuntimeError("worker received a task before init")
-    return _WORKER_RUNTIME.run_task(task)
-
-
-def _default_workers() -> int:
-    return max(2, min(4, os.cpu_count() or 2))
+        return [(task_id, [update]) for (task_id, _), update in zip(queued, updates)]
 
 
 def _default_start_method() -> str:
@@ -1047,6 +288,10 @@ def _default_start_method() -> str:
 class ParallelExecutor(Executor):
     """Fan sampled clients out to sticky worker processes.
 
+    The pool lane of the round driver: one long-lived single-process pool
+    per worker slot, real ``os._exit`` crash victims, slot rebuild in
+    place, zombie absorption of abandoned tasks.
+
     Parameters
     ----------
     num_workers:
@@ -1055,13 +300,6 @@ class ParallelExecutor(Executor):
     start_method:
         ``multiprocessing`` start method; defaults to ``fork`` when the
         platform offers it.
-    codec:
-        Wire codec for weight payloads (spec string or built
-        :class:`repro.fl.codec.Codec`).  The spec is shipped to workers at
-        pool build, so both endpoints run the same pipeline.  A stateful
-        codec (``delta``) keeps one reference state per worker (the last
-        broadcast) and per client (the last acknowledged upload) on each
-        side — O(model) memory per endpoint, the price of shipping diffs.
     transport:
         How encoded broadcast blobs reach the workers
         (:mod:`repro.fl.transport`): ``"pipe"`` copies the blob into each
@@ -1069,75 +307,44 @@ class ParallelExecutor(Executor):
         copy per round, and ``"auto"`` (default) prefers ``shm`` when the
         platform supports it.  Negotiated at pool build like the codec;
         purely mechanical — traces are transport-invariant.
-    compute:
-        The compute backend (:mod:`repro.fl.compute`) each worker trains
-        its co-resident groups with; ``"auto"`` (default) resolves against
-        the model at pool build.  Under a batched backend every home
-        worker's fault-free participants arrive as one group task and
-        train as a fused ``(K, ...)`` stack; per-client numerics are
-        bitwise independent of the grouping, so traces stay
-        backend-invariant.
-    faults:
-        Deterministic chaos schedule (:class:`repro.fl.faults.FaultPlan`
-        or its spec string); injected faults travel inside the task
-        tuples, so workers need no plan of their own.
-    deadline:
-        Wall-clock budget per round, in seconds, measured from the moment
-        the round's tasks have all been dispatched (so time spent
-        absorbing a previous round's straggler into registration does not
-        eat the new round's budget).  When it expires the round *closes
-        with whatever updates arrived*: outstanding clients are dropped
-        (reason ``"deadline"``), their still-running tasks are absorbed —
-        the slot keeps FIFO order, so the zombie result is drained and
-        discarded next round and the client is re-registered before its
-        next participation — and if *nothing* arrived the round raises
-        :class:`repro.fl.faults.RoundTimeoutError` with the offending
-        client ids instead of blocking forever on a hung worker.  Accepts
-        a fixed number of seconds or an adaptive policy spec
-        (``"percentile:p95"`` — see
-        :func:`repro.fl.faults.make_deadline_policy`), which budgets each
-        round from a sliding window of measured round durations.
-    quorum:
-        Early-close floor: with ``quorum=K`` the round closes at the
-        first K *accepted* uploads (arrival order), dropping the
-        outstanding rest (reason ``"quorum"``) with the same absorption
-        contract as a deadline drop.  Wall clock decides who makes the
-        cut, so the server records the accepted set per round
-        (``RoundRecord.accepted``) and :meth:`Executor.set_replay` can
-        reproduce the run exactly on any engine.  Under a deadline, a
-        round that times out below the quorum raises
-        :class:`repro.fl.faults.RoundTimeoutError` naming the quorum and
-        the partial accepted set.
+    max_resident:
+        Bound on pool-resident clients: the longest-unsampled are evicted
+        (server-side copy, upload reference chain, and — piggybacked on
+        the slot's next registration — the worker-side copy) and
+        re-register with a full frame when next sampled, so a bounded run
+        traces identically to an unbounded one.
+    codec, faults, deadline, compute, quorum:
+        As on every engine (:class:`repro.fl.round.Executor`).  Specs ship
+        to the workers at pool build and injected faults travel inside the
+        task tuples, so workers need no plan of their own.  The round
+        ``deadline`` is measured from the moment the round's tasks have
+        all been dispatched; a task it (or a ``quorum`` close) leaves
+        running is *absorbed*: the slot keeps FIFO order, so the zombie
+        result is drained and discarded and the client re-registers before
+        its next participation.
 
-    Crashed pool slots are rebuilt in place: the slot's process is
-    replaced, the round's broadcast is re-published to it (full-frame for
-    stateful codecs — the dead worker's reference chain died with it),
-    the clients whose tasks were lost re-register over the existing
-    registration path from the server-side copies (which hold every
-    previously synced scratch delta), and the lost tasks re-run with
-    their original seeds.  Only a plan-designated crash victim — or a
-    client whose task kills its worker twice — is dropped, so the
-    surviving set matches the serial engine exactly.
-
-    Each worker slot is one long-lived process (a single-worker
-    :class:`~concurrent.futures.ProcessPoolExecutor`), and every client is
-    pinned to slot ``client_id % num_workers``.  A client's dataset and
-    scratch ship to its home worker **once**, at first participation; each
-    round then sends one ``(strategy, weights)`` broadcast per participating
-    worker and a constant-size task per participant, and each upload carries
-    only the scratch keys the update changed (see the module docstring for
-    the full wire protocol).  Results come back in sampling order and the
-    uploaded deltas are applied to the server-side clients, so caches built
-    inside a worker (e.g. PARDON's style-transferred images) survive across
-    rounds exactly as they do serially.
+    Each worker slot is one single-worker
+    :class:`~concurrent.futures.ProcessPoolExecutor`, and every client is
+    pinned to slot ``client_id % num_workers``.  That gives deterministic
+    task routing: submissions to a slot run FIFO in one long-lived process,
+    so a client's home worker keeps its dataset, scratch, and the round's
+    broadcast state without any cross-worker coordination — the slot's
+    broadcast is guaranteed to run before its tasks, and the first
+    not-yet-answered task of a dead slot is the one that was executing
+    when it died.  Uploaded scratch deltas are applied to the server-side
+    clients, so caches built inside a worker (e.g. PARDON's
+    style-transferred images) survive across rounds — and a slot rebuild —
+    exactly as they do serially.
 
     The pool is created lazily on the first round and rebuilt only when a
     different model *architecture* shows up, so one executor (and its warm
     pool + resident clients) serves consecutive runs — e.g. every split of a
-    LODO sweep.  Residency is keyed on client *identity*: a run that builds
-    fresh :class:`Client` objects (even with the same ids) re-registers
-    them, so stale datasets or scratch can never leak between runs.
+    LODO sweep.
     """
+
+    #: The plan's crash victim is dispatched: its worker really dies
+    #: (``os._exit`` in :func:`repro.fl.wire._run_resident_task`).
+    kills_crash_victims = True
 
     def __init__(
         self,
@@ -1160,105 +367,47 @@ class ParallelExecutor(Executor):
         if max_resident is not None and max_resident < 1:
             raise ValueError(f"max_resident must be >= 1, got {max_resident}")
         self.max_resident = max_resident
-        self.num_workers = num_workers or _default_workers()
+        self.num_workers = num_workers or max(2, min(4, os.cpu_count() or 2))
         self.start_method = start_method or _default_start_method()
         self.transport = make_transport(transport)
-        self.wire = WireStats()
-        # Per-round broadcast timing, for the scaling bench: server-side
-        # encode+publish seconds, and the dispatch latency from submit to
-        # the slowest worker's handler entry (cross-process monotonic
-        # clock — see _worker_broadcast).  Cumulative like the pool itself;
-        # index 0 of a cold pool includes worker spin-up.
-        self.broadcast_encode_rounds: list[float] = []
+        # Per-round broadcast timing, for the scaling bench (next to the
+        # driver's broadcast_encode_rounds): the dispatch latency from
+        # submit to the slowest worker's handler entry (cross-process
+        # monotonic clock — see WorkerRuntime.broadcast), and the workers'
+        # lazy decode seconds.  Cumulative like the pool itself; index 0 of
+        # a cold pool includes worker spin-up.
         self.broadcast_dispatch_rounds: list[float] = []
         self.broadcast_decode_rounds: list[float] = []
         self._pools: list[_ProcessPool] | None = None
         self._pool_architecture: tuple | None = None
         self._pool_initargs: tuple | None = None
-        # The negotiated compute backend (``auto`` resolved against the
-        # model at pool build; its spec ships in the worker initargs so
-        # both endpoints agree before any task is dispatched).  The server
-        # side only consults ``batched`` — to decide whether fault-free
-        # co-resident clients share one group task per home worker.
-        self._pool_compute: ComputeBackend | None = None
-        self._mp_context = None
-        # (home, future) pairs a round deadline left behind: the slot's
+        # task id -> (home, future) of every submitted, unanswered task.
+        self._tasks: "dict[int, tuple[int, Future]]" = {}
+        # (home, submit timestamp, future) of broadcasts not yet resolved.
+        self._broadcasts: "list[tuple[int, float, Future]]" = []
+        self._dispatch_latency = 0.0
+        # (home, future) pairs an abandoned task left behind: the slot's
         # FIFO order means they finish before anything later touches
         # their worker; their results are drained and discarded (the
         # client was dropped, its scratch re-ships at re-registration).
         # The home is remembered so close() can kill — rather than join —
         # a slot whose zombie turns out to be genuinely wedged.
         self._zombie_futures: "list[tuple[int, Future]]" = []
-        # client_id -> the exact server-side object resident on its home
-        # worker.  Strong references on purpose: identity (``is``) decides
-        # re-registration, and a dead object's id must not be recycled into
-        # a false "already resident".  Insertion order doubles as LRU
-        # recency (dispatched residents are re-inserted each round), so a
-        # ``max_resident`` bound evicts the longest-unsampled clients.
-        self._resident: dict[int, Client] = {}
-        # Eviction ids queued for each home worker, piggybacked on the next
-        # registration blob so the worker's own copies (and upload refs)
-        # are freed without a dedicated message.
-        self._pending_evictions: dict[int, list[int]] = {}
-        # Server halves of the stateful-codec reference chains (see the
-        # worker globals): worker slot -> last broadcast state, and
-        # client_id -> last decoded upload.  Populated only when
-        # ``codec.stateful``.
-        self._bcast_refs: dict[int, StateDict] = {}
-        self._upload_refs: dict[int, StateDict] = {}
 
-    @staticmethod
-    def _architecture_of(model: "FeatureClassifierModel") -> tuple:
-        """Structural signature deciding whether the worker template still
-        fits.
+    # -- the lane set ---------------------------------------------------------
 
-        Covers everything ``load_state_dict`` validates — parameter *and*
-        buffer names/shapes — plus each module's class and public scalar
-        hyperparameters (stride, padding, ...), which change forward
-        semantics without changing any tensor shape.  ``training`` and
-        underscore-prefixed attributes are excluded: they vary at runtime
-        and would only force needless pool rebuilds.
-        """
-        structure = tuple(
-            (
-                type(module).__name__,
-                tuple(
-                    sorted(
-                        (key, value)
-                        for key, value in vars(module).items()
-                        if key != "training"
-                        and not key.startswith("_")
-                        and isinstance(value, (bool, int, float, str, tuple))
-                    )
-                ),
-            )
-            for module in model.modules()
-        )
-        return (
-            structure,
-            tuple((name, param.shape) for name, param in model.named_parameters()),
-            tuple((name, buf.shape) for name, buf in model.named_buffers()),
-        )
-
-    def wire_stats(self) -> WireStats:
-        return replace(self.wire)
-
-    def _home(self, client_id: int) -> int:
-        """Deterministic sticky affinity: a client always lands on the same
-        worker slot, independent of sampling order or round."""
-        return client_id % self.num_workers
-
-    def _ensure_pools(self, model: "FeatureClassifierModel") -> list[_ProcessPool]:
+    def open(self, model: "FeatureClassifierModel") -> None:
         architecture = self._architecture_of(model)
         if self._pools is not None and self._pool_architecture != architecture:
             self.close()
         if self._pools is None:
             model_blob = encode_payload(model)
-            self._mp_context = multiprocessing.get_context(self.start_method)
-            compute_spec = resolve_compute(self.compute, model)
-            self._pool_compute = make_compute(compute_spec)
+            # The negotiated compute backend: ``auto`` resolves against the
+            # model here and its spec ships in the worker initargs, so both
+            # endpoints agree before any task is dispatched.
             self._pool_initargs = (
-                model_blob, self.codec.spec, self.transport.spec, compute_spec,
+                model_blob, self.codec.spec, self.transport.spec,
+                self._compute_backend(model).spec,
             )
             self._pools = [
                 self._new_slot_pool() for _ in range(self.num_workers)
@@ -1266,719 +415,136 @@ class ParallelExecutor(Executor):
             self._pool_architecture = architecture
             self.wire.registration_bytes += len(model_blob) * self.num_workers
             self.wire.unique_registration_bytes += len(model_blob)
-        return self._pools
+        # Absorb abandoned tasks that have finished since: their results
+        # (or errors) belong to rounds that already closed, and the dropped
+        # clients were evicted from residency then, so nothing a zombie
+        # computed can ever reach aggregation or scratch state.
+        self._zombie_futures = [
+            (home, future) for home, future in self._zombie_futures
+            if not future.done()
+        ]
+
+    def home(self, client_id: int) -> int:
+        """Deterministic sticky affinity: a client always lands on the same
+        worker slot, independent of sampling order or round."""
+        return client_id % self.num_workers
+
+    def send_register(self, home: int, blob: bytes) -> None:
+        # Waited on, so registration errors surface before any task — and
+        # a slot still chewing on an absorbed straggler finishes it here,
+        # before the round's deadline clock starts.  A worker that died
+        # outside any round (infrastructure failure, an external kill) is
+        # indistinguishable from a warm slot until something is submitted
+        # to it: its first task then fails the same way, and poll reports
+        # the loss.
+        try:
+            self._pools[home].submit(_worker_register, blob).result()
+        except _BrokenPool:
+            pass
+
+    def send_broadcast(
+        self, home: int, strategy_blob: bytes, handle: object, round_index: int
+    ) -> None:
+        # Dispatched but NOT waited on: the slot runs FIFO, so its
+        # broadcast runs before its tasks, and the decode itself is lazy
+        # inside the first task (WorkerRuntime.ensure_round_state) — worker
+        # A trains while worker B's blob is still in its pipe.
+        try:
+            self._broadcasts.append((
+                home,
+                time.perf_counter(),
+                self._pools[home].submit(
+                    _worker_broadcast, strategy_blob, handle, round_index
+                ),
+            ))
+        except _BrokenPool:
+            pass  # the slot's first task fails the same way; see poll
+
+    def submit(self, task_id: int, home: int, task: tuple) -> None:
+        try:
+            future = self._pools[home].submit(_run_resident_task, task)
+        except _BrokenPool as exc:
+            # The slot is already known dead: a failed future lets poll
+            # report it like any other loss.
+            future = Future()
+            future.set_exception(exc)
+        self._tasks[task_id] = (home, future)
+
+    def poll(self, timeout: "float | None") -> "list[tuple[int, object]]":
+        limit = None if timeout is None else time.perf_counter() + timeout
+        # With the tasks already queued behind them, resolving the
+        # broadcast futures costs no overlap; it surfaces transport errors
+        # with their original traceback and yields each handler's entry
+        # timestamp for the dispatch-latency measurement (max across
+        # workers = the barrier a blocking broadcast would have imposed).
+        # Under a deadline the wait is bounded: a slot still stuck on an
+        # absorbed straggler gets its handler entry skipped, and a slot
+        # that died is reported through its tasks below.
+        for home, submitted, future in self._broadcasts:
+            try:
+                self._dispatch_latency = max(
+                    self._dispatch_latency,
+                    future.result(timeout=time_left(limit)) - submitted,
+                )
+            except _FuturesTimeout:
+                self._zombie_futures.append((home, future))
+            except _BrokenPool:
+                pass
+        self._broadcasts.clear()
+        done, _ = _futures_wait(
+            {future for _, future in self._tasks.values()},
+            timeout=time_left(limit),
+            return_when=FIRST_COMPLETED,
+        )
+        events: "list[tuple[int, object]]" = []
+        dead: set[int] = set()
+        # Dispatch order within the arrival batch (task ids only grow), so
+        # the first failed future of a slot is the task that was executing
+        # when its process died; every future queued behind it fails too.
+        for task_id in sorted(self._tasks) if done else ():
+            home, future = self._tasks[task_id]
+            if future.done() and home not in dead:
+                try:
+                    events.append((task_id, future.result()))
+                    del self._tasks[task_id]
+                except _BrokenPool:
+                    dead.add(home)
+                    events.append((task_id, LOST))
+        return events
+
+    def abandon(self, task_id: int) -> None:
+        self._zombie_futures.append(self._tasks.pop(task_id))
+
+    def respawn(self, home: int) -> bool:
+        """Tear down one slot's dead pool and stand up a fresh process from
+        the saved init recipe; the model template re-ships with it."""
+        self._pools[home].shutdown(wait=False)
+        self._pools[home] = self._new_slot_pool()
+        self.wire.registration_bytes += len(self._pool_initargs[0])
+        self._tasks = {
+            task_id: entry for task_id, entry in self._tasks.items()
+            if entry[0] != home
+        }
+        return True
+
+    def note_round(self, updates: "list[ClientUpdate]", seconds: float) -> None:
+        self.broadcast_dispatch_rounds.append(max(0.0, self._dispatch_latency))
+        self._dispatch_latency = 0.0
+        self.broadcast_decode_rounds.append(
+            sum(update.decode_seconds for update in updates)
+        )
+
+    # -- slots ----------------------------------------------------------------
 
     def _new_slot_pool(self) -> _ProcessPool:
         """One worker slot: a single-process pool built from the saved
         init recipe (also how a crashed slot is rebuilt mid-round)."""
         return _ProcessPool(
             max_workers=1,
-            mp_context=self._mp_context,
+            mp_context=multiprocessing.get_context(self.start_method),
             initializer=_worker_init,
             initargs=self._pool_initargs,
         )
-
-    @staticmethod
-    def _slot_is_dead(pool: _ProcessPool) -> bool:
-        """Whether a slot's process is known-broken or silently gone (a
-        fresh pool with no process spawned yet counts as healthy)."""
-        if getattr(pool, "_broken", False):
-            return True
-        processes = getattr(pool, "_processes", None) or {}
-        return any(not process.is_alive() for process in processes.values())
-
-    def _replace_slot(
-        self, pools: list[_ProcessPool], home: int, report: RoundFaultReport
-    ) -> _ProcessPool:
-        """Tear down one slot's dead pool and stand up a fresh process.
-
-        Worker-resident state died with the process, so the slot's
-        residents are evicted (they re-register from the server-side
-        copies before their next task) and its broadcast reference chain
-        is cleared (the next broadcast to this slot is a full frame).
-        Server-side *upload* reference chains are left alone: uploads
-        that outran the crash still decode against them, and
-        re-registration resets both endpoints.
-        """
-        report.rebuilt_workers += 1
-        pools[home].shutdown(wait=False)
-        pools[home] = pool = self._new_slot_pool()
-        if self._pool_initargs is not None:
-            # The model template re-ships with the fresh process.
-            self.wire.registration_bytes += len(self._pool_initargs[0])
-        for client_id in [
-            cid for cid in self._resident if self._home(cid) == home
-        ]:
-            self._resident.pop(client_id)
-        self._bcast_refs.pop(home, None)
-        # Queued evictions are moot: the worker-side copies they targeted
-        # died with the process.
-        self._pending_evictions.pop(home, None)
-        return pool
-
-    @staticmethod
-    def _submit_task(
-        pools: list[_ProcessPool], home: int, task: tuple
-    ) -> Future:
-        """Submit one task, converting a dead pool into a failed future so
-        collection's broken-slot recovery handles both cases uniformly (a
-        crash can land between the health check and this submit)."""
-        try:
-            return pools[home].submit(_run_resident_task, task)
-        except _BrokenPool as exc:
-            failed: Future = Future()
-            failed.set_exception(exc)
-            return failed
-
-    def _register_clients(
-        self, pool: _ProcessPool, home: int, clients: "list[Client]"
-    ) -> Future:
-        """Ship ``clients`` to their home slot in one registration blob and
-        mirror the sync points server-side (scratch marked clean, upload
-        reference chains reset on both endpoints).  Eviction ids queued
-        for this slot ride along in the same blob (see
-        :func:`_worker_register`)."""
-        evict_ids = tuple(self._pending_evictions.pop(home, ()))
-        blob = encode_payload((clients, evict_ids))
-        self.wire.registration_bytes += len(blob)
-        # Each client ships to exactly one home, so the blob is already
-        # fan-out-free and counts unchanged toward the unique floor.
-        self.wire.unique_registration_bytes += len(blob)
-        future = pool.submit(_worker_register, blob)
-        for client in clients:
-            # Mirror the worker-side sync point: from here on, only
-            # deltas travel in either direction.
-            client.scratch.mark_clean()
-            self._resident[client.client_id] = client
-            # ...and the worker-side chain reset: a fresh resident's
-            # first upload is a full frame again.
-            self._upload_refs.pop(client.client_id, None)
-        return future
-
-    def _register_new_participants(
-        self, pools: list[_ProcessPool], participants: Sequence[Client]
-    ) -> None:
-        """Ship not-yet-resident participants to their home workers, grouped
-        so each worker receives at most one registration blob per round.
-
-        Homes with queued evictions but no newcomers get an empty
-        registration — the flush that actually frees the worker-side
-        copies — so LRU hygiene never waits on a resample."""
-        newcomers: dict[int, list[Client]] = {}
-        for client in participants:
-            if self._resident.get(client.client_id) is not client:
-                newcomers.setdefault(self._home(client.client_id), []).append(client)
-        for home in self._pending_evictions:
-            newcomers.setdefault(home, [])
-        futures = [
-            self._register_clients(pools[home], home, clients)
-            for home, clients in sorted(newcomers.items())
-        ]
-        for future in futures:
-            future.result()  # surface registration errors before any task
-
-    def run_round(
-        self,
-        strategy: "Strategy",
-        model: "FeatureClassifierModel",
-        global_state: StateDict,
-        participants: Sequence[Client],
-        round_index: int,
-        seeds: Sequence[int],
-        stream: "AggregationStream | None" = None,
-    ) -> list[ClientUpdate]:
-        pools = self._ensure_pools(model)
-        self._drain_zombies()
-
-        round_start = time.perf_counter()
-        round_deadline = self._current_deadline()
-        report = RoundFaultReport(round_index=round_index)
-        replay = self._replay_membership(participants, seeds, round_index, report)
-        if replay is not None:
-            # Pinned membership: dispatch exactly the recorded accepted
-            # set with its update-level faults, and run no deadline or
-            # quorum logic — the recorded drop map already says who fell.
-            dispatch_pairs, injected = replay
-            round_deadline = None
-        else:
-            actions = (
-                self.fault_plan.actions_for_round(
-                    [client.client_id for client in participants],
-                    round_index,
-                    round_deadline,
-                )
-                if self.fault_plan is not None
-                else None
-            )
-            if actions:
-                report.straggler_seconds = actions.straggler_seconds
-            injected = actions.injected if actions else {}
-            if actions:
-                # Plan-skipped clients (dropouts, over-deadline stragglers)
-                # never dispatch: they neither register nor receive a task,
-                # exactly as an unreachable client would behave.
-                report.dropped.update(actions.skipped)
-                dispatch_pairs = [
-                    (client, seed)
-                    for client, seed in zip(participants, seeds)
-                    if client.client_id not in actions.skipped
-                ]
-            else:
-                dispatch_pairs = list(zip(participants, seeds))
-        dispatched = [client for client, _ in dispatch_pairs]
-        for home in range(self.num_workers):
-            # A worker that died outside any round (infrastructure
-            # failure, an external kill) is indistinguishable from a warm
-            # slot until something is submitted to it; replace it now so
-            # this round re-registers its clients instead of feeding a
-            # broken pool.
-            if self._slot_is_dead(pools[home]):
-                self._replace_slot(pools, home, report)
-        self._register_new_participants(pools, dispatched)
-        # LRU recency: re-insert this round's participants so insertion
-        # order stays oldest-unsampled-first for the end-of-round eviction.
-        for client in dispatched:
-            resident = self._resident.pop(client.client_id, None)
-            if resident is not None:
-                self._resident[client.client_id] = resident
-
-        # One broadcast per participating worker, not per task.  The state
-        # is codec-encoded against each worker's reference chain; workers
-        # whose chains point at the same state (the common case — every
-        # participating worker saw the last broadcast) share one encode —
-        # and one transport publish, so under shm the blob is written once
-        # per round no matter how many workers fan out.
-        encode_start = time.perf_counter()
-        strategy_blob = encode_payload(strategy)
-        homes = sorted({self._home(client.client_id) for client in dispatched})
-        handle_for_ref: dict[int, object] = {}
-        handle_of: dict[int, object] = {}
-        self.wire.unique_broadcast_bytes += len(strategy_blob)
-        for home in homes:
-            ref = self._bcast_refs.get(home)
-            handle = handle_for_ref.get(id(ref))
-            if handle is None:
-                state_blob = encode_payload(self.codec.encode(global_state, ref))
-                handle = self.transport.publish(state_blob)
-                handle_for_ref[id(ref)] = handle
-                self.wire.unique_broadcast_bytes += len(state_blob)
-                self.wire.broadcast_bytes += self.transport.publish_wire_bytes(
-                    state_blob
-                )
-            if self.codec.stateful:
-                self._bcast_refs[home] = global_state
-            self.wire.broadcast_bytes += len(
-                strategy_blob
-            ) + self.transport.handle_wire_bytes(handle)
-            handle_of[home] = handle
-        encode_seconds = time.perf_counter() - encode_start
-
-        updates: list[ClientUpdate] = []
-        try:
-            # Dispatch the broadcasts but do NOT wait on them: each worker
-            # slot is a FIFO single-process pool, so its broadcast is
-            # guaranteed to run before its tasks, and the decode itself is
-            # lazy inside the first task (_ensure_round_state) — worker A
-            # trains while worker B's blob is still in its pipe.
-            dispatch_start = time.perf_counter()
-            broadcast_futures = []
-            for home in homes:
-                try:
-                    broadcast_futures.append(
-                        (
-                            home,
-                            pools[home].submit(
-                                _worker_broadcast, strategy_blob,
-                                handle_of[home], round_index,
-                            ),
-                        )
-                    )
-                except _BrokenPool:
-                    pass  # collection rebuilds the slot and re-broadcasts
-
-            # Constant-size tasks; the scratch sync blob is None unless
-            # server-side code touched the client's scratch since the last
-            # sync.  A fault-plan event for this (client, round) rides in
-            # the task tuple, so workers need no plan state of their own.
-            #
-            # Under a batched compute backend, a home worker's fault-free
-            # participants share ONE group task (trained as a fused stack);
-            # faulted clients always dispatch as singleton groups so the
-            # per-task fault protocol stays unambiguous.  Per-client
-            # numerics are bitwise independent of this grouping, so the
-            # trace cannot tell the difference.
-            batched = self._pool_compute is not None and self._pool_compute.batched
-            descriptors: "list[list]" = []  # [positions, clients, seeds, blobs, fault]
-            group_at: dict[int, int] = {}  # home -> descriptor index
-            for position, (client, seed) in enumerate(dispatch_pairs):
-                server_delta = client.scratch.collect_delta()
-                sync_blob = encode_payload(server_delta) if server_delta else None
-                fault = injected.get(client.client_id)
-                # Count each client's fixed task fields exactly; the sync
-                # blob is never re-pickled (it can be dataset-scale) and
-                # the group tuple's framing is charged to noise like the
-                # blob framing — so the accounting stays invariant to the
-                # backend's grouping and the worker count.
-                self.wire.task_bytes += len(
-                    pickle.dumps(
-                        (client.client_id, round_index, seed, None, fault),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                ) + (len(sync_blob) if sync_blob is not None else 0)
-                home = self._home(client.client_id)
-                if batched and fault is None and home in group_at:
-                    descriptor = descriptors[group_at[home]]
-                    descriptor[0].append(position)
-                    descriptor[1].append(client)
-                    descriptor[2].append(seed)
-                    descriptor[3].append(sync_blob)
-                    continue
-                if batched and fault is None:
-                    group_at[home] = len(descriptors)
-                descriptors.append(
-                    [[position], [client], [seed], [sync_blob], fault]
-                )
-            pending: "list[list]" = []
-            for positions, clients, group_seeds, sync_blobs, fault in descriptors:
-                task = (
-                    tuple(client.client_id for client in clients),
-                    round_index,
-                    tuple(group_seeds),
-                    tuple(sync_blobs),
-                    fault,
-                )
-                pending.append(
-                    [
-                        clients,
-                        group_seeds,
-                        positions,
-                        self._submit_task(
-                            pools, self._home(clients[0].client_id), task
-                        ),
-                    ]
-                )
-
-            # The deadline clock starts once the whole round is in
-            # flight: from here, collection is bounded no matter what the
-            # workers do.  Under an adaptive policy the budget is this
-            # round's resolved percentile value (None while warming up).
-            deadline_at = (
-                None
-                if round_deadline is None
-                else time.perf_counter() + round_deadline
-            )
-
-            # With the tasks already queued behind them, resolving the
-            # broadcast futures costs no overlap; it surfaces transport
-            # errors with their original traceback and yields each
-            # handler's entry timestamp for the dispatch-latency
-            # measurement (max across workers = the barrier a blocking
-            # broadcast would have imposed).  Under a deadline the wait is
-            # bounded: a slot still stuck on an absorbed straggler gets
-            # its handler entry skipped, and a slot that died is left for
-            # task collection to rebuild.
-            dispatch = 0.0
-            for home, future in broadcast_futures:
-                try:
-                    timeout = (
-                        None
-                        if deadline_at is None
-                        else max(0.0, deadline_at - time.perf_counter())
-                    )
-                    dispatch = max(
-                        dispatch, future.result(timeout=timeout) - dispatch_start
-                    )
-                except _FuturesTimeout:
-                    self._zombie_futures.append((home, future))
-                except _BrokenPool:
-                    pass  # collection rebuilds the slot when it gets there
-
-            if self.quorum is not None and replay is None:
-                self._collect_uploads_quorum(
-                    pools, pending, updates, round_index, strategy_blob,
-                    global_state, deadline_at, injected, report, stream,
-                )
-            else:
-                self._collect_uploads(
-                    pools, pending, updates, round_index, strategy_blob,
-                    global_state, deadline_at, injected, report, stream,
-                )
-        finally:
-            # Unlink this round's segments even when dispatch, a worker, or
-            # an upload failed — callers that catch the error must not
-            # retain blob-sized shared memory until the next successful
-            # round or close().
-            self.transport.end_round()
-            self.last_fault_report = report
-        deadline_dropped = tuple(
-            client_id
-            for client_id, reason in report.dropped.items()
-            if reason == "deadline"
-        )
-        quorum_missed = (
-            self.quorum is not None
-            and replay is None
-            and len(updates) < self.quorum
-            and bool(deadline_dropped)
-        )
-        if replay is None and deadline_dropped and (not updates or quorum_missed):
-            # The deadline expired with nothing at all to aggregate — or,
-            # under a quorum, with fewer accepted uploads than the
-            # configured floor: that is a failed round, not a gracefully
-            # partial one.
-            raise RoundTimeoutError(
-                round_index,
-                deadline_dropped,
-                quorum=self.quorum,
-                accepted=tuple(update.client_id for update in updates),
-            )
-        # The per-round timing lists advance in lockstep, and only for
-        # rounds that completed (the bench indexes them together).
-        self.broadcast_encode_rounds.append(encode_seconds)
-        self.broadcast_dispatch_rounds.append(max(0.0, dispatch))
-        self.broadcast_decode_rounds.append(
-            sum(update.decode_seconds for update in updates)
-        )
-        self._evict_lru(participants)
-        self._observe_round_duration(time.perf_counter() - round_start)
-        return updates
-
-    def _evict_lru(self, participants: Sequence[Client]) -> None:
-        """Bound the resident set: evict the longest-unsampled clients
-        (never a current participant — mid-round recovery reads them)
-        down to ``max_resident``, dropping the server-side copy and
-        upload reference now and queueing the worker-side eviction for
-        the slot's next registration blob."""
-        if self.max_resident is None:
-            return
-        in_round = {client.client_id for client in participants}
-        excess = len(self._resident) - self.max_resident
-        if excess <= 0:
-            return
-        for client_id in [
-            cid for cid in self._resident if cid not in in_round
-        ][:excess]:
-            self._resident.pop(client_id)
-            self._upload_refs.pop(client_id, None)
-            self._pending_evictions.setdefault(
-                self._home(client_id), []
-            ).append(client_id)
-
-    def _collect_uploads(
-        self,
-        pools: list[_ProcessPool],
-        pending: "list[list]",
-        updates: list[ClientUpdate],
-        round_index: int,
-        strategy_blob: bytes,
-        global_state: StateDict,
-        deadline_at: float | None,
-        injected: "dict[int, FaultEvent]",
-        report: RoundFaultReport,
-        stream: "AggregationStream | None" = None,
-    ) -> None:
-        """Drain the round's upload futures into ``updates`` in sampling
-        order, decoding states and syncing scratch along the way.
-
-        ``pending`` rows are ``[clients, seeds, positions, future]`` — one
-        co-resident group per row, with ``positions`` the clients' indices
-        in the round's dispatch order — and may be rewritten
-        mid-collection: a crashed slot replaces its lost rows with
-        re-submissions (or :class:`_DroppedTask` sentinels), and a row
-        whose future misses the deadline is dropped in place.  Survivors
-        are keyed by dispatch position and appended to ``updates`` sorted,
-        so they always land in sampling order, which keeps the
-        aggregation's floating-point reduction order (and hence the whole
-        trace) engine- and grouping-invariant.
-        """
-        suspects: set[int] = set()
-        results: dict[int, ClientUpdate] = {}
-        index = 0
-        while index < len(pending):
-            clients, _, positions, future = pending[index]
-            if isinstance(future, _DroppedTask):
-                for client in clients:
-                    report.dropped[client.client_id] = future.reason
-                index += 1
-                continue
-            try:
-                timeout = (
-                    None
-                    if deadline_at is None
-                    else max(0.0, deadline_at - time.perf_counter())
-                )
-                wire = future.result(timeout=timeout)
-            except _FuturesTimeout:
-                # Round deadline: close without this row's clients.  The
-                # task is absorbed — the slot's FIFO order lets it finish
-                # harmlessly and the result is drained as a zombie next
-                # round — and the clients re-register before their next
-                # participation, because the worker-side copies diverge the
-                # moment the absorbed update completes.
-                for client in clients:
-                    report.dropped[client.client_id] = "deadline"
-                    self._resident.pop(client.client_id, None)
-                self._zombie_futures.append(
-                    (self._home(clients[0].client_id), future)
-                )
-                index += 1
-                continue
-            except _BrokenPool:
-                self._recover_broken_slot(
-                    pools, self._home(clients[0].client_id), pending, index,
-                    round_index, strategy_blob, global_state, injected,
-                    suspects, report,
-                )
-                continue  # re-examine this row: re-submitted or sentinel
-            self._ingest_row(
-                pending[index], wire, global_state, results, report, stream
-            )
-            index += 1
-        updates.extend(update for _, update in sorted(results.items()))
-
-    def _ingest_row(
-        self,
-        row: "list",
-        wire: object,
-        global_state: StateDict,
-        results: "dict[int, ClientUpdate]",
-        report: RoundFaultReport,
-        stream: "AggregationStream | None" = None,
-    ) -> int:
-        return _ingest_group_upload(
-            self, row, wire, global_state, results, report, stream
-        )
-
-    def _collect_uploads_quorum(
-        self,
-        pools: list[_ProcessPool],
-        pending: "list[list]",
-        updates: list[ClientUpdate],
-        round_index: int,
-        strategy_blob: bytes,
-        global_state: StateDict,
-        deadline_at: float | None,
-        injected: "dict[int, FaultEvent]",
-        report: RoundFaultReport,
-        stream: "AggregationStream | None" = None,
-    ) -> None:
-        """Arrival-order collection under a quorum: close the round at the
-        first :attr:`quorum` *accepted* uploads instead of waiting for
-        every row.
-
-        Rows are waited on with ``FIRST_COMPLETED`` and ingested as they
-        arrive (in dispatch order within each arrival batch), so which
-        clients make the cut depends on wall clock — by design.  The
-        resulting accepted set is recorded by the server
-        (``RoundRecord.accepted``) and replayed via :meth:`set_replay` for
-        exact reproduction; group rows ingest whole, so a multi-client
-        group crossing the quorum boundary may overshoot the floor.  Once
-        the quorum is met, outstanding rows are dropped (reason
-        ``"quorum"``), their futures absorbed as zombies and their clients
-        evicted from residency — the same absorption contract as a
-        deadline drop — and the wall-clock headroom against the round's
-        deadline is reported as ``early_close_seconds``.
-        """
-        suspects: set[int] = set()
-        results: "dict[int, ClientUpdate]" = {}
-        accepted = 0
-        remaining = list(pending)
-        while True:
-            live: "list[list]" = []
-            for row in remaining:
-                if isinstance(row[3], _DroppedTask):
-                    for client in row[0]:
-                        report.dropped[client.client_id] = row[3].reason
-                else:
-                    live.append(row)
-            remaining = live
-            if not remaining or accepted >= self.quorum:
-                break
-            timeout = (
-                None
-                if deadline_at is None
-                else max(0.0, deadline_at - time.perf_counter())
-            )
-            done, _ = _futures_wait(
-                {row[3] for row in remaining},
-                timeout=timeout,
-                return_when=FIRST_COMPLETED,
-            )
-            if not done:
-                # Deadline with the quorum still unmet: drop everything
-                # outstanding, exactly like the index-order collector.
-                for row in remaining:
-                    for client in row[0]:
-                        report.dropped[client.client_id] = "deadline"
-                        self._resident.pop(client.client_id, None)
-                    self._zombie_futures.append(
-                        (self._home(row[0][0].client_id), row[3])
-                    )
-                remaining = []
-                break
-            recovered = False
-            for row in [r for r in remaining if r[3] in done]:
-                if accepted >= self.quorum:
-                    break
-                try:
-                    wire = row[3].result()
-                except _BrokenPool:
-                    # Scan the whole remaining list: the slot runs FIFO,
-                    # so its first not-yet-harvested row is the task that
-                    # was executing when the process died.
-                    self._recover_broken_slot(
-                        pools, self._home(row[0][0].client_id), remaining,
-                        0, round_index, strategy_blob, global_state,
-                        injected, suspects, report,
-                    )
-                    recovered = True
-                    break  # futures were rewritten; re-enter the wait loop
-                accepted += self._ingest_row(
-                    row, wire, global_state, results, report, stream
-                )
-                remaining.remove(row)
-            if recovered:
-                continue
-        if remaining and accepted >= self.quorum:
-            # Early close: the quorum is met with rows still outstanding.
-            report.early_closed = True
-            if deadline_at is not None:
-                report.early_close_seconds = max(
-                    0.0, deadline_at - time.perf_counter()
-                )
-            for row in remaining:
-                for client in row[0]:
-                    report.dropped[client.client_id] = "quorum"
-                    self._resident.pop(client.client_id, None)
-                self._zombie_futures.append(
-                    (self._home(row[0][0].client_id), row[3])
-                )
-        updates.extend(update for _, update in sorted(results.items()))
-
-    def _recover_broken_slot(
-        self,
-        pools: list[_ProcessPool],
-        home: int,
-        pending: "list[list]",
-        index: int,
-        round_index: int,
-        strategy_blob: bytes,
-        global_state: StateDict,
-        injected: "dict[int, FaultEvent]",
-        suspects: set[int],
-        report: RoundFaultReport,
-    ) -> None:
-        """A slot's process died mid-round: rebuild it in place and re-run
-        what the crash took with it.
-
-        The plan's crash victim (and any group whose task has killed a
-        worker twice — a deterministic poison pill would loop forever) is
-        dropped; every other lost task re-registers its clients from the
-        server-side copies and re-runs with its original seeds, so the
-        surviving set — and the trace — matches the serial engine.
-        (Plan-designated crash victims always dispatch as singleton
-        groups, so a multi-client group can only be dropped by the
-        twice-killed rule — an infrastructure failure, not plan chaos.)
-        The fresh worker holds no codec reference state, so the
-        re-broadcast is a full frame.
-        """
-        pool = self._replace_slot(pools, home, report)
-        rerun: "list[list]" = []
-        head = True  # the slot runs FIFO, so the first lost row below is
-        # the task that was executing when the process died — only it can
-        # be the killer; rows queued behind it never got to run.
-        for row in pending[index:]:
-            clients, _, _, future = row
-            if isinstance(future, _DroppedTask):
-                continue
-            if self._home(clients[0].client_id) != home:
-                continue
-            if future.done() and future.exception() is None:
-                continue  # its result outran the crash; keep it
-            event = (
-                injected.get(clients[0].client_id) if len(clients) == 1 else None
-            )
-            if event is not None and event.kind == "crash":
-                row[3] = _DroppedTask("crash")  # the plan's victim
-            elif head and all(
-                client.client_id in suspects for client in clients
-            ):
-                # Executing for the second time when its worker died: a
-                # deterministic poison pill, re-running it would rebuild
-                # the slot forever.
-                row[3] = _DroppedTask("crash")
-            else:
-                if head:
-                    suspects.update(client.client_id for client in clients)
-                rerun.append(row)
-            head = False
-        if not rerun:
-            return
-        self._register_clients(
-            pool, home, [client for row in rerun for client in row[0]]
-        ).result()
-        self._broadcast_slot(pool, home, strategy_blob, global_state, round_index)
-        for row in rerun:
-            clients, group_seeds, _, _ = row
-            fault = (
-                injected.get(clients[0].client_id) if len(clients) == 1 else None
-            )
-            # Registration just re-shipped the full scratch, so the task
-            # needs no sync blobs.  Accounting is per client, grouping-
-            # invariant, as in the dispatch loop.
-            task = (
-                tuple(client.client_id for client in clients),
-                round_index,
-                tuple(group_seeds),
-                (None,) * len(clients),
-                fault,
-            )
-            for client, seed in zip(clients, group_seeds):
-                self.wire.task_bytes += len(
-                    pickle.dumps(
-                        (client.client_id, round_index, seed, None, fault),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                )
-            row[3] = self._submit_task(pools, home, task)
-
-    def _broadcast_slot(
-        self,
-        pool: _ProcessPool,
-        home: int,
-        strategy_blob: bytes,
-        global_state: StateDict,
-        round_index: int,
-    ) -> Future:
-        """Publish the round's broadcast to one (rebuilt) slot as a full
-        frame — the fresh worker has no reference chain to diff against."""
-        state_blob = encode_payload(self.codec.encode(global_state, None))
-        handle = self.transport.publish(state_blob)
-        self.wire.unique_broadcast_bytes += len(state_blob)
-        self.wire.broadcast_bytes += (
-            self.transport.publish_wire_bytes(state_blob)
-            + len(strategy_blob)
-            + self.transport.handle_wire_bytes(handle)
-        )
-        if self.codec.stateful:
-            self._bcast_refs[home] = global_state
-        return pool.submit(_worker_broadcast, strategy_blob, handle, round_index)
-
-    def _drain_zombies(self) -> None:
-        """Absorb tasks past deadlines left running: discard any finished
-        results/errors, keep waiting on the rest.  The dropped clients
-        were evicted from residency when the deadline fired, so nothing a
-        zombie computed can ever reach aggregation or scratch state."""
-        still_running = []
-        for home, future in self._zombie_futures:
-            if not future.done():
-                still_running.append((home, future))
-                continue
-            try:
-                future.result()
-            except Exception:
-                pass  # the round that owned it already closed
-        self._zombie_futures = still_running
 
     def close(self) -> None:
         if self._pools is not None:
@@ -1993,33 +559,27 @@ class ParallelExecutor(Executor):
             # partial recv never sees EOF) — and absorbed quorum
             # survivors are *actively finishing*, not wedged; they clear
             # the grace in milliseconds.
-            if any(not future.done() for _, future in self._zombie_futures):
-                _futures_wait(
-                    {future for _, future in self._zombie_futures},
-                    timeout=0.75,
-                )
+            self._zombie_futures.extend(self._tasks.values())
+            _futures_wait(
+                {future for _, future in self._zombie_futures}, timeout=0.75
+            )
             stuck = {
                 home
                 for home, future in self._zombie_futures
                 if not future.done()
             }
             for home in stuck:
-                processes = getattr(self._pools[home], "_processes", None)
-                for process in (processes or {}).values():
+                processes = getattr(self._pools[home], "_processes", None) or {}
+                for process in processes.values():
                     process.kill()
             for pool in self._pools:
                 pool.shutdown(wait=True)
             self._pools = None
-            self._pool_architecture = None
-            self._pool_compute = None  # re-negotiated at the next build
         self.transport.close()
-        self._resident.clear()
-        self._pending_evictions.clear()  # worker copies died with the pools
+        self._tasks.clear()
+        self._broadcasts.clear()
         self._zombie_futures.clear()  # joined (or killed) above
-        # Reference chains die with their endpoints: a rebuilt pool starts
-        # from full frames on both sides.
-        self._bcast_refs.clear()
-        self._upload_refs.clear()
+        super().close()
 
 
 def resolve_executor(

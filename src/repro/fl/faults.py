@@ -55,13 +55,10 @@ Fault kinds
 ``crash``
     A worker process dies mid-round.  ``crash_rounds`` schedules one crash
     in each listed round; the victim is picked deterministically among the
-    round's dispatched participants (:meth:`FaultPlan.crash_victim`).  The
-    parallel engine hard-kills the victim's home worker (``os._exit``),
-    then rebuilds the pool slot, re-registers what the re-run needs over
-    the existing registration/broadcast path, and re-executes the
-    co-resident tasks that died with the process — only the victim itself
-    is dropped (reason ``"crash"``), so the survivor set matches the
-    serial engine, which simply skips the victim.
+    round's dispatched participants (:meth:`FaultPlan.crash_victim`).
+    Only the victim itself is dropped (reason ``"crash"``) on every engine
+    — what each lane does to get there (kill + rebuild + re-run, never
+    dispatch, skip) is the table in :mod:`repro.fl.executor`.
 ``byzantine``
     An *adversarial* client: the local update runs honestly, then the
     upload is replaced by an attack state (:func:`byzantine_state`) that
@@ -124,6 +121,7 @@ parses it (and passes through ``None`` / already-built plans unchanged).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,10 +139,12 @@ __all__ = [
     "RoundActions",
     "RoundFaultReport",
     "RoundTimeoutError",
+    "apply_update_fault",
     "byzantine_state",
     "make_deadline_policy",
     "make_fault_plan",
     "poison_state",
+    "sleep_injected",
     "state_is_corrupt",
 ]
 
@@ -558,6 +558,36 @@ def byzantine_state(state: dict, ref: dict, event: FaultEvent) -> dict:
                 value.dtype
             )
     return attacked
+
+
+def sleep_injected(fault: "FaultEvent | None") -> None:
+    """Really sleep a ``straggler``/``hang`` event's injected delay.
+
+    Slept *before* the local update, wherever it runs (a pool worker, a
+    remote agent, the serial engine's own process), so ``train_seconds``
+    keeps measuring genuine compute.  A ``hang`` sleeps past the server's
+    round deadline; a preemptive engine drops it and absorbs the eventual
+    result as a zombie.
+    """
+    if fault is not None and fault.kind in ("straggler", "hang"):
+        time.sleep(fault.delay_seconds)
+
+
+def apply_update_fault(update, fault: FaultEvent, broadcast_state: dict) -> None:
+    """The upload half of an injected fault, applied to a finished update
+    in place — the one hook point every training endpoint shares.
+
+    Tampering happens *before* the wire codec, like a corrupted or
+    adversarial upload on a real wire; the server's acceptance check runs
+    after decode.  ``broadcast_state`` is the decoded broadcast the client
+    trained from, which byzantine attacks are expressed against.
+    """
+    if fault.kind in ("straggler", "hang"):
+        update.straggler_seconds = fault.delay_seconds
+    elif fault.kind == "corrupt":
+        update.state = poison_state(update.state)
+    elif fault.kind == "byzantine":
+        update.state = byzantine_state(update.state, broadcast_state, fault)
 
 
 def _state_norm(state: dict) -> float:

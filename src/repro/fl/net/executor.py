@@ -1,49 +1,43 @@
 """Cross-machine execution: fan a round out to remote agent processes.
 
-:class:`RemoteExecutor` is the server half of ``repro.fl.net`` — an
-:class:`repro.fl.executor.Executor` whose training endpoints are
-*other processes on other machines* (:mod:`repro.fl.net.agent`) reached
-over length-prefixed TCP frames, instead of a local process pool.  It
-speaks the wire protocol of :mod:`repro.fl.net.protocol`, but the blobs
-inside every message are exactly the bytes the in-host engines put on
-their pipes: ``encode_payload`` registration blobs, codec-encoded
-broadcast states, pickled task tuples, ``encode_payload`` upload lists.
-Both endpoints run :class:`repro.fl.executor.WorkerRuntime` /
-:func:`repro.fl.executor._ingest_group_upload` — the same code the pool
-runs — so traces are engine-invariant by construction, not by parallel
-maintenance of two protocols.
+:class:`RemoteExecutor` is the server half of ``repro.fl.net`` — the
+*socket lane* of the round driver (:class:`repro.fl.round.Executor`), whose
+training endpoints are *other processes on other machines*
+(:mod:`repro.fl.net.agent`) reached over length-prefixed TCP frames
+instead of a local process pool.  It speaks the wire protocol of
+:mod:`repro.fl.net.protocol`, but the blobs inside every message are
+exactly the bytes the pool lane puts on its pipes, both endpoints run the
+code the pool runs (:mod:`repro.fl.wire`), and the round itself is the one
+driver every engine shares — so traces are engine-invariant by
+construction, not by parallel maintenance of two protocols.  This module
+only knows sockets: the handshake, writing frames, a selector read, and
+what a dead peer looks like.
 
 Pipelined rounds
 ----------------
 By default (``pipelined=True``) a round's registration, broadcast, and
-task frames are written to **all** agents back-to-back before any upload
-is awaited, and uploads are ingested in arrival order (a ``selectors``
-loop).  Each agent therefore trains concurrently with the other agents'
-transfers and training — the cross-host overlap the paper's scalability
-axis is about.  The overlap actually achieved is measured per round
-(endpoint busy-time minus the remote phase's wall clock, floored at
-zero) and published as :attr:`last_overlap_seconds` /
-:attr:`pipeline_overlap_rounds`; the server folds it into
-``TimingReport.pipeline_overlap_seconds``.  ``pipelined=False`` degrades
-to strict agent-at-a-time dispatch+collect — same trace, no overlap —
-which is what the scaling bench compares against.
+task frames are written to **all** agents before any upload is awaited,
+and uploads are ingested in arrival order.  Each agent therefore trains
+concurrently with the other agents' transfers and training — the
+cross-host overlap the paper's scalability axis is about.  The overlap
+actually achieved is measured per round (endpoint busy-time minus the
+remote phase's wall clock, floored at zero) and published as
+:attr:`last_overlap_seconds` / :attr:`pipeline_overlap_rounds`; the server
+folds it into ``TimingReport.pipeline_overlap_seconds``.
+``pipelined=False`` makes the driver dispatch and drain one agent at a
+time through the same collector — same trace, no overlap — which is what
+the scaling bench compares against.
 
 Fault semantics
 ---------------
-Update-level faults (stragglers, hangs, corrupt and byzantine uploads)
-ride inside task tuples exactly as on the pool.  A plan's *crash* victim
-is never dispatched at all — a remote agent is not the server's process
-to kill — and is dropped server-side (reason ``"crash"``, same trace as
-every other engine).  Deadlines and quorum early-close run the same
-arrival-order machinery as the pool's quorum collector; a dropped task's
-eventual upload is discarded by task id (zombie absorption), and the
-dropped client re-registers before its next participation.  The one
-remote-only failure mode is a vanished agent: socket EOF or a write
-error marks the agent dead, its outstanding clients are dropped with
-reason ``"disconnect"`` (:data:`repro.fl.faults.DROP_REASONS`), the
-round closes gracefully over the survivors, and the dead agent's
-residents are re-homed (and re-registered) across the remaining agents
-on the next round.
+As on every lane (see the table in :mod:`repro.fl.executor`), with two
+socket specifics.  A plan's *crash* victim is never dispatched — a remote
+agent is not the server's process to kill.  And the one remote-only
+failure mode, a vanished agent — socket EOF, a write error or an
+undecodable frame — drops its outstanding clients with reason
+``"disconnect"`` (:data:`repro.fl.faults.DROP_REASONS`); the round closes
+over the survivors and the dead agent's clients are re-homed (and
+re-registered) across the remaining agents on the next round.
 """
 
 from __future__ import annotations
@@ -52,17 +46,8 @@ import pickle
 import selectors
 import socket
 import time
-from dataclasses import replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-from repro.fl.executor import (
-    ClientUpdate,
-    Executor,
-    ParallelExecutor,
-    WireStats,
-    _ingest_group_upload,
-)
-from repro.fl.faults import RoundFaultReport, RoundTimeoutError
 from repro.fl.net.frames import FrameError, FrameStream
 from repro.fl.net.protocol import (
     BROADCAST,
@@ -73,51 +58,61 @@ from repro.fl.net.protocol import (
     TASK,
     UPLOAD,
     WELCOME,
+    Message,
     decode_message,
     encode_message,
     evaluate_hello,
     PROTOCOL_VERSION,
 )
 from repro.fl.net.transport import parse_endpoint
-from repro.fl.compute import make_compute, resolve_compute
-from repro.nn.serialize import StateDict, encode_payload
+from repro.fl.round import LOST, Executor, time_left
+from repro.fl.transport import make_transport
+from repro.nn.serialize import encode_payload
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fl.aggregate import AggregationStream
-    from repro.fl.client import Client
-    from repro.fl.strategy import Strategy
+    from repro.fl.executor import ClientUpdate
     from repro.nn.models import FeatureClassifierModel
 
 __all__ = ["RemoteExecutor"]
 
 _log = get_logger("fl.net.executor")
 
-#: Seconds the server waits for each expected agent to connect and
-#: complete its handshake before declaring the federation unformable.
+#: Seconds the server waits for each expected agent to connect *and*
+#: complete its handshake before declaring the federation unformable: one
+#: budget covers the accept and the hello read that follows it.
 _ACCEPT_TIMEOUT = 60.0
+
+
+def _read_message(stream: FrameStream) -> "Message | None":
+    """The peer's next message, or ``None`` if it is gone or not speaking
+    the protocol — EOF, a socket error or timeout, a malformed frame, or a
+    payload that does not decode to a message all mean the same thing to
+    the server: this peer is lost."""
+    try:
+        frame = stream.next_frame()
+        return None if frame is None else decode_message(frame)
+    except (FrameError, ConnectionError, OSError):
+        return None
 
 
 class _Agent:
     """One connected remote endpoint, as the server sees it."""
 
-    __slots__ = (
-        "sock", "stream", "name", "alive",
-        "resident", "pending_evict", "bcast_ref",
-    )
+    __slots__ = ("sock", "stream", "name", "alive")
 
     def __init__(self, sock: socket.socket, stream: FrameStream, name: str) -> None:
         self.sock = sock
         self.stream = stream
         self.name = name
         self.alive = True
-        # client_id -> the exact server-side object resident on this agent
-        # (identity decides re-registration, as on the pool).
-        self.resident: "dict[int, Client]" = {}
-        # Worker-side copies to free with the next registration blob.
-        self.pending_evict: "list[int]" = []
-        # Stateful-codec broadcast reference chain for this endpoint.
-        self.bcast_ref: "StateDict | None" = None
+
+    def hang_up(self) -> None:
+        self.alive = False
+        try:
+            self.sock.close()
+        except OSError:  # pragma: no cover - close is best-effort
+            pass
 
 
 class RemoteExecutor(Executor):
@@ -138,7 +133,7 @@ class RemoteExecutor(Executor):
         ``True`` (default) overlaps broadcast/train/upload across agents;
         ``False`` serializes agent-at-a-time (same trace, no overlap).
     codec, faults, deadline, compute, quorum:
-        As on every engine (:class:`repro.fl.executor.Executor`).
+        As on every engine (:class:`repro.fl.round.Executor`).
 
     The listener accepts agents lazily at the first round — the
     handshake's welcome needs the model template, which only exists once
@@ -166,523 +161,232 @@ class RemoteExecutor(Executor):
             raise ValueError(f"num_agents must be >= 1, got {num_agents}")
         self.num_agents = num_agents
         self.pipelined = pipelined
-        self.wire = WireStats()
-        self._upload_refs: "dict[int, StateDict]" = {}
+        # Agents fetch broadcasts from their own connection, so both ends
+        # of this wire run the blob-is-the-handle pipe transport: every
+        # agent pulls its own full copy over its own socket, and the
+        # driver charges it as such.
+        self.transport = make_transport("pipe")
         #: Per-completed-round cross-host overlap seconds (see the module
         #: docstring); the scaling bench reads this next to wall clock.
         self.pipeline_overlap_rounds: "list[float]" = []
-        self.broadcast_encode_rounds: "list[float]" = []
         self._listen_sock = socket.create_server(
             parse_endpoint(listen), reuse_port=False
         )
-        self._listen_sock.settimeout(_ACCEPT_TIMEOUT)
         self._agents: "list[_Agent] | None" = None
         self._architecture: "tuple | None" = None
-        self._compute_batched = False
-        self._next_task_id = 0
+        # Indices (into _agents) of the agents alive when the round opened:
+        # the layout clients are homed over, fixed for the whole round.
+        self._live: "list[int]" = []
+        self._selector: "selectors.BaseSelector | None" = None
+        # task id -> home of every task sent and not yet answered.  An
+        # upload whose id is not here (a previous round's zombie, or an
+        # abandoned task finishing late) is discarded silently.
+        self._tasks: "dict[int, int]" = {}
+        # Task ids whose lane was found dead, to report at the next poll.
+        self._lost: "list[int]" = []
 
     @property
     def address(self) -> "tuple[str, int]":
         """The bound ``(host, port)`` agents should connect to."""
         return self._listen_sock.getsockname()[:2]
 
-    def wire_stats(self) -> WireStats:
-        return replace(self.wire)
-
     # -- federation membership -----------------------------------------------
 
-    def _ensure_agents(self, model: "FeatureClassifierModel") -> "list[_Agent]":
-        architecture = ParallelExecutor._architecture_of(model)
-        if self._agents is not None:
-            if architecture != self._architecture:
-                raise RuntimeError(
-                    "model architecture changed mid-federation; remote agents "
-                    "hold the old template — build a fresh RemoteExecutor"
-                )
-            live = [agent for agent in self._agents if agent.alive]
-            if not live:
-                raise RuntimeError("every remote agent has disconnected")
-            return live
-        model_blob = encode_payload(model)
-        compute_spec = resolve_compute(self.compute, model)
-        self._compute_batched = make_compute(compute_spec).batched
-        welcome_meta = {
-            "version": PROTOCOL_VERSION,
-            "codec": self.codec.spec,
-            "compute": compute_spec,
-            # Agents fetch broadcasts from their own connection, so their
-            # runtime's transport is the blob-is-the-handle pipe.
-            "transport": "pipe",
-        }
-        agents: "list[_Agent]" = []
-        while len(agents) < self.num_agents:
-            try:
-                sock, peer = self._listen_sock.accept()
-            except socket.timeout:
-                raise RuntimeError(
-                    f"only {len(agents)}/{self.num_agents} agents connected "
-                    f"within {_ACCEPT_TIMEOUT:.0f}s"
-                ) from None
-            stream = FrameStream(sock)
-            try:
-                frame = stream.next_frame()
-                message = decode_message(frame) if frame is not None else None
-            except (FrameError, ConnectionError, OSError):
-                sock.close()
-                continue
-            if message is None or message.kind != HELLO:
-                sock.close()
-                continue
-            reason = evaluate_hello(
-                message.meta, codec_spec=self.codec.spec,
-                compute_spec=compute_spec,
-            )
-            if reason is not None:
-                _log.warning(
-                    "rejecting agent %s:%d: %s", peer[0], peer[1], reason
-                )
-                try:
-                    stream.send(encode_message(REJECT, {"reason": reason}))
-                finally:
-                    sock.close()
-                continue
-            stream.send(encode_message(WELCOME, welcome_meta, model_blob))
-            self.wire.registration_bytes += len(model_blob)
-            name = message.meta.get("name") or f"{peer[0]}:{peer[1]}"
-            agents.append(_Agent(sock, stream, name))
-            _log.info("agent %r joined (%d/%d)", name, len(agents), self.num_agents)
-        self.wire.unique_registration_bytes += len(model_blob)
-        self._agents = agents
-        self._architecture = architecture
-        return agents
+    def _handshake(self, model_blob: bytes, welcome_meta: dict) -> None:
+        """Accept one connection and run hello/welcome on it; a peer that
+        is turned away is closed and the caller accepts the next one.
 
-    def _mark_dead(self, agent: _Agent) -> None:
-        """An agent vanished: close its socket and force a full re-home —
-        surviving agents flush their residents (evicted worker-side with
-        the next registration blob) so every client re-registers under the
-        new ``cid % len(live)`` layout, with both upload reference chains
-        reset.  A stale copy left resident would pass the identity check
-        after a *second* membership change and train from outdated
-        scratch."""
-        if not agent.alive:
-            return
-        agent.alive = False
+        CPython hands back accepted sockets *blocking* whenever the
+        listener has a timeout, so the hello read is bounded explicitly —
+        by whatever the accept left of the ``_ACCEPT_TIMEOUT`` budget —
+        or a peer that connects and says nothing would wedge federation
+        forming while real agents queue in the backlog.
+        """
+        started = time.monotonic()
+        self._listen_sock.settimeout(_ACCEPT_TIMEOUT)
         try:
-            agent.sock.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
-        _log.warning("agent %r disconnected", agent.name)
-        for peer in self._agents or []:
-            if peer.alive:
-                peer.pending_evict.extend(peer.resident)
-                peer.resident.clear()
-        self._upload_refs.clear()
+            sock, peer = self._listen_sock.accept()
+        except socket.timeout:
+            raise RuntimeError(
+                f"only {len(self._agents)}/{self.num_agents} agents "
+                f"connected within {_ACCEPT_TIMEOUT:.0f}s"
+            ) from None
+        sock.settimeout(max(0.05, _ACCEPT_TIMEOUT - (time.monotonic() - started)))
+        stream = FrameStream(sock)
+        message = _read_message(stream)
+        reason = (
+            "no hello"
+            if message is None or message.kind != HELLO
+            else evaluate_hello(
+                message.meta, codec_spec=welcome_meta["codec"],
+                compute_spec=welcome_meta["compute"],
+            )
+        )
+        try:
+            if reason is None:
+                stream.send(encode_message(WELCOME, welcome_meta, model_blob))
+                sock.settimeout(None)  # rounds use blocking reads
+                self.wire.registration_bytes += len(model_blob)
+                agent = _Agent(
+                    sock, stream, message.meta.get("name") or f"{peer[0]}:{peer[1]}"
+                )
+                self._selector.register(sock, selectors.EVENT_READ, len(self._agents))
+                self._agents.append(agent)
+                _log.info(
+                    "agent %r joined (%d/%d)",
+                    agent.name, len(self._agents), self.num_agents,
+                )
+                return
+            _log.warning("rejecting agent %s:%d: %s", peer[0], peer[1], reason)
+            stream.send(encode_message(REJECT, {"reason": reason}))
+        except OSError:
+            pass  # the peer vanished mid-handshake
+        sock.close()
 
-    def _send(self, agent: _Agent, payload: bytes) -> bool:
+    def open(self, model: "FeatureClassifierModel") -> None:
+        architecture = self._architecture_of(model)
+        if self._agents is None:
+            model_blob = encode_payload(model)
+            welcome_meta = {
+                "version": PROTOCOL_VERSION,
+                "codec": self.codec.spec,
+                "compute": self._compute_backend(model).spec,
+                "transport": self.transport.spec,
+            }
+            self._agents = []
+            self._selector = selectors.DefaultSelector()
+            while len(self._agents) < self.num_agents:
+                self._handshake(model_blob, welcome_meta)
+            self.wire.unique_registration_bytes += len(model_blob)
+            self._architecture = architecture
+        elif architecture != self._architecture:
+            raise RuntimeError(
+                "model architecture changed mid-federation; remote agents "
+                "hold the old template — build a fresh RemoteExecutor"
+            )
+        self._live = [i for i, agent in enumerate(self._agents) if agent.alive]
+        if not self._live:
+            raise RuntimeError("every remote agent has disconnected")
+
+    def _mark_dead(self, home: int) -> None:
+        """The agent at ``home`` is gone: close its socket and report its
+        unanswered tasks lost (one ``LOST`` speaks for the home).  The
+        driver drops them — ``respawn`` says no — and re-homes clients
+        lazily: next round's ``cid % len(live)`` layout re-registers
+        whoever moved."""
+        agent = self._agents[home]
+        if agent.alive:
+            self._selector.unregister(agent.sock)
+            agent.hang_up()
+            _log.warning("agent %r disconnected", agent.name)
+        orphaned = [tid for tid, at in self._tasks.items() if at == home]
+        self._lost.extend(orphaned[:1])
+        for task_id in orphaned:
+            del self._tasks[task_id]
+
+    def _send(self, home: int, payload: bytes) -> bool:
         """Write one frame to an agent; a write failure is a disconnect."""
         try:
-            agent.stream.send(payload)
-            return True
+            if self._agents[home].alive:
+                self._agents[home].stream.send(payload)
+                return True
         except OSError:
-            self._mark_dead(agent)
-            return False
+            pass
+        self._mark_dead(home)
+        return False
 
-    # -- the round ------------------------------------------------------------
+    # -- the lane set ---------------------------------------------------------
 
-    def run_round(
-        self,
-        strategy: "Strategy",
-        model: "FeatureClassifierModel",
-        global_state: StateDict,
-        participants: "Sequence[Client]",
-        round_index: int,
-        seeds: "Sequence[int]",
-        stream: "AggregationStream | None" = None,
-    ) -> "list[ClientUpdate]":
-        live = self._ensure_agents(model)
-        round_start = time.perf_counter()
-        round_deadline = self._current_deadline()
-        report = RoundFaultReport(round_index=round_index)
-        replay = self._replay_membership(participants, seeds, round_index, report)
-        if replay is not None:
-            candidate_pairs, injected = replay
-            round_deadline = None
-        else:
-            actions = (
-                self.fault_plan.actions_for_round(
-                    [client.client_id for client in participants],
-                    round_index,
-                    round_deadline,
-                )
-                if self.fault_plan is not None
-                else None
-            )
-            if actions:
-                report.straggler_seconds = actions.straggler_seconds
-                report.dropped.update(actions.skipped)
-            injected = actions.injected if actions else {}
-            candidate_pairs = [
-                (client, seed)
-                for client, seed in zip(participants, seeds)
-                if not (actions and client.client_id in actions.skipped)
-            ]
-        # A crash victim is dropped at dispatch (remote agents are not the
-        # server's processes to kill); mirror the serial engine's sync
-        # point so dirty-tracking stays engine-invariant.
-        dispatch_pairs: "list[tuple[Client, int]]" = []
-        for client, seed in candidate_pairs:
-            fault = injected.get(client.client_id)
-            if replay is None and fault is not None and fault.kind == "crash":
-                client.scratch.collect_delta()
-                report.dropped[client.client_id] = "crash"
-                continue
-            dispatch_pairs.append((client, seed))
+    def home(self, client_id: int) -> int:
+        return self._live[client_id % len(self._live)]
 
-        def home(client_id: int) -> _Agent:
-            return live[client_id % len(live)]
+    def send_register(self, home: int, blob: bytes) -> None:
+        self._send(home, encode_message(REGISTER, blob=blob))
 
-        # Per-agent dispatch bundles: registration blob + broadcast frame +
-        # task frames, built up front so the pipelined path can fire them
-        # all back-to-back and the unpipelined path one agent at a time.
-        encode_start = time.perf_counter()
-        strategy_blob = encode_payload(strategy)
-        agents_in_round = sorted(
-            {id(home(c.client_id)): home(c.client_id) for c, _ in dispatch_pairs}.values(),
-            key=lambda agent: live.index(agent),
+    def send_broadcast(
+        self, home: int, strategy_blob: bytes, handle: bytes, round_index: int
+    ) -> None:
+        self._send(
+            home,
+            encode_message(
+                BROADCAST,
+                {"round": round_index, "strategy_bytes": len(strategy_blob)},
+                strategy_blob + handle,
+            ),
         )
-        self.wire.unique_broadcast_bytes += len(strategy_blob)
-        state_blob_for_ref: "dict[int, bytes]" = {}
-        bundles: "dict[int, list[bytes]]" = {id(a): [] for a in agents_in_round}
-        for agent in agents_in_round:
-            newcomers = [
-                client
-                for client, _ in dispatch_pairs
-                if home(client.client_id) is agent
-                and agent.resident.get(client.client_id) is not client
-            ]
-            if newcomers or agent.pending_evict:
-                evict_ids = tuple(agent.pending_evict)
-                agent.pending_evict = []
-                blob = encode_payload((newcomers, evict_ids))
-                self.wire.registration_bytes += len(blob)
-                self.wire.unique_registration_bytes += len(blob)
-                bundles[id(agent)].append(encode_message(REGISTER, blob=blob))
-                for client in newcomers:
-                    client.scratch.mark_clean()
-                    agent.resident[client.client_id] = client
-                    self._upload_refs.pop(client.client_id, None)
-            state_blob = state_blob_for_ref.get(id(agent.bcast_ref))
-            if state_blob is None:
-                state_blob = encode_payload(
-                    self.codec.encode(global_state, agent.bcast_ref)
-                )
-                state_blob_for_ref[id(agent.bcast_ref)] = state_blob
-                self.wire.unique_broadcast_bytes += len(state_blob)
-            if self.codec.stateful:
-                agent.bcast_ref = global_state
-            # Every agent pulls its own full copy over its own socket —
-            # honest per-endpoint cost, same shape as pipe.
-            self.wire.broadcast_bytes += len(strategy_blob) + len(state_blob)
-            bundles[id(agent)].append(
-                encode_message(
-                    BROADCAST,
-                    {"round": round_index, "strategy_bytes": len(strategy_blob)},
-                    strategy_blob + state_blob,
-                )
-            )
 
-        # Task grouping mirrors the pool: under a batched compute backend
-        # one group per home agent, faulted clients always singleton.
-        descriptors: "list[list]" = []  # [positions, clients, seeds, blobs, fault]
-        group_at: "dict[int, int]" = {}  # id(agent) -> descriptor index
-        for position, (client, seed) in enumerate(dispatch_pairs):
-            server_delta = client.scratch.collect_delta()
-            sync_blob = encode_payload(server_delta) if server_delta else None
-            fault = injected.get(client.client_id)
-            self.wire.task_bytes += len(
-                pickle.dumps(
-                    (client.client_id, round_index, seed, None, fault),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            ) + (len(sync_blob) if sync_blob is not None else 0)
-            agent_key = id(home(client.client_id))
-            if self._compute_batched and fault is None and agent_key in group_at:
-                descriptor = descriptors[group_at[agent_key]]
-                descriptor[0].append(position)
-                descriptor[1].append(client)
-                descriptor[2].append(seed)
-                descriptor[3].append(sync_blob)
-                continue
-            if self._compute_batched and fault is None:
-                group_at[agent_key] = len(descriptors)
-            descriptors.append([[position], [client], [seed], [sync_blob], fault])
-        # task_id -> [clients, seeds, positions, agent] (the row shape
-        # _ingest_group_upload shares with the pool's collectors).
-        outstanding: "dict[int, list]" = {}
-        rows_of: "dict[int, list[int]]" = {id(a): [] for a in agents_in_round}
-        for positions, clients, group_seeds, sync_blobs, fault in descriptors:
-            agent = home(clients[0].client_id)
-            task_id = self._next_task_id
-            self._next_task_id += 1
-            task = (
-                tuple(client.client_id for client in clients),
-                round_index,
-                tuple(group_seeds),
-                tuple(sync_blobs),
-                fault,
-            )
-            bundles[id(agent)].append(
-                encode_message(
-                    TASK,
-                    {"task": task_id, "round": round_index},
-                    pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL),
-                )
-            )
-            outstanding[task_id] = [clients, group_seeds, positions, agent]
-            rows_of[id(agent)].append(task_id)
-        encode_seconds = time.perf_counter() - encode_start
+    def submit(self, task_id: int, home: int, task: tuple) -> None:
+        frame = encode_message(
+            TASK,
+            {"task": task_id, "round": task[1]},
+            pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL),
+        )
+        self._tasks[task_id] = home  # orphaned on the spot if the send fails
+        self._send(home, frame)
 
-        results: "dict[int, ClientUpdate]" = {}
-        remote_start = time.perf_counter()
-        if self.pipelined:
-            for agent in agents_in_round:
-                if not all(self._send(agent, f) for f in bundles[id(agent)]):
-                    self._drop_agent_rows(agent, outstanding, report)
-            deadline_at = (
-                None
-                if round_deadline is None
-                else time.perf_counter() + round_deadline
-            )
-            accepted = self._collect(
-                agents_in_round, outstanding, results, report,
-                global_state, deadline_at, stream,
-            )
-        else:
-            # Unpipelined reference mode: one agent's whole round trip
-            # completes before the next agent receives a byte.  The trace
-            # is identical (results key on dispatch position); only the
-            # overlap differs.
-            deadline_at = (
-                None
-                if round_deadline is None
-                else time.perf_counter() + round_deadline
-            )
-            accepted = 0
-            for agent in agents_in_round:
-                if not all(self._send(agent, f) for f in bundles[id(agent)]):
-                    self._drop_agent_rows(agent, outstanding, report)
-                    continue
-                pending_here = {
-                    task_id: outstanding.pop(task_id)
-                    for task_id in rows_of[id(agent)]
-                    if task_id in outstanding
-                }
-                accepted += self._collect(
-                    [agent], pending_here, results, report,
-                    global_state, deadline_at, stream,
-                    quorum_base=accepted,
-                )
-                if self.quorum is not None and accepted >= self.quorum:
-                    for task_id, row in list(outstanding.items()):
-                        self._drop_row(row, "quorum", report)
-                        outstanding.pop(task_id)
-                    report.early_closed = True
-                    break
+    def _read(self, home: int, events: "list[tuple[int, object]]") -> None:
+        """Process one frame from the agent at ``home``.  EOF, a read error
+        and a frame that is not a protocol message are all a disconnect — a
+        mid-upload disconnect (or a garbage frame) can never wedge round
+        close."""
+        message = _read_message(self._agents[home].stream)
+        if message is None:
+            self._mark_dead(home)
+        elif message.kind != UPLOAD:  # pragma: no cover - protocol violation
+            _log.warning("unexpected %r frame from agent %d", message.kind, home)
+        elif self._tasks.get(message.meta.get("task")) == home:
+            del self._tasks[message.meta["task"]]
+            events.append((message.meta["task"], message.blob))
 
-        updates = [update for _, update in sorted(results.items())]
+    def poll(self, timeout: "float | None") -> "list[tuple[int, object]]":
+        limit = None if timeout is None else time.perf_counter() + timeout
+        events: "list[tuple[int, object]]" = []
+        while True:
+            # Frames already decoded off a socket never re-trigger the
+            # selector: drain them before blocking on readability.
+            for home, agent in enumerate(self._agents):
+                while agent.alive and agent.stream.buffered:
+                    self._read(home, events)
+            events.extend((task_id, LOST) for task_id in self._lost)
+            self._lost.clear()
+            if events or not self._selector.get_map():
+                return events
+            ready = self._selector.select(time_left(limit))
+            if not ready:
+                return events
+            for key, _ in ready:
+                self._read(key.data, events)
+
+    def abandon(self, task_id: int) -> None:
+        self._tasks.pop(task_id, None)
+
+    def respawn(self, home: int) -> bool:
+        # A remote agent is not the server's process to restart.
+        self._mark_dead(home)
+        return False
+
+    def note_round(self, updates: "list[ClientUpdate]", seconds: float) -> None:
         busy = sum(
             update.train_seconds + update.decode_seconds + update.straggler_seconds
             for update in updates
         )
-        remote_wall = time.perf_counter() - remote_start
-        overlap = max(0.0, busy - remote_wall) if self.pipelined else 0.0
-        self.last_overlap_seconds = overlap
-        self.last_fault_report = report
-
-        deadline_dropped = tuple(
-            client_id
-            for client_id, reason in report.dropped.items()
-            if reason in ("deadline", "disconnect")
-        )
-        quorum_missed = (
-            self.quorum is not None
-            and replay is None
-            and accepted < self.quorum
-            and bool(deadline_dropped)
-        )
-        if replay is None and deadline_dropped and (not updates or quorum_missed):
-            raise RoundTimeoutError(
-                round_index,
-                deadline_dropped,
-                quorum=self.quorum,
-                accepted=tuple(update.client_id for update in updates),
-            )
-        self.pipeline_overlap_rounds.append(overlap)
-        self.broadcast_encode_rounds.append(encode_seconds)
-        self._observe_round_duration(time.perf_counter() - round_start)
-        return updates
-
-    # -- collection -----------------------------------------------------------
-
-    def _drop_row(self, row: "list", reason: str, report: RoundFaultReport) -> None:
-        """Record one outstanding row's clients as dropped and force their
-        re-registration (the agent-side copy diverges if the task later
-        completes as a zombie)."""
-        clients, _, _, agent = row
-        for client in clients:
-            report.dropped[client.client_id] = reason
-            agent.resident.pop(client.client_id, None)
-
-    def _drop_agent_rows(
-        self, agent: _Agent, outstanding: "dict[int, list]",
-        report: RoundFaultReport,
-    ) -> None:
-        for task_id, row in list(outstanding.items()):
-            if row[3] is agent:
-                self._drop_row(row, "disconnect", report)
-                outstanding.pop(task_id)
-
-    def _collect(
-        self,
-        agents: "list[_Agent]",
-        outstanding: "dict[int, list]",
-        results: "dict[int, ClientUpdate]",
-        report: RoundFaultReport,
-        global_state: StateDict,
-        deadline_at: "float | None",
-        stream: "AggregationStream | None",
-        quorum_base: int = 0,
-    ) -> int:
-        """Ingest uploads in arrival order until ``outstanding`` drains,
-        the quorum is met, or the deadline expires; returns how many
-        updates were accepted here.  An upload whose task id is no longer
-        outstanding (a previous round's zombie, or a deadline-dropped
-        task finishing late) is discarded silently."""
-        accepted = 0
-
-        def quorum_met() -> bool:
-            return (
-                self.quorum is not None
-                and quorum_base + accepted >= self.quorum
-            )
-
-        selector = selectors.DefaultSelector()
-        watched: "list[_Agent]" = []
-        for agent in agents:
-            if agent.alive and any(
-                row[3] is agent for row in outstanding.values()
-            ):
-                selector.register(agent.sock, selectors.EVENT_READ, agent)
-                watched.append(agent)
-        try:
-            while outstanding and not quorum_met():
-                # Frames already decoded off the socket never re-trigger
-                # the selector: drain them first.
-                progressed = False
-                for agent in watched:
-                    while (
-                        agent.alive and agent.stream.buffered
-                        and outstanding and not quorum_met()
-                    ):
-                        accepted += self._pump(
-                            agent, outstanding, results, report,
-                            global_state, stream, selector,
-                        )
-                        progressed = True
-                if progressed:
-                    continue
-                if not any(agent.alive for agent in watched):
-                    break
-                timeout = (
-                    None
-                    if deadline_at is None
-                    else max(0.0, deadline_at - time.perf_counter())
-                )
-                events = selector.select(timeout)
-                if not events:
-                    # Deadline expired: close over whatever arrived.  The
-                    # still-running tasks finish as zombies; their uploads
-                    # are discarded by task id.
-                    for task_id, row in list(outstanding.items()):
-                        self._drop_row(row, "deadline", report)
-                        outstanding.pop(task_id)
-                    break
-                for key, _ in events:
-                    if outstanding and not quorum_met():
-                        accepted += self._pump(
-                            key.data, outstanding, results, report,
-                            global_state, stream, selector,
-                        )
-        finally:
-            selector.close()
-        if outstanding and quorum_met():
-            report.early_closed = True
-            if deadline_at is not None:
-                report.early_close_seconds = max(
-                    0.0, deadline_at - time.perf_counter()
-                )
-            for task_id, row in list(outstanding.items()):
-                self._drop_row(row, "quorum", report)
-                outstanding.pop(task_id)
-        return accepted
-
-    def _pump(
-        self,
-        agent: _Agent,
-        outstanding: "dict[int, list]",
-        results: "dict[int, ClientUpdate]",
-        report: RoundFaultReport,
-        global_state: StateDict,
-        stream: "AggregationStream | None",
-        selector: selectors.DefaultSelector,
-    ) -> int:
-        """Process one frame from ``agent``; returns accepted-update count.
-        EOF and read errors are a disconnect: the agent's outstanding rows
-        drop with the typed reason and the round moves on — a mid-upload
-        disconnect can never wedge round close."""
-        try:
-            frame = agent.stream.next_frame()
-        except (FrameError, ConnectionError, OSError):
-            frame = None
-        if frame is None:
-            try:
-                selector.unregister(agent.sock)
-            except (KeyError, ValueError):  # pragma: no cover - already gone
-                pass
-            self._mark_dead(agent)
-            self._drop_agent_rows(agent, outstanding, report)
-            return 0
-        message = decode_message(frame)
-        if message.kind != UPLOAD:  # pragma: no cover - protocol violation
-            _log.warning("unexpected %r frame from agent %r", message.kind, agent.name)
-            return 0
-        row = outstanding.pop(message.meta.get("task"), None)
-        if row is None:
-            return 0  # zombie: its client was already dropped
-        return _ingest_group_upload(
-            self, row, message.blob, global_state, results, report, stream
-        )
-
-    # -- lifecycle ------------------------------------------------------------
+        self.last_overlap_seconds = max(0.0, busy - seconds) if self.pipelined else 0.0
+        self.pipeline_overlap_rounds.append(self.last_overlap_seconds)
 
     def close(self) -> None:
         """Send every live agent a clean shutdown and tear the sockets
         down.  Idempotent; the listener closes too, so a closed executor
         cannot be reused (build a fresh one — agents reconnect)."""
-        for agent in self._agents or []:
-            if agent.alive:
-                try:
-                    agent.stream.send(encode_message(BYE))
-                except OSError:
-                    pass
-                agent.alive = False
-                try:
-                    agent.sock.close()
-                except OSError:  # pragma: no cover
-                    pass
+        for home, agent in enumerate(self._agents or []):
+            if self._send(home, encode_message(BYE)):
+                agent.hang_up()
         self._agents = None
+        if self._selector is not None:
+            self._selector.close()
+            self._selector = None
+        self._tasks.clear()
         try:
             self._listen_sock.close()
         except OSError:  # pragma: no cover
             pass
-        self._upload_refs.clear()
+        super().close()

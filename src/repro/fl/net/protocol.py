@@ -36,6 +36,8 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 
+from repro.fl.net.frames import FrameError
+
 __all__ = [
     "PROTOCOL_VERSION",
     "HELLO",
@@ -90,8 +92,27 @@ def encode_message(kind: str, meta: "dict | None" = None, blob: "bytes | None" =
 
 
 def decode_message(payload: "bytes | memoryview") -> Message:
-    """Parse a frame payload back into a :class:`Message`."""
-    kind, meta, blob = pickle.loads(payload)
+    """Parse a frame payload back into a :class:`Message`.
+
+    Anything that is not a pickled ``(kind, meta, blob)`` triple of the
+    documented types raises :class:`repro.fl.net.frames.FrameError` — one
+    typed error for "this peer is not speaking the protocol", whatever the
+    unpickler happened to choke on, so no caller's read loop can be crashed
+    by the bytes a peer chose to send.
+    """
+    try:
+        kind, meta, blob = pickle.loads(payload)
+    except Exception as exc:
+        raise FrameError(f"frame payload is not a protocol message: {exc!r}") from exc
+    if (
+        not isinstance(kind, str)
+        or not isinstance(meta, dict)
+        or not isinstance(blob, (bytes, type(None)))
+    ):
+        raise FrameError(
+            f"malformed protocol message: ({type(kind).__name__}, "
+            f"{type(meta).__name__}, {type(blob).__name__})"
+        )
     return Message(kind=kind, meta=meta, blob=blob)
 
 

@@ -104,11 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the run trace (trace_dict JSON) here",
     )
     parser.add_argument(
-        "--no-pipeline", action="store_true",
-        help="serialize the round agent-at-a-time instead of overlapping "
-        "broadcast/train/upload across agents (same trace, no overlap)",
-    )
-    parser.add_argument(
         "--check-serial", action="store_true",
         help="after the run, replay it on the in-process serial engine and "
         "fail unless the traces are bit-identical",
@@ -136,7 +131,6 @@ def main(argv: "list[str] | None" = None) -> int:
     remote = RemoteExecutor(
         listen=args.listen,
         num_agents=args.agents,
-        pipelined=not args.no_pipeline,
         codec=args.codec,
         faults=args.faults,
         deadline=args.deadline,

@@ -211,6 +211,36 @@ class TestDeterminism:
             )
 
 
+    @pytest.mark.parametrize("codec", ["identity", "delta"])
+    def test_spawn_start_method_equals_serial(self, codec):
+        """``spawn`` (the default off Linux) pickles the pool entrypoints
+        by qualified name and imports them in a fresh interpreter — the
+        one start method that notices when they move between modules."""
+
+        def run(executor):
+            server = FederatedServer(
+                strategy=FedAvgStrategy(FAST),
+                clients=make_clients(),
+                model=build_mlp_model(
+                    SUITE.image_shape, SUITE.num_classes,
+                    rng=np.random.default_rng(0),
+                ),
+                eval_sets={"test": SUITE.datasets[2]},
+                config=FederatedConfig(
+                    num_rounds=2, clients_per_round=4, seed=0, codec=codec
+                ),
+                executor=executor,
+            )
+            return server.run()
+
+        serial = run(SerialExecutor(codec=codec))
+        with ParallelExecutor(
+            num_workers=2, start_method="spawn", codec=codec
+        ) as executor:
+            spawned = run(executor)
+        assert_identical_runs(serial, spawned)
+
+
 class ScratchCyclingStrategy(FedAvgStrategy):
     """Adds a scratch key on even rounds and deletes it on odd rounds —
     exercises both directions of scratch persistence."""

@@ -48,11 +48,15 @@ from repro.fl.net import (
     encode_frame,
     recv_frame,
 )
+from repro.fl.executor import WorkerRuntime
 from repro.fl.net.agent import run_agent
 from repro.fl.net.protocol import (
+    BROADCAST,
     HELLO,
+    REGISTER,
     REJECT,
     TASK,
+    UPLOAD,
     WELCOME,
     decode_message,
     encode_message,
@@ -542,6 +546,149 @@ class TestDisconnect:
         assert "disconnect" in _drop_reasons(result)
         # After the disconnect round every participant trains again.
         assert result.history.records[-1].participants
+
+
+def faulty_agent(address, connected, on_task):
+    """A protocol-complete agent (the real ``WorkerRuntime`` behind a
+    hand-rolled serve loop) that calls ``on_task(stream, meta)`` before each
+    task and leaves — closing its socket — when that returns true."""
+    import pickle
+
+    sock = socket.create_connection(address, timeout=30)
+    connected.set()
+    try:
+        sock.settimeout(None)
+        stream = FrameStream(sock)
+        stream.send(encode_message(HELLO, hello_meta(name="faulty")))
+        welcome = decode_message(stream.next_frame())
+        runtime = WorkerRuntime(
+            welcome.blob, welcome.meta["codec"], "pipe", welcome.meta["compute"]
+        )
+        while (frame := stream.next_frame()) is not None:
+            message = decode_message(frame)
+            if message.kind == REGISTER:
+                runtime.register(message.blob)
+            elif message.kind == BROADCAST:
+                split = message.meta["strategy_bytes"]
+                runtime.broadcast(
+                    message.blob[:split], message.blob[split:],
+                    message.meta["round"],
+                )
+            elif message.kind == TASK:
+                if on_task(stream, message.meta):
+                    return
+                stream.send(encode_message(
+                    UPLOAD, {"task": message.meta["task"]},
+                    runtime.run_task(pickle.loads(message.blob)),
+                ))
+            else:
+                return
+    finally:
+        sock.close()
+
+
+def run_with_faulty_agent(remote, on_task, rounds):
+    """Agent 0 (it connects first, so it homes the even client ids) is
+    ``faulty_agent``; agent 1 is a healthy ``run_agent``."""
+    connected = threading.Event()
+    faulty = threading.Thread(
+        target=faulty_agent, args=(remote.address, connected, on_task),
+        daemon=True,
+    )
+    faulty.start()
+    assert connected.wait(timeout=10)
+    good = threading.Thread(
+        target=run_agent, args=(remote.address,),
+        kwargs={"name": "survivor"}, daemon=True,
+    )
+    good.start()
+    try:
+        return run_once(
+            remote, rounds=rounds, config_kwargs={"codec": remote.codec.spec}
+        )
+    finally:
+        remote.close()
+        faulty.join(timeout=10)
+        good.join(timeout=10)
+        assert not faulty.is_alive() and not good.is_alive()
+
+
+class TestLostAgentMidRun:
+    @pytest.mark.parametrize("codec", ["identity", "delta"])
+    def test_agent_vanishing_in_a_later_round_is_a_typed_drop(self, codec):
+        """Regression: an agent that served rounds 0-1 and vanishes on its
+        first task of round 2 must not touch the *other* agent's upload
+        reference chains — under ``delta`` the survivor's in-flight
+        uploads are diffs against them (the socket engine used to clear
+        every chain and die with "delta frame arrived without a reference
+        state")."""
+        result = run_with_faulty_agent(
+            RemoteExecutor(num_agents=2, codec=codec),
+            lambda stream, meta: meta["round"] >= 2,
+            rounds=5,
+        )
+        records = result.history.records
+        assert len(records) == 5
+        assert [set(r.dropped.values()) for r in records[:2]] == [set(), set()]
+        assert set(records[2].dropped.values()) == {"disconnect"}
+        for record in records[3:]:
+            assert record.participants and record.dropped == {}
+
+    def test_garbage_frame_mid_round_is_a_typed_drop(self):
+        """A frame that is not a protocol message loses the lane, exactly
+        like EOF: its rows drop as ``disconnect`` and the round closes."""
+        def babble(stream, meta):
+            stream.send(b"\x00 not a pickled (kind, meta, blob)")
+            # Keep the socket open — no EOF for the server to see — until
+            # the server itself hangs up on the offender.
+            try:
+                stream.next_frame()
+            except OSError:
+                pass
+            return True
+
+        result = run_with_faulty_agent(
+            RemoteExecutor(num_agents=2), babble, rounds=2
+        )
+        assert len(result.history.records) == 2
+        assert set(result.history.records[0].dropped.values()) == {"disconnect"}
+        assert result.history.records[1].dropped == {}
+
+
+class TestAcceptLoop:
+    """No TCP peer can wedge or crash federation forming."""
+
+    def _form_with(self, monkeypatch, intruder):
+        from repro.fl.net import executor as net_executor
+
+        monkeypatch.setattr(net_executor, "_ACCEPT_TIMEOUT", 1.0)
+        remote = RemoteExecutor(num_agents=1)
+        with socket.create_connection(remote.address, timeout=10) as peer:
+            intruder(peer)  # first in the backlog, ahead of the real agent
+            good = threading.Thread(
+                target=run_agent, args=(remote.address,), daemon=True
+            )
+            good.start()
+            try:
+                result = run_once(remote, rounds=1)
+            finally:
+                remote.close()
+                good.join(timeout=10)
+        assert not good.is_alive()
+        assert len(result.history.records) == 1
+
+    def test_silent_peer_then_good_agent_joins(self, monkeypatch):
+        """A peer that connects and never says hello costs at most the
+        accept budget — the accepted socket used to be read with no
+        timeout, blocking forever with a healthy agent in the backlog."""
+        self._form_with(monkeypatch, lambda peer: None)
+
+    def test_garbage_hello_then_good_agent_joins(self, monkeypatch):
+        """A hello frame that is not a pickle is close-and-continue, not
+        an ``UnpicklingError`` out of the accept loop."""
+        self._form_with(
+            monkeypatch, lambda peer: peer.sendall(encode_frame(b"GET / HTTP/1.1"))
+        )
 
 
 # -- the run-trace digest ------------------------------------------------------
