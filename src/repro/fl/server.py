@@ -6,22 +6,23 @@ the paper describes: sample k of N clients, broadcast the global weights,
 run the strategy's local update on each participant (serially or fanned out
 to worker processes — see :mod:`repro.fl.executor`), aggregate in
 deterministic client order, and periodically evaluate on the held-out
-(unseen-domain) sets.  All timing flows through
-:class:`repro.fl.timing.PhaseTimer` so Fig. 4 can compare methods fairly
-regardless of the engine.
+(unseen-domain) sets — off the critical path, while the next round trains.
+All timing flows through :class:`repro.fl.timing.PhaseTimer` so Fig. 4 can
+compare methods fairly regardless of the engine.
 """
 
 from __future__ import annotations
 
 import time
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.data.synthetic import LabeledDataset
 from repro.fl.aggregate import EdgeAggregator, make_aggregator
-from repro.fl.evaluation import evaluate_accuracy
+from repro.fl.evaluation import EvaluationStage
 from repro.fl.client import Client
 from repro.fl.codec import make_codec
 from repro.fl.compute import resolve_compute
@@ -208,11 +209,16 @@ class FederatedServer:
         local-training workspace (weights are loaded per participant, so
         state never leaks between clients through the model object); the
         parallel engine treats it as the architecture template for the
-        per-worker clones.
+        per-worker clones.  Evaluation does **not** happen on this instance:
+        each :meth:`run` scores a private copy of it (taken after
+        ``strategy.prepare``) on a background thread while the next round
+        trains — see :class:`repro.fl.evaluation.EvaluationStage` — so
+        anything patched onto the instance is not seen by evaluation.  After
+        :meth:`run` it holds the final global weights.
     eval_sets:
         Named held-out datasets (e.g. ``{"val": ..., "test": ...}``) that the
-        server evaluates the *global* model on — unseen domains in the
-        paper's protocols.
+        server scores each due round's *global* weights on — unseen domains
+        in the paper's protocols.
     config:
         Round-loop parameters.
     executor:
@@ -365,9 +371,43 @@ class FederatedServer:
             # prepare() may have touched the workspace model; restore.
             self.model.load_state_dict(global_state)
 
+        # The evaluation model is copied here — after ``prepare``, before the
+        # first ``run_round`` — and the thread is joined when the block ends,
+        # whether the rounds returned or raised.
+        with EvaluationStage(self.model, self.eval_sets) as evaluation:
+            global_state = self._rounds(
+                timer, history, global_state, evaluation, verbose
+            )
+
+        self.model.load_state_dict(global_state)
+        # The last round always evaluates every eval set, so its record *is*
+        # the final accuracy.
+        return FederatedResult(
+            history=history,
+            final_state=global_state,
+            timing=timer.report(),
+            final_accuracy=dict(history.records[-1].eval_accuracy),
+        )
+
+    def _rounds(
+        self,
+        timer: PhaseTimer,
+        history: RunHistory,
+        global_state: dict,
+        evaluation: EvaluationStage,
+        verbose: bool,
+    ) -> dict:
+        """The round loop; returns the final global state.
+
+        Evaluation is a one-deep pipeline stage: round r's state is scored
+        on ``evaluation``'s thread while round r+1 samples and trains, and
+        round r's record is settled — scores joined, line logged — before
+        round r+1's evaluation is submitted and before this returns.
+        """
         # Engine wire counters are cumulative across runs (a warm pool may
         # serve many); diff them per round so the report covers this run.
         wire_before = self.executor.wire_stats()
+        unsettled: tuple[RoundRecord, Future | None] | None = None
 
         for round_index in range(self.config.num_rounds):
             round_rng = self._seed_tree.generator("sample", round_index)
@@ -463,47 +503,37 @@ class FederatedServer:
                     else None
                 ),
             )
-            is_last = round_index == self.config.num_rounds - 1
-            if is_last or (round_index + 1) % self.config.eval_every == 0:
-                self.model.load_state_dict(global_state)
-                for name, dataset in self.eval_sets.items():
-                    record.eval_accuracy[name] = evaluate_accuracy(
-                        self.model, dataset
-                    )
             history.add(record)
             self.population.release(participants)
-            if verbose:
-                _LOG.info(
-                    kv(
-                        {
-                            "strategy": self.strategy.name,
-                            "round": round_index,
-                            "loss": record.mean_local_loss,
-                            **(
-                                {"dropped": len(record.dropped)}
-                                if record.dropped
-                                else {}
-                            ),
-                            **record.eval_accuracy,
-                        }
-                    )
-                )
+            if unsettled is not None:
+                self._settle(*unsettled, verbose)
+            is_last = round_index == self.config.num_rounds - 1
+            due = is_last or (round_index + 1) % self.config.eval_every == 0
+            unsettled = (record, evaluation.submit(global_state) if due else None)
 
-        self.model.load_state_dict(global_state)
-        # The last round always evaluates every eval set (is_last above), so
-        # its record *is* the final accuracy — don't pay for the same forward
-        # passes twice.
-        last_record = history.records[-1]
-        if set(last_record.eval_accuracy) == set(self.eval_sets):
-            final_accuracy = dict(last_record.eval_accuracy)
-        else:  # pragma: no cover - defensive, e.g. future cadence changes
-            final_accuracy = {
-                name: evaluate_accuracy(self.model, dataset)
-                for name, dataset in self.eval_sets.items()
-            }
-        return FederatedResult(
-            history=history,
-            final_state=global_state,
-            timing=timer.report(),
-            final_accuracy=final_accuracy,
-        )
+        self._settle(*unsettled, verbose)
+        return global_state
+
+    def _settle(
+        self, record: RoundRecord, scores: Future | None, verbose: bool
+    ) -> None:
+        """Join a round's evaluation (re-raising its error) into its record
+        and log the round's line — called in round order."""
+        if scores is not None:
+            record.eval_accuracy.update(scores.result())
+        if verbose:
+            _LOG.info(
+                kv(
+                    {
+                        "strategy": self.strategy.name,
+                        "round": record.round_index,
+                        "loss": record.mean_local_loss,
+                        **(
+                            {"dropped": len(record.dropped)}
+                            if record.dropped
+                            else {}
+                        ),
+                        **record.eval_accuracy,
+                    }
+                )
+            )

@@ -15,6 +15,8 @@ layout of their input, so from one conv to the next nothing is transposed.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.nn import init
@@ -50,21 +52,44 @@ def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # and never touched again.  The byte budget bounds memory when many distinct
 # shapes cycle through; eviction is least-recently-used, one entry at a time,
 # so the handful of shapes a round alternates between never evict each other.
+#
+# A buffer must never be visible to two threads at once — between the
+# interior write and the gather it *is* the caller's input — and the server's
+# evaluation thread runs im2col on shapes that collide with training's (an
+# evaluation tail chunk is as large as a training tail batch).  So the pool
+# is per thread: ``_PAD_SCRATCH`` is the main thread's, every other thread
+# gets its own (same budget each), released when the thread ends.  No lock:
+# one held across the gather would serialise the two threads' largest copies.
 _PAD_SCRATCH: dict[tuple, np.ndarray] = {}
 _PAD_SCRATCH_MAX_BYTES = 64 << 20
 
 
+class _ThreadScratch(threading.local):
+    def __init__(self) -> None:  # runs once in each thread that touches it
+        self.pool: dict[tuple, np.ndarray] = {}
+
+
+_OTHER_THREADS = _ThreadScratch()
+
+
+def _scratch_pool() -> dict[tuple, np.ndarray]:
+    if threading.current_thread() is threading.main_thread():
+        return _PAD_SCRATCH
+    return _OTHER_THREADS.pool
+
+
 def _padded_scratch(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    pool = _scratch_pool()
     key = (shape, dtype.str)
-    buffer = _PAD_SCRATCH.pop(key, None)
+    buffer = pool.pop(key, None)
     if buffer is None:
         buffer = np.zeros(shape, dtype=dtype)
         if buffer.nbytes > _PAD_SCRATCH_MAX_BYTES:
             return buffer
-        held = sum(entry.nbytes for entry in _PAD_SCRATCH.values())
+        held = sum(entry.nbytes for entry in pool.values())
         while held + buffer.nbytes > _PAD_SCRATCH_MAX_BYTES:
-            held -= _PAD_SCRATCH.pop(next(iter(_PAD_SCRATCH))).nbytes
-    _PAD_SCRATCH[key] = buffer
+            held -= pool.pop(next(iter(pool))).nbytes
+    pool[key] = buffer
     return buffer
 
 

@@ -82,14 +82,18 @@ class FeatureClassifierModel(Module):
         """Evaluation-mode logits, computed in batches to bound memory."""
         was_training = self.training
         self.eval()
-        chunks = []
-        for start in range(0, x.shape[0], batch_size):
-            chunk = x[start : start + batch_size]
-            chunks.append(self.forward(chunk))
-        if was_training:
-            self.train()
-        if not chunks:
-            return np.zeros((0, 1))
+        try:
+            chunks = [
+                self.forward(x[start : start + batch_size])
+                for start in range(0, x.shape[0], batch_size)
+            ]
+            if not chunks:
+                # No chunk to take the logit width from: classify an empty
+                # embedding batch, which is (0, num_classes).
+                chunks = [self.forward_logits(np.zeros((0, self.embed_dim)))]
+        finally:
+            if was_training:
+                self.train()
         return np.concatenate(chunks, axis=0)
 
 

@@ -1,22 +1,31 @@
 """Tests for the federated substrate: clients, sampling, timing, history,
 and the simulation loop itself."""
 
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
+from repro.baselines import FedDGGAStrategy
+from repro.core import PardonStrategy
 from repro.data import synthetic_pacs, partition_clients
 from repro.fl import (
     Client,
     FederatedConfig,
     FederatedServer,
     LocalTrainingConfig,
+    ParallelExecutor,
     RoundRecord,
+    RoundTimeoutError,
     RunHistory,
+    SerialExecutor,
     Strategy,
     UniformClientSampler,
+    evaluate_accuracy,
 )
 from repro.fl.timing import PhaseTimer
-from repro.nn import build_mlp_model
+from repro.nn import build_cnn_model, build_mlp_model
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
 
@@ -269,3 +278,181 @@ class TestFederatedServer:
         result = server.run()
         for record in result.history.records:
             assert clients[0].client_id not in record.participants
+
+
+class _EngineProxy:
+    """Delegating wrapper around a real engine: records the global state
+    handed to each round (the state after that many rounds) and runs a hook
+    before the round, on the thread that called ``run_round``."""
+
+    def __init__(self, inner, before_round=None):
+        self._inner = inner
+        self._before_round = before_round
+        self.states = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def run_round(self, strategy, model, global_state, participants,
+                  round_index, seeds, stream=None):
+        self.states.append({k: v.copy() for k, v in global_state.items()})
+        if self._before_round is not None:
+            self._before_round(round_index)
+        return self._inner.run_round(
+            strategy, model, global_state, participants, round_index, seeds,
+            stream=stream,
+        )
+
+
+class _HookedDataset:
+    """An eval set that runs a hook, on the evaluating thread, each time an
+    evaluation reads its images (once per evaluation)."""
+
+    def __init__(self, dataset, on_read):
+        self._dataset = dataset
+        self._on_read = on_read
+        self.labels = dataset.labels
+
+    def __len__(self):
+        return len(self._dataset)
+
+    @property
+    def images(self):
+        self._on_read()
+        return self._dataset.images
+
+
+def make_cnn(seed=0):
+    return build_cnn_model(
+        SUITE.image_shape, SUITE.num_classes, rng=np.random.default_rng(seed)
+    )
+
+
+class TestEvaluationPipeline:
+    """Round r is evaluated while round r+1 trains; nothing else changes."""
+
+    FAST = LocalTrainingConfig(batch_size=8)
+
+    def _server(self, engine, eval_sets, rounds=4, strategy=None, **config):
+        return FederatedServer(
+            strategy=strategy or Strategy(self.FAST),
+            clients=make_clients(),
+            model=make_cnn(),
+            eval_sets=eval_sets,
+            config=FederatedConfig(
+                num_rounds=rounds, clients_per_round=3, seed=0, **config
+            ),
+            executor=engine,
+        )
+
+    def test_evaluation_overlaps_the_next_rounds_local_phase(self):
+        """Round r's evaluation and round r+1's ``run_round`` wait for each
+        other.  An inline evaluation waits alone, the barrier breaks after
+        its timeout, and the error surfaces from ``run``."""
+        rounds = 4
+        meet = threading.Barrier(2, timeout=10)
+        evaluations = itertools.count()
+
+        def on_read():
+            if next(evaluations) < rounds - 1:  # the last has no next round
+                meet.wait()
+
+        def before_round(round_index):
+            if round_index > 0:
+                meet.wait()
+
+        server = self._server(
+            _EngineProxy(SerialExecutor(), before_round),
+            {"test": _HookedDataset(SUITE.datasets[2], on_read)},
+            rounds=rounds,
+        )
+        threads = threading.active_count()
+        result = server.run()
+        assert threading.active_count() == threads
+        assert [bool(r.eval_accuracy) for r in result.history.records] == [True] * 4
+        assert next(evaluations) == rounds
+
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("strategy_cls", [PardonStrategy, FedDGGAStrategy])
+    def test_scores_equal_a_foreground_evaluation_of_each_state(
+        self, strategy_cls, workers, eval_every
+    ):
+        """FedDG-GA reloads the server's model inside ``aggregate`` and the
+        serial engine trains in it: neither may reach the evaluation."""
+        rounds = 5
+        eval_sets = {"val": SUITE.datasets[2], "test": SUITE.datasets[3]}
+        inner = ParallelExecutor(num_workers=workers) if workers else SerialExecutor()
+        with inner:
+            engine = _EngineProxy(inner)
+            server = self._server(
+                engine, eval_sets, rounds=rounds,
+                strategy=strategy_cls(local_config=self.FAST),
+                eval_every=eval_every,
+            )
+            result = server.run()
+        states = engine.states[1:] + [result.final_state]
+        due = [r for r in range(rounds) if (r + 1) % eval_every == 0 or r == rounds - 1]
+        fresh = make_cnn(seed=99)
+        for record, state in zip(result.history.records, states):
+            expected = {}
+            if record.round_index in due:
+                fresh.load_state_dict(state)
+                expected = {
+                    name: evaluate_accuracy(fresh, dataset).hex()
+                    for name, dataset in eval_sets.items()
+                }
+            scored = {k: v.hex() for k, v in record.eval_accuracy.items()}
+            assert scored == expected, f"round {record.round_index}"
+        assert result.final_accuracy == result.history.records[-1].eval_accuracy
+
+    def test_an_evaluation_error_surfaces_from_run(self):
+        def on_read():
+            raise OSError("eval set unreadable")
+
+        server = self._server(
+            SerialExecutor(), {"test": _HookedDataset(SUITE.datasets[2], on_read)}
+        )
+        threads = threading.active_count()
+        with pytest.raises(OSError, match="eval set unreadable"):
+            server.run()
+        assert threading.active_count() == threads
+
+    def test_a_round_timeout_joins_the_evaluation_in_flight(self):
+        raised = threading.Event()
+        waited = []
+
+        def on_read():  # round 0's evaluation: in flight until round 1 raises
+            waited.append(raised.wait(timeout=10))
+
+        def before_round(round_index):
+            if round_index == 1:
+                raised.set()
+                raise RoundTimeoutError(round_index, (0, 1, 2))
+
+        server = self._server(
+            _EngineProxy(SerialExecutor(), before_round),
+            {"test": _HookedDataset(SUITE.datasets[2], on_read)},
+        )
+        threads = threading.active_count()
+        with pytest.raises(RoundTimeoutError):
+            server.run()
+        assert threading.active_count() == threads
+        assert waited == [True]
+
+    def test_a_second_run_on_the_same_server_and_warm_pool_works(self):
+        eval_sets = {"test": SUITE.datasets[2]}
+        fresh = make_cnn(seed=99)
+        with ParallelExecutor(num_workers=2) as pool:
+            server = self._server(pool, eval_sets, rounds=3)
+            first = server.run()
+            threads = threading.active_count()
+            second = server.run()
+            assert threading.active_count() == threads
+        assert first.final_accuracy != {}
+        for result in (first, second):
+            assert all(r.eval_accuracy for r in result.history.records)
+            fresh.load_state_dict(result.final_state)
+            assert result.final_accuracy == {
+                "test": evaluate_accuracy(fresh, eval_sets["test"])
+            }

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.baselines import FedAvgStrategy
 from repro.core import PardonStrategy
 from repro.data import synthetic_pacs, partition_clients
+from repro.data.synthetic import LabeledDataset
 from repro.fl import (
     Client,
     FaultEvent,
@@ -89,12 +90,13 @@ def _model(rng_seed=0):
     )
 
 
-def run_once(executor, strategy=None, rounds=3, config_kwargs=None):
+def run_once(executor, strategy=None, rounds=3, config_kwargs=None,
+             eval_sets=None):
     server = FederatedServer(
         strategy=strategy or FedAvgStrategy(FAST),
         clients=make_clients(),
         model=_model(),
-        eval_sets={"test": SUITE.datasets[2]},
+        eval_sets=eval_sets or {"test": SUITE.datasets[2]},
         config=FederatedConfig(
             num_rounds=rounds, clients_per_round=4, seed=0,
             **(config_kwargs or {}),
@@ -307,6 +309,35 @@ class TestChaosInvariance:
             np.testing.assert_array_equal(
                 serial.final_state[key], parallel.final_state[key]
             )
+
+    def test_respawn_forks_safely_under_a_running_evaluation(self):
+        """The crash -> respawn path forks a worker while the server's
+        evaluation thread may be inside BLAS.  The eval set is large enough
+        that round 0's evaluation is still running when round 1's victim
+        dies; a child wedged on an inherited lock would turn into
+        ``deadline`` drops and a different trace."""
+        held_out = SUITE.datasets[2]
+        big = LabeledDataset(
+            np.tile(held_out.images, (256, 1, 1, 1)),
+            np.tile(held_out.labels, 256),
+            np.tile(held_out.domain_ids, 256),
+        )
+        plan = FaultPlan(seed=5, crash_rounds=(1,))
+        serial = run_once(
+            SerialExecutor(faults=plan, deadline=30.0), eval_sets={"test": big}
+        )
+        assert "crash" in {
+            reason
+            for record in serial.history.records
+            for reason in record.dropped.values()
+        }
+        for attempt in range(25):
+            with ParallelExecutor(
+                num_workers=2, faults=plan, deadline=30.0
+            ) as executor:
+                parallel = run_once(executor, eval_sets={"test": big})
+                assert parallel.timing.rebuilt_workers >= 1
+            assert _trace(parallel) == _trace(serial), f"attempt {attempt}"
 
     def test_fault_free_plan_changes_nothing(self):
         """An empty plan must not perturb the trace (the fault layer's

@@ -15,6 +15,7 @@ import os
 import socket
 import struct
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -142,9 +143,10 @@ def _drop_reasons(result):
     }
 
 
-def run_remote(remote, rounds=3, config_kwargs=None, agents=2):
-    """Drive ``remote`` with in-process thread agents (the agent loop is
-    the same code the process entrypoint runs)."""
+@contextmanager
+def thread_agents(remote, agents=2):
+    """In-process thread agents for ``remote`` (the agent loop is the same
+    code the process entrypoint runs); closes ``remote`` on exit."""
     threads = [
         threading.Thread(
             target=run_agent, args=(remote.address,),
@@ -155,11 +157,17 @@ def run_remote(remote, rounds=3, config_kwargs=None, agents=2):
     for thread in threads:
         thread.start()
     try:
-        return run_once(remote, rounds=rounds, config_kwargs=config_kwargs)
+        yield
     finally:
         remote.close()
         for thread in threads:
             thread.join(timeout=10)
+
+
+def run_remote(remote, rounds=3, config_kwargs=None, agents=2):
+    """Drive ``remote`` with in-process thread agents."""
+    with thread_agents(remote, agents):
+        return run_once(remote, rounds=rounds, config_kwargs=config_kwargs)
 
 
 # -- frames --------------------------------------------------------------------
@@ -499,6 +507,16 @@ class TestRemoteExecutor:
         remote = RemoteExecutor(num_agents=2, pipelined=False)
         result = run_remote(remote)
         assert result.timing.pipeline_overlap_seconds == 0.0
+
+    def test_run_leaves_no_thread_behind(self):
+        """The server's evaluation thread is joined by ``run``; the engine's
+        own threads (up after the first run) are the caller's to close."""
+        remote = RemoteExecutor(num_agents=2)
+        with thread_agents(remote):
+            run_once(remote)
+            threads = threading.active_count()
+            run_once(remote)
+            assert threading.active_count() == threads
 
     def test_rejects_zero_agents(self):
         with pytest.raises(ValueError):

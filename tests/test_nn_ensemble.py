@@ -11,6 +11,9 @@ resolves against the model, and unsupported models or strategies fall back
 to the loop rather than erroring.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -742,3 +745,49 @@ class TestIm2colScratch:
         assert big.shape == (4, 4, 4) and not big.any()
         assert ((4, 4, 4), float64.str) not in conv._PAD_SCRATCH
         assert len(conv._PAD_SCRATCH) == 3
+
+    def test_same_shape_im2col_from_two_threads_is_exact(self):
+        """The server's evaluation thread and training share shapes (an eval
+        tail chunk is a train tail batch), so a pad buffer visible to both
+        would hand one thread the other's input between its interior write
+        and its gather."""
+        shape = (120, 12, 8, 8)  # conv2's input for a 120-image tail
+        inputs = [
+            np.random.default_rng(seed).normal(size=shape) for seed in (0, 1)
+        ]
+        expected = [im2col(x, kernel=3, stride=2, padding=1)[0] for x in inputs]
+        wrong: list[tuple[int, int]] = []
+        start = threading.Barrier(2)
+
+        def hammer(index):
+            start.wait(timeout=30)
+            for iteration in range(200):
+                cols, _ = im2col(inputs[index], kernel=3, stride=2, padding=1)
+                if not np.array_equal(cols, expected[index]):
+                    wrong.append((index, iteration))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(index,)) for index in (0, 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_other_threads_leave_the_main_threads_pool_alone(self, monkeypatch):
+        monkeypatch.setattr(conv, "_PAD_SCRATCH", {})
+        x = np.ones((2, 3, 8, 8))
+        thread = threading.Thread(target=im2col, args=(x, 3, 1, 1))
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert conv._PAD_SCRATCH == {}
+        im2col(x, kernel=3, stride=1, padding=1)
+        assert len(conv._PAD_SCRATCH) == 1

@@ -205,6 +205,19 @@ class TestModels:
         single = model.predict_logits(x, batch_size=100)
         np.testing.assert_allclose(full, single)
 
+    def test_predict_logits_of_no_images_keeps_the_logit_width(self, rng):
+        model = nn.build_cnn_model((3, 16, 16), num_classes=4, rng=rng)
+        logits = model.predict_logits(np.zeros((0, 3, 16, 16)))
+        assert logits.shape == (0, 4)
+        assert model.training
+
+    def test_predict_logits_restores_training_mode_when_forward_raises(self, rng):
+        model = nn.build_cnn_model((3, 16, 16), num_classes=4, rng=rng)
+        assert model.training
+        with pytest.raises(ValueError):
+            model.predict_logits(np.zeros((2, 5, 16, 16)))  # 5 channels, not 3
+        assert all(module.training for module in model.modules())
+
     def test_training_reduces_loss(self, rng):
         """End-to-end sanity: a few SGD steps on a separable toy problem."""
         model = nn.build_mlp_model((1, 4, 4), num_classes=2, rng=rng, hidden_dim=16)
