@@ -3,9 +3,12 @@
 Every benchmark regenerates one table or figure of the paper at a scale the
 numpy substrate can run in minutes (one ``bench_<table|fig>*.py`` per
 experiment — README "Architecture map").
-Results are printed as ASCII tables AND written to ``benchmarks/results/``;
-the conftest dumps them into the terminal at session end so they survive
-pytest's output capture.
+Results are printed as ASCII tables AND written to ``benchmarks/results/``
+(gitignored); when a session collected a bench module, the conftest dumps
+them into the terminal at session end so they survive pytest's output
+capture.  These are the *paper* benches; systems performance — rounds per
+second, wire bytes, the layer profile — is measured only by
+``benchmarks/perf`` (``BENCHMARK.json``).
 
 Environment knobs:
 
@@ -16,7 +19,6 @@ Environment knobs:
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import warnings
@@ -83,16 +85,3 @@ def emit(name: str, text: str) -> None:
     print(banner)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(banner)
-
-
-def emit_json(name: str, payload: object) -> None:
-    """Persist a machine-readable result as ``BENCH_<name>.json``.
-
-    Companion to :func:`emit` for results that downstream tooling (CI
-    trend checks, the README's measured numbers) consumes structurally
-    rather than visually.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"[bench] wrote {path}")

@@ -50,7 +50,6 @@ from repro.eval import (
 )
 from repro.fl.aggregate import aggregator_specs, make_aggregator
 from repro.fl.codec import codec_specs, make_codec
-from repro.fl.compute import compute_specs
 from repro.fl.executor import EXECUTOR_KINDS
 from repro.fl.faults import make_deadline_policy, make_fault_plan
 from repro.fl.server import parse_topology
@@ -236,9 +235,8 @@ def _objective_spec(value: str) -> str:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--suite", choices=sorted(SUITES), required=True)
     parser.add_argument(
-        "--method", "--strategy", dest="method", choices=sorted(METHODS),
-        required=True,
-        help="FedDG method (strategy) to run; --strategy is an alias",
+        "--method", choices=sorted(METHODS), required=True,
+        help="FedDG method (strategy) to run",
     )
     parser.add_argument(
         "--objective", type=_objective_spec, default=None,
@@ -256,15 +254,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--executor", choices=sorted(EXECUTOR_KINDS), default="auto",
+        "--executor", choices=EXECUTOR_KINDS, default=None,
         help="client-execution engine for each round's local updates; "
-        "'auto' (default) picks serial or parallel from the per-round "
-        "fan-out",
+        "unset, it is parallel iff --workers or --max-resident is given, "
+        "else serial",
     )
     parser.add_argument(
         "--workers", type=_positive_int, default=None,
-        help="worker-process count; implies the parallel engine under "
-        "--executor auto",
+        help="worker-process count; implies the parallel engine",
     )
     parser.add_argument(
         "--codec", type=_codec_spec, default="identity",
@@ -282,12 +279,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "supports it",
     )
     parser.add_argument(
-        "--compute", choices=("auto",) + compute_specs(), default="auto",
+        "--compute", choices=("auto", "loop", "ensemble"), default="auto",
         help="compute backend for co-resident client groups: 'loop' trains "
         "clients one at a time, 'ensemble' fuses each group into one "
-        "batched (K, ...) parameter stack, 'strict' forces K=1 stacks "
-        "through the ensemble path; 'auto' (default) picks ensemble when "
-        "the model supports it — results are bitwise identical either way",
+        "batched (K, ...) parameter stack; 'auto' (default) picks ensemble "
+        "when the model supports it — results are bitwise identical either "
+        "way",
     )
     parser.add_argument(
         "--faults", type=_fault_spec, default=None,
@@ -328,7 +325,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="bound the parallel engine's resident-client LRU (server-side "
         "copies + upload reference chains) to this many clients; evicted "
         "clients re-register with a full frame when re-sampled; implies "
-        "the parallel engine under --executor auto",
+        "the parallel engine",
     )
     parser.add_argument(
         "--timing", action="store_true",
@@ -484,14 +481,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "workers", None) is not None and args.executor == "serial":
-        parser.error("--workers only applies with --executor parallel (or auto)")
+        parser.error("--workers only applies with --executor parallel")
     if (
         getattr(args, "max_resident", None) is not None
         and args.executor == "serial"
     ):
-        parser.error(
-            "--max-resident only applies with --executor parallel (or auto)"
-        )
+        parser.error("--max-resident only applies with --executor parallel")
     started_tracing = False
     if getattr(args, "timing", False) and not tracemalloc.is_tracing():
         # The server samples tracemalloc peaks at round boundaries only

@@ -17,7 +17,6 @@ from repro.data.partition import lodo_splits, ltdo_splits, partition_clients
 from repro.data.synthetic import DomainSuite, LabeledDataset
 from repro.fl.client import Client
 from repro.fl.executor import Executor, make_executor
-from repro.fl.sampling import UniformClientSampler
 from repro.fl.server import FederatedConfig, FederatedResult, FederatedServer
 from repro.fl.strategy import Strategy
 from repro.nn.models import FeatureClassifierModel, build_cnn_model
@@ -42,8 +41,9 @@ class ExperimentSetting:
     """Everything that defines one federated DG experiment besides the
     method itself (so all methods share it exactly).
 
-    ``executor="auto"`` resolves serial vs. parallel from this setting's
-    own per-round fan-out (see :func:`repro.fl.executor.resolve_executor`);
+    ``executor`` names the engine kind explicitly (``"serial"`` /
+    ``"parallel"``); unset, the engine is parallel iff ``workers`` or
+    ``max_resident`` is given (see :func:`repro.fl.executor.make_executor`).
     ``codec`` names the wire codec for weight payloads
     (:mod:`repro.fl.codec`) and ``transport`` the wire transport for
     broadcast blobs (:mod:`repro.fl.transport`, ``"auto"`` prefers the
@@ -78,7 +78,7 @@ class ExperimentSetting:
     seed: int = 0
     model_widths: tuple[int, int] = (16, 32)
     embed_dim: int = 64
-    executor: str = "serial"
+    executor: str | None = None
     workers: int | None = None
     codec: str = "identity"
     transport: str = "auto"
@@ -91,26 +91,12 @@ class ExperimentSetting:
     max_resident: int | None = None
     objective: str | None = None
 
-    def round_participants(self) -> int:
-        """This setting's resolved per-round participant count."""
-        return UniformClientSampler(self.clients_per_round).round_size(
-            self.num_clients
-        )
-
-    def make_executor(self, local_epochs: int = 1) -> Executor:
-        """The client-execution engine this setting asks for.
-
-        ``local_epochs`` feeds the ``"auto"`` crossover heuristic (the
-        per-round workload is participants x local epochs); callers that
-        know the strategy's local config should pass it — the protocol
-        runners do.
-        """
+    def make_executor(self) -> Executor:
+        """The client-execution engine this setting asks for."""
         return make_executor(
             self.executor,
             self.workers,
             codec=self.codec,
-            participants=self.round_participants(),
-            local_epochs=local_epochs,
             transport=self.transport,
             faults=self.faults,
             deadline=self.deadline,
@@ -186,9 +172,7 @@ def run_split_experiment(
         "test": suite.merged(split["test"]),
     }
     owns_executor = executor is None
-    executor = executor or setting.make_executor(
-        local_epochs=strategy.local_config.local_epochs
-    )
+    executor = executor or setting.make_executor()
     server = FederatedServer(
         strategy=strategy,
         clients=clients,
@@ -236,10 +220,7 @@ def run_lodo_protocol(
     every split.
     """
     outcomes: dict[str, SplitOutcome] = {}
-    # Probe one (throwaway) strategy for its local-epoch count so the
-    # "auto" engine choice sees the real per-round workload.
-    probe_epochs = strategy_factory().local_config.local_epochs
-    with setting.make_executor(local_epochs=probe_epochs) as executor:
+    with setting.make_executor() as executor:
         for split in lodo_splits(suite.num_domains):
             held_out = suite.domain_names[split["val"][0]]
             outcomes[held_out] = run_split_experiment(
@@ -255,8 +236,7 @@ def run_ltdo_protocol(
 ) -> dict[str, SplitOutcome]:
     """Leave-Two-Domains-Out (paper Table I): keyed by the validation domain."""
     outcomes: dict[str, SplitOutcome] = {}
-    probe_epochs = strategy_factory().local_config.local_epochs
-    with setting.make_executor(local_epochs=probe_epochs) as executor:
+    with setting.make_executor() as executor:
         for split in ltdo_splits(suite.num_domains):
             val_domain = suite.domain_names[split["val"][0]]
             outcomes[val_domain] = run_split_experiment(

@@ -41,7 +41,6 @@ from repro.fl.executor import (
     SerialExecutor,
     WireStats,
     make_executor,
-    resolve_executor,
 )
 from repro.fl.faults import (
     AdaptiveDeadline,
@@ -117,7 +116,6 @@ __all__ = [
     "SerialExecutor",
     "ParallelExecutor",
     "make_executor",
-    "resolve_executor",
     "AdaptiveDeadline",
     "FaultEvent",
     "FaultPlan",

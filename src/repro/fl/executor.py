@@ -111,33 +111,10 @@ __all__ = [
     "WorkerRuntime",
     "WireStats",
     "make_executor",
-    "resolve_executor",
     "EXECUTOR_KINDS",
-    "AUTO_CROSSOVER_TASKS",
 ]
 
-EXECUTOR_KINDS = ("auto", "serial", "parallel")
-
-#: ``executor="auto"`` crossover: per-round local-update tasks
-#: (participants x local epochs) at or above which the process pool's
-#: dispatch overhead amortizes and the parallel engine wins wall-clock.
-#: Below it (the ROADMAP's "tiny local epochs at bench scale"), serial is
-#: faster because pool spin-up and per-round broadcasts dominate.
-#:
-#: Re-derived after the serial engine's ``auto`` compute started resolving
-#: to the ensemble backend.  Methodology: the break-even point solves
-#: ``N * t_serial = N * t_serial / W + overhead(N)``, so it scales
-#: linearly with serial per-task throughput while the pool's per-round
-#: overhead (broadcast fan-out, per-task pickling) is backend-independent.
-#: Warm serial rounds on the bench workload (16x16 synthetic-PACS CNN,
-#: batch 32 — ``benchmarks/bench_executor_scaling.py``) measure ensemble
-#: at x1.2 over loop across 16-64 participants (the batched path saves
-#: per-client dispatch, but this regime is BLAS-bound; the x3+ wins of
-#: ``BENCH_compute.json`` live at tiny per-client shards the pool does
-#: not serve anyway).  The old loop-derived crossover of 16 therefore
-#: moves to 16 x 1.2 ~= 20.  Single-core hosts short-circuit to serial
-#: before this constant is consulted.
-AUTO_CROSSOVER_TASKS = 20
+EXECUTOR_KINDS = ("serial", "parallel")
 
 
 @dataclass
@@ -370,22 +347,13 @@ class ParallelExecutor(Executor):
         self.num_workers = num_workers or max(2, min(4, os.cpu_count() or 2))
         self.start_method = start_method or _default_start_method()
         self.transport = make_transport(transport)
-        # Per-round broadcast timing, for the scaling bench (next to the
-        # driver's broadcast_encode_rounds): the dispatch latency from
-        # submit to the slowest worker's handler entry (cross-process
-        # monotonic clock — see WorkerRuntime.broadcast), and the workers'
-        # lazy decode seconds.  Cumulative like the pool itself; index 0 of
-        # a cold pool includes worker spin-up.
-        self.broadcast_dispatch_rounds: list[float] = []
-        self.broadcast_decode_rounds: list[float] = []
         self._pools: list[_ProcessPool] | None = None
         self._pool_architecture: tuple | None = None
         self._pool_initargs: tuple | None = None
         # task id -> (home, future) of every submitted, unanswered task.
         self._tasks: "dict[int, tuple[int, Future]]" = {}
-        # (home, submit timestamp, future) of broadcasts not yet resolved.
-        self._broadcasts: "list[tuple[int, float, Future]]" = []
-        self._dispatch_latency = 0.0
+        # (home, future) of broadcasts not yet resolved.
+        self._broadcasts: "list[tuple[int, Future]]" = []
         # (home, future) pairs an abandoned task left behind: the slot's
         # FIFO order means they finish before anything later touches
         # their worker; their results are drained and discarded (the
@@ -452,7 +420,6 @@ class ParallelExecutor(Executor):
         try:
             self._broadcasts.append((
                 home,
-                time.perf_counter(),
                 self._pools[home].submit(
                     _worker_broadcast, strategy_blob, handle, round_index
                 ),
@@ -474,18 +441,13 @@ class ParallelExecutor(Executor):
         limit = None if timeout is None else time.perf_counter() + timeout
         # With the tasks already queued behind them, resolving the
         # broadcast futures costs no overlap; it surfaces transport errors
-        # with their original traceback and yields each handler's entry
-        # timestamp for the dispatch-latency measurement (max across
-        # workers = the barrier a blocking broadcast would have imposed).
-        # Under a deadline the wait is bounded: a slot still stuck on an
-        # absorbed straggler gets its handler entry skipped, and a slot
-        # that died is reported through its tasks below.
-        for home, submitted, future in self._broadcasts:
+        # with their original traceback.  Under a deadline the wait is
+        # bounded: a slot still stuck on an absorbed straggler is left to
+        # finish as a zombie, and a slot that died is reported through its
+        # tasks below.
+        for home, future in self._broadcasts:
             try:
-                self._dispatch_latency = max(
-                    self._dispatch_latency,
-                    future.result(timeout=time_left(limit)) - submitted,
-                )
+                future.result(timeout=time_left(limit))
             except _FuturesTimeout:
                 self._zombie_futures.append((home, future))
             except _BrokenPool:
@@ -513,7 +475,11 @@ class ParallelExecutor(Executor):
         return events
 
     def abandon(self, task_id: int) -> None:
-        self._zombie_futures.append(self._tasks.pop(task_id))
+        # A task answered in the very batch that met the quorum is already
+        # off the books (poll handed its result over): nothing to absorb.
+        entry = self._tasks.pop(task_id, None)
+        if entry is not None:
+            self._zombie_futures.append(entry)
 
     def respawn(self, home: int) -> bool:
         """Tear down one slot's dead pool and stand up a fresh process from
@@ -526,13 +492,6 @@ class ParallelExecutor(Executor):
             if entry[0] != home
         }
         return True
-
-    def note_round(self, updates: "list[ClientUpdate]", seconds: float) -> None:
-        self.broadcast_dispatch_rounds.append(max(0.0, self._dispatch_latency))
-        self._dispatch_latency = 0.0
-        self.broadcast_decode_rounds.append(
-            sum(update.decode_seconds for update in updates)
-        )
 
     # -- slots ----------------------------------------------------------------
 
@@ -582,40 +541,10 @@ class ParallelExecutor(Executor):
         super().close()
 
 
-def resolve_executor(
-    kind: str,
-    participants: int | None = None,
-    local_epochs: int = 1,
-    cpu_count: int | None = None,
-) -> str:
-    """Resolve ``"auto"`` to a concrete engine kind.
-
-    The crossover heuristic weighs the per-round fan-out (population
-    sampled per round x local-epoch cost) against the process pool's fixed
-    overhead: parallel pays only when there are at least
-    :data:`AUTO_CROSSOVER_TASKS` local-update task units per round *and*
-    the machine has a second core to run them on.  With no participant
-    information the safe answer is serial — it is bit-identical anyway.
-    """
-    if kind != "auto":
-        if kind not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}"
-            )
-        return kind
-    cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    if cpus < 2 or participants is None:
-        return "serial"
-    task_units = participants * max(1, local_epochs)
-    return "parallel" if task_units >= AUTO_CROSSOVER_TASKS else "serial"
-
-
 def make_executor(
-    kind: str = "serial",
+    kind: str | None = None,
     workers: int | None = None,
     codec: "str | Codec" = "identity",
-    participants: int | None = None,
-    local_epochs: int = 1,
     transport: "str | Transport" = "auto",
     faults: "str | FaultPlan | None" = None,
     deadline: "float | str | None" = None,
@@ -627,31 +556,23 @@ def make_executor(
     ``--workers`` / ``--codec`` / ``--transport`` / ``--faults`` /
     ``--deadline`` / ``--compute`` / ``--quorum`` / ``--max-resident``).
 
-    ``kind="auto"`` picks the engine via :func:`resolve_executor` from the
-    optional ``participants``/``local_epochs`` hints; an explicit
-    ``workers`` count under ``auto`` is read as intent and forces the
-    parallel engine.  A ``workers`` count with ``kind="serial"`` is
-    rejected rather than silently ignored — it almost always means the
-    caller wanted parallel execution and forgot to say so.  ``transport``
-    only applies to the parallel engine; the serial engine has no wire, so
-    the spec is validated and then ignored — that keeps
-    ``executor="auto"`` + an explicit transport resolvable to either
-    engine.  ``faults`` and ``deadline`` configure the fault-tolerance
-    layer (:mod:`repro.fl.faults`) on whichever engine results — both
-    engines honour them, so a chaos run is valid under ``auto``.
-    ``max_resident`` bounds the parallel engine's resident-client LRU
-    (server-side copies + upload reference chains); like ``workers``, an
-    explicit value under ``auto`` is read as intent for the parallel
-    engine, and it is rejected with ``kind="serial"`` (the serial engine
-    keeps no residents).
+    With ``kind`` unset the engine is what the caller already said:
+    parallel iff a ``workers`` count or a ``max_resident`` bound is given,
+    else serial.  Either under an explicit ``kind="serial"`` is rejected
+    rather than silently ignored (the serial engine has no pool and keeps
+    no residents) — it almost always means the caller wanted parallel
+    execution.  ``transport`` only applies to the parallel engine; the
+    serial engine has no wire, so the spec is validated and then ignored.
+    ``faults``, ``deadline`` and ``quorum`` configure the fault-tolerance
+    layer (:mod:`repro.fl.faults`) on either engine.
     """
     if isinstance(transport, str):
         resolve_transport(transport)  # reject typos for every engine kind
-    if kind == "auto":
+    if kind is None:
         kind = (
             "parallel"
             if workers is not None or max_resident is not None
-            else resolve_executor(kind, participants, local_epochs)
+            else "serial"
         )
     if kind == "serial":
         if workers is not None:

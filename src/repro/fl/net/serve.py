@@ -161,7 +161,9 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.check_serial:
         from dataclasses import replace as _replace
 
-        serial_setting = _replace(setting, executor="serial", workers=None)
+        serial_setting = _replace(
+            setting, executor="serial", workers=None, max_resident=None
+        )
         reference = run_split_experiment(
             suite, split, strategy_factory(), serial_setting
         )

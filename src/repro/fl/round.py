@@ -168,10 +168,6 @@ class Executor(WireServer):
         #: injected straggler seconds, rebuilt worker slots).  Always
         #: refreshed by run_round, even for fault-free rounds.
         self.last_fault_report: RoundFaultReport | None = None
-        #: Per-completed-round seconds spent encoding + publishing the
-        #: broadcast (the scaling bench reads it next to the lane's own
-        #: dispatch stamps).
-        self.broadcast_encode_rounds: list[float] = []
         self._backend: ComputeBackend | None = None
         # Measured durations of recent completed rounds, feeding adaptive
         # deadline policies.  Bounded: no policy window reaches past this.
@@ -294,7 +290,7 @@ class Executor(WireServer):
             round_start = time.perf_counter()
             rows = self._group(rnd, self._plan(rnd, participants, seeds))
             homes = sorted({row.home for row in rows})
-            encode_seconds = self._encode_broadcast(rnd, homes)
+            self._encode_broadcast(rnd, homes)
             dispatch_start = time.perf_counter()
             for wave in [homes] if self.pipelined else [[h] for h in homes]:
                 if rnd.quorum_met:
@@ -336,9 +332,6 @@ class Executor(WireServer):
                 quorum=rnd.quorum,
                 accepted=tuple(update.client_id for update in updates),
             )
-        # Per-round diagnostics advance in lockstep, and only for rounds
-        # that completed (the bench indexes them together).
-        self.broadcast_encode_rounds.append(encode_seconds)
         self.note_round(updates, remote_seconds)
         self._evict_lru(participants)
         self._observe_round_duration(time.perf_counter() - round_start)
@@ -459,19 +452,17 @@ class Executor(WireServer):
             )
         return rows
 
-    def _encode_broadcast(self, rnd: _Round, homes: "list") -> float:
+    def _encode_broadcast(self, rnd: _Round, homes: "list") -> None:
         """Encode the round's broadcast up front (strategy blob + one state
-        frame per distinct reference chain); returns the seconds it took."""
+        frame per distinct reference chain)."""
         if self.transport is None:
-            return 0.0
-        start = time.perf_counter()
+            return
         rnd.strategy_blob = encode_payload(rnd.strategy)
         self.wire.unique_broadcast_bytes += len(rnd.strategy_blob)
         for home in homes:
             self._publish(
                 rnd.global_state, self._bcast_refs.get(home), rnd.published
             )
-        return time.perf_counter() - start
 
     def _feed(
         self, rnd: _Round, home: object, newcomers: "list[Client]", rows: "list[_Row]"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 __all__ = ["PhaseTimer", "TimingReport"]
@@ -28,11 +28,11 @@ class TimingReport:
     their ratio is the achieved speedup.
     """
 
-    one_time_seconds: float
-    local_train_seconds_total: float
-    local_train_invocations: int
-    aggregation_seconds_total: float
-    rounds: int
+    one_time_seconds: float = 0.0
+    local_train_seconds_total: float = 0.0
+    local_train_invocations: int = 0
+    aggregation_seconds_total: float = 0.0
+    rounds: int = 0
     local_train_wall_seconds_total: float = 0.0
     #: Measured traffic across the execution engine's process boundary
     #: (zero for in-process engines); see repro.fl.executor.WireStats.
@@ -101,27 +101,10 @@ class TimingReport:
 
 
 class PhaseTimer:
-    """Accumulate durations into the three Fig.-4 buckets."""
+    """Accumulate durations and counters into one :class:`TimingReport`."""
 
     def __init__(self) -> None:
-        self._one_time = 0.0
-        self._local_total = 0.0
-        self._local_count = 0
-        self._local_wall = 0.0
-        self._aggregate_total = 0.0
-        self._rounds = 0
-        self._bytes_up = 0
-        self._bytes_down = 0
-        self._unique_bytes_down = 0
-        self._decode_total = 0.0
-        self._pipeline_overlap = 0.0
-        self._dropped_clients = 0
-        self._straggler_seconds = 0.0
-        self._rebuilt_workers = 0
-        self._rejected_uploads = 0
-        self._early_closed_rounds = 0
-        self._early_close_seconds = 0.0
-        self._peak_memory = 0
+        self._report = TimingReport()
 
     @contextmanager
     def one_time(self) -> Iterator[None]:
@@ -129,7 +112,7 @@ class PhaseTimer:
         try:
             yield
         finally:
-            self._one_time += time.perf_counter() - start
+            self._report.one_time_seconds += time.perf_counter() - start
 
     @contextmanager
     def local_train(self) -> Iterator[None]:
@@ -139,25 +122,24 @@ class PhaseTimer:
         :meth:`record_local_wall` because worker-measured compute and
         server-side wall clock diverge under parallel execution; this
         context manager is the convenience API for external callers timing
-        serial code.  Keep the two paths' accounting in sync.
+        serial code.
         """
         start = time.perf_counter()
         try:
             yield
         finally:
             elapsed = time.perf_counter() - start
-            self._local_total += elapsed
-            self._local_count += 1
-            self._local_wall += elapsed
+            self.record_local_train(elapsed)
+            self.record_local_wall(elapsed)
 
     def record_local_train(self, seconds: float) -> None:
         """Account one local update measured elsewhere (e.g. in a worker)."""
-        self._local_total += seconds
-        self._local_count += 1
+        self._report.local_train_seconds_total += seconds
+        self._report.local_train_invocations += 1
 
     def record_local_wall(self, seconds: float) -> None:
         """Account the elapsed server-side time of one round's local phase."""
-        self._local_wall += seconds
+        self._report.local_train_wall_seconds_total += seconds
 
     def record_bytes(
         self,
@@ -171,9 +153,9 @@ class PhaseTimer:
         without dedup information may omit it, which counts every downlink
         byte as unique (true when nothing fanned out).
         """
-        self._bytes_up += int(bytes_up)
-        self._bytes_down += int(bytes_down)
-        self._unique_bytes_down += int(
+        self._report.bytes_up += int(bytes_up)
+        self._report.bytes_down += int(bytes_down)
+        self._report.unique_bytes_down += int(
             bytes_down if unique_bytes_down is None else unique_bytes_down
         )
 
@@ -185,9 +167,9 @@ class PhaseTimer:
     ) -> None:
         """Account one round's fault-tolerance outcome (see
         :class:`repro.fl.faults.RoundFaultReport`)."""
-        self._dropped_clients += int(dropped_clients)
-        self._straggler_seconds += float(straggler_seconds)
-        self._rebuilt_workers += int(rebuilt_workers)
+        self._report.dropped_clients += int(dropped_clients)
+        self._report.straggler_seconds += float(straggler_seconds)
+        self._report.rebuilt_workers += int(rebuilt_workers)
 
     def record_robustness(
         self,
@@ -199,26 +181,28 @@ class PhaseTimer:
         rule rejected (:attr:`repro.fl.aggregate.Aggregator.last_rejected`)
         and quorum early-close savings
         (:class:`repro.fl.faults.RoundFaultReport`)."""
-        self._rejected_uploads += int(rejected_uploads)
-        self._early_closed_rounds += int(early_closed_rounds)
-        self._early_close_seconds += float(early_close_seconds)
+        self._report.rejected_uploads += int(rejected_uploads)
+        self._report.early_closed_rounds += int(early_closed_rounds)
+        self._report.early_close_seconds += float(early_close_seconds)
 
     def record_peak_memory(self, nbytes: int) -> None:
         """Account a ``tracemalloc`` peak sample (the server takes one per
         round when tracing is active); the report keeps the maximum."""
-        self._peak_memory = max(self._peak_memory, int(nbytes))
+        self._report.peak_memory_bytes = max(
+            self._report.peak_memory_bytes, int(nbytes)
+        )
 
     def record_broadcast_decode(self, seconds: float) -> None:
         """Account one worker-measured lazy broadcast decode (the overlap
         window: this work ran inside the local phase, not behind a
         pre-round barrier)."""
-        self._decode_total += seconds
+        self._report.broadcast_decode_seconds_total += seconds
 
     def record_pipeline_overlap(self, seconds: float) -> None:
         """Account one round's cross-host pipelining win: remote busy time
         that ran concurrently with other hosts' broadcast/train/upload
         instead of serializing behind it."""
-        self._pipeline_overlap += float(seconds)
+        self._report.pipeline_overlap_seconds += float(seconds)
 
     @contextmanager
     def aggregation(self) -> Iterator[None]:
@@ -226,27 +210,9 @@ class PhaseTimer:
         try:
             yield
         finally:
-            self._aggregate_total += time.perf_counter() - start
-            self._rounds += 1
+            self._report.aggregation_seconds_total += time.perf_counter() - start
+            self._report.rounds += 1
 
     def report(self) -> TimingReport:
-        return TimingReport(
-            one_time_seconds=self._one_time,
-            local_train_seconds_total=self._local_total,
-            local_train_invocations=self._local_count,
-            aggregation_seconds_total=self._aggregate_total,
-            rounds=self._rounds,
-            local_train_wall_seconds_total=self._local_wall,
-            bytes_up=self._bytes_up,
-            bytes_down=self._bytes_down,
-            unique_bytes_down=self._unique_bytes_down,
-            broadcast_decode_seconds_total=self._decode_total,
-            pipeline_overlap_seconds=self._pipeline_overlap,
-            dropped_clients=self._dropped_clients,
-            straggler_seconds=self._straggler_seconds,
-            rebuilt_workers=self._rebuilt_workers,
-            rejected_uploads=self._rejected_uploads,
-            early_closed_rounds=self._early_closed_rounds,
-            early_close_seconds=self._early_close_seconds,
-            peak_memory_bytes=self._peak_memory,
-        )
+        """A snapshot: later records do not reach a report already taken."""
+        return replace(self._report)

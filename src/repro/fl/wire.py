@@ -469,25 +469,18 @@ class WorkerRuntime:
 
     def broadcast(
         self, strategy_blob: bytes, handle: object, round_index: int
-    ) -> float:
+    ) -> None:
         """Record one round's strategy + broadcast handle.
 
         Deliberately does *not* decode the weights — that happens lazily at
         the round's first tensor touch (:meth:`ensure_round_state`),
         overlapping the decode with the server's task dispatch and the
-        other workers' training.  Returns the handler-entry
-        ``perf_counter`` timestamp; on the platforms this library runs,
-        ``perf_counter`` reads a system-wide monotonic clock, so a
-        same-host server can subtract its submit timestamp to measure the
-        transport's dispatch latency (pickling + pipe transfer for
-        ``pipe``, a tiny handle for ``shm``).
+        other workers' training.
         """
-        entry = time.perf_counter()
         if strategy_blob != self.strategy_blob:  # decode cached on the bytes
             self.strategy = decode_payload(strategy_blob)
             self.strategy_blob = strategy_blob
         self.pending = (handle, round_index)
-        return entry
 
     def ensure_round_state(self, round_index: int) -> float:
         """Decode the pending broadcast if this task is the round's first
@@ -596,8 +589,8 @@ def _worker_register(clients_blob: bytes) -> int:
 
 def _worker_broadcast(
     strategy_blob: bytes, handle: object, round_index: int
-) -> float:
-    return _WORKER_RUNTIME.broadcast(strategy_blob, handle, round_index)
+) -> None:
+    _WORKER_RUNTIME.broadcast(strategy_blob, handle, round_index)
 
 
 def _run_resident_task(task: "Task") -> bytes:

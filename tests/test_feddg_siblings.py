@@ -180,13 +180,32 @@ class TestStreamingCompatibility:
 
 
 class TestCLIKnobs:
-    def test_strategy_alias_selects_the_method(self):
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            pytest.param(
+                ["--strategy", "fedalign"], "--method", id="strategy-alias"
+            ),
+            pytest.param(
+                ["--method", "fedalign", "--executor", "auto"],
+                "'serial', 'parallel'",
+                id="executor-auto",
+            ),
+            pytest.param(
+                ["--method", "fedalign", "--compute", "strict"],
+                "'auto', 'loop', 'ensemble'",
+                id="compute-strict",
+            ),
+        ],
+    )
+    def test_retired_spelling_is_a_usage_error(self, argv, names, capsys):
+        """``--method`` is the one spelling of the method flag, and the
+        engine / backend choices name only what a user can pick."""
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["lodo", "--suite", "pacs", "--strategy", "fedalign"]
-        )
-        assert args.method == "fedalign"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["lodo", "--suite", "pacs", *argv])
+        assert names in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_siblings_are_registered_methods(self, name):

@@ -515,6 +515,25 @@ class TestQuorum:
         legacy = RoundTimeoutError(3, [4, 5])
         assert "quorum" not in str(legacy)
 
+    def test_parallel_quorum_met_mid_batch_closes_cleanly(self, monkeypatch):
+        """Regression: when one ``poll`` batch carries more answers than the
+        quorum needs, the surplus tasks are already off the pool's books;
+        closing the round must not trip over them."""
+        from concurrent.futures import wait
+
+        executor = ParallelExecutor(num_workers=2, quorum=1)
+        real_poll = executor.poll
+
+        def poll_once_everything_finished(timeout):
+            wait([future for _, future in executor._tasks.values()])
+            return real_poll(timeout)
+
+        monkeypatch.setattr(executor, "poll", poll_once_everything_finished)
+        with executor:
+            result = run_once(executor, rounds=2, config_kwargs={"quorum": 1})
+        for record in result.history.records:
+            assert set(record.dropped.values()) == {"quorum"}
+
     def test_parallel_quorum_misses_raise(self):
         # Three of four clients hang past the deadline: one honest upload
         # arrives, which satisfies the legacy no-quorum contract ("some

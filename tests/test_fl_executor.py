@@ -24,9 +24,7 @@ from repro.fl import (
     ParallelExecutor,
     SerialExecutor,
     make_executor,
-    resolve_executor,
 )
-from repro.fl.executor import AUTO_CROSSOVER_TASKS
 from repro.fl.timing import PhaseTimer
 from repro.nn import build_mlp_model
 from repro.utils.rng import SeedTree
@@ -115,67 +113,57 @@ class TestMakeExecutor:
             ParallelExecutor(num_workers=0)
 
 
-class TestAutoExecutor:
-    """The executor="auto" crossover heuristic (ROADMAP open item): pick
-    parallel only when the per-round fan-out amortizes the pool overhead."""
+class TestExecutorResolution:
+    """The engine kind is what the caller said: an explicit kind, else
+    parallel iff a worker count or a residency bound is given."""
 
-    def test_concrete_kinds_pass_through(self):
-        assert resolve_executor("serial") == "serial"
-        assert resolve_executor("parallel") == "parallel"
+    _VALID_KINDS = (
+        r"unknown executor kind .*; expected one of \('serial', 'parallel'\)"
+    )
 
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            resolve_executor("quantum")
-
-    def test_small_fan_out_resolves_serial(self):
-        """Bench scale — few participants, one tiny local epoch — is where
-        the profile showed pool overhead eating the speedup."""
-        assert (
-            resolve_executor("auto", participants=4, local_epochs=1, cpu_count=8)
-            == "serial"
-        )
-
-    def test_large_fan_out_resolves_parallel(self):
-        assert (
-            resolve_executor(
-                "auto", participants=AUTO_CROSSOVER_TASKS, cpu_count=8
-            )
-            == "parallel"
-        )
-
-    def test_local_epochs_multiply_the_workload(self):
-        """Population size x local-epoch cost: 4 participants are below the
-        crossover alone, but not when each trains 8 epochs."""
-        assert (
-            resolve_executor("auto", participants=4, local_epochs=8, cpu_count=8)
-            == "parallel"
-        )
-
-    def test_single_core_always_serial(self):
-        assert (
-            resolve_executor("auto", participants=1000, cpu_count=1) == "serial"
-        )
-
-    def test_no_information_defaults_to_serial(self):
-        assert resolve_executor("auto", cpu_count=8) == "serial"
-
-    def test_make_executor_auto_without_hints_is_serial(self):
-        assert isinstance(make_executor("auto"), SerialExecutor)
-
-    def test_make_executor_auto_with_workers_forces_parallel(self):
-        executor = make_executor("auto", workers=2)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.num_workers == 2
-        executor.close()
-
-    def test_setting_resolves_auto_from_its_own_fan_out(self):
+    @pytest.mark.parametrize(
+        "kind, workers, max_resident, expected",
+        [
+            pytest.param(None, None, None, SerialExecutor, id="unset"),
+            pytest.param("serial", None, None, SerialExecutor, id="serial"),
+            pytest.param("parallel", None, None, ParallelExecutor, id="parallel"),
+            pytest.param("parallel", 2, 8, ParallelExecutor, id="parallel-sized"),
+            pytest.param(None, 4, None, ParallelExecutor, id="workers-imply-parallel"),
+            pytest.param(
+                None, None, 8, ParallelExecutor, id="resident-implies-parallel"
+            ),
+            pytest.param(
+                "serial", 4, None, "workers only applies", id="serial-workers"
+            ),
+            pytest.param(
+                "serial", None, 8, "max_resident only applies", id="serial-resident"
+            ),
+            pytest.param("auto", None, None, _VALID_KINDS, id="auto"),
+            pytest.param("auto", 2, None, _VALID_KINDS, id="auto-workers"),
+            pytest.param("quantum", None, None, _VALID_KINDS, id="unknown"),
+        ],
+    )
+    def test_resolution(self, kind, workers, max_resident, expected):
         from repro.eval import ExperimentSetting
 
-        small = ExperimentSetting(
-            num_clients=20, clients_per_round=0.25, executor="auto"
+        setting = ExperimentSetting(
+            executor=kind, workers=workers, max_resident=max_resident
         )
-        assert small.round_participants() == 5
-        assert isinstance(small.make_executor(), SerialExecutor)
+        builders = (
+            lambda: make_executor(kind, workers, max_resident=max_resident),
+            setting.make_executor,
+        )
+        for build in builders:
+            if isinstance(expected, str):
+                with pytest.raises(ValueError, match=expected):
+                    build()
+                continue
+            with build() as engine:
+                assert type(engine) is expected
+                if expected is ParallelExecutor:
+                    assert engine.max_resident == max_resident
+                    if workers is not None:
+                        assert engine.num_workers == workers
 
 
 class TestDeterminism:

@@ -726,6 +726,55 @@ class TestTraceDict:
         assert trace_dict(short) != trace_dict(long)
 
 
+# -- the daemon ----------------------------------------------------------------
+
+
+class TestServeDaemon:
+    def test_check_serial_clears_the_in_host_engine_knobs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Regression: ``--workers`` / ``--max-resident`` are accepted for
+        flag parity with ``repro run``, so the ``--check-serial`` replay
+        must clear both — the serial engine rejects either."""
+        from repro import cli
+        from repro.fl.net import serve
+
+        monkeypatch.setitem(
+            cli.SUITES, "pacs",
+            lambda seed: synthetic_pacs(seed=seed, samples_per_class=4, image_size=8),
+        )
+        port_file = tmp_path / "port.txt"
+        gave_up = threading.Event()
+
+        def agent(index):
+            while not port_file.exists() or not port_file.read_text().endswith("\n"):
+                if gave_up.wait(0.01):
+                    return
+            host, port = port_file.read_text().split()
+            run_agent((host, int(port)), name=f"agent-{index}")
+
+        agents = [
+            threading.Thread(target=agent, args=(i,), daemon=True) for i in range(2)
+        ]
+        for thread in agents:
+            thread.start()
+        try:
+            code = serve.main([
+                "--suite", "pacs", "--method", "fedavg", "--clients", "4",
+                "--participation", "2", "--rounds", "2", "--agents", "2",
+                "--train-domains", "photo", "art_painting",
+                "--val-domain", "cartoon", "--test-domain", "sketch",
+                "--port-file", str(port_file), "--check-serial",
+                "--workers", "2", "--max-resident", "8",
+            ])
+        finally:
+            gave_up.set()
+            for thread in agents:
+                thread.join(timeout=10)
+        assert code == 0
+        assert "trace matches the serial engine bit-for-bit" in capsys.readouterr().out
+
+
 # -- CLI -----------------------------------------------------------------------
 
 

@@ -561,7 +561,7 @@ class TestMaxResidentLRU:
             ParallelExecutor(num_workers=2, max_resident=0)
         with pytest.raises(ValueError, match="max_resident"):
             make_executor("serial", max_resident=4)
-        engine = make_executor("auto", max_resident=8, participants=2)
+        engine = make_executor(max_resident=8)
         try:
             assert isinstance(engine, ParallelExecutor)
             assert engine.max_resident == 8

@@ -148,7 +148,7 @@ class TestRegistry:
             make_executor("parallel", workers=2, transport="bogus")
 
     def test_serial_accepts_and_ignores_transport(self):
-        """executor='auto' may resolve serial with any transport configured;
+        """A setting carries one transport spec whichever engine it builds;
         the in-process engine has no wire, so the spec must not explode."""
         executor = make_executor("serial", transport="shm")
         assert isinstance(executor, SerialExecutor)
