@@ -210,11 +210,13 @@ def _codec_spec(value: str) -> str:
 def _transport_spec(value: str) -> str:
     """Validate a transport spec (``auto``, ``pipe``, ``shm``, or a
     parameterized ``tcp[:host:port]``) at parse time so a typo is a
-    usage error, not a mid-run traceback.  Builds the transport (which
-    also validates any params suffix) and discards it — no transport
-    binds a socket before its first publish."""
+    usage error, not a mid-run traceback.  A concrete spec is built (which
+    also validates any params suffix) and discarded — no transport binds a
+    socket before its first publish; ``auto`` (the default, so every serial
+    run passes through here) has nothing to build and is left unprobed."""
     try:
-        make_transport(value)
+        if value != "auto":
+            make_transport(value)
     except (TypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
     return value

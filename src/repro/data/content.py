@@ -10,6 +10,16 @@ rendered as a single-channel map in roughly ``[-1, 1]``.
 
 The style half — how a domain colours, textures, and exposes that content —
 lives in :mod:`repro.data.styles`.
+
+Draw order (part of the contract)
+---------------------------------
+Suite bytes are a function of the generator stream, so the scalar draws keep
+a fixed order: a smooth field takes ``normal, uniform`` per Fourier component
+in ``(fy, fx)`` order, and each sample of :meth:`ContentBank.sample` takes
+``integers, integers`` (its shift) before its field's draws.  Everything
+after the draws is batched; ``tests/test_data_suites.py`` keeps the
+per-sample algorithm this replaced and requires the same bytes and the same
+generator state from both.
 """
 
 from __future__ import annotations
@@ -17,6 +27,38 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["ContentBank", "smooth_noise"]
+
+
+def _draw_field(rng: np.random.Generator, cutoff: int) -> list[tuple[float, float]]:
+    """One field's scalar draws in stream order: per component the standard
+    normal of ``rng.normal()`` and the ``[0, 1)`` uniform that
+    ``rng.uniform(0, 2 * pi)`` scales."""
+    return [(rng.standard_normal(), rng.random()) for _ in range(cutoff * cutoff - 1)]
+
+
+def _fields(draws: np.ndarray, height: int, width: int, cutoff: int) -> np.ndarray:
+    """The field kernel: draws ``(n, cutoff**2 - 1, 2)`` -> ``(n, height, width)``.
+
+    Component ``(fy, fx)`` is ``normal / (1 + fy + fx)`` times the cosine of
+    ``fy * y + fx * x + 2 * pi * uniform``; components accumulate in
+    ``(fy, fx)`` order and each field is then scaled to unit peak.
+    """
+    ys = np.linspace(0.0, 2.0 * np.pi, height, endpoint=False)[:, None]
+    xs = np.linspace(0.0, 2.0 * np.pi, width, endpoint=False)[None, :]
+    frequencies = [(fy, fx) for fy in range(cutoff) for fx in range(cutoff) if fy or fx]
+    fields = np.zeros((len(draws), height, width))
+    per_component = draws.transpose(1, 2, 0)[..., None, None]
+    for (fy, fx), (normal, uniform) in zip(frequencies, per_component):
+        # A zero frequency leaves its axis at length 1 (0 * y is exactly 0.0):
+        # that wave is one row or column, broadcast when it joins the sum.
+        grid = (fy * ys if fy else 0.0) + (fx * xs if fx else 0.0)
+        wave = grid + (2.0 * np.pi) * uniform
+        np.cos(wave, out=wave)
+        wave *= normal / (1.0 + fy + fx)
+        fields += wave
+    peaks = np.abs(fields).max(axis=(1, 2), keepdims=True)
+    np.divide(fields, peaks, out=fields, where=peaks > 0)
+    return fields
 
 
 def smooth_noise(
@@ -28,21 +70,8 @@ def smooth_noise(
     result is smooth at any resolution — a cheap stand-in for natural-image
     content statistics.
     """
-    ys = np.linspace(0.0, 2.0 * np.pi, height, endpoint=False)
-    xs = np.linspace(0.0, 2.0 * np.pi, width, endpoint=False)
-    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-    field = np.zeros((height, width))
-    for fy in range(cutoff):
-        for fx in range(cutoff):
-            if fy == 0 and fx == 0:
-                continue
-            amplitude = rng.normal() / (1.0 + fy + fx)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            field += amplitude * np.cos(fy * grid_y + fx * grid_x + phase)
-    peak = np.max(np.abs(field))
-    if peak > 0:
-        field /= peak
-    return field
+    draws = np.array(_draw_field(rng, cutoff)).reshape(1, -1, 2)
+    return _fields(draws, height, width, cutoff)[0]
 
 
 class ContentBank:
@@ -123,13 +152,19 @@ class ContentBank:
             )
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        prototype = self.prototypes[class_id]
-        max_shift = max(self.image_size // 8, 1)
-        samples = np.empty((count, self.image_size, self.image_size))
-        for index in range(count):
-            shift_y = int(rng.integers(-max_shift, max_shift + 1))
-            shift_x = int(rng.integers(-max_shift, max_shift + 1))
-            shifted = np.roll(prototype, (shift_y, shift_x), axis=(0, 1))
-            noise = smooth_noise(self.image_size, self.image_size, rng)
-            samples[index] = shifted + self.jitter * noise
+        size, cutoff = self.image_size, 3  # smooth_noise's default spectrum
+        max_shift = max(size // 8, 1)
+        shifts, draws = [], []
+        for _ in range(count):
+            shifts.append(rng.integers(-max_shift, max_shift + 1))
+            shifts.append(rng.integers(-max_shift, max_shift + 1))
+            draws.append(_draw_field(rng, cutoff))
+        shifts = np.array(shifts, dtype=np.int64).reshape(count, 2)
+        draws = np.array(draws).reshape(count, cutoff * cutoff - 1, 2)
+        # np.roll(prototype, (shift_y, shift_x)) of every sample, as one gather.
+        rows = (np.arange(size) - shifts[:, :1]) % size
+        cols = (np.arange(size) - shifts[:, 1:]) % size
+        samples = _fields(draws, size, size, cutoff)
+        samples *= self.jitter
+        samples += self.prototypes[class_id][rows[:, :, None], cols[:, None, :]]
         return samples

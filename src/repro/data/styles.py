@@ -115,8 +115,9 @@ def render_images(
     gain = np.asarray(style.channel_gain)[None, :, None, None]
     bias = np.asarray(style.channel_bias)[None, :, None, None]
     images = warped[:, None, :, :] * color
-    images = images * gain + bias
-    images = images + style.texture_field(height, width)[None, None, :, :]
+    images *= gain
+    images += bias
+    images += style.texture_field(height, width)[None, None, :, :]
     if style.noise_std > 0:
-        images = images + rng.normal(0.0, style.noise_std, size=images.shape)
+        images += rng.normal(0.0, style.noise_std, size=images.shape)
     return images

@@ -102,23 +102,16 @@ def generate_domain_dataset(
     if np.any(counts < 0):
         raise ValueError("samples_per_class must be non-negative")
 
-    images_parts: list[np.ndarray] = []
-    labels_parts: list[np.ndarray] = []
+    size = content_bank.image_size
+    images = np.empty((int(counts.sum()), 3, size, size))
+    stop = 0
     for class_id, count in enumerate(counts):
         if count == 0:
             continue
         content = content_bank.sample(class_id, int(count), rng)
-        images_parts.append(render_images(content, style, rng))
-        labels_parts.append(np.full(int(count), class_id, dtype=np.int64))
-    if not images_parts:
-        size = content_bank.image_size
-        return LabeledDataset(
-            images=np.zeros((0, 3, size, size)),
-            labels=np.zeros(0, dtype=np.int64),
-            domain_ids=np.zeros(0, dtype=np.int64),
-        )
-    images = np.concatenate(images_parts, axis=0)
-    labels = np.concatenate(labels_parts, axis=0)
+        start, stop = stop, stop + int(count)
+        images[start:stop] = render_images(content, style, rng)
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), counts)
     domain_ids = np.full(labels.shape[0], domain_id, dtype=np.int64)
     return LabeledDataset(images=images, labels=labels, domain_ids=domain_ids)
 

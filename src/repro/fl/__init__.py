@@ -78,6 +78,7 @@ from repro.fl.transport import (
     resolve_transport,
     shm_supported,
     transport_specs,
+    validate_transport,
 )
 
 __all__ = [
@@ -150,4 +151,5 @@ __all__ = [
     "resolve_transport",
     "shm_supported",
     "transport_specs",
+    "validate_transport",
 ]

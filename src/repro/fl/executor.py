@@ -88,7 +88,7 @@ from repro.fl.faults import (
     sleep_injected,
 )
 from repro.fl.round import LOST, Executor, time_left
-from repro.fl.transport import Transport, make_transport, resolve_transport
+from repro.fl.transport import Transport, make_transport, validate_transport
 from repro.fl.wire import (
     WireStats,
     WorkerRuntime,
@@ -567,7 +567,7 @@ def make_executor(
     layer (:mod:`repro.fl.faults`) on either engine.
     """
     if isinstance(transport, str):
-        resolve_transport(transport)  # reject typos for every engine kind
+        validate_transport(transport)  # reject typos for every engine kind
     if kind is None:
         kind = (
             "parallel"

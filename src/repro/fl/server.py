@@ -33,7 +33,7 @@ from repro.fl.population import ClientPopulation, ListPopulation, as_population
 from repro.fl.sampling import UniformClientSampler
 from repro.fl.strategy import Strategy
 from repro.fl.timing import PhaseTimer, TimingReport
-from repro.fl.transport import resolve_transport
+from repro.fl.transport import validate_transport
 from repro.nn.models import FeatureClassifierModel
 from repro.utils.logging import get_logger, kv
 from repro.utils.rng import SeedTree
@@ -177,8 +177,9 @@ class FederatedConfig:
             )
         # Same pattern for the codec spec: fail at config time, not mid-run.
         make_codec(self.codec)
-        # ...and the transport spec ("auto" resolves per platform)...
-        resolve_transport(self.transport)
+        # ...and the transport spec (checked, not probed: "auto" resolves
+        # per platform only where an engine builds its transport)...
+        validate_transport(self.transport)
         # ...and the fault-plan spec...
         make_fault_plan(self.faults)
         # ...and the compute-backend spec ("auto" resolves per model).

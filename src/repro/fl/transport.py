@@ -79,6 +79,7 @@ __all__ = [
     "resolve_transport",
     "transport_specs",
     "transport_usage",
+    "validate_transport",
     "shm_supported",
     "TRANSPORT_KINDS",
     "SHM_SEGMENT_PREFIX",
@@ -423,8 +424,8 @@ def shm_supported() -> bool:
 
 
 def _log_degrade(reason: str) -> None:
-    """Log the shm -> pipe degradation once per process (the resolve runs
-    at config validation, pool build, and every worker init)."""
+    """Log the shm -> pipe degradation once per process (``auto`` resolves
+    each time an engine builds its transport, e.g. at every pool build)."""
     global _DEGRADE_LOGGED
     if not _DEGRADE_LOGGED:
         _DEGRADE_LOGGED = True
@@ -434,23 +435,19 @@ def _log_degrade(reason: str) -> None:
         )
 
 
-def resolve_transport(spec: str, supported: bool | None = None) -> str:
-    """Resolve ``"auto"`` to a concrete transport name and validate the rest.
+def validate_transport(spec: str) -> None:
+    """Check a spec string without touching the platform.
 
-    ``auto`` prefers the single-copy ``shm`` broadcast whenever the
-    platform supports it (``supported`` overrides the probe, for tests) and
-    degrades to ``pipe`` — logging the probe's failure reason once —
-    otherwise.  Concrete specs pass through (with any ``name:params``
-    suffix intact), unknown names and stray params fail loudly with the
-    full registered-spec list.
+    This is what config validation calls, on every engine: ``auto`` and
+    registered names pass (with a ``name:params`` suffix where the
+    transport takes one), unknown names and stray params fail loudly with
+    the full registered-spec list.  Nothing is probed — a serial run has
+    no wire, and must not create a shm segment (or start
+    :mod:`multiprocessing`'s resource tracker process) to learn that its
+    default spec is well-formed.
     """
     if spec == "auto":
-        if supported is None:
-            supported = shm_supported()
-        if supported:
-            return "shm"
-        _log_degrade(_SHM_UNSUPPORTED_REASON if supported is False else "")
-        return "pipe"
+        return
     base, params = _split_spec(spec)
     if base not in _TRANSPORTS:
         raise ValueError(
@@ -462,6 +459,27 @@ def resolve_transport(spec: str, supported: bool | None = None) -> str:
             f"transport {base!r} takes no parameters (got {spec!r}); "
             f"expected one of {transport_usage()}"
         )
+
+
+def resolve_transport(spec: str, supported: bool | None = None) -> str:
+    """Resolve ``"auto"`` to a concrete transport name and validate the rest.
+
+    ``auto`` prefers the single-copy ``shm`` broadcast whenever the
+    platform supports it (``supported`` overrides the probe, for tests) and
+    degrades to ``pipe`` — logging the probe's failure reason once —
+    otherwise.  Concrete specs pass through (with any ``name:params``
+    suffix intact) after :func:`validate_transport`.  Called where a
+    transport is actually built (:func:`make_transport`), never to
+    validate a config.
+    """
+    if spec == "auto":
+        if supported is None:
+            supported = shm_supported()
+        if supported:
+            return "shm"
+        _log_degrade(_SHM_UNSUPPORTED_REASON if supported is False else "")
+        return "pipe"
+    validate_transport(spec)
     return spec
 
 

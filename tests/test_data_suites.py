@@ -1,10 +1,24 @@
-"""Tests for dataset containers and the three benchmark suite builders."""
+"""Tests for dataset containers and the benchmark suite builders.
+
+The last two classes pin the generator *algorithm*: the shipped (batched)
+sampler against the per-sample loop it replaced, which lives only here.
+Suite bytes depend on the machine (numpy picks its float64 ``cos`` by CPU
+feature), so no digest is committed; both sides are built in one process.
+"""
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.data.content
+import repro.data.synthetic
 from repro.data import (
+    ContentBank,
     LabeledDataset,
+    smooth_noise,
     synthetic_domain_sweep,
     synthetic_iwildcam,
     synthetic_office_home,
@@ -242,3 +256,139 @@ class TestSkewSuite:
             synthetic_skew(num_domains=1)
         with pytest.raises(ValueError):
             synthetic_skew(label_skew=0.0)
+
+
+# -- the historical per-sample generator: the reference, kept only here ----------
+
+
+def reference_smooth_noise(height, width, rng, cutoff=3):
+    ys = np.linspace(0.0, 2.0 * np.pi, height, endpoint=False)
+    xs = np.linspace(0.0, 2.0 * np.pi, width, endpoint=False)
+    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
+    field = np.zeros((height, width))
+    for fy in range(cutoff):
+        for fx in range(cutoff):
+            if fy == 0 and fx == 0:
+                continue
+            amplitude = rng.normal() / (1.0 + fy + fx)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            field += amplitude * np.cos(fy * grid_y + fx * grid_x + phase)
+    peak = np.max(np.abs(field))
+    if peak > 0:
+        field /= peak
+    return field
+
+
+def reference_sample(bank, class_id, count, rng):
+    prototype = bank.prototypes[class_id]
+    max_shift = max(bank.image_size // 8, 1)
+    samples = np.empty((count, bank.image_size, bank.image_size))
+    for index in range(count):
+        shift_y = int(rng.integers(-max_shift, max_shift + 1))
+        shift_x = int(rng.integers(-max_shift, max_shift + 1))
+        shifted = np.roll(prototype, (shift_y, shift_x), axis=(0, 1))
+        noise = reference_smooth_noise(bank.image_size, bank.image_size, rng)
+        samples[index] = shifted + bank.jitter * noise
+    return samples
+
+
+def reference_render_images(content, style, rng):
+    count, height, width = content.shape
+    warped = np.sign(content) * np.abs(content) ** style.contrast
+    color = np.asarray(style.color_weights)[None, :, None, None]
+    gain = np.asarray(style.channel_gain)[None, :, None, None]
+    bias = np.asarray(style.channel_bias)[None, :, None, None]
+    images = warped[:, None, :, :] * color
+    images = images * gain + bias
+    images = images + style.texture_field(height, width)[None, None, :, :]
+    if style.noise_std > 0:
+        images = images + rng.normal(0.0, style.noise_std, size=images.shape)
+    return images
+
+
+def suite_sha256(suite):
+    digest = hashlib.sha256()
+    for dataset in suite.datasets:
+        for array in (dataset.images, dataset.labels, dataset.domain_ids):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+class TestSuiteBytesMatchThePerSampleGenerator:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: synthetic_pacs(0, samples_per_class=200),
+            lambda: synthetic_pacs(3),
+            lambda: synthetic_office_home(1),
+            lambda: synthetic_iwildcam(2),
+            lambda: synthetic_domain_sweep(0),
+            lambda: synthetic_skew(0),
+        ],
+        ids=["pacs-bench", "pacs", "office_home", "iwildcam", "sweep", "skew"],
+    )
+    def test_shipped_equals_reference(self, build, monkeypatch):
+        shipped = suite_sha256(build())
+        # Prototypes call smooth_noise, domains call sample, then render.
+        monkeypatch.setattr(repro.data.content, "smooth_noise", reference_smooth_noise)
+        monkeypatch.setattr(ContentBank, "sample", reference_sample)
+        monkeypatch.setattr(
+            repro.data.synthetic, "render_images", reference_render_images
+        )
+        assert suite_sha256(build()) == shipped
+
+
+class TestBatchedSamplerEqualsThePerSampleLoop:
+    """Same maps *and* the same generator state afterwards: whatever is
+    drawn next (the sensor noise, the next class) sees the same stream."""
+
+    @given(
+        num_classes=st.integers(2, 9),
+        image_size=st.integers(4, 32),
+        count=st.integers(0, 40),
+        jitter=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sample(self, num_classes, image_size, count, jitter, seed):
+        bank = ContentBank(
+            num_classes, image_size, np.random.default_rng(seed), jitter=jitter
+        )
+        class_id = seed % num_classes
+        shipped_rng = np.random.default_rng([seed, 1])
+        reference_rng = np.random.default_rng([seed, 1])
+        shipped = bank.sample(class_id, count, shipped_rng)
+        reference = reference_sample(bank, class_id, count, reference_rng)
+        assert shipped.shape == (count, image_size, image_size)
+        assert np.array_equal(shipped, reference)
+        assert shipped_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_zero_count_draws_nothing(self, rng):
+        bank = ContentBank(3, 8, rng)
+        before = rng.bit_generator.state
+        assert bank.sample(0, 0, rng).shape == (0, 8, 8)
+        assert rng.bit_generator.state == before
+
+    @given(
+        height=st.integers(1, 20),
+        width=st.integers(1, 20),
+        cutoff=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_smooth_noise(self, height, width, cutoff, seed):
+        shipped_rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        shipped = smooth_noise(height, width, shipped_rng, cutoff=cutoff)
+        reference = reference_smooth_noise(height, width, reference_rng, cutoff)
+        assert np.array_equal(shipped, reference)
+        assert shipped_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_smooth_noise_non_square_and_empty_spectrum(self):
+        field = smooth_noise(8, 12, np.random.default_rng(5))
+        reference = reference_smooth_noise(8, 12, np.random.default_rng(5))
+        assert field.shape == (8, 12) and np.array_equal(field, reference)
+        # cutoff=1 leaves no component: all-zero, and nothing divided by 0.
+        with np.errstate(all="raise"):
+            flat = smooth_noise(8, 12, np.random.default_rng(5), cutoff=1)
+        assert flat.shape == (8, 12) and not flat.any()

@@ -10,7 +10,9 @@ on a pool rebuild, not when the transport is dropped without one.
 
 import gc
 import os
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from repro.fl import (
     resolve_transport,
     shm_supported,
     transport_specs,
+    validate_transport,
 )
 from repro.fl.transport import SHM_SEGMENT_PREFIX, ShmHandle
 from repro.data import synthetic_pacs, partition_clients
@@ -153,6 +156,83 @@ class TestRegistry:
         executor = make_executor("serial", transport="shm")
         assert isinstance(executor, SerialExecutor)
         assert executor.transport is None
+
+
+class TestValidationDoesNotProbe:
+    """Config validation checks the spec's form; only building a transport
+    may touch the platform.  A serial run has no wire at all."""
+
+    def test_serial_run_never_asks_the_platform(self, monkeypatch):
+        def probed():
+            raise AssertionError("a serial run probed shared memory")
+
+        monkeypatch.setattr("repro.fl.transport.shm_supported", probed)
+        assert FederatedConfig().transport == "auto"
+        assert make_executor("serial", transport="auto").transport is None
+        result = run_once(None, rounds=2)
+        assert len(result.history.records) == 2
+
+    def test_fresh_serial_interpreter_has_no_shm_and_no_child(self):
+        """The probe imported ``multiprocessing.shared_memory`` and left
+        its resource-tracker process running beside the run."""
+        script = textwrap.dedent(
+            """
+            import os, sys
+            import numpy as np
+            from repro.baselines import FedAvgStrategy
+            from repro.data import partition_clients, synthetic_pacs
+            from repro.fl import Client, FederatedConfig, FederatedServer
+            from repro.nn import build_mlp_model
+
+            FederatedConfig()
+            suite = synthetic_pacs(seed=0, samples_per_class=4, image_size=8)
+            parts = partition_clients(suite, [0, 1], 4, 0.2, np.random.default_rng(0))
+            server = FederatedServer(
+                strategy=FedAvgStrategy(),
+                clients=[Client(i, d) for i, d in enumerate(parts.client_datasets)],
+                model=build_mlp_model(
+                    suite.image_shape, suite.num_classes, rng=np.random.default_rng(0)
+                ),
+                eval_sets={"test": suite.datasets[2]},
+                config=FederatedConfig(num_rounds=2, clients_per_round=2),
+            )
+            assert len(server.run().history.records) == 2
+            assert "multiprocessing.shared_memory" not in sys.modules
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                sys.exit(0)
+            sys.exit("the serial run left a child process behind")
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_parallel_auto_still_resolves_where_the_transport_is_built(self):
+        with ParallelExecutor(num_workers=1, transport="auto") as executor:
+            assert executor.transport.spec == ("shm" if shm_supported() else "pipe")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("avian", r"'auto', 'pipe', 'shm', 'tcp\[:host:port\]'"),
+         ("pipe:9999", "takes no parameters")],
+    )
+    def test_malformed_specs_still_fail_at_config_time(self, spec, message):
+        for validate in (
+            validate_transport,
+            lambda value: FederatedConfig(transport=value),
+            lambda value: make_executor("serial", transport=value),
+        ):
+            with pytest.raises(ValueError, match=message):
+                validate(spec)
+
+    @pytest.mark.parametrize("spec", ["auto", "pipe", "shm", "tcp", "tcp:127.0.0.1:0"])
+    def test_well_formed_specs_pass(self, spec):
+        validate_transport(spec)
 
 
 class TestPipeTransport:
