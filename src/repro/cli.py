@@ -45,12 +45,12 @@ from repro.data import (
 )
 from repro.eval import (
     ExperimentSetting,
+    check_split,
     run_lodo_protocol,
     run_split_experiment,
 )
 from repro.fl.aggregate import aggregator_specs, make_aggregator
 from repro.fl.codec import codec_specs, make_codec
-from repro.fl.executor import EXECUTOR_KINDS
 from repro.fl.faults import make_deadline_policy, make_fault_plan
 from repro.fl.server import parse_topology
 from repro.fl.transport import make_transport, transport_usage
@@ -83,6 +83,12 @@ SUITES = {
 
 
 def _setting_from_args(args: argparse.Namespace) -> ExperimentSetting:
+    # `serve` brings its own engine and has no in-host flags.
+    engine = {
+        name: getattr(args, name)
+        for name in ("workers", "transport", "max_resident")
+        if hasattr(args, name)
+    }
     return ExperimentSetting(
         objective=args.objective,
         num_clients=args.clients,
@@ -91,17 +97,13 @@ def _setting_from_args(args: argparse.Namespace) -> ExperimentSetting:
         num_rounds=args.rounds,
         eval_every=max(args.rounds // 4, 1),
         seed=args.seed,
-        executor=args.executor,
-        workers=args.workers,
         codec=args.codec,
-        transport=args.transport,
         faults=args.faults,
         deadline=args.deadline,
-        compute=args.compute,
         aggregator=args.aggregator,
         quorum=args.quorum,
         topology=args.topology,
-        max_resident=args.max_resident,
+        **engine,
     )
 
 
@@ -140,156 +142,81 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _positive_float(value: str) -> float:
-    try:
-        number = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a number")
-    if number <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value!r}")
+def _heterogeneity(value: str) -> float:
+    number = float(value)
+    if not 0.0 <= number <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value!r}")
     return number
+
+
+def _spec(make: Callable[[str], object]) -> Callable[[str], str]:
+    """An argparse ``type`` for a spec string (a codec pipeline, a fault
+    plan, an aggregation rule...): ``make`` builds it once at parse time
+    and the result is discarded, so a typo is a usage error, not a mid-run
+    traceback."""
+
+    def check(value: str) -> str:
+        try:
+            make(value)
+        except (TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return value
+
+    return check
 
 
 def _deadline_spec(value: str) -> float | str:
     """``"1.5"`` is a fixed budget in seconds (returned as a float, as
     before adaptive policies existed); ``"percentile:p95"`` is an adaptive
-    spec, validated at parse time and passed through as a string."""
+    spec, passed through as a string."""
     try:
         seconds = float(value)
     except ValueError:
-        try:
-            make_deadline_policy(value)
-        except (TypeError, ValueError) as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-        return value
+        return _spec(make_deadline_policy)(value)
     if seconds <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value!r}")
     return seconds
 
 
-def _aggregator_spec(value: str) -> str:
-    """Validate an aggregation-rule spec (e.g. ``median``,
-    ``clip(5)+krum``) at parse time so a typo is a usage error."""
-    try:
-        make_aggregator(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
+def _build_transport(value: str) -> None:
+    """No transport binds a socket before its first publish, so building
+    one validates any params suffix for free; ``auto`` (the default, so
+    every serial run passes through here) has nothing to build and is left
+    unprobed."""
+    if value != "auto":
+        make_transport(value)
 
 
-def _topology_spec(value: str) -> str:
-    """Validate an aggregation-topology spec (``flat`` or ``edge:G``) at
-    parse time so a typo is a usage error."""
-    try:
-        parse_topology(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
-
-
-def _fault_spec(value: str) -> str:
-    """Validate a fault-plan spec (e.g. ``dropout=0.1,crash=2``) at parse
-    time so a typo is a usage error, not a mid-run traceback."""
-    try:
-        make_fault_plan(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
-
-
-def _codec_spec(value: str) -> str:
-    """Validate a codec pipeline spec (e.g. ``delta``, ``fp16+deflate``) at
-    parse time so a typo is a usage error, not a mid-run traceback."""
-    try:
-        make_codec(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
-
-
-def _transport_spec(value: str) -> str:
-    """Validate a transport spec (``auto``, ``pipe``, ``shm``, or a
-    parameterized ``tcp[:host:port]``) at parse time so a typo is a
-    usage error, not a mid-run traceback.  A concrete spec is built (which
-    also validates any params suffix) and discarded — no transport binds a
-    socket before its first publish; ``auto`` (the default, so every serial
-    run passes through here) has nothing to build and is left unprobed."""
-    try:
-        if value != "auto":
-            make_transport(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
-
-
-def _objective_spec(value: str) -> str:
-    """Validate an objective-override spec (e.g. ``proto_nce=0.7`` or
-    ``ce=1,align=0.3``) syntactically at parse time; whether each named
-    term exists on the chosen method's objective is checked when the
-    strategy is built."""
-    try:
-        parse_objective_overrides(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
+    """What defines the experiment, whichever engine runs it."""
     parser.add_argument("--suite", choices=sorted(SUITES), required=True)
     parser.add_argument(
         "--method", choices=sorted(METHODS), required=True,
         help="FedDG method (strategy) to run",
     )
     parser.add_argument(
-        "--objective", type=_objective_spec, default=None,
+        "--objective", type=_spec(parse_objective_overrides), default=None,
         help="reweight the method's composite objective, e.g. "
         "'proto_nce=0.7' or 'consistency=1,align=0.5'; valid term names "
         "are the ones the method's objective declares "
-        "(see repro.nn.objective)",
+        "(see repro.nn.objective; checked when the strategy is built)",
     )
     parser.add_argument("--clients", type=_positive_int, default=20)
     parser.add_argument(
         "--participation", type=_participation, default=0.25,
         help="fraction (0,1] or integer count of clients per round",
     )
-    parser.add_argument("--heterogeneity", type=float, default=0.1)
-    parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--heterogeneity", type=_heterogeneity, default=0.1)
+    parser.add_argument("--rounds", type=_positive_int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--executor", choices=EXECUTOR_KINDS, default=None,
-        help="client-execution engine for each round's local updates; "
-        "unset, it is parallel iff --workers or --max-resident is given, "
-        "else serial",
-    )
-    parser.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="worker-process count; implies the parallel engine",
-    )
-    parser.add_argument(
-        "--codec", type=_codec_spec, default="identity",
+        "--codec", type=_spec(make_codec), default="identity",
         help="wire codec for weight payloads: one of "
         f"{', '.join(codec_specs())}, optionally '+deflate' (e.g. "
         "'fp16+deflate')",
     )
     parser.add_argument(
-        "--transport", type=_transport_spec, default="auto",
-        help="wire transport for broadcast blobs: one of "
-        f"{', '.join(transport_usage())}; 'pipe' copies the blob per "
-        "worker, 'shm' publishes one shared-memory copy per round, "
-        "'tcp[:host:port]' serves it from a loopback (or bound) blob "
-        "server; 'auto' (default) prefers shm where the platform "
-        "supports it",
-    )
-    parser.add_argument(
-        "--compute", choices=("auto", "loop", "ensemble"), default="auto",
-        help="compute backend for co-resident client groups: 'loop' trains "
-        "clients one at a time, 'ensemble' fuses each group into one "
-        "batched (K, ...) parameter stack; 'auto' (default) picks ensemble "
-        "when the model supports it — results are bitwise identical either "
-        "way",
-    )
-    parser.add_argument(
-        "--faults", type=_fault_spec, default=None,
+        "--faults", type=_spec(make_fault_plan), default=None,
         help="deterministic fault-injection plan, e.g. "
         "'dropout=0.1,straggler=0.25:0.05,corrupt=0.05,crash=2+5,seed=7' "
         "(see repro.fl.faults); faulty rounds aggregate over the survivors",
@@ -302,7 +229,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "arrived and stragglers are absorbed into the next round",
     )
     parser.add_argument(
-        "--aggregator", type=_aggregator_spec, default="mean",
+        "--aggregator", type=_spec(make_aggregator), default="mean",
         help="server-side aggregation rule: one of "
         f"{', '.join(aggregator_specs())}, optionally prefixed "
         "'clip(tau)+' (e.g. 'clip(5)+krum'); 'mean' (default) is the "
@@ -316,11 +243,29 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "set is recorded for exact replay",
     )
     parser.add_argument(
-        "--topology", type=_topology_spec, default="flat",
+        "--topology", type=_spec(parse_topology), default="flat",
         help="aggregation topology: 'flat' (default) reduces every upload "
         "at the root, 'edge:G' fans the round over G edge aggregators "
         "whose partial sums the root composes — bit-identical to flat, "
         "and requires a streaming-capable rule (mean, clip(tau)+mean)",
+    )
+
+
+def _add_in_host_flags(parser: argparse.ArgumentParser) -> None:
+    """The in-host run: its engine (serial unless a flag asks for the
+    pool) and its timing report."""
+    parser.add_argument(
+        "--workers", type=_positive_int, default=None,
+        help="worker-process count; implies the parallel engine",
+    )
+    parser.add_argument(
+        "--transport", type=_spec(_build_transport), default="auto",
+        help="wire transport for broadcast blobs: one of "
+        f"{', '.join(transport_usage())}; 'pipe' copies the blob per "
+        "worker, 'shm' publishes one shared-memory copy per round, "
+        "'tcp[:host:port]' serves it from a loopback (or bound) blob "
+        "server; 'auto' (default) prefers shm where the platform "
+        "supports it",
     )
     parser.add_argument(
         "--max-resident", type=_positive_int, default=None,
@@ -334,6 +279,27 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="also print the phase-timing and measured-wire-traffic report "
         "(starts tracemalloc, so the peak-memory column is populated)",
     )
+
+
+def _add_split_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--train-domains", nargs="+", required=True)
+    parser.add_argument("--val-domain", required=True)
+    parser.add_argument("--test-domain", required=True)
+
+
+def _split_from_args(suite, args: argparse.Namespace, usage_error) -> dict:
+    """The split the domain flags name; an unknown domain, or a held-out
+    domain that is also trained on, is a usage error."""
+    try:
+        split = {
+            "train": [suite.domain_index(name) for name in args.train_domains],
+            "val": [suite.domain_index(args.val_domain)],
+            "test": [suite.domain_index(args.test_domain)],
+        }
+        check_split(suite, split)
+    except (KeyError, ValueError) as exc:
+        usage_error(exc.args[0])
+    return split
 
 
 _TIMING_HEADER = [
@@ -400,12 +366,7 @@ def _print_timing(rows: list[list[str]]) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     suite = SUITES[args.suite](args.seed)
-    train = [suite.domain_index(name) for name in args.train_domains]
-    split = {
-        "train": train,
-        "val": [suite.domain_index(args.val_domain)],
-        "test": [suite.domain_index(args.test_domain)],
-    }
+    split = _split_from_args(suite, args, args.usage_error)
     outcome = run_split_experiment(
         suite, split, METHODS[args.method](), _setting_from_args(args)
     )
@@ -464,14 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="single train/val/test split")
-    _add_common(run_parser)
-    run_parser.add_argument("--train-domains", nargs="+", required=True)
-    run_parser.add_argument("--val-domain", required=True)
-    run_parser.add_argument("--test-domain", required=True)
-    run_parser.set_defaults(func=_cmd_run)
+    _add_experiment_flags(run_parser)
+    _add_in_host_flags(run_parser)
+    _add_split_flags(run_parser)
+    run_parser.set_defaults(func=_cmd_run, usage_error=run_parser.error)
 
     lodo_parser = sub.add_parser("lodo", help="leave-one-domain-out protocol")
-    _add_common(lodo_parser)
+    _add_experiment_flags(lodo_parser)
+    _add_in_host_flags(lodo_parser)
     lodo_parser.set_defaults(func=_cmd_lodo)
 
     list_parser = sub.add_parser("list", help="list suites and methods")
@@ -480,15 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is not None and args.executor == "serial":
-        parser.error("--workers only applies with --executor parallel")
-    if (
-        getattr(args, "max_resident", None) is not None
-        and args.executor == "serial"
-    ):
-        parser.error("--max-resident only applies with --executor parallel")
+    args = build_parser().parse_args(argv)
     started_tracing = False
     if getattr(args, "timing", False) and not tracemalloc.is_tracing():
         # The server samples tracemalloc peaks at round boundaries only

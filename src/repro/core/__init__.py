@@ -7,7 +7,6 @@ training on style-transferred positives, packaged as a
 """
 
 from repro.core.config import PardonConfig
-from repro.core.contrastive import PardonStepResult, pardon_batch_step
 from repro.core.interpolation import (
     cluster_client_styles,
     extract_interpolation_style,
@@ -18,8 +17,6 @@ from repro.core.pardon import PardonStrategy
 __all__ = [
     "PardonConfig",
     "PardonStrategy",
-    "PardonStepResult",
-    "pardon_batch_step",
     "compute_client_style",
     "cluster_styles_of_features",
     "extract_interpolation_style",

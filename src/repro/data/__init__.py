@@ -14,8 +14,6 @@ from repro.data.synthetic import (
     generate_domain_dataset,
 )
 from repro.data.registry import (
-    OFFICE_HOME_DOMAINS,
-    PACS_DOMAINS,
     synthetic_domain_sweep,
     synthetic_iwildcam,
     synthetic_office_home,
@@ -28,7 +26,6 @@ from repro.data.partition import (
     ltdo_splits,
     partition_clients,
 )
-from repro.data.loader import Batcher
 
 __all__ = [
     "ContentBank",
@@ -43,11 +40,8 @@ __all__ = [
     "synthetic_iwildcam",
     "synthetic_domain_sweep",
     "synthetic_skew",
-    "PACS_DOMAINS",
-    "OFFICE_HOME_DOMAINS",
     "ClientPartition",
     "partition_clients",
     "lodo_splits",
     "ltdo_splits",
-    "Batcher",
 ]

@@ -23,12 +23,7 @@ __all__ = [
     "synthetic_iwildcam",
     "synthetic_domain_sweep",
     "synthetic_skew",
-    "PACS_DOMAINS",
-    "OFFICE_HOME_DOMAINS",
 ]
-
-PACS_DOMAINS = ["photo", "art_painting", "cartoon", "sketch"]
-OFFICE_HOME_DOMAINS = ["art", "clipart", "product", "real_world"]
 
 # Hand-shaped styles: large, *qualitatively distinct* channel statistics per
 # domain.  These numbers are the domain gap; tests assert they differ.

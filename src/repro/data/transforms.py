@@ -17,10 +17,7 @@ import numpy as np
 
 __all__ = [
     "random_shift",
-    "horizontal_flip",
     "gaussian_noise",
-    "channel_jitter",
-    "cutout",
     "compose",
     "standard_augmentation",
 ]
@@ -47,20 +44,6 @@ def random_shift(max_pixels: int = 2) -> Transform:
     return apply
 
 
-def horizontal_flip(probability: float = 0.5) -> Transform:
-    """Flip the whole batch left-right with the given probability."""
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {probability}")
-
-    def apply(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        _check_batch(images)
-        if rng.random() < probability:
-            return images[:, :, :, ::-1].copy()
-        return images
-
-    return apply
-
-
 def gaussian_noise(std: float = 0.1) -> Transform:
     """Additive white noise."""
     if std < 0:
@@ -71,40 +54,6 @@ def gaussian_noise(std: float = 0.1) -> Transform:
         if std == 0:
             return images
         return images + rng.normal(0.0, std, size=images.shape)
-
-    return apply
-
-
-def channel_jitter(gain_spread: float = 0.1, bias_spread: float = 0.1) -> Transform:
-    """Per-channel affine jitter — a weak, label-preserving style wobble."""
-    if gain_spread < 0 or bias_spread < 0:
-        raise ValueError("spreads must be >= 0")
-
-    def apply(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        _check_batch(images)
-        channels = images.shape[1]
-        gains = np.exp(rng.uniform(-gain_spread, gain_spread, size=channels))
-        biases = rng.uniform(-bias_spread, bias_spread, size=channels)
-        return images * gains[None, :, None, None] + biases[None, :, None, None]
-
-    return apply
-
-
-def cutout(size: int = 4) -> Transform:
-    """Zero a random square patch per batch (regularizing occlusion)."""
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-
-    def apply(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        _check_batch(images)
-        _, _, height, width = images.shape
-        if size >= height or size >= width:
-            raise ValueError(f"cutout size {size} too large for {height}x{width}")
-        top = int(rng.integers(0, height - size + 1))
-        left = int(rng.integers(0, width - size + 1))
-        out = images.copy()
-        out[:, :, top : top + size, left : left + size] = 0.0
-        return out
 
     return apply
 

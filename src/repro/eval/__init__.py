@@ -1,9 +1,10 @@
 """``repro.eval`` — evaluation protocols, metrics, and landscape tooling."""
 
-from repro.eval.metrics import evaluate_accuracy, evaluate_loss, per_class_accuracy
+from repro.eval.metrics import evaluate_accuracy, evaluate_loss
 from repro.eval.protocols import (
     ExperimentSetting,
     SplitOutcome,
+    check_split,
     make_clients,
     run_fixed_split_protocol,
     run_lodo_protocol,
@@ -29,9 +30,9 @@ __all__ = [
     "mean_std",
     "evaluate_accuracy",
     "evaluate_loss",
-    "per_class_accuracy",
     "ExperimentSetting",
     "SplitOutcome",
+    "check_split",
     "make_clients",
     "run_split_experiment",
     "run_lodo_protocol",

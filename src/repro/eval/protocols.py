@@ -25,6 +25,7 @@ from repro.utils.rng import SeedTree
 __all__ = [
     "ExperimentSetting",
     "SplitOutcome",
+    "check_split",
     "run_split_experiment",
     "run_lodo_protocol",
     "run_ltdo_protocol",
@@ -41,25 +42,19 @@ class ExperimentSetting:
     """Everything that defines one federated DG experiment besides the
     method itself (so all methods share it exactly).
 
-    ``executor`` names the engine kind explicitly (``"serial"`` /
-    ``"parallel"``); unset, the engine is parallel iff ``workers`` or
-    ``max_resident`` is given (see :func:`repro.fl.executor.make_executor`).
-    ``codec`` names the wire codec for weight payloads
-    (:mod:`repro.fl.codec`) and ``transport`` the wire transport for
-    broadcast blobs (:mod:`repro.fl.transport`, ``"auto"`` prefers the
-    single-copy shm broadcast where supported) — both reach the engine and
-    the :class:`repro.fl.server.FederatedConfig` of every run built from
-    this setting.  ``faults`` (a :mod:`repro.fl.faults` spec string),
-    ``deadline`` (per-round wall-clock budget — seconds or an adaptive
-    ``"percentile:p95"`` spec), and ``quorum`` (close a round after that
-    many uploads) configure the fault-tolerance layer the same way.
-    ``aggregator`` names the Byzantine-robust aggregation rule
-    (:mod:`repro.fl.aggregate`); the default ``"mean"`` is the historical
-    weighted FedAvg.  ``compute`` names the compute
-    backend (:mod:`repro.fl.compute`) that trains co-resident client
-    groups; ``"auto"`` resolves to the batched ``ensemble`` backend
-    whenever the model supports it — a pure throughput knob, since
-    per-client numerics are bitwise backend-invariant.
+    The engine is parallel iff ``workers`` or ``max_resident`` is given
+    (see :func:`repro.fl.executor.make_executor`).  ``codec`` names the
+    wire codec for weight payloads (:mod:`repro.fl.codec`) — it reaches the
+    engine and the :class:`repro.fl.server.FederatedConfig` of every run
+    built from this setting — and ``transport`` the parallel engine's wire
+    transport for broadcast blobs (:mod:`repro.fl.transport`, ``"auto"``
+    prefers the single-copy shm broadcast where supported).  ``faults`` (a
+    :mod:`repro.fl.faults` spec string), ``deadline`` (per-round wall-clock
+    budget — seconds or an adaptive ``"percentile:p95"`` spec), and
+    ``quorum`` (close a round after that many uploads) configure the
+    fault-tolerance layer the same way.  ``aggregator`` names the
+    Byzantine-robust aggregation rule (:mod:`repro.fl.aggregate`); the
+    default ``"mean"`` is the historical weighted FedAvg.
     ``topology`` selects the aggregation tree (``"flat"`` or
     ``"edge:G"`` — G edge aggregators reduce the round with the streaming
     mean, bit-identical to flat), and ``max_resident`` bounds the
@@ -78,13 +73,11 @@ class ExperimentSetting:
     seed: int = 0
     model_widths: tuple[int, int] = (16, 32)
     embed_dim: int = 64
-    executor: str | None = None
     workers: int | None = None
     codec: str = "identity"
     transport: str = "auto"
     faults: str | None = None
     deadline: float | str | None = None
-    compute: str = "auto"
     aggregator: str = "mean"
     quorum: int | None = None
     topology: str = "flat"
@@ -94,13 +87,11 @@ class ExperimentSetting:
     def make_executor(self) -> Executor:
         """The client-execution engine this setting asks for."""
         return make_executor(
-            self.executor,
             self.workers,
             codec=self.codec,
             transport=self.transport,
             faults=self.faults,
             deadline=self.deadline,
-            compute=self.compute,
             quorum=self.quorum,
             max_resident=self.max_resident,
         )
@@ -150,6 +141,21 @@ def make_clients(
     ]
 
 
+def check_split(suite: DomainSuite, split: dict[str, list[int]]) -> None:
+    """Held-out domains are held out: a validation or test domain that is
+    also a training domain raises ``ValueError`` — every protocol here
+    reports *unseen*-domain accuracy.  (``val == test`` is legal: LODO
+    scores its one held-out domain in both roles.)"""
+    for role in ("val", "test"):
+        seen = sorted(set(split[role]) & set(split["train"]))
+        if seen:
+            raise ValueError(
+                f"{role} domain {suite.domain_names[seen[0]]!r} is also a "
+                f"training domain; held-out domains must be unseen "
+                f"({suite.name} has {', '.join(suite.domain_names)})"
+            )
+
+
 def run_split_experiment(
     suite: DomainSuite,
     split: dict[str, list[int]],
@@ -163,6 +169,7 @@ def run_split_experiment(
     pool) across splits; when omitted, one is built from ``setting`` and
     closed before returning.
     """
+    check_split(suite, split)
     clients = make_clients(suite, split["train"], setting, seed_label=tuple(split["train"]))
     strategy.apply_objective_overrides(setting.objective)
     tree = SeedTree(setting.seed).child(suite.name, "model")
@@ -184,10 +191,8 @@ def run_split_experiment(
             eval_every=setting.eval_every,
             seed=setting.seed,
             codec=setting.codec,
-            transport=setting.transport,
             faults=setting.faults,
             deadline=setting.deadline,
-            compute=setting.compute,
             aggregator=setting.aggregator,
             quorum=setting.quorum,
             topology=setting.topology,

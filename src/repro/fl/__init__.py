@@ -25,7 +25,6 @@ from repro.fl.compute import (
     LoopBackend,
     compute_specs,
     make_compute,
-    register_compute,
     resolve_compute,
 )
 from repro.fl.communication import (
@@ -68,7 +67,7 @@ from repro.fl.server import (
     FederatedServer,
     parse_topology,
 )
-from repro.fl.strategy import LocalTrainingConfig, Strategy, run_ce_epochs
+from repro.fl.strategy import LocalTrainingConfig, Strategy
 from repro.fl.timing import PhaseTimer, TimingReport
 from repro.fl.transport import (
     PipeTransport,
@@ -108,7 +107,6 @@ __all__ = [
     "LoopBackend",
     "compute_specs",
     "make_compute",
-    "register_compute",
     "resolve_compute",
     "method_communication",
     "evaluate_accuracy",
@@ -141,7 +139,6 @@ __all__ = [
     "parse_topology",
     "LocalTrainingConfig",
     "Strategy",
-    "run_ce_epochs",
     "PhaseTimer",
     "TimingReport",
     "Transport",

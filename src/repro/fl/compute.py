@@ -53,19 +53,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.nn.serialize import StateDict
 
 __all__ = [
-    "COMPUTE_KINDS",
     "ComputeBackend",
     "LoopBackend",
     "EnsembleBackend",
-    "register_compute",
     "compute_specs",
     "make_compute",
     "resolve_compute",
     "timed_local_update",
 ]
-
-#: Accepted ``--compute`` / config values; ``auto`` resolves at pool build.
-COMPUTE_KINDS = ("auto", "loop", "ensemble", "strict")
 
 
 def timed_local_update(
@@ -260,11 +255,6 @@ _BACKENDS: dict[str, Callable[[], ComputeBackend]] = {
     "ensemble": EnsembleBackend,
     "strict": _StrictBackend,
 }
-
-
-def register_compute(name: str, factory: Callable[[], ComputeBackend]) -> None:
-    """Register a compute backend factory under a spec name."""
-    _BACKENDS[name] = factory
 
 
 def compute_specs() -> tuple[str, ...]:

@@ -25,7 +25,6 @@ __all__ = [
     "EvaluationStage",
     "evaluate_accuracy",
     "evaluate_loss",
-    "per_class_accuracy",
 ]
 
 #: Images per forward chunk on the evaluation thread.  Its activations and
@@ -60,25 +59,6 @@ def evaluate_loss(
         return 0.0
     logits = model.predict_logits(dataset.images, batch_size=batch_size)
     return CrossEntropyLoss().forward(logits, dataset.labels)
-
-
-def per_class_accuracy(
-    model: FeatureClassifierModel,
-    dataset: LabeledDataset,
-    num_classes: int,
-    batch_size: int = 256,
-) -> np.ndarray:
-    """Accuracy per class; classes absent from ``dataset`` report NaN."""
-    result = np.full(num_classes, np.nan)
-    if len(dataset) == 0:
-        return result
-    logits = model.predict_logits(dataset.images, batch_size=batch_size)
-    predictions = np.argmax(logits, axis=1)
-    for class_id in range(num_classes):
-        mask = dataset.labels == class_id
-        if np.any(mask):
-            result[class_id] = float(np.mean(predictions[mask] == class_id))
-    return result
 
 
 class EvaluationStage:

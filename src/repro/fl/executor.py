@@ -111,10 +111,7 @@ __all__ = [
     "WorkerRuntime",
     "WireStats",
     "make_executor",
-    "EXECUTOR_KINDS",
 ]
-
-EXECUTOR_KINDS = ("serial", "parallel")
 
 
 @dataclass
@@ -542,59 +539,32 @@ class ParallelExecutor(Executor):
 
 
 def make_executor(
-    kind: str | None = None,
     workers: int | None = None,
     codec: "str | Codec" = "identity",
     transport: "str | Transport" = "auto",
     faults: "str | FaultPlan | None" = None,
     deadline: "float | str | None" = None,
-    compute: str = "auto",
     quorum: int | None = None,
     max_resident: int | None = None,
 ) -> Executor:
-    """Build an engine from the CLI/bench knobs (``--executor`` /
-    ``--workers`` / ``--codec`` / ``--transport`` / ``--faults`` /
-    ``--deadline`` / ``--compute`` / ``--quorum`` / ``--max-resident``).
+    """Build an engine from the CLI/bench knobs (``--workers`` /
+    ``--codec`` / ``--transport`` / ``--faults`` / ``--deadline`` /
+    ``--quorum`` / ``--max-resident``).
 
-    With ``kind`` unset the engine is what the caller already said:
-    parallel iff a ``workers`` count or a ``max_resident`` bound is given,
-    else serial.  Either under an explicit ``kind="serial"`` is rejected
-    rather than silently ignored (the serial engine has no pool and keeps
-    no residents) — it almost always means the caller wanted parallel
-    execution.  ``transport`` only applies to the parallel engine; the
-    serial engine has no wire, so the spec is validated and then ignored.
-    ``faults``, ``deadline`` and ``quorum`` configure the fault-tolerance
-    layer (:mod:`repro.fl.faults`) on either engine.
+    The engine is what the caller already said: parallel iff a ``workers``
+    count or a ``max_resident`` bound is given, else serial.
+    ``transport`` only applies to the parallel engine; the serial engine
+    has no wire, so the spec is validated and then ignored.  ``faults``,
+    ``deadline`` and ``quorum`` configure the fault-tolerance layer
+    (:mod:`repro.fl.faults`) on either engine.
     """
     if isinstance(transport, str):
-        validate_transport(transport)  # reject typos for every engine kind
-    if kind is None:
-        kind = (
-            "parallel"
-            if workers is not None or max_resident is not None
-            else "serial"
-        )
-    if kind == "serial":
-        if workers is not None:
-            raise ValueError(
-                "workers only applies to the parallel executor; "
-                "pass kind='parallel' or drop the workers count"
-            )
-        if max_resident is not None:
-            raise ValueError(
-                "max_resident only applies to the parallel executor; "
-                "pass kind='parallel' or drop the residency bound"
-            )
+        validate_transport(transport)  # reject typos for either engine
+    if workers is None and max_resident is None:
         return SerialExecutor(
-            codec=codec, faults=faults, deadline=deadline, compute=compute,
-            quorum=quorum,
+            codec=codec, faults=faults, deadline=deadline, quorum=quorum
         )
-    if kind == "parallel":
-        return ParallelExecutor(
-            num_workers=workers, codec=codec, transport=transport,
-            faults=faults, deadline=deadline, compute=compute, quorum=quorum,
-            max_resident=max_resident,
-        )
-    raise ValueError(
-        f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}"
+    return ParallelExecutor(
+        num_workers=workers, codec=codec, transport=transport, faults=faults,
+        deadline=deadline, quorum=quorum, max_resident=max_resident,
     )

@@ -72,15 +72,14 @@ def run_agent(
     connect: "str | tuple[str, int]",
     name: str = "",
     codec: "str | None" = None,
-    compute: "str | None" = None,
     retry_seconds: float = _CONNECT_RETRY_SECONDS,
 ) -> int:
     """Serve one federation connection to completion; returns the number
     of tasks trained.
 
-    ``connect`` is ``"host:port"`` (or a ready tuple).  ``codec`` /
-    ``compute`` are optional *pins*: the agent refuses — and the server
-    rejects the handshake — if the federation negotiated anything else.
+    ``connect`` is ``"host:port"`` (or a ready tuple).  ``codec`` is an
+    optional *pin*: the agent refuses — and the server rejects the
+    handshake — if the federation negotiated anything else.
     Raises :class:`repro.fl.net.protocol.HandshakeError` on a reject.
     """
     host, port = (
@@ -91,11 +90,7 @@ def run_agent(
     try:
         sock.settimeout(None)
         stream = FrameStream(sock)
-        stream.send(
-            encode_message(
-                HELLO, hello_meta(name=name, codec=codec, compute=compute)
-            )
-        )
+        stream.send(encode_message(HELLO, hello_meta(name=name, codec=codec)))
         frame = stream.next_frame()
         if frame is None:
             raise HandshakeError("server closed during handshake")
@@ -173,16 +168,9 @@ def main(argv: "list[str] | None" = None) -> int:
         "--codec", default=None,
         help="pin the wire codec: refuse any other negotiated spec",
     )
-    parser.add_argument(
-        "--compute", default=None,
-        help="pin the compute backend: refuse any other negotiated spec",
-    )
     args = parser.parse_args(argv)
     try:
-        served = run_agent(
-            args.connect, name=args.name, codec=args.codec,
-            compute=args.compute,
-        )
+        served = run_agent(args.connect, name=args.name, codec=args.codec)
     except HandshakeError as exc:
         print(f"handshake failed: {exc}", file=sys.stderr)
         return 2

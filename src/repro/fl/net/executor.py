@@ -217,10 +217,7 @@ class RemoteExecutor(Executor):
         reason = (
             "no hello"
             if message is None or message.kind != HELLO
-            else evaluate_hello(
-                message.meta, codec_spec=welcome_meta["codec"],
-                compute_spec=welcome_meta["compute"],
-            )
+            else evaluate_hello(message.meta, codec_spec=welcome_meta["codec"])
         )
         try:
             if reason is None:

@@ -6,7 +6,7 @@ Every frame payload (:mod:`repro.fl.net.frames`) is one pickled
 ========== ========= =====================================================
 kind       direction meaning
 ========== ========= =====================================================
-hello      agent →   protocol version + optional pinned codec/compute
+hello      agent →   protocol version + optional pinned codec
 welcome    → agent   negotiated codec/compute specs + the pickled model
 reject     → agent   handshake refused; ``meta["reason"]`` says why
 register   → agent   pool-resident client registration blob (+ evictions)
@@ -26,9 +26,9 @@ traces stay transport-invariant by construction.
 The handshake mirrors pool build: an in-host worker is configured by
 ``_worker_init(model_blob, codec_spec, transport_spec, compute_spec)``
 initargs; a remote agent gets the identical four values via
-hello/welcome.  An agent may *pin* a codec or compute spec in its hello
-(operators do this to refuse surprise lossy codecs); a pin that differs
-from the server's negotiated spec is a reject, not a silent override.
+hello/welcome.  An agent may *pin* a codec spec in its hello (operators
+do this to refuse surprise lossy codecs); a pin that differs from the
+server's negotiated spec is a reject, not a silent override.
 """
 
 from __future__ import annotations
@@ -116,26 +116,20 @@ def decode_message(payload: "bytes | memoryview") -> Message:
     return Message(kind=kind, meta=meta, blob=blob)
 
 
-def hello_meta(
-    name: str = "",
-    codec: "str | None" = None,
-    compute: "str | None" = None,
-) -> dict:
-    """The meta dict an agent sends in its hello.  ``codec``/``compute``
-    are optional *pins*: the agent refuses to run under any other spec."""
+def hello_meta(name: str = "", codec: "str | None" = None) -> dict:
+    """The meta dict an agent sends in its hello.  ``codec`` is an
+    optional *pin*: the agent refuses to run under any other spec."""
     meta = {"version": PROTOCOL_VERSION, "name": name}
     if codec is not None:
         meta["codec"] = codec
-    if compute is not None:
-        meta["compute"] = compute
     return meta
 
 
-def evaluate_hello(meta: dict, *, codec_spec: str, compute_spec: str) -> "str | None":
+def evaluate_hello(meta: dict, *, codec_spec: str) -> "str | None":
     """Server-side hello check: the reject reason, or ``None`` to welcome.
 
-    ``codec_spec``/``compute_spec`` are the server's negotiated specs (the
-    same strings an in-host pool would ship in initargs).
+    ``codec_spec`` is the server's negotiated spec (the same string an
+    in-host pool would ship in initargs).
     """
     version = meta.get("version")
     if version != PROTOCOL_VERSION:
@@ -148,11 +142,5 @@ def evaluate_hello(meta: dict, *, codec_spec: str, compute_spec: str) -> "str | 
         return (
             f"codec mismatch: agent pinned {pinned_codec!r}, "
             f"server negotiated {codec_spec!r}"
-        )
-    pinned_compute = meta.get("compute")
-    if pinned_compute is not None and pinned_compute != compute_spec:
-        return (
-            f"compute mismatch: agent pinned {pinned_compute!r}, "
-            f"server negotiated {compute_spec!r}"
         )
     return None

@@ -7,7 +7,8 @@ across them with a :class:`repro.fl.net.executor.RemoteExecutor`, and
 prints the outcome.  Every experiment knob mirrors ``python -m repro
 run`` (same suites, methods, codecs, fault specs...), so a cross-machine
 run is the in-host CLI command with ``run`` swapped for this module plus
-a ``--listen``.
+a ``--listen`` — minus the in-host flags (``--workers``, ``--transport``,
+``--max-resident``, ``--timing``): this daemon *is* the engine.
 
 Operational extras:
 
@@ -77,16 +78,19 @@ def trace_dict(result) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from repro.cli import METHODS, SUITES, _add_common
+    from repro.cli import (
+        METHODS,
+        SUITES,
+        _add_experiment_flags,
+        _add_split_flags,
+    )
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.fl.net.serve",
         description="Serve one federated DG experiment to remote agents.",
     )
-    _add_common(parser)
-    parser.add_argument("--train-domains", nargs="+", required=True)
-    parser.add_argument("--val-domain", required=True)
-    parser.add_argument("--test-domain", required=True)
+    _add_experiment_flags(parser)
+    _add_split_flags(parser)
     parser.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
         help="bind endpoint for agents (default: loopback, ephemeral port)",
@@ -108,24 +112,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="after the run, replay it on the in-process serial engine and "
         "fail unless the traces are bit-identical",
     )
-    # _add_common's executor/workers/transport/max-resident knobs describe
-    # in-host engines; this daemon *is* the engine, so they are accepted
-    # (for flag parity with `repro run`) and ignored.
     parser.set_defaults(suite_registry=SUITES, method_registry=METHODS)
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    from repro.cli import _setting_from_args
+    from repro.cli import _setting_from_args, _split_from_args
     from repro.eval import run_split_experiment
 
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     suite = args.suite_registry[args.suite](args.seed)
-    split = {
-        "train": [suite.domain_index(name) for name in args.train_domains],
-        "val": [suite.domain_index(args.val_domain)],
-        "test": [suite.domain_index(args.test_domain)],
-    }
+    split = _split_from_args(suite, args, parser.error)
     setting = _setting_from_args(args)
     strategy_factory = args.method_registry[args.method]
     remote = RemoteExecutor(
@@ -134,7 +132,6 @@ def main(argv: "list[str] | None" = None) -> int:
         codec=args.codec,
         faults=args.faults,
         deadline=args.deadline,
-        compute=args.compute,
         quorum=args.quorum,
     )
     host, port = remote.address
@@ -159,13 +156,8 @@ def main(argv: "list[str] | None" = None) -> int:
         with open(args.trace_out, "w", encoding="utf-8") as handle:
             json.dump(trace, handle, indent=2, sort_keys=True)
     if args.check_serial:
-        from dataclasses import replace as _replace
-
-        serial_setting = _replace(
-            setting, executor="serial", workers=None, max_resident=None
-        )
         reference = run_split_experiment(
-            suite, split, strategy_factory(), serial_setting
+            suite, split, strategy_factory(), setting
         )
         if trace_dict(reference.result) != trace:
             print(

@@ -25,7 +25,6 @@ from repro.fl.aggregate import EdgeAggregator, make_aggregator
 from repro.fl.evaluation import EvaluationStage
 from repro.fl.client import Client
 from repro.fl.codec import make_codec
-from repro.fl.compute import resolve_compute
 from repro.fl.executor import Executor, SerialExecutor
 from repro.fl.faults import make_deadline_policy, make_fault_plan
 from repro.fl.history import RoundRecord, RunHistory
@@ -33,7 +32,6 @@ from repro.fl.population import ClientPopulation, ListPopulation, as_population
 from repro.fl.sampling import UniformClientSampler
 from repro.fl.strategy import Strategy
 from repro.fl.timing import PhaseTimer, TimingReport
-from repro.fl.transport import validate_transport
 from repro.nn.models import FeatureClassifierModel
 from repro.utils.logging import get_logger, kv
 from repro.utils.rng import SeedTree
@@ -91,14 +89,6 @@ class FederatedConfig:
     codec changes what clients train from (for lossy specs) and so belongs
     to the experiment definition, not just the transport.
 
-    ``transport`` names the wire transport for broadcast blobs (see
-    :mod:`repro.fl.transport`); engines built from this config (the
-    protocol runners thread it into :func:`repro.fl.executor.make_executor`)
-    carry it.  Unlike the codec it is *not* cross-checked against a
-    caller-supplied engine: the transport moves byte-identical blobs and
-    cannot change what clients train from, so mixing (say) a pipe-transport
-    pool into an ``"auto"`` config is mechanically harmless.
-
     ``faults`` names a deterministic fault-injection plan
     (:mod:`repro.fl.faults` spec string, e.g.
     ``"dropout=0.1,straggler=0.25:0.05,crash=2,seed=7"``) and ``deadline``
@@ -117,14 +107,6 @@ class FederatedConfig:
     weighted FedAvg reduction, bit for bit.  A non-default spec is
     installed onto the strategy at server construction; a strategy that
     already carries its own non-mean rule must agree with the config.
-
-    ``compute`` names the compute backend (:mod:`repro.fl.compute`) that
-    trains each co-resident client group: ``"auto"`` (default) resolves to
-    the batched ``ensemble`` backend when the model supports it, and
-    ``"loop"``/``"ensemble"``/``"strict"`` force one.  Per-client numerics
-    are bitwise backend-invariant, so this is a throughput knob — but a
-    pinned spec on the config must match a caller-supplied engine, like
-    the codec, so experiment records say what actually ran.
     """
 
     num_rounds: int = 10
@@ -132,10 +114,8 @@ class FederatedConfig:
     eval_every: int = 1
     seed: int = 0
     codec: str = "identity"
-    transport: str = "auto"
     faults: str | None = None
     deadline: float | str | None = None
-    compute: str = "auto"
     aggregator: str = "mean"
     quorum: int | None = None
     topology: str = "flat"
@@ -177,13 +157,8 @@ class FederatedConfig:
             )
         # Same pattern for the codec spec: fail at config time, not mid-run.
         make_codec(self.codec)
-        # ...and the transport spec (checked, not probed: "auto" resolves
-        # per platform only where an engine builds its transport)...
-        validate_transport(self.transport)
-        # ...and the fault-plan spec...
+        # ...and the fault-plan spec.
         make_fault_plan(self.faults)
-        # ...and the compute-backend spec ("auto" resolves per model).
-        resolve_compute(self.compute)
 
 
 @dataclass
@@ -262,8 +237,7 @@ class FederatedServer:
         self._owns_executor = executor is None
         self.executor = executor or SerialExecutor(
             codec=config.codec, faults=config.faults,
-            deadline=config.deadline, compute=config.compute,
-            quorum=config.quorum,
+            deadline=config.deadline, quorum=config.quorum,
         )
         if self.executor.codec.spec != make_codec(config.codec).spec:
             raise ValueError(
@@ -298,17 +272,6 @@ class FederatedServer:
                 f"executor carries quorum {self.executor.quorum!r} but the "
                 f"config asks for {config.quorum!r}; build the engine with "
                 f"the config's quorum (make_executor(..., quorum=...))"
-            )
-        # A pinned compute spec is part of the experiment record: the
-        # result is bitwise the same either way, but "what ran" must not
-        # silently diverge from what the config claims.  ``auto`` on the
-        # config accepts any engine — resolution happens at pool build.
-        if config.compute != "auto" and self.executor.compute != config.compute:
-            raise ValueError(
-                f"executor carries compute backend {self.executor.compute!r} "
-                f"but the config asks for {config.compute!r}; build the "
-                f"engine with the config's backend (make_executor(..., "
-                f"compute=...))"
             )
         # The aggregation rule belongs to the experiment definition; a
         # non-default config spec is installed onto a default-``mean``

@@ -66,12 +66,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.loader import Batcher
-from repro.data.synthetic import LabeledDataset
 from repro.fl.aggregate import AggregationStream, Aggregator, make_aggregator
 from repro.fl.client import Client
 from repro.fl.executor import ClientUpdate
-from repro.nn import SGD, CrossEntropyLoss
+from repro.nn import SGD
 from repro.nn.ensemble import ensemble_state_dicts
 from repro.nn.models import FeatureClassifierModel
 from repro.nn.module import Module
@@ -84,7 +82,7 @@ from repro.nn.objective import (
 )
 from repro.nn.serialize import StateDict
 
-__all__ = ["LocalTrainingConfig", "Strategy", "run_ce_epochs"]
+__all__ = ["LocalTrainingConfig", "Strategy"]
 
 
 @dataclass(frozen=True)
@@ -113,33 +111,6 @@ class LocalTrainingConfig:
             momentum=self.momentum,
             weight_decay=self.weight_decay,
         )
-
-
-def run_ce_epochs(
-    model: FeatureClassifierModel,
-    dataset: LabeledDataset,
-    config: LocalTrainingConfig,
-    rng: np.random.Generator,
-) -> float:
-    """Plain cross-entropy local training; returns the mean batch loss.
-
-    This is FedAvg's whole client step and the base loop several baselines
-    extend.
-    """
-    model.train()
-    optimizer = config.make_optimizer(model)
-    criterion = CrossEntropyLoss()
-    batcher = Batcher(dataset, config.batch_size, rng)
-    losses: list[float] = []
-    for _ in range(config.local_epochs):
-        for images, labels in batcher.epoch():
-            model.zero_grad()
-            logits = model.forward(images)
-            loss = criterion.forward(logits, labels)
-            model.backward(grad_logits=criterion.backward())
-            optimizer.step()
-            losses.append(loss)
-    return float(np.mean(losses)) if losses else 0.0
 
 
 class Strategy:

@@ -81,16 +81,10 @@ __all__ = [
     "transport_usage",
     "validate_transport",
     "shm_supported",
-    "TRANSPORT_KINDS",
     "SHM_SEGMENT_PREFIX",
 ]
 
 _log = get_logger("fl.transport")
-
-#: Spec strings accepted wherever a transport is configured (parameterized
-#: transports additionally accept a ``name:params`` suffix, e.g.
-#: ``tcp:host:port``).
-TRANSPORT_KINDS = ("auto", "pipe", "shm", "tcp")
 
 #: Every shm segment this library creates carries this name prefix, so leak
 #: checks (and humans inspecting ``/dev/shm``) can tell ours apart.  Kept

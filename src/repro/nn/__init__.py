@@ -36,16 +36,9 @@ from repro.nn.serialize import (
     flatten_state,
     state_add,
     state_allclose,
-    state_scale,
     state_sub,
     unflatten_state,
     zeros_like_state,
-)
-from repro.nn.checkpoint import (
-    load_model_into,
-    load_state,
-    save_model,
-    save_state,
 )
 from repro.nn.ensemble import (
     ensemble_of,
@@ -58,10 +51,6 @@ from repro.nn.ensemble import (
 from repro.nn import functional, init
 
 __all__ = [
-    "save_state",
-    "load_state",
-    "save_model",
-    "load_model_into",
     "Module",
     "Parameter",
     "Sequential",
@@ -92,7 +81,6 @@ __all__ = [
     "average_states",
     "state_add",
     "state_sub",
-    "state_scale",
     "zeros_like_state",
     "flatten_state",
     "unflatten_state",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["softmax", "log_softmax", "one_hot", "accuracy", "relu", "sigmoid"]
+__all__ = ["softmax", "log_softmax", "one_hot", "accuracy", "sigmoid"]
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -41,11 +41,6 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
         return 0.0
     predictions = np.argmax(logits, axis=1)
     return float(np.mean(predictions == np.asarray(labels)))
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise rectifier."""
-    return np.maximum(x, 0.0)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["he_normal", "xavier_uniform", "orthogonal", "zeros"]
+__all__ = ["he_normal", "orthogonal", "zeros"]
 
 
 def he_normal(
@@ -21,16 +21,6 @@ def he_normal(
         raise ValueError(f"fan_in must be positive, got {fan_in}")
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(
-    shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot uniform initialization, suited to tanh/linear layers."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fan_in and fan_out must be positive")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -624,8 +624,7 @@ def run_objective_epochs(
     the dataset (style-transferred or augmented positives); each batch then
     runs one concatenated forward over ``[primary, secondary]`` so batch
     statistics are shared, exactly as the hand-written two-view loops did.
-    Randomness: one ``rng.permutation(n)`` per epoch — the same draw
-    :class:`repro.data.loader.Batcher` makes — and nothing else.
+    Randomness: one ``rng.permutation(n)`` per epoch and nothing else.
     """
     images = dataset.images
     labels = dataset.labels

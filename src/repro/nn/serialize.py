@@ -20,7 +20,6 @@ __all__ = [
     "average_states",
     "state_add",
     "state_sub",
-    "state_scale",
     "zeros_like_state",
     "flatten_state",
     "unflatten_state",
@@ -197,11 +196,6 @@ def state_sub(a: StateDict, b: StateDict) -> StateDict:
     """Elementwise ``a - b`` (e.g. a client's update delta)."""
     _check_same_keys([a, b])
     return {key: a[key] - b[key] for key in a}
-
-
-def state_scale(state: StateDict, factor: float) -> StateDict:
-    """Elementwise ``factor * state``."""
-    return {key: factor * value for key, value in state.items()}
 
 
 def zeros_like_state(state: StateDict) -> StateDict:

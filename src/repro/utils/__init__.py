@@ -1,7 +1,7 @@
 """Shared utilities: seeded RNG trees, logging, and table rendering."""
 
-from repro.utils.rng import SeedTree, as_generator
+from repro.utils.rng import SeedTree
 from repro.utils.logging import get_logger
 from repro.utils.tables import format_table
 
-__all__ = ["SeedTree", "as_generator", "get_logger", "format_table"]
+__all__ = ["SeedTree", "get_logger", "format_table"]

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["SeedTree", "as_generator", "stable_hash"]
+__all__ = ["SeedTree", "stable_hash"]
 
 
 def stable_hash(*parts: object) -> int:
@@ -79,23 +79,3 @@ class SeedTree:
 
     def __hash__(self) -> int:
         return hash((self.root_seed, self.path))
-
-
-def as_generator(
-    seed_or_rng: int | np.random.Generator | SeedTree | None,
-) -> np.random.Generator:
-    """Coerce ``seed_or_rng`` into a ``numpy.random.Generator``.
-
-    Accepts an integer seed, an existing generator (returned unchanged), a
-    ``SeedTree`` (its root generator), or ``None`` (seed 0 — callers that want
-    nondeterminism must opt in explicitly; this library never does).
-    """
-    if seed_or_rng is None:
-        return np.random.default_rng(0)
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    if isinstance(seed_or_rng, SeedTree):
-        return seed_or_rng.generator()
-    if isinstance(seed_or_rng, (int, np.integer)):
-        return np.random.default_rng(int(seed_or_rng))
-    raise TypeError(f"cannot build a Generator from {type(seed_or_rng).__name__}")

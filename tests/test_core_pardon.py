@@ -1,5 +1,5 @@
-"""Tests for the PARDON method: style pipeline, contrastive step, strategy,
-and the Table-V ablation switches."""
+"""Tests for the PARDON method: style pipeline, strategy, and the Table-V
+ablation switches."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,10 @@ from repro.core import (
     cluster_styles_of_features,
     compute_client_style,
     extract_interpolation_style,
-    pardon_batch_step,
 )
 from repro.data import DomainStyle, render_images, synthetic_pacs, partition_clients
 from repro.fl import Client, LocalTrainingConfig
-from repro.nn import SGD, build_mlp_model
+from repro.nn import build_mlp_model
 from repro.style import InvertibleEncoder, StyleVector
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
@@ -191,59 +190,6 @@ class TestInterpolation:
         )
         clusters = cluster_client_styles(styles)
         assert 2 <= len(clusters) <= 4
-
-
-class TestBatchStep:
-    def test_step_reduces_composite_loss(self, rng):
-        model = build_mlp_model((3, 8, 8), num_classes=3, rng=rng)
-        optimizer = SGD(model.parameters(), lr=0.05)
-        images = rng.normal(size=(12, 3, 8, 8))
-        transferred = images + 0.1 * rng.normal(size=images.shape)
-        labels = rng.integers(0, 3, size=12)
-        config = PardonConfig()
-        first = pardon_batch_step(model, images, transferred, labels, config, optimizer)
-        for _ in range(20):
-            last = pardon_batch_step(
-                model, images, transferred, labels, config, optimizer
-            )
-        assert last.cross_entropy < first.cross_entropy
-
-    def test_empty_batch_is_noop(self, rng):
-        model = build_mlp_model((3, 8, 8), num_classes=3, rng=rng)
-        optimizer = SGD(model.parameters(), lr=0.05)
-        result = pardon_batch_step(
-            model,
-            np.zeros((0, 3, 8, 8)),
-            np.zeros((0, 3, 8, 8)),
-            np.zeros(0, dtype=int),
-            PardonConfig(),
-            optimizer,
-        )
-        assert result.total == 0.0
-
-    def test_shape_mismatch_rejected(self, rng):
-        model = build_mlp_model((3, 8, 8), num_classes=3, rng=rng)
-        optimizer = SGD(model.parameters(), lr=0.05)
-        with pytest.raises(ValueError):
-            pardon_batch_step(
-                model,
-                np.zeros((4, 3, 8, 8)),
-                np.zeros((3, 3, 8, 8)),
-                np.zeros(4, dtype=int),
-                PardonConfig(),
-                optimizer,
-            )
-
-    def test_v3_disables_triplet(self, rng):
-        model = build_mlp_model((3, 8, 8), num_classes=3, rng=rng)
-        optimizer = SGD(model.parameters(), lr=0.05)
-        images = rng.normal(size=(6, 3, 8, 8))
-        result = pardon_batch_step(
-            model, images, images.copy(), rng.integers(0, 3, size=6),
-            PardonConfig.v3(), optimizer,
-        )
-        assert result.triplet == 0.0
-        assert result.cross_entropy > 0.0
 
 
 def make_pardon_clients(n_clients=6, heterogeneity=0.2):

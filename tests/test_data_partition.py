@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import (
-    Batcher,
     lodo_splits,
     ltdo_splits,
     partition_clients,
@@ -134,33 +133,3 @@ class TestSplits:
             lodo_splits(1)
         with pytest.raises(ValueError):
             ltdo_splits(2)
-
-
-class TestBatcher:
-    def test_batches_cover_epoch(self, rng):
-        ds = SUITE.datasets[0]
-        batcher = Batcher(ds, batch_size=8, rng=rng)
-        seen = sum(len(labels) for _, labels in batcher.epoch())
-        assert seen == len(ds)
-
-    def test_drop_last(self, rng):
-        ds = SUITE.datasets[0].subset(np.arange(10))
-        batcher = Batcher(ds, batch_size=4, rng=rng, drop_last=True)
-        sizes = [len(labels) for _, labels in batcher.epoch()]
-        assert sizes == [4, 4]
-        assert len(batcher) == 2
-
-    def test_reshuffles_between_epochs(self, rng):
-        ds = SUITE.datasets[0]
-        batcher = Batcher(ds, batch_size=len(ds), rng=rng)
-        first = next(iter(batcher.epoch()))[1]
-        second = next(iter(batcher.epoch()))[1]
-        assert not np.array_equal(first, second)
-
-    def test_empty_dataset_yields_nothing(self, rng):
-        empty = SUITE.datasets[0].subset(np.array([], dtype=int))
-        assert list(Batcher(empty, 4, rng).epoch()) == []
-
-    def test_rejects_bad_batch_size(self, rng):
-        with pytest.raises(ValueError):
-            Batcher(SUITE.datasets[0], 0, rng)

@@ -36,6 +36,24 @@ class TestSplitExperiment:
         assert out.val_domains == ["cartoon"]
         assert out.test_domains == ["sketch"]
 
+    @pytest.mark.parametrize(
+        "split, role",
+        [
+            ({"train": [0, 2], "val": [2], "test": [3]}, "val"),
+            ({"train": [0, 3], "val": [2], "test": [3]}, "test"),
+        ],
+        ids=["val", "test"],
+    )
+    def test_held_out_domains_must_be_unseen(self, split, role):
+        """Every protocol reports unseen-domain accuracy, so a split that
+        scores a training domain is refused (LODO's val == test is not an
+        overlap: ``test_lodo_covers_every_domain`` runs it)."""
+        with pytest.raises(ValueError, match=f"{role} domain .* also a training"):
+            run_split_experiment(
+                SUITE, split,
+                FedAvgStrategy(LocalTrainingConfig(batch_size=8)), FAST,
+            )
+
     def test_same_setting_same_clients_across_methods(self):
         """Two methods see the identical partition — the fairness guarantee
         behind every table."""

@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 
 from repro.data import synthetic_pacs, partition_clients
 from repro.data.transforms import (
-    channel_jitter,
     compose,
-    cutout,
     gaussian_noise,
-    horizontal_flip,
     random_shift,
     standard_augmentation,
 )
@@ -72,32 +69,18 @@ class TestTransforms:
             np.sort(shifted.reshape(4, -1), axis=1),
         )
 
-    def test_flip_is_involution(self, rng):
-        images = self.batch(rng)
-        flip = horizontal_flip(probability=1.0)
-        np.testing.assert_array_equal(flip(flip(images, rng), rng), images)
-
     def test_noise_zero_std_is_identity(self, rng):
         images = self.batch(rng)
         np.testing.assert_array_equal(gaussian_noise(0.0)(images, rng), images)
 
-    def test_channel_jitter_bounded(self, rng):
-        images = np.ones((2, 3, 4, 4))
-        jittered = channel_jitter(0.1, 0.1)(images, rng)
-        assert np.all(jittered > 0.5) and np.all(jittered < 1.5)
-
-    def test_cutout_zeroes_patch(self, rng):
-        images = np.ones((2, 3, 8, 8))
-        cut = cutout(3)(images, rng)
-        assert (cut == 0).sum() == 2 * 3 * 9
-        with pytest.raises(ValueError):
-            cutout(8)(images, rng)
-
     def test_compose_order(self, rng):
         images = np.ones((1, 3, 8, 8))
-        pipeline = compose([gaussian_noise(0.0), cutout(2)])
-        out = pipeline(images, rng)
-        assert (out == 0).any()
+        pipeline = compose([
+            gaussian_noise(0.0),
+            lambda batch, _rng: batch * 2,
+            lambda batch, _rng: batch + 1,
+        ])
+        np.testing.assert_array_equal(pipeline(images, rng), 3 * images)
 
     def test_standard_augmentation_changes_images(self, rng):
         images = self.batch(rng)
@@ -111,9 +94,8 @@ class TestTransforms:
         """Every transform preserves the batch shape."""
         rng = np.random.default_rng(seed)
         images = rng.normal(size=(3, 3, 8, 8))
-        for transform in (random_shift(1), horizontal_flip(1.0),
-                          gaussian_noise(0.05), channel_jitter(),
-                          cutout(2), standard_augmentation()):
+        for transform in (random_shift(1), gaussian_noise(0.05),
+                          standard_augmentation()):
             assert transform(images, rng).shape == images.shape
 
     def test_rejects_non_batch(self, rng):

@@ -757,9 +757,7 @@ class TestByzantineRuns:
         kwargs = {"faults": faults, "aggregator": "median"}
         serial = run_once(SerialExecutor(faults=faults), rounds=3,
                           config_kwargs=kwargs)
-        pipe = make_executor(
-            "parallel", 2, faults=faults, transport="pipe"
-        )
+        pipe = make_executor(workers=2, faults=faults, transport="pipe")
         try:
             parallel = run_once(pipe, rounds=3, config_kwargs=kwargs)
         finally:
@@ -772,7 +770,7 @@ class TestByzantineRuns:
         kwargs = {"faults": faults, "aggregator": "krum"}
         serial = run_once(SerialExecutor(faults=faults), rounds=3,
                           config_kwargs=kwargs)
-        shm = make_executor("parallel", 2, faults=faults, transport="shm")
+        shm = make_executor(workers=2, faults=faults, transport="shm")
         try:
             parallel = run_once(shm, rounds=3, config_kwargs=kwargs)
         finally:
@@ -790,7 +788,7 @@ class TestByzantineRuns:
             config_kwargs=kwargs,
         )
         pipe = make_executor(
-            "parallel", 2, faults=faults, codec="fp16", transport="pipe"
+            workers=2, faults=faults, codec="fp16", transport="pipe"
         )
         try:
             parallel = run_once(pipe, rounds=2, config_kwargs=kwargs)

@@ -93,20 +93,11 @@ class TestClientUpdate:
 
 class TestMakeExecutor:
     def test_kinds(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        parallel = make_executor("parallel", workers=2)
+        assert isinstance(make_executor(), SerialExecutor)
+        parallel = make_executor(workers=2)
         assert isinstance(parallel, ParallelExecutor)
         assert parallel.num_workers == 2
         parallel.close()
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            make_executor("quantum")
-
-    def test_serial_with_workers_raises(self):
-        """A worker count with the serial engine is a forgotten 'parallel'."""
-        with pytest.raises(ValueError):
-            make_executor("serial", workers=8)
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
@@ -114,50 +105,27 @@ class TestMakeExecutor:
 
 
 class TestExecutorResolution:
-    """The engine kind is what the caller said: an explicit kind, else
-    parallel iff a worker count or a residency bound is given."""
-
-    _VALID_KINDS = (
-        r"unknown executor kind .*; expected one of \('serial', 'parallel'\)"
-    )
+    """The engine is what the caller said: parallel iff a worker count or
+    a residency bound is given, else serial."""
 
     @pytest.mark.parametrize(
-        "kind, workers, max_resident, expected",
+        "workers, max_resident, expected",
         [
-            pytest.param(None, None, None, SerialExecutor, id="unset"),
-            pytest.param("serial", None, None, SerialExecutor, id="serial"),
-            pytest.param("parallel", None, None, ParallelExecutor, id="parallel"),
-            pytest.param("parallel", 2, 8, ParallelExecutor, id="parallel-sized"),
-            pytest.param(None, 4, None, ParallelExecutor, id="workers-imply-parallel"),
-            pytest.param(
-                None, None, 8, ParallelExecutor, id="resident-implies-parallel"
-            ),
-            pytest.param(
-                "serial", 4, None, "workers only applies", id="serial-workers"
-            ),
-            pytest.param(
-                "serial", None, 8, "max_resident only applies", id="serial-resident"
-            ),
-            pytest.param("auto", None, None, _VALID_KINDS, id="auto"),
-            pytest.param("auto", 2, None, _VALID_KINDS, id="auto-workers"),
-            pytest.param("quantum", None, None, _VALID_KINDS, id="unknown"),
+            pytest.param(None, None, SerialExecutor, id="unset"),
+            pytest.param(2, 8, ParallelExecutor, id="parallel-sized"),
+            pytest.param(4, None, ParallelExecutor, id="workers-imply-parallel"),
+            pytest.param(None, 8, ParallelExecutor, id="resident-implies-parallel"),
         ],
     )
-    def test_resolution(self, kind, workers, max_resident, expected):
+    def test_resolution(self, workers, max_resident, expected):
         from repro.eval import ExperimentSetting
 
-        setting = ExperimentSetting(
-            executor=kind, workers=workers, max_resident=max_resident
-        )
+        setting = ExperimentSetting(workers=workers, max_resident=max_resident)
         builders = (
-            lambda: make_executor(kind, workers, max_resident=max_resident),
+            lambda: make_executor(workers, max_resident=max_resident),
             setting.make_executor,
         )
         for build in builders:
-            if isinstance(expected, str):
-                with pytest.raises(ValueError, match=expected):
-                    build()
-                continue
             with build() as engine:
                 assert type(engine) is expected
                 if expected is ParallelExecutor:

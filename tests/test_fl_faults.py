@@ -701,11 +701,9 @@ class TestConfigAndCLI:
         assert executor.deadline == 2.0
 
     def test_make_executor_threads_faults_for_both_kinds(self):
-        serial = make_executor("serial", faults="dropout=0.2", deadline=1.0)
+        serial = make_executor(faults="dropout=0.2", deadline=1.0)
         assert serial.fault_plan.dropout_rate == 0.2
-        parallel = make_executor(
-            "parallel", workers=2, faults="dropout=0.2", deadline=1.0
-        )
+        parallel = make_executor(workers=2, faults="dropout=0.2", deadline=1.0)
         try:
             assert parallel.fault_plan.dropout_rate == 0.2
             assert parallel.deadline == 1.0

@@ -244,30 +244,17 @@ class TestHandshake:
         )
 
     def test_version_mismatch_rejected(self):
-        reason = evaluate_hello(
-            {"version": 0}, codec_spec="identity", compute_spec="loop"
-        )
+        reason = evaluate_hello({"version": 0}, codec_spec="identity")
         assert reason is not None and "version" in reason
 
     def test_codec_pin_mismatch_rejected(self):
         meta = hello_meta(codec="fp16")
-        reason = evaluate_hello(
-            meta, codec_spec="identity", compute_spec="loop"
-        )
+        reason = evaluate_hello(meta, codec_spec="identity")
         assert reason is not None and "codec" in reason
 
-    def test_compute_pin_mismatch_rejected(self):
-        meta = hello_meta(compute="loop")
-        reason = evaluate_hello(
-            meta, codec_spec="identity", compute_spec="ensemble"
-        )
-        assert reason is not None and "compute" in reason
-
     def test_matching_pins_accepted(self):
-        meta = hello_meta(name="a", codec="delta", compute="loop")
-        assert evaluate_hello(
-            meta, codec_spec="delta", compute_spec="loop"
-        ) is None
+        meta = hello_meta(name="a", codec="delta")
+        assert evaluate_hello(meta, codec_spec="delta") is None
 
     def test_live_rejections_then_good_agent_joins(self):
         """A rejected agent (pin mismatch or wrong protocol version) must
@@ -384,7 +371,7 @@ class TestRegistry:
 
     def test_make_executor_error_enumerates_specs(self):
         with pytest.raises(ValueError, match=r"tcp\[:host:port\]"):
-            make_executor("parallel", workers=2, transport="avian")
+            make_executor(workers=2, transport="avian")
 
     def test_auto_degrade_logs_reason_once(self):
         import repro.fl.transport as transport_module
@@ -730,12 +717,58 @@ class TestTraceDict:
 
 
 class TestServeDaemon:
-    def test_check_serial_clears_the_in_host_engine_knobs(
+    _SPLIT = [
+        "--train-domains", "photo", "art_painting",
+        "--val-domain", "cartoon", "--test-domain", "sketch",
+    ]
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--workers", "2"], ["--transport", "pipe"], ["--max-resident", "8"],
+         ["--timing"]],
+        ids=["workers", "transport", "max-resident", "timing"],
+    )
+    def test_in_host_flags_are_usage_errors(self, flag, capsys):
+        """The daemon *is* the engine: a flag that sizes, wires or reports
+        on an in-host run is refused, not accepted and ignored."""
+        from repro.fl.net import serve
+
+        with pytest.raises(SystemExit) as exit_info:
+            serve.main(
+                ["--suite", "pacs", "--method", "fedavg", *self._SPLIT, *flag]
+            )
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "split, message",
+        [
+            pytest.param(
+                ["--train-domains", "photo", "cartoon",
+                 "--val-domain", "cartoon", "--test-domain", "sketch"],
+                "val domain 'cartoon' is also a training domain",
+                id="trains-on-its-validation-domain",
+            ),
+            pytest.param(
+                ["--train-domains", "photo",
+                 "--val-domain", "cartoon", "--test-domain", "etching"],
+                "unknown domain 'etching'",
+                id="unknown-domain",
+            ),
+        ],
+    )
+    def test_bad_split_is_a_usage_error(self, split, message, capsys):
+        from repro.fl.net import serve
+
+        with pytest.raises(SystemExit) as exit_info:
+            serve.main(["--suite", "pacs", "--method", "fedavg", *split])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "art_painting" in err
+
+    def test_check_serial_replays_on_the_serial_engine(
         self, tmp_path, monkeypatch, capsys
     ):
-        """Regression: ``--workers`` / ``--max-resident`` are accepted for
-        flag parity with ``repro run``, so the ``--check-serial`` replay
-        must clear both — the serial engine rejects either."""
         from repro import cli
         from repro.fl.net import serve
 
@@ -762,10 +795,8 @@ class TestServeDaemon:
             code = serve.main([
                 "--suite", "pacs", "--method", "fedavg", "--clients", "4",
                 "--participation", "2", "--rounds", "2", "--agents", "2",
-                "--train-domains", "photo", "art_painting",
-                "--val-domain", "cartoon", "--test-domain", "sketch",
+                *self._SPLIT,
                 "--port-file", str(port_file), "--check-serial",
-                "--workers", "2", "--max-resident", "8",
             ])
         finally:
             gave_up.set()

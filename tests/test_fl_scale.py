@@ -66,7 +66,7 @@ def _model(rng_seed=0, hidden_dim=64):
 
 
 def _run(clients, executor, rounds=3, *, topology="flat", codec="identity",
-         clients_per_round=4, transport="auto"):
+         clients_per_round=4):
     server = FederatedServer(
         strategy=FedAvgStrategy(FAST),
         clients=clients,
@@ -74,7 +74,7 @@ def _run(clients, executor, rounds=3, *, topology="flat", codec="identity",
         eval_sets={"test": SUITE.datasets[2]},
         config=FederatedConfig(
             num_rounds=rounds, clients_per_round=clients_per_round, seed=0,
-            codec=codec, transport=transport, topology=topology,
+            codec=codec, topology=topology,
         ),
         executor=executor,
     )
@@ -559,8 +559,6 @@ class TestMaxResidentLRU:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_resident"):
             ParallelExecutor(num_workers=2, max_resident=0)
-        with pytest.raises(ValueError, match="max_resident"):
-            make_executor("serial", max_resident=4)
         engine = make_executor(max_resident=8)
         try:
             assert isinstance(engine, ParallelExecutor)

@@ -1,5 +1,5 @@
-"""Tests for secure aggregation, communication accounting, checkpointing,
-MixStyle, and the CLI."""
+"""Tests for secure aggregation, communication accounting, MixStyle, and
+the CLI."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.fl import Client, FederatedConfig, FederatedServer, LocalTrainingConf
 from repro.fl.communication import method_communication
 from repro.fl.secure import SecureAggregator, masked_upload
 from repro.nn import build_mlp_model
-from repro.nn.checkpoint import load_model_into, load_state, save_model, save_state
 from repro.nn.serialize import state_allclose
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
@@ -132,30 +131,6 @@ class TestCommunication:
             method_communication("nope", self.model(rng))
 
 
-class TestCheckpoint:
-    def test_state_round_trip(self, rng, tmp_path):
-        state = make_states(rng, 1)[0]
-        path = save_state(state, tmp_path / "ckpt")
-        assert path.suffix == ".npz"
-        restored = load_state(path)
-        assert state_allclose(state, restored)
-
-    def test_model_round_trip(self, rng, tmp_path):
-        model = build_mlp_model((3, 8, 8), num_classes=3, rng=rng)
-        path = save_model(model, tmp_path / "model.npz")
-        fresh = build_mlp_model((3, 8, 8), num_classes=3,
-                                rng=np.random.default_rng(99))
-        load_model_into(fresh, path)
-        x = rng.normal(size=(2, 3, 8, 8))
-        np.testing.assert_allclose(model.forward(x), fresh.forward(x))
-
-    def test_rejects_foreign_npz(self, rng, tmp_path):
-        path = tmp_path / "foreign.npz"
-        np.savez(path, a=np.zeros(3))
-        with pytest.raises(ValueError):
-            load_state(path)
-
-
 class TestMixStyle:
     def test_runs_federated(self):
         partition = partition_clients(
@@ -220,6 +195,67 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "test acc" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["--train-domains", "photo", "cartoon", "--val-domain", "cartoon"],
+                "val domain 'cartoon' is also a training domain",
+                id="trains-on-its-validation-domain",
+            ),
+            pytest.param(
+                ["--train-domains", "photo", "--val-domain", "etching"],
+                "unknown domain 'etching'",
+                id="unknown-domain",
+            ),
+            pytest.param(
+                ["--train-domains", "photo", "--val-domain", "cartoon",
+                 "--rounds", "0"],
+                "--rounds: must be >= 1",
+                id="rounds-0",
+            ),
+            pytest.param(
+                ["--train-domains", "photo", "--val-domain", "cartoon",
+                 "--heterogeneity", "7"],
+                "--heterogeneity: must be in [0, 1]",
+                id="heterogeneity-7",
+            ),
+        ],
+    )
+    def test_bad_experiment_is_a_usage_error(self, argv, message, capsys):
+        """A split that scores a training domain, an unknown domain name
+        and out-of-range knobs exit 2 with one line, not a traceback (or,
+        worse, a run)."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--suite", "pacs", "--method", "fedavg",
+                  "--test-domain", "sketch", *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        if "domain" in message:
+            assert "art_painting" in err  # names the suite's domains
+
+    def test_workers_flag_selects_the_pool(self, capsys, monkeypatch):
+        from repro import cli
+
+        monkeypatch.setitem(
+            cli.SUITES, "pacs",
+            lambda seed: synthetic_pacs(seed=seed, samples_per_class=4,
+                                        image_size=8),
+        )
+        argv = [
+            "run", "--suite", "pacs", "--method", "fedavg",
+            "--train-domains", "photo", "art_painting",
+            "--val-domain", "cartoon", "--test-domain", "sketch",
+            "--rounds", "2", "--clients", "4", "--participation", "2",
+        ]
+        assert cli.main(argv) == 0
+        serial = capsys.readouterr().out
+        assert cli.main([*argv, "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
 
     def test_unknown_method_rejected(self):
         from repro.cli import main

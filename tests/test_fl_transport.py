@@ -146,14 +146,14 @@ class TestRegistry:
 
     def test_make_executor_validates_transport_for_every_kind(self):
         with pytest.raises(ValueError):
-            make_executor("serial", transport="bogus")
+            make_executor(transport="bogus")
         with pytest.raises(ValueError):
-            make_executor("parallel", workers=2, transport="bogus")
+            make_executor(workers=2, transport="bogus")
 
     def test_serial_accepts_and_ignores_transport(self):
         """A setting carries one transport spec whichever engine it builds;
         the in-process engine has no wire, so the spec must not explode."""
-        executor = make_executor("serial", transport="shm")
+        executor = make_executor(transport="shm")
         assert isinstance(executor, SerialExecutor)
         assert executor.transport is None
 
@@ -167,8 +167,7 @@ class TestValidationDoesNotProbe:
             raise AssertionError("a serial run probed shared memory")
 
         monkeypatch.setattr("repro.fl.transport.shm_supported", probed)
-        assert FederatedConfig().transport == "auto"
-        assert make_executor("serial", transport="auto").transport is None
+        assert make_executor(transport="auto").transport is None
         result = run_once(None, rounds=2)
         assert len(result.history.records) == 2
 
@@ -224,8 +223,7 @@ class TestValidationDoesNotProbe:
     def test_malformed_specs_still_fail_at_config_time(self, spec, message):
         for validate in (
             validate_transport,
-            lambda value: FederatedConfig(transport=value),
-            lambda value: make_executor("serial", transport=value),
+            lambda value: make_executor(transport=value),
         ):
             with pytest.raises(ValueError, match=message):
                 validate(spec)
@@ -519,7 +517,3 @@ class TestCLIKnob:
         assert setting.transport == "pipe"
         executor = setting.make_executor()
         assert isinstance(executor, SerialExecutor)  # tiny fan-out -> serial
-
-    def test_config_rejects_unknown_transport(self):
-        with pytest.raises(ValueError):
-            FederatedConfig(transport="avian")

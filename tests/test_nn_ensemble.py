@@ -32,11 +32,9 @@ from repro.fl import (
     SerialExecutor,
     compute_specs,
     make_compute,
-    register_compute,
     resolve_compute,
     shm_supported,
 )
-from repro.fl.compute import ComputeBackend, _BACKENDS
 from repro.fl.strategy import Strategy
 from repro.nn import (
     AvgPool2d,
@@ -526,17 +524,6 @@ class TestRegistry:
         assert resolve_compute("auto", supported) == "ensemble"
         assert resolve_compute("auto", _dropout_model()) == "loop"
         assert resolve_compute("loop", supported) == "loop"
-
-    def test_register_custom_backend(self):
-        class _Probe(ComputeBackend):
-            name = "probe"
-
-        register_compute("probe", _Probe)
-        try:
-            assert "probe" in compute_specs()
-            assert isinstance(make_compute("probe"), _Probe)
-        finally:
-            _BACKENDS.pop("probe")
 
     def test_dropout_model_is_unsupported(self):
         model = _dropout_model()

@@ -14,7 +14,6 @@ from repro.nn.serialize import (
     flatten_state,
     state_add,
     state_allclose,
-    state_scale,
     state_sub,
     unflatten_state,
     zeros_like_state,
@@ -73,12 +72,6 @@ class TestStateArithmetic:
         delta = state_sub(s1, s2)
         back = state_add(s2, delta)
         assert state_allclose(back, s1)
-
-    def test_scale(self, rng):
-        s = make_state(rng)
-        doubled = state_scale(s, 2.0)
-        for key in s:
-            np.testing.assert_allclose(doubled[key], 2 * s[key])
 
     def test_zeros_like(self, rng):
         zeros = zeros_like_state(make_state(rng))
