@@ -52,7 +52,7 @@ from repro.eval import (
 from repro.fl.aggregate import aggregator_specs, make_aggregator
 from repro.fl.codec import codec_specs, make_codec
 from repro.fl.faults import make_deadline_policy, make_fault_plan
-from repro.fl.server import parse_topology
+from repro.fl.sampling import UniformClientSampler
 from repro.fl.transport import make_transport, transport_usage
 from repro.fl.strategy import Strategy
 from repro.nn.objective import parse_objective_overrides
@@ -82,7 +82,19 @@ SUITES = {
 }
 
 
-def _setting_from_args(args: argparse.Namespace) -> ExperimentSetting:
+def _setting_from_args(args: argparse.Namespace, usage_error) -> ExperimentSetting:
+    """The experiment the flags name; a quorum no round could reach is a
+    usage error."""
+    if args.quorum is not None:
+        round_size = UniformClientSampler(args.participation).round_size(
+            args.clients
+        )
+        if args.quorum > round_size:
+            usage_error(
+                f"--quorum {args.quorum} exceeds the {round_size} client(s) "
+                f"a round samples (--clients {args.clients} --participation "
+                f"{args.participation}); no round could ever close"
+            )
     # `serve` brings its own engine and has no in-host flags.
     engine = {
         name: getattr(args, name)
@@ -102,7 +114,6 @@ def _setting_from_args(args: argparse.Namespace) -> ExperimentSetting:
         deadline=args.deadline,
         aggregator=args.aggregator,
         quorum=args.quorum,
-        topology=args.topology,
         **engine,
     )
 
@@ -229,25 +240,18 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
         "arrived and stragglers are absorbed into the next round",
     )
     parser.add_argument(
-        "--aggregator", type=_spec(make_aggregator), default="mean",
+        "--aggregator", type=_spec(make_aggregator), default=None,
         help="server-side aggregation rule: one of "
         f"{', '.join(aggregator_specs())}, optionally prefixed "
-        "'clip(tau)+' (e.g. 'clip(5)+krum'); 'mean' (default) is the "
-        "historical weighted FedAvg, the others are Byzantine-robust "
-        "(see repro.fl.aggregate)",
+        "'clip(tau)+' (e.g. 'clip(5)+krum'); the default keeps the "
+        "method's own rule ('mean', the historical weighted FedAvg); the "
+        "others are Byzantine-robust (see repro.fl.aggregate)",
     )
     parser.add_argument(
         "--quorum", type=_positive_int, default=None,
         help="close each round as soon as this many uploads arrived; "
         "remaining participants are dropped as 'quorum' and the accepted "
         "set is recorded for exact replay",
-    )
-    parser.add_argument(
-        "--topology", type=_spec(parse_topology), default="flat",
-        help="aggregation topology: 'flat' (default) reduces every upload "
-        "at the root, 'edge:G' fans the round over G edge aggregators "
-        "whose partial sums the root composes — bit-identical to flat, "
-        "and requires a streaming-capable rule (mean, clip(tau)+mean)",
     )
 
 
@@ -365,11 +369,10 @@ def _print_timing(rows: list[list[str]]) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    setting = _setting_from_args(args, args.usage_error)
     suite = SUITES[args.suite](args.seed)
     split = _split_from_args(suite, args, args.usage_error)
-    outcome = run_split_experiment(
-        suite, split, METHODS[args.method](), _setting_from_args(args)
-    )
+    outcome = run_split_experiment(suite, split, METHODS[args.method](), setting)
     print(
         format_table(
             ["method", "train domains", "val acc", "test acc"],
@@ -387,10 +390,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_lodo(args: argparse.Namespace) -> int:
+    setting = _setting_from_args(args, args.usage_error)
     suite = SUITES[args.suite](args.seed)
-    outcomes = run_lodo_protocol(
-        suite, METHODS[args.method], _setting_from_args(args)
-    )
+    outcomes = run_lodo_protocol(suite, METHODS[args.method], setting)
     cells = [outcomes[d].test_accuracy for d in suite.domain_names]
     print(
         format_table(
@@ -433,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     lodo_parser = sub.add_parser("lodo", help="leave-one-domain-out protocol")
     _add_experiment_flags(lodo_parser)
     _add_in_host_flags(lodo_parser)
-    lodo_parser.set_defaults(func=_cmd_lodo)
+    lodo_parser.set_defaults(func=_cmd_lodo, usage_error=lodo_parser.error)
 
     list_parser = sub.add_parser("list", help="list suites and methods")
     list_parser.set_defaults(func=_cmd_list)

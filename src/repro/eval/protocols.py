@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.data.partition import lodo_splits, ltdo_splits, partition_clients
 from repro.data.synthetic import DomainSuite, LabeledDataset
+from repro.fl.aggregate import make_aggregator
 from repro.fl.client import Client
 from repro.fl.executor import Executor, make_executor
 from repro.fl.server import FederatedConfig, FederatedResult, FederatedServer
@@ -51,18 +52,17 @@ class ExperimentSetting:
     prefers the single-copy shm broadcast where supported).  ``faults`` (a
     :mod:`repro.fl.faults` spec string), ``deadline`` (per-round wall-clock
     budget — seconds or an adaptive ``"percentile:p95"`` spec), and
-    ``quorum`` (close a round after that many uploads) configure the
-    fault-tolerance layer the same way.  ``aggregator`` names the
-    Byzantine-robust aggregation rule (:mod:`repro.fl.aggregate`); the
-    default ``"mean"`` is the historical weighted FedAvg.
-    ``topology`` selects the aggregation tree (``"flat"`` or
-    ``"edge:G"`` — G edge aggregators reduce the round with the streaming
-    mean, bit-identical to flat), and ``max_resident`` bounds the
-    parallel engine's resident-client LRU — the scaling knobs for large
-    lazy populations.  ``objective`` reweights the strategy's composite
-    training objective per experiment (a ``"term=weight,..."`` spec over
-    the terms the method's objective declares — see
-    :mod:`repro.nn.objective`); ``None`` keeps the method's defaults.
+    ``quorum`` (close a round after that many uploads) say how a round
+    closes and reach the engine only.  ``aggregator`` names the
+    aggregation rule (:mod:`repro.fl.aggregate`) installed on the
+    strategy; ``None`` keeps the rule the strategy arrives with (the
+    historical weighted FedAvg unless the caller set another).
+    ``max_resident`` bounds the parallel engine's resident-client LRU —
+    the scaling knob for large lazy populations.  ``objective`` reweights
+    the strategy's composite training objective per experiment (a
+    ``"term=weight,..."`` spec over the terms the method's objective
+    declares — see :mod:`repro.nn.objective`); ``None`` keeps the method's
+    defaults.
     """
 
     num_clients: int = 20
@@ -78,9 +78,8 @@ class ExperimentSetting:
     transport: str = "auto"
     faults: str | None = None
     deadline: float | str | None = None
-    aggregator: str = "mean"
+    aggregator: str | None = None
     quorum: int | None = None
-    topology: str = "flat"
     max_resident: int | None = None
     objective: str | None = None
 
@@ -167,11 +166,17 @@ def run_split_experiment(
 
     ``executor`` lets protocol sweeps share one engine (and its warm worker
     pool) across splits; when omitted, one is built from ``setting`` and
-    closed before returning.
+    closed before returning.  A caller-supplied engine *is* the engine:
+    the setting's ``workers`` / ``transport`` / ``max_resident`` /
+    ``faults`` / ``deadline`` / ``quorum`` describe the engine
+    :meth:`ExperimentSetting.make_executor` builds and are not compared
+    with one built elsewhere (``codec`` is, by the server).
     """
     check_split(suite, split)
     clients = make_clients(suite, split["train"], setting, seed_label=tuple(split["train"]))
     strategy.apply_objective_overrides(setting.objective)
+    if setting.aggregator is not None:
+        strategy.aggregator = make_aggregator(setting.aggregator)
     tree = SeedTree(setting.seed).child(suite.name, "model")
     model = setting.model_factory(suite)(tree.generator("init"))
     eval_sets = {
@@ -191,11 +196,6 @@ def run_split_experiment(
             eval_every=setting.eval_every,
             seed=setting.seed,
             codec=setting.codec,
-            faults=setting.faults,
-            deadline=setting.deadline,
-            aggregator=setting.aggregator,
-            quorum=setting.quorum,
-            topology=setting.topology,
         ),
         executor=executor,
     )

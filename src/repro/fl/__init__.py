@@ -8,7 +8,6 @@ methods plug in through :class:`repro.fl.Strategy`.
 from repro.fl.aggregate import (
     AggregationStream,
     Aggregator,
-    EdgeAggregator,
     KrumAggregator,
     MeanAggregator,
     MedianAggregator,
@@ -65,7 +64,6 @@ from repro.fl.server import (
     FederatedConfig,
     FederatedResult,
     FederatedServer,
-    parse_topology,
 )
 from repro.fl.strategy import LocalTrainingConfig, Strategy
 from repro.fl.timing import PhaseTimer, TimingReport
@@ -83,7 +81,6 @@ from repro.fl.transport import (
 __all__ = [
     "AggregationStream",
     "Aggregator",
-    "EdgeAggregator",
     "KrumAggregator",
     "MeanAggregator",
     "MedianAggregator",
@@ -136,7 +133,6 @@ __all__ = [
     "FederatedConfig",
     "FederatedResult",
     "FederatedServer",
-    "parse_topology",
     "LocalTrainingConfig",
     "Strategy",
     "PhaseTimer",

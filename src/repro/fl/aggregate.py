@@ -38,26 +38,19 @@ Rules
     upload's *update* (its delta from the broadcast state) to L2 norm
     ``tau`` before handing the uploads to the wrapped rule.  Bounds any
     single upload's pull even under ``mean``.
-``edge(G)+<rule>``
-    Two-tier hierarchical topology (``--topology edge:G``): ``G`` edge
-    aggregators each reduce their group of uploads with the wrapped
-    rule's *streaming* form, and the root composes the partial
-    (sum, weight) pairs.  Weighted means compose exactly across tiers,
-    so the result is bit-identical to the flat rule; the wrapped rule
-    must be streaming-capable (``mean``, optionally behind ``clip``).
 
 Streaming
 ---------
 Rules that are online-reducible set :attr:`Aggregator.streaming` and
 implement :meth:`Aggregator.begin_stream`, which returns an
 :class:`AggregationStream`: the engine folds each upload in as it
-arrives (``fold(state, weight, position)``) and frees it, and the server
+arrives (``fold(state, weight)``) and frees it, and the server
 finalizes — constant memory in the number of participants, and
 aggregation work overlapped with upload collection.  ``mean`` (and
-``clip(tau)+mean``, and ``edge(G)+...``) stream; ``median`` /
-``trimmed_mean`` / ``krum`` are order statistics over the full upload
-set and explicitly declare themselves non-streaming — they fall back to
-the batch path that materializes the survivor list.
+``clip(tau)+mean``) stream; ``median`` / ``trimmed_mean`` / ``krum`` are
+order statistics over the full upload set and explicitly declare
+themselves non-streaming — they fall back to the batch path that
+materializes the survivor list.
 
 Determinism contract
 --------------------
@@ -65,12 +58,11 @@ Aggregation sits on the determinism-critical path (the cross-engine trace
 tests compare it bit-for-bit), so every rule is a pure function of the
 upload *multiset* — no RNG, no wall clock.  ``mean`` is defined as the
 compensated (double-double) weighted reduction of
-:class:`repro.nn.serialize.MeanAccumulator`, which is fold-order- and
-grouping-invariant to ~106 bits: batch, streaming-in-arrival-order, and
-two-tier ``edge`` reductions all produce the same float64 bits, which is
-what lets the parallel engine fold uploads in nondeterministic arrival
-order without breaking trace identity.  The hypothesis tests pin the
-permutation/grouping invariance down.
+:class:`repro.nn.serialize.MeanAccumulator`, which is fold-order-invariant
+to ~106 bits: batch and streaming-in-arrival-order reductions produce the
+same float64 bits, which is what lets the parallel engine fold uploads in
+nondeterministic arrival order without breaking trace identity.  The
+hypothesis tests pin the permutation invariance down.
 
 Selection rules publish which uploads they excluded in
 :attr:`Aggregator.last_rejected` (indices into the round's update list);
@@ -93,7 +85,6 @@ from repro.nn.serialize import (
 )
 
 __all__ = [
-    "AGGREGATOR_KINDS",
     "AggregationStream",
     "Aggregator",
     "MeanAggregator",
@@ -101,16 +92,10 @@ __all__ = [
     "TrimmedMeanAggregator",
     "KrumAggregator",
     "ClipAggregator",
-    "EdgeAggregator",
     "aggregator_specs",
     "make_aggregator",
     "register_aggregator",
 ]
-
-#: Registered base rules (the ``clip(tau)+`` prefix composes with any;
-#: ``edge(G)+`` composes with streaming-capable ones).
-AGGREGATOR_KINDS = ("mean", "median", "trimmed_mean", "krum", "multi-krum")
-
 
 class AggregationStream:
     """One in-flight streaming reduction.
@@ -118,16 +103,14 @@ class AggregationStream:
     Created by :meth:`Aggregator.begin_stream`; the execution engine calls
     :meth:`fold` once per accepted upload — *in arrival order*, then frees
     the upload's state — and the server calls :meth:`finalize` once.
-    ``position`` is the upload's stable index in the round's sampling
-    order (what routes it to an edge group); arrival order itself carries
-    no meaning, by the order-invariance contract of the underlying
-    compensated reduction.
+    Arrival order carries no meaning, by the order-invariance contract of
+    the underlying compensated reduction.
     """
 
     #: Number of uploads folded in so far.
     count = 0
 
-    def fold(self, state: StateDict, weight: float, position: int = 0) -> None:
+    def fold(self, state: StateDict, weight: float) -> None:
         raise NotImplementedError
 
     def finalize(self) -> StateDict:
@@ -155,7 +138,7 @@ class _MeanStream(AggregationStream):
     def count(self) -> int:  # type: ignore[override]
         return self.partial.count
 
-    def fold(self, state: StateDict, weight: float, position: int = 0) -> None:
+    def fold(self, state: StateDict, weight: float) -> None:
         if self.uniform is not None:
             if weight > 0:
                 self.uniform = None
@@ -184,59 +167,16 @@ class _ClipStream(AggregationStream):
     def count(self) -> int:  # type: ignore[override]
         return self._inner.count
 
-    @property
-    def partial(self) -> MeanAccumulator:
-        return self._inner.partial  # type: ignore[attr-defined]
-
-    @property
-    def uniform(self) -> MeanAccumulator | None:
-        return self._inner.uniform  # type: ignore[attr-defined]
-
-    def fold(self, state: StateDict, weight: float, position: int = 0) -> None:
+    def fold(self, state: StateDict, weight: float) -> None:
         shrunk, was_clipped = self._aggregator.clip_one(state, self._ref)
         self._clipped += was_clipped
-        self._inner.fold(shrunk, weight, position)
+        self._inner.fold(shrunk, weight)
 
     def finalize(self) -> StateDict:
         result = self._inner.finalize()
         self._aggregator.last_clipped = self._clipped
         self._aggregator.last_rejected = ()
         return result
-
-
-class _EdgeStream(AggregationStream):
-    """Streaming form of ``edge(G)+<inner>``: ``G`` independent inner
-    streams (one per edge aggregator), composed exactly at the root."""
-
-    def __init__(self, aggregator: "EdgeAggregator", ref: StateDict | None) -> None:
-        self._aggregator = aggregator
-        self._groups = [
-            aggregator.inner.begin_stream(ref) for _ in range(aggregator.groups)
-        ]
-
-    @property
-    def count(self) -> int:  # type: ignore[override]
-        return sum(stream.count for stream in self._groups)
-
-    def fold(self, state: StateDict, weight: float, position: int = 0) -> None:
-        self._groups[position % len(self._groups)].fold(state, weight, position)
-
-    def finalize(self) -> StateDict:
-        active = [stream for stream in self._groups if stream.count]
-        clipped = sum(getattr(stream, "_clipped", 0) for stream in active)
-        total = sum(stream.partial.total_weight() for stream in active)
-        root = MeanAccumulator()
-        if active and total <= 0:
-            # Every folded weight was zero: compose the groups' uniform
-            # shadows so two-tier matches the flat uniform fallback.
-            for stream in active:
-                root.merge(stream.uniform)
-        else:
-            for stream in active:
-                root.merge(stream.partial)
-        self._aggregator.last_clipped = clipped
-        self._aggregator.last_rejected = ()
-        return root.finalize()
 
 
 class Aggregator:
@@ -551,61 +491,6 @@ class ClipAggregator(Aggregator):
         return result
 
 
-class EdgeAggregator(Aggregator):
-    """Two-tier hierarchical topology (``edge(G)+<rule>``,
-    ``--topology edge:G``).
-
-    ``G`` edge aggregators each reduce their group of uploads (group =
-    sampling position mod ``G``) with the wrapped rule's streaming form;
-    the root composes the groups' partial (compensated sum, weight)
-    pairs and divides once.  Weighted means compose exactly across
-    tiers, so the result is bit-identical to the flat rule — trace
-    tests pin this across engines and transports.  The wrapped rule
-    must be streaming-capable; order statistics have no exact
-    hierarchical decomposition and are rejected at construction.
-    """
-
-    def __init__(self, groups: int, inner: Aggregator) -> None:
-        super().__init__()
-        if groups < 1:
-            raise ValueError(f"edge group count must be >= 1, got {groups}")
-        if not inner.streaming:
-            raise ValueError(
-                f"edge topology requires a streaming-capable rule; "
-                f"{inner.spec!r} is an order statistic and cannot be "
-                f"reduced hierarchically without changing its result"
-            )
-        self.groups = int(groups)
-        self.inner = inner
-        self.robust = inner.robust
-
-    name = "edge"
-    streaming = True
-
-    @property
-    def spec(self) -> str:
-        return f"edge({self.groups})+{self.inner.spec}"
-
-    def reduce_vectors(self, matrix: np.ndarray) -> np.ndarray:
-        return self.inner.reduce_vectors(matrix)
-
-    def begin_stream(self, ref: StateDict | None = None) -> AggregationStream:
-        return _EdgeStream(self, ref)
-
-    def aggregate(
-        self,
-        states: Sequence[StateDict],
-        weights: Sequence[float],
-        ref: StateDict | None = None,
-    ) -> StateDict:
-        if not states:
-            raise ValueError("need at least one state to aggregate")
-        stream = self.begin_stream(ref)
-        for position, (state, weight) in enumerate(zip(states, weights)):
-            stream.fold(state, weight, position)
-        return stream.finalize()
-
-
 # -- registry -----------------------------------------------------------------
 
 _AggregatorFactory = Callable[..., Aggregator]
@@ -646,8 +531,7 @@ def make_aggregator(spec: "str | Aggregator | None") -> Aggregator:
     ``None`` means the default (``mean``); already-built aggregators pass
     through unchanged — the same convention as
     :func:`repro.fl.codec.make_codec`.  Specs compose with ``+`` where the
-    left side is a ``clip(tau)`` or ``edge(G)`` prefix:
-    ``clip(2.5)+median``, ``edge(4)+mean``, ``edge(4)+clip(2.5)+mean``.
+    left side is a ``clip(tau)`` prefix: ``clip(2.5)+median``.
     """
     if spec is None:
         return MeanAggregator()
@@ -672,37 +556,23 @@ def make_aggregator(spec: "str | Aggregator | None") -> Aggregator:
         ) from exc
     for part in reversed(parts[:-1]):
         prefix, prefix_args = _build_one(part, spec)
-        if prefix == "clip":
-            if len(prefix_args) != 1:
-                raise ValueError(
-                    f"clip takes exactly one argument (tau), got {part!r} in "
-                    f"{spec!r}"
-                )
-            try:
-                tau = float(prefix_args[0])
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad clip tau {prefix_args[0]!r} in {spec!r}"
-                ) from exc
-            aggregator = ClipAggregator(tau, aggregator)
-        elif prefix == "edge":
-            if len(prefix_args) != 1:
-                raise ValueError(
-                    f"edge takes exactly one argument (the group count), "
-                    f"got {part!r} in {spec!r}"
-                )
-            try:
-                groups = int(prefix_args[0])
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad edge group count {prefix_args[0]!r} in {spec!r}"
-                ) from exc
-            aggregator = EdgeAggregator(groups, aggregator)
-        else:
+        if prefix != "clip":
             raise ValueError(
-                f"only 'clip(tau)' or 'edge(G)' may prefix an aggregator, "
+                f"only 'clip(tau)' may prefix an aggregator, "
                 f"got {part!r} in {spec!r}"
             )
+        if len(prefix_args) != 1:
+            raise ValueError(
+                f"clip takes exactly one argument (tau), got {part!r} in "
+                f"{spec!r}"
+            )
+        try:
+            tau = float(prefix_args[0])
+        except ValueError as exc:
+            raise ValueError(
+                f"bad clip tau {prefix_args[0]!r} in {spec!r}"
+            ) from exc
+        aggregator = ClipAggregator(tau, aggregator)
     return aggregator
 
 

@@ -102,11 +102,6 @@ class ScratchSpace(MutableMapping):
         """Keys written since the last sync point (insertion order)."""
         return tuple(self._dirty)
 
-    @property
-    def removed_keys(self) -> tuple[Any, ...]:
-        """Keys deleted since the last sync point (insertion order)."""
-        return tuple(self._removed)
-
     def mark_clean(self) -> None:
         """Declare the current contents synchronized (e.g. after shipping
         the whole space to a worker at registration)."""

@@ -75,8 +75,8 @@ Fault kinds
 Drop reasons
 ------------
 ``RoundRecord.dropped`` maps every selected-but-unaggregated client to a
-typed reason from :data:`DROP_REASONS`: ``dropout``, ``straggler``,
-``deadline``, ``corrupt``, ``crash``, and ``quorum`` as described above,
+typed reason: ``dropout``, ``straggler``, ``deadline``, ``corrupt``,
+``crash``, and ``quorum`` as described above,
 plus ``disconnect`` — a *remote* failure mode with no in-host analogue:
 the cross-machine engine (:class:`repro.fl.net.executor.RemoteExecutor`)
 drops a client with reason ``"disconnect"`` when the agent hosting it
@@ -107,8 +107,7 @@ round early, the deadline bounds it).
 
 Spec strings
 ------------
-``--faults`` on the CLI (and ``FederatedConfig.faults``) accepts a
-compact comma-separated spec, e.g.::
+``--faults`` on the CLI accepts a compact comma-separated spec, e.g.::
 
     dropout=0.1,straggler=0.25:0.05,corrupt=0.05,crash=1+4,seed=7
     byzantine=0.2:scale,screen=4,seed=7
@@ -130,7 +129,6 @@ from repro.utils.rng import stable_hash
 
 __all__ = [
     "BYZANTINE_MODES",
-    "DROP_REASONS",
     "FAULT_KINDS",
     "AdaptiveDeadline",
     "FaultEvent",
@@ -150,18 +148,6 @@ __all__ = [
 
 #: Injectable fault kinds (see the module docstring for semantics).
 FAULT_KINDS = ("dropout", "straggler", "hang", "corrupt", "crash", "byzantine")
-
-#: Typed reasons engines put in ``RoundRecord.dropped`` (see the module
-#: docstring's "Drop reasons" section).  ``disconnect`` is remote-only.
-DROP_REASONS = (
-    "dropout",
-    "straggler",
-    "deadline",
-    "corrupt",
-    "crash",
-    "quorum",
-    "disconnect",
-)
 
 #: Default injected slowdown for rate-scheduled stragglers (seconds).
 DEFAULT_STRAGGLER_DELAY = 0.05

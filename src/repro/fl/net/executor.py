@@ -35,7 +35,7 @@ socket specifics.  A plan's *crash* victim is never dispatched — a remote
 agent is not the server's process to kill.  And the one remote-only
 failure mode, a vanished agent — socket EOF, a write error or an
 undecodable frame — drops its outstanding clients with reason
-``"disconnect"`` (:data:`repro.fl.faults.DROP_REASONS`); the round closes
+``"disconnect"`` (:mod:`repro.fl.faults`, "Drop reasons"); the round closes
 over the survivors and the dead agent's clients are re-homed (and
 re-registered) across the remaining agents on the next round.
 """

@@ -83,6 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         SUITES,
         _add_experiment_flags,
         _add_split_flags,
+        _positive_int,
     )
 
     parser = argparse.ArgumentParser(
@@ -96,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bind endpoint for agents (default: loopback, ephemeral port)",
     )
     parser.add_argument(
-        "--agents", type=int, default=1,
+        "--agents", type=_positive_int, default=1,
         help="remote agents that must join before the run starts",
     )
     parser.add_argument(
@@ -122,17 +123,17 @@ def main(argv: "list[str] | None" = None) -> int:
 
     parser = _build_parser()
     args = parser.parse_args(argv)
+    setting = _setting_from_args(args, parser.error)
     suite = args.suite_registry[args.suite](args.seed)
     split = _split_from_args(suite, args, parser.error)
-    setting = _setting_from_args(args)
     strategy_factory = args.method_registry[args.method]
     remote = RemoteExecutor(
         listen=args.listen,
         num_agents=args.agents,
-        codec=args.codec,
-        faults=args.faults,
-        deadline=args.deadline,
-        quorum=args.quorum,
+        codec=setting.codec,
+        faults=setting.faults,
+        deadline=setting.deadline,
+        quorum=setting.quorum,
     )
     host, port = remote.address
     if args.port_file:

@@ -183,13 +183,6 @@ class Executor(WireServer):
         self._task_ids = itertools.count()
 
     @property
-    def deadline(self) -> float | None:
-        """Back-compat view of :attr:`deadline_policy`: the fixed per-round
-        seconds, or ``None`` (adaptive policies resolve per round)."""
-        policy = self.deadline_policy
-        return policy.seconds if isinstance(policy, FixedDeadline) else None
-
-    @property
     def records_accepted(self) -> bool:
         """Whether round membership depends on wall clock (quorum races,
         adaptive deadlines) or on a pinned replay — exactly the cases where
@@ -627,7 +620,7 @@ class Executor(WireServer):
                 # server holds the accumulator plus at most the stateful
                 # codec's bounded reference chain, never the round's full
                 # update set.
-                rnd.stream.fold(update.state, float(update.num_samples), position)
+                rnd.stream.fold(update.state, float(update.num_samples))
                 update.state = None
 
     # -- the lane set ---------------------------------------------------------

@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.synthetic import LabeledDataset
-from repro.fl.aggregate import EdgeAggregator, make_aggregator
 from repro.fl.evaluation import EvaluationStage
 from repro.fl.client import Client
 from repro.fl.codec import make_codec
 from repro.fl.executor import Executor, SerialExecutor
-from repro.fl.faults import make_deadline_policy, make_fault_plan
 from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.population import ClientPopulation, ListPopulation, as_population
 from repro.fl.sampling import UniformClientSampler
@@ -40,39 +38,9 @@ __all__ = [
     "FederatedConfig",
     "FederatedServer",
     "FederatedResult",
-    "parse_topology",
 ]
 
 _LOG = get_logger("fl.server")
-
-
-def parse_topology(topology: str) -> int | None:
-    """Validate an aggregation-topology spec.
-
-    ``"flat"`` (the historical single-tier reduction) returns ``None``;
-    ``"edge:G"`` returns the edge-aggregator group count ``G >= 1``.
-    Anything else raises ``ValueError`` — shared by config validation and
-    the CLI's parse-time check.
-    """
-    if not isinstance(topology, str):
-        raise TypeError(f"topology must be a string, got {topology!r}")
-    if topology == "flat":
-        return None
-    if topology.startswith("edge:"):
-        try:
-            groups = int(topology[len("edge:"):])
-        except ValueError as exc:
-            raise ValueError(
-                f"bad edge group count in topology {topology!r}"
-            ) from exc
-        if groups < 1:
-            raise ValueError(
-                f"edge group count must be >= 1, got {topology!r}"
-            )
-        return groups
-    raise ValueError(
-        f"unknown topology {topology!r}; expected 'flat' or 'edge:G'"
-    )
 
 
 @dataclass(frozen=True)
@@ -89,24 +57,12 @@ class FederatedConfig:
     codec changes what clients train from (for lossy specs) and so belongs
     to the experiment definition, not just the transport.
 
-    ``faults`` names a deterministic fault-injection plan
-    (:mod:`repro.fl.faults` spec string, e.g.
-    ``"dropout=0.1,straggler=0.25:0.05,crash=2,seed=7"``) and ``deadline``
-    a per-round wall-clock budget — seconds, or an adaptive spec such as
-    ``"percentile:p95"`` (see :func:`repro.fl.faults.make_deadline_policy`);
-    both change *who survives a round* and therefore belong to the
-    experiment definition, so — like the codec — a caller-supplied engine
-    must agree with them (checked at server construction).  ``quorum``
-    closes a round early once that many uploads arrived (remaining
-    participants are dropped as ``"quorum"``); like the deadline it is
-    cross-checked against a caller-supplied engine.
-
-    ``aggregator`` names the server-side aggregation rule
-    (:mod:`repro.fl.aggregate` spec string, e.g. ``"median"``,
-    ``"clip(5)+krum"``).  The default ``"mean"`` is the historical
-    weighted FedAvg reduction, bit for bit.  A non-default spec is
-    installed onto the strategy at server construction; a strategy that
-    already carries its own non-mean rule must agree with the config.
+    Nothing else about a round lives here.  *How a round closes* — the
+    fault plan, the deadline, the quorum — belongs to the engine
+    (:class:`repro.fl.round.Executor`'s constructor), and *how uploads are
+    reduced* belongs to the strategy (``strategy.aggregator``);
+    :class:`repro.eval.protocols.ExperimentSetting` states each once for a
+    whole experiment and routes it to its owner.
     """
 
     num_rounds: int = 10
@@ -114,51 +70,18 @@ class FederatedConfig:
     eval_every: int = 1
     seed: int = 0
     codec: str = "identity"
-    faults: str | None = None
-    deadline: float | str | None = None
-    aggregator: str = "mean"
-    quorum: int | None = None
-    topology: str = "flat"
 
     def __post_init__(self) -> None:
         if self.num_rounds < 1:
             raise ValueError(f"num_rounds must be >= 1, got {self.num_rounds}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        # Deadline validation (seconds > 0, or a known adaptive spec) lives
-        # with the policy maker.
-        make_deadline_policy(self.deadline)
-        if self.quorum is not None and self.quorum < 1:
-            raise ValueError(f"quorum must be >= 1, got {self.quorum}")
-        # Aggregation-rule spec: fail at config time, not mid-run.
-        make_aggregator(self.aggregator)
-        # ...and the topology spec, plus its compatibility with the rule —
-        # an edge topology needs a streaming-capable rule, and finding
-        # that out mid-run would waste the whole run.
-        groups = parse_topology(self.topology)
-        if groups is not None:
-            EdgeAggregator(groups, make_aggregator(self.aggregator))
         # Participation validation lives with the sampler (the single source
         # of truth for the count-vs-fraction convention); constructing one
         # surfaces bad values at config time with the sampler's own errors.
-        # An integer ``clients_per_round`` is an absolute participant count
-        # however large the population is (it never re-enters the
-        # float-fraction path), so a quorum above it can *never* be met —
-        # reject it here, not mid-round.
         UniformClientSampler(self.clients_per_round)
-        if (
-            self.quorum is not None
-            and not isinstance(self.clients_per_round, (float, np.floating))
-            and self.quorum > int(self.clients_per_round)
-        ):
-            raise ValueError(
-                f"quorum {self.quorum} exceeds clients_per_round "
-                f"{int(self.clients_per_round)}; no round could ever close"
-            )
         # Same pattern for the codec spec: fail at config time, not mid-run.
         make_codec(self.codec)
-        # ...and the fault-plan spec.
-        make_fault_plan(self.faults)
 
 
 @dataclass
@@ -203,7 +126,11 @@ class FederatedServer:
         ``config.codec``.  Engines created by the caller are left open
         after :meth:`run` (so one pool can serve many runs) but must agree
         with ``config.codec`` — a mismatch would silently change what
-        clients train from, so it is rejected at construction.
+        clients train from, so it is rejected at construction.  The
+        engine's ``quorum`` is checked against the resolved per-round
+        participant count, the one rule that needs the population.
+
+    The server reads ``strategy.aggregator`` and never replaces it.
     """
 
     def __init__(
@@ -235,81 +162,22 @@ class FederatedServer:
         self.eval_sets = eval_sets
         self.config = config
         self._owns_executor = executor is None
-        self.executor = executor or SerialExecutor(
-            codec=config.codec, faults=config.faults,
-            deadline=config.deadline, quorum=config.quorum,
-        )
+        self.executor = executor or SerialExecutor(codec=config.codec)
         if self.executor.codec.spec != make_codec(config.codec).spec:
             raise ValueError(
                 f"executor carries codec {self.executor.codec.spec!r} but "
                 f"the config asks for {config.codec!r}; build the engine "
                 f"with the config's codec (make_executor(..., codec=...))"
             )
-        # Faults and deadlines change who survives a round, so a config
-        # that asks for them must not be paired with an engine that won't
-        # apply them (the reverse — engine-level chaos under a plain
-        # config — is a deliberate testing pattern and stays allowed).
-        if config.faults is not None and (
-            self.executor.fault_plan != make_fault_plan(config.faults)
-        ):
-            raise ValueError(
-                f"executor carries fault plan {self.executor.fault_plan!r} "
-                f"but the config asks for {config.faults!r}; build the "
-                f"engine with the config's plan (make_executor(..., "
-                f"faults=...))"
-            )
-        if config.deadline is not None and (
-            self.executor.deadline_policy != make_deadline_policy(config.deadline)
-        ):
-            raise ValueError(
-                f"executor carries deadline "
-                f"{self.executor.deadline_policy!r} but the config asks for "
-                f"{config.deadline!r}; build the engine with the config's "
-                f"deadline (make_executor(..., deadline=...))"
-            )
-        if config.quorum is not None and self.executor.quorum != config.quorum:
-            raise ValueError(
-                f"executor carries quorum {self.executor.quorum!r} but the "
-                f"config asks for {config.quorum!r}; build the engine with "
-                f"the config's quorum (make_executor(..., quorum=...))"
-            )
-        # The aggregation rule belongs to the experiment definition; a
-        # non-default config spec is installed onto a default-``mean``
-        # strategy so CLI/protocol paths need no constructor plumbing, but
-        # a strategy already carrying a different non-mean rule is a
-        # conflict, not something to silently overwrite.
-        if config.aggregator != "mean":
-            wanted = make_aggregator(config.aggregator)
-            if self.strategy.aggregator.spec == "mean":
-                self.strategy.aggregator = wanted
-            elif self.strategy.aggregator.spec != wanted.spec:
-                raise ValueError(
-                    f"strategy carries aggregator "
-                    f"{self.strategy.aggregator.spec!r} but the config asks "
-                    f"for {config.aggregator!r}; drop one of the two"
-                )
-        # A two-tier topology wraps whatever rule ended up installed in an
-        # EdgeAggregator (construction re-checks that the rule streams).
-        groups = parse_topology(config.topology)
-        if groups is not None:
-            current = self.strategy.aggregator
-            if isinstance(current, EdgeAggregator):
-                if current.groups != groups:
-                    raise ValueError(
-                        f"strategy carries edge topology with "
-                        f"{current.groups} groups but the config asks for "
-                        f"{config.topology!r}; drop one of the two"
-                    )
-            else:
-                self.strategy.aggregator = EdgeAggregator(groups, current)
         self.sampler = UniformClientSampler(config.clients_per_round)
         # With the population known, the per-round participant count is
         # resolved — an unreachable quorum (fractional participation, tiny
         # population) fails here instead of timing out mid-round.
         participants_per_round = self.sampler.round_size(len(self.population))
-        if config.quorum is not None and config.quorum > participants_per_round:
+        quorum = self.executor.quorum
+        if quorum is not None and quorum > participants_per_round:
             raise ValueError(
-                f"quorum {config.quorum} exceeds the resolved per-round "
+                f"quorum {quorum} exceeds the resolved per-round "
                 f"participant count {participants_per_round} (population "
                 f"{len(self.population)}); no round could ever close"
             )
@@ -383,7 +251,7 @@ class FederatedServer:
                 for client in participants
             ]
 
-            # Streaming aggregation (mean and its clip/edge compositions):
+            # Streaming aggregation (mean and its clip composition):
             # the engine folds each accepted upload into the stream as it
             # arrives and frees it, so aggregation overlaps collection and
             # the server never materializes the survivor list.  ``None``

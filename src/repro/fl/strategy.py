@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fl.aggregate import AggregationStream, Aggregator, make_aggregator
+from repro.fl.aggregate import AggregationStream, MeanAggregator
 from repro.fl.client import Client
 from repro.fl.executor import ClientUpdate
 from repro.nn import SGD
@@ -122,17 +122,12 @@ class Strategy:
     #: process — server-side handles that a local update must not depend on.
     _server_only_state: tuple[str, ...] = ()
 
-    def __init__(
-        self,
-        local_config: LocalTrainingConfig | None = None,
-        aggregator: "str | Aggregator | None" = None,
-    ) -> None:
+    def __init__(self, local_config: LocalTrainingConfig | None = None) -> None:
         self.local_config = local_config or LocalTrainingConfig()
-        #: The server-side aggregation rule (:mod:`repro.fl.aggregate`).
-        #: Defaults to the historical weighted mean; the server installs
-        #: the config's rule onto a default-``mean`` strategy, so CLI
-        #: strategies need no constructor plumbing.
-        self.aggregator = make_aggregator(aggregator)
+        #: The server-side aggregation rule (:mod:`repro.fl.aggregate`):
+        #: the historical weighted mean unless the caller assigns another
+        #: (``run_split_experiment`` installs ``ExperimentSetting.aggregator``).
+        self.aggregator = MeanAggregator()
         #: The method's local training objective — plain cross-entropy
         #: (FedAvg) unless the subclass installs its own term list.
         self.objective = CompositeObjective([("ce", 1.0)])
@@ -364,8 +359,8 @@ class Strategy:
 
         True when the subclass kept the base :meth:`aggregate` (so the
         reduction really is the aggregator's) *and* the installed
-        aggregator is online-reducible (``mean`` and its ``clip`` /
-        ``edge`` compositions).  A strategy that overrides ``aggregate``
+        aggregator is online-reducible (``mean`` and its ``clip``
+        composition).  A strategy that overrides ``aggregate``
         — FedGMA's sign masking, FedDG-GA's gap reweighting — silently
         keeps the batch path that materializes the survivor list.
         """

@@ -55,13 +55,12 @@ class MeanAccumulator:
 
     Each ``fold(state, w)`` adds the per-key products ``w * state[key]``
     (computed in float64) into a ``(hi, lo)`` running-sum pair via TwoSum,
-    and the weight into a scalar ``(hi, lo)`` pair the same way; ``merge``
-    composes two accumulators (the two-tier ``edge`` topology's root step)
-    and ``finalize`` divides once at the end.  The compensated sum carries
-    ~106 bits of precision, so reorderings and regroupings — streaming
-    arrival order, edge-tier grouping — agree with the sequential batch
-    reduction to well below the final float64 rounding step, and traces
-    stay bit-identical across engines regardless of upload arrival order.
+    and the weight into a scalar ``(hi, lo)`` pair the same way;
+    ``finalize`` divides once at the end.  The compensated sum carries
+    ~106 bits of precision, so reorderings — streaming arrival order —
+    agree with the sequential batch reduction to well below the final
+    float64 rounding step, and traces stay bit-identical across engines
+    regardless of upload arrival order.
 
     Memory is one ``(hi, lo)`` buffer pair — constant in the number of
     folds, which is what lets the server aggregate without materializing
@@ -76,7 +75,7 @@ class MeanAccumulator:
         self._lo: StateDict = {}
         self._w_hi = 0.0
         self._w_lo = 0.0
-        #: Number of states folded in (including merged accumulators').
+        #: Number of states folded in.
         self.count = 0
 
     def fold(self, state: StateDict, weight: float) -> None:
@@ -103,30 +102,6 @@ class MeanAccumulator:
         s, err = _two_sum(self._w_hi, weight)
         self._w_hi, self._w_lo = s, self._w_lo + err
         self.count += 1
-
-    def merge(self, other: "MeanAccumulator") -> None:
-        """Fold another accumulator's partial sums into this one (exact
-        composition of weighted partial sums — the hierarchical step)."""
-        if other.count == 0:
-            return
-        if self._keys is None:
-            self._keys = list(other._keys or [])
-            for key in self._keys:
-                self._hi[key] = other._hi[key].copy()
-                self._lo[key] = other._lo[key].copy()
-        else:
-            if (other._keys or []) != self._keys:
-                raise KeyError("accumulator has different keys")
-            for key in self._keys:
-                for value in (other._hi[key], other._lo[key]):
-                    hi, lo = self._hi[key], self._lo[key]
-                    s = hi + value
-                    bb = s - hi
-                    lo += (hi - (s - bb)) + (value - bb)
-                    hi[...] = s
-        s, err = _two_sum(self._w_hi, other._w_hi)
-        self._w_hi, self._w_lo = s, self._w_lo + err + other._w_lo
-        self.count += other.count
 
     def total_weight(self) -> float:
         return self._w_hi + self._w_lo

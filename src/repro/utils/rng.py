@@ -65,10 +65,6 @@ class SeedTree:
         """Return a fresh ``numpy.random.Generator`` for the node at ``labels``."""
         return np.random.default_rng(self.seed(*labels))
 
-    def generators(self, prefix: object, count: int) -> list[np.random.Generator]:
-        """Return ``count`` independent generators labelled ``(prefix, i)``."""
-        return [self.generator(prefix, i) for i in range(count)]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SeedTree(root_seed={self.root_seed}, path={self.path!r})"
 

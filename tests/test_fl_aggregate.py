@@ -10,6 +10,8 @@ serial / parallel+pipe / parallel+shm; and quorum / adaptive-deadline runs
 ``RoundRecord.accepted`` sets they record.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,6 @@ from repro.fl import (
     shm_supported,
 )
 from repro.fl.aggregate import (
-    AGGREGATOR_KINDS,
     Aggregator,
     ClipAggregator,
     KrumAggregator,
@@ -79,15 +80,20 @@ def _model(rng_seed=0):
     )
 
 
-def run_once(executor, strategy=None, rounds=3, config_kwargs=None):
+def run_once(executor, strategy=None, rounds=3, aggregator=None):
+    """One run on ``executor`` (which carries the codec, faults, deadline
+    and quorum); ``aggregator`` is installed on the strategy."""
+    strategy = strategy or FedAvgStrategy(FAST)
+    if aggregator is not None:
+        strategy.aggregator = make_aggregator(aggregator)
     server = FederatedServer(
-        strategy=strategy or FedAvgStrategy(FAST),
+        strategy=strategy,
         clients=make_clients(),
         model=_model(),
         eval_sets={"test": SUITE.datasets[2]},
         config=FederatedConfig(
             num_rounds=rounds, clients_per_round=4, seed=0,
-            **(config_kwargs or {}),
+            codec=executor.codec.spec,
         ),
         executor=executor,
     )
@@ -116,9 +122,6 @@ def _vec_states(rows, dtype=np.float64):
 
 
 class TestRegistry:
-    def test_known_kinds_registered(self):
-        assert set(AGGREGATOR_KINDS) == set(aggregator_specs())
-
     @pytest.mark.parametrize(
         "spec, expect",
         [
@@ -158,6 +161,9 @@ class TestRegistry:
     def test_only_clip_may_prefix(self):
         with pytest.raises(ValueError, match="clip"):
             make_aggregator("median+krum")
+        # The retired in-process tree: 'edge(G)+' is no longer a prefix.
+        with pytest.raises(ValueError, match=r"only 'clip\(tau\)' may prefix"):
+            make_aggregator("edge(2)+mean")
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -474,21 +480,19 @@ class TestDeadlinePolicies:
         assert len(adaptive._round_durations) == 1
 
     def test_deadline_property_backcompat(self):
-        assert SerialExecutor(deadline=2.0).deadline == 2.0
-        assert SerialExecutor(deadline="percentile:p95").deadline is None
-        assert SerialExecutor().deadline is None
+        assert SerialExecutor(deadline=2.0).deadline_policy == FixedDeadline(2.0)
+        assert SerialExecutor(deadline="percentile:p95").deadline_policy.adaptive
+        assert SerialExecutor().deadline_policy is None
 
 
 class TestQuorum:
     def test_quorum_must_be_positive(self):
         with pytest.raises(ValueError, match="quorum"):
             SerialExecutor(quorum=0)
-        with pytest.raises(ValueError, match="quorum"):
-            FederatedConfig(quorum=0)
 
     def test_serial_quorum_truncates_in_sampling_order(self):
         executor = SerialExecutor(quorum=2)
-        result = run_once(executor, rounds=2, config_kwargs={"quorum": 2})
+        result = run_once(executor, rounds=2)
         for record in result.history.records:
             assert record.accepted is not None
             assert len(record.accepted) == 2
@@ -502,7 +506,7 @@ class TestQuorum:
 
     def test_quorum_early_close_reported(self):
         executor = SerialExecutor(quorum=2)
-        run_once(executor, rounds=1, config_kwargs={"quorum": 2})
+        run_once(executor, rounds=1)
         report = executor.last_fault_report
         assert report.early_closed
 
@@ -530,7 +534,7 @@ class TestQuorum:
 
         monkeypatch.setattr(executor, "poll", poll_once_everything_finished)
         with executor:
-            result = run_once(executor, rounds=2, config_kwargs={"quorum": 1})
+            result = run_once(executor, rounds=2)
         for record in result.history.records:
             assert set(record.dropped.values()) == {"quorum"}
 
@@ -573,70 +577,97 @@ class TestQuorum:
 
 class TestServerThreading:
     def test_config_validates_aggregator_spec(self):
-        FederatedConfig(aggregator="clip(5)+median")  # fine
+        # A bad rule on the setting fails before anything is built or run.
+        from repro.eval import ExperimentSetting, run_split_experiment
+
         with pytest.raises(ValueError, match="aggregator"):
-            FederatedConfig(aggregator="meteor")
+            run_split_experiment(
+                SUITE, {"train": [0, 1], "val": [2], "test": [3]},
+                FedAvgStrategy(FAST), ExperimentSetting(aggregator="meteor"),
+            )
 
     def test_config_accepts_adaptive_deadline(self):
-        FederatedConfig(deadline="percentile:p95")
+        from repro.eval import ExperimentSetting
+
+        ExperimentSetting(deadline="percentile:p95").make_executor()
         with pytest.raises(ValueError):
-            FederatedConfig(deadline="percentile:p0")
+            ExperimentSetting(deadline="percentile:p0").make_executor()
         with pytest.raises(ValueError):
-            FederatedConfig(deadline=-1.0)
+            ExperimentSetting(deadline=-1.0).make_executor()
 
     def test_server_installs_config_aggregator(self):
+        # The rule is stated once, on the setting; run_split_experiment
+        # installs it on the strategy and the server only reads it.
+        from repro.eval import ExperimentSetting, run_split_experiment
+
         strategy = FedAvgStrategy(FAST)
-        FederatedServer(
-            strategy=strategy,
-            clients=make_clients(),
-            model=_model(),
-            eval_sets={},
-            config=FederatedConfig(
-                num_rounds=1, clients_per_round=2, aggregator="median"
+        run_split_experiment(
+            SUITE, {"train": [0, 1], "val": [2], "test": [3]}, strategy,
+            ExperimentSetting(
+                num_clients=4, clients_per_round=2, num_rounds=1,
+                aggregator="median",
             ),
         )
         assert strategy.aggregator.spec == "median"
 
-    def test_server_rejects_conflicting_aggregators(self):
+    def test_each_round_option_has_one_owner(self):
+        """The engine closes the round, the strategy reduces it, the
+        config is the loop: no option is stated on two of them."""
+        import inspect
+
+        from repro.fl.round import Executor
+        from repro.fl.strategy import Strategy
+
+        config_fields = {f.name for f in dataclasses.fields(FederatedConfig)}
+        engine_options = set(inspect.signature(Executor.__init__).parameters)
+        # ``codec`` is the one option still on both, with the one
+        # agree-or-raise check left in FederatedServer.__init__, because
+        # frozen benchmarks/perf/workloads.py passes it to both; ROADMAP
+        # item 1b's `benchmark` PR empties this set.
+        assert config_fields & engine_options == {"codec"}
+        assert not {"aggregator", "topology"} & config_fields
+        assert "aggregator" not in inspect.signature(Strategy.__init__).parameters
+
+    def test_setting_routes_each_option_to_its_owner(self):
+        from repro.eval import ExperimentSetting, run_split_experiment
+
+        split = {"train": [0, 1], "val": [2], "test": [3]}
+        setting = ExperimentSetting(
+            num_clients=6, clients_per_round=4, num_rounds=3,
+            aggregator="median", faults="dropout=0.2,seed=3", deadline=30.0,
+        )
+
+        def run(**engine):
+            strategy = FedAvgStrategy(FAST)
+            outcome = run_split_experiment(
+                SUITE, split, strategy,
+                dataclasses.replace(setting, **engine),
+            )
+            assert strategy.aggregator.spec == "median"
+            return outcome.result
+
+        serial, pooled = run(), run(workers=2)
+        assert any(record.dropped for record in serial.history.records)
+        assert _trace(serial) == _trace(pooled)
+        for key in serial.final_state:
+            np.testing.assert_array_equal(
+                serial.final_state[key], pooled.final_state[key]
+            )
+        # Quorum on the serial engine only: a pool's quorum membership is
+        # an arrival race (that is what set_replay is for).
+        for record in run(quorum=2).history.records:
+            assert len(record.accepted) <= 2
+
+    def test_setting_without_a_rule_keeps_the_strategys_own(self):
+        from repro.eval import ExperimentSetting, run_split_experiment
+
         strategy = FedAvgStrategy(FAST)
         strategy.aggregator = make_aggregator("krum")
-        with pytest.raises(ValueError, match="aggregator"):
-            FederatedServer(
-                strategy=strategy,
-                clients=make_clients(),
-                model=_model(),
-                eval_sets={},
-                config=FederatedConfig(
-                    num_rounds=1, clients_per_round=2, aggregator="median"
-                ),
-            )
-
-    def test_server_quorum_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="quorum"):
-            FederatedServer(
-                strategy=FedAvgStrategy(FAST),
-                clients=make_clients(),
-                model=_model(),
-                eval_sets={},
-                config=FederatedConfig(
-                    num_rounds=1, clients_per_round=2, quorum=2
-                ),
-                executor=SerialExecutor(),
-            )
-
-    def test_server_adaptive_deadline_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="deadline"):
-            FederatedServer(
-                strategy=FedAvgStrategy(FAST),
-                clients=make_clients(),
-                model=_model(),
-                eval_sets={},
-                config=FederatedConfig(
-                    num_rounds=1, clients_per_round=2,
-                    deadline="percentile:p95",
-                ),
-                executor=SerialExecutor(deadline=2.0),
-            )
+        run_split_experiment(
+            SUITE, {"train": [0, 1], "val": [2], "test": [3]}, strategy,
+            ExperimentSetting(num_clients=4, clients_per_round=2, num_rounds=1),
+        )
+        assert strategy.aggregator.spec == "krum"
 
     def test_mean_without_quorum_records_no_accepted(self):
         # The PR 6 bit-identity guarantee: default runs carry records
@@ -647,13 +678,13 @@ class TestServerThreading:
     def test_explicit_mean_is_bit_identical_to_default(self):
         base = run_once(SerialExecutor(), rounds=2)
         explicit = run_once(
-            SerialExecutor(), rounds=2, config_kwargs={"aggregator": "mean"}
+            SerialExecutor(), rounds=2, aggregator="mean"
         )
         assert _trace(base) == _trace(explicit)
 
     def test_rejected_uploads_reach_the_timing_report(self):
         result = run_once(
-            SerialExecutor(), rounds=2, config_kwargs={"aggregator": "krum"}
+            SerialExecutor(), rounds=2, aggregator="krum"
         )
         # krum keeps one of four uploads per round: 3 rejections x 2 rounds.
         assert result.timing.rejected_uploads == 6
@@ -690,7 +721,7 @@ class TestCLI:
         args = build_parser().parse_args(
             ["lodo", "--suite", "pacs", "--method", "fedavg"]
         )
-        assert args.aggregator == "mean"
+        assert args.aggregator is None
         assert args.quorum is None
 
     def test_numeric_deadline_still_parses_as_seconds(self):
@@ -712,11 +743,20 @@ class TestCLI:
                     ["lodo", "--suite", "pacs", "--method", "fedavg", *flags]
                 )
 
+    def test_lodo_unreachable_quorum_is_a_usage_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lodo", "--suite", "pacs", "--method", "fedavg",
+                  "--participation", "2", "--quorum", "3"])
+        assert exit_info.value.code == 2
+        assert "--quorum 3 exceeds the 2 client(s)" in capsys.readouterr().err
+
     def test_timing_table_row_matches_header(self):
         from repro.cli import _TIMING_HEADER, _timing_row
 
         result = run_once(
-            SerialExecutor(), rounds=1, config_kwargs={"aggregator": "krum"}
+            SerialExecutor(), rounds=1, aggregator="krum"
         )
         row = _timing_row("krum", result.timing)
         assert len(row) == len(_TIMING_HEADER)
@@ -729,11 +769,7 @@ class TestCLI:
 class TestByzantineRuns:
     def _accuracy(self, aggregator, faults=None):
         executor = SerialExecutor(faults=faults)
-        result = run_once(
-            executor, rounds=4,
-            config_kwargs={"aggregator": aggregator,
-                           **({"faults": faults} if faults else {})},
-        )
+        result = run_once(executor, rounds=4, aggregator=aggregator)
         return result.final_accuracy["test"]
 
     def test_mean_diverges_where_median_and_krum_survive(self):
@@ -754,12 +790,11 @@ class TestByzantineRuns:
 
     def test_chaos_trace_is_engine_invariant_under_attack(self):
         faults = "dropout=0.1," + ATTACK
-        kwargs = {"faults": faults, "aggregator": "median"}
         serial = run_once(SerialExecutor(faults=faults), rounds=3,
-                          config_kwargs=kwargs)
+                          aggregator="median")
         pipe = make_executor(workers=2, faults=faults, transport="pipe")
         try:
-            parallel = run_once(pipe, rounds=3, config_kwargs=kwargs)
+            parallel = run_once(pipe, rounds=3, aggregator="median")
         finally:
             pipe.close()
         assert _trace(serial) == _trace(parallel)
@@ -767,12 +802,11 @@ class TestByzantineRuns:
     @needs_shm
     def test_chaos_trace_matches_on_shm_too(self):
         faults = "dropout=0.1," + ATTACK
-        kwargs = {"faults": faults, "aggregator": "krum"}
         serial = run_once(SerialExecutor(faults=faults), rounds=3,
-                          config_kwargs=kwargs)
+                          aggregator="krum")
         shm = make_executor(workers=2, faults=faults, transport="shm")
         try:
-            parallel = run_once(shm, rounds=3, config_kwargs=kwargs)
+            parallel = run_once(shm, rounds=3, aggregator="krum")
         finally:
             shm.close()
         assert _trace(serial) == _trace(parallel)
@@ -781,17 +815,15 @@ class TestByzantineRuns:
         # The attack applies to the *decoded* upload before the codec's
         # lossy roundtrip on serial — same order as the worker path.
         faults = ATTACK
-        kwargs = {"faults": faults, "aggregator": "median",
-                  "codec": "fp16"}
         serial = run_once(
             SerialExecutor(faults=faults, codec="fp16"), rounds=2,
-            config_kwargs=kwargs,
+            aggregator="median",
         )
         pipe = make_executor(
             workers=2, faults=faults, codec="fp16", transport="pipe"
         )
         try:
-            parallel = run_once(pipe, rounds=2, config_kwargs=kwargs)
+            parallel = run_once(pipe, rounds=2, aggregator="median")
         finally:
             pipe.close()
         assert _trace(serial) == _trace(parallel)
@@ -804,9 +836,7 @@ class TestReplay:
             SerialExecutor().set_replay(result.history)
 
     def test_serial_quorum_replays_bit_identically(self):
-        original = run_once(
-            SerialExecutor(quorum=2), rounds=3, config_kwargs={"quorum": 2}
-        )
+        original = run_once(SerialExecutor(quorum=2), rounds=3)
         replayer = SerialExecutor()
         replayer.set_replay(original.history)
         replayed = run_once(replayer, rounds=3)
@@ -818,9 +848,7 @@ class TestReplay:
         # extended to racy membership.
         executor = ParallelExecutor(num_workers=2, quorum=2)
         try:
-            original = run_once(
-                executor, rounds=2, config_kwargs={"quorum": 2}
-            )
+            original = run_once(executor, rounds=2)
         finally:
             executor.close()
         for record in original.history.records:
@@ -833,21 +861,14 @@ class TestReplay:
 
     def test_quorum_replay_reinjects_update_faults(self):
         faults = "byzantine=0.25:signflip,seed=13"
-        original = run_once(
-            SerialExecutor(faults=faults, quorum=3), rounds=3,
-            config_kwargs={"faults": faults, "quorum": 3},
-        )
+        original = run_once(SerialExecutor(faults=faults, quorum=3), rounds=3)
         replayer = SerialExecutor(faults=faults)
         replayer.set_replay(original.history)
-        replayed = run_once(
-            replayer, rounds=3, config_kwargs={"faults": faults}
-        )
+        replayed = run_once(replayer, rounds=3)
         assert _trace(replayed) == _trace(original)
 
     def test_adaptive_deadline_run_records_and_replays(self):
-        original = run_once(SerialExecutor(deadline="percentile:p95"),
-                            rounds=4,
-                            config_kwargs={"deadline": "percentile:p95"})
+        original = run_once(SerialExecutor(deadline="percentile:p95"), rounds=4)
         assert all(
             r.accepted is not None for r in original.history.records
         )
@@ -857,9 +878,7 @@ class TestReplay:
         assert _trace(replayed) == _trace(original)
 
     def test_clear_replay_restores_live_control(self):
-        result = run_once(
-            SerialExecutor(quorum=2), rounds=1, config_kwargs={"quorum": 2}
-        )
+        result = run_once(SerialExecutor(quorum=2), rounds=1)
         executor = SerialExecutor()
         executor.set_replay(result.history)
         assert executor.records_accepted

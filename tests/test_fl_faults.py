@@ -39,7 +39,7 @@ from repro.fl import (
     make_fault_plan,
     shm_supported,
 )
-from repro.fl.faults import poison_state, state_is_corrupt
+from repro.fl.faults import FixedDeadline, poison_state, state_is_corrupt
 from repro.fl.transport import SHM_SEGMENT_PREFIX
 from repro.nn import build_mlp_model
 from repro.utils.rng import SeedTree
@@ -90,8 +90,9 @@ def _model(rng_seed=0):
     )
 
 
-def run_once(executor, strategy=None, rounds=3, config_kwargs=None,
-             eval_sets=None):
+def run_once(executor, strategy=None, rounds=3, eval_sets=None):
+    """One run on ``executor``, which carries the codec, the fault plan
+    and the deadline."""
     server = FederatedServer(
         strategy=strategy or FedAvgStrategy(FAST),
         clients=make_clients(),
@@ -99,7 +100,7 @@ def run_once(executor, strategy=None, rounds=3, config_kwargs=None,
         eval_sets=eval_sets or {"test": SUITE.datasets[2]},
         config=FederatedConfig(
             num_rounds=rounds, clients_per_round=4, seed=0,
-            **(config_kwargs or {}),
+            codec=executor.codec.spec,
         ),
         executor=executor,
     )
@@ -265,8 +266,7 @@ class TestChaosInvariance:
     @pytest.mark.parametrize("codec", ["identity", "delta"])
     def test_chaos_trace_engine_and_transport_invariant(self, codec):
         serial = run_once(
-            SerialExecutor(codec=codec, faults=CHAOS_PLAN, deadline=30.0),
-            config_kwargs={"codec": codec},
+            SerialExecutor(codec=codec, faults=CHAOS_PLAN, deadline=30.0)
         )
         # The plan really fired: every kind shows up in the trace.
         reasons = {
@@ -283,7 +283,7 @@ class TestChaosInvariance:
                 num_workers=2, codec=codec, transport=transport,
                 faults=CHAOS_PLAN, deadline=30.0,
             ) as executor:
-                parallel = run_once(executor, config_kwargs={"codec": codec})
+                parallel = run_once(executor)
                 assert parallel.timing.rebuilt_workers >= 1
             assert _trace(parallel) == _trace(serial), (
                 f"{transport}/{codec} chaos trace diverged from serial"
@@ -350,10 +350,7 @@ class TestChaosInvariance:
         """Stragglers injected past the deadline drop identically (and
         up front) on every engine — no wall-clock races in the trace."""
         plan = FaultPlan(seed=2, straggler_rate=0.5, straggler_delay=5.0)
-        serial = run_once(
-            SerialExecutor(faults=plan, deadline=0.5),
-            config_kwargs={"deadline": 0.5},
-        )
+        serial = run_once(SerialExecutor(faults=plan, deadline=0.5))
         reasons = {
             reason
             for record in serial.history.records
@@ -361,7 +358,7 @@ class TestChaosInvariance:
         }
         assert reasons == {"straggler"}
         with ParallelExecutor(num_workers=2, faults=plan, deadline=0.5) as ex:
-            parallel = run_once(ex, config_kwargs={"deadline": 0.5})
+            parallel = run_once(ex)
         assert _trace(parallel) == _trace(serial)
 
 
@@ -500,8 +497,6 @@ class TestDeadline:
             SerialExecutor(deadline=0.0)
         with pytest.raises(ValueError):
             ParallelExecutor(num_workers=2, deadline=-1.0)
-        with pytest.raises(ValueError):
-            FederatedConfig(deadline=0.0)
 
 
 @needs_shm
@@ -698,7 +693,7 @@ class TestConfigAndCLI:
         setting = ExperimentSetting(faults="dropout=0.5,seed=3", deadline=2.0)
         executor = setting.make_executor()
         assert executor.fault_plan == make_fault_plan("dropout=0.5,seed=3")
-        assert executor.deadline == 2.0
+        assert executor.deadline_policy == FixedDeadline(2.0)
 
     def test_make_executor_threads_faults_for_both_kinds(self):
         serial = make_executor(faults="dropout=0.2", deadline=1.0)
@@ -706,50 +701,30 @@ class TestConfigAndCLI:
         parallel = make_executor(workers=2, faults="dropout=0.2", deadline=1.0)
         try:
             assert parallel.fault_plan.dropout_rate == 0.2
-            assert parallel.deadline == 1.0
+            assert parallel.deadline_policy == FixedDeadline(1.0)
         finally:
             parallel.close()
 
     def test_config_rejects_bad_specs(self):
-        with pytest.raises(ValueError):
-            FederatedConfig(faults="meteor=1")
-        with pytest.raises(ValueError):
-            FederatedConfig(deadline=-1.0)
+        # The setting states faults / deadline once and routes them to the
+        # engine, whose constructor rejects a bad spec before any run.
+        from repro.eval import ExperimentSetting
 
-    def test_server_rejects_mismatched_fault_plan(self):
-        config = FederatedConfig(
-            num_rounds=1, clients_per_round=2, faults="dropout=0.5"
-        )
-        with pytest.raises(ValueError, match="fault plan"):
-            FederatedServer(
-                strategy=FedAvgStrategy(FAST),
-                clients=make_clients(),
-                model=_model(),
-                eval_sets={},
-                config=config,
-                executor=SerialExecutor(),  # forgot the plan
-            )
-        with pytest.raises(ValueError, match="deadline"):
-            FederatedServer(
-                strategy=FedAvgStrategy(FAST),
-                clients=make_clients(),
-                model=_model(),
-                eval_sets={},
-                config=FederatedConfig(
-                    num_rounds=1, clients_per_round=2, deadline=1.0
-                ),
-                executor=SerialExecutor(),
-            )
+        with pytest.raises(ValueError):
+            ExperimentSetting(faults="meteor=1").make_executor()
+        with pytest.raises(ValueError):
+            ExperimentSetting(deadline=-1.0).make_executor()
 
     def test_server_default_executor_carries_config_faults(self):
+        # The plan lives on the engine alone; the server's own default
+        # engine is plain, so an all-dropout run states it on the engine.
         server = FederatedServer(
             strategy=FedAvgStrategy(FAST),
             clients=make_clients(),
             model=_model(),
             eval_sets={},
-            config=FederatedConfig(
-                num_rounds=1, clients_per_round=2, faults="dropout=1.0",
-            ),
+            config=FederatedConfig(num_rounds=1, clients_per_round=2),
+            executor=SerialExecutor(faults="dropout=1.0"),
         )
         result = server.run()
         record = result.history.records[0]

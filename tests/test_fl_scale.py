@@ -1,10 +1,9 @@
 """Population-scaling layer: streaming aggregation, lazy populations,
-resident-client LRU bounds, and the two-tier edge topology.
+and resident-client LRU bounds.
 
 The acceptance bar: streaming folds in *any* arrival order are
 bit-identical to the batch weighted mean (the compensated accumulator's
-order invariance), an ``edge:G`` topology traces bit-identically to flat
-FedAvg on every engine, a bounded resident set changes no trace (evicted
+order invariance), a bounded resident set changes no trace (evicted
 clients fall back to full re-registration), and server peak memory under
 a lazy population scales with participants — not with the population.
 """
@@ -32,10 +31,7 @@ from repro.fl import (
     make_aggregator,
     make_compute,
     make_executor,
-    parse_topology,
-    shm_supported,
 )
-from repro.fl.aggregate import EdgeAggregator
 from repro.data import partition_clients, synthetic_pacs
 from repro.data.synthetic import LabeledDataset
 from repro.nn import build_mlp_model, ensemble_of, load_state_broadcast
@@ -43,10 +39,6 @@ from repro.nn.serialize import MeanAccumulator, average_states
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
 FAST = LocalTrainingConfig(batch_size=8)
-
-needs_shm = pytest.mark.skipif(
-    not shm_supported(), reason="platform has no POSIX shared memory"
-)
 
 
 def make_clients(n_clients=8, seed=0):
@@ -65,7 +57,7 @@ def _model(rng_seed=0, hidden_dim=64):
     )
 
 
-def _run(clients, executor, rounds=3, *, topology="flat", codec="identity",
+def _run(clients, executor, rounds=3, *, codec="identity",
          clients_per_round=4):
     server = FederatedServer(
         strategy=FedAvgStrategy(FAST),
@@ -74,7 +66,7 @@ def _run(clients, executor, rounds=3, *, topology="flat", codec="identity",
         eval_sets={"test": SUITE.datasets[2]},
         config=FederatedConfig(
             num_rounds=rounds, clients_per_round=clients_per_round, seed=0,
-            codec=codec, topology=topology,
+            codec=codec,
         ),
         executor=executor,
     )
@@ -136,34 +128,13 @@ class TestStreamingFoldOrder:
         for key in batch:
             np.testing.assert_array_equal(streamed[key], batch[key])
 
-    @settings(deadline=None, max_examples=30)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        count=st.integers(1, 8),
-        groups=st.integers(1, 4),
-    )
-    def test_any_grouping_matches_batch(self, seed, count, groups):
-        """Partial per-group accumulators merged at a root — the edge
-        topology's reduction shape — agree with the flat fold."""
-        states, weights = _states_and_weights(seed, count)
-        batch = average_states(states, weights)
-        partials = [MeanAccumulator() for _ in range(groups)]
-        for position, (state, weight) in enumerate(zip(states, weights)):
-            partials[position % groups].fold(state, weight)
-        root = MeanAccumulator()
-        for partial in partials:
-            root.merge(partial)
-        merged = root.finalize()
-        for key in batch:
-            np.testing.assert_array_equal(merged[key], batch[key])
-
     def test_mean_stream_matches_batch_aggregate(self, rng):
         states, weights = _states_and_weights(7, 5)
         aggregator = make_aggregator("mean")
         batch = aggregator.aggregate(states, weights)
         stream = aggregator.begin_stream()
-        for position, (state, weight) in enumerate(zip(states, weights)):
-            stream.fold(state, weight, position)
+        for state, weight in zip(states, weights):
+            stream.fold(state, weight)
         assert stream.count == 5
         streamed = stream.finalize()
         for key in batch:
@@ -176,8 +147,8 @@ class TestStreamingFoldOrder:
         batch = aggregator.aggregate(states, weights, ref=ref)
         clipped_in_batch = aggregator.last_clipped
         stream = aggregator.begin_stream(ref)
-        for position, (state, weight) in enumerate(zip(states, weights)):
-            stream.fold(state, weight, position)
+        for state, weight in zip(states, weights):
+            stream.fold(state, weight)
         streamed = stream.finalize()
         assert aggregator.last_clipped == clipped_in_batch
         for key in batch:
@@ -198,7 +169,7 @@ class TestZeroWeightStreamFallback:
     zero`` where the batch path silently recovered."""
 
     @pytest.mark.parametrize(
-        "spec", ["mean", "clip(1.5)+mean", "edge(3)+mean"]
+        "spec", ["mean", "clip(1.5)+mean"]
     )
     def test_zero_weight_stream_matches_batch_uniform_fallback(self, spec):
         states, _ = _states_and_weights(23, 5)
@@ -206,8 +177,8 @@ class TestZeroWeightStreamFallback:
         aggregator = make_aggregator(spec)
         batch = aggregator.aggregate(states, [1.0] * len(states), ref=ref)
         stream = aggregator.begin_stream(ref)
-        for position, state in enumerate(states):
-            stream.fold(state, 0.0, position)
+        for state in states:
+            stream.fold(state, 0.0)
         streamed = stream.finalize()
         for key in batch:
             np.testing.assert_array_equal(
@@ -225,8 +196,8 @@ class TestZeroWeightStreamFallback:
         aggregator = make_aggregator("mean")
         batch = aggregator.aggregate(states, weights)
         stream = aggregator.begin_stream()
-        for position, (state, weight) in enumerate(zip(states, weights)):
-            stream.fold(state, weight, position)
+        for state, weight in zip(states, weights):
+            stream.fold(state, weight)
             if weight > 0:
                 assert stream.uniform is None
         streamed = stream.finalize()
@@ -252,8 +223,8 @@ class TestZeroWeightStreamFallback:
             ClientUpdate.from_client(client, state, 0.0)
             for client, state in zip(clients, states)
         ]
-        for position, update in enumerate(stream_updates):
-            stream.fold(update.state, float(update.num_samples), position)
+        for update in stream_updates:
+            stream.fold(update.state, float(update.num_samples))
             update.state = None  # the engine frees folded uploads
         merged_stream = strategy.aggregate(
             global_state, stream_updates, 0, stream=stream
@@ -358,70 +329,6 @@ class TestAverageStatesOut:
         for key in expected:
             assert result[key] is buffers[key]
             np.testing.assert_array_equal(result[key], expected[key])
-
-
-class TestEdgeTopology:
-    """``edge:G`` must be invisible in the trace: G edge aggregators
-    reduce with the streaming mean and the root composes the partial
-    (sum, weight) pairs bit-identically to flat FedAvg."""
-
-    def test_parse_topology(self):
-        assert parse_topology("flat") is None
-        assert parse_topology("edge:4") == 4
-        with pytest.raises(ValueError):
-            parse_topology("edge:0")
-        with pytest.raises(ValueError):
-            parse_topology("ring")
-        with pytest.raises(TypeError):
-            parse_topology(4)
-
-    def test_spec_round_trip(self):
-        aggregator = make_aggregator("edge(3)+mean")
-        assert isinstance(aggregator, EdgeAggregator)
-        assert aggregator.spec == "edge(3)+mean"
-        assert aggregator.streaming
-
-    def test_edge_requires_a_streaming_rule(self):
-        with pytest.raises(ValueError, match="hierarchically"):
-            EdgeAggregator(2, make_aggregator("median"))
-        with pytest.raises(ValueError, match="hierarchically"):
-            make_aggregator("edge(2)+krum")
-
-    def test_edge_batch_matches_mean(self):
-        states, weights = _states_and_weights(5, 6)
-        flat = make_aggregator("mean").aggregate(states, weights)
-        edged = make_aggregator("edge(3)+mean").aggregate(states, weights)
-        for key in flat:
-            np.testing.assert_array_equal(edged[key], flat[key])
-
-    def test_config_rejects_non_streaming_topology_rule(self):
-        with pytest.raises(ValueError, match="hierarchically"):
-            FederatedConfig(
-                num_rounds=1, topology="edge:2", aggregator="median"
-            )
-
-    @pytest.mark.parametrize(
-        "make_engine, codec",
-        [
-            pytest.param(lambda: SerialExecutor(), "identity", id="serial"),
-            pytest.param(
-                lambda: ParallelExecutor(num_workers=2, transport="pipe",
-                                         codec="identity"),
-                "identity", id="pipe",
-            ),
-            pytest.param(
-                lambda: ParallelExecutor(num_workers=2, transport="shm",
-                                         codec="delta"),
-                "delta", id="shm-delta", marks=needs_shm,
-            ),
-        ],
-    )
-    def test_edge_trace_identical_to_flat(self, make_engine, codec):
-        flat = _run(make_clients(), make_engine(), codec=codec)
-        edged = _run(
-            make_clients(), make_engine(), codec=codec, topology="edge:3"
-        )
-        _assert_same_run(flat, edged)
 
 
 def _lazy_factory(num_classes=SUITE.num_classes,
@@ -569,8 +476,17 @@ class TestMaxResidentLRU:
 
 class TestConfigValidation:
     def test_integer_count_quorum_checked_at_config_time(self):
+        # One quorum rule: the engine's quorum against the resolved
+        # per-round participant count, at server construction.
         with pytest.raises(ValueError, match="quorum 5 exceeds"):
-            FederatedConfig(num_rounds=1, clients_per_round=4, quorum=5)
+            FederatedServer(
+                strategy=FedAvgStrategy(FAST),
+                clients=make_clients(8),
+                model=_model(),
+                eval_sets={},
+                config=FederatedConfig(num_rounds=1, clients_per_round=4),
+                executor=SerialExecutor(quorum=5),
+            )
 
     def test_integer_participation_not_treated_as_fraction(self):
         # A count of 1 must stay a count (1 participant), never become
@@ -583,9 +499,7 @@ class TestConfigValidation:
     def test_fractional_quorum_resolved_at_server_construction(self):
         # 0.5 of 8 clients = 4 participants < quorum 5: config time cannot
         # know the population, server construction can.
-        config = FederatedConfig(
-            num_rounds=1, clients_per_round=0.5, quorum=5
-        )
+        config = FederatedConfig(num_rounds=1, clients_per_round=0.5)
         with pytest.raises(ValueError, match="quorum"):
             FederatedServer(
                 strategy=FedAvgStrategy(FAST),
@@ -595,10 +509,6 @@ class TestConfigValidation:
                 config=config,
                 executor=SerialExecutor(quorum=5),
             )
-
-    def test_topology_spec_validated_at_config_time(self):
-        with pytest.raises(ValueError):
-            FederatedConfig(num_rounds=1, topology="edge:zero")
 
 
 class TestMemoryScaling:

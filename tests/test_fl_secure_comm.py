@@ -221,11 +221,36 @@ class TestCli:
                 "--heterogeneity: must be in [0, 1]",
                 id="heterogeneity-7",
             ),
+            pytest.param(
+                ["--train-domains", "photo", "--val-domain", "cartoon",
+                 "--participation", "2", "--quorum", "3"],
+                "--quorum 3 exceeds the 2 client(s) a round samples",
+                id="quorum-above-participant-count",
+            ),
+            pytest.param(
+                ["--train-domains", "photo", "--val-domain", "cartoon",
+                 "--clients", "4", "--participation", "0.5", "--quorum", "3"],
+                "--quorum 3 exceeds the 2 client(s) a round samples",
+                id="quorum-above-resolved-fraction",
+            ),
+            pytest.param(
+                ["--train-domains", "photo", "--val-domain", "cartoon",
+                 "--topology", "edge:2"],
+                "unrecognized arguments: --topology edge:2",
+                id="retired-topology-flag",
+            ),
+            pytest.param(
+                ["--train-domains", "photo", "--val-domain", "cartoon",
+                 "--aggregator", "edge(2)+mean"],
+                "only 'clip(tau)' may prefix an aggregator",
+                id="retired-edge-prefix",
+            ),
         ],
     )
     def test_bad_experiment_is_a_usage_error(self, argv, message, capsys):
-        """A split that scores a training domain, an unknown domain name
-        and out-of-range knobs exit 2 with one line, not a traceback (or,
+        """A split that scores a training domain, an unknown domain name,
+        out-of-range knobs, a quorum no round could reach and the retired
+        topology spellings exit 2 with one line, not a traceback (or,
         worse, a run)."""
         from repro.cli import main
 

@@ -37,15 +37,6 @@ ALLOWED = {
         "converter, i.e. the live 'unsupported model -> loop' path",
     },
     "src/repro/fl/transport.py": {"transport_specs": FIXTURE},
-    "src/repro/fl/aggregate.py": {
-        "AGGREGATOR_KINDS": "pinned against aggregator_specs() by "
-        "tests/test_fl_aggregate.py; fl/aggregate.py is frozen for this PR",
-    },
-    "src/repro/fl/faults.py": {
-        "DROP_REASONS": "the documented vocabulary of RoundRecord.dropped, "
-        "cited by fl/net/executor.py's docstring; fl/faults.py is frozen "
-        "for this PR",
-    },
 }
 
 
