@@ -38,6 +38,19 @@ includes its DEFLATE stage (an uncompressed XOR delta is the same size as
 the state).  Register new stages with :func:`register_codec` /
 :func:`register_filter`.
 
+The DEFLATE stage runs zlib's run-length + Huffman strategy (``Z_RLE``), not
+its default match search.  A byte plane of a shuffled float64 frame holds
+either noise (planes 0-4 of an XOR delta measure 8.00 bits/byte) or runs
+under a skewed histogram (planes 5-7) — never the repeated substrings LZ77
+hunts for — so ``Z_RLE`` is faster *and* no larger on every plane (level 6
+vs ``Z_RLE``, PARDON state, round 5 -> 6 delta: plane 4 0.77 -> 0.30 ms at
+equal size, plane 5 1.12 ms / 36 378 B -> 0.51 ms / 36 308 B, plane 6
+2.61 ms / 11 686 B -> 0.39 ms / 10 216 B, plane 7 0.21 ms / 435 B ->
+0.04 ms / 344 B).  The level is irrelevant under this strategy, so there
+is none.
+The output is still one plain zlib stream; the decoder inflates it bounded
+by the byte count its spec implies (see :func:`_unpack`).
+
 Contract
 --------
 * ``decode(encode(state, ref), ref) == state`` bit-exactly when
@@ -73,8 +86,6 @@ __all__ = [
     "codec_specs",
     "analytic_scalar_bytes",
 ]
-
-_DEFLATE_LEVEL = 6
 
 
 @dataclass(frozen=True)
@@ -184,24 +195,53 @@ def _tensor_spec(tensors: StateDict) -> tuple:
     )
 
 
+def _deflate(body: bytes) -> bytes:
+    """``body`` as one zlib stream, run-length + Huffman coded (``Z_RLE``)."""
+    stream = zlib.compressobj(
+        zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, zlib.MAX_WBITS, 8, zlib.Z_RLE
+    )
+    return stream.compress(body) + stream.flush()
+
+
 def _pack(tensors: StateDict) -> tuple[bytes, tuple]:
     """Shuffle + concatenate + DEFLATE a state dict; spec rebuilds it."""
     spec = _tensor_spec(tensors)
     body = b"".join(_shuffle(tensors[key]) for key, _, _ in spec)
-    return zlib.compress(body, _DEFLATE_LEVEL), spec
+    return _deflate(body), spec
 
 
 def _unpack(blob: bytes, spec: tuple) -> StateDict:
-    body = memoryview(zlib.decompress(blob))
+    """Inflate ``blob`` and unshuffle it into the tensors ``spec`` names.
+
+    Inflation stops one byte past what ``spec`` implies, so a frame cannot
+    make this endpoint allocate more than that (the extra byte exposes an
+    over-long stream and lets an exact one reach its end; ``max_length=0``
+    would mean *unlimited*).  For ``delta`` frames the bound comes from the
+    local reference; for full and ``+deflate`` frames it is the peer's own
+    ``meta`` spec, so it is only as trustworthy as the peer.
+    """
+    sizes = [
+        np.dtype(dtype_str).itemsize
+        * (int(np.prod(shape, dtype=np.int64)) if shape else 1)
+        for _, dtype_str, shape in spec
+    ]
+    expected = sum(sizes)
+    inflater = zlib.decompressobj()
+    body = memoryview(inflater.decompress(blob, expected + 1))
+    if (
+        len(body) != expected
+        or inflater.unconsumed_tail
+        or inflater.unused_data
+        or not inflater.eof
+    ):
+        raise ValueError("packed payload length does not match its spec")
     tensors: StateDict = {}
     offset = 0
-    for key, dtype_str, shape in spec:
-        dtype = np.dtype(dtype_str)
-        nbytes = dtype.itemsize * (int(np.prod(shape, dtype=np.int64)) if shape else 1)
-        tensors[key] = _unshuffle(body[offset : offset + nbytes], dtype, shape)
+    for (key, dtype_str, shape), nbytes in zip(spec, sizes):
+        tensors[key] = _unshuffle(
+            body[offset : offset + nbytes], np.dtype(dtype_str), shape
+        )
         offset += nbytes
-    if offset != len(body):
-        raise ValueError("packed payload length does not match its spec")
     return tensors
 
 
@@ -253,7 +293,7 @@ class DeltaCodec(Codec):
         return Payload(
             codec=self.spec,
             kind="delta",
-            blob=zlib.compress(body, _DEFLATE_LEVEL),
+            blob=_deflate(body),
         )
 
     def decode(self, payload: Payload, ref: StateDict | None = None) -> StateDict:

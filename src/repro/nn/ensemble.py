@@ -766,6 +766,9 @@ def ensemble_state_dicts(emodel: Module) -> list[dict[str, np.ndarray]]:
 
     Key order matches the template's ``state_dict`` (parameters, then
     buffers) because ensemble layers mirror the template attribute names.
+    Each stack is copied once and the K states hold its row views, which
+    are C-contiguous snapshots that alias neither the live stack nor each
+    other.
     """
     ensemble_size = getattr(emodel, "ensemble_size", None)
     if ensemble_size is None:
@@ -776,10 +779,10 @@ def ensemble_state_dicts(emodel: Module) -> list[dict[str, np.ndarray]]:
     if ensemble_size is None:
         raise ValueError("not an ensemble model: no ensemble_size found")
     states: list[dict[str, np.ndarray]] = [{} for _ in range(ensemble_size)]
-    for name, param in emodel.named_parameters():
+    stacks = [(name, param.data) for name, param in emodel.named_parameters()]
+    stacks += emodel.named_buffers()
+    for name, stack in stacks:
+        rows = stack.copy()
         for index in range(ensemble_size):
-            states[index][name] = param.data[index].copy()
-    for name, buffer in emodel.named_buffers():
-        for index in range(ensemble_size):
-            states[index][name] = buffer[index].copy()
+            states[index][name] = rows[index]
     return states

@@ -62,17 +62,22 @@ class MeanAccumulator:
     float64 rounding step, and traces stay bit-identical across engines
     regardless of upload arrival order.
 
-    Memory is one ``(hi, lo)`` buffer pair — constant in the number of
-    folds, which is what lets the server aggregate without materializing
-    the round's survivor list.
+    Memory is one ``(6, P)`` float64 block allocated at the first fold —
+    rows ``hi``, ``lo``, the weighted term and three TwoSum temporaries,
+    with ``_hi`` / ``_lo`` / ``_term`` per-key views into it — so a fold is
+    one multiply per key plus eight whole-row ufunc calls, none allocating.
+    It stays constant in the number of folds, which is what lets the server
+    aggregate without materializing the round's survivor list.
     """
 
-    __slots__ = ("_keys", "_hi", "_lo", "_w_hi", "_w_lo", "count")
+    __slots__ = ("_keys", "_block", "_hi", "_lo", "_term", "_w_hi", "_w_lo", "count")
 
     def __init__(self) -> None:
         self._keys: list[str] | None = None
+        self._block = np.zeros((6, 0))
         self._hi: StateDict = {}
         self._lo: StateDict = {}
+        self._term: StateDict = {}
         self._w_hi = 0.0
         self._w_lo = 0.0
         #: Number of states folded in.
@@ -86,19 +91,30 @@ class MeanAccumulator:
         keys = sorted(state)
         if self._keys is None:
             self._keys = keys
-            for key in keys:
-                shape = np.shape(state[key])
-                self._hi[key] = np.zeros(shape, dtype=np.float64)
-                self._lo[key] = np.zeros(shape, dtype=np.float64)
+            sizes = [np.size(state[key]) for key in keys]
+            self._block = np.zeros((6, sum(sizes)))
+            end = 0
+            for key, size in zip(keys, sizes):
+                end += size
+                rows = self._block[:3, end - size : end].reshape(
+                    (3,) + np.shape(state[key])
+                )  # `rows[i, ...]`, not unpacking: a 0-d tensor stays a view
+                self._hi[key], self._lo[key], self._term[key] = (
+                    rows[row, ...] for row in range(3)
+                )
         elif keys != self._keys:
             raise KeyError("state dict has different keys")
         for key in keys:
-            value = np.multiply(state[key], weight, dtype=np.float64)
-            hi, lo = self._hi[key], self._lo[key]
-            s = hi + value
-            bb = s - hi
-            lo += (hi - (s - bb)) + (value - bb)
-            hi[...] = s
+            np.multiply(state[key], weight, out=self._term[key], dtype=np.float64)
+        hi, lo, value, s, bb, tmp = self._block
+        np.add(hi, value, out=s)
+        np.subtract(s, hi, out=bb)
+        np.subtract(s, bb, out=tmp)
+        np.subtract(hi, tmp, out=tmp)
+        np.subtract(value, bb, out=bb)
+        np.add(tmp, bb, out=tmp)
+        np.add(lo, tmp, out=lo)
+        np.copyto(hi, s)
         s, err = _two_sum(self._w_hi, weight)
         self._w_hi, self._w_lo = s, self._w_lo + err
         self.count += 1

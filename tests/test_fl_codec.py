@@ -12,6 +12,9 @@ Three contracts, in order of importance:
    acceptance bar in the fine-tuning regime delta encoding exists for.
 """
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +39,10 @@ from repro.fl.codec import (
     IdentityCodec,
     Payload,
     Qint8Codec,
+    _deflate,
+    _shuffle,
+    _tensor_spec,
+    _xor_bytes,
     analytic_scalar_bytes,
     codec_specs,
 )
@@ -437,3 +444,191 @@ class TestPayloadTransport:
             assert "noop-test" in codec_specs()
         finally:
             _BASE_CODECS.pop("noop-test", None)
+
+
+# -- the DEFLATE stage: same stream format, bounded inflate --------------------
+
+
+def _frame_body(state, ref=None):
+    """The bytes a frame compresses — the parent's construction, kept here:
+    shuffled tensors (full frame) or shuffled XOR planes (delta frame)."""
+    if ref is None:
+        return b"".join(_shuffle(state[key]) for key, _, _ in _tensor_spec(state))
+    return b"".join(
+        _xor_bytes(state[key], ref[key]).T.tobytes() for key, _, _ in _tensor_spec(state)
+    )
+
+
+class TestWireCompatibility:
+    """Why there is no protocol bump: the frame is one plain zlib stream on
+    both sides of this change, whichever strategy wrote it."""
+
+    def test_frames_compressed_the_old_way_still_decode(self, rng):
+        state, ref = make_state(rng), make_state(rng, offset=0.5)
+        codec = DeltaCodec()
+        delta = Payload(
+            codec="delta", kind="delta", blob=zlib.compress(_frame_body(state, ref), 6)
+        )
+        assert_states_bit_identical(codec.decode(delta, ref), state)
+        full = Payload(
+            codec="delta",
+            kind="full",
+            meta={"spec": _tensor_spec(state)},
+            blob=zlib.compress(_frame_body(state), 6),
+        )
+        assert_states_bit_identical(codec.decode(full, None), state)
+
+    def test_new_frames_inflate_with_a_bare_decompress(self, rng):
+        state, ref = make_state(rng), make_state(rng, offset=0.5)
+        codec = DeltaCodec()
+        assert zlib.decompress(codec.encode(state, ref).blob) == _frame_body(state, ref)
+        assert zlib.decompress(codec.encode(state).blob) == _frame_body(state)
+        packed = make_codec("identity+deflate").encode(state)
+        assert zlib.decompress(packed.blob) == _frame_body(state)
+
+
+_WIRE_DTYPES = ["<f8", "<f4", "<f2", "<i8", "|u1", "|b1"]
+_WIRE_SHAPES = [(), (0,), (1,), (5,), (3, 4), (2, 0, 3), (2, 3, 2)]
+
+
+@st.composite
+def _wire_states(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    rng = np.random.default_rng(seed)
+    state = {}
+    for index in range(draw(st.integers(min_value=1, max_value=4))):
+        dtype = np.dtype(draw(st.sampled_from(_WIRE_DTYPES)))
+        shape = draw(st.sampled_from(_WIRE_SHAPES))
+        state[f"t{index}"] = (rng.normal(size=shape) * 3).astype(dtype)
+    mode = draw(st.sampled_from(["none", "self", "near"]))
+    if mode == "none":
+        return state, None
+    if mode == "self":
+        return state, state
+    return state, {
+        key: (value + (rng.random(value.shape) < 0.3)).astype(value.dtype)
+        for key, value in state.items()
+    }
+
+
+class TestDeflateRoundTripProperty:
+    @given(_wire_states())
+    @settings(max_examples=60, deadline=None)
+    def test_delta_is_exact_for_every_wire_dtype(self, drawn):
+        state, ref = drawn
+        codec = DeltaCodec()
+        payload = codec.encode(state, ref)
+        assert payload.kind == ("full" if ref is None else "delta")
+        assert_states_bit_identical(codec.decode(payload, ref), state)
+
+    @pytest.mark.parametrize("spec", ["fp16+deflate", "qint8+deflate"])
+    @given(_wire_states())
+    @settings(max_examples=40, deadline=None)
+    def test_deflate_filter_preserves_the_inner_codec(self, spec, drawn):
+        state, ref = drawn
+        codec = make_codec(spec)
+        decoded = codec.decode(codec.encode(state, ref), ref)
+        assert_states_bit_identical(decoded, codec.inner.roundtrip(state))
+
+
+class TestDeflateSize:
+    """Size is pinned, time is not: run-length + Huffman must not cost bytes
+    against zlib's default strategy on the frames a real run produces."""
+
+    @staticmethod
+    def _recorded_pairs(rounds=3):
+        """(state, reference) for every broadcast and upload of a tiny FedAvg
+        run; the reference is what the delta codec would hold (None first)."""
+        clients = _make_clients()
+        model = build_mlp_model(
+            SUITE.image_shape, SUITE.num_classes, rng=np.random.default_rng(0)
+        )
+        strategy = FedAvgStrategy(FAST)
+        state = model.state_dict()
+        tree = SeedTree(0).child("server", "codec-bytes")
+        pairs, last_broadcast, last_upload = [], None, {}
+        executor = SerialExecutor()
+        for round_index in range(rounds):
+            seeds = [
+                tree.seed("client", client.client_id, "round", round_index)
+                for client in clients
+            ]
+            pairs.append((state, last_broadcast))
+            last_broadcast = state
+            updates = executor.run_round(
+                strategy, model, state, clients, round_index, seeds
+            )
+            for update in updates:
+                pairs.append((update.state, last_upload.get(update.client_id)))
+                last_upload[update.client_id] = update.state
+            state = strategy.aggregate(state, updates, round_index)
+        return pairs
+
+    def test_rle_frames_are_no_larger_than_default_strategy_frames(self):
+        pairs = self._recorded_pairs()
+        assert sum(ref is None for _, ref in pairs) == 9  # 1 broadcast + 8 clients
+        assert sum(ref is not None for _, ref in pairs) == 18
+        for state, ref in pairs:
+            body = _frame_body(state, ref)
+            blob = DeltaCodec().encode(state, ref).blob
+            assert blob == _deflate(body)
+            slack = 1.02 if ref is None else 1.01
+            assert len(blob) <= slack * len(zlib.compress(body, 6))
+
+
+class TestBoundedInflate:
+    """`_unpack` knows its byte count before it inflates; nothing a frame
+    says may make it allocate past that."""
+
+    REF = {"w": np.zeros(16)}
+
+    def _decode(self, blob):
+        payload = Payload(codec="delta", kind="delta", blob=blob)
+        return DeltaCodec().decode(payload, self.REF)
+
+    def test_a_bomb_is_refused_before_it_inflates(self):
+        deflater = zlib.compressobj()  # 300 MiB of zeros, never held at once
+        bomb = b"".join(deflater.compress(bytes(1 << 20)) for _ in range(300))
+        bomb += deflater.flush()
+        assert len(bomb) < 400_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="does not match its spec"):
+                self._decode(bomb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # What may be held: the 129 inflated bytes, zlib's inflate state (a
+        # 32 KiB window + tables) and `unconsumed_tail`, a copy of the unread
+        # *input* — frame-sized, never the 300 MiB the stream would inflate to.
+        assert peak < 4 * self.REF["w"].nbytes + len(bomb) + (64 << 10)
+
+    def test_truncated_trailing_and_overlong_streams_are_refused(self):
+        good = _deflate(b"\x01" * 128)
+        np.testing.assert_array_equal(
+            self._decode(good)["w"].view(np.uint8), np.ones(128, dtype=np.uint8)
+        )
+        for blob in (good[:-3], good + b"x", _deflate(b"\x01" * 129)):
+            with pytest.raises(ValueError, match="does not match its spec"):
+                self._decode(blob)
+
+    def test_full_frames_are_bounded_by_their_own_spec(self):
+        state = {"w": np.arange(16.0)}
+        payload = DeltaCodec().encode(state)
+        lying = Payload(
+            codec="delta",
+            kind="full",
+            meta={"spec": (("w", "<f8", (15,)),)},
+            blob=payload.blob,
+        )
+        with pytest.raises(ValueError, match="does not match its spec"):
+            DeltaCodec().decode(lying, None)
+        packed = make_codec("identity+deflate").encode(state)
+        short = Payload(
+            codec=packed.codec,
+            kind="full",
+            meta={"packed": (("w", "<f8", (17,)),)},
+            blob=packed.blob,
+        )
+        with pytest.raises(ValueError, match="does not match its spec"):
+            make_codec("identity+deflate").decode(short, None)

@@ -577,6 +577,34 @@ class TestStateHelpers:
             for name in state:
                 assert np.array_equal(state[name], recovered[name])
 
+    def test_split_states_are_snapshots_independent_per_client(self):
+        """One copy per stack, row views handed out: a state must not follow
+        the live stack, clients must not alias each other, and every tensor
+        stays C-contiguous (the out-of-band wire path needs that)."""
+        rng = np.random.default_rng(3)
+        model = Sequential(
+            Conv2d(3, 5, kernel_size=3, padding=1, rng=rng),
+            BatchNorm2d(5),
+            GlobalAvgPool2d(),
+            Linear(5, 3, rng=rng),
+        )
+        emodel = ensemble_of(model, K)
+        states = ensemble_state_dicts(emodel)
+        frozen = [{name: value.copy() for name, value in state.items()} for state in states]
+        assert list(emodel.named_buffers()), "the test model must have buffers"
+        for _, param in emodel.named_parameters():
+            param.data += 1.0  # the live stack trains on
+        for _, buffer in emodel.named_buffers():
+            buffer[...] = 7.0
+        for state in states:
+            for value in state.values():
+                assert value.flags.c_contiguous
+        for name in states[0]:
+            states[0][name][...] = -3.0  # one client's tensors are written to
+        for state, original in zip(states[1:], frozen[1:]):
+            for name in original:
+                assert np.array_equal(state[name], original[name])
+
 
 # --------------------------------------------------------------------------
 # Cross-engine traces: serial / pipe / shm x loop / ensemble / strict

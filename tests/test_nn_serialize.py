@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fl.aggregate import make_aggregator
 from repro.nn.serialize import (
+    MeanAccumulator,
     average_states,
     decode_payload,
     encode_payload,
@@ -214,6 +216,176 @@ class TestAverageStatesInPlace:
         for state, original in zip(states, originals):
             for key in state:
                 np.testing.assert_array_equal(state[key], original[key])
+
+
+class PerKeyMeanAccumulator:
+    """The accumulator as it was before the ``(6, P)`` block: one ``(hi,
+    lo)`` array pair per key and seven allocating calls per key per fold.
+    Kept as the reference the shipped one must equal bit for bit."""
+
+    def __init__(self):
+        self.keys = None
+        self.hi, self.lo = {}, {}
+        self.w_hi = self.w_lo = 0.0
+        self.count = 0
+
+    def fold(self, state, weight):
+        weight = float(weight)
+        keys = sorted(state)
+        if self.keys is None:
+            self.keys = keys
+            for key in keys:
+                self.hi[key] = np.zeros(np.shape(state[key]), dtype=np.float64)
+                self.lo[key] = np.zeros(np.shape(state[key]), dtype=np.float64)
+        for key in keys:
+            value = np.multiply(state[key], weight, dtype=np.float64)
+            hi, lo = self.hi[key], self.lo[key]
+            s = hi + value
+            bb = s - hi
+            lo += (hi - (s - bb)) + (value - bb)
+            hi[...] = s
+        s = self.w_hi + weight
+        bb = s - self.w_hi
+        self.w_lo += (self.w_hi - (s - bb)) + (weight - bb)
+        self.w_hi = s
+        self.count += 1
+
+    def finalize(self):
+        total = self.w_hi + self.w_lo
+        return {key: (self.hi[key] + self.lo[key]) / total for key in self.keys}
+
+
+_FOLD_SHAPES = [(), (0,), (1,), (7,), (3, 4), (2, 0, 3), (2, 3, 2)]
+_FOLD_DTYPES = [np.float64, np.float32, np.int64, np.uint8]
+
+
+@st.composite
+def fold_sequences(draw):
+    """(states, weights): 1-6 states sharing 1-4 keys of mixed shape and
+    dtype, some tensors non-contiguous, weights that may be 0.0 — in a
+    drawn order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = [
+        (f"k{index}", draw(st.sampled_from(_FOLD_SHAPES)),
+         draw(st.sampled_from(_FOLD_DTYPES)), draw(st.booleans()))
+        for index in range(draw(st.integers(1, 4)))
+    ]
+    count = draw(st.integers(1, 6))
+    states = []
+    for _ in range(count):
+        state = {}
+        for key, shape, dtype, strided in layout:
+            scale = 10.0 ** rng.integers(-6, 7) if dtype in _FOLD_DTYPES[:2] else 50
+            if strided and shape:
+                wide = (rng.normal(size=shape[:-1] + (2 * shape[-1],)) * scale).astype(dtype)
+                state[key] = wide[..., ::2]
+            else:
+                state[key] = np.asarray(rng.normal(size=shape) * scale).astype(dtype)
+        states.append(state)
+    weights = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e4)),
+        min_size=count, max_size=count,
+    ))
+    order = draw(st.permutations(range(count)))
+    return [states[i] for i in order], [weights[i] for i in order]
+
+
+class TestMeanAccumulatorBlock:
+    """The one-block accumulator is the per-key one's arithmetic, moved."""
+
+    @given(fold_sequences())
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_the_per_key_reference(self, drawn):
+        states, weights = drawn
+        acc, reference = MeanAccumulator(), PerKeyMeanAccumulator()
+        for state, weight in zip(states, weights):
+            acc.fold(state, weight)
+            reference.fold(state, weight)
+            for key in state:  # running sums too, not only the quotient
+                np.testing.assert_array_equal(acc._hi[key], reference.hi[key])
+                np.testing.assert_array_equal(acc._lo[key], reference.lo[key])
+        assert acc.count == reference.count
+        if sum(weights) > 0:
+            result, expected = acc.finalize(), reference.finalize()
+            for key in expected:
+                assert result[key].shape == expected[key].shape
+                np.testing.assert_array_equal(result[key], expected[key])
+        else:
+            with pytest.raises(ValueError, match="sum to zero"):
+                acc.finalize()
+
+    @given(fold_sequences())
+    @settings(max_examples=30, deadline=None)
+    def test_all_zero_weights_take_the_uniform_shadow(self, drawn):
+        states, _ = drawn
+        stream = make_aggregator("mean").begin_stream()
+        reference = PerKeyMeanAccumulator()
+        for state in states:
+            stream.fold(state, 0.0)
+            reference.fold(state, 1.0)
+        result, expected = stream.finalize(), reference.finalize()
+        for key in expected:
+            np.testing.assert_array_equal(result[key], expected[key])
+
+    def test_views_share_the_one_block(self, rng):
+        acc = MeanAccumulator()
+        acc.fold({"s": np.array(2.0), "e": np.empty((0, 3)), "m": rng.normal(size=(3, 2))}, 1.0)
+        assert acc._block.shape == (6, 7)
+        for views in (acc._hi, acc._lo, acc._term):
+            for key, shape in (("s", ()), ("e", (0, 3)), ("m", (3, 2))):
+                assert views[key].shape == shape
+                assert views[key].size == 0 or np.shares_memory(views[key], acc._block)
+
+    def test_memory_is_constant_in_the_number_of_folds(self, rng):
+        acc = MeanAccumulator()
+        acc.fold(make_state(rng), 1.0)
+        block = acc._block
+        for _ in range(5):
+            acc.fold(make_state(rng), 2.0)
+        assert acc._block is block
+
+    def test_mutating_a_folded_state_does_not_change_the_mean(self, rng):
+        states = [make_state(rng) for _ in range(3)]
+        expected = average_states([{k: v.copy() for k, v in s.items()} for s in states])
+        acc = MeanAccumulator()
+        for state in states:
+            acc.fold(state, 1.0)
+            for value in state.values():
+                value[...] = np.nan
+        for key, value in acc.finalize().items():
+            np.testing.assert_array_equal(value, expected[key])
+
+    def test_finalize_out_and_empty_paths(self, rng):
+        with pytest.raises(ValueError, match="at least one"):
+            MeanAccumulator().finalize()
+        out = make_state(rng)
+        untouched = {key: value.copy() for key, value in out.items()}
+        assert MeanAccumulator().finalize(out=out) is out
+        for key in out:
+            np.testing.assert_array_equal(out[key], untouched[key])
+        acc = MeanAccumulator()
+        state = make_state(rng)
+        acc.fold(state, 3.0)
+        assert acc.finalize(out=out) is out
+        for key in out:
+            np.testing.assert_array_equal(out[key], acc.finalize()[key])
+        empty = MeanAccumulator()
+        empty.fold({}, 1.0)
+        assert empty.finalize() == {}
+
+    def test_a_state_of_another_shape_or_key_set_raises(self, rng):
+        acc = MeanAccumulator()
+        acc.fold(make_state(rng), 1.0)
+        wrong = make_state(rng)
+        wrong["a.weight"] = rng.normal(size=(3, 3))
+        with pytest.raises(ValueError):
+            acc.fold(wrong, 1.0)
+        missing = make_state(rng)
+        del missing["a.bias"]
+        with pytest.raises(KeyError):
+            acc.fold(missing, 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            acc.fold(make_state(rng), -1.0)
 
 
 class TestPayloadCodec:
