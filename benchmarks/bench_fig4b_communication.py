@@ -12,8 +12,10 @@ Shape to check: every method is dominated by weight exchange; PARDON adds
 one style vector per client once; CCST's one-time download grows linearly
 with the client count (the whole style bank); FPL pays prototypes every
 round.  Measured uploads track the analytic weight cost plus pickle framing
-(FPL's prototypes and PARDON's one-time cache delta visible on top);
-measured downloads come out *below* analytic because the engine broadcasts
+(FPL's prototypes visible on top); PARDON's measured upload equals FedAvg's
+— its re-styled images stay in the workers, and its one style vector per
+client is still computed server-side, so no wire counts it yet; measured
+downloads come out *below* analytic because the engine broadcasts
 once per worker, not per client — the same share-nothing argument PARDON
 makes against cross-sharing methods, here realized by the transport.
 

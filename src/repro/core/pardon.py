@@ -139,23 +139,26 @@ class PardonStrategy(Strategy):
 
         Full PARDON transfers to the interpolation style; because both the
         data and the style are fixed, the result is cached in the client's
-        scratch space after the first round.  Variant v4 replaces style
-        transfer with generic augmentation (noise + circular shifts), drawn
-        fresh each round.
+        scratch after the first round, next to the ``R^{2d}`` style it was
+        built from — a cache left by another style (a previous run on the
+        same client objects) is recomputed, never reused.  Variant v4
+        replaces style transfer with generic augmentation (noise + circular
+        shifts), drawn fresh each round.
         """
         if not self.config.style_positives:
             from repro.data.transforms import standard_augmentation
 
             return standard_augmentation()(client.dataset.images, rng)
-        cached = client.scratch.get(_TRANSFER_CACHE_KEY)
-        if cached is not None:
-            return cached
         if self.interpolation_style is None:
             raise RuntimeError("prepare() must run before local_update()")
+        style = self.interpolation_style.to_array()
+        cached = client.scratch.get(_TRANSFER_CACHE_KEY)
+        if cached is not None and np.array_equal(cached[0], style):
+            return cached[1]
         transferred = apply_style_to_images(
             client.dataset.images, self.interpolation_style, self.encoder
         )
-        client.scratch[_TRANSFER_CACHE_KEY] = transferred
+        client.scratch[_TRANSFER_CACHE_KEY] = (style, transferred)
         return transferred
 
     def local_views(

@@ -16,7 +16,7 @@ from repro.fl.aggregate import (
     make_aggregator,
     register_aggregator,
 )
-from repro.fl.client import Client, ScratchDelta, ScratchSpace
+from repro.fl.client import Client
 from repro.fl.codec import Codec, Payload, codec_specs, make_codec
 from repro.fl.compute import (
     ComputeBackend,
@@ -94,8 +94,6 @@ __all__ = [
     "CommunicationModel",
     "MeasuredCommunication",
     "Payload",
-    "ScratchDelta",
-    "ScratchSpace",
     "WireStats",
     "codec_specs",
     "make_codec",

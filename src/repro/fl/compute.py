@@ -71,18 +71,11 @@ def timed_local_update(
     seed: int,
 ) -> "ClientUpdate":
     """Run one local update on ``model`` (already holding the broadcast
-    weights) and stamp its wall clock + scratch delta.
-
-    Collecting the delta here — on both engines, through every backend —
-    is what makes the ``scratch_delta`` contract engine-invariant: it is
-    always a snapshot of the keys this update touched, detached from the
-    live scratch dict.
-    """
+    weights) and stamp its wall clock."""
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     update = strategy.local_update(client, model, round_index, rng)
     update.train_seconds = time.perf_counter() - start
-    update.scratch_delta = client.scratch.collect_delta()
     return update
 
 
@@ -93,7 +86,7 @@ class ComputeBackend:
     workspace/template model and ``wire_state`` the already-decoded
     broadcast weights every client trains from.  Implementations return
     one :class:`repro.fl.executor.ClientUpdate` per client, in the same
-    order, each stamped with ``train_seconds`` and its scratch delta.
+    order, each stamped with ``train_seconds``.
     """
 
     name = "compute"
@@ -240,7 +233,6 @@ class EnsembleBackend(ComputeBackend):
                 share = elapsed / stack
                 for position, update in zip(chunk, updates):
                     update.train_seconds = share
-                    update.scratch_delta = clients[position].scratch.collect_delta()
                     results[position] = update
         return results  # type: ignore[return-value]
 

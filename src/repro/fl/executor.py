@@ -47,7 +47,7 @@ the participant count (paper §IV-B-3's scalability axis);
 over framed sockets to agent processes on other machines.
 
 What crosses a wire lane, and how both ends stay in lockstep, is
-:mod:`repro.fl.wire` (registration → broadcast → task → delta upload,
+:mod:`repro.fl.wire` (registration → broadcast → task → upload,
 byte-counted post-codec in :class:`WireStats`).  Three axes are negotiated
 when the lanes open, each a registry with its own module: the **codec**
 (:mod:`repro.fl.codec` — what bytes represent a state), the **transport**
@@ -78,7 +78,7 @@ from concurrent.futures.process import BrokenProcessPool as _BrokenPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.fl.client import Client, ScratchDelta
+from repro.fl.client import Client
 from repro.fl.codec import Codec
 from repro.fl.faults import (
     AdaptiveDeadline,
@@ -123,13 +123,10 @@ class ClientUpdate:
     *only* channel through which a local update may influence the server.
     Strategies therefore put method-specific uploads — FPL's class
     prototypes, for instance — into ``payload`` instead of mutating strategy
-    state from inside :meth:`repro.fl.strategy.Strategy.local_update`.
+    state from inside :meth:`repro.fl.strategy.Strategy.local_update`.  The
+    client's scratch is not part of it: caches stay on the endpoint that
+    built them, so PARDON's re-styled images never reach the server.
 
-    ``scratch_delta`` is the client's scratch changes made *by this update*
-    (filled in by the executor, not by strategies): a snapshot taken at
-    upload time, never an alias of the live scratch dict, under every
-    engine.  Applying it to any scratch copy that was in sync before the
-    update reproduces additions, overwrites, and deletions alike.
     ``train_seconds`` is the worker-measured wall clock of the update, so
     the timing report stays fair when updates overlap.  ``decode_seconds``
     is the worker-measured wall clock of the lazy broadcast decode, nonzero
@@ -150,7 +147,7 @@ class ClientUpdate:
     server decodes it before anything else sees the update.
     ``__wire_oob__`` opts the record into the serializer's protocol-5
     out-of-band framing, so every array it carries — wire tensors, FPL's
-    prototype payload, scratch-delta values — decodes as a zero-copy view.
+    prototype payload — decodes as a zero-copy view.
     """
 
     __wire_oob__ = True
@@ -160,7 +157,6 @@ class ClientUpdate:
     state: StateDict
     loss: float
     payload: dict[str, object] = field(default_factory=dict)
-    scratch_delta: ScratchDelta = field(default_factory=ScratchDelta)
     train_seconds: float = 0.0
     decode_seconds: float = 0.0
     straggler_seconds: float = 0.0
@@ -305,10 +301,9 @@ class ParallelExecutor(Executor):
     broadcast state without any cross-worker coordination — the slot's
     broadcast is guaranteed to run before its tasks, and the first
     not-yet-answered task of a dead slot is the one that was executing
-    when it died.  Uploaded scratch deltas are applied to the server-side
-    clients, so caches built inside a worker (e.g. PARDON's
-    style-transferred images) survive across rounds — and a slot rebuild —
-    exactly as they do serially.
+    when it died.  Caches a worker builds in a client's scratch (PARDON's
+    style-transferred images) stay in that worker; a rebuilt slot or a
+    re-registered client recomputes them, which cannot move the trace.
 
     The pool is created lazily on the first round and rebuilt only when a
     different model *architecture* shows up, so one executor (and its warm
@@ -354,7 +349,7 @@ class ParallelExecutor(Executor):
         # (home, future) pairs an abandoned task left behind: the slot's
         # FIFO order means they finish before anything later touches
         # their worker; their results are drained and discarded (the
-        # client was dropped, its scratch re-ships at re-registration).
+        # client was dropped and re-registers before it trains again).
         # The home is remembered so close() can kill — rather than join —
         # a slot whose zombie turns out to be genuinely wedged.
         self._zombie_futures: "list[tuple[int, Future]]" = []
@@ -383,7 +378,7 @@ class ParallelExecutor(Executor):
         # Absorb abandoned tasks that have finished since: their results
         # (or errors) belong to rounds that already closed, and the dropped
         # clients were evicted from residency then, so nothing a zombie
-        # computed can ever reach aggregation or scratch state.
+        # computed can ever reach aggregation.
         self._zombie_futures = [
             (home, future) for home, future in self._zombie_futures
             if not future.done()

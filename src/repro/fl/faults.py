@@ -50,8 +50,9 @@ Fault kinds
     The local update runs, but its uploaded weights are poisoned with
     non-finite values (:func:`poison_state`).  Engines with a fault plan
     validate every decoded upload (:func:`state_is_corrupt`) and drop the
-    bad ones from aggregation (reason ``"corrupt"``); the update's scratch
-    delta is still applied — the style cache is not what is corrupt.
+    bad ones from aggregation (reason ``"corrupt"``); the client's scratch
+    caches stay where they were built — the style cache is not what is
+    corrupt.
 ``crash``
     A worker process dies mid-round.  ``crash_rounds`` schedules one crash
     in each listed round; the victim is picked deterministically among the

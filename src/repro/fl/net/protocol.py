@@ -11,7 +11,7 @@ welcome    → agent   negotiated codec/compute specs + the pickled model
 reject     → agent   handshake refused; ``meta["reason"]`` says why
 register   → agent   pool-resident client registration blob (+ evictions)
 broadcast  → agent   round strategy blob + codec-encoded global state
-task       → agent   one ``(client_ids, round, seeds, syncs, fault)`` tuple
+task       → agent   one ``(client_ids, round, seeds, fault)`` tuple
 upload     agent →   ``encode_payload(list[ClientUpdate])`` for one task
 bye        → agent   clean shutdown; the agent exits its serve loop
 ========== ========= =====================================================
@@ -58,7 +58,7 @@ __all__ = [
 
 #: Bumped on any incompatible change to the message vocabulary or blob
 #: encodings.  Both sides send it; a mismatch is a handshake reject.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 HELLO = "hello"
 WELCOME = "welcome"

@@ -19,13 +19,11 @@ splits *who exists* from *who is resident*:
     clients — the lazy path cannot pre-filter eligibility without
     materializing everyone.
 
-Statefulness caveat: cross-round per-client state (``client.scratch``)
-survives only while the execution engine keeps the client in its bounded
-resident set.  When an LRU-evicted (or never-retained) lazy client is
-re-sampled, the factory rebuilds it pristine — the documented trade for
-constant server memory.  Methods that depend on scratch persistence
-(PARDON's style cache) should size ``max_resident`` to cover their
-working set, or use a :class:`ListPopulation`.
+Per-client caches (``client.scratch``) survive only while the endpoint
+keeps the client resident.  An LRU-evicted (or never-retained) client is
+rebuilt pristine when re-sampled and recomputes its caches — eviction
+costs a recompute (PARDON re-styles the client's images), never a
+different result.
 """
 
 from __future__ import annotations

@@ -384,10 +384,6 @@ class Executor(WireServer):
             fault = rnd.injected.get(client.client_id)
             if fault is not None:
                 if fault.kind == "crash" and not self.kills_crash_victims:
-                    # A killing lane's victim dies on task receipt, after
-                    # the dispatch-time scratch sync; mirror that sync
-                    # point so dirty-tracking stays engine-invariant.
-                    client.scratch.collect_delta()
                     report.dropped[client.client_id] = "crash"
                     continue
                 if (
@@ -421,12 +417,6 @@ class Executor(WireServer):
         rows: "list[_Row]" = []
         group_at: "dict[object, _Row]" = {}
         for position, (client, seed) in enumerate(pairs):
-            # The dispatch-time sync point: server-side scratch edits ship
-            # to the training side (a no-op in-process), so the upload
-            # delta carries only what the update itself writes, identically
-            # on every engine.  The blob is None unless server-side code
-            # touched the client's scratch since the last sync.
-            delta = client.scratch.collect_delta()
             fault = rnd.injected.get(client.client_id)
             home = self.home(client.client_id)
             row = group_at.get(home) if fault is None else None
@@ -438,11 +428,6 @@ class Executor(WireServer):
             row.clients.append(client)
             row.seeds.append(seed)
             row.positions.append(position)
-            row.syncs.append(
-                encode_payload(delta)
-                if delta and self.transport is not None
-                else None
-            )
         return rows
 
     def _encode_broadcast(self, rnd: _Round, homes: "list") -> None:
@@ -581,9 +566,6 @@ class Executor(WireServer):
             if rebuilt and not poisoned and not victim:
                 if head == 0:
                     rnd.suspects.update(client.client_id for client in row.clients)
-                # Registration re-ships the full scratch, so the re-run
-                # task needs no sync blobs.
-                row.syncs = [None] * len(row.clients)
                 rerun.append(row)
             else:
                 del rnd.outstanding[row.task_id]
@@ -597,7 +579,7 @@ class Executor(WireServer):
         """Take one row's upload through the acceptance path into
         ``rnd.results`` (keyed by dispatch position) and the stream."""
         updates: "list[ClientUpdate]" = (
-            upload if self.transport is None else self._decode_upload(row, upload)
+            upload if self.transport is None else self._decode_upload(upload)
         )
         for position, update in zip(row.positions, updates):
             if self.fault_plan is not None and state_is_corrupt(
@@ -606,10 +588,8 @@ class Executor(WireServer):
                 norm_screen=self.fault_plan.norm_screen,
             ):
                 # Acceptance check on every decoded upload: distrust the
-                # weights, keep the scratch (already applied — in-process
-                # the update mutated it in place), and leave both
-                # reference chains advanced so the next delta still
-                # decodes bit-exactly.
+                # weights, and leave both reference chains advanced so the
+                # next delta still decodes bit-exactly.
                 rnd.report.dropped[update.client_id] = "corrupt"
                 continue
             rnd.results[position] = update

@@ -53,11 +53,13 @@ forbidden.  Server-only attributes that should not ship to workers (model
 handles, client registries) are listed in ``_server_only_state`` and
 stripped on pickling.
 
-Per-client state that must persist across rounds belongs in
-``client.scratch`` (a :class:`repro.fl.client.ScratchSpace`).  Change
-tracking is key-granular: *assign or delete whole keys*; mutating a stored
-value in place is invisible to the delta sync that carries scratch changes
-back from worker processes.
+``client.scratch`` (a plain dict) holds *caches* only: values recomputable
+from the client's data and the broadcast strategy (PARDON's
+style-transferred images).  It stays on the endpoint that writes it — no
+wire engine sends it to the server — so any endpoint may start with it
+empty, and a cache must record what it was built from (PARDON stores the
+style vector next to the images) so a different strategy never reads it
+as its own.
 """
 
 from __future__ import annotations

@@ -1,27 +1,26 @@
 """Both halves of the wire protocol: what crosses to a lane, as bytes.
 
 Mirrors the per-round-traffic argument PARDON makes against cross-sharing
-methods (§IV-B-3, Fig. 4b): clients keep their data, only deltas travel.
+methods (§IV-B-3, Fig. 4b): clients keep their data, only model updates
+travel.
 
-1. **Registration** (once per client per lane lifetime): the full
-   :class:`Client` — dataset and scratch included — ships to its home,
-   then both sides mark the scratch clean.  Ids the server's LRU evicted
-   since ride along, so endpoint copies are freed without a message.
+1. **Registration** (once per client per lane lifetime): the client's id
+   and dataset ship to its home — a pickled :class:`Client` carries an
+   empty scratch.  Ids the server's LRU evicted since ride along, so
+   endpoint copies are freed without a message.
 2. **Broadcast** (once per participating home per round): the strategy
    blob and the codec-encoded global weights; workers cache the strategy
    decode keyed on the blob bytes and decode the weights lazily.
 3. **Task** (per co-resident group per round):
-   ``(client_ids, round_index, seeds, scratch_syncs, fault)`` — each
-   scratch sync is ``None`` unless server-side code touched that client's
-   scratch between rounds.  Under the ``loop`` compute backend every task
-   is a singleton group; a batched backend (``ensemble``) packs a home's
-   fault-free participants into one task, while faulted clients always
-   ride alone.
-4. **Delta upload** (per group per round): the list of ``ClientUpdate``
-   records in group order, each ``state`` codec-encoded and each
-   ``scratch_delta`` carrying only the scratch keys the local update wrote
-   or removed — PARDON's style-transfer cache crosses the wire once, not
-   every round.
+   ``(client_ids, round_index, seeds, fault)``.  Under the ``loop``
+   compute backend every task is a singleton group; a batched backend
+   (``ensemble``) packs a home's fault-free participants into one task,
+   while faulted clients always ride alone.
+4. **Upload** (per group per round): the list of ``ClientUpdate`` records
+   in group order — state (codec-encoded) plus method payload, nothing
+   else.  Scratch caches (PARDON's style-transferred images) stay on the
+   endpoint that built them: they never cross the wire, and an endpoint
+   that starts without them recomputes them.
 
 Codec, transport and compute specs are negotiated before any of this:
 they travel with the worker init (pool initargs / the handshake welcome),
@@ -67,9 +66,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 __all__ = ["WireServer", "WireStats", "WorkerRuntime"]
 
-#: ``(client_ids, round_index, seeds, scratch_syncs, fault)`` — see
+#: ``(client_ids, round_index, seeds, fault)`` — see
 #: :meth:`WorkerRuntime.run_task`.
-Task = "tuple[tuple[int, ...], int, tuple[int, ...], tuple[bytes | None, ...], FaultEvent | None]"
+Task = "tuple[tuple[int, ...], int, tuple[int, ...], FaultEvent | None]"
 
 
 @dataclass
@@ -124,20 +123,17 @@ class _Row:
     """One task: a co-resident client group bound for one home.
 
     ``positions`` are the clients' indices in the round's dispatch order
-    (what results are keyed by); ``syncs`` the per-client scratch-sync
-    blobs; ``fault`` the group's injected event — faulted clients always
-    ride alone, so the per-task fault protocol stays unambiguous.
+    (what results are keyed by); ``fault`` the group's injected event —
+    faulted clients always ride alone, so the per-task fault protocol stays
+    unambiguous.
     """
 
-    __slots__ = (
-        "clients", "seeds", "positions", "syncs", "home", "fault", "task_id",
-    )
+    __slots__ = ("clients", "seeds", "positions", "home", "fault", "task_id")
 
     def __init__(self, home: object, fault: "FaultEvent | None") -> None:
         self.clients: "list[Client]" = []
         self.seeds: "list[int]" = []
         self.positions: "list[int]" = []
-        self.syncs: "list[bytes | None]" = []
         self.home = home
         self.fault = fault
         #: Assigned when the row is first handed to its lane.
@@ -219,8 +215,8 @@ class WireServer:
         """The clients of ``rows`` that are not resident at their row's
         home yet, per home.  Residency is keyed on client *identity*: a run
         that builds fresh :class:`Client` objects (even with the same ids)
-        re-registers them, so stale datasets or scratch can never leak
-        between runs."""
+        re-registers them, so a stale dataset can never leak between
+        runs."""
         newcomers: "dict[object, list[Client]]" = {}
         for row in rows:
             for client in row.clients:
@@ -236,7 +232,7 @@ class WireServer:
                         continue
                     # Same object, other home: the lane layout moved under
                     # it (an agent vanished).  Free the stale copy where it
-                    # was, so it can never train from outdated scratch.
+                    # was; the new home recomputes its caches.
                     self._pending_evictions.setdefault(
                         resident[0], []
                     ).append(client.client_id)
@@ -244,11 +240,10 @@ class WireServer:
         return newcomers
 
     def _registration(self, home: object, clients: "list[Client]") -> bytes:
-        """One registration blob for ``home``, mirroring the sync points
-        server-side (scratch marked clean, upload reference chains reset on
-        both endpoints).  Eviction ids queued for the home ride along in
-        the same blob (see ``WorkerRuntime.register``); either half may be
-        empty."""
+        """One registration blob for ``home``, resetting the clients' upload
+        reference chains on both endpoints.  Eviction ids queued for the
+        home ride along in the same blob (see ``WorkerRuntime.register``);
+        either half may be empty."""
         evict_ids = tuple(self._pending_evictions.pop(home, ()))
         blob = encode_payload((clients, evict_ids))
         self.wire.registration_bytes += len(blob)
@@ -256,11 +251,8 @@ class WireServer:
         # fan-out-free and counts unchanged toward the unique floor.
         self.wire.unique_registration_bytes += len(blob)
         for client in clients:
-            # Mirror the worker-side sync point: from here on, only
-            # deltas travel in either direction.
-            client.scratch.mark_clean()
             self._resident[client.client_id] = (home, client)
-            # ...and the worker-side chain reset: a fresh resident's
+            # Mirror the worker-side chain reset: a fresh resident's
             # first upload is a full frame again.
             self._upload_refs.pop(client.client_id, None)
         return blob
@@ -305,29 +297,27 @@ class WireServer:
     def _task(self, round_index: int, row: "_Row") -> tuple:
         """The constant-size task tuple for one row; a fault-plan event for
         the group rides inside it, so endpoints need no plan state."""
-        for client, seed, sync in zip(row.clients, row.seeds, row.syncs):
-            # Count each client's fixed task fields exactly; the sync
-            # blob is never re-pickled (it can be dataset-scale) and the
-            # group tuple's framing is charged to noise like the blob
-            # framing — so the accounting stays invariant to the backend's
-            # grouping and the lane count.
+        for client, seed in zip(row.clients, row.seeds):
+            # Count each client's fixed task fields exactly; the group
+            # tuple's framing is charged to noise like the blob framing —
+            # so the accounting stays invariant to the backend's grouping
+            # and the lane count.
             self.wire.task_bytes += len(
                 pickle.dumps(
-                    (client.client_id, round_index, seed, None, row.fault),
+                    (client.client_id, round_index, seed, row.fault),
                     protocol=pickle.HIGHEST_PROTOCOL,
                 )
-            ) + (len(sync) if sync is not None else 0)
+            )
         return (
             tuple(client.client_id for client in row.clients),
             round_index,
             tuple(row.seeds),
-            tuple(row.syncs),
             row.fault,
         )
 
-    def _decode_upload(self, row: "_Row", wire: object) -> "list[ClientUpdate]":
+    def _decode_upload(self, wire: object) -> "list[ClientUpdate]":
         """Unwrap one wire upload: codec-decode each state against its
-        client's reference chain and sync the server-side scratch copies.
+        client's reference chain.
 
         The decode order is fixed per row, so any arrival order advances
         the chains identically for a given set of ingested rows.
@@ -335,7 +325,7 @@ class WireServer:
         blob = self.transport.recv_upload(wire)
         self.wire.upload_bytes += len(blob)
         updates: "list[ClientUpdate]" = decode_payload(blob)
-        for client, update in zip(row.clients, updates):
+        for update in updates:
             # Restore the codec-encoded state before anything downstream
             # (aggregation, benches) touches the update.
             update.state = self.codec.decode(
@@ -343,20 +333,6 @@ class WireServer:
             )
             if self.codec.stateful:
                 self._upload_refs[update.client_id] = update.state
-            # The out-of-band decode hands back read-only views into the
-            # upload blob.  That is fine for ``state`` (dropped after
-            # aggregation), but scratch outlives the round: materialize
-            # the delta so server-side scratch holds owned, writable
-            # values instead of pinning every client's blob for the
-            # session.
-            if update.scratch_delta:
-                update.scratch_delta = pickle.loads(
-                    pickle.dumps(update.scratch_delta, pickle.HIGHEST_PROTOCOL)
-                )
-            # Sync the server-side copy; applying (rather than recording)
-            # keeps its dirty set empty, so nothing bounces back next
-            # round.
-            client.scratch.apply_delta(update.scratch_delta)
         return updates
 
     def _forget_home(self, home: object) -> None:
@@ -460,7 +436,6 @@ class WorkerRuntime:
             self.clients.pop(client_id, None)
             self.upload_refs.pop(client_id, None)
         for client in clients:
-            client.scratch.mark_clean()  # registration is the sync point
             self.clients[client.client_id] = client
             # A fresh resident starts a fresh upload-reference chain; the
             # server drops its copy at the same point.
@@ -512,30 +487,28 @@ class WorkerRuntime:
         """Train one co-resident client group and upload its updates.
 
         ``task`` carries the group's client ids, their per-client seeds and
-        scratch-sync blobs, and at most one fault event.  Faulted clients
-        always dispatch as singleton groups (the server enforces this), so
-        a fault applies to ``client_ids[0]`` unambiguously; fault-free
-        clients of one endpoint may share a group, which the compute
-        backend trains as one fused stack.  The upload is always a *list*
+        at most one fault event.  Faulted clients always dispatch as
+        singleton groups (the server enforces this), so a fault applies to
+        ``client_ids[0]`` unambiguously; fault-free clients of one endpoint
+        may share a group, which the compute backend trains as one fused
+        stack.  The upload is always a *list*
         of updates, in group order.
 
         Crash faults never get here: the pool wrapper
         (:func:`_run_resident_task`) hard-exits the process first, and the
         other lanes never dispatch a crash victim.
         """
-        client_ids, round_index, seeds, scratch_syncs, fault = task
+        client_ids, round_index, seeds, fault = task
         if self.strategy is None:  # pragma: no cover - protocol violation
             raise RuntimeError("endpoint received a task before init/broadcast")
         decode_seconds = self.ensure_round_state(round_index)
         clients: list[Client] = []
-        for client_id, scratch_sync in zip(client_ids, scratch_syncs):
+        for client_id in client_ids:
             client = self.clients.get(client_id)
             if client is None:  # pragma: no cover - protocol violation
                 raise RuntimeError(
                     f"client {client_id} is not resident on this endpoint"
                 )
-            if scratch_sync is not None:
-                client.scratch.apply_delta(decode_payload(scratch_sync))
             clients.append(client)
         # Injected slowness, slept before the update so train_seconds
         # keeps measuring genuine compute.
@@ -594,7 +567,7 @@ def _worker_broadcast(
 
 
 def _run_resident_task(task: "Task") -> bytes:
-    fault = task[4]
+    fault = task[3]
     if fault is not None and fault.kind == "crash":
         # Simulate a hard worker crash: no cleanup, no exception back up
         # the pipe — the pool just loses this process, exactly like a

@@ -229,8 +229,8 @@ def state_allclose(a: StateDict, b: StateDict, atol: float = 1e-10) -> bool:
 # allocations.  Eligible are state dicts, bare arrays, and any type that
 # opts in with a ``__wire_oob__ = True`` class attribute (the codec
 # :class:`repro.fl.codec.Payload` and the executor's ``ClientUpdate`` — the
-# latter is what puts FPL's prototype arrays and scratch-delta tensors out
-# of band on the upload hop).
+# latter is what puts FPL's prototype arrays out of band on the upload
+# hop).
 _OOB_MAGIC = b"RPB5"
 _OOB_LEN = struct.Struct("<Q")
 

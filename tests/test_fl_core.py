@@ -2,6 +2,7 @@
 and the simulation loop itself."""
 
 import itertools
+import pickle
 import threading
 
 import numpy as np
@@ -47,13 +48,25 @@ class TestClient:
     def test_basic_properties(self):
         clients = make_clients()
         assert all(c.num_samples == len(c.dataset) for c in clients)
-        domains = clients[0].domains_present()
+        domains = np.unique(clients[0].dataset.domain_ids)
         assert set(domains).issubset({0, 1})
 
     def test_scratch_is_per_client(self):
         clients = make_clients()
         clients[0].scratch["x"] = 1
         assert "x" not in clients[1].scratch
+
+    def test_scratch_stays_on_the_endpoint_that_wrote_it(self):
+        client = make_clients()[0]
+        client.scratch["cache"] = np.ones(3)
+        assert type(client.scratch) is dict
+        shipped = pickle.loads(pickle.dumps(client))
+        assert shipped.scratch == {}
+        assert shipped.client_id == client.client_id
+        np.testing.assert_array_equal(
+            shipped.dataset.images, client.dataset.images
+        )
+        assert "cache" in client.scratch  # the writer keeps its copy
 
 
 class TestSampler:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import FedAvgStrategy, FedDGGAStrategy, FPLStrategy
-from repro.core import PardonStrategy
+from repro.core import PardonConfig, PardonStrategy
 from repro.data import synthetic_pacs, partition_clients
 from repro.fl import (
     Client,
@@ -25,6 +25,7 @@ from repro.fl import (
     SerialExecutor,
     make_executor,
 )
+from repro.fl.net.serve import trace_dict
 from repro.fl.timing import PhaseTimer
 from repro.nn import build_mlp_model
 from repro.utils.rng import SeedTree
@@ -40,10 +41,10 @@ def make_clients(n_clients=8, seed=0):
     return [Client(i, d) for i, d in enumerate(partition.client_datasets)]
 
 
-def run_once(strategy, executor, rounds=3, clients_per_round=4):
+def run_once(strategy, executor, rounds=3, clients_per_round=4, clients=None):
     server = FederatedServer(
         strategy=strategy,
-        clients=make_clients(),
+        clients=make_clients() if clients is None else clients,
         model=build_mlp_model(
             SUITE.image_shape, SUITE.num_classes, rng=np.random.default_rng(0)
         ),
@@ -197,40 +198,15 @@ class TestDeterminism:
         assert_identical_runs(serial, spawned)
 
 
-class ScratchCyclingStrategy(FedAvgStrategy):
-    """Adds a scratch key on even rounds and deletes it on odd rounds —
-    exercises both directions of scratch persistence."""
-
-    name = "scratch_cycling"
-
-    def local_update(self, client, model, round_index, rng):
-        if round_index % 2 == 0:
-            client.scratch["marker"] = round_index
-        else:
-            client.scratch.pop("marker", None)
-        return super().local_update(client, model, round_index, rng)
-
-
-class EchoStrategy(FedAvgStrategy):
-    """Echoes a server-written scratch note back through the worker, so the
-    task's server->worker scratch sync is observable."""
-
-    name = "echo"
-
-    def local_update(self, client, model, round_index, rng):
-        client.scratch["echo"] = client.scratch.get("server_note")
-        return super().local_update(client, model, round_index, rng)
-
-
 class PidStampStrategy(FedAvgStrategy):
-    """Stamps the worker's pid into scratch each round, one key per round so
-    every stamp travels in that round's delta."""
+    """Stamps the training process's pid into each upload's payload."""
 
     name = "pid_stamp"
 
     def local_update(self, client, model, round_index, rng):
-        client.scratch[f"pid_{round_index}"] = os.getpid()
-        return super().local_update(client, model, round_index, rng)
+        update = super().local_update(client, model, round_index, rng)
+        update.payload["pid"] = os.getpid()
+        return update
 
 
 def _round_setup(clients, rounds=1):
@@ -273,8 +249,8 @@ class TestWireProtocol:
         with ParallelExecutor(num_workers=2) as executor:
             executor.run_round(FedAvgStrategy(FAST), model, state, clients, 0, seeds)
             wire = executor.wire_stats()
-        # Tasks are (client_id, round, seed, None): constant-size, far below
-        # even a single client's pickled dataset.
+        # Tasks are (client_ids, round, seeds, fault): constant-size, far
+        # below even a single client's pickled dataset.
         per_task = wire.task_bytes / len(clients)
         assert per_task < 256
         assert wire.task_bytes < len(pickle.dumps(clients[0]))
@@ -293,19 +269,19 @@ class TestWireProtocol:
 
     def test_sticky_affinity_is_by_client_id_modulo_workers(self):
         clients = make_clients()
+        model = self._model()
+        state = model.state_dict()
+        seeds = _round_setup(clients, rounds=2)
         with ParallelExecutor(num_workers=2) as executor:
-            server = FederatedServer(
-                strategy=PidStampStrategy(FAST),
-                clients=clients,
-                model=self._model(),
-                eval_sets={},
-                config=FederatedConfig(num_rounds=2, clients_per_round=8, seed=0),
-                executor=executor,
-            )
-            server.run()
+            rounds = [
+                executor.run_round(
+                    PidStampStrategy(FAST), model, state, clients, r, seeds[r]
+                )
+                for r in range(2)
+            ]
         pids = {
-            client.client_id: (client.scratch["pid_0"], client.scratch["pid_1"])
-            for client in clients
+            a.client_id: (a.payload["pid"], b.payload["pid"])
+            for a, b in zip(*rounds)
         }
         # Same worker across rounds...
         for first, second in pids.values():
@@ -316,36 +292,6 @@ class TestWireProtocol:
                 assert pids[a.client_id] == pids[b.client_id]
             else:
                 assert pids[a.client_id] != pids[b.client_id]
-
-    def test_scratch_cache_travels_once_not_every_round(self):
-        """PARDON's transfer cache crosses the wire in the round that builds
-        it; later uploads carry only the model state."""
-        clients = make_clients()
-        strategy = PardonStrategy(local_config=FAST)
-        model = self._model()
-        state = model.state_dict()
-        seeds = _round_setup(clients, rounds=3)
-        with ParallelExecutor(num_workers=2) as executor:
-            strategy.prepare(clients, model, np.random.default_rng(1))
-            model.load_state_dict(state)
-            executor.run_round(strategy, model, state, clients, 0, seeds[0])
-            first_round_up = executor.wire_stats().upload_bytes
-            executor.run_round(strategy, model, state, clients, 1, seeds[1])
-            second_round_up = executor.wire_stats().upload_bytes - first_round_up
-            executor.run_round(strategy, model, state, clients, 2, seeds[2])
-            third_round_up = (
-                executor.wire_stats().upload_bytes - first_round_up - second_round_up
-            )
-        # Round 0's uploads carry the freshly-built cache on top of the
-        # state dicts; the drop from round 0 to round 1 must account for
-        # (most of) the cache, which then never travels again.
-        cache_bytes = sum(
-            len(pickle.dumps(dict(client.scratch))) for client in clients
-        )
-        assert cache_bytes > 0
-        assert first_round_up - second_round_up > cache_bytes * 0.5
-        # And uploads stay flat once warm (no cache churn round over round).
-        assert abs(third_round_up - second_round_up) < second_round_up * 0.1
 
     def test_new_client_objects_are_reregistered(self):
         """Fresh Client objects with recycled ids (a new run on a warm pool)
@@ -358,20 +304,22 @@ class TestWireProtocol:
         finally:
             executor.close()
 
-    def test_server_side_scratch_edits_reach_workers(self):
-        """Out-of-band server-side scratch writes between rounds must be
-        visible to the resident copy (shipped as a task sync delta)."""
-        clients = make_clients()
-        model = self._model()
-        state = model.state_dict()
-        seeds = _round_setup(clients, rounds=2)
-        with ParallelExecutor(num_workers=2) as executor:
-            executor.run_round(EchoStrategy(FAST), model, state, clients, 0, seeds[0])
-            for client in clients:
-                client.scratch["server_note"] = f"note-{client.client_id}"
-            executor.run_round(EchoStrategy(FAST), model, state, clients, 1, seeds[1])
-        for client in clients:
-            assert client.scratch["echo"] == f"note-{client.client_id}"
+    def test_pardon_uploads_what_fedavg_uploads(self):
+        """The privacy boundary: PARDON's re-styled images stay in the
+        workers that built them.  Its measured upload is FedAvg's (same
+        clients, seeds and codec), and no server-side client holds a
+        cache after the run."""
+
+        def run(strategy):
+            clients = make_clients()
+            with ParallelExecutor(num_workers=2) as executor:
+                result = run_once(strategy, executor, clients=clients)
+            return result.timing.bytes_up, clients
+
+        fedavg_up, _ = run(FedAvgStrategy(FAST))
+        pardon_up, clients = run(PardonStrategy(local_config=FAST))
+        assert abs(pardon_up - fedavg_up) <= 0.01 * fedavg_up
+        assert all(client.scratch == {} for client in clients)
 
     def test_wire_bytes_land_in_timing_report(self):
         with ParallelExecutor(num_workers=2) as executor:
@@ -398,130 +346,32 @@ class TestWireProtocol:
         assert second.timing.bytes_down < first.timing.bytes_down * 1.5
 
 
-class TestScratchDeltaContract:
-    """Satellite regression: ClientUpdate carries a snapshot delta, never an
-    alias of the live scratch dict — on every engine."""
+class TestPardonCacheFollowsStyle:
+    """PARDON's transfer cache is keyed on the style that built it: a second
+    run over the *same* client objects with another interpolation style
+    trains exactly like that style on fresh clients."""
 
-    def _one_round(self, executor):
+    FIRST = PardonConfig(global_clustering=True)
+    SECOND = PardonConfig(local_clustering=False, global_clustering=False)
+
+    def _assert_second_run_is_fresh(self, executor):
         clients = make_clients()
-        model = build_mlp_model(
-            SUITE.image_shape, SUITE.num_classes, rng=np.random.default_rng(0)
-        )
-        seeds = _round_setup(clients)[0]
-        updates = executor.run_round(
-            ScratchCyclingStrategy(FAST), model, model.state_dict(), clients, 0, seeds
-        )
-        return clients, updates
+        run_once(PardonStrategy(self.FIRST, FAST), executor, clients=clients)
+        reused = run_once(PardonStrategy(self.SECOND, FAST), executor, clients=clients)
+        fresh = run_once(PardonStrategy(self.SECOND, FAST), executor)
+        assert trace_dict(reused) == trace_dict(fresh)
 
-    def test_serial_delta_is_a_snapshot_not_an_alias(self):
-        clients, updates = self._one_round(SerialExecutor())
-        update = updates[0]
-        assert update.scratch_delta.updates == {"marker": 0}
-        clients[0].scratch["marker"] = "mutated-after-upload"
-        assert update.scratch_delta.updates == {"marker": 0}
+    def test_serial(self):
+        self._assert_second_run_is_fresh(SerialExecutor())
 
-    def test_parallel_delta_matches_serial(self):
-        serial_clients, serial_updates = self._one_round(SerialExecutor())
+    def test_warm_pool(self):
+        # One pool serves all three runs, so the workers keep the first
+        # run's clients — and their caches — resident.
         with ParallelExecutor(num_workers=2) as executor:
-            parallel_clients, parallel_updates = self._one_round(executor)
-        for s, p in zip(serial_updates, parallel_updates):
-            assert s.scratch_delta.updates == p.scratch_delta.updates
-            assert s.scratch_delta.removed == p.scratch_delta.removed
-        for s, p in zip(serial_clients, parallel_clients):
-            assert dict(s.scratch) == dict(p.scratch)
-
-    def test_server_side_writes_stay_out_of_the_upload_delta(self):
-        """Engine invariance includes server-side scratch edits between
-        rounds: they sync *down* before the update, so the upload delta
-        contains only the update's own writes on either engine."""
-
-        def one_round(executor):
-            clients = make_clients()
-            model = build_mlp_model(
-                SUITE.image_shape, SUITE.num_classes, rng=np.random.default_rng(0)
-            )
-            rounds = _round_setup(clients, rounds=2)
-            executor.run_round(
-                EchoStrategy(FAST), model, model.state_dict(), clients, 0, rounds[0]
-            )
-            for client in clients:
-                client.scratch["server_note"] = f"note-{client.client_id}"
-            return executor.run_round(
-                EchoStrategy(FAST), model, model.state_dict(), clients, 1, rounds[1]
-            )
-
-        serial_updates = one_round(SerialExecutor())
-        with ParallelExecutor(num_workers=2) as executor:
-            parallel_updates = one_round(executor)
-        for s, p in zip(serial_updates, parallel_updates):
-            assert set(s.scratch_delta.updates) == {"echo"}
-            assert s.scratch_delta.updates == p.scratch_delta.updates
-
-    def test_deletion_travels_in_the_delta(self):
-        clients = make_clients()
-        model = build_mlp_model(
-            SUITE.image_shape, SUITE.num_classes, rng=np.random.default_rng(0)
-        )
-        rounds = _round_setup(clients, rounds=2)
-        executor = SerialExecutor()
-        executor.run_round(
-            ScratchCyclingStrategy(FAST), model, model.state_dict(), clients, 0, rounds[0]
-        )
-        updates = executor.run_round(
-            ScratchCyclingStrategy(FAST), model, model.state_dict(), clients, 1, rounds[1]
-        )
-        assert updates[0].scratch_delta.removed == ("marker",)
+            self._assert_second_run_is_fresh(executor)
 
 
 class TestParallelMechanics:
-    def test_scratch_deletions_propagate(self):
-        """Worker-side scratch removals must reach the server-side client,
-        same as additions (replace semantics, not merge)."""
-        clients = make_clients()
-        with ParallelExecutor(num_workers=2) as executor:
-            server = FederatedServer(
-                strategy=ScratchCyclingStrategy(FAST),
-                clients=clients,
-                model=build_mlp_model(
-                    SUITE.image_shape,
-                    SUITE.num_classes,
-                    rng=np.random.default_rng(0),
-                ),
-                eval_sets={},
-                config=FederatedConfig(num_rounds=2, clients_per_round=8, seed=0),
-                executor=executor,
-            )
-            result = server.run()
-        # Round 1 (odd) ran last and deleted the marker everywhere.
-        participated = set(result.history.records[-1].participants)
-        for client in clients:
-            if client.client_id in participated:
-                assert "marker" not in client.scratch
-
-    def test_scratch_merged_back_to_server_clients(self):
-        """PARDON's style-transfer cache is built inside a worker but must
-        land on the server-side client for reuse next round."""
-        clients = make_clients()
-        strategy = PardonStrategy(local_config=FAST)
-        with ParallelExecutor(num_workers=2) as executor:
-            server = FederatedServer(
-                strategy=strategy,
-                clients=clients,
-                model=build_mlp_model(
-                    SUITE.image_shape,
-                    SUITE.num_classes,
-                    rng=np.random.default_rng(0),
-                ),
-                eval_sets={},
-                config=FederatedConfig(num_rounds=1, clients_per_round=8, seed=0),
-                executor=executor,
-            )
-            result = server.run()
-        participated = set(result.history.records[0].participants)
-        for client in clients:
-            if client.client_id in participated and client.num_samples:
-                assert "pardon_transferred" in client.scratch
-
     def test_server_only_state_not_shipped_to_workers(self):
         strategy = FedDGGAStrategy(local_config=FAST)
         clients = make_clients(4)

@@ -295,9 +295,9 @@ class TestChaosInvariance:
             assert _stray_segments() == []
 
     def test_chaos_with_scratch_heavy_strategy(self):
-        """A crash round must not lose or fork per-client scratch state:
-        PARDON's style-transfer cache re-ships from the server copy when
-        the slot rebuilds, so the trace still matches serial."""
+        """A crash round must not fork per-client caches: the rebuilt slot
+        starts with an empty scratch and recomputes PARDON's
+        style-transfer cache, so the trace still matches serial."""
         plan = FaultPlan(seed=5, crash_rounds=(1,), dropout_rate=0.1)
         serial = run_once(
             SerialExecutor(faults=plan), strategy=PardonStrategy(local_config=FAST)

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import FedAvgStrategy
+from repro.core import PardonStrategy
 from repro.data import partition_clients, synthetic_pacs
 from repro.fl import (
     Client,
@@ -53,6 +54,7 @@ from repro.fl.executor import WorkerRuntime
 from repro.fl.net.agent import run_agent
 from repro.fl.net.protocol import (
     BROADCAST,
+    PROTOCOL_VERSION,
     HELLO,
     REGISTER,
     REJECT,
@@ -96,15 +98,17 @@ def _model(rng_seed=0):
     )
 
 
-def run_once(executor, rounds=3, aggregator=None):
+def run_once(executor, rounds=3, aggregator=None, strategy=None, clients=None):
     """One run on ``executor`` (which carries the codec, faults and
-    deadline); ``aggregator`` is installed on the strategy."""
-    strategy = FedAvgStrategy(FAST)
+    deadline); ``aggregator`` is installed on the strategy (FedAvg unless
+    given)."""
+    if strategy is None:
+        strategy = FedAvgStrategy(FAST)
     if aggregator is not None:
         strategy.aggregator = make_aggregator(aggregator)
     server = FederatedServer(
         strategy=strategy,
-        clients=make_clients(),
+        clients=make_clients() if clients is None else clients,
         model=_model(),
         eval_sets={"test": SUITE.datasets[2]},
         config=FederatedConfig(
@@ -250,6 +254,10 @@ class TestHandshake:
 
     def test_version_mismatch_rejected(self):
         reason = evaluate_hello({"version": 0}, codec_spec="identity")
+        assert reason is not None and "version" in reason
+        # A version-1 task tuple carries a fifth (scratch-sync) field.
+        assert PROTOCOL_VERSION == 2
+        reason = evaluate_hello({"version": 1}, codec_spec="identity")
         assert reason is not None and "version" in reason
 
     def test_codec_pin_mismatch_rejected(self):
@@ -476,6 +484,24 @@ class TestRemoteExecutor:
         remote = RemoteExecutor(num_agents=2, faults=CHAOS_PLAN, deadline=30.0)
         result = run_remote(remote)
         _assert_same(serial, result, "remote chaos")
+
+    def test_pardon_uploads_what_fedavg_uploads(self):
+        """The privacy boundary across sockets: PARDON's re-styled images
+        stay on the agents that built them.  Its measured upload is
+        FedAvg's (same clients, seeds and codec), and no server-side client
+        holds a cache after the run."""
+
+        def run(strategy):
+            clients = make_clients()
+            remote = RemoteExecutor(num_agents=2)
+            with thread_agents(remote):
+                result = run_once(remote, strategy=strategy, clients=clients)
+            return result.timing.bytes_up, clients
+
+        fedavg_up, _ = run(FedAvgStrategy(FAST))
+        pardon_up, clients = run(PardonStrategy(local_config=FAST))
+        assert abs(pardon_up - fedavg_up) <= 0.01 * fedavg_up
+        assert all(client.scratch == {} for client in clients)
 
     def test_unpipelined_reports_zero_overlap(self):
         remote = RemoteExecutor(num_agents=2, pipelined=False)

@@ -281,7 +281,6 @@ class TestLostLane:
         for before, after in zip(first, replay[2:]):
             assert after[2] == before[2]  # same task id
             assert after[3][:3] == before[3][:3]  # same clients, round, seeds
-            assert after[3][3] == (None,)  # registration re-shipped the scratch
         # The fresh endpoint has no reference chain, so it got a full frame
         # again (a delta frame would not have decoded there at all), where
         # the round's regular broadcast was a smaller delta.
@@ -308,7 +307,7 @@ class TestLostLane:
         def script(lanes, pending):
             for task_id in pending:
                 home, task = lanes.pending[task_id]
-                if task[4] is not None and task[4].kind == "crash":
+                if task[3] is not None and task[3].kind == "crash":
                     return ("lost", home)
             return pending
 
@@ -320,7 +319,7 @@ class TestLostLane:
         gentle = ScriptedLanes(compute="loop", faults=plan)
         drive(gentle, rounds=1)
         assert gentle.last_fault_report.dropped == {2: "crash"}
-        assert all(e[3][4] is None for e in gentle.log if e[0] == "submit")
+        assert all(e[3][3] is None for e in gentle.log if e[0] == "submit")
 
     @pytest.mark.parametrize("codec", ["identity", "delta"])
     def test_no_respawn_drops_disconnect_and_keeps_upload_chains(self, codec):

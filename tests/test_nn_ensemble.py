@@ -346,10 +346,17 @@ def _assert_updates_bitwise_equal(got, want):
                     assert np.array_equal(got_update.payload[key][inner], array)
             else:
                 assert np.array_equal(got_update.payload[key], value)
-        assert set(got_update.scratch_delta.updates) == set(
-            want_update.scratch_delta.updates
-        )
-        assert got_update.scratch_delta.removed == want_update.scratch_delta.removed
+
+
+def _assert_scratch_equal(got_clients, want_clients):
+    """The caches each backend left resident on its clients, bitwise."""
+    for got, want in zip(got_clients, want_clients):
+        assert set(got.scratch) == set(want.scratch)
+        for key, value in want.scratch.items():
+            for got_part, want_part in zip(got.scratch[key], value):
+                assert np.array_equal(got_part, want_part), (
+                    f"client {want.client_id}: scratch {key} diverged"
+                )
 
 
 STRATEGIES = {
@@ -367,9 +374,10 @@ class TestGroupingInvariance:
     def test_stack_matches_independent_loop_runs(self, method, spec):
         # Mixed dataset sizes exercise the order-preserving sub-grouping.
         sizes = (10, 7, 10, 7, 10)
-        batched, _ = _run_backend(spec, STRATEGIES[method], sizes)
-        loop, _ = _run_backend("loop", STRATEGIES[method], sizes)
+        batched, batched_clients = _run_backend(spec, STRATEGIES[method], sizes)
+        loop, loop_clients = _run_backend("loop", STRATEGIES[method], sizes)
         _assert_updates_bitwise_equal(batched, loop)
+        _assert_scratch_equal(batched_clients, loop_clients)
 
     def test_result_independent_of_group_order(self):
         sizes = (8, 8, 8, 8)
@@ -427,14 +435,17 @@ class TestGroupingInvariance:
         _assert_updates_bitwise_equal(batched, loop)
 
     def test_scratch_deltas_stay_per_client(self):
-        """PARDON's style cache: each slice touches only its own scratch."""
+        """PARDON's style cache: each slice writes only its own scratch —
+        the images it caches are its own client's, re-styled exactly as
+        the loop backend re-styles them."""
         sizes = (9, 9, 9)
         updates, clients = _run_backend("ensemble", STRATEGIES["pardon"], sizes)
+        _, loop_clients = _run_backend("loop", STRATEGIES["pardon"], sizes)
         for update, client in zip(updates, clients):
             assert update.client_id == client.client_id
-            # The cache key set this update wrote belongs to this client only.
-            for key in update.scratch_delta.updates:
-                assert key in client.scratch
+            (_, transferred), = client.scratch.values()
+            assert transferred.shape == client.dataset.images.shape
+        _assert_scratch_equal(clients, loop_clients)
 
 
 # --------------------------------------------------------------------------
@@ -542,8 +553,6 @@ class TestRegistry:
             model = FeatureClassifierModel(
                 features, Linear(8, 4, rng=rng), embed_dim=8
             )
-            for client in clients:
-                client.scratch.mark_clean()
             return make_compute(spec).run_group(
                 strategy, model, model.state_dict(), clients, 0, [3, 4]
             )
