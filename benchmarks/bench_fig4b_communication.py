@@ -14,7 +14,10 @@ with the client count (the whole style bank); FPL pays prototypes every
 round.  Measured uploads track the analytic weight cost plus pickle framing
 (FPL's prototypes visible on top); PARDON's measured upload equals FedAvg's
 — its re-styled images stay in the workers, and its one style vector per
-client is still computed server-side, so no wire counts it yet; measured
+client is computed by the client half of the exchange before round 1
+(``Strategy.prepare_client``), which still runs in-process, so no wire
+counts it yet (FedDG-GA's per-round loss report does ride the upload, a
+few bytes in its payload); measured
 downloads come out *below* analytic because the engine broadcasts
 once per worker, not per client — the same share-nothing argument PARDON
 makes against cross-sharing methods, here realized by the transport.

@@ -1,6 +1,8 @@
 """CCST (Chen et al., WACV 2023): cross-client style transfer.
 
-Clients publish their style statistics to a server-side *style bank*; every
+Clients publish their style statistics to a server-side *style bank*
+(:meth:`CCSTStrategy.prepare_client` uploads them before round 1,
+:meth:`CCSTStrategy.fuse_prepare` stacks the uploads into the bank); every
 client then augments its local data by AdaIN-transferring it to other
 clients' styles before plain cross-entropy training.  Two sharing
 granularities exist:
@@ -70,33 +72,29 @@ class CCSTStrategy(Strategy):
         self.encoder = encoder or InvertibleEncoder(levels=2, seed=7)
         self.style_bank: list[StyleBankEntry] = []
 
-    def prepare(
-        self,
-        clients: list[Client],
-        model: FeatureClassifierModel,
-        rng: np.random.Generator,
-    ) -> None:
-        """Publish every client's style statistics into the shared bank."""
-        self.style_bank = []
-        for client in clients:
-            if client.num_samples == 0:
-                continue
-            features = self.encoder.encode(client.dataset.images)
-            if self.mode == "overall":
-                self.style_bank.append(
-                    StyleBankEntry(client.client_id, pooled_style(features))
-                )
-            else:
-                mu, sigma = per_sample_style_stats(features)
-                count = min(self.styles_per_client, mu.shape[0])
-                chosen = rng.choice(mu.shape[0], size=count, replace=False)
-                for index in chosen:
-                    self.style_bank.append(
-                        StyleBankEntry(
-                            client.client_id,
-                            StyleVector(mu=mu[index], sigma=sigma[index]),
-                        )
-                    )
+    def prepare_client(
+        self, client: Client, rng: np.random.Generator
+    ) -> dict | None:
+        """The client's published styles, one ``R^{2d}`` row each: its
+        pooled style, or ``styles_per_client`` per-image styles drawn on
+        the client's own ``rng``."""
+        if client.num_samples == 0:
+            return None
+        features = self.encoder.encode(client.dataset.images)
+        if self.mode == "overall":
+            return {"styles": pooled_style(features).to_array()[None]}
+        mu, sigma = per_sample_style_stats(features)
+        count = min(self.styles_per_client, mu.shape[0])
+        chosen = rng.choice(mu.shape[0], size=count, replace=False)
+        return {"styles": np.concatenate([mu, sigma], axis=1)[chosen]}
+
+    def fuse_prepare(self, payloads: dict[int, dict]) -> None:
+        """Publish every uploaded style into the shared bank."""
+        self.style_bank = [
+            StyleBankEntry(client_id, StyleVector.from_array(row))
+            for client_id, payload in payloads.items()
+            for row in payload["styles"]
+        ]
 
     def _foreign_styles(self, client_id: int) -> list[StyleVector]:
         return [

@@ -1,11 +1,15 @@
 """FedDG-GA (Zhang et al., CVPR 2023): generalization adjustment.
 
-A pure aggregation-side method: the server maintains a per-client
-aggregation weight and, after each round, nudges weights toward clients on
-which the *new global model* still has a high generalization gap (loss), so
-hard clients — often those holding domains the current model handles
-poorly — gain influence.  Weights are smoothed with momentum, floored, and
-renormalized.
+An aggregation-side method: the server maintains a per-client aggregation
+weight and, after each round, nudges weights toward clients on which the
+global model still has a high generalization gap (loss), so hard clients —
+often those holding domains the current model handles poorly — gain
+influence.  Weights are smoothed with momentum, floored, and renormalized.
+
+The gap is a loss on the client's own data, so the client measures it:
+each participant evaluates the broadcast weights on its dataset before
+training and reports the loss as ``payload["gap"]``.  The server reads the
+gaps from the uploads and never touches a model or a dataset.
 """
 
 from __future__ import annotations
@@ -16,7 +20,10 @@ from repro.fl.evaluation import evaluate_loss
 from repro.fl.client import Client
 from repro.fl.executor import ClientUpdate
 from repro.fl.strategy import LocalTrainingConfig, Strategy
+from repro.nn.ensemble import ensemble_cross_entropy
 from repro.nn.models import FeatureClassifierModel
+from repro.nn.module import Module
+from repro.nn.objective import ensemble_dataset_embeddings
 from repro.nn.serialize import StateDict, average_states
 
 __all__ = ["FedDGGAStrategy"]
@@ -26,11 +33,6 @@ class FedDGGAStrategy(Strategy):
     """FedDG-GA: generalization-gap-adjusted aggregation weights."""
 
     name = "feddg_ga"
-
-    # The workspace-model handle and the client registry exist purely for
-    # server-side gap evaluation inside aggregate(); they must not ship to
-    # local-update workers (the registry would drag every dataset along).
-    _server_only_state = ("_model_ref", "_clients_by_id")
 
     def __init__(
         self,
@@ -50,24 +52,40 @@ class FedDGGAStrategy(Strategy):
         self.momentum = momentum
         self.weight_floor = weight_floor
         self.client_weights: dict[int, float] = {}
-        self._gap_trace: dict[int, float] = {}
-        self._model_ref: FeatureClassifierModel | None = None
-        self._clients_by_id: dict[int, Client] | None = None
 
-    def prepare(
+    def train_client(
+        self,
+        client: Client,
+        model: FeatureClassifierModel,
+        round_index: int,
+        rng: np.random.Generator,
+    ) -> ClientUpdate:
+        gap = evaluate_loss(model, client.dataset)
+        update = super().train_client(client, model, round_index, rng)
+        update.payload["gap"] = gap
+        return update
+
+    def train_group(
         self,
         clients: list[Client],
-        model: FeatureClassifierModel,
-        rng: np.random.Generator,
-    ) -> None:
-        # Keep a handle on the workspace model for gap evaluation; the
-        # simulation core reloads its weights before every use, so mutating
-        # them inside aggregate() is safe.  The client registry lets
-        # aggregate() find a participant's dataset from its upload id.
-        self._model_ref = model
-        self._clients_by_id = {client.client_id: client for client in clients}
-        for client in clients:
-            self.client_weights.setdefault(client.client_id, 1.0)
+        emodel: Module,
+        round_index: int,
+        rngs: list[np.random.Generator],
+    ) -> list[ClientUpdate] | None:
+        # Slice k is bitwise the scalar evaluate_loss: same chunks, same
+        # cross-entropy.
+        emodel.eval()
+        logits = ensemble_dataset_embeddings(
+            emodel.forward, np.stack([client.dataset.images for client in clients])
+        )
+        emodel.train()
+        gaps, _ = ensemble_cross_entropy(
+            logits, np.stack([client.dataset.labels for client in clients])
+        )
+        updates = super().train_group(clients, emodel, round_index, rngs)
+        for update, gap in zip(updates, gaps):
+            update.payload["gap"] = float(gap)
+        return updates
 
     def aggregate(
         self,
@@ -87,39 +105,23 @@ class FedDGGAStrategy(Strategy):
         )
         new_state = average_states([update.state for update in updates], raw)
 
-        # Measure the generalization gap of the new global model on each
-        # participant and adjust weights for future rounds.  Participants
-        # missing from the registry (e.g. clients added after prepare())
-        # simply keep their current weight — gap evaluation needs a dataset.
-        registry = self._clients_by_id or {}
-        participants = [
-            registry[update.client_id]
-            for update in updates
-            if update.client_id in registry
-        ]
-        if self._model_ref is not None and self.step_size > 0 and participants:
-            self._model_ref.load_state_dict(new_state)
-            gaps = np.array(
-                [
-                    evaluate_loss(self._model_ref, client.dataset)
-                    for client in participants
-                ]
-            )
-            self._gap_trace = {
-                client.client_id: float(gap)
-                for client, gap in zip(participants, gaps)
-            }
+        # Adjust weights for future rounds from the reported gaps.  A
+        # participant without one (a zero-sample client trains nothing and
+        # measures nothing) keeps its current weight.
+        reported = [update for update in updates if "gap" in update.payload]
+        if self.step_size > 0 and reported:
+            gaps = np.array([update.payload["gap"] for update in reported])
             centered = gaps - gaps.mean()
             scale = np.max(np.abs(centered))
             if scale > 0:
                 adjustment = self.step_size * centered / scale
-                for client, delta in zip(participants, adjustment):
-                    old = self.client_weights.get(client.client_id, 1.0)
+                for update, delta in zip(reported, adjustment):
+                    old = self.client_weights.get(update.client_id, 1.0)
                     updated = (
                         self.momentum * old
                         + (1.0 - self.momentum) * (old + float(delta))
                     )
-                    self.client_weights[client.client_id] = max(
+                    self.client_weights[update.client_id] = max(
                         updated, self.weight_floor
                     )
         return new_state

@@ -2,11 +2,17 @@
 
 The four steps of Fig. 2 map onto the strategy hooks as follows:
 
-1. **Local style calculation** + 2. **interpolation style extraction** run in
-   :meth:`PardonStrategy.prepare`, *once, before round 1, over all clients*
-   — this is what makes the method robust to client sampling: the global
-   style already carries every client's domain knowledge even if a client is
-   never sampled again.
+1. **Local style calculation** is the client half of the exchange before
+   round 1, :meth:`PardonStrategy.prepare_client`: each client computes its
+   own ``R^{2d}`` style (local FINCH + median) from its own images, and
+   that vector is its whole payload.
+2. **Interpolation style extraction** is the server half,
+   :meth:`PardonStrategy.fuse_prepare`: global FINCH + median over the
+   uploaded styles.  The exchange covers *every* client of the population,
+   once — this is what makes the method robust to client sampling: the
+   global style already carries every client's domain knowledge even if a
+   client is never sampled again.  Only the fused interpolation style is
+   broadcast; the per-client styles stay on the server.
 3. **Contrastive local training** is the declarative objective (Eq. 9):
    cross-entropy over both halves (or the original half, per
    ``ce_on_transferred``), the triplet term at ``gamma_triplet``, and the
@@ -30,7 +36,6 @@ from repro.core.interpolation import extract_interpolation_style
 from repro.core.local_style import compute_client_style
 from repro.fl.client import Client
 from repro.fl.strategy import LocalTrainingConfig, Strategy
-from repro.nn.models import FeatureClassifierModel
 from repro.nn.objective import (
     CompositeObjective,
     CrossEntropyTerm,
@@ -80,6 +85,10 @@ class PardonStrategy(Strategy):
 
     name = "pardon"
 
+    # The uploaded per-client styles are the server's; workers train from
+    # the interpolation style alone.
+    _server_only_state = ("client_styles",)
+
     def __init__(
         self,
         config: PardonConfig | None = None,
@@ -95,31 +104,32 @@ class PardonStrategy(Strategy):
         self.client_styles: dict[int, StyleVector] = {}
         self.objective = _pardon_objective(self.config)
 
-    # -- steps 1 + 2: one-time style pipeline --------------------------------
+    # -- steps 1 + 2: the style exchange before round 1 ---------------------
 
-    def prepare(
-        self,
-        clients: list[Client],
-        model: FeatureClassifierModel,
-        rng: np.random.Generator,
-    ) -> None:
-        """Collect every client's style and extract the interpolation style.
+    def prepare_client(
+        self, client: Client, rng: np.random.Generator
+    ) -> dict | None:
+        """Step 1, on the client: its ``R^{2d}`` style, the only thing a
+        PARDON client uploads (the privacy experiments, ``repro.privacy``,
+        quantify how little it leaks)."""
+        if client.num_samples == 0:
+            return None
+        style = compute_client_style(
+            client.dataset.images,
+            self.encoder,
+            use_local_clustering=self.config.local_clustering,
+        )
+        return {"style": style.to_array()}
 
-        Only the per-client ``R^{2d}`` statistics travel to the server;
-        the privacy experiments (``repro.privacy``) quantify how little they
-        leak.
-        """
-        self.client_styles = {}
-        for client in clients:
-            if client.num_samples == 0:
-                continue
-            self.client_styles[client.client_id] = compute_client_style(
-                client.dataset.images,
-                self.encoder,
-                use_local_clustering=self.config.local_clustering,
-            )
-        if not self.client_styles:
+    def fuse_prepare(self, payloads: dict[int, dict]) -> None:
+        """Step 2, on the server: the interpolation style of the uploaded
+        client styles."""
+        if not payloads:
             raise ValueError("no client has data; cannot extract a style")
+        self.client_styles = {
+            client_id: StyleVector.from_array(payload["style"])
+            for client_id, payload in payloads.items()
+        }
         self.interpolation_style = extract_interpolation_style(
             list(self.client_styles.values()),
             use_global_clustering=self.config.global_clustering,
@@ -150,7 +160,7 @@ class PardonStrategy(Strategy):
 
             return standard_augmentation()(client.dataset.images, rng)
         if self.interpolation_style is None:
-            raise RuntimeError("prepare() must run before local_update()")
+            raise RuntimeError("fuse_prepare() must run before local_update()")
         style = self.interpolation_style.to_array()
         cached = client.scratch.get(_TRANSFER_CACHE_KEY)
         if cached is not None and np.array_equal(cached[0], style):

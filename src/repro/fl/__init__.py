@@ -59,13 +59,12 @@ from repro.fl.population import (
     as_population,
 )
 from repro.fl.sampling import UniformClientSampler
-from repro.fl.secure import SecureAggregator, masked_upload
 from repro.fl.server import (
     FederatedConfig,
     FederatedResult,
     FederatedServer,
 )
-from repro.fl.strategy import LocalTrainingConfig, Strategy
+from repro.fl.strategy import LocalTrainingConfig, Strategy, run_prepare
 from repro.fl.timing import PhaseTimer, TimingReport
 from repro.fl.transport import (
     PipeTransport,
@@ -126,13 +125,12 @@ __all__ = [
     "ListPopulation",
     "as_population",
     "UniformClientSampler",
-    "SecureAggregator",
-    "masked_upload",
     "FederatedConfig",
     "FederatedResult",
     "FederatedServer",
     "LocalTrainingConfig",
     "Strategy",
+    "run_prepare",
     "PhaseTimer",
     "TimingReport",
     "Transport",

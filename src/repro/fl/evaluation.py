@@ -68,8 +68,7 @@ class EvaluationStage:
     evaluation model and scores it on one long-lived background thread, so
     the caller goes on to the next round's local phase.  The evaluation
     model is a copy taken at construction that **nothing else can reach** —
-    not the caller's instance, which the serial engine trains in and a
-    strategy may reload mid-``aggregate`` (FedDG-GA does).  At most one
+    not the caller's instance, which the serial engine trains in.  At most one
     evaluation is in flight: ``submit`` waits for the previous one before it
     touches the model, so per-state results are exactly a foreground
     ``evaluate_accuracy`` on each state.  An evaluation error is raised by

@@ -19,6 +19,15 @@ splits *who exists* from *who is resident*:
     clients — the lazy path cannot pre-filter eligibility without
     materializing everyone.
 
+Both also enumerate every client, one at a time
+(:meth:`ClientPopulation.iter_clients`), for the one population-wide pass a
+run may make: the exchange before round 1
+(:func:`repro.fl.strategy.run_prepare`).  A lazy population builds each
+client there and lets it go, so PARDON's style exchange over a lazy
+population costs one factory call per client and O(1) residency.  FedAvg
+and every other strategy without a client-side prepare half never
+enumerate.
+
 Per-client caches (``client.scratch``) survive only while the endpoint
 keeps the client resident.  An LRU-evicted (or never-retained) client is
 rebuilt pristine when re-sampled and recomputes its caches — eviction
@@ -28,7 +37,7 @@ different result.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,6 +73,10 @@ class ClientPopulation:
         participants (lazy populations only — list populations own their
         clients for the run's lifetime)."""
 
+    def iter_clients(self) -> Iterator[Client]:
+        """Every client in id order, built (or looked up) one at a time."""
+        raise NotImplementedError
+
 
 class ListPopulation(ClientPopulation):
     """The historical in-memory client list, O(population) resident."""
@@ -80,6 +93,9 @@ class ListPopulation(ClientPopulation):
         # Delegate to the sampler's historical list path (eligibility
         # filter + rng.choice) so existing traces stay bit-identical.
         return sampler.sample(self.clients, rng)
+
+    def iter_clients(self) -> Iterator[Client]:
+        return iter(self.clients)
 
 
 class LazyPopulation(ClientPopulation):
@@ -104,21 +120,24 @@ class LazyPopulation(ClientPopulation):
     def sample(
         self, sampler: UniformClientSampler, rng: np.random.Generator
     ) -> list[Client]:
-        participants = []
-        for client_id in sampler.sample_ids(self.size, rng):
-            client = self.factory(client_id)
-            if client.client_id != client_id:
-                raise ValueError(
-                    f"client factory returned id {client.client_id} for "
-                    f"requested id {client_id}"
-                )
-            if client.num_samples <= 0:
-                raise ValueError(
-                    f"client factory produced an empty client {client_id}; "
-                    f"lazy populations require every client to have data"
-                )
-            participants.append(client)
-        return participants
+        return [self._build(i) for i in sampler.sample_ids(self.size, rng)]
+
+    def iter_clients(self) -> Iterator[Client]:
+        return map(self._build, range(self.size))
+
+    def _build(self, client_id: int) -> Client:
+        client = self.factory(client_id)
+        if client.client_id != client_id:
+            raise ValueError(
+                f"client factory returned id {client.client_id} for "
+                f"requested id {client_id}"
+            )
+        if client.num_samples <= 0:
+            raise ValueError(
+                f"client factory produced an empty client {client_id}; "
+                f"lazy populations require every client to have data"
+            )
+        return client
 
 
 def as_population(clients: "Sequence[Client] | ClientPopulation") -> ClientPopulation:

@@ -7,6 +7,12 @@ run the strategy's local update on each participant (serially or fanned out
 to worker processes — see :mod:`repro.fl.executor`), aggregate in
 deterministic client order, and periodically evaluate on the held-out
 (unseen-domain) sets — off the critical path, while the next round trains.
+Before the first round it runs the strategy's one-time exchange
+(:func:`repro.fl.strategy.run_prepare`): each client's payload from its own
+data, fused on the server.  The server itself holds the population, the
+global weights and payloads — it never hands a strategy the model or
+another client's data, so every strategy runs on any population, lazy ones
+included.
 All timing flows through :class:`repro.fl.timing.PhaseTimer` so Fig. 4 can
 compare methods fairly regardless of the engine.
 """
@@ -26,9 +32,9 @@ from repro.fl.client import Client
 from repro.fl.codec import make_codec
 from repro.fl.executor import Executor, SerialExecutor
 from repro.fl.history import RoundRecord, RunHistory
-from repro.fl.population import ClientPopulation, ListPopulation, as_population
+from repro.fl.population import ClientPopulation, as_population
 from repro.fl.sampling import UniformClientSampler
-from repro.fl.strategy import Strategy
+from repro.fl.strategy import Strategy, run_prepare
 from repro.fl.timing import PhaseTimer, TimingReport
 from repro.nn.models import FeatureClassifierModel
 from repro.utils.logging import get_logger, kv
@@ -109,8 +115,8 @@ class FederatedServer:
         state never leaks between clients through the model object); the
         parallel engine treats it as the architecture template for the
         per-worker clones.  Evaluation does **not** happen on this instance:
-        each :meth:`run` scores a private copy of it (taken after
-        ``strategy.prepare``) on a background thread while the next round
+        each :meth:`run` scores a private copy of it (taken before the
+        first round) on a background thread while the next round
         trains — see :class:`repro.fl.evaluation.EvaluationStage` — so
         anything patched onto the instance is not seen by evaluation.  After
         :meth:`run` it holds the final global weights.
@@ -149,15 +155,6 @@ class FederatedServer:
         if len(self.population) == 0:
             raise ValueError("need at least one client")
         self.strategy = strategy
-        #: Materialized client list for strategy.prepare and legacy
-        #: callers; empty for lazy populations (whose whole point is never
-        #: materializing — strategies with a population-wide prepare step
-        #: need a ListPopulation).
-        self.clients = (
-            self.population.clients
-            if isinstance(self.population, ListPopulation)
-            else []
-        )
         self.model = model
         self.eval_sets = eval_sets
         self.config = config
@@ -197,14 +194,10 @@ class FederatedServer:
         global_state = self.model.state_dict()
 
         with timer.one_time():
-            self.strategy.prepare(
-                self.clients, self.model, self._seed_tree.generator("prepare")
-            )
-            # prepare() may have touched the workspace model; restore.
-            self.model.load_state_dict(global_state)
+            run_prepare(self.strategy, self.population, self._seed_tree)
 
-        # The evaluation model is copied here — after ``prepare``, before the
-        # first ``run_round`` — and the thread is joined when the block ends,
+        # The evaluation model is copied here — before the first
+        # ``run_round`` — and the thread is joined when the block ends,
         # whether the rounds returned or raised.
         with EvaluationStage(self.model, self.eval_sets) as evaluation:
             global_state = self._rounds(

@@ -4,8 +4,11 @@ helpers.
 A strategy owns the three method-specific decision points of federated
 learning:
 
-* :meth:`Strategy.prepare` — one-time setup before round 1 (PARDON extracts
-  the interpolation style here; CCST builds its cross-client style bank);
+* :meth:`Strategy.prepare_client` / :meth:`Strategy.fuse_prepare` — the
+  one-time exchange before round 1, split in two halves: each client
+  computes a payload from its own data alone (PARDON's ``R^{2d}`` style,
+  CCST's published styles), and the server fuses the payloads into
+  broadcast strategy state (PARDON's interpolation style, CCST's bank);
 * :meth:`Strategy.local_update` — the client-side objective and loop;
 * :meth:`Strategy.aggregate` — how the server merges client states
   (FedAvg by default; FedGMA masks by gradient sign agreement; FedDG-GA
@@ -42,16 +45,25 @@ uniformly.
 
 Execution contract
 ------------------
-``local_update`` may run inside a worker process (see
-:mod:`repro.fl.executor`), so it must be *self-contained*: everything it
-reads lives on the strategy or the client at dispatch time, and everything
-it wants the server to see travels back inside the returned
-:class:`repro.fl.executor.ClientUpdate` (state, loss, and method-specific
-``payload`` entries).  Mutating strategy attributes from inside
-``local_update`` is lost under parallel execution and is therefore
-forbidden.  Server-only attributes that should not ship to workers (model
-handles, client registries) are listed in ``_server_only_state`` and
-stripped on pickling.
+The client halves — ``prepare_client`` and ``local_update`` — read one
+client's data and nothing else the server holds.  ``local_update`` may run
+inside a worker process (see :mod:`repro.fl.executor`), so it must be
+*self-contained*: everything it reads lives on the strategy or the client
+at dispatch time, and everything it wants the server to see travels back
+inside the returned :class:`repro.fl.executor.ClientUpdate` (state, loss,
+and method-specific ``payload`` entries — FedDG-GA's generalization gap,
+FPL's prototypes).  ``prepare_client`` likewise returns its payload and
+never writes strategy state.  Mutating strategy attributes from a client
+half is lost under parallel execution and is therefore forbidden.  The
+server halves — ``fuse_prepare``, ``fuse_payloads``, ``aggregate`` — see
+payloads only: no model, no client, no dataset.  Server-side state that
+workers do not need (PARDON's per-client styles) is listed in
+``_server_only_state`` and stripped on pickling.
+
+:func:`run_prepare` is the exchange: the server runs it once, before the
+first round, over the whole population (one client at a time, so a
+:class:`repro.fl.population.LazyPopulation` never materializes more than
+one), and only for strategies that override ``prepare_client``.
 
 ``client.scratch`` (a plain dict) holds *caches* only: values recomputable
 from the client's data and the broadcast strategy (PARDON's
@@ -65,12 +77,14 @@ as its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.fl.aggregate import AggregationStream, MeanAggregator
 from repro.fl.client import Client
 from repro.fl.executor import ClientUpdate
+from repro.fl.population import ClientPopulation, as_population
 from repro.nn import SGD
 from repro.nn.ensemble import ensemble_state_dicts
 from repro.nn.models import FeatureClassifierModel
@@ -83,8 +97,9 @@ from repro.nn.objective import (
     run_objective_epochs,
 )
 from repro.nn.serialize import StateDict
+from repro.utils.rng import SeedTree
 
-__all__ = ["LocalTrainingConfig", "Strategy"]
+__all__ = ["LocalTrainingConfig", "Strategy", "run_prepare"]
 
 
 @dataclass(frozen=True)
@@ -154,13 +169,21 @@ class Strategy:
         for attr in self._server_only_state:
             self.__dict__.setdefault(attr, None)
 
-    def prepare(
-        self,
-        clients: list[Client],
-        model: FeatureClassifierModel,
-        rng: np.random.Generator,
-    ) -> None:
-        """One-time setup before the first round.  Default: nothing."""
+    # -- the one-time exchange before round 1 -------------------------------
+
+    def prepare_client(
+        self, client: Client, rng: np.random.Generator
+    ) -> dict | None:
+        """The client half: a payload computed from ``client``'s data
+        alone, or ``None`` to contribute nothing.  ``rng`` is the client's
+        own generator.  Overriding this opts the strategy into the
+        exchange; the base contributes nothing and no exchange runs."""
+        return None
+
+    def fuse_prepare(self, payloads: dict[int, dict]) -> None:
+        """The server half: merge ``{client_id: payload}`` (population
+        order, ``None`` payloads omitted) into strategy state broadcast
+        from the first round on."""
 
     # -- objective-driven training hooks ----------------------------------
 
@@ -424,3 +447,24 @@ class Strategy:
         if sum(weights) <= 0:
             weights = [1.0] * len(states)
         return self.aggregator.aggregate(states, weights, ref=global_state)
+
+
+def run_prepare(
+    strategy: Strategy,
+    clients: "Sequence[Client] | ClientPopulation",
+    seed_tree: SeedTree,
+) -> None:
+    """The exchange before round 1: every client's ``prepare_client``
+    payload, one client at a time on its own ``("prepare", client_id)``
+    generator, then one ``fuse_prepare``.  A no-op — the population is not
+    even enumerated — for strategies without a client half."""
+    if type(strategy).prepare_client is Strategy.prepare_client:
+        return
+    payloads = {}
+    for client in as_population(clients).iter_clients():
+        payload = strategy.prepare_client(
+            client, seed_tree.generator("prepare", client.client_id)
+        )
+        if payload is not None:
+            payloads[client.client_id] = payload
+    strategy.fuse_prepare(payloads)

@@ -20,8 +20,6 @@ import numpy as np
 
 from repro.core.pardon import PardonStrategy
 from repro.fl.client import Client
-from repro.nn.models import FeatureClassifierModel
-from repro.style.adain import StyleVector
 
 __all__ = ["GaussianMechanism", "DPStyleStrategy", "gaussian_sigma"]
 
@@ -76,9 +74,12 @@ class GaussianMechanism:
 class DPStyleStrategy(PardonStrategy):
     """PARDON whose uploaded style vectors are (epsilon, delta)-DP.
 
-    Only :meth:`prepare` changes: each client's style vector is privatized
-    before it reaches the server.  Negative noisy sigmas are floored at
-    zero (a valid post-processing step).
+    Only the client half of the style exchange changes:
+    :meth:`prepare_client` clips and noises the client's style before it
+    leaves the client, on a generator seeded by ``(noise_seed, client_id)``,
+    so the server — and PARDON's unchanged :meth:`fuse_prepare` — only ever
+    sees privatized vectors.  Negative noisy sigmas are floored at zero (a
+    valid post-processing step).
     """
 
     name = "pardon_dp"
@@ -93,24 +94,14 @@ class DPStyleStrategy(PardonStrategy):
         self.mechanism = mechanism
         self.noise_seed = noise_seed
 
-    def prepare(
-        self,
-        clients: list[Client],
-        model: FeatureClassifierModel,
-        rng: np.random.Generator,
-    ) -> None:
-        super().prepare(clients, model, rng)
-        noise_rng = np.random.default_rng(self.noise_seed)
-        private: dict[int, StyleVector] = {}
-        for client_id, style in self.client_styles.items():
-            noisy = self.mechanism.privatize(style.to_array(), noise_rng)
-            half = noisy.shape[0] // 2
-            noisy[half:] = np.maximum(noisy[half:], 0.0)  # sigmas stay valid
-            private[client_id] = StyleVector.from_array(noisy)
-        self.client_styles = private
-        from repro.core.interpolation import extract_interpolation_style
-
-        self.interpolation_style = extract_interpolation_style(
-            list(private.values()),
-            use_global_clustering=self.config.global_clustering,
-        )
+    def prepare_client(
+        self, client: Client, rng: np.random.Generator
+    ) -> dict | None:
+        payload = super().prepare_client(client, rng)
+        if payload is None:
+            return None
+        noise_rng = np.random.default_rng((self.noise_seed, client.client_id))
+        noisy = self.mechanism.privatize(payload["style"], noise_rng)
+        half = noisy.shape[0] // 2
+        noisy[half:] = np.maximum(noisy[half:], 0.0)  # sigmas stay valid
+        return {"style": noisy}

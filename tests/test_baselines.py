@@ -20,9 +20,11 @@ from repro.fl import (
     FederatedConfig,
     FederatedServer,
     LocalTrainingConfig,
+    run_prepare,
 )
 from repro.nn import build_mlp_model
 from repro.nn.serialize import state_allclose, state_sub
+from repro.utils.rng import SeedTree
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
 FAST = LocalTrainingConfig(batch_size=8)
@@ -241,25 +243,34 @@ class TestFedCCRL:
 
 
 class TestFedDGGA:
-    def test_gap_adjustment_covers_registered_subset(self):
-        """A participant unknown to the prepare()-time registry keeps its
-        weight, but the known participants are still gap-adjusted."""
+    def test_gaps_come_from_the_uploads(self):
+        """The server adjusts weights from the gaps the participants
+        report; a participant that reports none keeps its weight."""
         strategy = FedDGGAStrategy(step_size=0.5, momentum=0.0, local_config=FAST)
         clients = make_clients(3)
-        model = make_model()
-        strategy.prepare(clients[:2], model, np.random.default_rng(0))
-        global_state = model.state_dict()
+        global_state = make_model().state_dict()
         updates = [
             ClientUpdate.from_client(
-                c, {k: v + 0.1 for k, v in global_state.items()}, 0.0
+                c, {k: v + 0.1 for k, v in global_state.items()}, 0.0,
+                payload={"gap": gap} if gap is not None else None,
             )
-            for c in clients  # includes the unregistered clients[2]
+            for c, gap in zip(clients, [0.5, 2.5, None])
         ]
         strategy.aggregate(global_state, updates, 0)
-        assert set(strategy._gap_trace) == {
-            clients[0].client_id,
-            clients[1].client_id,
+        assert strategy.client_weights == {
+            clients[0].client_id: 0.5,
+            clients[1].client_id: 1.5,
         }
+
+    def test_participant_reports_loss_of_the_broadcast_weights(self):
+        from repro.fl import evaluate_loss
+
+        strategy = FedDGGAStrategy(local_config=FAST)
+        client = make_clients(3)[0]
+        model = make_model()
+        expected = evaluate_loss(model, client.dataset)
+        update = strategy.local_update(client, model, 0, np.random.default_rng(0))
+        assert update.payload == {"gap": expected}
 
     def test_weights_shift_toward_high_loss_clients(self):
         strategy = FedDGGAStrategy(step_size=0.5, momentum=0.0, local_config=FAST)
@@ -279,32 +290,32 @@ class TestFedDGGA:
 
 
 class TestCCST:
-    def test_style_bank_built_in_prepare(self, rng):
+    def test_style_bank_built_in_prepare(self):
         strategy = CCSTStrategy(local_config=FAST)
         clients = make_clients(5)
-        strategy.prepare(clients, make_model(), rng)
+        run_prepare(strategy, clients, SeedTree(0))
         assert len(strategy.style_bank) == sum(1 for c in clients if c.num_samples)
 
-    def test_sample_mode_banks_multiple_styles_per_client(self, rng):
+    def test_sample_mode_banks_multiple_styles_per_client(self):
         strategy = CCSTStrategy(mode="sample", styles_per_client=3, local_config=FAST)
         clients = make_clients(4)
-        strategy.prepare(clients, make_model(), rng)
+        run_prepare(strategy, clients, SeedTree(0))
         nonempty = sum(1 for c in clients if c.num_samples)
         assert len(strategy.style_bank) > nonempty
 
-    def test_foreign_styles_exclude_own(self, rng):
+    def test_foreign_styles_exclude_own(self):
         strategy = CCSTStrategy(local_config=FAST)
         clients = make_clients(4)
-        strategy.prepare(clients, make_model(), rng)
+        run_prepare(strategy, clients, SeedTree(0))
         own_excluded = strategy._foreign_styles(clients[0].client_id)
         assert len(own_excluded) == len(strategy.style_bank) - 1
 
-    def test_bank_exposes_client_statistics(self, rng):
+    def test_bank_exposes_client_statistics(self):
         """The privacy-relevant property: CCST's bank carries per-client
         statistics that third parties can read."""
         strategy = CCSTStrategy(local_config=FAST)
         clients = make_clients(4)
-        strategy.prepare(clients, make_model(), rng)
+        run_prepare(strategy, clients, SeedTree(0))
         entry = strategy.style_bank[0]
         assert entry.client_id == clients[0].client_id
         assert np.all(np.isfinite(entry.style.to_array()))

@@ -13,9 +13,10 @@ from repro.core import (
     extract_interpolation_style,
 )
 from repro.data import DomainStyle, render_images, synthetic_pacs, partition_clients
-from repro.fl import Client, LocalTrainingConfig
+from repro.fl import Client, LocalTrainingConfig, run_prepare
 from repro.nn import build_mlp_model
 from repro.style import InvertibleEncoder, StyleVector
+from repro.utils.rng import SeedTree
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
 ENCODER = InvertibleEncoder(levels=1, seed=7)
@@ -200,11 +201,10 @@ def make_pardon_clients(n_clients=6, heterogeneity=0.2):
 
 
 class TestPardonStrategy:
-    def test_prepare_extracts_global_style(self, rng):
+    def test_prepare_extracts_global_style(self):
         strategy = PardonStrategy()
         clients = make_pardon_clients()
-        model = build_mlp_model(SUITE.image_shape, SUITE.num_classes, rng=rng)
-        strategy.prepare(clients, model, rng)
+        run_prepare(strategy, clients, SeedTree(0))
         assert strategy.interpolation_style is not None
         assert len(strategy.client_styles) == sum(
             1 for c in clients if c.num_samples
@@ -220,8 +220,7 @@ class TestPardonStrategy:
     def test_transfer_cache_reused(self, rng):
         strategy = PardonStrategy()
         clients = make_pardon_clients()
-        model = build_mlp_model(SUITE.image_shape, SUITE.num_classes, rng=rng)
-        strategy.prepare(clients, model, rng)
+        run_prepare(strategy, clients, SeedTree(0))
         first = strategy._transferred_images(clients[0], rng)
         second = strategy._transferred_images(clients[0], rng)
         assert first is second  # cached object identity
@@ -229,8 +228,7 @@ class TestPardonStrategy:
     def test_v4_augmentation_positives_fresh_each_round(self, rng):
         strategy = PardonStrategy(PardonConfig.v4())
         clients = make_pardon_clients()
-        model = build_mlp_model(SUITE.image_shape, SUITE.num_classes, rng=rng)
-        strategy.prepare(clients, model, rng)
+        run_prepare(strategy, clients, SeedTree(0))
         first = strategy._transferred_images(clients[0], rng)
         second = strategy._transferred_images(clients[0], rng)
         assert not np.array_equal(first, second)
@@ -241,7 +239,7 @@ class TestPardonStrategy:
         )
         clients = make_pardon_clients()
         model = build_mlp_model(SUITE.image_shape, SUITE.num_classes, rng=rng)
-        strategy.prepare(clients, model, rng)
+        run_prepare(strategy, clients, SeedTree(0))
         before = model.state_dict()
         update = strategy.local_update(clients[0], model, 0, rng)
         assert update.loss > 0
@@ -254,8 +252,7 @@ class TestPardonStrategy:
     def test_transferred_images_carry_interpolation_style(self, rng):
         strategy = PardonStrategy()
         clients = make_pardon_clients()
-        model = build_mlp_model(SUITE.image_shape, SUITE.num_classes, rng=rng)
-        strategy.prepare(clients, model, rng)
+        run_prepare(strategy, clients, SeedTree(0))
         transferred = strategy._transferred_images(clients[0], rng)
         feats = strategy.encoder.encode(transferred)
         target = strategy.interpolation_style
@@ -267,19 +264,55 @@ class TestPardonStrategy:
         strategy = PardonStrategy()
         clients = make_pardon_clients()
         model = build_mlp_model(SUITE.image_shape, SUITE.num_classes, rng=rng)
-        strategy.prepare(clients, model, rng)
+        run_prepare(strategy, clients, SeedTree(0))
         empty = Client(99, clients[0].dataset.subset(np.array([], dtype=int)))
         update = strategy.local_update(empty, model, 0, rng)
         assert update.loss == 0.0
         assert update.num_samples == 0
 
-    def test_prepare_with_all_empty_clients_raises(self, rng):
+    def test_prepare_with_all_empty_clients_raises(self):
         strategy = PardonStrategy()
         clients = make_pardon_clients()
         empty = [
             Client(i, clients[0].dataset.subset(np.array([], dtype=int)))
             for i in range(2)
         ]
-        model = build_mlp_model(SUITE.image_shape, SUITE.num_classes, rng=rng)
         with pytest.raises(ValueError):
-            strategy.prepare(empty, model, rng)
+            run_prepare(strategy, empty, SeedTree(0))
+
+    def test_runs_on_a_lazy_population(self):
+        """The style exchange enumerates any population: a lazy one traces
+        exactly like the same clients held in a list (sampled by the lazy
+        population's id sampler, so only the population type differs)."""
+        from repro.fl import (
+            FederatedConfig,
+            FederatedServer,
+            LazyPopulation,
+            ListPopulation,
+        )
+        from repro.fl.net.serve import trace_dict
+
+        clients = [c for c in make_pardon_clients(8) if c.num_samples]
+        by_id = {c.client_id: c for c in clients}
+
+        def run(population):
+            return trace_dict(
+                FederatedServer(
+                    PardonStrategy(local_config=LocalTrainingConfig(batch_size=8)),
+                    population,
+                    build_mlp_model(
+                        SUITE.image_shape, SUITE.num_classes,
+                        rng=np.random.default_rng(0),
+                    ),
+                    {"test": SUITE.datasets[2]},
+                    FederatedConfig(num_rounds=2, clients_per_round=3, seed=0),
+                ).run()
+            )
+
+        class SampledByIds(ListPopulation):
+            def sample(self, sampler, rng):
+                return [self.clients[i] for i in sampler.sample_ids(len(self), rng)]
+
+        assert sorted(by_id) == list(range(len(clients)))
+        lazy = LazyPopulation(len(clients), lambda i: Client(i, by_id[i].dataset))
+        assert run(lazy) == run(SampledByIds(clients))

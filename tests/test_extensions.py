@@ -19,9 +19,9 @@ from repro.eval.statistics import (
     paired_win_rate,
     sweep_seeds,
 )
-from repro.fl import Client, LocalTrainingConfig
-from repro.nn import build_mlp_model
+from repro.fl import Client, LocalTrainingConfig, run_prepare
 from repro.privacy.dp import DPStyleStrategy, GaussianMechanism, gaussian_sigma
+from repro.utils.rng import SeedTree
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
 
@@ -135,39 +135,77 @@ class TestDifferentialPrivacy:
         with pytest.raises(ValueError):
             GaussianMechanism(epsilon=1.0, delta=1e-5, clip_norm=0.0)
 
-    def test_dp_strategy_produces_valid_interpolation_style(self, rng):
+    @staticmethod
+    def _clients():
         partition = partition_clients(
             SUITE, [0, 1], 4, 0.2, np.random.default_rng(0)
         )
-        clients = [Client(i, d) for i, d in enumerate(partition.client_datasets)]
-        model = build_mlp_model(SUITE.image_shape, SUITE.num_classes, rng=rng)
-        strategy = DPStyleStrategy(
-            mechanism=GaussianMechanism(epsilon=2.0, delta=1e-5, clip_norm=5.0),
+        return [Client(i, d) for i, d in enumerate(partition.client_datasets)]
+
+    @staticmethod
+    def _dp(epsilon=2.0):
+        return DPStyleStrategy(
+            mechanism=GaussianMechanism(epsilon=epsilon, delta=1e-5, clip_norm=5.0),
             local_config=LocalTrainingConfig(batch_size=8),
         )
-        strategy.prepare(clients, model, rng)
+
+    def test_dp_strategy_produces_valid_interpolation_style(self):
+        strategy = self._dp()
+        run_prepare(strategy, self._clients(), SeedTree(0))
         style = strategy.interpolation_style
         assert style is not None
         assert np.all(np.isfinite(style.to_array()))
         assert np.all(style.sigma >= 0)  # post-processing floor applied
 
-    def test_dp_styles_differ_from_raw(self, rng):
+    def test_dp_styles_differ_from_raw(self):
         from repro.core import PardonStrategy
 
-        partition = partition_clients(
-            SUITE, [0, 1], 4, 0.2, np.random.default_rng(0)
-        )
-        clients = [Client(i, d) for i, d in enumerate(partition.client_datasets)]
-        model = build_mlp_model(SUITE.image_shape, SUITE.num_classes, rng=rng)
+        clients = self._clients()
         raw = PardonStrategy(local_config=LocalTrainingConfig(batch_size=8))
-        raw.prepare(clients, model, np.random.default_rng(1))
-        dp = DPStyleStrategy(
-            mechanism=GaussianMechanism(epsilon=1.0, delta=1e-5, clip_norm=5.0),
-            local_config=LocalTrainingConfig(batch_size=8),
-        )
-        dp.prepare(clients, model, np.random.default_rng(1))
+        run_prepare(raw, clients, SeedTree(1))
+        dp = self._dp(epsilon=1.0)
+        run_prepare(dp, clients, SeedTree(1))
         for client_id in raw.client_styles:
             assert not np.allclose(
                 raw.client_styles[client_id].to_array(),
                 dp.client_styles[client_id].to_array(),
             )
+
+    def test_server_sees_only_privatized_styles(self, monkeypatch):
+        """Noise is added on the client: what reaches ``fuse_prepare`` is
+        each client's clipped, noised style under its own
+        ``(noise_seed, client_id)`` generator, and the interpolation style
+        is extracted once, from those vectors."""
+        import repro.core.pardon as pardon
+        from repro.core import compute_client_style
+
+        calls = []
+        extract = pardon.extract_interpolation_style
+        monkeypatch.setattr(
+            pardon, "extract_interpolation_style",
+            lambda styles, **kw: calls.append(styles) or extract(styles, **kw),
+        )
+        strategy = self._dp()
+        fused = []
+        fuse = strategy.fuse_prepare
+        strategy.fuse_prepare = lambda payloads: fused.append(payloads) or fuse(payloads)
+        clients = [c for c in self._clients() if c.num_samples]
+        run_prepare(strategy, clients, SeedTree(0))
+
+        assert len(fused) == 1 and len(calls) == 1
+        assert list(fused[0]) == [c.client_id for c in clients]
+        for client in clients:
+            raw = compute_client_style(
+                client.dataset.images, strategy.encoder, use_local_clustering=True
+            ).to_array()
+            expected = strategy.mechanism.privatize(
+                raw, np.random.default_rng((strategy.noise_seed, client.client_id))
+            )
+            half = expected.shape[0] // 2
+            expected[half:] = np.maximum(expected[half:], 0.0)
+            np.testing.assert_array_equal(fused[0][client.client_id]["style"], expected)
+            assert not np.allclose(expected, raw)
+        np.testing.assert_array_equal(
+            np.stack([s.to_array() for s in calls[0]]),
+            np.stack([fused[0][c.client_id]["style"] for c in clients]),
+        )

@@ -5,7 +5,9 @@ must produce *identical* `RunHistory` traces and final accuracies — the
 round loop's semantics may not depend on how the fan-out executes.
 """
 
+import hashlib
 import itertools
+import json
 import os
 import pickle
 
@@ -24,10 +26,13 @@ from repro.fl import (
     ParallelExecutor,
     SerialExecutor,
     make_executor,
+    run_prepare,
 )
 from repro.fl.net.serve import trace_dict
 from repro.fl.timing import PhaseTimer
 from repro.nn import build_mlp_model
+from repro.nn.module import Module
+from repro.nn.serialize import decode_payload, encode_payload
 from repro.utils.rng import SeedTree
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
@@ -372,18 +377,48 @@ class TestPardonCacheFollowsStyle:
 
 
 class TestParallelMechanics:
-    def test_server_only_state_not_shipped_to_workers(self):
+    #: ``run_once`` of FedDG-GA: the clients' own gap reports set the
+    #: aggregation weights, so this moves only if what they measure does.
+    FEDDG_GA_DIGEST = "9a37abecbb31fd28"
+
+    def test_feddg_ga_gaps_cross_the_pool(self):
+        serial = run_once(FedDGGAStrategy(local_config=FAST), SerialExecutor())
+        with ParallelExecutor(num_workers=2) as executor:
+            parallel = run_once(FedDGGAStrategy(local_config=FAST), executor)
+        assert trace_dict(serial) == trace_dict(parallel)
+        digest = hashlib.sha256(
+            json.dumps(trace_dict(serial), sort_keys=True).encode()
+        ).hexdigest()
+        assert digest[:16] == self.FEDDG_GA_DIGEST
+
+    def test_feddg_ga_blob_holds_no_dataset_or_model(self):
         strategy = FedDGGAStrategy(local_config=FAST)
-        clients = make_clients(4)
-        model = build_mlp_model(
-            SUITE.image_shape, SUITE.num_classes, rng=np.random.default_rng(0)
+        clients = make_clients()
+        result = run_once(strategy, SerialExecutor(), clients=clients)
+        assert strategy.client_weights  # the gaps moved the weights
+        blob = encode_payload(strategy)
+        shipped = decode_payload(blob)
+        assert not any(
+            isinstance(value, (Client, Module)) for value in vars(shipped).values()
         )
-        strategy.prepare(clients, model, np.random.default_rng(1))
-        clone = pickle.loads(pickle.dumps(strategy))
-        assert clone._model_ref is None
-        assert clone._clients_by_id is None
-        # ...and the wire blob stays small: no datasets, no model.
-        assert len(pickle.dumps(strategy)) < len(pickle.dumps(model))
+        # ...nor one tucked into a container: the blob is smaller than any
+        # one client's images and than the weights.
+        smallest = min(c.dataset.images.nbytes for c in clients if c.num_samples)
+        weights = sum(v.nbytes for v in result.final_state.values())
+        assert len(blob) < min(smallest, weights)
+
+    def test_pardon_broadcasts_the_interpolation_style_only(self):
+        """The per-client styles stay on the server; workers receive the
+        fused interpolation style alone."""
+        strategy = PardonStrategy(local_config=FAST)
+        run_prepare(strategy, make_clients(), SeedTree(0))
+        assert strategy.client_styles
+        shipped = decode_payload(encode_payload(strategy))
+        assert not shipped.client_styles
+        np.testing.assert_array_equal(
+            shipped.interpolation_style.to_array(),
+            strategy.interpolation_style.to_array(),
+        )
 
     def test_pool_reuse_across_runs(self):
         executor = ParallelExecutor(num_workers=2)

@@ -410,6 +410,37 @@ class TestLazyPopulation:
         )
         _assert_same_run(serial, parallel)
 
+    def test_fedavg_builds_only_sampled_clients(self):
+        """FedAvg has no client half before round 1, so a lazy run never
+        enumerates the population: the factory sees sampled ids only."""
+        built, sampled = [], []
+        factory = _lazy_factory()
+
+        class Recording(LazyPopulation):
+            def sample(self, sampler, rng):
+                participants = super().sample(sampler, rng)
+                sampled.extend(client.client_id for client in participants)
+                return participants
+
+        population = Recording(
+            1000, lambda client_id: built.append(client_id) or factory(client_id)
+        )
+        _run(population, SerialExecutor(), rounds=2)
+        assert sampled and built == sampled
+
+    def test_iter_clients_builds_one_client_at_a_time(self):
+        built = []
+        factory = _lazy_factory()
+        population = LazyPopulation(
+            5, lambda client_id: built.append(client_id) or factory(client_id)
+        )
+        clients = population.iter_clients()
+        assert built == []
+        assert next(clients).client_id == 0 and built == [0]
+        assert [c.client_id for c in clients] == [1, 2, 3, 4]
+        assert built == [0, 1, 2, 3, 4]
+        assert [c.client_id for c in ListPopulation(make_clients(3)).iter_clients()] == [0, 1, 2]
+
 
 def _tiny_dataset(samples=4):
     rng = np.random.default_rng(0)

@@ -1,5 +1,4 @@
-"""Tests for secure aggregation, communication accounting, MixStyle, and
-the CLI."""
+"""Tests for communication accounting, MixStyle, and the CLI."""
 
 import numpy as np
 import pytest
@@ -8,87 +7,9 @@ from repro.baselines.mixstyle import MixStyleStrategy
 from repro.data import synthetic_pacs, partition_clients
 from repro.fl import Client, FederatedConfig, FederatedServer, LocalTrainingConfig
 from repro.fl.communication import method_communication
-from repro.fl.secure import SecureAggregator, masked_upload
 from repro.nn import build_mlp_model
-from repro.nn.serialize import state_allclose
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
-
-
-def make_states(rng, n):
-    return [
-        {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=(4,))}
-        for _ in range(n)
-    ]
-
-
-class TestSecureAggregation:
-    def test_masks_cancel_in_sum(self, rng):
-        states = make_states(rng, 4)
-        seeds = [11, 22, 33, 44]
-        agg = SecureAggregator(session=0)
-        uploads = [
-            masked_upload(state, seed, seeds, agg.session)
-            for state, seed in zip(states, seeds)
-        ]
-        total = agg.aggregate(uploads)
-        expected = {
-            key: sum(s[key] for s in states) for key in states[0]
-        }
-        for key in expected:
-            np.testing.assert_allclose(total[key], expected[key], atol=1e-9)
-
-    def test_individual_uploads_are_masked(self, rng):
-        """A single masked upload reveals ~nothing: it differs from the raw
-        state by noise of the mask scale."""
-        states = make_states(rng, 3)
-        seeds = [1, 2, 3]
-        upload = masked_upload(states[0], 1, seeds, session=0, mask_scale=10.0)
-        gap = np.abs(upload["w"] - states[0]["w"]).mean()
-        assert gap > 1.0  # masks dominate the raw values
-
-    def test_sessions_use_different_masks(self, rng):
-        states = make_states(rng, 2)
-        seeds = [1, 2]
-        a = masked_upload(states[0], 1, seeds, session=0)
-        b = masked_upload(states[0], 1, seeds, session=1)
-        assert not np.allclose(a["w"], b["w"])
-
-    def test_average_recovers_mean(self, rng):
-        states = make_states(rng, 3)
-        seeds = [5, 6, 7]
-        agg = SecureAggregator(session=2)
-        uploads = [
-            masked_upload(state, seed, seeds, agg.session)
-            for state, seed in zip(states, seeds)
-        ]
-        mean = agg.average(uploads)
-        for key in states[0]:
-            np.testing.assert_allclose(
-                mean[key],
-                np.mean([s[key] for s in states], axis=0),
-                atol=1e-9,
-            )
-
-    def test_weighted_average_not_supported_directly(self, rng):
-        agg = SecureAggregator(session=0)
-        states = make_states(rng, 2)
-        seeds = [1, 2]
-        uploads = [
-            masked_upload(state, seed, seeds, 0)
-            for state, seed in zip(states, seeds)
-        ]
-        with pytest.raises(NotImplementedError):
-            agg.average(uploads, weights=[1.0, 2.0])
-
-    def test_validation(self, rng):
-        state = make_states(rng, 1)[0]
-        with pytest.raises(ValueError):
-            masked_upload(state, 9, [1, 2], session=0)
-        with pytest.raises(ValueError):
-            masked_upload(state, 1, [1, 1], session=0)
-        with pytest.raises(ValueError):
-            SecureAggregator(0).aggregate([])
 
 
 class TestCommunication:

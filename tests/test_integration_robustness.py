@@ -21,9 +21,16 @@ from repro import (
 )
 from repro.core import compute_client_style, extract_interpolation_style
 from repro.data import LabeledDataset, partition_clients
-from repro.fl import Client, FederatedConfig, FederatedServer, LocalTrainingConfig
+from repro.fl import (
+    Client,
+    FederatedConfig,
+    FederatedServer,
+    LocalTrainingConfig,
+    run_prepare,
+)
 from repro.nn import build_mlp_model
 from repro.style import InvertibleEncoder, StyleVector, adain
+from repro.utils.rng import SeedTree
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=10, image_size=8)
 ENCODER = InvertibleEncoder(levels=1, seed=7)
@@ -151,8 +158,7 @@ class TestDegenerateClients:
         )
         clients.append(Client(99, empty_dataset))
         strategy = PardonStrategy(local_config=LocalTrainingConfig(batch_size=8))
-        model = build_mlp_model(SUITE.image_shape, SUITE.num_classes, rng=rng)
-        strategy.prepare(clients, model, rng)
+        run_prepare(strategy, clients, SeedTree(0))
         assert 99 not in strategy.client_styles
         assert strategy.interpolation_style is not None
 

@@ -17,7 +17,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.baselines import FedAvgStrategy, FPLStrategy
+from repro.baselines import FedAvgStrategy, FedDGGAStrategy, FPLStrategy
 from repro.core import PardonStrategy
 from repro.data import partition_clients, synthetic_pacs
 from repro.data.synthetic import LabeledDataset
@@ -33,6 +33,7 @@ from repro.fl import (
     compute_specs,
     make_compute,
     resolve_compute,
+    run_prepare,
     shm_supported,
 )
 from repro.fl.strategy import Strategy
@@ -65,6 +66,7 @@ from repro.nn import conv
 from repro.nn.conv import im2col
 from repro.nn.ensemble import ensemble_cross_entropy
 from repro.nn.losses import CrossEntropyLoss
+from repro.utils.rng import SeedTree
 from tests.gradcheck import check_module_gradients
 
 needs_shm = pytest.mark.skipif(
@@ -319,7 +321,7 @@ def _run_backend(spec, strategy_factory, sizes, seed=0):
         (3, 8, 8), 4, np.random.default_rng(42), widths=(4, 6), embed_dim=8
     )
     strategy = strategy_factory()
-    strategy.prepare(clients, model, np.random.default_rng(7))
+    run_prepare(strategy, clients, SeedTree(7))
     wire_state = model.state_dict()
     seeds = [1000 + client.client_id for client in clients]
     updates = make_compute(spec).run_group(
@@ -361,6 +363,7 @@ def _assert_scratch_equal(got_clients, want_clients):
 
 STRATEGIES = {
     "fedavg": lambda: FedAvgStrategy(FAST),
+    "feddg_ga": lambda: FedDGGAStrategy(local_config=FAST),
     "fpl": lambda: FPLStrategy(local_config=FAST),
     "pardon": lambda: PardonStrategy(local_config=FAST),
 }
