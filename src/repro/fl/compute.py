@@ -29,10 +29,13 @@ Numerical contract
 ------------------
 Per-client results are *independent of grouping*: slice ``k`` of a K-stack
 is bitwise the computation the loop backend runs for that client (see
-:mod:`repro.nn.ensemble` for why).  The serial engine may therefore stack
-a round's survivors into one group while the parallel engine stacks per
-home worker, and their traces stay bit-identical — the invariant the
-cross-engine tests in ``tests/test_nn_ensemble.py`` enforce.
+:mod:`repro.nn.ensemble` for why).  The serial engine may therefore hand a
+round's survivors over as one group while the parallel engine hands over
+one group per home worker, and the backend may split either into stacks of
+any size — their traces stay bit-identical, the invariant the cross-engine
+tests in ``tests/test_nn_ensemble.py`` enforce.  ``ensemble`` sizes its
+stacks by their per-step input (:data:`_STACK_STEP_ELEMENTS`), so training
+memory is bounded per stack, not proportional to the group.
 """
 
 from __future__ import annotations
@@ -61,6 +64,47 @@ __all__ = [
     "resolve_compute",
     "timed_local_update",
 ]
+
+#: Input elements one stack's training step may hold, summed over its slices:
+#: a stack of K clients takes ``K * min(batch_size, num_samples) *
+#: prod(image_shape)`` per step, and its parameters, gradients, momentum and
+#: activations all grow with K.  Stacking only amortises per-call Python and
+#: layer-dispatch overhead, which is already small beside the arithmetic of a
+#: few dozen tiny slices or of one paper-sized slice, so past that a larger
+#: stack buys memory, not speed.  Sweep with ``benchmarks/perf/run.py``
+#: (2-core Xeon, BLAS pinned, 2-3 seeds a cell, every digest equal), peak RSS
+#: in MiB with the stacks each budget gives:
+#:
+#:   budget     pacs_serial       xdev_lazy
+#:   unbounded  171 (5)           105 (128)
+#:   2**17      170 (5)            82 (64/64)
+#:   2**16      139 (2/2/1)        84 (43/43/42)
+#:   3 * 2**14  138 (2/2/1)        70 (32 x 4)
+#:   2**15      123 (1 x 5)        74 (26 x 3, 25 x 2)
+#:   9216                          61 (8 x 16), round_s +16 %
+#:   1                             59 (1 x 128), round_s x2.8
+#:
+#: ``round_s`` stayed within run-to-run noise down to 2**15.  Every stack
+#: size a group uses keeps one clone alive, so 43/43/42 costs about what
+#: 64/64 does, and 3 * 2**14 wins on ``xdev_lazy`` only because 128 splits
+#: into equal 32s.  2**16 keeps paper-sized clients in pairs and never splits
+#: six-sample 3x8x8 clients below 28 a stack (57 of them split 29/28).
+_STACK_STEP_ELEMENTS = 1 << 16
+
+
+def _stack_sizes(count: int, limit: int) -> list[int]:
+    """Split ``count`` clients into the fewest stacks of at most ``limit``,
+    as even as possible: two distinct sizes at most, larger ones first."""
+    stacks = -(-count // limit)
+    base, extra = divmod(count, stacks)
+    return [base + 1] * extra + [base] * (stacks - extra)
+
+
+def _architecture(model: "Module") -> tuple:
+    """What an ensemble clone's structure depends on: names and shapes."""
+    return tuple(
+        (name, param.data.shape) for name, param in model.named_parameters()
+    ) + tuple((name, buffer.shape) for name, buffer in model.named_buffers())
 
 
 def timed_local_update(
@@ -137,40 +181,40 @@ class EnsembleBackend(ComputeBackend):
     """Leading-axis batched training over each group's parameter stack.
 
     Clients are sub-grouped by dataset size (stacking needs a shared batch
-    geometry) preserving group order; empty-dataset clients and any group
-    the strategy declines (``ensemble_update`` returning ``None``) run
-    through the loop path instead.  ``max_group_size=1`` is the ``strict``
-    backend: every client becomes a K=1 stack through the identical code
-    path, which slice independence makes bit-equal to any larger stack.
+    geometry) preserving group order, and each sub-group trains as the
+    fewest even stacks whose per-step input fits
+    :data:`_STACK_STEP_ELEMENTS` (two stack sizes at most); empty-dataset
+    clients and any stack the strategy declines (``ensemble_update``
+    returning ``None``) run through the loop path instead.
+    ``max_group_size=1`` is the ``strict`` backend: every client becomes a
+    K=1 stack through the identical code path, which slice independence
+    makes bit-equal to any larger stack.
     """
 
     name = "ensemble"
     batched = True
-    #: Upper bound on stack size; ``None`` means "the whole group".
+    #: Upper bound on stack size; ``None`` sizes each stack by its per-step
+    #: input (:data:`_STACK_STEP_ELEMENTS`).
     max_group_size: int | None = None
 
     def __init__(self) -> None:
-        #: Ensemble clones, keyed by (architecture fingerprint, stack size).
-        #: A worker trains the same resident group round after round, so
-        #: rebuilding the stacked module graph every round is pure waste.
+        #: Ensemble clones of the latest group, keyed by (architecture,
+        #: stack size).  A worker trains the same resident group round after
+        #: round, so rebuilding the stacked module graph every round is pure
+        #: waste; a clone no stack of the latest group used is dropped, so a
+        #: survivor count that changes every round cannot pile them up.
         #: Reuse is safe because every use starts with a full
         #: ``load_state_broadcast`` — the clone carries no state between
-        #: rounds, only structure — which is also why the fingerprint only
-        #: needs to pin the architecture, not the owning model object.
+        #: rounds, only structure — which is also why the key only needs to
+        #: pin the architecture, not the owning model object.
         self._clones: dict[tuple, "Module"] = {}
 
-    def _ensemble_clone(self, model: "FeatureClassifierModel", stack: int):
-        fingerprint = tuple(
-            (name, param.data.shape) for name, param in model.named_parameters()
-        ) + tuple(
-            (name, buffer.shape) for name, buffer in model.named_buffers()
-        )
-        key = (fingerprint, stack)
-        clone = self._clones.get(key)
-        if clone is None:
-            clone = ensemble_of(model, stack)
-            self._clones[key] = clone
-        return clone
+    def _stack_limit(self, strategy: "Strategy", client: Client) -> int:
+        if self.max_group_size is not None:
+            return self.max_group_size
+        batch = min(strategy.local_config.batch_size, client.num_samples)
+        step = batch * client.dataset.images[0].size
+        return max(1, _STACK_STEP_ELEMENTS // step)
 
     def run_group(
         self,
@@ -203,37 +247,54 @@ class EnsembleBackend(ComputeBackend):
             for position, update in zip(positions, singles):
                 results[position] = update
 
+        # The run plan, in group order: (stacked, positions).
+        plan: list[tuple[bool, list[int]]] = []
         for num_samples, positions in by_size.items():
             if num_samples == 0:
                 # Strategies special-case empty clients before consuming
                 # any randomness; keep them on the reference path.
-                run_loop(positions)
+                plan.append((False, positions))
                 continue
-            limit = self.max_group_size or len(positions)
-            for start in range(0, len(positions), limit):
-                chunk = positions[start : start + limit]
-                stack = len(chunk)
-                emodel = self._ensemble_clone(model, stack)
-                load_state_broadcast(emodel, wire_state, stack)
-                rngs = [np.random.default_rng(seeds[position]) for position in chunk]
-                begin = time.perf_counter()
-                updates = strategy.ensemble_update(
-                    [clients[position] for position in chunk],
-                    emodel,
-                    round_index,
-                    rngs,
-                )
-                elapsed = time.perf_counter() - begin
-                if updates is None:
-                    run_loop(chunk)
-                    continue
-                # The stack trained as one fused pass; attribute each
-                # client an equal share so timing reports stay comparable
-                # with the loop backend's per-client clocks.
-                share = elapsed / stack
-                for position, update in zip(chunk, updates):
-                    update.train_seconds = share
-                    results[position] = update
+            limit = self._stack_limit(strategy, clients[positions[0]])
+            start = 0
+            for stack in _stack_sizes(len(positions), limit):
+                plan.append((True, positions[start : start + stack]))
+                start += stack
+        architecture = _architecture(model)
+        used = {(architecture, len(chunk)) for stacked, chunk in plan if stacked}
+        # Drop the clones this group does not use before building new ones.
+        self._clones = {
+            key: clone for key, clone in self._clones.items() if key in used
+        }
+        for stacked, chunk in plan:
+            if not stacked:
+                run_loop(chunk)
+                continue
+            stack = len(chunk)
+            key = (architecture, stack)
+            if key not in self._clones:
+                self._clones[key] = ensemble_of(model, stack)
+            emodel = self._clones[key]
+            load_state_broadcast(emodel, wire_state, stack)
+            rngs = [np.random.default_rng(seeds[position]) for position in chunk]
+            begin = time.perf_counter()
+            updates = strategy.ensemble_update(
+                [clients[position] for position in chunk],
+                emodel,
+                round_index,
+                rngs,
+            )
+            elapsed = time.perf_counter() - begin
+            if updates is None:
+                run_loop(chunk)
+                continue
+            # The stack trained as one fused pass; attribute each client an
+            # equal share so timing reports stay comparable with the loop
+            # backend's per-client clocks.
+            share = elapsed / stack
+            for position, update in zip(chunk, updates):
+                update.train_seconds = share
+                results[position] = update
         return results  # type: ignore[return-value]
 
 

@@ -29,11 +29,11 @@ __all__ = [
 
 #: Images per forward chunk on the evaluation thread.  Its activations and
 #: ``_cols`` caches (which nobody backpropagates through) are live *while a
-#: training step is*: at 256 images that is ~20 MB on the bench CNN and +14 %
-#: peak RSS (170.8 -> 194.4 MiB) on a paper-shaped serial run; at 64 the
-#: overlap costs no memory.  The logits are the 256-chunk ones bit for bit
-#: (they stop being so at <= 32, where BLAS picks other kernels for the
-#: short GEMMs).
+#: training step is*: at 256 images that is ~20 MB on the bench CNN and +17 %
+#: peak RSS (138.6 -> 162.6 MiB, ``pacs_serial``, 3 seeds) on a paper-shaped
+#: serial run; at 64 the overlap costs no memory.  The logits are the
+#: 256-chunk ones bit for bit (they stop being so at <= 32, where BLAS picks
+#: other kernels for the short GEMMs).
 _STAGE_CHUNK = 64
 
 

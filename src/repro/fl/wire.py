@@ -490,8 +490,8 @@ class WorkerRuntime:
         at most one fault event.  Faulted clients always dispatch as
         singleton groups (the server enforces this), so a fault applies to
         ``client_ids[0]`` unambiguously; fault-free clients of one endpoint
-        may share a group, which the compute backend trains as one fused
-        stack.  The upload is always a *list*
+        may share a group, which the compute backend trains as fused
+        stacks.  The upload is always a *list*
         of updates, in group order.
 
         Crash faults never get here: the pool wrapper

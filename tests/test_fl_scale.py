@@ -35,7 +35,12 @@ from repro.fl import (
 )
 from repro.data import partition_clients, synthetic_pacs
 from repro.data.synthetic import LabeledDataset
-from repro.nn import build_mlp_model, ensemble_of, load_state_broadcast
+from repro.nn import (
+    build_cnn_model,
+    build_mlp_model,
+    ensemble_of,
+    load_state_broadcast,
+)
 from repro.nn.serialize import MeanAccumulator, average_states
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
@@ -568,4 +573,39 @@ class TestMemoryScaling:
         small, large = peaks
         assert large < 2.0 * small, (
             f"peak memory grew with the population: {small} -> {large}"
+        )
+
+    def test_training_peak_is_bounded_by_the_stack_not_the_round(self):
+        """The ensemble backend trains a round's survivors in stacks sized
+        by their per-step input (32 x 3x16x16 here: two clients a stack),
+        so the serial engine's round peak at 4x the participants stays
+        within 1.5x.  One stack of every survivor grew it linearly."""
+        image_shape = (3, 16, 16)
+        factory = _lazy_factory(image_shape=image_shape, samples=32)
+        clients = [factory(client_id) for client_id in range(16)]
+        peaks = []
+        for participants in (4, 16):
+            executor = SerialExecutor()
+            server = FederatedServer(
+                strategy=FedAvgStrategy(LocalTrainingConfig(batch_size=32)),
+                clients=clients,
+                model=build_cnn_model(
+                    image_shape, SUITE.num_classes, rng=np.random.default_rng(0),
+                    widths=(4, 6), embed_dim=8,
+                ),
+                eval_sets={},
+                config=FederatedConfig(
+                    num_rounds=2, clients_per_round=participants, seed=0
+                ),
+                executor=executor,
+            )
+            tracemalloc.start()
+            try:
+                with executor:
+                    peaks.append(server.run().timing.peak_memory_bytes)
+            finally:
+                tracemalloc.stop()
+        small, large = peaks
+        assert large < 1.5 * small, (
+            f"round peak grew with the participants: {small} -> {large}"
         )

@@ -36,6 +36,7 @@ from repro.fl import (
     run_prepare,
     shm_supported,
 )
+from repro.fl import compute as fl_compute
 from repro.fl.strategy import Strategy
 from repro.nn import (
     AvgPool2d,
@@ -373,11 +374,29 @@ class TestGroupingInvariance:
     """The tentpole's numerical contract, at the backend boundary."""
 
     @pytest.mark.parametrize("method", sorted(STRATEGIES))
-    @pytest.mark.parametrize("spec", ["ensemble", "strict"])
-    def test_stack_matches_independent_loop_runs(self, method, spec):
+    @pytest.mark.parametrize(
+        "spec, stack_step",
+        # A budget of two slices' steps (5 x 3x8x8 each) splits the three
+        # 10-sample clients into stacks of 2 and 1.
+        [("ensemble", None), ("strict", None),
+         ("ensemble", 2 * FAST.batch_size * 3 * 8 * 8)],
+        ids=["ensemble", "strict", "ensemble-split"],
+    )
+    def test_stack_matches_independent_loop_runs(
+        self, method, spec, stack_step, monkeypatch
+    ):
+        if stack_step is not None:
+            built = []
+            monkeypatch.setattr(fl_compute, "_STACK_STEP_ELEMENTS", stack_step)
+            monkeypatch.setattr(
+                fl_compute, "ensemble_of",
+                lambda model, stack: built.append(stack) or ensemble_of(model, stack),
+            )
         # Mixed dataset sizes exercise the order-preserving sub-grouping.
         sizes = (10, 7, 10, 7, 10)
         batched, batched_clients = _run_backend(spec, STRATEGIES[method], sizes)
+        if stack_step is not None:
+            assert built == [2, 1]  # the stack of 2 is reused by the 7s
         loop, loop_clients = _run_backend("loop", STRATEGIES[method], sizes)
         _assert_updates_bitwise_equal(batched, loop)
         _assert_scratch_equal(batched_clients, loop_clients)
@@ -430,6 +449,32 @@ class TestGroupingInvariance:
         warm = run(backend)
         fresh = run(EnsembleBackend())
         _assert_updates_bitwise_equal(warm, fresh)
+
+    def test_clone_cache_keeps_only_the_latest_groups_clones(self):
+        """Dropout changes the survivor count from round to round; the
+        cache keeps only the clones the latest group trained on (it used to
+        keep one per survivor count ever seen), and the trace stays the
+        loop backend's."""
+
+        def run(compute):
+            executor = SerialExecutor(faults="dropout=0.3,seed=3", compute=compute)
+            server = FederatedServer(
+                strategy=STRATEGIES["fedavg"](),
+                clients=_toy_clients((6,) * 12),
+                model=build_mlp_model((3, 8, 8), 4, rng=np.random.default_rng(0)),
+                eval_sets={"test": _toy_clients((12,), seed=9)[0].dataset},
+                config=FederatedConfig(num_rounds=6, clients_per_round=10, seed=0),
+                executor=executor,
+            )
+            with executor:
+                return server.run(), executor._backend
+
+        batched, backend = run("ensemble")
+        reference, _ = run("loop")
+        survivor_counts = {len(r.survivors) for r in batched.history.records}
+        assert len(survivor_counts) > 2
+        assert 1 <= len(backend._clones) <= 2
+        assert _trace(batched) == _trace(reference)
 
     def test_empty_client_routes_through_loop_path(self):
         sizes = (6, 0, 6)
