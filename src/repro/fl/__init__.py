@@ -45,7 +45,6 @@ from repro.fl.faults import (
     FaultEvent,
     FaultPlan,
     FixedDeadline,
-    RoundFaultReport,
     RoundTimeoutError,
     make_deadline_policy,
     make_fault_plan,
@@ -65,7 +64,7 @@ from repro.fl.server import (
     FederatedServer,
 )
 from repro.fl.strategy import LocalTrainingConfig, Strategy, run_prepare
-from repro.fl.timing import PhaseTimer, TimingReport
+from repro.fl.timing import TimingReport
 from repro.fl.transport import (
     PipeTransport,
     ShmTransport,
@@ -113,7 +112,6 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FixedDeadline",
-    "RoundFaultReport",
     "RoundTimeoutError",
     "make_deadline_policy",
     "make_fault_plan",
@@ -131,7 +129,6 @@ __all__ = [
     "LocalTrainingConfig",
     "Strategy",
     "run_prepare",
-    "PhaseTimer",
     "TimingReport",
     "Transport",
     "PipeTransport",

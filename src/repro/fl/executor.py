@@ -58,7 +58,7 @@ other workers' training) and the **compute backend**
 results are bitwise independent of the grouping).  The driver also hosts
 the fault-tolerance layer (:mod:`repro.fl.faults`): a seeded fault plan,
 round deadlines and quorum early-close, with each round's casualties
-published in a :class:`repro.fl.faults.RoundFaultReport`.
+written into its :class:`repro.fl.history.RoundRecord`.
 """
 
 from __future__ import annotations
@@ -132,8 +132,9 @@ class ClientUpdate:
     is the worker-measured wall clock of the lazy broadcast decode, nonzero
     only on the task that performed it (the worker's first task of the
     round) — under the parallel engine this work overlaps other workers'
-    training, and :class:`repro.fl.timing.PhaseTimer` accumulates it as the
-    round's overlap window.  ``straggler_seconds`` is the injected
+    training; the round driver sums both into the round's
+    :class:`repro.fl.history.RoundRecord`, the decodes as its overlap
+    window.  ``straggler_seconds`` is the injected
     fault-plan slowdown this update really slept through (zero outside
     chaos runs — see :mod:`repro.fl.faults`), kept out of
     ``train_seconds`` so per-update compute stays honest.  It is a

@@ -6,10 +6,11 @@ robustness problem is mechanical: clients drop out, workers crash, slow
 This module is the chaos-engineering half of that story — a seeded,
 deterministic :class:`FaultPlan` that both execution engines
 (:mod:`repro.fl.executor`) can inject, so a faulty run is exactly as
-reproducible as a clean one — plus the shared vocabulary the engines use
-to report what a fault did to a round (:class:`RoundFaultReport`) and the
-typed error a round raises when a deadline expires with nothing to
-aggregate (:class:`RoundTimeoutError`).
+reproducible as a clean one — plus the typed error a round raises when a
+deadline expires with nothing to aggregate (:class:`RoundTimeoutError`).
+What a fault did to a round is written into its
+:class:`repro.fl.history.RoundRecord` (``dropped``, ``straggler_seconds``,
+``rebuilt_workers``, ``early_closed``).
 
 Determinism model
 -----------------
@@ -136,7 +137,6 @@ __all__ = [
     "FaultPlan",
     "FixedDeadline",
     "RoundActions",
-    "RoundFaultReport",
     "RoundTimeoutError",
     "apply_update_fault",
     "byzantine_state",
@@ -254,27 +254,6 @@ class RoundActions:
     skipped: dict[int, str] = field(default_factory=dict)
     injected: dict[int, FaultEvent] = field(default_factory=dict)
     straggler_seconds: float = 0.0
-
-
-@dataclass
-class RoundFaultReport:
-    """What the fault layer did to one executed round.
-
-    Engines publish one per round (:attr:`repro.fl.executor.Executor.
-    last_fault_report`); the server folds it into the run history
-    (``RoundRecord.dropped``) and the timing report
-    (``dropped_clients`` / ``straggler_seconds`` / ``rebuilt_workers``).
-    """
-
-    round_index: int = 0
-    dropped: dict[int, str] = field(default_factory=dict)
-    straggler_seconds: float = 0.0
-    rebuilt_workers: int = 0
-    #: Whether a quorum closed the round before all uploads arrived.
-    early_closed: bool = False
-    #: Wall-clock seconds the early close saved against the round's
-    #: deadline (0 when no deadline was configured).
-    early_close_seconds: float = 0.0
 
 
 @dataclass(frozen=True)

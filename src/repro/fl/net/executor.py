@@ -21,9 +21,10 @@ and uploads are ingested in arrival order.  Each agent therefore trains
 concurrently with the other agents' transfers and training — the
 cross-host overlap the paper's scalability axis is about.  The overlap
 actually achieved is measured per round (endpoint busy-time minus the
-remote phase's wall clock, floored at zero) and published as
-:attr:`last_overlap_seconds` / :attr:`pipeline_overlap_rounds`; the server
-folds it into ``TimingReport.pipeline_overlap_seconds``.
+remote phase's wall clock, floored at zero) and written into the round's
+record (``RoundRecord.overlap_seconds``, summed into
+``TimingReport.pipeline_overlap_seconds``) and onto
+:attr:`pipeline_overlap_rounds`.
 ``pipelined=False`` makes the driver dispatch and drain one agent at a
 time through the same collector — same trace, no overlap — which is what
 the scaling bench compares against.
@@ -72,6 +73,7 @@ from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fl.executor import ClientUpdate
+    from repro.fl.history import RoundRecord
     from repro.nn.models import FeatureClassifierModel
 
 __all__ = ["RemoteExecutor"]
@@ -362,13 +364,15 @@ class RemoteExecutor(Executor):
         self._mark_dead(home)
         return False
 
-    def note_round(self, updates: "list[ClientUpdate]", seconds: float) -> None:
+    def note_round(
+        self, record: "RoundRecord", updates: "list[ClientUpdate]", seconds: float
+    ) -> None:
         busy = sum(
             update.train_seconds + update.decode_seconds + update.straggler_seconds
             for update in updates
         )
-        self.last_overlap_seconds = max(0.0, busy - seconds) if self.pipelined else 0.0
-        self.pipeline_overlap_rounds.append(self.last_overlap_seconds)
+        record.overlap_seconds = max(0.0, busy - seconds) if self.pipelined else 0.0
+        self.pipeline_overlap_rounds.append(record.overlap_seconds)
 
     def close(self) -> None:
         """Send every live agent a clean shutdown and tear the sockets

@@ -54,6 +54,14 @@ _UPLOAD_HEAD = struct.Struct(">I")
 _FOUND = b"\x01"
 _MISSING = b"\x00"
 
+#: The blob server's two requests: a one-byte op tag, then fixed fields —
+#: ``G`` + big-endian ``u64`` blob id, ``P`` + upload token + blob.  Plain
+#: bytes, never unpickled: anything that can reach the port can send them.
+_GET = b"G"
+_PUT = b"P"
+_BLOB_ID = struct.Struct(">Q")
+_TOKEN_BYTES = 16
+
 
 def parse_endpoint(
     params: "str | None", default_host: str = "127.0.0.1"
@@ -94,10 +102,11 @@ class TcpHandle:
 class _BlobServer:
     """The asyncio frame service backing one server-side TcpTransport.
 
-    Requests are single pickled tuples — ``("get", blob_id)`` answered
-    with a status byte + blob, ``("put", token, blob)`` answered with
-    ``b"ok"`` — one request/response turn per connection per call, which
-    keeps the worker side a dumb blocking socket with no demultiplexing.
+    Requests are a tag byte plus fixed fields (``_GET`` / ``_PUT``) — a get
+    answered with a status byte + blob, a put with ``b"ok"``; anything else
+    closes the connection — one request/response turn per connection per
+    call, which keeps the worker side a dumb blocking socket with no
+    demultiplexing.
     Runs its own event loop on a daemon thread so the executor's
     synchronous round loop never has to be async-aware.
     """
@@ -168,20 +177,21 @@ class _BlobServer:
                 frame = await read_frame(reader)
                 if frame is None:
                     break
-                op, *rest = pickle.loads(frame)
-                if op == "get":
+                op, body = frame[:1], frame[1:]
+                if op == _GET and len(body) == _BLOB_ID.size:
+                    (blob_id,) = _BLOB_ID.unpack(body)
                     with self._lock:
-                        blob = self._store.get(("blob", rest[0]))
+                        blob = self._store.get(("blob", blob_id))
                     if blob is None:
                         await write_frame(writer, _MISSING)
                     else:
                         await write_frame(writer, _FOUND + blob)
-                elif op == "put":
-                    token, blob = rest
+                elif op == _PUT and len(body) >= _TOKEN_BYTES:
+                    token, blob = body[:_TOKEN_BYTES], body[_TOKEN_BYTES:]
                     with self._lock:
                         self._store[("upload", token)] = blob
                     await write_frame(writer, b"ok")
-                else:  # pragma: no cover - same-version peers never send this
+                else:
                     break
         except (FrameError, ConnectionError, OSError):
             pass  # a vanished peer is the caller's problem, not the server's
@@ -198,7 +208,7 @@ class _BlobServer:
         with self._lock:
             self._store[("blob", blob_id)] = blob
 
-    def pop_upload(self, token: str) -> "bytes | None":
+    def pop_upload(self, token: bytes) -> "bytes | None":
         with self._lock:
             return self._store.pop(("upload", token), None)
 
@@ -295,7 +305,7 @@ class TcpTransport(Transport):
         with socket.create_connection(
             (handle.host, handle.port), timeout=_CONNECT_TIMEOUT
         ) as sock:
-            send_frame(sock, pickle.dumps(("get", handle.blob_id)))
+            send_frame(sock, _GET + _BLOB_ID.pack(handle.blob_id))
             reply = recv_frame(sock)
         if not reply or reply[:1] != _FOUND:
             raise ConnectionError(
@@ -316,10 +326,10 @@ class TcpTransport(Transport):
         endpoint = self._upload_endpoint
         if endpoint is None:  # pragma: no cover - tasks always fetch first
             return blob
-        token = secrets.token_hex(8)
+        token = secrets.token_hex(_TOKEN_BYTES // 2).encode("ascii")
         try:
             with socket.create_connection(endpoint, timeout=_CONNECT_TIMEOUT) as sock:
-                send_frame(sock, pickle.dumps(("put", token, bytes(blob))))
+                send_frame(sock, _PUT + token + blob)
                 reply = recv_frame(sock)
             if reply != b"ok":  # pragma: no cover - defensive
                 return blob
@@ -327,18 +337,16 @@ class TcpTransport(Transport):
             # The blob server is gone (executor closed under a zombie
             # straggler) — ride the result pipe inline rather than wedge.
             return blob
-        return (
-            _UPLOAD_MAGIC + _UPLOAD_HEAD.pack(len(blob)) + token.encode("ascii")
-        )
+        return _UPLOAD_MAGIC + _UPLOAD_HEAD.pack(len(blob)) + token
 
     def recv_upload(self, wire: bytes) -> bytes:
         if wire[: len(_UPLOAD_MAGIC)] != _UPLOAD_MAGIC:
             return wire  # inline fallback blob
-        token = bytes(wire[len(_UPLOAD_MAGIC) + _UPLOAD_HEAD.size :]).decode("ascii")
+        token = bytes(wire[len(_UPLOAD_MAGIC) + _UPLOAD_HEAD.size :])
         blob = self._server.pop_upload(token) if self._server is not None else None
         if blob is None:
-            raise ConnectionError(f"upload {token} missing from the blob server")
+            raise ConnectionError(f"upload {token!r} missing from the blob server")
         (length,) = _UPLOAD_HEAD.unpack_from(wire, len(_UPLOAD_MAGIC))
         if len(blob) != length:  # pragma: no cover - defensive
-            raise ConnectionError(f"upload {token} truncated: {len(blob)}/{length}")
+            raise ConnectionError(f"upload {token!r} truncated: {len(blob)}/{length}")
         return blob

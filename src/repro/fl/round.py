@@ -26,6 +26,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from repro.fl.client import Client
 from repro.fl.codec import Codec
 from repro.fl.compute import ComputeBackend, make_compute, resolve_compute
@@ -34,13 +36,13 @@ from repro.fl.faults import (
     FaultEvent,
     FaultPlan,
     FixedDeadline,
-    RoundFaultReport,
     RoundTimeoutError,
     make_deadline_policy,
     make_fault_plan,
     state_is_corrupt,
 )
-from repro.fl.wire import WireServer, _Row
+from repro.fl.history import RoundRecord
+from repro.fl.wire import WireServer, WireStats, _Row
 from repro.nn.serialize import StateDict, encode_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -69,7 +71,7 @@ class _Round:
     index: int
     strategy: "Strategy"
     global_state: StateDict
-    report: RoundFaultReport
+    record: RoundRecord
     stream: "AggregationStream | None"
     #: Live round control; both stay ``None`` while replaying.
     deadline: "float | None" = None
@@ -115,11 +117,14 @@ class Executor(WireServer):
     (:class:`repro.fl.faults.FaultPlan`, or its spec string), ``deadline``
     bounds each round's wall clock and ``quorum`` closes it early; all
     default to off.  Such a round may return *fewer* updates than
-    participants — the survivors, still in sampling order — and publishes
-    what it dropped (and why) in :attr:`last_fault_report` so the server
-    can reweight aggregation over the survivors and record the round's
-    casualties.  Who survives is engine-invariant: the chaos tests compare
-    traces bit-for-bit under one plan.
+    participants — the survivors, still in sampling order.  Who survives is
+    engine-invariant: the chaos tests compare traces bit-for-bit under one
+    plan.
+
+    Every round, failed ones included, leaves its
+    :class:`repro.fl.history.RoundRecord` in :attr:`last_round`: who was
+    dropped and why, the summed upload timings, the wall clock and the
+    wire bytes.  The server completes it and appends it to the history.
 
     Subclasses implement the lane set (:meth:`open` … :meth:`respawn`) and
     never override :meth:`run_round`.
@@ -135,13 +140,6 @@ class Executor(WireServer):
     #: across lanes).  ``False`` dispatches and drains one home at a time
     #: through the same collector — same trace, no overlap.
     pipelined = True
-
-    #: Broadcast/train/upload overlap the most recent round achieved, in
-    #: seconds: endpoint busy-time that ran concurrently with other remote
-    #: work instead of serializing behind it.  Only pipelined multi-host
-    #: engines (:class:`repro.fl.net.executor.RemoteExecutor`) report a
-    #: nonzero value; the server folds it into the timing report.
-    last_overlap_seconds: float = 0.0
 
     def __init__(
         self,
@@ -164,10 +162,8 @@ class Executor(WireServer):
         #: Early-close floor: the round closes at the first ``quorum``
         #: accepted uploads (``None`` = wait for everyone).
         self.quorum = None if quorum is None else int(quorum)
-        #: The most recent round's fault outcome (who dropped and why,
-        #: injected straggler seconds, rebuilt worker slots).  Always
-        #: refreshed by run_round, even for fault-free rounds.
-        self.last_fault_report: RoundFaultReport | None = None
+        #: The most recent round's record, published even when it raised.
+        self.last_round: RoundRecord | None = None
         self._backend: ComputeBackend | None = None
         # Measured durations of recent completed rounds, feeding adaptive
         # deadline policies.  Bounded: no policy window reaches past this.
@@ -181,17 +177,6 @@ class Executor(WireServer):
         # Task ids are unique per engine lifetime, not per round: a late
         # upload from a closed round must never match a live task.
         self._task_ids = itertools.count()
-
-    @property
-    def records_accepted(self) -> bool:
-        """Whether round membership depends on wall clock (quorum races,
-        adaptive deadlines) or on a pinned replay — exactly the cases where
-        the server must record ``RoundRecord.accepted`` for exact replay."""
-        return (
-            self.quorum is not None
-            or self._replay is not None
-            or (self.deadline_policy is not None and self.deadline_policy.adaptive)
-        )
 
     def set_replay(self, history: object) -> None:
         """Pin future rounds to a recorded accepted-set per round.
@@ -276,8 +261,11 @@ class Executor(WireServer):
         the number of returned updates, which is how
         :meth:`repro.fl.strategy.Strategy.aggregate` cross-checks that the
         engine and the stream saw the same round."""
-        report = RoundFaultReport(round_index=round_index)
-        rnd = _Round(round_index, strategy, global_state, report, stream)
+        start, wire_before = time.perf_counter(), self.wire_stats()
+        record = RoundRecord(
+            round_index, 0.0, [client.client_id for client in participants]
+        )
+        rnd = _Round(round_index, strategy, global_state, record, stream)
         try:
             self.open(model)
             round_start = time.perf_counter()
@@ -305,11 +293,11 @@ class Executor(WireServer):
             # next successful round or close().
             if self.transport is not None:
                 self.transport.end_round()
-            self.last_fault_report = report
-        updates = [update for _, update in sorted(rnd.results.items())]
+            updates = [update for _, update in sorted(rnd.results.items())]
+            self._fill_record(record, updates, wire_before, start)
         unreachable = tuple(
             client_id
-            for client_id, reason in report.dropped.items()
+            for client_id, reason in record.dropped.items()
             if reason in ("deadline", "disconnect")
         )
         if (unreachable and self._replay is None) and (
@@ -325,10 +313,40 @@ class Executor(WireServer):
                 quorum=rnd.quorum,
                 accepted=tuple(update.client_id for update in updates),
             )
-        self.note_round(updates, remote_seconds)
+        self.note_round(record, updates, remote_seconds)
         self._evict_lru(participants)
         self._observe_round_duration(time.perf_counter() - round_start)
         return updates
+
+    def _fill_record(
+        self,
+        record: RoundRecord,
+        updates: "list[ClientUpdate]",
+        wire_before: WireStats,
+        start: float,
+    ) -> None:
+        """Write what the round's uploads and clocks say into its record
+        and publish it — also when the round is about to raise."""
+        wire = self.wire_stats()
+        losses = [update.loss for update in updates]
+        record.mean_local_loss = float(np.mean(losses)) if losses else 0.0
+        if (
+            self.quorum is not None
+            or self._replay is not None
+            or (self.deadline_policy is not None and self.deadline_policy.adaptive)
+        ):
+            # Membership was a wall-clock race or a replay: record exactly
+            # who reached aggregation, so the run replays bit-identically.
+            record.accepted = [update.client_id for update in updates]
+        record.train_seconds = sum(update.train_seconds for update in updates)
+        record.decode_seconds = sum(update.decode_seconds for update in updates)
+        record.wall_seconds = time.perf_counter() - start
+        record.bytes_up = wire.bytes_up - wire_before.bytes_up
+        record.bytes_down = wire.bytes_down - wire_before.bytes_down
+        record.unique_bytes_down = (
+            wire.unique_bytes_down - wire_before.unique_bytes_down
+        )
+        self.last_round = record
 
     def _plan(
         self, rnd: _Round, participants: Sequence[Client], seeds: Sequence[int]
@@ -336,7 +354,7 @@ class Executor(WireServer):
         """Decide who is dispatched, and with which injected fault: a
         pinned replay, or the fault plan's triage plus the crash-victim /
         cooperative-deadline rules of lanes that cannot kill or preempt."""
-        report, plan = rnd.report, self.fault_plan
+        record, plan = rnd.record, self.fault_plan
         ids = [client.client_id for client in participants]
         keep = set(ids)
         if self._replay is not None:
@@ -353,7 +371,7 @@ class Executor(WireServer):
                 )
             accepted, recorded = self._replay[rnd.index]
             keep &= set(accepted)
-            report.dropped.update(recorded)
+            record.dropped.update(recorded)
             if plan is not None:
                 events = {
                     cid: plan.fault_for(cid, rnd.index) for cid in ids if cid in keep
@@ -362,7 +380,7 @@ class Executor(WireServer):
                     cid: event for cid, event in events.items()
                     if event is not None and event.kind != "dropout"
                 }
-                report.straggler_seconds += sum(
+                record.straggler_seconds += sum(
                     event.delay_seconds for event in rnd.injected.values()
                     if event.kind in ("straggler", "hang")
                 )
@@ -370,11 +388,11 @@ class Executor(WireServer):
             rnd.deadline, rnd.quorum = self._current_deadline(), self.quorum
             if plan is not None:
                 actions = plan.actions_for_round(ids, rnd.index, rnd.deadline)
-                report.straggler_seconds = actions.straggler_seconds
+                record.straggler_seconds = actions.straggler_seconds
                 # Plan-skipped clients (dropouts, over-deadline stragglers)
                 # never dispatch: they neither register nor receive a
                 # task, exactly as an unreachable client would behave.
-                report.dropped.update(actions.skipped)
+                record.dropped.update(actions.skipped)
                 keep -= actions.skipped.keys()
                 rnd.injected = actions.injected
         pairs = []
@@ -384,7 +402,7 @@ class Executor(WireServer):
             fault = rnd.injected.get(client.client_id)
             if fault is not None:
                 if fault.kind == "crash" and not self.kills_crash_victims:
-                    report.dropped[client.client_id] = "crash"
+                    record.dropped[client.client_id] = "crash"
                     continue
                 if (
                     fault.kind == "hang"
@@ -395,7 +413,7 @@ class Executor(WireServer):
                     # No preemption in-process — the wall-clock deadline
                     # cannot cut a running update loose — so approximate
                     # it with the cooperative rule.
-                    report.dropped[client.client_id] = "deadline"
+                    record.dropped[client.client_id] = "deadline"
                     continue
             pairs.append((client, seed))
         return pairs
@@ -522,8 +540,8 @@ class Executor(WireServer):
         if not unanswered:
             return
         if rnd.quorum_met:
-            rnd.report.early_closed = True
-            rnd.report.early_close_seconds = time_left(rnd.deadline_at) or 0.0
+            rnd.record.early_closed = True
+            rnd.record.early_close_seconds = time_left(rnd.deadline_at) or 0.0
         for task_id in rnd.outstanding:
             self.abandon(task_id)
         rnd.outstanding.clear()
@@ -535,7 +553,7 @@ class Executor(WireServer):
         their next participation, because the endpoint's copies diverge
         the moment an absorbed update completes."""
         for client in row.clients:
-            rnd.report.dropped[client.client_id] = reason
+            rnd.record.dropped[client.client_id] = reason
             self._resident.pop(client.client_id, None)
 
     def _lane_lost(self, rnd: _Round, home: object) -> None:
@@ -549,7 +567,7 @@ class Executor(WireServer):
         rebuilt = self.respawn(home)
         self._forget_home(home)
         lost = [row for row in rnd.outstanding.values() if row.home == home]
-        rnd.report.rebuilt_workers += int(rebuilt)
+        rnd.record.rebuilt_workers += int(rebuilt)
         # The plan's crash victim (always a singleton row) is dropped, and
         # so is a group that was *executing* when its lane died for the
         # second time — a deterministic poison pill would rebuild the lane
@@ -590,7 +608,7 @@ class Executor(WireServer):
                 # Acceptance check on every decoded upload: distrust the
                 # weights, and leave both reference chains advanced so the
                 # next delta still decodes bit-exactly.
-                rnd.report.dropped[update.client_id] = "corrupt"
+                rnd.record.dropped[update.client_id] = "corrupt"
                 continue
             rnd.results[position] = update
             if rnd.stream is not None:
@@ -649,6 +667,8 @@ class Executor(WireServer):
         the home (``False`` — its tasks drop with reason ``disconnect``)."""
         raise NotImplementedError
 
-    def note_round(self, updates: "list[ClientUpdate]", seconds: float) -> None:
+    def note_round(
+        self, record: RoundRecord, updates: "list[ClientUpdate]", seconds: float
+    ) -> None:
         """A round completed after ``seconds`` of dispatch + collection;
-        lanes that keep per-round diagnostics record them here."""
+        lanes that measure more of it write that into ``record`` here."""

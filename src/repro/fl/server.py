@@ -13,8 +13,11 @@ data, fused on the server.  The server itself holds the population, the
 global weights and payloads — it never hands a strategy the model or
 another client's data, so every strategy runs on any population, lazy ones
 included.
-All timing flows through :class:`repro.fl.timing.PhaseTimer` so Fig. 4 can
-compare methods fairly regardless of the engine.
+Each round's facts land in one :class:`repro.fl.history.RoundRecord`: the
+engine's round driver writes membership, upload timings, wall clock and
+wire bytes, the server adds aggregation time, rejected uploads and the
+memory peak.  The run's :class:`repro.fl.timing.TimingReport` is a fold of
+those records, so Fig. 4 compares methods fairly regardless of the engine.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ import time
 import tracemalloc
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.data.synthetic import LabeledDataset
 from repro.fl.evaluation import EvaluationStage
@@ -35,7 +36,7 @@ from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.population import ClientPopulation, as_population
 from repro.fl.sampling import UniformClientSampler
 from repro.fl.strategy import Strategy, run_prepare
-from repro.fl.timing import PhaseTimer, TimingReport
+from repro.fl.timing import TimingReport
 from repro.nn.models import FeatureClassifierModel
 from repro.utils.logging import get_logger, kv
 from repro.utils.rng import SeedTree
@@ -189,20 +190,18 @@ class FederatedServer:
                 self.executor.close()
 
     def _run(self, verbose: bool) -> FederatedResult:
-        timer = PhaseTimer()
         history = RunHistory(strategy_name=self.strategy.name)
         global_state = self.model.state_dict()
 
-        with timer.one_time():
-            run_prepare(self.strategy, self.population, self._seed_tree)
+        start = time.perf_counter()
+        run_prepare(self.strategy, self.population, self._seed_tree)
+        one_time_seconds = time.perf_counter() - start
 
         # The evaluation model is copied here — before the first
         # ``run_round`` — and the thread is joined when the block ends,
         # whether the rounds returned or raised.
         with EvaluationStage(self.model, self.eval_sets) as evaluation:
-            global_state = self._rounds(
-                timer, history, global_state, evaluation, verbose
-            )
+            global_state = self._rounds(history, global_state, evaluation, verbose)
 
         self.model.load_state_dict(global_state)
         # The last round always evaluates every eval set, so its record *is*
@@ -210,13 +209,12 @@ class FederatedServer:
         return FederatedResult(
             history=history,
             final_state=global_state,
-            timing=timer.report(),
+            timing=TimingReport.from_records(history.records, one_time_seconds),
             final_accuracy=dict(history.records[-1].eval_accuracy),
         )
 
     def _rounds(
         self,
-        timer: PhaseTimer,
         history: RunHistory,
         global_state: dict,
         evaluation: EvaluationStage,
@@ -229,9 +227,6 @@ class FederatedServer:
         round r's record is settled — scores joined, line logged — before
         round r+1's evaluation is submitted and before this returns.
         """
-        # Engine wire counters are cumulative across runs (a warm pool may
-        # serve many); diff them per round so the report covers this run.
-        wire_before = self.executor.wire_stats()
         unsettled: tuple[RoundRecord, Future | None] | None = None
 
         for round_index in range(self.config.num_rounds):
@@ -252,7 +247,9 @@ class FederatedServer:
             # keeps the batch path.
             stream = self.strategy.begin_stream(global_state)
 
-            wall_start = time.perf_counter()
+            # ``updates`` only ever holds the clients that responded in
+            # time with sane weights, so aggregation reweights over the
+            # survivors; the record says who dropped, and why.
             updates = self.executor.run_round(
                 self.strategy,
                 self.model,
@@ -262,72 +259,32 @@ class FederatedServer:
                 seeds,
                 stream=stream,
             )
-            timer.record_local_wall(time.perf_counter() - wall_start)
-            for update in updates:
-                timer.record_local_train(update.train_seconds)
-                timer.record_broadcast_decode(update.decode_seconds)
-            # Cross-host pipelining win (nonzero only for the remote
-            # engine's pipelined rounds): remote busy time that overlapped
-            # other hosts' broadcast/train/upload.
-            timer.record_pipeline_overlap(self.executor.last_overlap_seconds)
-            # What the fault layer did to the round: recorded on the round
-            # history (who dropped, and why) and folded into the timing
-            # report's robustness counters.  Aggregation below reweights
-            # over the survivors automatically — ``updates`` only ever
-            # holds the clients that responded in time with sane weights.
-            fault_report = self.executor.last_fault_report
-            dropped = dict(fault_report.dropped) if fault_report else {}
-            if fault_report is not None:
-                timer.record_faults(
-                    dropped_clients=len(fault_report.dropped),
-                    straggler_seconds=fault_report.straggler_seconds,
-                    rebuilt_workers=fault_report.rebuilt_workers,
-                )
-                timer.record_robustness(
-                    early_closed_rounds=1 if fault_report.early_closed else 0,
-                    early_close_seconds=fault_report.early_close_seconds,
-                )
-            wire_now = self.executor.wire_stats()
-            timer.record_bytes(
-                wire_now.bytes_up - wire_before.bytes_up,
-                wire_now.bytes_down - wire_before.bytes_down,
-                wire_now.unique_bytes_down - wire_before.unique_bytes_down,
-            )
-            wire_before = wire_now
+            record = self.executor.last_round
 
-            with timer.aggregation():
-                # The kwarg only exists on the base ``aggregate`` — and a
-                # stream only exists when that base is what runs
-                # (supports_streaming), so overriding strategies never see
-                # it.
-                if stream is not None:
-                    global_state = self.strategy.aggregate(
-                        global_state, updates, round_index, stream=stream
-                    )
-                else:
-                    global_state = self.strategy.aggregate(
-                        global_state, updates, round_index
-                    )
-            timer.record_robustness(
-                rejected_uploads=len(self.strategy.aggregator.last_rejected)
-            )
+            start = time.perf_counter()
+            # The kwarg only exists on the base ``aggregate`` — and a stream
+            # only exists when that base is what runs (supports_streaming),
+            # so overriding strategies never see it.
+            if stream is not None:
+                global_state = self.strategy.aggregate(
+                    global_state, updates, round_index, stream=stream
+                )
+            else:
+                global_state = self.strategy.aggregate(
+                    global_state, updates, round_index
+                )
+            record.aggregation_seconds = time.perf_counter() - start
+            # A round that aggregated nothing never ran the rule, whose
+            # ``last_rejected`` still holds the previous round's indices.
+            if updates:
+                record.rejected_uploads = len(
+                    self.strategy.aggregator.last_rejected
+                )
             if tracemalloc.is_tracing():
                 # One peak sample per round (the CLI's --timing starts
                 # tracing); the report keeps the maximum across rounds.
-                timer.record_peak_memory(tracemalloc.get_traced_memory()[1])
+                record.peak_memory_bytes = tracemalloc.get_traced_memory()[1]
 
-            losses = [update.loss for update in updates]
-            record = RoundRecord(
-                round_index=round_index,
-                mean_local_loss=float(np.mean(losses)) if losses else 0.0,
-                participants=[c.client_id for c in participants],
-                dropped=dropped,
-                accepted=(
-                    [update.client_id for update in updates]
-                    if self.executor.records_accepted
-                    else None
-                ),
-            )
             history.add(record)
             self.population.release(participants)
             if unsettled is not None:

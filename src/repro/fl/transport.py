@@ -7,10 +7,10 @@ ships **one** global model to every participant each round, so the
 broadcast is a fan-out of identical bytes — exactly the pattern where a
 single shared-memory copy beats N pickled pipe copies.
 
-Two transports ship by default, selectable by spec string (``--transport``
-on the CLI, ``transport=`` on :class:`repro.fl.server.FederatedConfig`,
-:class:`repro.eval.protocols.ExperimentSetting`, and
-:class:`repro.fl.executor.ParallelExecutor`):
+Three transports ship, selectable by spec string (``--transport`` on the
+CLI, ``transport=`` on :class:`repro.eval.protocols.ExperimentSetting` and
+:class:`repro.fl.executor.ParallelExecutor` — the engine owns it, not the
+experiment's :class:`repro.fl.server.FederatedConfig`):
 
 ``pipe``
     The historical path: the encoded broadcast blob is pickled into each

@@ -518,8 +518,8 @@ class WorkerRuntime:
             round_index, list(seeds),
         )
         # The lazy broadcast decode ran inside this task; stamp it once, on
-        # the group's first update, so PhaseTimer's overlap accounting
-        # counts it exactly once per endpoint per round.
+        # the group's first update, so the round record's summed
+        # ``decode_seconds`` counts it exactly once per endpoint per round.
         if updates:
             updates[0].decode_seconds = decode_seconds
         if fault is not None:

@@ -45,6 +45,7 @@ from repro.fl.faults import (
     BYZANTINE_SCALE,
     AdaptiveDeadline,
     FaultEvent,
+    FaultPlan,
     FixedDeadline,
     byzantine_state,
     make_deadline_policy,
@@ -506,9 +507,10 @@ class TestQuorum:
 
     def test_quorum_early_close_reported(self):
         executor = SerialExecutor(quorum=2)
-        run_once(executor, rounds=1)
-        report = executor.last_fault_report
-        assert report.early_closed
+        result = run_once(executor, rounds=1)
+        assert executor.last_round is result.history.records[0]
+        assert executor.last_round.early_closed
+        assert result.timing.early_closed_rounds == 1
 
     def test_timeout_error_names_the_quorum(self):
         error = RoundTimeoutError(3, [4, 5], quorum=5, accepted=(0, 1))
@@ -688,6 +690,19 @@ class TestServerThreading:
         )
         # krum keeps one of four uploads per round: 3 rejections x 2 rounds.
         assert result.timing.rejected_uploads == 6
+        assert [r.rejected_uploads for r in result.history.records] == [3, 3]
+
+    def test_a_round_that_aggregated_nothing_rejects_nothing(self):
+        # Every client drops out of round 1, so krum never runs there; its
+        # ``last_rejected`` still names round 0's three rejections, which
+        # must not be counted a second time.
+        plan = FaultPlan(
+            events=tuple(FaultEvent("dropout", 1, cid) for cid in range(8))
+        )
+        result = run_once(SerialExecutor(faults=plan), rounds=2, aggregator="krum")
+        assert [len(r.survivors) for r in result.history.records] == [4, 0]
+        assert [r.rejected_uploads for r in result.history.records] == [3, 0]
+        assert result.timing.rejected_uploads == 3
 
     def test_setting_threads_robustness_knobs(self):
         from repro.eval import ExperimentSetting
@@ -881,9 +896,11 @@ class TestReplay:
         result = run_once(SerialExecutor(quorum=2), rounds=1)
         executor = SerialExecutor()
         executor.set_replay(result.history)
-        assert executor.records_accepted
+        replayed = run_once(executor, rounds=1)
+        assert replayed.history.records[0].accepted is not None
         executor.clear_replay()
-        assert not executor.records_accepted
+        live = run_once(executor, rounds=1)
+        assert live.history.records[0].accepted is None
 
 
 class TestFPLPrototypeHook:

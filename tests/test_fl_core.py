@@ -25,7 +25,7 @@ from repro.fl import (
     UniformClientSampler,
     evaluate_accuracy,
 )
-from repro.fl.timing import PhaseTimer
+from repro.fl.timing import TimingReport
 from repro.nn import build_cnn_model, build_mlp_model
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
@@ -116,22 +116,28 @@ class TestSampler:
 
 class TestTimer:
     def test_buckets_accumulate(self):
-        timer = PhaseTimer()
-        with timer.one_time():
-            pass
-        for _ in range(3):
-            with timer.local_train():
-                pass
-        with timer.aggregation():
-            pass
-        report = timer.report()
-        assert report.local_train_invocations == 3
-        assert report.rounds == 1
-        assert report.one_time_seconds >= 0.0
-        assert report.local_train_seconds_mean >= 0.0
+        records = [
+            RoundRecord(
+                r, 1.0, [0, 1, 2], dropped={2: "dropout"} if r == 0 else {},
+                train_seconds=0.5, aggregation_seconds=0.25,
+                straggler_seconds=0.125, early_closed=r == 2,
+                peak_memory_bytes=(100, 300, 200)[r],
+            )
+            for r in range(3)
+        ]
+        report = TimingReport.from_records(records, one_time_seconds=2.0)
+        assert report.one_time_seconds == 2.0
+        assert report.rounds == 3
+        assert report.local_train_invocations == 8  # survivors only
+        assert report.local_train_seconds_total == 1.5
+        assert report.aggregation_seconds_mean == 0.25
+        assert report.dropped_clients == 1
+        assert report.straggler_seconds == 0.375
+        assert report.early_closed_rounds == 1
+        assert report.peak_memory_bytes == 300  # a maximum, not a sum
 
     def test_empty_report_means(self):
-        report = PhaseTimer().report()
+        report = TimingReport.from_records([])
         assert report.local_train_seconds_mean == 0.0
         assert report.aggregation_seconds_mean == 0.0
 
@@ -186,6 +192,9 @@ class TestFederatedServer:
         for key in a.final_state:
             np.testing.assert_array_equal(a.final_state[key], b.final_state[key])
         assert a.final_accuracy == b.final_accuracy
+        # Wall-clock fields are left out of ``==``; everything else agrees.
+        assert a.history.records == b.history.records
+        assert a.history.records[0].train_seconds > 0.0
 
     def test_training_improves_over_initialization(self):
         clients = make_clients(heterogeneity=1.0)

@@ -5,6 +5,7 @@ must produce *identical* `RunHistory` traces and final accuracies — the
 round loop's semantics may not depend on how the fan-out executes.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -29,7 +30,8 @@ from repro.fl import (
     run_prepare,
 )
 from repro.fl.net.serve import trace_dict
-from repro.fl.timing import PhaseTimer
+from repro.fl.history import RoundRecord
+from repro.fl.timing import TimingReport
 from repro.nn import build_mlp_model
 from repro.nn.module import Module
 from repro.nn.serialize import decode_payload, encode_payload
@@ -335,6 +337,22 @@ class TestWireProtocol:
             result.timing.bytes_up + result.timing.bytes_down
         )
 
+    def test_round_bytes_sum_to_the_engines_wire_delta(self):
+        """Each round's bytes are the driver's own before/after snapshot,
+        registration in ``open()`` included, so over a run (the second on
+        a warm pool too) they add up to exactly what the engine counted."""
+        with ParallelExecutor(num_workers=2) as executor:
+            for _ in range(2):
+                before = executor.wire_stats()
+                result = run_once(FedAvgStrategy(FAST), executor, rounds=2)
+                after = executor.wire_stats()
+                for name in ("bytes_up", "bytes_down", "unique_bytes_down"):
+                    records = sum(
+                        getattr(r, name) for r in result.history.records
+                    )
+                    delta = getattr(after, name) - getattr(before, name)
+                    assert records == delta == getattr(result.timing, name) > 0
+
     def test_serial_engine_reports_zero_wire_bytes(self):
         result = run_once(FedAvgStrategy(FAST), SerialExecutor(), rounds=2)
         assert result.timing.bytes_up == 0
@@ -456,61 +474,53 @@ class TestParallelMechanics:
 
 class TestTimingAccounting:
     def test_recorded_updates_count_as_invocations(self):
-        timer = PhaseTimer()
-        timer.record_local_train(0.25)
-        timer.record_local_train(0.75)
-        timer.record_local_wall(0.5)
-        report = timer.report()
+        record = RoundRecord(0, 0.0, [3, 5], train_seconds=1.0, wall_seconds=0.5)
+        report = TimingReport.from_records([record])
         assert report.local_train_invocations == 2
         assert report.local_train_seconds_total == 1.0
         assert report.local_train_wall_seconds_total == 0.5
         assert report.local_train_speedup == 2.0
 
-    def test_context_manager_counts_toward_wall(self):
-        timer = PhaseTimer()
-        with timer.local_train():
-            pass
-        report = timer.report()
-        assert report.local_train_wall_seconds_total == report.local_train_seconds_total
+    def test_serial_round_wall_covers_its_compute(self):
+        result = run_once(FedAvgStrategy(FAST), SerialExecutor(), rounds=2)
+        for record in result.history.records:
+            assert 0.0 < record.train_seconds <= record.wall_seconds
+        assert result.timing.local_train_speedup <= 1.0
 
     def test_speedup_defaults_to_one(self):
-        assert PhaseTimer().report().local_train_speedup == 1.0
+        assert TimingReport.from_records([]).local_train_speedup == 1.0
 
     def test_speedup_with_zero_invocations_and_zero_wall(self):
         """Edge cases: an empty report and a compute-only report must not
         divide by zero."""
-        empty = PhaseTimer().report()
+        empty = TimingReport.from_records([])
         assert empty.local_train_invocations == 0
         assert empty.local_train_seconds_mean == 0.0
         assert empty.local_train_speedup == 1.0
-        compute_only = PhaseTimer()
-        compute_only.record_local_train(1.0)  # no wall recorded
-        assert compute_only.report().local_train_speedup == 1.0
+        compute_only = RoundRecord(0, 0.0, [0], train_seconds=1.0)  # no wall
+        assert TimingReport.from_records([compute_only]).local_train_speedup == 1.0
 
-    def test_context_manager_and_record_paths_agree(self, monkeypatch):
-        """The convenience context manager and the record_* pair must
-        account the same serial workload identically."""
-        ticks = iter(float(i) for i in range(1000))
-        monkeypatch.setattr(
-            "repro.fl.timing.time.perf_counter", lambda: next(ticks)
+    def test_records_compare_without_their_clocks(self):
+        """Two runs of the same bits are ``==`` whatever their clocks
+        read; a deterministic field still tells them apart."""
+        record = RoundRecord(0, 0.5, [1, 2], dropped={2: "dropout"}, bytes_up=7)
+        clocks = dict(
+            train_seconds=1.0, decode_seconds=2.0, wall_seconds=3.0,
+            overlap_seconds=4.0, early_close_seconds=5.0,
+            aggregation_seconds=6.0, peak_memory_bytes=7,
         )
-        with_context = PhaseTimer()
-        for _ in range(3):
-            with with_context.local_train():
-                pass  # each enter/exit consumes two ticks -> 1.0s elapsed
-        with_records = PhaseTimer()
-        for _ in range(3):
-            with_records.record_local_train(1.0)
-            with_records.record_local_wall(1.0)
-        assert with_context.report() == with_records.report()
+        assert dataclasses.replace(record, **clocks) == record
+        assert dataclasses.replace(record, bytes_up=8) != record
+        assert dataclasses.replace(record, rejected_uploads=1) != record
 
-    def test_record_bytes_accumulates_into_report(self):
-        timer = PhaseTimer()
-        timer.record_bytes(100, 200)
-        timer.record_bytes(1, 2)
-        report = timer.report()
+    def test_round_bytes_accumulate_into_report(self):
+        report = TimingReport.from_records([
+            RoundRecord(0, 0.0, [0], bytes_up=100, bytes_down=200),
+            RoundRecord(1, 0.0, [0], bytes_up=1, bytes_down=2, unique_bytes_down=2),
+        ])
         assert report.bytes_up == 101
         assert report.bytes_down == 202
+        assert report.unique_bytes_down == 2
         assert report.bytes_total == 303
 
     def test_parallel_run_reports_worker_seconds(self):

@@ -35,6 +35,7 @@ from repro.fl import (
     ParallelExecutor,
     RoundTimeoutError,
     SerialExecutor,
+    make_aggregator,
     make_executor,
     make_fault_plan,
     shm_supported,
@@ -452,7 +453,7 @@ class TestDeadline:
             updates = self._run_one_round(ex, clients, 0, seeds[0])
             elapsed = time.perf_counter() - start
             assert [u.client_id for u in updates] == [0, 1, 2]
-            assert ex.last_fault_report.dropped == {3: "deadline"}
+            assert ex.last_round.dropped == {3: "deadline"}
             # Closed at the deadline, not at the straggler's convenience.
             assert elapsed < 1.9
             # The absorbed straggler poisons nothing: the next round
@@ -463,7 +464,7 @@ class TestDeadline:
                 1, seeds[1],
             )
             assert [u.client_id for u in updates] == [0, 1, 2, 3]
-            assert ex.last_fault_report.dropped == {}
+            assert ex.last_round.dropped == {}
 
     def test_round_timeout_error_when_nothing_arrives(self):
         """The latent-bug fix, typed half: a deadline that expires with
@@ -587,8 +588,8 @@ class TestCrashRecovery:
             updates = ex.run_round(
                 FedAvgStrategy(FAST), model, state, clients, 0, seeds
             )
-            assert ex.last_fault_report.dropped == {0: "crash"}
-            assert ex.last_fault_report.rebuilt_workers == 1
+            assert ex.last_round.dropped == {0: "crash"}
+            assert ex.last_round.rebuilt_workers == 1
         # Client 2 shares slot 0 with the victim: its task died with the
         # worker and re-ran on the rebuilt slot.
         assert [u.client_id for u in updates] == [1, 2, 3]
@@ -615,8 +616,8 @@ class TestCrashRecovery:
                 FedAvgStrategy(FAST), model, state, clients, 1, seeds[1]
             )
             assert [u.client_id for u in updates] == [0, 1, 2, 3]
-            assert ex.last_fault_report.rebuilt_workers >= 1
-            assert ex.last_fault_report.dropped == {}
+            assert ex.last_round.rebuilt_workers >= 1
+            assert ex.last_round.dropped == {}
 
 
 class TestTimingAndHistory:
@@ -628,6 +629,34 @@ class TestTimingAndHistory:
         assert result.timing.dropped_clients == dropped_total > 0
         assert result.timing.straggler_seconds > 0
         assert result.timing.rebuilt_workers == 0  # serial has no workers
+
+    def test_serial_and_pool_records_agree_under_chaos_and_krum(self):
+        """The driver writes the same membership into the record on every
+        engine: who was selected, who dropped and why, who was accepted."""
+
+        def krum():
+            strategy = FedAvgStrategy(FAST)
+            strategy.aggregator = make_aggregator("krum")
+            return strategy
+
+        faults = "crash=1,dropout=0.2"
+        serial = run_once(SerialExecutor(faults=faults), strategy=krum())
+        with ParallelExecutor(num_workers=2, faults=faults) as executor:
+            pooled = run_once(executor, strategy=krum())
+
+        def membership(result):
+            return [
+                (r.participants, r.dropped, r.accepted, r.rejected_uploads)
+                for r in result.history.records
+            ]
+
+        assert membership(serial) == membership(pooled)
+        reasons = {
+            reason for r in serial.history.records for reason in r.dropped.values()
+        }
+        assert reasons == {"crash", "dropout"}
+        assert serial.timing.rebuilt_workers == 0
+        assert pooled.timing.rebuilt_workers >= 1
 
     def test_survivors_property(self):
         result = run_once(SerialExecutor(faults=CHAOS_PLAN, deadline=30.0))

@@ -12,6 +12,7 @@ and spec mismatches; a mid-upload agent disconnect is a typed fault
 import json
 import logging
 import os
+import pickle
 import socket
 import struct
 import threading
@@ -49,6 +50,7 @@ from repro.fl.net import (
     TcpTransport,
     encode_frame,
     recv_frame,
+    send_frame,
 )
 from repro.fl.executor import WorkerRuntime
 from repro.fl.net.agent import run_agent
@@ -366,6 +368,40 @@ class TestTcpTransport:
         transport = TcpTransport()
         with pytest.raises(TypeError):
             transport.fetch(b"a pipe blob")
+
+    def test_peer_frames_are_never_unpickled(self):
+        """Anyone who can reach the blob server's port can send it a
+        frame.  A pickle that would call a function of this module on load
+        is closed on unanswered, and so is the old pickled ``get``."""
+        server_side = TcpTransport()
+        try:
+            handle = server_side.publish(b"z" * 16)
+            for frame in (
+                pickle.dumps(_CallsOnUnpickle()),
+                pickle.dumps(("get", handle.blob_id)),
+            ):
+                with socket.create_connection(
+                    (handle.host, handle.port), timeout=10
+                ) as sock:
+                    send_frame(sock, frame)
+                    assert recv_frame(sock) is None
+            assert _UNPICKLED == []
+            assert TcpTransport().fetch(handle) == b"z" * 16  # still serving
+        finally:
+            server_side.close()
+
+
+#: Calls :func:`_record_unpickling` made — by anyone unpickling peer bytes.
+_UNPICKLED: list = []
+
+
+def _record_unpickling(*args):
+    _UNPICKLED.append(args)
+
+
+class _CallsOnUnpickle:
+    def __reduce__(self):
+        return (_record_unpickling, ("unpickled a peer frame",))
 
 
 class TestRegistry:

@@ -200,14 +200,15 @@ class TestCloseRule:
             script=reversed_one_at_a_time, compute="loop", quorum=2, deadline=60.0
         )
         (updates, _), = drive(lanes, rounds=1)
-        report = lanes.last_fault_report
+        record = lanes.last_round
         # Dispatch is home by home (clients 0, 2, 4 then 1, 3, 5), so the
         # last two tasks — the first two to arrive — are clients 5 and 3;
         # the survivors come back in sampling order.
         assert [u[0] for u in updates] == [3, 5]
-        assert report.dropped == {0: "quorum", 1: "quorum", 2: "quorum", 4: "quorum"}
-        assert report.early_closed
-        assert 0.0 < report.early_close_seconds <= 60.0
+        assert record.dropped == {0: "quorum", 1: "quorum", 2: "quorum", 4: "quorum"}
+        assert record.accepted == [3, 5]
+        assert record.early_closed
+        assert 0.0 < record.early_close_seconds <= 60.0
         assert [e for e in lanes.log if e[0] == "abandon"] == [
             ("abandon", task_id) for task_id in range(4)
         ]
@@ -222,7 +223,7 @@ class TestCloseRule:
         assert sorted(excinfo.value.client_ids) == [0, 1, 2, 3, 4, 5]
         assert excinfo.value.quorum is None
         assert "no updates" in str(excinfo.value)
-        assert set(lanes.last_fault_report.dropped.values()) == {"deadline"}
+        assert set(lanes.last_round.dropped.values()) == {"deadline"}
 
     def test_deadline_below_quorum_raises_the_quorum_form(self):
         polls = iter([[0], []])
@@ -244,8 +245,8 @@ class TestCloseRule:
         )
         (updates, _), = drive(lanes, rounds=1)
         assert [u[0] for u in updates] == [0, 2]  # tasks 0 and 1, home 0
-        assert set(lanes.last_fault_report.dropped.values()) == {"deadline"}
-        assert not lanes.last_fault_report.early_closed
+        assert set(lanes.last_round.dropped.values()) == {"deadline"}
+        assert not lanes.last_round.early_closed
 
 
 class TestLostLane:
@@ -286,7 +287,7 @@ class TestLostLane:
         # the round's regular broadcast was a smaller delta.
         frames = [e[2] for e in lanes.log if e[0] == "broadcast"]
         assert min(frames[0], replay[1][2]) > frames[2]
-        assert lanes.last_fault_report.dropped == {}
+        assert lanes.last_round.dropped == {}
         assert lanes.wire_stats().task_bytes > reference.wire_stats().task_bytes
 
     def test_group_killed_twice_is_dropped(self):
@@ -294,8 +295,8 @@ class TestLostLane:
         (updates, _), = drive(lanes, rounds=1)
         # Client 0 headed the slot both times it died; 2 and 4 were only
         # queued behind it and re-ran.
-        assert lanes.last_fault_report.dropped == {0: "crash"}
-        assert lanes.last_fault_report.rebuilt_workers == 2
+        assert lanes.last_round.dropped == {0: "crash"}
+        assert lanes.last_round.rebuilt_workers == 2
         assert [u[0] for u in updates] == [1, 2, 3, 4, 5]
 
     def test_plan_victim_is_dropped_not_rerun(self):
@@ -313,12 +314,12 @@ class TestLostLane:
 
         lanes = Killing(script=script, compute="loop", faults=plan)
         (updates, _), = drive(lanes, rounds=1)
-        assert lanes.last_fault_report.dropped == {2: "crash"}
+        assert lanes.last_round.dropped == {2: "crash"}
         assert [u[0] for u in updates] == [0, 1, 3, 4, 5]
         # A lane that cannot kill never sees the victim at all.
         gentle = ScriptedLanes(compute="loop", faults=plan)
         drive(gentle, rounds=1)
-        assert gentle.last_fault_report.dropped == {2: "crash"}
+        assert gentle.last_round.dropped == {2: "crash"}
         assert all(e[3][3] is None for e in gentle.log if e[0] == "submit")
 
     @pytest.mark.parametrize("codec", ["identity", "delta"])
@@ -331,10 +332,10 @@ class TestLostLane:
         )
         trace = drive(lanes, rounds=2)
         assert [u[0] for u in trace[1][0]] == [1, 3, 5]
-        assert lanes.last_fault_report.dropped == {
+        assert lanes.last_round.dropped == {
             0: "disconnect", 2: "disconnect", 4: "disconnect"
         }
-        assert lanes.last_fault_report.rebuilt_workers == 0
+        assert lanes.last_round.rebuilt_workers == 0
         assert sorted(lanes._resident) == [1, 3, 5]
 
     def test_every_lane_lost_raises_the_typed_timeout(self):
@@ -359,8 +360,10 @@ class TestEpilogue:
         with pytest.raises(OSError, match="lane mechanism"):
             drive(lanes, rounds=1)
         assert ended == [True]
-        assert lanes.last_fault_report is not None
-        assert lanes.last_fault_report.round_index == 0
+        assert lanes.last_round is not None
+        assert lanes.last_round.round_index == 0
+        assert lanes.last_round.participants == [0, 1, 2, 3, 4, 5]
+        assert lanes.last_round.bytes_down > 0  # registration + broadcast
 
     def test_unpipelined_drains_one_home_at_a_time(self):
         class OneAtATime(ScriptedLanes):
