@@ -101,6 +101,15 @@ def _setting_from_args(args: argparse.Namespace, usage_error) -> ExperimentSetti
         for name in ("workers", "transport", "max_resident")
         if hasattr(args, name)
     }
+    if (
+        engine.get("transport", "auto") != "auto"
+        and engine["workers"] is None
+        and engine["max_resident"] is None
+    ):
+        usage_error(
+            f"--transport {engine['transport']} needs --workers or "
+            f"--max-resident; the serial engine has no wire"
+        )
     return ExperimentSetting(
         objective=args.objective,
         num_clients=args.clients,
@@ -269,7 +278,7 @@ def _add_in_host_flags(parser: argparse.ArgumentParser) -> None:
         "worker, 'shm' publishes one shared-memory copy per round, "
         "'tcp[:host:port]' serves it from a loopback (or bound) blob "
         "server; 'auto' (default) prefers shm where the platform "
-        "supports it",
+        "supports it; anything but 'auto' needs the parallel engine",
     )
     parser.add_argument(
         "--max-resident", type=_positive_int, default=None,

@@ -19,7 +19,7 @@ The four steps of Fig. 2 map onto the strategy hooks as follows:
    pair-L2 regularizer at ``gamma_reg`` — with
    :meth:`PardonStrategy.local_views` supplying the style-transferred
    second view each round.  The generic runners execute it on both the
-   loop and the ensemble compute path.
+   trainer's stacked path and its loop fallback.
 4. **Aggregation** is inherited data-size-weighted FedAvg.
 
 Ablation variants v1–v5 (paper Table V) are selected purely through

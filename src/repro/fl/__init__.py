@@ -18,14 +18,7 @@ from repro.fl.aggregate import (
 )
 from repro.fl.client import Client
 from repro.fl.codec import Codec, Payload, codec_specs, make_codec
-from repro.fl.compute import (
-    ComputeBackend,
-    EnsembleBackend,
-    LoopBackend,
-    compute_specs,
-    make_compute,
-    resolve_compute,
-)
+from repro.fl.compute import EnsembleBackend
 from repro.fl.communication import (
     CommunicationModel,
     MeasuredCommunication,
@@ -72,7 +65,6 @@ from repro.fl.transport import (
     make_transport,
     resolve_transport,
     shm_supported,
-    transport_specs,
     validate_transport,
 )
 
@@ -95,12 +87,7 @@ __all__ = [
     "WireStats",
     "codec_specs",
     "make_codec",
-    "ComputeBackend",
     "EnsembleBackend",
-    "LoopBackend",
-    "compute_specs",
-    "make_compute",
-    "resolve_compute",
     "method_communication",
     "evaluate_accuracy",
     "evaluate_loss",
@@ -136,6 +123,5 @@ __all__ = [
     "make_transport",
     "resolve_transport",
     "shm_supported",
-    "transport_specs",
     "validate_transport",
 ]

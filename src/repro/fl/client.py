@@ -23,8 +23,8 @@ class Client:
     for.  The simulation core never reads it.
 
     Co-resident clients (the same engine location in one round) may be
-    handed to a compute backend (:mod:`repro.fl.compute`) as one *group*
-    and trained as a fused parameter stack.  Backends sub-group by
+    handed to the trainer (:mod:`repro.fl.compute`) as one *group* and
+    trained as a fused parameter stack.  The trainer sub-groups by
     ``num_samples`` — stacking requires a shared batch geometry — and a
     client's scratch is only ever touched by its own slice, so grouping
     never couples clients' state.

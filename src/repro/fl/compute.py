@@ -1,47 +1,38 @@
-"""Compute backends: how an engine trains a group of co-resident clients.
+"""The one trainer: how an engine trains a group of co-resident clients.
 
 The execution engines (:mod:`repro.fl.executor`) decide *where* local
-updates run (in-process or on a pool worker); a compute backend decides
-*how* the clients that landed in one place actually train:
-
-* ``loop`` — the historical per-client loop: load the broadcast weights,
-  run :meth:`repro.fl.strategy.Strategy.local_update`, repeat.
-* ``ensemble`` — stack the group's K clients along a leading axis
-  (:mod:`repro.nn.ensemble`) and run their local epochs as single batched
-  matmuls per layer, with one fused SGD step over the whole ``(K, ...)``
-  parameter stack.  Requires the strategy to implement
-  :meth:`repro.fl.strategy.Strategy.ensemble_update` and every module of
-  the model to have an ensemble converter; anything else falls back to the
-  loop per group, so the backend is always safe to select.
-* ``strict`` — the ensemble code path forced to K=1 groups.  Because
-  numpy's batched kernels are bitwise identical per slice, ``strict``
-  produces exactly the same bytes as ``ensemble`` for any grouping — it
-  exists to *prove* that equivalence in tests and audits, one client at a
-  time.
-
-Backends are negotiated like codecs and transports: the registry maps spec
-strings to factories, ``auto`` resolves against the model at pool build
-(``ensemble`` when every module converts, ``loop`` otherwise), and the
-resolved spec ships to workers so both endpoints agree on the compute
-semantics before any task is dispatched.
+updates run (in-process, on a pool worker, on a remote agent); the trainer
+decides *how* the clients that landed in one place actually train.  Every
+engine that trains and every wire endpoint holds one
+:class:`EnsembleBackend`.  It stacks a group's K clients along a leading
+axis (:mod:`repro.nn.ensemble`) and runs their local epochs as single
+batched matmuls per layer, with one fused SGD step over the whole
+``(K, ...)`` parameter stack.  What it cannot stack runs through the
+per-client loop fallback (:func:`_run_loop`: load the broadcast weights,
+run :meth:`repro.fl.strategy.Strategy.local_update`, repeat): a strategy
+without an exact batched counterpart
+(:meth:`repro.fl.strategy.Strategy.supports_ensemble`), a model with a
+module that has no ensemble converter, an empty client, or a stack the
+strategy declines.  There is nothing to select or negotiate.
 
 Numerical contract
 ------------------
 Per-client results are *independent of grouping*: slice ``k`` of a K-stack
-is bitwise the computation the loop backend runs for that client (see
+is bitwise the computation the loop fallback runs for that client (see
 :mod:`repro.nn.ensemble` for why).  The serial engine may therefore hand a
-round's survivors over as one group while the parallel engine hands over
-one group per home worker, and the backend may split either into stacks of
-any size — their traces stay bit-identical, the invariant the cross-engine
-tests in ``tests/test_nn_ensemble.py`` enforce.  ``ensemble`` sizes its
-stacks by their per-step input (:data:`_STACK_STEP_ELEMENTS`), so training
-memory is bounded per stack, not proportional to the group.
+round's survivors over as one group while the wire engines hand over one
+group per home, and the trainer may split either into stacks of any size —
+their traces stay bit-identical, the invariant the cross-engine tests in
+``tests/test_nn_ensemble.py`` enforce (``_STACK_STEP_ELEMENTS = 1`` forces
+K=1 stacks through the same code, one client at a time).  Stacks are sized
+by their per-step input (:data:`_STACK_STEP_ELEMENTS`), so training memory
+is bounded per stack, not proportional to the group.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -55,15 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.nn.module import Module
     from repro.nn.serialize import StateDict
 
-__all__ = [
-    "ComputeBackend",
-    "LoopBackend",
-    "EnsembleBackend",
-    "compute_specs",
-    "make_compute",
-    "resolve_compute",
-    "timed_local_update",
-]
+__all__ = ["EnsembleBackend", "timed_local_update"]
 
 #: Input elements one stack's training step may hold, summed over its slices:
 #: a stack of K clients takes ``K * min(batch_size, num_samples) *
@@ -123,79 +106,40 @@ def timed_local_update(
     return update
 
 
-class ComputeBackend:
-    """Backend contract: train one co-resident group, in group order.
-
-    ``clients`` and ``seeds`` are aligned; ``model`` is the engine's
-    workspace/template model and ``wire_state`` the already-decoded
-    broadcast weights every client trains from.  Implementations return
-    one :class:`repro.fl.executor.ClientUpdate` per client, in the same
-    order, each stamped with ``train_seconds``.
-    """
-
-    name = "compute"
-    #: Whether the engine should hand this backend multi-client groups
-    #: (one task per home worker) instead of one task per client.
-    batched = False
-
-    @property
-    def spec(self) -> str:
-        return self.name
-
-    def run_group(
-        self,
-        strategy: "Strategy",
-        model: "FeatureClassifierModel",
-        wire_state: "StateDict",
-        clients: Sequence[Client],
-        round_index: int,
-        seeds: Sequence[int],
-    ) -> "list[ClientUpdate]":
-        raise NotImplementedError
+def _run_loop(
+    strategy: "Strategy",
+    model: "FeatureClassifierModel",
+    wire_state: "StateDict",
+    clients: Sequence[Client],
+    round_index: int,
+    seeds: Sequence[int],
+) -> "list[ClientUpdate]":
+    """The per-client loop fallback: each client trains on ``model`` from
+    the broadcast weights, in group order."""
+    updates = []
+    for client, seed in zip(clients, seeds):
+        model.load_state_dict(wire_state)
+        updates.append(timed_local_update(strategy, client, model, round_index, seed))
+    return updates
 
 
-class LoopBackend(ComputeBackend):
-    """The historical per-client loop; the default and the fallback."""
+class EnsembleBackend:
+    """The one trainer: train one co-resident group, in group order.
 
-    name = "loop"
-
-    def run_group(
-        self,
-        strategy: "Strategy",
-        model: "FeatureClassifierModel",
-        wire_state: "StateDict",
-        clients: Sequence[Client],
-        round_index: int,
-        seeds: Sequence[int],
-    ) -> "list[ClientUpdate]":
-        updates = []
-        for client, seed in zip(clients, seeds):
-            model.load_state_dict(wire_state)
-            updates.append(
-                timed_local_update(strategy, client, model, round_index, seed)
-            )
-        return updates
-
-
-class EnsembleBackend(ComputeBackend):
-    """Leading-axis batched training over each group's parameter stack.
+    :meth:`run_group` takes aligned ``clients`` and ``seeds``, the engine's
+    workspace/template ``model`` and the already-decoded broadcast
+    ``wire_state`` every client trains from, and returns one
+    :class:`repro.fl.executor.ClientUpdate` per client, in the same order,
+    each stamped with ``train_seconds``.
 
     Clients are sub-grouped by dataset size (stacking needs a shared batch
     geometry) preserving group order, and each sub-group trains as the
     fewest even stacks whose per-step input fits
-    :data:`_STACK_STEP_ELEMENTS` (two stack sizes at most); empty-dataset
-    clients and any stack the strategy declines (``ensemble_update``
-    returning ``None``) run through the loop path instead.
-    ``max_group_size=1`` is the ``strict`` backend: every client becomes a
-    K=1 stack through the identical code path, which slice independence
-    makes bit-equal to any larger stack.
+    :data:`_STACK_STEP_ELEMENTS` (two stack sizes at most).  Unstackable
+    strategies and models, empty-dataset clients and any stack the
+    strategy declines (``ensemble_update`` returning ``None``) run through
+    the loop fallback instead.
     """
-
-    name = "ensemble"
-    batched = True
-    #: Upper bound on stack size; ``None`` sizes each stack by its per-step
-    #: input (:data:`_STACK_STEP_ELEMENTS`).
-    max_group_size: int | None = None
 
     def __init__(self) -> None:
         #: Ensemble clones of the latest group, keyed by (architecture,
@@ -210,8 +154,6 @@ class EnsembleBackend(ComputeBackend):
         self._clones: dict[tuple, "Module"] = {}
 
     def _stack_limit(self, strategy: "Strategy", client: Client) -> int:
-        if self.max_group_size is not None:
-            return self.max_group_size
         batch = min(strategy.local_config.batch_size, client.num_samples)
         step = batch * client.dataset.images[0].size
         return max(1, _STACK_STEP_ELEMENTS // step)
@@ -226,9 +168,7 @@ class EnsembleBackend(ComputeBackend):
         seeds: Sequence[int],
     ) -> "list[ClientUpdate]":
         if not (strategy.supports_ensemble() and ensemble_supports(model)):
-            return LoopBackend().run_group(
-                strategy, model, wire_state, clients, round_index, seeds
-            )
+            return _run_loop(strategy, model, wire_state, clients, round_index, seeds)
         # Order-preserving sub-grouping by dataset size.
         by_size: dict[int, list[int]] = {}
         for position, client in enumerate(clients):
@@ -236,7 +176,7 @@ class EnsembleBackend(ComputeBackend):
         results: "list[ClientUpdate | None]" = [None] * len(clients)
 
         def run_loop(positions: list[int]) -> None:
-            singles = LoopBackend().run_group(
+            singles = _run_loop(
                 strategy,
                 model,
                 wire_state,
@@ -290,62 +230,9 @@ class EnsembleBackend(ComputeBackend):
                 continue
             # The stack trained as one fused pass; attribute each client an
             # equal share so timing reports stay comparable with the loop
-            # backend's per-client clocks.
+            # fallback's per-client clocks.
             share = elapsed / stack
             for position, update in zip(chunk, updates):
                 update.train_seconds = share
                 results[position] = update
         return results  # type: ignore[return-value]
-
-
-class _StrictBackend(EnsembleBackend):
-    name = "strict"
-    max_group_size = 1
-
-
-_BACKENDS: dict[str, Callable[[], ComputeBackend]] = {
-    "loop": LoopBackend,
-    "ensemble": EnsembleBackend,
-    "strict": _StrictBackend,
-}
-
-
-def compute_specs() -> tuple[str, ...]:
-    """The registered concrete backend specs (``auto`` excluded)."""
-    return tuple(sorted(_BACKENDS))
-
-
-def make_compute(spec: "str | ComputeBackend") -> ComputeBackend:
-    """Build a backend from its spec string (or pass one through).
-
-    ``auto`` is not buildable — resolve it first against a model with
-    :func:`resolve_compute`, like the engines do at pool build.
-    """
-    if isinstance(spec, ComputeBackend):
-        return spec
-    factory = _BACKENDS.get(spec)
-    if factory is None:
-        known = ("auto",) + compute_specs()
-        raise ValueError(f"unknown compute backend {spec!r}; expected one of {known}")
-    return factory()
-
-
-def resolve_compute(
-    spec: str, model: "FeatureClassifierModel | None" = None
-) -> str:
-    """Validate a compute spec; resolve ``auto`` against ``model``.
-
-    ``auto`` picks ``ensemble`` when every module of the model has an
-    ensemble converter (clients share the architecture by construction —
-    the engines broadcast one template), and ``loop`` otherwise.  Without
-    a model, ``auto`` stays ``auto`` — configs validate early, engines
-    resolve late.
-    """
-    if spec == "auto":
-        if model is None:
-            return "auto"
-        return "ensemble" if ensemble_supports(model) else "loop"
-    if spec not in _BACKENDS:
-        known = ("auto",) + compute_specs()
-        raise ValueError(f"unknown compute backend {spec!r}; expected one of {known}")
-    return spec

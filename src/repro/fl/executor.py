@@ -12,8 +12,8 @@ overrides::
      │        │            │           │         │           │            history · LRU eviction · stats
      │        │            │           │         │           └ arrival order; stops at: all answered ·
      │        │            │           │         │             accepted ≥ quorum · deadline · no live lane
-     │        │            │           │         └ wave by wave (one wave unless ``pipelined=False``)
-     │        │            │           └ one task per home under a batched backend, faulted clients alone
+     │        │            │           │         └ one wave: every home fed before any upload is awaited
+     │        │            │           └ wire lanes: one task per home, faulted clients alone
      │        │            └ encoded once per distinct reference chain, one handle per home
      │        └ newcomers (+ piggy-backed evictions), once per client per lane lifetime
      └ pinned replay, or fault-plan triage + crash victims
@@ -48,14 +48,15 @@ over framed sockets to agent processes on other machines.
 
 What crosses a wire lane, and how both ends stay in lockstep, is
 :mod:`repro.fl.wire` (registration → broadcast → task → upload,
-byte-counted post-codec in :class:`WireStats`).  Three axes are negotiated
+byte-counted post-codec in :class:`WireStats`).  Two axes are negotiated
 when the lanes open, each a registry with its own module: the **codec**
-(:mod:`repro.fl.codec` — what bytes represent a state), the **transport**
-(:mod:`repro.fl.transport` — how the broadcast blob reaches the workers;
-its decode is lazy, at the round's first tensor touch, so it overlaps
-other workers' training) and the **compute backend**
-(:mod:`repro.fl.compute` — how co-resident clients train; per-client
-results are bitwise independent of the grouping).  The driver also hosts
+(:mod:`repro.fl.codec` — what bytes represent a state) and the
+**transport** (:mod:`repro.fl.transport` — how the broadcast blob reaches
+the workers; its decode is lazy, at the round's first tensor touch, so it
+overlaps other workers' training).  How co-resident clients train is not
+an axis: every endpoint runs the one trainer (:mod:`repro.fl.compute`),
+which stacks what it can and loops over the rest, and per-client results
+are bitwise independent of the grouping.  The driver also hosts
 the fault-tolerance layer (:mod:`repro.fl.faults`): a seeded fault plan,
 round deadlines and quorum early-close, with each round's casualties
 written into its :class:`repro.fl.history.RoundRecord`.
@@ -80,6 +81,7 @@ from typing import TYPE_CHECKING
 
 from repro.fl.client import Client
 from repro.fl.codec import Codec
+from repro.fl.compute import EnsembleBackend
 from repro.fl.faults import (
     AdaptiveDeadline,
     FaultPlan,
@@ -199,11 +201,31 @@ class SerialExecutor(Executor):
     lane's uploads pass), and "arrival order" is sampling order, so a
     ``quorum`` deterministically keeps the first K accepted uploads — the
     canonical accepted set a wall-clock engine replays.
+
+    ``compute`` is kept only because the frozen benchmark harness passes
+    ``compute="auto"``; it accepts nothing else (ROADMAP item 6).
     """
+
+    def __init__(
+        self,
+        codec: "str | Codec" = "identity",
+        faults: "str | FaultPlan | None" = None,
+        deadline: "float | str | FixedDeadline | AdaptiveDeadline | None" = None,
+        compute: str = "auto",
+        quorum: int | None = None,
+    ) -> None:
+        if compute != "auto":
+            raise ValueError(
+                f"compute={compute!r}: every engine trains through the one "
+                f"ensemble trainer; the keyword only accepts 'auto' until "
+                f"ROADMAP item 6 drops it"
+            )
+        super().__init__(codec=codec, faults=faults, deadline=deadline, quorum=quorum)
+        # Kept across rounds so its stacked clones survive the round loop.
+        self._trainer = EnsembleBackend()
 
     def open(self, model: "FeatureClassifierModel") -> None:
         self._model = model
-        self._compute_backend(model)
 
     def home(self, client_id: int) -> int:
         return 0  # the whole round is one co-resident group in-process
@@ -218,17 +240,17 @@ class SerialExecutor(Executor):
         self._queued.append((task_id, row))
 
     def poll(self, timeout: "float | None") -> "list[tuple[int, list[ClientUpdate]]]":
-        """Train everything queued as ONE backend call — the ensemble
-        backend fuses it into one (or a few) stacks; slice independence
-        keeps each client's numerics identical to the per-client loop —
-        and hand the updates back row by row, in dispatch order."""
+        """Train everything queued as ONE trainer call — it fuses the
+        round into one (or a few) stacks; slice independence keeps each
+        client's numerics identical to the per-client loop — and hand the
+        updates back row by row, in dispatch order."""
         queued, self._queued = self._queued, []
         strategy, state, round_index = self._frame
         self._frame = None  # do not pin a (dequantized) model copy between rounds
         for _, row in queued:
             sleep_injected(row.fault)
         # One client per row in-process (see ``Executor._group``).
-        updates = self._backend.run_group(
+        updates = self._trainer.run_group(
             strategy,
             self._model,
             state,
@@ -284,7 +306,7 @@ class ParallelExecutor(Executor):
         the slot's next registration — the worker-side copy) and
         re-register with a full frame when next sampled, so a bounded run
         traces identically to an unbounded one.
-    codec, faults, deadline, compute, quorum:
+    codec, faults, deadline, quorum:
         As on every engine (:class:`repro.fl.round.Executor`).  Specs ship
         to the workers at pool build and injected faults travel inside the
         task tuples, so workers need no plan of their own.  The round
@@ -324,14 +346,10 @@ class ParallelExecutor(Executor):
         transport: "str | Transport" = "auto",
         faults: "str | FaultPlan | None" = None,
         deadline: "float | str | FixedDeadline | AdaptiveDeadline | None" = None,
-        compute: str = "auto",
         quorum: int | None = None,
         max_resident: int | None = None,
     ) -> None:
-        super().__init__(
-            codec=codec, faults=faults, deadline=deadline, compute=compute,
-            quorum=quorum,
-        )
+        super().__init__(codec=codec, faults=faults, deadline=deadline, quorum=quorum)
         if num_workers is not None and num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if max_resident is not None and max_resident < 1:
@@ -363,13 +381,7 @@ class ParallelExecutor(Executor):
             self.close()
         if self._pools is None:
             model_blob = encode_payload(model)
-            # The negotiated compute backend: ``auto`` resolves against the
-            # model here and its spec ships in the worker initargs, so both
-            # endpoints agree before any task is dispatched.
-            self._pool_initargs = (
-                model_blob, self.codec.spec, self.transport.spec,
-                self._compute_backend(model).spec,
-            )
+            self._pool_initargs = (model_blob, self.codec.spec, self.transport.spec)
             self._pools = [
                 self._new_slot_pool() for _ in range(self.num_workers)
             ]
@@ -549,14 +561,21 @@ def make_executor(
 
     The engine is what the caller already said: parallel iff a ``workers``
     count or a ``max_resident`` bound is given, else serial.
-    ``transport`` only applies to the parallel engine; the serial engine
-    has no wire, so the spec is validated and then ignored.  ``faults``,
-    ``deadline`` and ``quorum`` configure the fault-tolerance layer
-    (:mod:`repro.fl.faults`) on either engine.
+    ``transport`` only applies to the parallel engine: the serial engine
+    has no wire, so any spec but ``auto`` is a ``ValueError`` there rather
+    than silently ignored.  ``faults``, ``deadline`` and ``quorum``
+    configure the fault-tolerance layer (:mod:`repro.fl.faults`) on either
+    engine.
     """
     if isinstance(transport, str):
         validate_transport(transport)  # reject typos for either engine
     if workers is None and max_resident is None:
+        if transport != "auto":
+            raise ValueError(
+                f"transport {getattr(transport, 'spec', transport)!r} needs "
+                f"the parallel engine (give workers or max_resident); the "
+                f"serial engine has no wire"
+            )
         return SerialExecutor(
             codec=codec, faults=faults, deadline=deadline, quorum=quorum
         )

@@ -22,7 +22,8 @@ class RoundRecord:
     ``participants`` is who the sampler *selected*; ``dropped`` maps the
     selected clients that produced no aggregated update to the reason the
     fault layer recorded (``"dropout"``, ``"straggler"``, ``"deadline"``,
-    ``"corrupt"``, ``"crash"``, ``"quorum"`` — see :mod:`repro.fl.faults`).
+    ``"corrupt"``, ``"crash"``, ``"quorum"``, ``"disconnect"`` — see
+    :mod:`repro.fl.faults`).
     Aggregation reweighted over the survivors: ``participants`` minus
     ``dropped``.
 
@@ -52,8 +53,8 @@ class RoundRecord:
     decode_seconds: float = field(default=0.0, compare=False)
     #: Elapsed server-side time of the round's local phase.
     wall_seconds: float = field(default=0.0, compare=False)
-    #: Cross-host broadcast/train/upload overlap (pipelined remote rounds
-    #: only): endpoint busy time that ran concurrently with other hosts'.
+    #: Cross-host broadcast/train/upload overlap (remote rounds only):
+    #: endpoint busy time that ran concurrently with other hosts'.
     overlap_seconds: float = field(default=0.0, compare=False)
     #: Injected straggler slowdown — plan-derived, so cooperatively skipped
     #: stragglers count too.

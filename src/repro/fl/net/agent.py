@@ -10,9 +10,9 @@ client groups, and each task's updates stream straight back as an
 upload frame.
 
 The entire training side is :class:`repro.fl.executor.WorkerRuntime` —
-the same object a pool worker runs — built from the four negotiated
-values the welcome carries (model blob, codec, transport, compute),
-which are byte-for-byte the pool's initargs.  One runtime per
+the same object a pool worker runs — built from the three negotiated
+values the welcome carries (model blob, codec, transport), which are
+byte-for-byte the pool's initargs.  One runtime per
 connection, held in locals rather than module globals, so
 :func:`run_agent` is equally usable as a thread target (the in-process
 tests run several agents in one interpreter) and as a process
@@ -107,12 +107,10 @@ def run_agent(
             message.blob,
             message.meta["codec"],
             message.meta.get("transport", "pipe"),
-            message.meta["compute"],
         )
         _log.info(
-            "agent %r joined %s:%d (codec=%s compute=%s)",
-            name or "<anon>", host, port,
-            message.meta["codec"], message.meta["compute"],
+            "agent %r joined %s:%d (codec=%s)",
+            name or "<anon>", host, port, message.meta["codec"],
         )
         while True:
             frame = stream.next_frame()

@@ -15,19 +15,15 @@ what a dead peer looks like.
 
 Pipelined rounds
 ----------------
-By default (``pipelined=True``) a round's registration, broadcast, and
-task frames are written to **all** agents before any upload is awaited,
-and uploads are ingested in arrival order.  Each agent therefore trains
-concurrently with the other agents' transfers and training — the
-cross-host overlap the paper's scalability axis is about.  The overlap
-actually achieved is measured per round (endpoint busy-time minus the
-remote phase's wall clock, floored at zero) and written into the round's
-record (``RoundRecord.overlap_seconds``, summed into
-``TimingReport.pipeline_overlap_seconds``) and onto
+A round's registration, broadcast, and task frames are written to **all**
+agents before any upload is awaited, and uploads are ingested in arrival
+order.  Each agent therefore trains concurrently with the other agents'
+transfers and training — the cross-host overlap the paper's scalability
+axis is about.  The overlap actually achieved is measured per round
+(endpoint busy-time minus the remote phase's wall clock, floored at zero)
+and written into the round's record (``RoundRecord.overlap_seconds``,
+summed into ``TimingReport.pipeline_overlap_seconds``) and onto
 :attr:`pipeline_overlap_rounds`.
-``pipelined=False`` makes the driver dispatch and drain one agent at a
-time through the same collector — same trace, no overlap — which is what
-the scaling bench compares against.
 
 Fault semantics
 ---------------
@@ -132,9 +128,10 @@ class RemoteExecutor(Executor):
         first round runs.  Clients are homed ``live_agents[cid % n]``;
         when an agent dies the survivors re-home everything.
     pipelined:
-        ``True`` (default) overlaps broadcast/train/upload across agents;
-        ``False`` serializes agent-at-a-time (same trace, no overlap).
-    codec, faults, deadline, compute, quorum:
+        Kept only because the frozen benchmark harness passes
+        ``pipelined=True``; rounds always overlap broadcast/train/upload
+        across agents, and any other value is refused (ROADMAP item 6).
+    codec, faults, deadline, quorum:
         As on every engine (:class:`repro.fl.round.Executor`).
 
     The listener accepts agents lazily at the first round — the
@@ -152,24 +149,25 @@ class RemoteExecutor(Executor):
         codec: str = "identity",
         faults: "str | None" = None,
         deadline: "float | str | None" = None,
-        compute: str = "auto",
         quorum: "int | None" = None,
     ) -> None:
-        super().__init__(
-            codec=codec, faults=faults, deadline=deadline, compute=compute,
-            quorum=quorum,
-        )
+        if pipelined is not True:
+            raise ValueError(
+                f"pipelined={pipelined!r}: remote rounds always run as one "
+                f"pipelined wave; the keyword only accepts True until "
+                f"ROADMAP item 6 drops it"
+            )
+        super().__init__(codec=codec, faults=faults, deadline=deadline, quorum=quorum)
         if num_agents < 1:
             raise ValueError(f"num_agents must be >= 1, got {num_agents}")
         self.num_agents = num_agents
-        self.pipelined = pipelined
         # Agents fetch broadcasts from their own connection, so both ends
         # of this wire run the blob-is-the-handle pipe transport: every
         # agent pulls its own full copy over its own socket, and the
         # driver charges it as such.
         self.transport = make_transport("pipe")
         #: Per-completed-round cross-host overlap seconds (see the module
-        #: docstring); the scaling bench reads this next to wall clock.
+        #: docstring).
         self.pipeline_overlap_rounds: "list[float]" = []
         self._listen_sock = socket.create_server(
             parse_endpoint(listen), reuse_port=False
@@ -249,7 +247,6 @@ class RemoteExecutor(Executor):
             welcome_meta = {
                 "version": PROTOCOL_VERSION,
                 "codec": self.codec.spec,
-                "compute": self._compute_backend(model).spec,
                 "transport": self.transport.spec,
             }
             self._agents = []
@@ -371,7 +368,7 @@ class RemoteExecutor(Executor):
             update.train_seconds + update.decode_seconds + update.straggler_seconds
             for update in updates
         )
-        record.overlap_seconds = max(0.0, busy - seconds) if self.pipelined else 0.0
+        record.overlap_seconds = max(0.0, busy - seconds)
         self.pipeline_overlap_rounds.append(record.overlap_seconds)
 
     def close(self) -> None:

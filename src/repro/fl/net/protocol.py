@@ -7,7 +7,7 @@ Every frame payload (:mod:`repro.fl.net.frames`) is one pickled
 kind       direction meaning
 ========== ========= =====================================================
 hello      agent →   protocol version + optional pinned codec
-welcome    → agent   negotiated codec/compute specs + the pickled model
+welcome    → agent   negotiated codec/transport specs + the pickled model
 reject     → agent   handshake refused; ``meta["reason"]`` says why
 register   → agent   pool-resident client registration blob (+ evictions)
 broadcast  → agent   round strategy blob + codec-encoded global state
@@ -24,9 +24,8 @@ inline — so the serializer round-trips untouched across the socket and
 traces stay transport-invariant by construction.
 
 The handshake mirrors pool build: an in-host worker is configured by
-``_worker_init(model_blob, codec_spec, transport_spec, compute_spec)``
-initargs; a remote agent gets the identical four values via
-hello/welcome.  An agent may *pin* a codec spec in its hello (operators
+``_worker_init(model_blob, codec_spec, transport_spec)`` initargs; a
+remote agent gets the identical three values via hello/welcome.  An agent may *pin* a codec spec in its hello (operators
 do this to refuse surprise lossy codecs); a pin that differs from the
 server's negotiated spec is a reject, not a silent override.
 """
@@ -58,7 +57,7 @@ __all__ = [
 
 #: Bumped on any incompatible change to the message vocabulary or blob
 #: encodings.  Both sides send it; a mismatch is a handshake reject.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 HELLO = "hello"
 WELCOME = "welcome"

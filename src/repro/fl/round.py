@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.fl.client import Client
 from repro.fl.codec import Codec
-from repro.fl.compute import ComputeBackend, make_compute, resolve_compute
 from repro.fl.faults import (
     AdaptiveDeadline,
     FaultEvent,
@@ -108,10 +107,9 @@ class Executor(WireServer):
     *codec-invariant for lossless codecs* and *engine-invariant for every
     codec*: an in-process lane reproduces a lossy wire by round-tripping
     states through the codec, exactly as a worker would see them.
-    ``compute`` selects the backend (:mod:`repro.fl.compute`) that trains
-    each co-resident client group; ``"auto"`` (default) resolves against
-    the model when the lanes open.  Per-client numerics are bitwise
-    independent of the backend and the grouping — pure throughput.
+    Every endpoint trains its co-resident client groups through the one
+    trainer (:mod:`repro.fl.compute`), whose per-client numerics are
+    bitwise independent of the grouping.
 
     ``faults`` injects a deterministic chaos schedule
     (:class:`repro.fl.faults.FaultPlan`, or its spec string), ``deadline``
@@ -136,22 +134,14 @@ class Executor(WireServer):
     #: to kill, and an in-process lane would take the server with it.
     kills_crash_victims = False
 
-    #: Whether one wave carries every home (broadcast/train/upload overlap
-    #: across lanes).  ``False`` dispatches and drains one home at a time
-    #: through the same collector — same trace, no overlap.
-    pipelined = True
-
     def __init__(
         self,
         codec: "str | Codec" = "identity",
         faults: "str | FaultPlan | None" = None,
         deadline: "float | str | FixedDeadline | AdaptiveDeadline | None" = None,
-        compute: str = "auto",
         quorum: int | None = None,
     ) -> None:
         super().__init__(codec)
-        #: The configured compute spec; ``auto`` until a model resolves it.
-        self.compute = resolve_compute(compute)
         self.fault_plan = make_fault_plan(faults)
         #: The round-deadline policy (:mod:`repro.fl.faults`): ``None`` for
         #: no deadline, :class:`FixedDeadline` for the historical constant
@@ -164,10 +154,11 @@ class Executor(WireServer):
         self.quorum = None if quorum is None else int(quorum)
         #: The most recent round's record, published even when it raised.
         self.last_round: RoundRecord | None = None
-        self._backend: ComputeBackend | None = None
-        # Measured durations of recent completed rounds, feeding adaptive
-        # deadline policies.  Bounded: no policy window reaches past this.
-        self._round_durations: "deque[float]" = deque(maxlen=32)
+        # Measured durations of recent completed rounds, as many as an
+        # adaptive deadline policy's window reads (none for other policies).
+        self._round_durations: "deque[float]" = deque(
+            maxlen=getattr(self.deadline_policy, "window", 0)
+        )
         # round_index -> (accepted client ids, recorded drop map): when set,
         # run_round replays exactly that membership instead of running its
         # own round control.  See set_replay.
@@ -217,23 +208,8 @@ class Executor(WireServer):
 
     def _observe_round_duration(self, seconds: float) -> None:
         """Feed a completed round's duration to adaptive deadline policies
-        (fixed policies ignore history, so don't bother recording)."""
-        if self.deadline_policy is not None and self.deadline_policy.adaptive:
-            self._round_durations.append(float(seconds))
-
-    def _compute_backend(self, model: "FeatureClassifierModel") -> ComputeBackend:
-        """The engine's compute backend, with ``auto`` resolved late against
-        the actual model (mirrors how codec/transport negotiate at build).
-
-        The built backend is kept across rounds so its internal caches (the
-        ensemble backend memoizes stacked module clones per group size)
-        survive the round loop — backends are stateless with respect to
-        results, so reuse can never change a trace.  Wire lanes ship its
-        spec to their endpoints and only consult ``batched`` themselves."""
-        spec = resolve_compute(self.compute, model)
-        if self._backend is None or self._backend.spec != spec:
-            self._backend = make_compute(spec)
-        return self._backend
+        (the window of any other policy holds nothing)."""
+        self._round_durations.append(float(seconds))
 
     def __enter__(self) -> "Executor":
         return self
@@ -273,17 +249,15 @@ class Executor(WireServer):
             homes = sorted({row.home for row in rows})
             self._encode_broadcast(rnd, homes)
             dispatch_start = time.perf_counter()
-            for wave in [homes] if self.pipelined else [[h] for h in homes]:
-                if rnd.quorum_met:
-                    break  # an earlier wave already closed the round
-                self._dispatch(rnd, wave, [r for r in rows if r.home in wave])
-                if rnd.deadline is not None and rnd.deadline_at is None:
-                    # The deadline clock starts once the (first) wave is in
-                    # flight, so time spent absorbing a previous round's
-                    # straggler into registration does not eat this
-                    # round's budget.
-                    rnd.deadline_at = time.perf_counter() + rnd.deadline
-                self._collect(rnd)
+            # One wave carries every home: each lane trains while the next
+            # one is still being fed, and uploads are taken as they arrive.
+            self._dispatch(rnd, homes, rows)
+            if rnd.deadline is not None:
+                # The deadline clock starts once the round is in flight, so
+                # time spent absorbing a previous round's straggler into
+                # registration does not eat this round's budget.
+                rnd.deadline_at = time.perf_counter() + rnd.deadline
+            self._collect(rnd)
             self._close_unanswered(rnd, rows)
             remote_seconds = time.perf_counter() - dispatch_start
         finally:
@@ -423,15 +397,14 @@ class Executor(WireServer):
     ) -> "list[_Row]":
         """Pack the dispatched clients into task rows.
 
-        Under a batched compute backend a home's fault-free participants
-        share ONE row (trained as a fused stack); faulted clients always
-        ride alone.  Per-client numerics are bitwise independent of this
+        On a wire lane a home's fault-free participants share ONE row (the
+        endpoint's trainer stacks what it can); faulted clients always ride
+        alone.  Per-client numerics are bitwise independent of this
         grouping, so the trace cannot tell the difference.  The in-process
         lane keeps one row per client — it fuses the whole round into one
-        backend call itself (see ``SerialExecutor.poll``) — so an early
+        trainer call itself (see ``SerialExecutor.poll``) — so an early
         close cuts at exactly ``quorum`` accepted uploads.
         """
-        batched = self.transport is not None and self._backend.batched
         rows: "list[_Row]" = []
         group_at: "dict[object, _Row]" = {}
         for position, (client, seed) in enumerate(pairs):
@@ -441,7 +414,7 @@ class Executor(WireServer):
             if row is None:
                 row = _Row(home, fault)
                 rows.append(row)
-                if batched and fault is None:
+                if self.transport is not None and fault is None:
                     group_at[home] = row
             row.clients.append(client)
             row.seeds.append(seed)
@@ -492,16 +465,16 @@ class Executor(WireServer):
                 row if self.transport is None else self._task(rnd.index, row),
             )
 
-    def _dispatch(self, rnd: _Round, wave: "list", rows: "list[_Row]") -> None:
-        """Put one wave in flight, home by home — a lane starts training
+    def _dispatch(self, rnd: _Round, homes: "list", rows: "list[_Row]") -> None:
+        """Put the round in flight, home by home — a lane starts training
         while the next one is still being fed."""
         newcomers = self._newcomers(rows) if self.transport is not None else {}
-        # Homes with queued evictions but nothing to do this wave get an
+        # Homes with queued evictions but nothing to do this round get an
         # empty registration — the flush that actually frees the endpoint's
         # copies — so LRU hygiene never waits on a resample.
-        for home in sorted(set(self._pending_evictions) - set(wave)):
+        for home in sorted(set(self._pending_evictions) - set(homes)):
             self.send_register(home, self._registration(home, []))
-        for home in wave:
+        for home in homes:
             self._feed(
                 rnd, home, newcomers.get(home, []),
                 [row for row in rows if row.home == home],
@@ -529,14 +502,10 @@ class Executor(WireServer):
 
     def _close_unanswered(self, rnd: _Round, rows: "list[_Row]") -> None:
         """Close the round over whatever arrived: every row still
-        outstanding — or never sent, when an earlier wave already met the
-        quorum — is dropped with the reason the collector stopped for, and
-        its task absorbed (it finishes harmlessly on its lane and the
+        outstanding is dropped with the reason the collector stopped for,
+        and its task absorbed (it finishes harmlessly on its lane and the
         result is discarded)."""
-        unanswered = [
-            row for row in rows
-            if row.task_id is None or row.task_id in rnd.outstanding
-        ]
+        unanswered = [row for row in rows if row.task_id in rnd.outstanding]
         if not unanswered:
             return
         if rnd.quorum_met:
@@ -625,7 +594,7 @@ class Executor(WireServer):
 
     def open(self, model: "FeatureClassifierModel") -> None:
         """Make sure the lanes exist for ``model`` (built lazily, rebuilt
-        when the architecture changes) and resolve the compute backend."""
+        when the architecture changes)."""
         raise NotImplementedError
 
     def home(self, client_id: int) -> object:

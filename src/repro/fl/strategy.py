@@ -35,8 +35,8 @@ runners, and a method customizes the *ingredients* instead —
   payloads, run at the top of :meth:`aggregate` on both the batch and the
   streaming path.
 
-Objective-driven strategies inherit the vectorized ``ensemble`` compute
-backend automatically — the generic runners own both the scalar and the
+Objective-driven strategies inherit the trainer's vectorized ``(K, ...)``
+stacks automatically — the generic runners own both the scalar and the
 ``(K, ...)``-stacked loop.  Methods whose client step doesn't fit the
 objective shape (CCST's style-bank resampling, MixStyle's feature-level
 mixing) override :meth:`Strategy.train_client` instead, which sits *under*
@@ -283,14 +283,16 @@ class Strategy:
         )
 
     def supports_ensemble(self) -> bool:
-        """Whether the ``ensemble`` compute backend may batch this strategy.
+        """Whether the trainer (:mod:`repro.fl.compute`) may stack this
+        strategy's clients, or must run them through its per-client loop.
 
         True when the subclass provides its own :meth:`ensemble_update` or
         :meth:`train_group`, or when it kept the base
         :meth:`local_update` *and* :meth:`train_client` (the generic
         ensemble runner is then its exact batched counterpart).  A
         subclass that overrides the scalar loop without a matching batched
-        one silently runs on the loop backend — correct, just not fused.
+        one silently runs on the loop fallback — correct, just not fused
+        (CCST and MixStyle take it).
         """
         if type(self).ensemble_update is not Strategy.ensemble_update:
             return True
@@ -319,7 +321,7 @@ class Strategy:
         slice ``k`` reproduces client ``k``'s loop result bitwise.
 
         Returns the per-client updates in group order, or ``None`` to
-        decline the group (the backend reruns it through the loop path).
+        decline the group (the trainer reruns it through the loop path).
 
         Mirrors :meth:`local_update`: the zero-sample guard lives here
         (the whole group is same-sized, so one empty client means all

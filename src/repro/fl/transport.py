@@ -52,10 +52,11 @@ crashes cannot leak either.
 
 Upload channel
 --------------
-Uploads are per-client payloads with no fan-out redundancy, so both stock
-transports pass them straight through the pool's result pipe
+Uploads are per-client payloads with no fan-out redundancy, so ``pipe``
+and ``shm`` pass them straight through the pool's result pipe
 (:meth:`Transport.send_upload` / :meth:`Transport.recv_upload` are
-identity hooks a future transport can override).
+identity hooks there).  ``tcp`` overrides both: a worker parks its upload
+on the server's blob server and only a small reference crosses the pipe.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ __all__ = [
     "make_transport",
     "register_transport",
     "resolve_transport",
-    "transport_specs",
     "transport_usage",
     "validate_transport",
     "shm_supported",
@@ -366,11 +366,6 @@ def _tcp_factory(params: "str | None" = None) -> Transport:
 register_transport("pipe", PipeTransport)
 register_transport("shm", ShmTransport)
 register_transport("tcp", _tcp_factory, parameterized=True)
-
-
-def transport_specs() -> tuple[str, ...]:
-    """The registered transport names (``"auto"`` resolves to one of them)."""
-    return tuple(sorted(_TRANSPORTS))
 
 
 def transport_usage() -> tuple[str, ...]:

@@ -12,19 +12,19 @@ travel.
    blob and the codec-encoded global weights; workers cache the strategy
    decode keyed on the blob bytes and decode the weights lazily.
 3. **Task** (per co-resident group per round):
-   ``(client_ids, round_index, seeds, fault)``.  Under the ``loop``
-   compute backend every task is a singleton group; a batched backend
-   (``ensemble``) packs a home's fault-free participants into one task,
-   while faulted clients always ride alone.
+   ``(client_ids, round_index, seeds, fault)``.  A home's fault-free
+   participants share one task, which the endpoint's trainer
+   (:mod:`repro.fl.compute`) stacks where it can; faulted clients always
+   ride alone.
 4. **Upload** (per group per round): the list of ``ClientUpdate`` records
    in group order — state (codec-encoded) plus method payload, nothing
    else.  Scratch caches (PARDON's style-transferred images) stay on the
    endpoint that built them: they never cross the wire, and an endpoint
    that starts without them recomputes them.
 
-Codec, transport and compute specs are negotiated before any of this:
-they travel with the worker init (pool initargs / the handshake welcome),
-so both endpoints build the same pipeline before any state crosses.
+Codec and transport specs are negotiated before any of this: they travel
+with the worker init (pool initargs / the handshake welcome), so both
+endpoints build the same pipeline before any state crosses.
 Stateful codecs (``delta``) diff against reference states both endpoints
 hold — the previous broadcast per home, the last acknowledged upload per
 client — which reset whenever their endpoint resets: a rebuilt lane
@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.fl.client import Client
 from repro.fl.codec import Codec, Payload, make_codec
-from repro.fl.compute import ComputeBackend, make_compute
+from repro.fl.compute import EnsembleBackend
 from repro.fl.faults import FaultEvent, apply_update_fault, sleep_injected
 from repro.fl.transport import Transport, make_transport
 from repro.nn.serialize import StateDict, decode_payload, encode_payload
@@ -300,8 +300,8 @@ class WireServer:
         for client, seed in zip(row.clients, row.seeds):
             # Count each client's fixed task fields exactly; the group
             # tuple's framing is charged to noise like the blob framing —
-            # so the accounting stays invariant to the backend's grouping
-            # and the lane count.
+            # so the accounting stays invariant to the grouping and the
+            # lane count.
             self.wire.task_bytes += len(
                 pickle.dumps(
                     (client.client_id, round_index, seed, row.fault),
@@ -383,30 +383,26 @@ class WorkerRuntime:
     """The training endpoint's half of the wire protocol.
 
     Holds everything a worker keeps between messages: the decoded model
-    template, the negotiated codec/transport/compute, resident clients,
-    the current round's (lazily decoded) broadcast, and the stateful-codec
-    reference states — the previous decoded broadcast and each resident
-    client's last uploaded state, which advance in lockstep with the
-    server-side chains because lossless decoding is bit-exact (that
-    invariant is why stateful codecs must be lossless).
+    template, the negotiated codec and transport, its one trainer,
+    resident clients, the current round's (lazily decoded) broadcast, and
+    the stateful-codec reference states — the previous decoded broadcast
+    and each resident client's last uploaded state, which advance in
+    lockstep with the server-side chains because lossless decoding is
+    bit-exact (that invariant is why stateful codecs must be lossless).
 
-    Construction *is* negotiation: the four arguments are the pool
-    initargs — and, verbatim, the meta a remote agent receives in its
+    Construction *is* negotiation: the three arguments are the pool
+    initargs — and, verbatim, what a remote agent receives in its
     handshake welcome — so every endpoint builds the same pipeline from
     the same strings before any state crosses the wire.
     """
 
     def __init__(
-        self,
-        model_blob: bytes,
-        codec_spec: str,
-        transport_spec: str,
-        compute_spec: str,
+        self, model_blob: bytes, codec_spec: str, transport_spec: str
     ) -> None:
         self.model: "FeatureClassifierModel" = decode_payload(model_blob)
         self.codec: Codec = make_codec(codec_spec)  # the negotiated wire codec
         self.transport: Transport = make_transport(transport_spec)  # ...and transport
-        self.compute: ComputeBackend = make_compute(compute_spec)  # ...and compute
+        self.trainer = EnsembleBackend()
         self.clients: dict[int, Client] = {}
         self.strategy_blob: "bytes | None" = None
         self.strategy: "Strategy | None" = None
@@ -490,9 +486,8 @@ class WorkerRuntime:
         at most one fault event.  Faulted clients always dispatch as
         singleton groups (the server enforces this), so a fault applies to
         ``client_ids[0]`` unambiguously; fault-free clients of one endpoint
-        may share a group, which the compute backend trains as fused
-        stacks.  The upload is always a *list*
-        of updates, in group order.
+        share a group, which the trainer stacks where it can.  The upload
+        is always a *list* of updates, in group order.
 
         Crash faults never get here: the pool wrapper
         (:func:`_run_resident_task`) hard-exits the process first, and the
@@ -513,7 +508,7 @@ class WorkerRuntime:
         # Injected slowness, slept before the update so train_seconds
         # keeps measuring genuine compute.
         sleep_injected(fault)
-        updates = self.compute.run_group(
+        updates = self.trainer.run_group(
             self.strategy, self.model, self.state, clients,
             round_index, list(seeds),
         )
@@ -545,15 +540,11 @@ class WorkerRuntime:
 _WORKER_RUNTIME: "WorkerRuntime | None" = None
 
 
-def _worker_init(
-    model_blob: bytes, codec_spec: str, transport_spec: str, compute_spec: str
-) -> None:
+def _worker_init(model_blob: bytes, codec_spec: str, transport_spec: str) -> None:
     # A fresh runtime replaces whatever fork inherited from a sibling pool's
     # module state, wholesale.
     global _WORKER_RUNTIME
-    _WORKER_RUNTIME = WorkerRuntime(
-        model_blob, codec_spec, transport_spec, compute_spec
-    )
+    _WORKER_RUNTIME = WorkerRuntime(model_blob, codec_spec, transport_spec)
 
 
 def _worker_register(clients_blob: bytes) -> int:

@@ -4,8 +4,8 @@ A federated worker hosting K co-resident clients runs K structurally
 identical models per round.  Instead of looping, this module stacks the K
 parameter sets along a new leading axis — weights become ``(K, ...)`` arrays —
 so one batched ``np.matmul``/``einsum`` per layer trains the whole stack at
-once.  The ``ensemble`` compute backend (:mod:`repro.fl.compute`) is built on
-these layers.
+once.  The one trainer every engine runs (:mod:`repro.fl.compute`) is built
+on these layers.
 
 Why the per-client numerics survive stacking
 --------------------------------------------
@@ -16,8 +16,8 @@ plain 2-D product of the same operands, and a reduction over a slice's axes
 equals the same reduction on the extracted slice.  Every ensemble layer below
 is written so its per-slice computation is literally the template layer's
 computation — same operand order, same reduction axes relative to the slice —
-which is what makes the ``strict`` backend (K=1 stacks through this code
-path) bit-identical to the classic loop, and makes per-client results
+which is what makes K=1 stacks through this code path bit-identical to the
+classic loop, and makes per-client results
 independent of how clients are grouped into stacks.  The test suite
 (`tests/test_nn_ensemble.py`) enforces both properties.
 
@@ -29,7 +29,7 @@ state dicts without any per-layer knowledge.
 
 ``Dropout`` is deliberately unsupported (it owns a stateful mask generator
 whose draw order cannot be reproduced per-slice); models containing it fall
-back to the ``loop`` backend via :func:`ensemble_supports`.
+back to the trainer's per-client loop via :func:`ensemble_supports`.
 """
 
 from __future__ import annotations
@@ -650,7 +650,7 @@ def register_ensemble_converter(
 
     Matching is by exact type (like the codec registry's spec names): a
     subclass with different semantics must register its own converter or its
-    models fall back to the ``loop`` backend.
+    models fall back to the trainer's per-client loop.
     """
     _CONVERTERS[template_type] = converter
 

@@ -14,8 +14,8 @@ Why this matters beyond tidiness:
 * DG objectives become *config*, not subclass surgery — ``--objective
   "proto_nce=0.7"`` reweights a method per experiment, and a new method is
   mostly a new term list;
-* every objective-driven strategy gets the vectorized ``(K, ...)``
-  ensemble backend for free, because the runner (not each strategy)
+* every objective-driven strategy gets the trainer's vectorized
+  ``(K, ...)`` stacks for free, because the runner (not each strategy)
   owns the batched loop.
 
 Bitwise contract

@@ -3,7 +3,8 @@ fedccrl) built on the composable objective registry.
 
 The acceptance bar mirrors the transport tests: serial, parallel+pipe, and
 parallel+shm runs must produce bit-identical traces under both lossless
-codecs; the loop / ensemble / strict compute backends must agree; and the
+codecs; the trainer's loop fallback, its stacks and its K=1 stacks must
+agree; and the
 per-class payload statistics must survive the wire untouched — including
 under the *lossy* codecs, because ``ClientUpdate.payload`` travels raw
 (only the weight state is codec-transformed).
@@ -23,6 +24,7 @@ from repro.fl import (
     SerialExecutor,
     shm_supported,
 )
+from repro.fl import compute as fl_compute
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
 FAST = LocalTrainingConfig(batch_size=8)
@@ -52,10 +54,13 @@ def _model():
     )
 
 
-def run_once(name, executor, rounds=2, codec="identity"):
+def run_once(name, executor, rounds=2, codec="identity", loop=False):
     """Run one sibling strategy; returns (strategy, result) so callers can
-    inspect the fused server-side targets."""
+    inspect the fused server-side targets.  ``loop`` keeps the trainer on
+    its per-client loop fallback, as for a strategy that cannot stack."""
     strategy = STRATEGIES[name]()
+    if loop:
+        strategy.supports_ensemble = lambda: False
     server = FederatedServer(
         strategy=strategy,
         clients=make_clients(),
@@ -122,18 +127,20 @@ class TestTraceInvariance:
             )
 
 
-class TestComputeBackends:
-    """ensemble_update support: the vectorized backend reproduces the loop
-    backend bitwise, fused targets included."""
+class TestStacksMatchLoop:
+    """ensemble_update support: the trainer's stacks reproduce its loop
+    fallback bitwise, fused targets included."""
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
-    def test_backends_match_loop(self, name):
-        reference, loop = run_once(name, SerialExecutor(compute="loop"))
+    def test_backends_match_loop(self, name, monkeypatch):
+        reference, loop = run_once(name, SerialExecutor(), loop=True)
         assert reference.global_targets
-        for compute in ("ensemble", "strict"):
-            strategy, run = run_once(name, SerialExecutor(compute=compute))
+        for compute, stack_step in (("ensemble", None), ("strict", 1)):
+            if stack_step is not None:
+                monkeypatch.setattr(fl_compute, "_STACK_STEP_ELEMENTS", stack_step)
+            strategy, run = run_once(name, SerialExecutor())
             assert _trace(run) == _trace(loop), (
-                f"{name}: serial/{compute} trace diverged from serial/loop"
+                f"{name}: serial/{compute} trace diverged from the loop"
             )
             for key in loop.final_state:
                 np.testing.assert_array_equal(
@@ -200,7 +207,7 @@ class TestCLIKnobs:
     )
     def test_retired_spelling_is_a_usage_error(self, argv, names, capsys):
         """``--method`` is the one spelling of the method flag, and the
-        engine kind and compute backend are derived, not flags."""
+        engine kind is derived and there is one trainer, not flags."""
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit) as exit_info:

@@ -480,6 +480,17 @@ class TestDeadlinePolicies:
         adaptive._observe_round_duration(0.5)
         assert len(adaptive._round_durations) == 1
 
+    def test_executor_keeps_the_whole_policy_window(self):
+        """A window wider than any fixed history cap still sees its oldest
+        round: the slow first round sets the 100th percentile."""
+        policy = AdaptiveDeadline(percentile=100.0, window=40, slack=1.0)
+        executor = SerialExecutor(deadline=policy)
+        for seconds in [10.0] + [1.0] * 39:
+            executor._observe_round_duration(seconds)
+        assert executor._current_deadline() == 10.0
+        executor._observe_round_duration(1.0)  # the slow round leaves the window
+        assert executor._current_deadline() == 1.0
+
     def test_deadline_property_backcompat(self):
         assert SerialExecutor(deadline=2.0).deadline_policy == FixedDeadline(2.0)
         assert SerialExecutor(deadline="percentile:p95").deadline_policy.adaptive

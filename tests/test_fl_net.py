@@ -37,8 +37,8 @@ from repro.fl import (
     make_transport,
     resolve_transport,
     shm_supported,
-    transport_specs,
 )
+from repro.fl.transport import transport_usage
 from repro.fl.net import (
     FrameDecoder,
     FrameError,
@@ -257,10 +257,12 @@ class TestHandshake:
     def test_version_mismatch_rejected(self):
         reason = evaluate_hello({"version": 0}, codec_spec="identity")
         assert reason is not None and "version" in reason
-        # A version-1 task tuple carries a fifth (scratch-sync) field.
-        assert PROTOCOL_VERSION == 2
-        reason = evaluate_hello({"version": 1}, codec_spec="identity")
-        assert reason is not None and "version" in reason
+        # A version-1 task tuple carries a fifth (scratch-sync) field, and a
+        # version-2 welcome a compute spec.
+        assert PROTOCOL_VERSION == 3
+        for version in (1, 2):
+            reason = evaluate_hello({"version": version}, codec_spec="identity")
+            assert reason is not None and "version" in reason
 
     def test_codec_pin_mismatch_rejected(self):
         meta = hello_meta(codec="fp16")
@@ -406,7 +408,7 @@ class _CallsOnUnpickle:
 
 class TestRegistry:
     def test_tcp_is_registered(self):
-        assert "tcp" in transport_specs()
+        assert "tcp[:host:port]" in transport_usage()
 
     def test_unknown_spec_error_enumerates_every_form(self):
         with pytest.raises(ValueError, match=r"tcp\[:host:port\]"):
@@ -504,15 +506,14 @@ class TestRemoteExecutor:
             cls._serial_cache[codec] = run_once(SerialExecutor(codec=codec))
         return cls._serial_cache[codec]
 
-    @pytest.mark.parametrize("pipelined", [True, False])
+    # ``True`` is the one value the keyword accepts; the frozen benchmark
+    # harness passes it.
+    @pytest.mark.parametrize("pipelined", [True])
     @pytest.mark.parametrize("codec", ["identity", "delta"])
     def test_trace_matches_serial(self, codec, pipelined):
         remote = RemoteExecutor(num_agents=2, codec=codec, pipelined=pipelined)
         result = run_remote(remote)
-        _assert_same(
-            self._serial(codec), result,
-            f"remote/{codec}/{'pipelined' if pipelined else 'unpipelined'}",
-        )
+        _assert_same(self._serial(codec), result, f"remote/{codec}")
 
     def test_chaos_trace_matches_serial(self):
         serial = run_once(SerialExecutor(faults=CHAOS_PLAN, deadline=30.0))
@@ -538,11 +539,6 @@ class TestRemoteExecutor:
         pardon_up, clients = run(PardonStrategy(local_config=FAST))
         assert abs(pardon_up - fedavg_up) <= 0.01 * fedavg_up
         assert all(client.scratch == {} for client in clients)
-
-    def test_unpipelined_reports_zero_overlap(self):
-        remote = RemoteExecutor(num_agents=2, pipelined=False)
-        result = run_remote(remote)
-        assert result.timing.pipeline_overlap_seconds == 0.0
 
     def test_run_leaves_no_thread_behind(self):
         """The server's evaluation thread is joined by ``run``; the engine's
@@ -614,9 +610,7 @@ def faulty_agent(address, connected, on_task):
         stream = FrameStream(sock)
         stream.send(encode_message(HELLO, hello_meta(name="faulty")))
         welcome = decode_message(stream.next_frame())
-        runtime = WorkerRuntime(
-            welcome.blob, welcome.meta["codec"], "pipe", welcome.meta["compute"]
-        )
+        runtime = WorkerRuntime(welcome.blob, welcome.meta["codec"], "pipe")
         while (frame := stream.next_frame()) is not None:
             message = decode_message(frame)
             if message.kind == REGISTER:

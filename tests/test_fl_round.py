@@ -8,6 +8,12 @@ arrival-order invariance, the close rule (all answered | quorum |
 deadline), loss recovery, the typed timeout, and the epilogue's
 ``finally`` — independent of any real mechanism; the engine suites keep
 covering the mechanisms.
+
+A wire lane packs a home's fault-free clients into one task.  A test that
+needs one task per client gives every participant its own home; one that
+needs several tasks queued on one home gives every client a zero-delay
+straggler event (:func:`one_task_each`), because faulted clients ride
+alone and a zero delay changes no bit.
 """
 
 import random
@@ -69,10 +75,7 @@ class ScriptedLanes(Executor):
     def open(self, model):
         self.round += 1
         if self._init is None:
-            self._init = (
-                encode_payload(model), self.codec.spec, "pipe",
-                self._compute_backend(model).spec,
-            )
+            self._init = (encode_payload(model), self.codec.spec, "pipe")
             self.endpoints = {h: WorkerRuntime(*self._init) for h in range(self.homes)}
 
     def home(self, client_id):
@@ -112,6 +115,16 @@ class ScriptedLanes(Executor):
         if self.respawns:
             self.endpoints[home] = WorkerRuntime(*self._init)
         return self.respawns
+
+
+def one_task_each(rounds=2, n_clients=6):
+    """A fault plan whose only events are zero-delay stragglers on every
+    client: each rides alone in its own task, and nothing else moves."""
+    return FaultPlan(events=tuple(
+        FaultEvent("straggler", round_index, client_id)
+        for round_index in range(rounds)
+        for client_id in range(n_clients)
+    ))
 
 
 def drive(engine, rounds=2, sample=None, clients=None):
@@ -154,27 +167,23 @@ class TestArrivalOrderInvariance:
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
-        homes=st.integers(1, 3),
-        compute=st.sampled_from(["loop", "ensemble"]),
+        homes=st.sampled_from([1, 2, 3, 6]),
         codec=st.sampled_from(["identity", "delta"]),
     )
-    def test_any_arrival_order_any_grouping_equals_serial(
-        self, seed, homes, compute, codec
-    ):
+    def test_any_arrival_order_any_grouping_equals_serial(self, seed, homes, codec):
         """Whatever order uploads arrive in, however many a poll returns,
-        and however the backend groups clients into tasks: same updates,
-        same ``finalize()`` bits, same reference chains, same bytes."""
+        and however many clients share a task (all six on one home down to
+        one per home): same updates, same ``finalize()`` bits, same
+        reference chains, same bytes."""
         rng = random.Random(seed)
 
         def shuffled(lanes, pending):
             batch = rng.sample(pending, rng.randint(1, len(pending)))
             return batch
 
-        serial = drive(SerialExecutor(codec=codec, compute=compute))
-        in_order = ScriptedLanes(homes=homes, codec=codec, compute=compute)
-        any_order = ScriptedLanes(
-            homes=homes, script=shuffled, codec=codec, compute=compute
-        )
+        serial = drive(SerialExecutor(codec=codec))
+        in_order = ScriptedLanes(homes=homes, codec=codec)
+        any_order = ScriptedLanes(homes=homes, script=shuffled, codec=codec)
         assert_same_trace(serial, drive(in_order))
         assert_same_trace(serial, drive(any_order))
         assert any_order.wire_stats() == in_order.wire_stats()
@@ -187,8 +196,8 @@ class TestArrivalOrderInvariance:
                 )
         for log in (in_order.log, any_order.log):
             submits = [entry for entry in log if entry[0] == "submit"]
-            # Batched backends pack each home's clients into one task.
-            assert len(submits) == (2 * homes if compute == "ensemble" else 12)
+            # Each home's clients share one task, every round.
+            assert len(submits) == 2 * homes
 
 
 class TestCloseRule:
@@ -197,16 +206,16 @@ class TestCloseRule:
             return pending[-1:]
 
         lanes = ScriptedLanes(
-            script=reversed_one_at_a_time, compute="loop", quorum=2, deadline=60.0
+            homes=6, script=reversed_one_at_a_time, quorum=2, deadline=60.0
         )
         (updates, _), = drive(lanes, rounds=1)
         record = lanes.last_round
-        # Dispatch is home by home (clients 0, 2, 4 then 1, 3, 5), so the
-        # last two tasks — the first two to arrive — are clients 5 and 3;
-        # the survivors come back in sampling order.
-        assert [u[0] for u in updates] == [3, 5]
-        assert record.dropped == {0: "quorum", 1: "quorum", 2: "quorum", 4: "quorum"}
-        assert record.accepted == [3, 5]
+        # One home per client, dispatched home by home, so the last two
+        # tasks — the first two to arrive — are clients 5 and 4; the
+        # survivors come back in sampling order.
+        assert [u[0] for u in updates] == [4, 5]
+        assert record.dropped == {0: "quorum", 1: "quorum", 2: "quorum", 3: "quorum"}
+        assert record.accepted == [4, 5]
         assert record.early_closed
         assert 0.0 < record.early_close_seconds <= 60.0
         assert [e for e in lanes.log if e[0] == "abandon"] == [
@@ -214,7 +223,7 @@ class TestCloseRule:
         ]
         assert lanes.pending == {}
         # The dropped clients re-register before their next task.
-        assert sorted(lanes._resident) == [3, 5]
+        assert sorted(lanes._resident) == [4, 5]
 
     def test_deadline_with_nothing_arrived_raises_naming_the_clients(self):
         lanes = ScriptedLanes(script=lambda lanes, pending: [], deadline=60.0)
@@ -228,8 +237,8 @@ class TestCloseRule:
     def test_deadline_below_quorum_raises_the_quorum_form(self):
         polls = iter([[0], []])
         lanes = ScriptedLanes(
-            script=lambda lanes, pending: next(polls),
-            compute="loop", deadline=60.0, quorum=3,
+            homes=6, script=lambda lanes, pending: next(polls),
+            deadline=60.0, quorum=3,
         )
         with pytest.raises(RoundTimeoutError) as excinfo:
             drive(lanes, rounds=1)
@@ -241,10 +250,10 @@ class TestCloseRule:
     def test_deadline_with_some_arrived_closes_over_them(self):
         polls = iter([[1, 0], []])
         lanes = ScriptedLanes(
-            script=lambda lanes, pending: next(polls), compute="loop", deadline=60.0
+            homes=6, script=lambda lanes, pending: next(polls), deadline=60.0
         )
         (updates, _), = drive(lanes, rounds=1)
-        assert [u[0] for u in updates] == [0, 2]  # tasks 0 and 1, home 0
+        assert [u[0] for u in updates] == [0, 1]  # tasks 0 and 1, homes 0 and 1
         assert set(lanes.last_round.dropped.values()) == {"deadline"}
         assert not lanes.last_round.early_closed
 
@@ -264,10 +273,11 @@ class TestLostLane:
         return script
 
     def test_respawn_reruns_with_the_original_seeds(self):
-        reference = ScriptedLanes(compute="loop", codec="delta")
+        reference = ScriptedLanes(faults=one_task_each(), codec="delta")
         expected = drive(reference, rounds=2)
         lanes = ScriptedLanes(
-            script=self._kill_home_zero(1, in_round=1), compute="loop", codec="delta"
+            script=self._kill_home_zero(1, in_round=1), faults=one_task_each(),
+            codec="delta",
         )
         assert_same_trace(expected, drive(lanes, rounds=2))
         # Round 1: everything of home 0 was lost once and re-ran.
@@ -291,7 +301,9 @@ class TestLostLane:
         assert lanes.wire_stats().task_bytes > reference.wire_stats().task_bytes
 
     def test_group_killed_twice_is_dropped(self):
-        lanes = ScriptedLanes(script=self._kill_home_zero(2), compute="loop")
+        lanes = ScriptedLanes(
+            script=self._kill_home_zero(2), faults=one_task_each(rounds=1)
+        )
         (updates, _), = drive(lanes, rounds=1)
         # Client 0 headed the slot both times it died; 2 and 4 were only
         # queued behind it and re-ran.
@@ -312,12 +324,12 @@ class TestLostLane:
                     return ("lost", home)
             return pending
 
-        lanes = Killing(script=script, compute="loop", faults=plan)
+        lanes = Killing(script=script, faults=plan)
         (updates, _), = drive(lanes, rounds=1)
         assert lanes.last_round.dropped == {2: "crash"}
         assert [u[0] for u in updates] == [0, 1, 3, 4, 5]
         # A lane that cannot kill never sees the victim at all.
-        gentle = ScriptedLanes(compute="loop", faults=plan)
+        gentle = ScriptedLanes(faults=plan)
         drive(gentle, rounds=1)
         assert gentle.last_round.dropped == {2: "crash"}
         assert all(e[3][3] is None for e in gentle.log if e[0] == "submit")
@@ -328,7 +340,7 @@ class TestLostLane:
         the other lane's in-flight delta uploads still decode."""
         lanes = ScriptedLanes(
             script=self._kill_home_zero(1, in_round=1),
-            respawns=False, codec=codec, compute="loop",
+            respawns=False, codec=codec,
         )
         trace = drive(lanes, rounds=2)
         assert [u[0] for u in trace[1][0]] == [1, 3, 5]
@@ -364,14 +376,3 @@ class TestEpilogue:
         assert lanes.last_round.round_index == 0
         assert lanes.last_round.participants == [0, 1, 2, 3, 4, 5]
         assert lanes.last_round.bytes_down > 0  # registration + broadcast
-
-    def test_unpipelined_drains_one_home_at_a_time(self):
-        class OneAtATime(ScriptedLanes):
-            pipelined = False
-
-        def script(lanes, pending):
-            assert len({lanes.pending[t][0] for t in pending}) == 1
-            return pending
-
-        reference = drive(ScriptedLanes(homes=3))
-        assert_same_trace(reference, drive(OneAtATime(homes=3, script=script)))

@@ -20,6 +20,7 @@ from repro.core import PardonStrategy
 from repro.fl import (
     Client,
     ClientUpdate,
+    EnsembleBackend,
     FederatedConfig,
     FederatedServer,
     LazyPopulation,
@@ -30,9 +31,9 @@ from repro.fl import (
     UniformClientSampler,
     as_population,
     make_aggregator,
-    make_compute,
     make_executor,
 )
+from repro.fl import compute as fl_compute
 from repro.data import partition_clients, synthetic_pacs
 from repro.data.synthetic import LabeledDataset
 from repro.nn import (
@@ -243,9 +244,9 @@ class TestZeroWeightStreamFallback:
 
 class TestEmptyClientGuard:
     """Regression: the zero-sample guard lives in the *base* strategy
-    (``local_update`` and ``ensemble_update``), so every strategy and both
-    compute backends handle empty clients uniformly — zero loss, unchanged
-    state, no randomness consumed."""
+    (``local_update`` and ``ensemble_update``), so every strategy, the
+    trainer's stacks and its loop fallback handle empty clients uniformly —
+    zero loss, unchanged state, no randomness consumed."""
 
     @staticmethod
     def _empty_dataset():
@@ -284,22 +285,25 @@ class TestEmptyClientGuard:
             for key in wire:
                 np.testing.assert_array_equal(update.state[key], wire[key])
 
-    @pytest.mark.parametrize("compute", ["ensemble", "strict"])
-    def test_backends_agree_on_group_with_empty_clients(self, compute):
+    @pytest.mark.parametrize("stack_step", [None, 1], ids=["ensemble", "strict"])
+    def test_backends_agree_on_group_with_empty_clients(self, stack_step, monkeypatch):
         """A group mixing empty and non-empty clients produces bitwise the
-        loop backend's updates on the batched backends."""
+        loop fallback's updates through the trainer's stacks, K=1 ones
+        included."""
+        if stack_step is not None:
+            monkeypatch.setattr(fl_compute, "_STACK_STEP_ELEMENTS", stack_step)
         model = _model()
         wire = model.state_dict()
         seeds = list(range(100, 106))
 
-        def updates_for(backend):
-            return make_compute(backend).run_group(
+        def updates_for(train):
+            return train(
                 FedAvgStrategy(FAST), _model(), wire,
                 self._mixed_clients(), 0, seeds,
             )
 
-        reference = updates_for("loop")
-        batched = updates_for(compute)
+        reference = updates_for(fl_compute._run_loop)
+        batched = updates_for(EnsembleBackend().run_group)
         assert [u.client_id for u in batched] == [
             u.client_id for u in reference
         ]
@@ -576,7 +580,7 @@ class TestMemoryScaling:
         )
 
     def test_training_peak_is_bounded_by_the_stack_not_the_round(self):
-        """The ensemble backend trains a round's survivors in stacks sized
+        """The trainer runs a round's survivors in stacks sized
         by their per-step input (32 x 3x16x16 here: two clients a stack),
         so the serial engine's round peak at 4x the participants stays
         within 1.5x.  One stack of every survivor grew it linearly."""

@@ -31,10 +31,9 @@ from repro.fl import (
     make_transport,
     resolve_transport,
     shm_supported,
-    transport_specs,
     validate_transport,
 )
-from repro.fl.transport import SHM_SEGMENT_PREFIX, ShmHandle
+from repro.fl.transport import SHM_SEGMENT_PREFIX, ShmHandle, transport_usage
 from repro.data import synthetic_pacs, partition_clients
 from repro.nn import build_mlp_model
 from repro.utils.rng import SeedTree
@@ -113,7 +112,7 @@ def _round_seeds(clients, rounds=1):
 
 class TestRegistry:
     def test_specs(self):
-        assert set(transport_specs()) == {"pipe", "shm", "tcp"}
+        assert transport_usage() == ("auto", "pipe", "shm", "tcp[:host:port]")
 
     def test_make_kinds(self):
         assert isinstance(make_transport("pipe"), PipeTransport)
@@ -150,12 +149,13 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_executor(workers=2, transport="bogus")
 
-    def test_serial_accepts_and_ignores_transport(self):
-        """A setting carries one transport spec whichever engine it builds;
-        the in-process engine has no wire, so the spec must not explode."""
-        executor = make_executor(transport="shm")
-        assert isinstance(executor, SerialExecutor)
-        assert executor.transport is None
+    @pytest.mark.parametrize("spec", ["pipe", "shm", "tcp:127.0.0.1:0"])
+    def test_serial_rejects_a_wire_transport(self, spec):
+        """The in-process engine has no wire: a concrete transport there is
+        an error, not a spec accepted and silently ignored."""
+        with pytest.raises(ValueError, match="parallel engine"):
+            make_executor(transport=spec)
+        assert isinstance(make_executor(transport="auto"), SerialExecutor)
 
 
 class TestValidationDoesNotProbe:
@@ -513,7 +513,20 @@ class TestCLIKnob:
     def test_setting_threads_transport_into_config(self):
         from repro.eval import ExperimentSetting
 
-        setting = ExperimentSetting(transport="pipe")
+        setting = ExperimentSetting(transport="pipe", workers=2)
         assert setting.transport == "pipe"
-        executor = setting.make_executor()
-        assert isinstance(executor, SerialExecutor)  # tiny fan-out -> serial
+        with setting.make_executor() as executor:
+            assert executor.transport.spec == "pipe"
+        with pytest.raises(ValueError, match="parallel engine"):
+            ExperimentSetting(transport="pipe").make_executor()
+
+    def test_transport_without_workers_is_a_usage_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--suite", "pacs", "--method", "fedavg",
+                  "--train-domains", "photo", "art_painting",
+                  "--val-domain", "cartoon", "--test-domain", "sketch",
+                  "--transport", "pipe"])
+        assert exit_info.value.code == 2
+        assert "--transport pipe needs --workers" in capsys.readouterr().err

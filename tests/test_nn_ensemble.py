@@ -1,14 +1,15 @@
-"""Tests for the ensemble compute path (`repro.nn.ensemble` + `repro.fl.compute`).
+"""Tests for the ensemble trainer (`repro.nn.ensemble` + `repro.fl.compute`).
 
 The acceptance bar: slice ``k`` of every ``(K, ...)`` ensemble layer is
 *bitwise* the template layer's computation on that slice (forward, backward,
 parameter gradients, running buffers); a K-stack local update is bitwise K
 independent loop updates, so client results never depend on how an engine
-groups them; the ``strict`` backend (K=1 stacks through the ensemble code)
-proves that equivalence one client at a time; and the backend registry
-negotiates like codecs and transports — unknown specs fail fast, ``auto``
-resolves against the model, and unsupported models or strategies fall back
-to the loop rather than erroring.
+groups them; ``_STACK_STEP_ELEMENTS = 1`` (K=1 stacks through the ensemble
+code) proves that equivalence one client at a time; and unsupported models
+or strategies fall back to the trainer's per-client loop rather than
+erroring.  The loop reference is that fallback itself: ``_run_loop`` at the
+trainer boundary, a strategy whose ``supports_ensemble()`` is ``False`` at
+the engine boundary — the path CCST and MixStyle take in production.
 """
 
 import sys
@@ -27,16 +28,14 @@ from repro.fl import (
     FederatedConfig,
     FederatedServer,
     LocalTrainingConfig,
-    LoopBackend,
     ParallelExecutor,
     SerialExecutor,
-    compute_specs,
-    make_compute,
-    resolve_compute,
     run_prepare,
     shm_supported,
 )
 from repro.fl import compute as fl_compute
+from repro.fl.faults import FaultEvent, FaultPlan
+from repro.fl.net.executor import RemoteExecutor
 from repro.fl.strategy import Strategy
 from repro.nn import (
     AvgPool2d,
@@ -293,7 +292,7 @@ class TestGradcheck:
 
 
 # --------------------------------------------------------------------------
-# Backend-level property: a K-stack == K independent loop updates, bitwise
+# Trainer-level property: a K-stack == K independent loop updates, bitwise
 # --------------------------------------------------------------------------
 
 
@@ -315,8 +314,9 @@ def _toy_clients(sizes, num_classes=4, image_shape=(3, 8, 8), seed=0):
     return clients
 
 
-def _run_backend(spec, strategy_factory, sizes, seed=0):
-    """One round of `run_group` on fresh clients; returns (updates, clients)."""
+def _run_trainer(strategy_factory, sizes, seed=0, loop=False):
+    """One round on fresh clients through the trainer (or, with ``loop``,
+    its per-client loop fallback alone); returns (updates, clients)."""
     clients = _toy_clients(sizes, seed=seed)
     model = build_cnn_model(
         (3, 8, 8), 4, np.random.default_rng(42), widths=(4, 6), embed_dim=8
@@ -325,9 +325,8 @@ def _run_backend(spec, strategy_factory, sizes, seed=0):
     run_prepare(strategy, clients, SeedTree(7))
     wire_state = model.state_dict()
     seeds = [1000 + client.client_id for client in clients]
-    updates = make_compute(spec).run_group(
-        strategy, model, wire_state, clients, round_index=0, seeds=seeds
-    )
+    train = fl_compute._run_loop if loop else EnsembleBackend().run_group
+    updates = train(strategy, model, wire_state, clients, 0, seeds)
     return updates, clients
 
 
@@ -371,22 +370,22 @@ STRATEGIES = {
 
 
 class TestGroupingInvariance:
-    """The tentpole's numerical contract, at the backend boundary."""
+    """The tentpole's numerical contract, at the trainer boundary."""
 
     @pytest.mark.parametrize("method", sorted(STRATEGIES))
     @pytest.mark.parametrize(
-        "spec, stack_step",
-        # A budget of two slices' steps (5 x 3x8x8 each) splits the three
-        # 10-sample clients into stacks of 2 and 1.
-        [("ensemble", None), ("strict", None),
-         ("ensemble", 2 * FAST.batch_size * 3 * 8 * 8)],
+        "stack_step, stacks",
+        # A budget of one element makes every client a K=1 stack; one of
+        # two slices' steps (5 x 3x8x8 each) splits the three 10-sample
+        # clients into stacks of 2 and 1, and the 7s reuse the 2.
+        [(None, None), (1, [1]), (2 * FAST.batch_size * 3 * 8 * 8, [2, 1])],
         ids=["ensemble", "strict", "ensemble-split"],
     )
     def test_stack_matches_independent_loop_runs(
-        self, method, spec, stack_step, monkeypatch
+        self, method, stack_step, stacks, monkeypatch
     ):
+        built = []
         if stack_step is not None:
-            built = []
             monkeypatch.setattr(fl_compute, "_STACK_STEP_ELEMENTS", stack_step)
             monkeypatch.setattr(
                 fl_compute, "ensemble_of",
@@ -394,23 +393,23 @@ class TestGroupingInvariance:
             )
         # Mixed dataset sizes exercise the order-preserving sub-grouping.
         sizes = (10, 7, 10, 7, 10)
-        batched, batched_clients = _run_backend(spec, STRATEGIES[method], sizes)
-        if stack_step is not None:
-            assert built == [2, 1]  # the stack of 2 is reused by the 7s
-        loop, loop_clients = _run_backend("loop", STRATEGIES[method], sizes)
+        batched, batched_clients = _run_trainer(STRATEGIES[method], sizes)
+        if stacks is not None:
+            assert built == stacks
+        loop, loop_clients = _run_trainer(STRATEGIES[method], sizes, loop=True)
         _assert_updates_bitwise_equal(batched, loop)
         _assert_scratch_equal(batched_clients, loop_clients)
 
     def test_result_independent_of_group_order(self):
         sizes = (8, 8, 8, 8)
-        forward, _ = _run_backend("ensemble", STRATEGIES["fedavg"], sizes)
-        loop, _ = _run_backend("loop", STRATEGIES["fedavg"], sizes)
+        forward, _ = _run_trainer(STRATEGIES["fedavg"], sizes)
+        loop, _ = _run_trainer(STRATEGIES["fedavg"], sizes, loop=True)
         # Same clients presented in reverse: per-client results must not move.
         clients = _toy_clients(sizes)[::-1]
         model = build_cnn_model(
             (3, 8, 8), 4, np.random.default_rng(42), widths=(4, 6), embed_dim=8
         )
-        reversed_updates = make_compute("ensemble").run_group(
+        reversed_updates = EnsembleBackend().run_group(
             STRATEGIES["fedavg"](),
             model,
             model.state_dict(),
@@ -424,8 +423,8 @@ class TestGroupingInvariance:
         )
 
     def test_clone_cache_reuse_is_trace_invisible(self):
-        """The ensemble backend memoizes stacked clones across rounds; a
-        warm cache must produce the same bytes as a fresh backend."""
+        """The trainer memoizes stacked clones across rounds; a warm cache
+        must produce the same bytes as a fresh trainer."""
         sizes = (8, 8, 8)
         backend = EnsembleBackend()
         model = build_cnn_model(
@@ -454,12 +453,12 @@ class TestGroupingInvariance:
         """Dropout changes the survivor count from round to round; the
         cache keeps only the clones the latest group trained on (it used to
         keep one per survivor count ever seen), and the trace stays the
-        loop backend's."""
+        loop fallback's."""
 
-        def run(compute):
-            executor = SerialExecutor(faults="dropout=0.3,seed=3", compute=compute)
+        def run(strategy):
+            executor = SerialExecutor(faults="dropout=0.3,seed=3")
             server = FederatedServer(
-                strategy=STRATEGIES["fedavg"](),
+                strategy=strategy,
                 clients=_toy_clients((6,) * 12),
                 model=build_mlp_model((3, 8, 8), 4, rng=np.random.default_rng(0)),
                 eval_sets={"test": _toy_clients((12,), seed=9)[0].dataset},
@@ -467,28 +466,28 @@ class TestGroupingInvariance:
                 executor=executor,
             )
             with executor:
-                return server.run(), executor._backend
+                return server.run(), executor._trainer
 
-        batched, backend = run("ensemble")
-        reference, _ = run("loop")
+        batched, trainer = run(STRATEGIES["fedavg"]())
+        reference, _ = run(_LoopOnlyFedAvg(FAST))
         survivor_counts = {len(r.survivors) for r in batched.history.records}
         assert len(survivor_counts) > 2
-        assert 1 <= len(backend._clones) <= 2
+        assert 1 <= len(trainer._clones) <= 2
         assert _trace(batched) == _trace(reference)
 
     def test_empty_client_routes_through_loop_path(self):
         sizes = (6, 0, 6)
-        batched, _ = _run_backend("ensemble", STRATEGIES["fedavg"], sizes)
-        loop, _ = _run_backend("loop", STRATEGIES["fedavg"], sizes)
+        batched, _ = _run_trainer(STRATEGIES["fedavg"], sizes)
+        loop, _ = _run_trainer(STRATEGIES["fedavg"], sizes, loop=True)
         _assert_updates_bitwise_equal(batched, loop)
 
     def test_scratch_deltas_stay_per_client(self):
         """PARDON's style cache: each slice writes only its own scratch —
         the images it caches are its own client's, re-styled exactly as
-        the loop backend re-styles them."""
+        the loop fallback re-styles them."""
         sizes = (9, 9, 9)
-        updates, clients = _run_backend("ensemble", STRATEGIES["pardon"], sizes)
-        _, loop_clients = _run_backend("loop", STRATEGIES["pardon"], sizes)
+        updates, clients = _run_trainer(STRATEGIES["pardon"], sizes)
+        _, loop_clients = _run_trainer(STRATEGIES["pardon"], sizes, loop=True)
         for update, client in zip(updates, clients):
             assert update.client_id == client.client_id
             (_, transferred), = client.scratch.values()
@@ -512,6 +511,15 @@ class _CustomLoopOnlyStrategy(Strategy):
         return update
 
 
+class _LoopOnlyFedAvg(FedAvgStrategy):
+    """FedAvg forced onto the trainer's loop fallback: the engine-level
+    reference every stacked run must match bitwise.  It keeps FedAvg's
+    ``name``, which seeds the run, so the two sample the same clients."""
+
+    def supports_ensemble(self):
+        return False
+
+
 class _DecliningStrategy(FedAvgStrategy):
     """Claims ensemble support but declines every group at run time."""
 
@@ -525,15 +533,15 @@ class TestFallbacks:
     def test_strategy_without_ensemble_update_uses_loop(self):
         factory = lambda: _CustomLoopOnlyStrategy(FAST)
         assert not factory().supports_ensemble()
-        batched, _ = _run_backend("ensemble", factory, (6, 6))
-        loop, _ = _run_backend("loop", factory, (6, 6))
+        batched, _ = _run_trainer(factory, (6, 6))
+        loop, _ = _run_trainer(factory, (6, 6), loop=True)
         _assert_updates_bitwise_equal(batched, loop)
 
     def test_declined_group_reruns_through_loop(self):
         factory = lambda: _DecliningStrategy(FAST)
         assert factory().supports_ensemble()
-        batched, _ = _run_backend("ensemble", factory, (6, 6, 6))
-        loop, _ = _run_backend("loop", factory, (6, 6, 6))
+        batched, _ = _run_trainer(factory, (6, 6, 6))
+        loop, _ = _run_trainer(factory, (6, 6, 6), loop=True)
         _assert_updates_bitwise_equal(batched, loop)
 
     def test_base_strategy_supports_ensemble(self):
@@ -551,38 +559,22 @@ def _dropout_model():
 
 
 class TestRegistry:
-    def test_specs(self):
-        assert set(compute_specs()) == {"loop", "ensemble", "strict"}
-
-    def test_make_kinds(self):
-        assert isinstance(make_compute("loop"), LoopBackend)
-        ensemble = make_compute("ensemble")
-        assert isinstance(ensemble, EnsembleBackend)
-        assert ensemble.batched
-        strict = make_compute("strict")
-        assert isinstance(strict, EnsembleBackend)
-        assert strict.max_group_size == 1
-
-    def test_built_instance_passes_through(self):
-        backend = LoopBackend()
-        assert make_compute(backend) is backend
+    """The two engine keywords that accept one value each (the frozen
+    benchmark harness passes them), and the one model type the trainer
+    cannot stack."""
 
     def test_unknown_spec_raises(self):
-        with pytest.raises(ValueError):
-            make_compute("abacus")
-        with pytest.raises(ValueError):
-            resolve_compute("abacus")
-
-    def test_auto_is_not_buildable(self):
-        with pytest.raises(ValueError):
-            make_compute("auto")
+        for spec in ("loop", "ensemble", "strict", "abacus"):
+            with pytest.raises(ValueError, match="ROADMAP item 6"):
+                SerialExecutor(compute=spec)
+        with pytest.raises(ValueError, match="ROADMAP item 6"):
+            RemoteExecutor(pipelined=False)
 
     def test_auto_resolution(self):
-        supported = build_mlp_model((3, 8, 8), 4, np.random.default_rng(0))
-        assert resolve_compute("auto") == "auto"  # configs validate early
-        assert resolve_compute("auto", supported) == "ensemble"
-        assert resolve_compute("auto", _dropout_model()) == "loop"
-        assert resolve_compute("loop", supported) == "loop"
+        """``auto`` (and ``pipelined=True``) still build: they resolve to
+        the one trainer and the one wave every engine runs."""
+        assert isinstance(SerialExecutor(compute="auto")._trainer, EnsembleBackend)
+        RemoteExecutor(pipelined=True).close()
 
     def test_dropout_model_is_unsupported(self):
         model = _dropout_model()
@@ -591,21 +583,21 @@ class TestRegistry:
             ensemble_of(model, 2)
 
     def test_dropout_model_falls_back_bitwise(self):
-        """The ensemble backend must *run* unsupported models via the loop."""
+        """The trainer must *run* unsupported models via its loop."""
         clients = _toy_clients((4, 4), image_shape=(1, 2, 6))
         strategy = FedAvgStrategy(FAST)
 
-        def run(spec):
+        def run(train):
             rng = np.random.default_rng(5)
             features = Sequential(Flatten(), Linear(12, 8, rng=rng), Dropout(0.5, rng=rng))
             model = FeatureClassifierModel(
                 features, Linear(8, 4, rng=rng), embed_dim=8
             )
-            return make_compute(spec).run_group(
-                strategy, model, model.state_dict(), clients, 0, [3, 4]
-            )
+            return train(strategy, model, model.state_dict(), clients, 0, [3, 4])
 
-        _assert_updates_bitwise_equal(run("ensemble"), run("loop"))
+        _assert_updates_bitwise_equal(
+            run(EnsembleBackend().run_group), run(fl_compute._run_loop)
+        )
 
 
 class TestStateHelpers:
@@ -664,7 +656,7 @@ class TestStateHelpers:
 
 
 # --------------------------------------------------------------------------
-# Cross-engine traces: serial / pipe / shm x loop / ensemble / strict
+# Cross-engine traces: serial / pipe / shm x loop fallback / stacks / K=1
 # --------------------------------------------------------------------------
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
@@ -677,11 +669,11 @@ def _server_clients(n_clients=8, seed=0):
     return [Client(i, d) for i, d in enumerate(partition.client_datasets)]
 
 
-def _run_server(executor, rounds=2):
+def _run_server(executor, rounds=2, strategy=None, model=None):
     server = FederatedServer(
-        strategy=FedAvgStrategy(LocalTrainingConfig(batch_size=8)),
+        strategy=strategy or FedAvgStrategy(LocalTrainingConfig(batch_size=8)),
         clients=_server_clients(),
-        model=build_mlp_model(
+        model=model or build_mlp_model(
             SUITE.image_shape, SUITE.num_classes, rng=np.random.default_rng(0)
         ),
         eval_sets={"test": SUITE.datasets[2]},
@@ -702,40 +694,92 @@ def _trace(result):
     )
 
 
-class TestCrossEngineTraces:
-    """The same run must trace bit-identically on every engine x backend."""
+def _assert_same_run(run, reference, context):
+    assert _trace(run) == _trace(reference), f"{context} trace diverged"
+    for key in reference.final_state:
+        assert np.array_equal(run.final_state[key], reference.final_state[key])
 
-    def test_all_backends_all_engines_match_serial_loop(self):
-        reference = _run_server(SerialExecutor(compute="loop"))
-        for compute in ("ensemble", "strict", "auto"):
-            serial = _run_server(SerialExecutor(compute=compute))
-            assert _trace(serial) == _trace(reference), (
-                f"serial/{compute} trace diverged from serial/loop"
-            )
-            for key in reference.final_state:
-                assert np.array_equal(
-                    serial.final_state[key], reference.final_state[key]
-                )
+
+def _server_dropout_model(p):
+    rng = np.random.default_rng(0)
+    features = Sequential(
+        Flatten(), Linear(int(np.prod(SUITE.image_shape)), 16, rng=rng),
+        Dropout(p, rng=rng),
+    )
+    return FeatureClassifierModel(
+        features, Linear(16, SUITE.num_classes, rng=rng), embed_dim=16
+    )
+
+
+class TestCrossEngineTraces:
+    """The same run must trace bit-identically on every engine, whether
+    the trainer stacks or loops."""
+
+    def test_all_backends_all_engines_match_serial_loop(self, monkeypatch):
+        reference = _run_server(
+            SerialExecutor(), strategy=_LoopOnlyFedAvg(LocalTrainingConfig(batch_size=8))
+        )
         transports = ["pipe"] + (["shm"] if shm_supported() else [])
-        for transport in transports:
-            for compute in ("loop", "ensemble", "strict"):
-                with ParallelExecutor(
-                    num_workers=2, transport=transport, compute=compute
-                ) as executor:
+        # ``strict``: K=1 stacks; fork-started pool workers inherit the patch.
+        for label, stack_step in (("ensemble", None), ("strict", 1)):
+            if stack_step is not None:
+                monkeypatch.setattr(fl_compute, "_STACK_STEP_ELEMENTS", stack_step)
+            _assert_same_run(
+                _run_server(SerialExecutor()), reference, f"serial/{label}"
+            )
+            for transport in transports:
+                with ParallelExecutor(num_workers=2, transport=transport) as executor:
                     parallel = _run_server(executor)
-                assert _trace(parallel) == _trace(reference), (
-                    f"{transport}/{compute} trace diverged from serial/loop"
-                )
-                for key in reference.final_state:
-                    assert np.array_equal(
-                        parallel.final_state[key], reference.final_state[key]
-                    )
+                _assert_same_run(parallel, reference, f"{transport}/{label}")
+        with ParallelExecutor(num_workers=2, transport="pipe") as executor:
+            parallel = _run_server(
+                executor, strategy=_LoopOnlyFedAvg(LocalTrainingConfig(batch_size=8))
+            )
+        _assert_same_run(parallel, reference, "pipe/loop")
+
+    def test_dropout_model_on_the_pool(self, monkeypatch):
+        """``Dropout`` has no ensemble converter, so a pool worker's one
+        task per home runs through the trainer's loop fallback.  With
+        ``p=0`` the pool traces equal serial.  With ``p>0`` the layer's own
+        mask generator advances per model instance — one per worker, one
+        on the server — so the pool is held against itself with one task
+        per client (zero-delay stragglers ride alone): grouping moves no
+        bit."""
+        tasks = []
+        submit = ParallelExecutor.submit
+        monkeypatch.setattr(
+            ParallelExecutor, "submit",
+            lambda self, task_id, home, task: tasks.append(task[0])
+            or submit(self, task_id, home, task),
+        )
+        serial = _run_server(SerialExecutor(), model=_server_dropout_model(0.0))
+        with ParallelExecutor(num_workers=2, transport="pipe") as executor:
+            pool = _run_server(executor, model=_server_dropout_model(0.0))
+        _assert_same_run(pool, serial, "pipe/dropout")
+        assert max(len(client_ids) for client_ids in tasks) > 1
+        singles = FaultPlan(events=tuple(
+            FaultEvent("straggler", round_index, client_id)
+            for round_index in range(2) for client_id in range(8)
+        ))
+        runs = []
+        for faults in (None, singles):
+            tasks.clear()
+            with ParallelExecutor(
+                num_workers=2, transport="pipe", faults=faults
+            ) as executor:
+                runs.append(_run_server(executor, model=_server_dropout_model(0.5)))
+            grouped = max(len(client_ids) for client_ids in tasks) > 1
+            assert grouped == (faults is None)
+        _assert_same_run(runs[1], runs[0], "pipe/dropout p=0.5")
 
     def test_executor_reports_resolved_backend(self):
-        assert SerialExecutor(compute="ensemble").compute == "ensemble"
-        assert SerialExecutor().compute == "auto"
-        with pytest.raises(ValueError):
-            SerialExecutor(compute="abacus")
+        """The serial engine trains through one trainer, built with the
+        engine and kept across rounds (its stacked clones survive them)."""
+        executor = SerialExecutor()
+        trainer = executor._trainer
+        assert isinstance(trainer, EnsembleBackend)
+        _run_server(executor)
+        assert executor._trainer is trainer and trainer._clones
 
 
 # --------------------------------------------------------------------------

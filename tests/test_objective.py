@@ -413,7 +413,7 @@ class TestEnsemblePath:
 
 class TestRunnersLeaveTheInputGradientAlone:
     """The runners skip the first layer's input gradient for their own steps
-    only.  The server probes, and the ensemble backend reuses, the very model
+    only.  The server probes, and the trainer reuses, the very model
     instances they train, so a direct ``backward`` afterwards must still
     return the full ∂L/∂x (checked against finite differences)."""
 

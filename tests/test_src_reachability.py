@@ -35,9 +35,8 @@ ALLOWED = {
     "src/repro/nn/ensemble.py": {"load_state_stack": FIXTURE},
     "src/repro/nn/layers.py": {
         "Dropout": FIXTURE + ": the one module without an ensemble "
-        "converter, i.e. the live 'unsupported model -> loop' path",
+        "converter, i.e. the loop fallback inside the one trainer",
     },
-    "src/repro/fl/transport.py": {"transport_specs": FIXTURE},
 }
 
 
