@@ -24,20 +24,35 @@ round's survivors over as one group while the wire engines hand over one
 group per home, and the trainer may split either into stacks of any size —
 their traces stay bit-identical, the invariant the cross-engine tests in
 ``tests/test_nn_ensemble.py`` enforce (``_STACK_STEP_ELEMENTS = 1`` forces
-K=1 stacks through the same code, one client at a time).  Stacks are sized
-by their per-step input (:data:`_STACK_STEP_ELEMENTS`), so training memory
-is bounded per stack, not proportional to the group.
+K=1 stacks through the same code, one client at a time).
+
+Memory
+------
+Stacks are sized by their per-step input (:data:`_STACK_STEP_ELEMENTS`)
+and train one at a time (:meth:`EnsembleBackend.train_stacks` yields each
+stack's updates as it finishes), so an engine that consumes them as they
+come — the serial engine folds each stack into the round's aggregate
+before the next one trains — holds one stack's states, not the group's.
+The trainer keeps one stacked clone, of the latest group's architecture,
+sized to the largest stack it has needed; a smaller stack trains on
+leading-slice views of it, and it drops its per-step activations after
+every stack.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from repro.fl.client import Client
-from repro.nn.ensemble import ensemble_of, ensemble_supports, load_state_broadcast
+from repro.nn.ensemble import (
+    ensemble_of,
+    ensemble_supports,
+    load_state_broadcast,
+    release_step_caches,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.fl.executor import ClientUpdate
@@ -67,11 +82,12 @@ __all__ = ["EnsembleBackend", "timed_local_update"]
 #:   9216                          61 (8 x 16), round_s +16 %
 #:   1                             59 (1 x 128), round_s x2.8
 #:
-#: ``round_s`` stayed within run-to-run noise down to 2**15.  Every stack
-#: size a group uses keeps one clone alive, so 43/43/42 costs about what
-#: 64/64 does, and 3 * 2**14 wins on ``xdev_lazy`` only because 128 splits
-#: into equal 32s.  2**16 keeps paper-sized clients in pairs and never splits
-#: six-sample 3x8x8 clients below 28 a stack (57 of them split 29/28).
+#: ``round_s`` stayed within run-to-run noise down to 2**15.  Those rows were
+#: read while every stack size kept a clone and the serial round trained
+#: all its stacks before folding any; with one stack in flight and one
+#: clone, 2**16 reads 135 (2/2/1) and 67 (43/43/42).  2**16 keeps
+#: paper-sized clients in pairs and never splits six-sample 3x8x8 clients
+#: below 28 a stack (57 of them split 29/28).
 _STACK_STEP_ELEMENTS = 1 << 16
 
 
@@ -124,41 +140,79 @@ def _run_loop(
 
 
 class EnsembleBackend:
-    """The one trainer: train one co-resident group, in group order.
+    """The one trainer: train one co-resident group, one stack at a time.
 
-    :meth:`run_group` takes aligned ``clients`` and ``seeds``, the engine's
-    workspace/template ``model`` and the already-decoded broadcast
-    ``wire_state`` every client trains from, and returns one
-    :class:`repro.fl.executor.ClientUpdate` per client, in the same order,
-    each stamped with ``train_seconds``.
+    :meth:`train_stacks` takes aligned ``clients`` and ``seeds``, the
+    engine's workspace/template ``model`` and the already-decoded broadcast
+    ``wire_state`` every client trains from, and yields ``(positions,
+    updates)`` per stack: the group positions it trained and one
+    :class:`repro.fl.executor.ClientUpdate` per position, each stamped with
+    ``train_seconds``.  :meth:`run_group` is that iterator collected into
+    group order.
 
     Clients are sub-grouped by dataset size (stacking needs a shared batch
-    geometry) preserving group order, and each sub-group trains as the
-    fewest even stacks whose per-step input fits
-    :data:`_STACK_STEP_ELEMENTS` (two stack sizes at most).  Unstackable
-    strategies and models, empty-dataset clients and any stack the
-    strategy declines (``ensemble_update`` returning ``None``) run through
-    the loop fallback instead.
+    geometry), and each sub-group trains as the fewest even stacks whose
+    per-step input fits :data:`_STACK_STEP_ELEMENTS` (two stack sizes at
+    most).  Stacks train in the order of their first position, so the
+    lowest untrained position is always in the next stack.  Unstackable
+    strategies and models and empty-dataset clients run through the loop
+    fallback one client at a time, and so does any stack the strategy
+    declines (``ensemble_update`` returning ``None``).
     """
 
     def __init__(self) -> None:
-        #: Ensemble clones of the latest group, keyed by (architecture,
-        #: stack size).  A worker trains the same resident group round after
-        #: round, so rebuilding the stacked module graph every round is pure
-        #: waste; a clone no stack of the latest group used is dropped, so a
-        #: survivor count that changes every round cannot pile them up.
-        #: Reuse is safe because every use starts with a full
+        #: (architecture, capacity, ensemble clone): one clone, of the latest
+        #: group's architecture, sized to the largest stack any group needed
+        #: and rebuilt only when a group needs a larger one.  Smaller stacks
+        #: train on its leading slices (``load_state_broadcast``).  A worker
+        #: trains the same resident group round after round, so rebuilding
+        #: the stacked module graph every round is pure waste.  Reuse is
+        #: safe because every use starts with a full
         #: ``load_state_broadcast`` — the clone carries no state between
-        #: rounds, only structure — which is also why the key only needs to
+        #: stacks, only structure — which is also why the key only needs to
         #: pin the architecture, not the owning model object.
-        self._clones: dict[tuple, "Module"] = {}
+        self._clone: "tuple[tuple, int, Module] | None" = None
 
     def _stack_limit(self, strategy: "Strategy", client: Client) -> int:
         batch = min(strategy.local_config.batch_size, client.num_samples)
         step = batch * client.dataset.images[0].size
         return max(1, _STACK_STEP_ELEMENTS // step)
 
-    def run_group(
+    def _plan(
+        self, strategy: "Strategy", model: "Module", clients: Sequence[Client]
+    ) -> "list[tuple[bool, list[int]]]":
+        """The run plan: ``(stacked, positions)`` entries ordered by their
+        first position."""
+        if not (strategy.supports_ensemble() and ensemble_supports(model)):
+            return [(False, [position]) for position in range(len(clients))]
+        by_size: dict[int, list[int]] = {}
+        for position, client in enumerate(clients):
+            by_size.setdefault(client.num_samples, []).append(position)
+        plan: "list[tuple[bool, list[int]]]" = []
+        for num_samples, positions in by_size.items():
+            if num_samples == 0:
+                # Strategies special-case empty clients before consuming
+                # any randomness; keep them on the reference path.
+                plan += [(False, [position]) for position in positions]
+                continue
+            limit = self._stack_limit(strategy, clients[positions[0]])
+            start = 0
+            for stack in _stack_sizes(len(positions), limit):
+                plan.append((True, positions[start : start + stack]))
+                start += stack
+        plan.sort(key=lambda entry: entry[1][0])
+        return plan
+
+    def _clone_for(self, model: "Module", stack: int) -> "Module":
+        """The one clone, holding at least ``stack`` slices of ``model``."""
+        architecture = _architecture(model)
+        clone = self._clone
+        if clone is None or clone[0] != architecture or clone[1] < stack:
+            self._clone = clone = None  # freed before its successor is built
+            self._clone = (architecture, stack, ensemble_of(model, stack))
+        return self._clone[2]
+
+    def train_stacks(
         self,
         strategy: "Strategy",
         model: "FeatureClassifierModel",
@@ -166,17 +220,13 @@ class EnsembleBackend:
         clients: Sequence[Client],
         round_index: int,
         seeds: Sequence[int],
-    ) -> "list[ClientUpdate]":
-        if not (strategy.supports_ensemble() and ensemble_supports(model)):
-            return _run_loop(strategy, model, wire_state, clients, round_index, seeds)
-        # Order-preserving sub-grouping by dataset size.
-        by_size: dict[int, list[int]] = {}
-        for position, client in enumerate(clients):
-            by_size.setdefault(client.num_samples, []).append(position)
-        results: "list[ClientUpdate | None]" = [None] * len(clients)
+    ) -> "Iterator[tuple[list[int], list[ClientUpdate]]]":
+        plan = self._plan(strategy, model, clients)
+        largest = max((len(chunk) for stacked, chunk in plan if stacked), default=0)
+        emodel = self._clone_for(model, largest) if largest else None
 
-        def run_loop(positions: list[int]) -> None:
-            singles = _run_loop(
+        def run_loop(positions: list[int]) -> "list[ClientUpdate]":
+            return _run_loop(
                 strategy,
                 model,
                 wire_state,
@@ -184,37 +234,12 @@ class EnsembleBackend:
                 round_index,
                 [seeds[position] for position in positions],
             )
-            for position, update in zip(positions, singles):
-                results[position] = update
 
-        # The run plan, in group order: (stacked, positions).
-        plan: list[tuple[bool, list[int]]] = []
-        for num_samples, positions in by_size.items():
-            if num_samples == 0:
-                # Strategies special-case empty clients before consuming
-                # any randomness; keep them on the reference path.
-                plan.append((False, positions))
-                continue
-            limit = self._stack_limit(strategy, clients[positions[0]])
-            start = 0
-            for stack in _stack_sizes(len(positions), limit):
-                plan.append((True, positions[start : start + stack]))
-                start += stack
-        architecture = _architecture(model)
-        used = {(architecture, len(chunk)) for stacked, chunk in plan if stacked}
-        # Drop the clones this group does not use before building new ones.
-        self._clones = {
-            key: clone for key, clone in self._clones.items() if key in used
-        }
         for stacked, chunk in plan:
             if not stacked:
-                run_loop(chunk)
+                yield chunk, run_loop(chunk)
                 continue
             stack = len(chunk)
-            key = (architecture, stack)
-            if key not in self._clones:
-                self._clones[key] = ensemble_of(model, stack)
-            emodel = self._clones[key]
             load_state_broadcast(emodel, wire_state, stack)
             rngs = [np.random.default_rng(seeds[position]) for position in chunk]
             begin = time.perf_counter()
@@ -225,14 +250,31 @@ class EnsembleBackend:
                 rngs,
             )
             elapsed = time.perf_counter() - begin
+            release_step_caches(emodel)
             if updates is None:
-                run_loop(chunk)
+                yield chunk, run_loop(chunk)
                 continue
             # The stack trained as one fused pass; attribute each client an
             # equal share so timing reports stay comparable with the loop
             # fallback's per-client clocks.
-            share = elapsed / stack
-            for position, update in zip(chunk, updates):
-                update.train_seconds = share
+            for update in updates:
+                update.train_seconds = elapsed / stack
+            yield chunk, updates
+
+    def run_group(
+        self,
+        strategy: "Strategy",
+        model: "FeatureClassifierModel",
+        wire_state: "StateDict",
+        clients: Sequence[Client],
+        round_index: int,
+        seeds: Sequence[int],
+    ) -> "list[ClientUpdate]":
+        """Train the whole group; one update per client, in group order."""
+        results: "list[ClientUpdate | None]" = [None] * len(clients)
+        for positions, updates in self.train_stacks(
+            strategy, model, wire_state, clients, round_index, seeds
+        ):
+            for position, update in zip(positions, updates):
                 results[position] = update
         return results  # type: ignore[return-value]

@@ -221,8 +221,18 @@ class SerialExecutor(Executor):
                 f"ROADMAP item 6 drops it"
             )
         super().__init__(codec=codec, faults=faults, deadline=deadline, quorum=quorum)
-        # Kept across rounds so its stacked clones survive the round loop.
+        # Kept across rounds so its stacked clone survives the round loop.
         self._trainer = EnsembleBackend()
+        self._release()
+
+    def _release(self) -> None:
+        """Forget the round in flight: its frame (do not pin a dequantized
+        model copy between rounds), its queued rows and its stacks."""
+        self._frame = None
+        self._queued: "list[tuple[int, _Row]]" = []
+        self._stacks = None
+        self._trained: "dict[int, ClientUpdate]" = {}
+        self._answered = 0
 
     def open(self, model: "FeatureClassifierModel") -> None:
         self._model = model
@@ -233,39 +243,58 @@ class SerialExecutor(Executor):
     def send_broadcast(
         self, home: int, strategy: object, state: StateDict, round_index: int
     ) -> None:
+        self._release()
         self._frame = (strategy, state, round_index)
-        self._queued: "list[tuple[int, _Row]]" = []
 
     def submit(self, task_id: int, home: int, row: "_Row") -> None:
         self._queued.append((task_id, row))
 
     def poll(self, timeout: "float | None") -> "list[tuple[int, list[ClientUpdate]]]":
-        """Train everything queued as ONE trainer call — it fuses the
-        round into one (or a few) stacks; slice independence keeps each
-        client's numerics identical to the per-client loop — and hand the
-        updates back row by row, in dispatch order."""
-        queued, self._queued = self._queued, []
+        """Train the next stack of the queued rows and hand back, in
+        dispatch order, every row answered up to the first untrained one.
+
+        The trainer takes the round as one group but trains it one stack at
+        a time, so :meth:`Executor._collect` folds and frees a stack's
+        states before the next stack trains, and a quorum close (:meth:`abandon`) keeps the
+        stacks past it from training at all.  Its stacks run in order of
+        their first row, so each call answers at least that row: arrival
+        order is dispatch order, mixed dataset sizes included.  Faults
+        apply as rows are handed back; the wait never times out (an
+        in-process deadline is cooperative, see :meth:`Executor._plan`).
+        """
         strategy, state, round_index = self._frame
-        self._frame = None  # do not pin a (dequantized) model copy between rounds
-        for _, row in queued:
+        if self._stacks is None:
+            # One client per row in-process (see ``Executor._group``).
+            self._stacks = self._trainer.train_stacks(
+                strategy,
+                self._model,
+                state,
+                [row.clients[0] for _, row in self._queued],
+                round_index,
+                [row.seeds[0] for _, row in self._queued],
+            )
+        positions, updates = next(self._stacks)
+        self._trained.update(zip(positions, updates))
+        events = []
+        while self._answered in self._trained:
+            update = self._trained.pop(self._answered)
+            task_id, row = self._queued[self._answered]
+            self._answered += 1
             sleep_injected(row.fault)
-        # One client per row in-process (see ``Executor._group``).
-        updates = self._trainer.run_group(
-            strategy,
-            self._model,
-            state,
-            [row.clients[0] for _, row in queued],
-            round_index,
-            [row.seeds[0] for _, row in queued],
-        )
-        for (_, row), update in zip(queued, updates):
             if row.fault is not None:
                 apply_update_fault(update, row.fault, state)
             if not self.codec.lossless:
                 # Mirror the upload hop: the server-side aggregation must
                 # consume exactly what a decoded wire upload would hold.
                 update.state = self.codec.roundtrip(update.state)
-        return [(task_id, [update]) for (task_id, _), update in zip(queued, updates)]
+            events.append((task_id, [update]))
+        if self._answered == len(self._queued):
+            self._release()
+        return events
+
+    def abandon(self, task_id: int) -> None:
+        # Only a closing round abandons: the rows still queued never train.
+        self._release()
 
 
 def _default_start_method() -> str:

@@ -529,9 +529,10 @@ def byzantine_state(state: dict, ref: dict, event: FaultEvent) -> dict:
 def sleep_injected(fault: "FaultEvent | None") -> None:
     """Really sleep a ``straggler``/``hang`` event's injected delay.
 
-    Slept *before* the local update, wherever it runs (a pool worker, a
-    remote agent, the serial engine's own process), so ``train_seconds``
-    keeps measuring genuine compute.  A ``hang`` sleeps past the server's
+    Slept outside the local update, so ``train_seconds`` keeps measuring
+    genuine compute: before it on a pool worker or a remote agent, and in
+    the serial engine's own process as its stack's uploads are handed
+    back.  A ``hang`` sleeps past the server's
     round deadline; a preemptive engine drops it and absorbs the eventual
     result as a zombie.
     """

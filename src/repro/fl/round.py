@@ -401,9 +401,9 @@ class Executor(WireServer):
         endpoint's trainer stacks what it can); faulted clients always ride
         alone.  Per-client numerics are bitwise independent of this
         grouping, so the trace cannot tell the difference.  The in-process
-        lane keeps one row per client — it fuses the whole round into one
-        trainer call itself (see ``SerialExecutor.poll``) — so an early
-        close cuts at exactly ``quorum`` accepted uploads.
+        lane keeps one row per client — it hands the whole round to one
+        trainer and answers it stack by stack (see ``SerialExecutor.poll``)
+        — so an early close cuts at exactly ``quorum`` accepted uploads.
         """
         rows: "list[_Row]" = []
         group_at: "dict[object, _Row]" = {}

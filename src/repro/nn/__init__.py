@@ -34,11 +34,9 @@ from repro.nn.serialize import (
     StateDict,
     average_states,
     flatten_state,
-    state_add,
     state_allclose,
     state_sub,
     unflatten_state,
-    zeros_like_state,
 )
 from repro.nn.ensemble import (
     ensemble_of,
@@ -79,9 +77,7 @@ __all__ = [
     "build_mlp_model",
     "StateDict",
     "average_states",
-    "state_add",
     "state_sub",
-    "zeros_like_state",
     "flatten_state",
     "unflatten_state",
     "state_allclose",

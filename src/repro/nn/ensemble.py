@@ -748,17 +748,81 @@ def load_state_stack(emodel: Module, states: list[dict[str, np.ndarray]]) -> Non
     emodel.load_state_dict(stacked)
 
 
+def _use_leading(emodel: Module, ensemble_size: int) -> None:
+    """Make ``emodel`` an ``ensemble_size``-stack over the leading slices of
+    the storage it was built with.
+
+    Each module's parameter data, gradients and buffers at build size are
+    remembered on first use; every later call points them at ``[:size]``
+    views of that storage.  A leading slice of a C-contiguous array is
+    C-contiguous at the same address, so every GEMM operand keeps the
+    layout a freshly built ``size``-stack would give it.
+    """
+    for module in emodel.modules():
+        if hasattr(module, "ensemble_size"):
+            module.ensemble_size = ensemble_size
+        storage = vars(module).get("_storage")
+        if storage is None:
+            storage = module._storage = (
+                {
+                    attr: (value.data, value.grad)
+                    for attr, value in vars(module).items()
+                    if isinstance(value, Parameter)
+                },
+                dict(getattr(module, "_buffers", None) or {}),
+            )
+        params, buffers = storage
+        for attr, (data, grad) in params.items():
+            if data.shape[0] < ensemble_size:
+                raise ValueError(
+                    f"a {data.shape[0]}-stack clone cannot train "
+                    f"{ensemble_size} slices"
+                )
+            param = getattr(module, attr)
+            param.data, param.grad = data[:ensemble_size], grad[:ensemble_size]
+        for name, buffer in buffers.items():
+            module._buffers[name] = buffer[:ensemble_size]
+
+
 def load_state_broadcast(
     emodel: Module, state: dict[str, np.ndarray], ensemble_size: int
 ) -> None:
-    """Load one (global) state dict into every slice of an ensemble model."""
-    stacked = {
-        name: np.broadcast_to(
-            np.asarray(value, dtype=np.float64), (ensemble_size,) + np.shape(value)
-        )
-        for name, value in state.items()
-    }
-    emodel.load_state_dict(stacked)
+    """Load one (global) state dict into every slice of an
+    ``ensemble_size``-stack of ``emodel``.
+
+    ``emodel`` may have been built for more slices (the trainer keeps one
+    clone, sized to the largest stack it needs): a smaller stack then
+    trains on leading-slice views of the clone's parameters, gradients and
+    buffers (:func:`_use_leading`).  The broadcast is copied into those
+    views in place, never into fresh arrays.
+    """
+    _use_leading(emodel, ensemble_size)
+    params, buffer_hosts = emodel.state_targets(state)
+    targets = [(name, param.data) for name, param in params.items()]
+    targets += [
+        (name, host._buffers[attr]) for name, (host, attr) in buffer_hosts.items()
+    ]
+    for name, target in targets:
+        value = state[name]
+        if np.shape(value) != target.shape[1:]:
+            raise ValueError(
+                f"shape mismatch for {name}: "
+                f"expected {target.shape[1:]}, got {np.shape(value)}"
+            )
+        target[...] = value
+
+
+#: What ensemble layers keep from a forward for its backward.
+_STEP_CACHES = ("_cols", "_input", "_mask", "_cache", "_argmax", "_output")
+
+
+def release_step_caches(emodel: Module) -> None:
+    """Drop the activations ``emodel``'s layers cached for a backward, so a
+    clone at rest holds only its parameters, gradients and buffers."""
+    for module in emodel.modules():
+        for attr in _STEP_CACHES:
+            if getattr(module, attr, None) is not None:
+                setattr(module, attr, None)
 
 
 def ensemble_state_dicts(emodel: Module) -> list[dict[str, np.ndarray]]:

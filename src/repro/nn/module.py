@@ -152,17 +152,7 @@ class Module:
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Load parameters and buffers from ``state`` (copies, never aliases)."""
-        params = dict(self.named_parameters())
-        expected = set(params)
-        buffer_hosts = self._buffer_hosts()
-        expected.update(buffer_hosts)
-        missing = expected - set(state)
-        unexpected = set(state) - expected
-        if missing or unexpected:
-            raise KeyError(
-                f"state dict mismatch: missing={sorted(missing)} "
-                f"unexpected={sorted(unexpected)}"
-            )
+        params, buffer_hosts = self.state_targets(state)
         for name, param in params.items():
             value = np.asarray(state[name], dtype=np.float64)
             if value.shape != param.data.shape:
@@ -179,6 +169,23 @@ class Module:
                     f"expected {host._buffers[attr].shape}, got {value.shape}"
                 )
             host._buffers[attr] = value.copy()
+
+    def state_targets(
+        self, state: dict[str, np.ndarray]
+    ) -> tuple[dict[str, Parameter], dict[str, tuple["Module", str]]]:
+        """The parameters and buffer hosts ``state`` loads into, by dotted
+        name; a ``KeyError`` unless it names exactly those."""
+        params = dict(self.named_parameters())
+        buffer_hosts = self._buffer_hosts()
+        expected = set(params) | set(buffer_hosts)
+        missing = expected - set(state)
+        unexpected = set(state) - expected
+        if missing or unexpected:
+            raise KeyError(
+                f"state dict mismatch: missing={sorted(missing)} "
+                f"unexpected={sorted(unexpected)}"
+            )
+        return params, buffer_hosts
 
     def _buffer_hosts(
         self, prefix: str = ""

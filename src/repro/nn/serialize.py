@@ -18,9 +18,7 @@ __all__ = [
     "StateDict",
     "MeanAccumulator",
     "average_states",
-    "state_add",
     "state_sub",
-    "zeros_like_state",
     "flatten_state",
     "unflatten_state",
     "state_allclose",
@@ -177,21 +175,10 @@ def average_states(
     return acc.finalize(out=out)
 
 
-def state_add(a: StateDict, b: StateDict) -> StateDict:
-    """Elementwise ``a + b``."""
-    _check_same_keys([a, b])
-    return {key: a[key] + b[key] for key in a}
-
-
 def state_sub(a: StateDict, b: StateDict) -> StateDict:
     """Elementwise ``a - b`` (e.g. a client's update delta)."""
     _check_same_keys([a, b])
     return {key: a[key] - b[key] for key in a}
-
-
-def zeros_like_state(state: StateDict) -> StateDict:
-    """A state dict of zeros with the same structure."""
-    return {key: np.zeros_like(value) for key, value in state.items()}
 
 
 def flatten_state(state: StateDict) -> np.ndarray:

@@ -613,3 +613,36 @@ class TestMemoryScaling:
         assert large < 1.5 * small, (
             f"round peak grew with the participants: {small} -> {large}"
         )
+
+    def test_serial_round_holds_one_stack(self):
+        """The serial engine folds each stack's uploads before the next
+        stack trains, and its trainer keeps one clone, so 4x the
+        six-sample 3x8x8 participants (43/43/42 -> ten stacks of 51-52)
+        keeps the round peak well under 1.6x.  Training the round before
+        folding any of it read 2.11x here."""
+        factory = _lazy_factory(image_shape=(3, 8, 8))
+        peaks = []
+        for participants in (128, 512):
+            executor = SerialExecutor()
+            server = FederatedServer(
+                strategy=FedAvgStrategy(LocalTrainingConfig()),
+                clients=[factory(client_id) for client_id in range(participants)],
+                model=build_cnn_model(
+                    (3, 8, 8), SUITE.num_classes, rng=np.random.default_rng(0)
+                ),
+                eval_sets={},
+                config=FederatedConfig(
+                    num_rounds=2, clients_per_round=participants, seed=0
+                ),
+                executor=executor,
+            )
+            tracemalloc.start()
+            try:
+                with executor:
+                    peaks.append(server.run().timing.peak_memory_bytes)
+            finally:
+                tracemalloc.stop()
+        small, large = peaks
+        assert large < 1.6 * small, (
+            f"round peak grew with the participants: {small} -> {large}"
+        )

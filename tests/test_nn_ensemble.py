@@ -12,6 +12,7 @@ trainer boundary, a strategy whose ``supports_ensemble()`` is ``False`` at
 the engine boundary — the path CCST and MixStyle take in production.
 """
 
+import hashlib
 import sys
 import threading
 
@@ -377,8 +378,9 @@ class TestGroupingInvariance:
         "stack_step, stacks",
         # A budget of one element makes every client a K=1 stack; one of
         # two slices' steps (5 x 3x8x8 each) splits the three 10-sample
-        # clients into stacks of 2 and 1, and the 7s reuse the 2.
-        [(None, None), (1, [1]), (2 * FAST.batch_size * 3 * 8 * 8, [2, 1])],
+        # clients into stacks of 2 and 1 and the 7s into one 2: one clone
+        # of 2 trains all three, the 1 on its leading slice.
+        [(None, None), (1, [1]), (2 * FAST.batch_size * 3 * 8 * 8, [2])],
         ids=["ensemble", "strict", "ensemble-split"],
     )
     def test_stack_matches_independent_loop_runs(
@@ -444,16 +446,21 @@ class TestGroupingInvariance:
             )
 
         run(backend)  # populate the clone cache
-        assert backend._clones
+        assert backend._clone is not None
         warm = run(backend)
         fresh = run(EnsembleBackend())
         _assert_updates_bitwise_equal(warm, fresh)
 
-    def test_clone_cache_keeps_only_the_latest_groups_clones(self):
+    def test_clone_cache_keeps_only_the_latest_groups_clones(self, monkeypatch):
         """Dropout changes the survivor count from round to round; the
-        cache keeps only the clones the latest group trained on (it used to
-        keep one per survivor count ever seen), and the trace stays the
-        loop fallback's."""
+        trainer holds exactly one clone (it used to keep one per stack size
+        of the latest group), rebuilt only when a round needs a larger
+        stack, and the trace stays the loop fallback's."""
+        built = []
+        monkeypatch.setattr(
+            fl_compute, "ensemble_of",
+            lambda model, stack: built.append(stack) or ensemble_of(model, stack),
+        )
 
         def run(strategy):
             executor = SerialExecutor(faults="dropout=0.3,seed=3")
@@ -472,8 +479,68 @@ class TestGroupingInvariance:
         reference, _ = run(_LoopOnlyFedAvg(FAST))
         survivor_counts = {len(r.survivors) for r in batched.history.records}
         assert len(survivor_counts) > 2
-        assert 1 <= len(trainer._clones) <= 2
+        assert built == sorted(set(built)) and len(built) < len(survivor_counts)
+        assert trainer._clone[1] == max(survivor_counts)
         assert _trace(batched) == _trace(reference)
+
+    def test_one_clone_serves_uneven_stacks(self, monkeypatch):
+        """128 six-sample 3x8x8 clients split 43/43/42: one clone of 43
+        trains all three stacks, the 42 on its leading slices."""
+        built = []
+        monkeypatch.setattr(
+            fl_compute, "ensemble_of",
+            lambda model, stack: built.append(stack) or ensemble_of(model, stack),
+        )
+        trainer = EnsembleBackend()
+        model = build_mlp_model((3, 8, 8), 4, rng=np.random.default_rng(0))
+        clients = _toy_clients((6,) * 128)
+        stacks = [
+            len(positions)
+            for positions, _ in trainer.train_stacks(
+                FedAvgStrategy(LocalTrainingConfig(batch_size=8)), model,
+                model.state_dict(), clients, 0, list(range(128)),
+            )
+        ]
+        assert stacks == [43, 43, 42]
+        assert built == [43]
+        assert trainer._clone[1] == 43
+
+    def test_leading_slices_train_like_a_fresh_stack(self):
+        """A clone built (and trained) at K, then used at k < K, trains on
+        views of its own storage and gives bitwise a fresh k-stack's
+        updates — running buffers and max-pool caches included."""
+        rng = np.random.default_rng(4)
+        model = FeatureClassifierModel(
+            Sequential(
+                Conv2d(3, 4, kernel_size=3, padding=1, rng=rng),
+                BatchNorm2d(4),
+                ReLU(),
+                MaxPool2d(2),
+                Flatten(),
+                Linear(4 * 4 * 4, 8, rng=rng),
+            ),
+            Linear(8, 4, rng=rng),
+            embed_dim=8,
+        )
+        assert list(model.named_buffers()), "the test model must have buffers"
+        strategy = STRATEGIES["fedavg"]()
+        wire = model.state_dict()
+
+        def train(emodel, stack, seed):
+            load_state_broadcast(emodel, wire, stack)
+            clients = _toy_clients((6,) * stack, seed=seed)
+            rngs = [np.random.default_rng(100 + k) for k in range(stack)]
+            return strategy.ensemble_update(clients, emodel, 0, rngs)
+
+        clone = ensemble_of(model, 4)
+        train(clone, 4, seed=1)
+        storage = [param.data for param in clone.parameters()]
+        got = train(clone, 2, seed=2)
+        for param, full in zip(clone.parameters(), storage):
+            assert param.data.shape[0] == 2
+            assert np.shares_memory(param.data, full)
+            assert param.data.flags.c_contiguous
+        _assert_updates_bitwise_equal(got, train(ensemble_of(model, 2), 2, seed=2))
 
     def test_empty_client_routes_through_loop_path(self):
         sizes = (6, 0, 6)
@@ -772,6 +839,89 @@ class TestCrossEngineTraces:
             assert grouped == (faults is None)
         _assert_same_run(runs[1], runs[0], "pipe/dropout p=0.5")
 
+    #: The quorum run below, traced before the serial engine answered its
+    #: round stack by stack: the change must not move a bit.
+    QUORUM_DIGEST = "4118d5dd67697b96"
+
+    def test_serial_quorum_closes_mid_stack(self, monkeypatch):
+        """Twelve participants train in stacks of three and the quorum of
+        eight closes inside the third: every poll answers one stack, the
+        fourth stack never reaches ``ensemble_update``, and the engine
+        pins no frame once the round is over."""
+        monkeypatch.setattr(
+            fl_compute, "_STACK_STEP_ELEMENTS", 3 * FAST.batch_size * 3 * 8 * 8
+        )
+        trained = []
+
+        class Recording(FedAvgStrategy):
+            def ensemble_update(self, clients, emodel, round_index, rngs):
+                trained.append([client.client_id for client in clients])
+                return super().ensemble_update(clients, emodel, round_index, rngs)
+
+        executor = SerialExecutor(quorum=8)
+        answered = []
+        poll = executor.poll
+        monkeypatch.setattr(
+            executor, "poll",
+            lambda timeout: answered.append(len(events := poll(timeout))) or events,
+        )
+        server = FederatedServer(
+            strategy=Recording(FAST),
+            clients=_toy_clients((6,) * 16),
+            model=build_cnn_model(
+                (3, 8, 8), 4, np.random.default_rng(0), widths=(4, 6), embed_dim=8
+            ),
+            eval_sets={"test": _toy_clients((12,), seed=9)[0].dataset},
+            config=FederatedConfig(num_rounds=2, clients_per_round=12, seed=0),
+            executor=executor,
+        )
+        with executor:
+            result = server.run()
+        assert executor._frame is None and executor._stacks is None
+        assert answered == [3, 3, 3] * 2
+        for record in result.history.records:
+            participants = record.participants
+            assert record.accepted == participants[:8]
+            assert record.dropped == dict.fromkeys(participants[8:], "quorum")
+        assert trained == [
+            record.participants[start : start + 3]
+            for record in result.history.records
+            for start in (0, 3, 6)
+        ]
+        trace = repr((_trace(result), [
+            (r.accepted, sorted(r.dropped.items())) for r in result.history.records
+        ])).encode()
+        for key in sorted(result.final_state):
+            trace += result.final_state[key].tobytes()
+        assert hashlib.sha256(trace).hexdigest()[:16] == self.QUORUM_DIGEST
+
+    def test_serial_arrival_is_sampling_order_with_mixed_sizes(self, monkeypatch):
+        """Interleaved dataset sizes split into stacks of two per size: the
+        stacks train in order of their first row, so every poll answers the
+        lowest untrained one and a quorum keeps the first six participants,
+        exactly as the per-client loop does."""
+        monkeypatch.setattr(
+            fl_compute, "_STACK_STEP_ELEMENTS", 2 * FAST.batch_size * 3 * 8 * 8
+        )
+
+        def run(strategy):
+            executor = SerialExecutor(quorum=6)
+            server = FederatedServer(
+                strategy=strategy,
+                clients=_toy_clients((6, 7) * 6),
+                model=build_mlp_model((3, 8, 8), 4, rng=np.random.default_rng(0)),
+                eval_sets={"test": _toy_clients((12,), seed=9)[0].dataset},
+                config=FederatedConfig(num_rounds=2, clients_per_round=10, seed=0),
+                executor=executor,
+            )
+            with executor:
+                return server.run()
+
+        batched = run(FedAvgStrategy(FAST))
+        for record in batched.history.records:
+            assert record.accepted == record.participants[:6]
+        _assert_same_run(batched, run(_LoopOnlyFedAvg(FAST)), "serial/mixed sizes")
+
     def test_executor_reports_resolved_backend(self):
         """The serial engine trains through one trainer, built with the
         engine and kept across rounds (its stacked clones survive them)."""
@@ -779,7 +929,7 @@ class TestCrossEngineTraces:
         trainer = executor._trainer
         assert isinstance(trainer, EnsembleBackend)
         _run_server(executor)
-        assert executor._trainer is trainer and trainer._clones
+        assert executor._trainer is trainer and trainer._clone is not None
 
 
 # --------------------------------------------------------------------------

@@ -14,11 +14,8 @@ from repro.nn.serialize import (
     decode_payload,
     encode_payload,
     flatten_state,
-    state_add,
     state_allclose,
-    state_sub,
     unflatten_state,
-    zeros_like_state,
 )
 
 
@@ -66,18 +63,6 @@ class TestAverageStates:
         s = make_state(rng)
         avg = average_states([s, s, s], weights=[5, 1, 2])
         assert state_allclose(avg, s)
-
-
-class TestStateArithmetic:
-    def test_add_sub_round_trip(self, rng):
-        s1, s2 = make_state(rng), make_state(rng)
-        delta = state_sub(s1, s2)
-        back = state_add(s2, delta)
-        assert state_allclose(back, s1)
-
-    def test_zeros_like(self, rng):
-        zeros = zeros_like_state(make_state(rng))
-        assert all(np.all(v == 0) for v in zeros.values())
 
 
 class TestFlatten:

@@ -27,11 +27,7 @@ ALLOWED = {
     },
     "src/repro/privacy/dp.py": {"DPStyleStrategy": ITEM_3},
     "src/repro/nn/models.py": {"build_mlp_model": FIXTURE},
-    "src/repro/nn/serialize.py": {
-        "state_allclose": FIXTURE,
-        # Their one caller was the deleted masking secure aggregator.
-        "state_add": ITEM_3, "zeros_like_state": ITEM_3,
-    },
+    "src/repro/nn/serialize.py": {"state_allclose": FIXTURE},
     "src/repro/nn/ensemble.py": {"load_state_stack": FIXTURE},
     "src/repro/nn/layers.py": {
         "Dropout": FIXTURE + ": the one module without an ensemble "
