@@ -4,7 +4,8 @@ Clients publish their style statistics to a server-side *style bank*
 (:meth:`CCSTStrategy.prepare_client` uploads them before round 1,
 :meth:`CCSTStrategy.fuse_prepare` stacks the uploads into the bank); every
 client then augments its local data by AdaIN-transferring it to other
-clients' styles before plain cross-entropy training.  Two sharing
+clients' styles (:meth:`CCSTStrategy.batch_views`, per batch) before
+plain cross-entropy training over the batch and its copies.  Two sharing
 granularities exist:
 
 * ``"overall"`` — one pooled style per client (the paper's default CCST);
@@ -23,10 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fl.client import Client
-from repro.fl.executor import ClientUpdate
 from repro.fl.strategy import LocalTrainingConfig, Strategy
-from repro.nn.losses import CrossEntropyLoss
-from repro.nn.models import FeatureClassifierModel
+from repro.nn.objective import CompositeObjective, CrossEntropyTerm
 from repro.style.adain import (
     StyleVector,
     apply_style_to_images,
@@ -71,6 +70,10 @@ class CCSTStrategy(Strategy):
         self.augment_per_batch = augment_per_batch
         self.encoder = encoder or InvertibleEncoder(levels=2, seed=7)
         self.style_bank: list[StyleBankEntry] = []
+        # Cross-entropy supervises the batch and every re-styled copy.
+        self.objective = CompositeObjective(
+            [("ce", 1.0, CrossEntropyTerm(all_views=True))]
+        )
 
     def prepare_client(
         self, client: Client, rng: np.random.Generator
@@ -103,49 +106,17 @@ class CCSTStrategy(Strategy):
             if entry.client_id != client_id
         ]
 
-    def train_client(
-        self,
-        client: Client,
-        model: FeatureClassifierModel,
-        round_index: int,
-        rng: np.random.Generator,
-    ) -> ClientUpdate:
-        images = client.dataset.images
-        labels = client.dataset.labels
+    def batch_views(
+        self, client: Client, images: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """The batch followed by ``augment_per_batch`` copies, each
+        re-styled to a foreign bank style drawn on the client's ``rng``;
+        the batch alone when the bank holds no foreign style."""
         foreign = self._foreign_styles(client.client_id)
-
-        model.train()
-        optimizer = self.local_config.make_optimizer(model)
-        criterion = CrossEntropyLoss()
-        losses: list[float] = []
-        n = images.shape[0]
-        for _ in range(self.local_config.local_epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, self.local_config.batch_size):
-                idx = order[start : start + self.local_config.batch_size]
-                batch_images = images[idx]
-                batch_labels = labels[idx]
-                if foreign:
-                    parts = [batch_images]
-                    label_parts = [batch_labels]
-                    for _ in range(self.augment_per_batch):
-                        style = foreign[int(rng.integers(len(foreign)))]
-                        parts.append(
-                            apply_style_to_images(
-                                batch_images, style, self.encoder
-                            )
-                        )
-                        label_parts.append(batch_labels)
-                    batch_images = np.concatenate(parts, axis=0)
-                    batch_labels = np.concatenate(label_parts, axis=0)
-                model.zero_grad()
-                logits = model.forward(batch_images)
-                loss = criterion.forward(logits, batch_labels)
-                model.backward(grad_logits=criterion.backward())
-                optimizer.step()
-                losses.append(loss)
-        return ClientUpdate.from_client(
-            client,
-            model.state_dict(),
-            float(np.mean(losses)) if losses else 0.0,
-        )
+        if not foreign:
+            return images
+        parts = [images]
+        for _ in range(self.augment_per_batch):
+            style = foreign[int(rng.integers(len(foreign)))]
+            parts.append(apply_style_to_images(images, style, self.encoder))
+        return np.concatenate(parts, axis=0)

@@ -20,10 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fl.client import Client
-from repro.fl.executor import ClientUpdate
 from repro.fl.strategy import LocalTrainingConfig, Strategy
-from repro.nn.losses import CrossEntropyLoss
-from repro.nn.models import FeatureClassifierModel
 from repro.style.adain import per_sample_style_stats
 from repro.style.encoder import InvertibleEncoder
 
@@ -53,11 +50,12 @@ class MixStyleStrategy(Strategy):
         self.mix_probability = mix_probability
         self.encoder = encoder or InvertibleEncoder(levels=1, seed=7)
 
-    def _mix_batch(
-        self, images: np.ndarray, rng: np.random.Generator
+    def batch_views(
+        self, client: Client, images: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """MixStyle: re-normalize each sample to a convex mix of its own and
-        a shuffled partner's channel statistics."""
+        """MixStyle: with probability ``mix_probability``, re-normalize each
+        sample to a convex mix of its own and a shuffled partner's channel
+        statistics; the batch unchanged otherwise."""
         if images.shape[0] < 2 or rng.random() > self.mix_probability:
             return images
         features = self.encoder.encode(images)
@@ -74,34 +72,3 @@ class MixStyleStrategy(Strategy):
             + mixed_mu[:, :, None, None]
         )
         return self.encoder.decode(restyled)
-
-    def train_client(
-        self,
-        client: Client,
-        model: FeatureClassifierModel,
-        round_index: int,
-        rng: np.random.Generator,
-    ) -> ClientUpdate:
-        images = client.dataset.images
-        labels = client.dataset.labels
-        model.train()
-        optimizer = self.local_config.make_optimizer(model)
-        criterion = CrossEntropyLoss()
-        losses: list[float] = []
-        n = images.shape[0]
-        for _ in range(self.local_config.local_epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, self.local_config.batch_size):
-                idx = order[start : start + self.local_config.batch_size]
-                batch = self._mix_batch(images[idx], rng)
-                model.zero_grad()
-                logits = model.forward(batch)
-                loss = criterion.forward(logits, labels[idx])
-                model.backward(grad_logits=criterion.backward())
-                optimizer.step()
-                losses.append(loss)
-        return ClientUpdate.from_client(
-            client,
-            model.state_dict(),
-            float(np.mean(losses)) if losses else 0.0,
-        )

@@ -7,13 +7,13 @@ engine that trains and every wire endpoint holds one
 :class:`EnsembleBackend`.  It stacks a group's K clients along a leading
 axis (:mod:`repro.nn.ensemble`) and runs their local epochs as single
 batched matmuls per layer, with one fused SGD step over the whole
-``(K, ...)`` parameter stack.  What it cannot stack runs through the
-per-client loop fallback (:func:`_run_loop`: load the broadcast weights,
-run :meth:`repro.fl.strategy.Strategy.local_update`, repeat): a strategy
-without an exact batched counterpart
-(:meth:`repro.fl.strategy.Strategy.supports_ensemble`), a model with a
-module that has no ensemble converter, an empty client, or a stack the
-strategy declines.  There is nothing to select or negotiate.
+``(K, ...)`` parameter stack, through
+:meth:`repro.fl.strategy.Strategy.train_group`, which every strategy has.
+Only two things run through the per-client loop fallback (:func:`_run_loop`:
+load the broadcast weights, run
+:meth:`repro.fl.strategy.Strategy.local_update`, repeat): a model with a
+module that has no ensemble converter (``Dropout``) and an empty client.
+There is nothing to select or negotiate.
 
 Numerical contract
 ------------------
@@ -155,9 +155,8 @@ class EnsembleBackend:
     per-step input fits :data:`_STACK_STEP_ELEMENTS` (two stack sizes at
     most).  Stacks train in the order of their first position, so the
     lowest untrained position is always in the next stack.  Unstackable
-    strategies and models and empty-dataset clients run through the loop
-    fallback one client at a time, and so does any stack the strategy
-    declines (``ensemble_update`` returning ``None``).
+    models and empty-dataset clients run through the loop fallback one
+    client at a time.
     """
 
     def __init__(self) -> None:
@@ -183,7 +182,7 @@ class EnsembleBackend:
     ) -> "list[tuple[bool, list[int]]]":
         """The run plan: ``(stacked, positions)`` entries ordered by their
         first position."""
-        if not (strategy.supports_ensemble() and ensemble_supports(model)):
+        if not ensemble_supports(model):
             return [(False, [position]) for position in range(len(clients))]
         by_size: dict[int, list[int]] = {}
         for position, client in enumerate(clients):
@@ -191,8 +190,8 @@ class EnsembleBackend:
         plan: "list[tuple[bool, list[int]]]" = []
         for num_samples, positions in by_size.items():
             if num_samples == 0:
-                # Strategies special-case empty clients before consuming
-                # any randomness; keep them on the reference path.
+                # ``local_update`` answers an empty client before consuming
+                # any randomness; ``train_group`` only sees non-empty ones.
                 plan += [(False, [position]) for position in positions]
                 continue
             limit = self._stack_limit(strategy, clients[positions[0]])
@@ -224,36 +223,21 @@ class EnsembleBackend:
         plan = self._plan(strategy, model, clients)
         largest = max((len(chunk) for stacked, chunk in plan if stacked), default=0)
         emodel = self._clone_for(model, largest) if largest else None
-
-        def run_loop(positions: list[int]) -> "list[ClientUpdate]":
-            return _run_loop(
-                strategy,
-                model,
-                wire_state,
-                [clients[position] for position in positions],
-                round_index,
-                [seeds[position] for position in positions],
-            )
-
         for stacked, chunk in plan:
+            members = [clients[position] for position in chunk]
             if not stacked:
-                yield chunk, run_loop(chunk)
+                yield chunk, _run_loop(
+                    strategy, model, wire_state, members, round_index,
+                    [seeds[position] for position in chunk],
+                )
                 continue
             stack = len(chunk)
             load_state_broadcast(emodel, wire_state, stack)
             rngs = [np.random.default_rng(seeds[position]) for position in chunk]
             begin = time.perf_counter()
-            updates = strategy.ensemble_update(
-                [clients[position] for position in chunk],
-                emodel,
-                round_index,
-                rngs,
-            )
+            updates = strategy.train_group(members, emodel, round_index, rngs)
             elapsed = time.perf_counter() - begin
             release_step_caches(emodel)
-            if updates is None:
-                yield chunk, run_loop(chunk)
-                continue
             # The stack trained as one fused pass; attribute each client an
             # equal share so timing reports stay comparable with the loop
             # fallback's per-client clocks.

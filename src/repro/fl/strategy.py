@@ -9,7 +9,8 @@ learning:
   computes a payload from its own data alone (PARDON's ``R^{2d}`` style,
   CCST's published styles), and the server fuses the payloads into
   broadcast strategy state (PARDON's interpolation style, CCST's bank);
-* :meth:`Strategy.local_update` — the client-side objective and loop;
+* :meth:`Strategy.local_update` / :meth:`Strategy.train_group` — the
+  client-side step, for one client or a ``(K, ...)`` stack of them;
 * :meth:`Strategy.aggregate` — how the server merges client states
   (FedAvg by default; FedGMA masks by gradient sign agreement; FedDG-GA
   reweights by generalization gap).
@@ -17,8 +18,8 @@ learning:
 The simulation core (:mod:`repro.fl.server`) is method-agnostic and only
 calls these hooks, so adding a new FedDG method requires exactly one class.
 
-Most FedDG methods don't need the loop-level hooks at all: the base
-``local_update`` / ``ensemble_update`` run a declarative
+No FedDG method writes its own epoch loop: the base ``train_client`` /
+``train_group`` run a declarative
 :class:`repro.nn.objective.CompositeObjective` through the generic epoch
 runners, and a method customizes the *ingredients* instead —
 
@@ -27,6 +28,8 @@ runners, and a method customizes the *ingredients* instead —
   through :meth:`apply_objective_overrides` / ``--objective``);
 * :meth:`Strategy.local_views` — an optional second index-aligned view of
   the client's images (PARDON's style transfer, FedCCRL's augmentation);
+* :meth:`Strategy.batch_views` — the rows each batch step forwards, drawn
+  per batch (CCST's style-bank copies, MixStyle's within-batch mixing);
 * :meth:`Strategy.objective_context` — per-client extras the terms read
   (FPL's global prototypes, FedAlign's fused alignment targets);
 * :meth:`Strategy.payload_from_embeddings` — the method's upload side
@@ -35,13 +38,13 @@ runners, and a method customizes the *ingredients* instead —
   payloads, run at the top of :meth:`aggregate` on both the batch and the
   streaming path.
 
-Objective-driven strategies inherit the trainer's vectorized ``(K, ...)``
-stacks automatically — the generic runners own both the scalar and the
-``(K, ...)``-stacked loop.  Methods whose client step doesn't fit the
-objective shape (CCST's style-bank resampling, MixStyle's feature-level
-mixing) override :meth:`Strategy.train_client` instead, which sits *under*
-the empty-client guard so every strategy handles zero-sample clients
-uniformly.
+So every strategy inherits the trainer's vectorized ``(K, ...)`` stacks:
+the generic runners own both the scalar and the stacked loop.  A method
+that adds work around the step (FedDG-GA's pre-training loss) overrides
+:meth:`Strategy.train_client` and :meth:`Strategy.train_group` together,
+both below the empty-client guard in ``local_update``; overriding
+``local_update``, or only one of the two, is a ``TypeError`` at class
+definition.
 
 Execution contract
 ------------------
@@ -76,6 +79,7 @@ as its own.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -139,6 +143,23 @@ class Strategy:
     #: process — server-side handles that a local update must not depend on.
     _server_only_state: tuple[str, ...] = ()
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        """Every strategy trains on the trainer's stacks, so a subclass
+        that could not is refused where it is defined."""
+        super().__init_subclass__(**kwargs)
+        if cls.local_update is not Strategy.local_update:
+            raise TypeError(
+                f"{cls.__name__} overrides local_update; override "
+                f"train_client and train_group together instead"
+            )
+        if (cls.train_client is Strategy.train_client) != (
+            cls.train_group is Strategy.train_group
+        ):
+            raise TypeError(
+                f"{cls.__name__} overrides only one of train_client and "
+                f"train_group; the trainer runs both, so override both"
+            )
+
     def __init__(self, local_config: LocalTrainingConfig | None = None) -> None:
         self.local_config = local_config or LocalTrainingConfig()
         #: The server-side aggregation rule (:mod:`repro.fl.aggregate`):
@@ -197,6 +218,23 @@ class Strategy:
         compose identically on the loop and ensemble paths."""
         return None
 
+    def batch_views(
+        self, client: Client, images: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """The rows one step forwards for a batch of ``client``'s images:
+        the batch itself (the base), the batch followed by re-styled copies
+        (CCST), or a re-styled batch in its place (MixStyle).  Called once
+        per batch, right after it is indexed, on the client's own
+        generator — on the loop and the stacked path alike — and the row
+        count over the batch sets the step's ``views``."""
+        return images
+
+    def _views_per_batch(self) -> bool:
+        """Whether the runners get :meth:`batch_views`; the base is the
+        identity, and leaving it out spares the stacked runner a per-batch
+        restack."""
+        return type(self).batch_views is not Strategy.batch_views
+
     def objective_context(self, client: Client) -> dict:
         """Per-client extras the objective's terms read (global
         prototypes, alignment targets).  Values must be picklable — they
@@ -239,8 +277,8 @@ class Strategy:
 
         A zero-sample client contributes a zero-loss, unchanged-state
         update without consuming randomness — guarded here so every
-        strategy inherits it; method-specific loops live in
-        :meth:`train_client`.
+        strategy inherits it (the trainer never stacks an empty client);
+        the method's step is :meth:`train_client`.
         """
         if client.num_samples == 0:
             return ClientUpdate.from_client(client, model.state_dict(), 0.0)
@@ -267,6 +305,11 @@ class Strategy:
             rng,
             extras=self.objective_context(client),
             secondary=secondary,
+            batch_views=(
+                functools.partial(self.batch_views, client)
+                if self._views_per_batch()
+                else None
+            ),
         )
         payload = None
         if self._extracts_payload():
@@ -282,70 +325,23 @@ class Strategy:
             client, model.state_dict(), loss, payload=payload
         )
 
-    def supports_ensemble(self) -> bool:
-        """Whether the trainer (:mod:`repro.fl.compute`) may stack this
-        strategy's clients, or must run them through its per-client loop.
-
-        True when the subclass provides its own :meth:`ensemble_update` or
-        :meth:`train_group`, or when it kept the base
-        :meth:`local_update` *and* :meth:`train_client` (the generic
-        ensemble runner is then its exact batched counterpart).  A
-        subclass that overrides the scalar loop without a matching batched
-        one silently runs on the loop fallback — correct, just not fused
-        (CCST and MixStyle take it).
-        """
-        if type(self).ensemble_update is not Strategy.ensemble_update:
-            return True
-        if type(self).train_group is not Strategy.train_group:
-            return True
-        return (
-            type(self).local_update is Strategy.local_update
-            and type(self).train_client is Strategy.train_client
-        )
-
-    def ensemble_update(
-        self,
-        clients: list[Client],
-        emodel: Module,
-        round_index: int,
-        rngs: list[np.random.Generator],
-    ) -> list[ClientUpdate] | None:
-        """Train K same-sized clients as one ``(K, ...)`` parameter stack.
-
-        ``emodel`` is the ensemble clone of the architecture
-        (:func:`repro.nn.ensemble.ensemble_of`) with the broadcast weights
-        already loaded into every slice; ``clients`` all hold datasets of
-        equal length and ``rngs`` are the same per-client generators
-        :meth:`local_update` would receive.  Implementations must draw
-        from each ``rngs[k]`` in exactly the order the loop path does, so
-        slice ``k`` reproduces client ``k``'s loop result bitwise.
-
-        Returns the per-client updates in group order, or ``None`` to
-        decline the group (the trainer reruns it through the loop path).
-
-        Mirrors :meth:`local_update`: the zero-sample guard lives here
-        (the whole group is same-sized, so one empty client means all
-        are), the batched method step in :meth:`train_group`.
-        """
-        if clients and clients[0].num_samples == 0:
-            states = ensemble_state_dicts(emodel)
-            return [
-                ClientUpdate.from_client(client, state, 0.0)
-                for client, state in zip(clients, states)
-            ]
-        return self.train_group(clients, emodel, round_index, rngs)
-
     def train_group(
         self,
         clients: list[Client],
         emodel: Module,
         round_index: int,
         rngs: list[np.random.Generator],
-    ) -> list[ClientUpdate] | None:
-        """The batched method step (every client non-empty).  The base is
-        :meth:`train_client` vectorized: per-client views drawn first (one
-        ``rngs[k]`` draw order per slice, exactly as the loop path), one
-        stacked objective run, then the payload sweep."""
+    ) -> list[ClientUpdate]:
+        """Train K same-sized, non-empty clients as one ``(K, ...)`` stack.
+
+        ``emodel`` is the ensemble clone of the architecture
+        (:func:`repro.nn.ensemble.ensemble_of`) with the broadcast weights
+        already loaded into every slice, and ``rngs`` are the per-client
+        generators :meth:`local_update` would receive.  Slice ``k`` must
+        draw from ``rngs[k]`` in exactly the loop path's order, so it
+        reproduces client ``k``'s :meth:`train_client` bitwise.  The base
+        is :meth:`train_client` vectorized: per-client views drawn first,
+        one stacked objective run, then the payload sweep."""
         views = [
             self.local_views(client, rng) for client, rng in zip(clients, rngs)
         ]
@@ -361,6 +357,11 @@ class Strategy:
             rngs,
             extras=[self.objective_context(client) for client in clients],
             secondary=secondary,
+            batch_views=(
+                [functools.partial(self.batch_views, client) for client in clients]
+                if self._views_per_batch()
+                else None
+            ),
         )
         payloads: list[dict | None] = [None] * len(clients)
         if self._extracts_payload():

@@ -77,9 +77,11 @@ class StepContext:
     """One batch step's tensors, shared mutable gradient buffers, and the
     strategy-provided extras (prototypes, alignment targets, ...).
 
-    ``views`` is 1 for plain batches and 2 when a second index-aligned view
-    (style-transferred / augmented positives) was concatenated after the
-    first ``batch`` rows; ``labels`` always covers the *primary* view.
+    ``views`` counts the ``batch``-row blocks concatenated along the rows:
+    1 for plain batches, 2 when a second index-aligned view
+    (style-transferred / augmented positives) follows the first ``batch``
+    rows, one more per re-styled copy a strategy's ``batch_views`` adds;
+    ``labels`` always covers the *primary* view.
     Terms accumulate weighted gradients into ``grad_logits`` /
     ``grad_embedding`` in place and return their weighted loss.
     """
@@ -616,15 +618,21 @@ def run_objective_epochs(
     *,
     extras: Mapping[str, Any] | None = None,
     secondary: np.ndarray | None = None,
+    batch_views: Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    | None = None,
 ) -> float:
     """Train ``model`` on ``dataset`` under ``objective``; returns the mean
     per-batch weighted loss.
 
-    ``secondary`` is an optional second view aligned index-for-index with
-    the dataset (style-transferred or augmented positives); each batch then
-    runs one concatenated forward over ``[primary, secondary]`` so batch
-    statistics are shared, exactly as the hand-written two-view loops did.
-    Randomness: one ``rng.permutation(n)`` per epoch and nothing else.
+    ``batch_views(images, rng)`` maps each indexed batch to the rows the
+    step forwards: the batch, then any per-batch re-styled copies (CCST),
+    or a re-styled batch in its place (MixStyle).  ``secondary`` is an
+    optional view aligned index-for-index with the dataset
+    (style-transferred or augmented positives), appended after them.  Each
+    batch runs one concatenated forward so batch statistics are shared, and
+    ``views`` is the row count over the batch size.  Randomness: one
+    ``rng.permutation(n)`` per epoch, then whatever ``batch_views`` draws
+    per batch.
     """
     images = dataset.images
     labels = dataset.labels
@@ -637,12 +645,12 @@ def run_objective_epochs(
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            batch_images = images[idx]
-            batch = batch_images.shape[0]
+            batch = idx.shape[0]
+            combined = images[idx]
+            if batch_views is not None:
+                combined = batch_views(combined, rng)
             if secondary is not None:
-                combined = np.concatenate([batch_images, secondary[idx]], axis=0)
-            else:
-                combined = batch_images
+                combined = np.concatenate([combined, secondary[idx]], axis=0)
             model.zero_grad()
             embeddings = model.forward_features(combined)
             logits = model.forward_logits(embeddings)
@@ -651,7 +659,7 @@ def run_objective_epochs(
                 embeddings=embeddings,
                 logits=logits,
                 batch=batch,
-                views=1 if secondary is None else 2,
+                views=combined.shape[0] // batch,
                 grad_logits=np.zeros_like(logits),
                 grad_embedding=(
                     np.zeros_like(embeddings) if needs_embedding else None
@@ -679,13 +687,18 @@ def run_objective_ensemble(
     *,
     extras: Sequence[Mapping[str, Any]] | None = None,
     secondary: np.ndarray | None = None,
+    batch_views: Sequence[
+        Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    ]
+    | None = None,
 ) -> np.ndarray:
     """:func:`run_objective_epochs` over a ``(K, N, ...)`` client stack.
 
     Returns the per-slice mean weighted losses, shape ``(K,)``.  Randomness
     is consumed in the loop path's order — one permutation per client per
-    epoch, drawn in client order — so slice ``k`` reproduces client ``k``'s
-    scalar result bitwise.
+    epoch, drawn in client order, then ``batch_views[k]`` once per batch on
+    ``rngs[k]`` — so slice ``k`` reproduces client ``k``'s scalar result
+    bitwise.
     """
     stack = images.shape[0]
     count = images.shape[1]
@@ -699,14 +712,17 @@ def run_objective_ensemble(
         orders = np.stack([rng.permutation(count) for rng in rngs])
         for start in range(0, count, config.batch_size):
             indices = orders[:, start : start + config.batch_size]
-            batch_images = images[rows, indices]
-            batch = batch_images.shape[1]
+            batch = indices.shape[1]
+            combined = images[rows, indices]
+            if batch_views is not None:
+                combined = np.stack([
+                    views(part, rng)
+                    for views, part, rng in zip(batch_views, combined, rngs)
+                ])
             if secondary is not None:
                 combined = np.concatenate(
-                    [batch_images, secondary[rows, indices]], axis=1
+                    [combined, secondary[rows, indices]], axis=1
                 )
-            else:
-                combined = batch_images
             emodel.zero_grad()
             embeddings = emodel.forward_features(combined)
             logits = emodel.forward_logits(embeddings)
@@ -715,7 +731,7 @@ def run_objective_ensemble(
                 embeddings=embeddings,
                 logits=logits,
                 batch=batch,
-                views=1 if secondary is None else 2,
+                views=combined.shape[1] // batch,
                 grad_logits=np.zeros_like(logits),
                 grad_embedding=(
                     np.zeros_like(embeddings) if needs_embedding else None

@@ -1,4 +1,8 @@
-"""Tests for the five FedDG baselines (+ FedAvg)."""
+"""Tests for the FedDG baselines (+ FedAvg), and for every ``repro.cli``
+method training through the shared objective runners."""
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +16,9 @@ from repro.baselines import (
     FedGMAStrategy,
     FedSRStrategy,
     FPLStrategy,
+    MixStyleStrategy,
 )
+from repro.cli import METHODS
 from repro.data import synthetic_pacs, partition_clients
 from repro.fl import (
     Client,
@@ -20,9 +26,13 @@ from repro.fl import (
     FederatedConfig,
     FederatedServer,
     LocalTrainingConfig,
+    ParallelExecutor,
+    SerialExecutor,
     run_prepare,
 )
-from repro.nn import build_mlp_model
+from repro.fl import compute as fl_compute
+from repro.fl.net.serve import trace_dict
+from repro.nn import build_cnn_model, build_mlp_model
 from repro.nn.serialize import state_allclose, state_sub
 from repro.utils.rng import SeedTree
 
@@ -327,3 +337,87 @@ class TestCCST:
             CCSTStrategy(styles_per_client=0)
         with pytest.raises(ValueError):
             CCSTStrategy(augment_per_batch=0)
+
+
+# --------------------------------------------------------------------------
+# One epoch loop: every method trains through the objective runners
+# --------------------------------------------------------------------------
+
+VIEWS_CONFIG = LocalTrainingConfig(batch_size=5, local_epochs=2)
+
+
+def traced_run(strategy, executor):
+    """Three rounds of four of eight 14-sample clients on the CNN (which
+    has an ensemble converter); the digest of the run's trace."""
+    server = FederatedServer(
+        strategy=strategy,
+        clients=make_clients(8),
+        model=build_cnn_model(
+            SUITE.image_shape, SUITE.num_classes, rng=np.random.default_rng(0)
+        ),
+        eval_sets={"test": SUITE.datasets[2]},
+        config=FederatedConfig(num_rounds=3, clients_per_round=4, seed=0),
+        executor=executor,
+    )
+    trace = json.dumps(trace_dict(server.run()), sort_keys=True)
+    return hashlib.sha256(trace.encode()).hexdigest()[:16]
+
+
+class TestEveryMethodOnTheRunners:
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_objective_override_moves_the_trace(self, method):
+        """``--objective ce=0.5`` reaches every method's training step —
+        CCST and MixStyle used to accept it and train unchanged."""
+        reweighted = METHODS[method]()
+        reweighted.apply_objective_overrides("ce=0.5")
+        assert traced_run(reweighted, SerialExecutor()) != traced_run(
+            METHODS[method](), SerialExecutor()
+        )
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_trains_on_stacks_only(self, method, monkeypatch):
+        """With a stackable model and no empty client, no method reaches
+        the trainer's per-client loop."""
+        looped = []
+        run_loop = fl_compute._run_loop
+        monkeypatch.setattr(
+            fl_compute, "_run_loop",
+            lambda *args: looped.extend(args[3]) or run_loop(*args),
+        )
+        traced_run(METHODS[method](), SerialExecutor())
+        assert looped == []
+
+
+class TestPerBatchViewDigests:
+    """CCST's style-bank copies and MixStyle's mixing moved from their own
+    epoch loops onto ``Strategy.batch_views``; these digests were traced
+    with those loops and must not move, on the serial engine or the pool."""
+
+    DIGESTS = {
+        "ccst": "0c8a9edf78b3c652",
+        "ccst-sample": "0e49ee0456443bc8",
+        "mixstyle": "d93c2bd7eec9a78a",
+        "mixstyle-p1": "8215aa9ed9137485",
+    }
+    FACTORIES = {
+        "ccst": lambda: CCSTStrategy(local_config=VIEWS_CONFIG),
+        "ccst-sample": lambda: CCSTStrategy(
+            mode="sample", augment_per_batch=2, local_config=VIEWS_CONFIG
+        ),
+        "mixstyle": lambda: MixStyleStrategy(local_config=VIEWS_CONFIG),
+        "mixstyle-p1": lambda: MixStyleStrategy(
+            mix_probability=1.0, local_config=VIEWS_CONFIG
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_serial(self, case):
+        assert traced_run(self.FACTORIES[case](), SerialExecutor()) == (
+            self.DIGESTS[case]
+        )
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_pool(self, case):
+        with ParallelExecutor(num_workers=2) as executor:
+            digest = traced_run(self.FACTORIES[case](), executor)
+        assert digest == self.DIGESTS[case]

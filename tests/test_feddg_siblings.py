@@ -54,13 +54,10 @@ def _model():
     )
 
 
-def run_once(name, executor, rounds=2, codec="identity", loop=False):
+def run_once(name, executor, rounds=2, codec="identity"):
     """Run one sibling strategy; returns (strategy, result) so callers can
-    inspect the fused server-side targets.  ``loop`` keeps the trainer on
-    its per-client loop fallback, as for a strategy that cannot stack."""
+    inspect the fused server-side targets."""
     strategy = STRATEGIES[name]()
-    if loop:
-        strategy.supports_ensemble = lambda: False
     server = FederatedServer(
         strategy=strategy,
         clients=make_clients(),
@@ -128,12 +125,16 @@ class TestTraceInvariance:
 
 
 class TestStacksMatchLoop:
-    """ensemble_update support: the trainer's stacks reproduce its loop
-    fallback bitwise, fused targets included."""
+    """The trainer's stacks reproduce its loop fallback bitwise, fused
+    targets included."""
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_backends_match_loop(self, name, monkeypatch):
-        reference, loop = run_once(name, SerialExecutor(), loop=True)
+        with monkeypatch.context() as patch:
+            # The per-client loop fallback, as for a model without an
+            # ensemble converter.
+            patch.setattr(fl_compute, "ensemble_supports", lambda model: False)
+            reference, loop = run_once(name, SerialExecutor())
         assert reference.global_targets
         for compute, stack_step in (("ensemble", None), ("strict", 1)):
             if stack_step is not None:

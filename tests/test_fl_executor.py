@@ -210,10 +210,8 @@ class PidStampStrategy(FedAvgStrategy):
 
     name = "pid_stamp"
 
-    def local_update(self, client, model, round_index, rng):
-        update = super().local_update(client, model, round_index, rng)
-        update.payload["pid"] = os.getpid()
-        return update
+    def payload_from_embeddings(self, client, embeddings, labels):
+        return {"pid": os.getpid()}
 
 
 def _round_setup(clients, rounds=1):

@@ -36,12 +36,7 @@ from repro.fl import (
 from repro.fl import compute as fl_compute
 from repro.data import partition_clients, synthetic_pacs
 from repro.data.synthetic import LabeledDataset
-from repro.nn import (
-    build_cnn_model,
-    build_mlp_model,
-    ensemble_of,
-    load_state_broadcast,
-)
+from repro.nn import build_cnn_model, build_mlp_model
 from repro.nn.serialize import MeanAccumulator, average_states
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
@@ -243,10 +238,11 @@ class TestZeroWeightStreamFallback:
 
 
 class TestEmptyClientGuard:
-    """Regression: the zero-sample guard lives in the *base* strategy
-    (``local_update`` and ``ensemble_update``), so every strategy, the
-    trainer's stacks and its loop fallback handle empty clients uniformly —
-    zero loss, unchanged state, no randomness consumed."""
+    """Regression: the zero-sample guard lives in the *base* strategy's
+    ``local_update`` and the trainer never stacks an empty client, so every
+    strategy, the trainer's stacks and its loop fallback handle empty
+    clients uniformly — zero loss, unchanged state, no randomness
+    consumed."""
 
     @staticmethod
     def _empty_dataset():
@@ -269,21 +265,6 @@ class TestEmptyClientGuard:
         assert update.num_samples == 0
         for key in before:
             np.testing.assert_array_equal(update.state[key], before[key])
-
-    def test_base_ensemble_update_guards_empty_group(self):
-        strategy = FedAvgStrategy(FAST)
-        model = _model()
-        wire = model.state_dict()
-        clients = [Client(i, self._empty_dataset()) for i in range(3)]
-        emodel = ensemble_of(model, 3)
-        load_state_broadcast(emodel, wire, 3)
-        rngs = [np.random.default_rng(i) for i in range(3)]
-        updates = strategy.ensemble_update(clients, emodel, 0, rngs)
-        assert updates is not None
-        for update in updates:
-            assert update.loss == 0.0
-            for key in wire:
-                np.testing.assert_array_equal(update.state[key], wire[key])
 
     @pytest.mark.parametrize("stack_step", [None, 1], ids=["ensemble", "strict"])
     def test_backends_agree_on_group_with_empty_clients(self, stack_step, monkeypatch):

@@ -74,14 +74,16 @@ class TestMixStyle:
     def test_mixing_preserves_labels_and_shape(self, rng):
         strategy = MixStyleStrategy(mix_probability=1.0)
         images = SUITE.datasets[0].images[:8]
-        mixed = strategy._mix_batch(images, rng)
+        mixed = strategy.batch_views(Client(0, SUITE.datasets[0]), images, rng)
         assert mixed.shape == images.shape
         assert not np.allclose(mixed, images)
 
     def test_single_sample_batch_not_mixed(self, rng):
         strategy = MixStyleStrategy(mix_probability=1.0)
         images = SUITE.datasets[0].images[:1]
-        np.testing.assert_array_equal(strategy._mix_batch(images, rng), images)
+        np.testing.assert_array_equal(
+            strategy.batch_views(Client(0, SUITE.datasets[0]), images, rng), images
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,12 @@ The acceptance bar: slice ``k`` of every ``(K, ...)`` ensemble layer is
 parameter gradients, running buffers); a K-stack local update is bitwise K
 independent loop updates, so client results never depend on how an engine
 groups them; ``_STACK_STEP_ELEMENTS = 1`` (K=1 stacks through the ensemble
-code) proves that equivalence one client at a time; and unsupported models
-or strategies fall back to the trainer's per-client loop rather than
-erroring.  The loop reference is that fallback itself: ``_run_loop`` at the
-trainer boundary, a strategy whose ``supports_ensemble()`` is ``False`` at
-the engine boundary — the path CCST and MixStyle take in production.
+code) proves that equivalence one client at a time; and a model without an
+ensemble converter (``Dropout``) falls back to the trainer's per-client loop
+rather than erroring.  Every strategy stacks, CCST's and MixStyle's per-batch
+views included.  The loop reference is that fallback itself: ``_run_loop``
+at the trainer boundary, ``ensemble_supports`` patched to refuse every model
+at the engine boundary (:func:`_loop_reference`).
 """
 
 import hashlib
@@ -19,7 +20,13 @@ import threading
 import numpy as np
 import pytest
 
-from repro.baselines import FedAvgStrategy, FedDGGAStrategy, FPLStrategy
+from repro.baselines import (
+    CCSTStrategy,
+    FedAvgStrategy,
+    FedDGGAStrategy,
+    FPLStrategy,
+    MixStyleStrategy,
+)
 from repro.core import PardonStrategy
 from repro.data import partition_clients, synthetic_pacs
 from repro.data.synthetic import LabeledDataset
@@ -363,9 +370,14 @@ def _assert_scratch_equal(got_clients, want_clients):
 
 
 STRATEGIES = {
+    "ccst": lambda: CCSTStrategy(local_config=FAST),
+    "ccst-sample": lambda: CCSTStrategy(
+        mode="sample", augment_per_batch=2, local_config=FAST
+    ),
     "fedavg": lambda: FedAvgStrategy(FAST),
     "feddg_ga": lambda: FedDGGAStrategy(local_config=FAST),
     "fpl": lambda: FPLStrategy(local_config=FAST),
+    "mixstyle": lambda: MixStyleStrategy(local_config=FAST),
     "pardon": lambda: PardonStrategy(local_config=FAST),
 }
 
@@ -476,7 +488,7 @@ class TestGroupingInvariance:
                 return server.run(), executor._trainer
 
         batched, trainer = run(STRATEGIES["fedavg"]())
-        reference, _ = run(_LoopOnlyFedAvg(FAST))
+        reference, _ = _loop_reference(monkeypatch, lambda: run(FedAvgStrategy(FAST)))
         survivor_counts = {len(r.survivors) for r in batched.history.records}
         assert len(survivor_counts) > 2
         assert built == sorted(set(built)) and len(built) < len(survivor_counts)
@@ -530,7 +542,7 @@ class TestGroupingInvariance:
             load_state_broadcast(emodel, wire, stack)
             clients = _toy_clients((6,) * stack, seed=seed)
             rngs = [np.random.default_rng(100 + k) for k in range(stack)]
-            return strategy.ensemble_update(clients, emodel, 0, rngs)
+            return strategy.train_group(clients, emodel, 0, rngs)
 
         clone = ensemble_of(model, 4)
         train(clone, 4, seed=1)
@@ -563,58 +575,41 @@ class TestGroupingInvariance:
 
 
 # --------------------------------------------------------------------------
-# Fallbacks: anything the ensemble path cannot fuse runs the loop, bitwise
+# Every strategy stacks: the loop is for models and empty clients only
 # --------------------------------------------------------------------------
 
 
-class _CustomLoopOnlyStrategy(Strategy):
-    """Overrides local_update without an ensemble counterpart."""
-
-    name = "loop-only"
-
-    def local_update(self, client, model, round_index, rng):
-        update = super().local_update(client, model, round_index, rng)
-        update.payload["marker"] = np.array([client.client_id])
-        return update
-
-
-class _LoopOnlyFedAvg(FedAvgStrategy):
-    """FedAvg forced onto the trainer's loop fallback: the engine-level
-    reference every stacked run must match bitwise.  It keeps FedAvg's
-    ``name``, which seeds the run, so the two sample the same clients."""
-
-    def supports_ensemble(self):
-        return False
+def _loop_reference(monkeypatch, run):
+    """``run()`` with the trainer on its per-client loop fallback, as for a
+    model without an ensemble converter: the engine-level reference every
+    stacked run must match bitwise.  Pool workers forked inside ``run``
+    inherit the patch."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fl_compute, "ensemble_supports", lambda model: False)
+        return run()
 
 
-class _DecliningStrategy(FedAvgStrategy):
-    """Claims ensemble support but declines every group at run time."""
+class TestStrategyContract:
+    def test_loop_only_subclasses_are_refused(self):
+        """A strategy the trainer could not stack fails where it is
+        defined, not by quietly training one client at a time."""
+        with pytest.raises(TypeError, match="local_update"):
 
-    name = "declining"
+            class _OverridesLocalUpdate(Strategy):
+                def local_update(self, client, model, round_index, rng):
+                    return super().local_update(client, model, round_index, rng)
 
-    def ensemble_update(self, clients, emodel, round_index, rngs):
-        return None
+        with pytest.raises(TypeError, match="only one of"):
 
+            class _ScalarStepOnly(FedAvgStrategy):
+                def train_client(self, client, model, round_index, rng):
+                    return super().train_client(client, model, round_index, rng)
 
-class TestFallbacks:
-    def test_strategy_without_ensemble_update_uses_loop(self):
-        factory = lambda: _CustomLoopOnlyStrategy(FAST)
-        assert not factory().supports_ensemble()
-        batched, _ = _run_trainer(factory, (6, 6))
-        loop, _ = _run_trainer(factory, (6, 6), loop=True)
-        _assert_updates_bitwise_equal(batched, loop)
+        with pytest.raises(TypeError, match="only one of"):
 
-    def test_declined_group_reruns_through_loop(self):
-        factory = lambda: _DecliningStrategy(FAST)
-        assert factory().supports_ensemble()
-        batched, _ = _run_trainer(factory, (6, 6, 6))
-        loop, _ = _run_trainer(factory, (6, 6, 6), loop=True)
-        _assert_updates_bitwise_equal(batched, loop)
-
-    def test_base_strategy_supports_ensemble(self):
-        assert FedAvgStrategy(FAST).supports_ensemble()
-        assert FPLStrategy(local_config=FAST).supports_ensemble()
-        assert PardonStrategy(local_config=FAST).supports_ensemble()
+            class _StackedStepOnly(FedAvgStrategy):
+                def train_group(self, clients, emodel, round_index, rngs):
+                    return super().train_group(clients, emodel, round_index, rngs)
 
 
 def _dropout_model():
@@ -783,8 +778,8 @@ class TestCrossEngineTraces:
     the trainer stacks or loops."""
 
     def test_all_backends_all_engines_match_serial_loop(self, monkeypatch):
-        reference = _run_server(
-            SerialExecutor(), strategy=_LoopOnlyFedAvg(LocalTrainingConfig(batch_size=8))
+        reference = _loop_reference(
+            monkeypatch, lambda: _run_server(SerialExecutor())
         )
         transports = ["pipe"] + (["shm"] if shm_supported() else [])
         # ``strict``: K=1 stacks; fork-started pool workers inherit the patch.
@@ -798,11 +793,14 @@ class TestCrossEngineTraces:
                 with ParallelExecutor(num_workers=2, transport=transport) as executor:
                     parallel = _run_server(executor)
                 _assert_same_run(parallel, reference, f"{transport}/{label}")
-        with ParallelExecutor(num_workers=2, transport="pipe") as executor:
-            parallel = _run_server(
-                executor, strategy=_LoopOnlyFedAvg(LocalTrainingConfig(batch_size=8))
-            )
-        _assert_same_run(parallel, reference, "pipe/loop")
+
+        def pool_loop():
+            with ParallelExecutor(num_workers=2, transport="pipe") as executor:
+                return _run_server(executor)
+
+        _assert_same_run(
+            _loop_reference(monkeypatch, pool_loop), reference, "pipe/loop"
+        )
 
     def test_dropout_model_on_the_pool(self, monkeypatch):
         """``Dropout`` has no ensemble converter, so a pool worker's one
@@ -846,7 +844,7 @@ class TestCrossEngineTraces:
     def test_serial_quorum_closes_mid_stack(self, monkeypatch):
         """Twelve participants train in stacks of three and the quorum of
         eight closes inside the third: every poll answers one stack, the
-        fourth stack never reaches ``ensemble_update``, and the engine
+        fourth stack never reaches ``train_group``, and the engine
         pins no frame once the round is over."""
         monkeypatch.setattr(
             fl_compute, "_STACK_STEP_ELEMENTS", 3 * FAST.batch_size * 3 * 8 * 8
@@ -854,9 +852,12 @@ class TestCrossEngineTraces:
         trained = []
 
         class Recording(FedAvgStrategy):
-            def ensemble_update(self, clients, emodel, round_index, rngs):
+            def train_client(self, client, model, round_index, rng):
+                raise AssertionError("every participant trains on a stack")
+
+            def train_group(self, clients, emodel, round_index, rngs):
                 trained.append([client.client_id for client in clients])
-                return super().ensemble_update(clients, emodel, round_index, rngs)
+                return super().train_group(clients, emodel, round_index, rngs)
 
         executor = SerialExecutor(quorum=8)
         answered = []
@@ -920,7 +921,8 @@ class TestCrossEngineTraces:
         batched = run(FedAvgStrategy(FAST))
         for record in batched.history.records:
             assert record.accepted == record.participants[:6]
-        _assert_same_run(batched, run(_LoopOnlyFedAvg(FAST)), "serial/mixed sizes")
+        reference = _loop_reference(monkeypatch, lambda: run(FedAvgStrategy(FAST)))
+        _assert_same_run(batched, reference, "serial/mixed sizes")
 
     def test_executor_reports_resolved_backend(self):
         """The serial engine trains through one trainer, built with the
