@@ -8,6 +8,14 @@ the median, quartiles and count of the files' untraced runs (below four runs
 the whole range stands in for the quartiles, as in ``perf/compare.py``).
 Append-only: a sha already in the file is refused.  A tree measured before it
 is committed goes in as ``<parent sha>+<label>``.
+
+Read rows as pairs.  A change is measured next to its parent, back to back
+on one box, on the same seeds; compare the two rows of a pair as ratios.
+Rows measured at different times do not compare in absolute terms even on an
+identical fingerprint: the change row over ``38f99b5`` and the parent row
+``120645e`` are the same ``src/``, yet read ``pacs_serial`` ``round_s``
+0.077 s and 0.176 s.  The trajectory also has gaps: commit ``268d353`` (CCST and
+MixStyle onto the objective runner) has no row pair.
 """
 
 import argparse

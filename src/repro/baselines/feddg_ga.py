@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fl.evaluation import evaluate_loss
 from repro.fl.client import Client
 from repro.fl.executor import ClientUpdate
 from repro.fl.strategy import LocalTrainingConfig, Strategy
 from repro.nn.ensemble import ensemble_cross_entropy
-from repro.nn.models import FeatureClassifierModel
 from repro.nn.module import Module
 from repro.nn.objective import ensemble_dataset_embeddings
 from repro.nn.serialize import StateDict, average_states
@@ -53,27 +51,15 @@ class FedDGGAStrategy(Strategy):
         self.weight_floor = weight_floor
         self.client_weights: dict[int, float] = {}
 
-    def train_client(
-        self,
-        client: Client,
-        model: FeatureClassifierModel,
-        round_index: int,
-        rng: np.random.Generator,
-    ) -> ClientUpdate:
-        gap = evaluate_loss(model, client.dataset)
-        update = super().train_client(client, model, round_index, rng)
-        update.payload["gap"] = gap
-        return update
-
     def train_group(
         self,
         clients: list[Client],
         emodel: Module,
         round_index: int,
         rngs: list[np.random.Generator],
-    ) -> list[ClientUpdate] | None:
-        # Slice k is bitwise the scalar evaluate_loss: same chunks, same
-        # cross-entropy.
+    ) -> list[ClientUpdate]:
+        # The gap: each slice's mean eval-mode cross-entropy of the broadcast
+        # weights on its own dataset, before training moves them.
         emodel.eval()
         logits = ensemble_dataset_embeddings(
             emodel.forward, np.stack([client.dataset.images for client in clients])

@@ -10,8 +10,8 @@ probabilistic encoder).
 
 Both regularizers live in the objective registry (``embed_l2`` /
 ``class_align`` in :mod:`repro.nn.objective`), so FedSR's whole client step
-is its term list — the generic runners supply the loop, and the trainer's
-ensemble stacks apply for free.
+is its term list — the generic runner supplies the loop over the trainer's
+client stacks.
 
 The paper's Tables I–III show FedSR collapsing to chance accuracy when data
 per client is small — the regularizers overwhelm the scarce task signal —

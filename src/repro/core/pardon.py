@@ -18,8 +18,8 @@ The four steps of Fig. 2 map onto the strategy hooks as follows:
    ``ce_on_transferred``), the triplet term at ``gamma_triplet``, and the
    pair-L2 regularizer at ``gamma_reg`` — with
    :meth:`PardonStrategy.local_views` supplying the style-transferred
-   second view each round.  The generic runners execute it on both the
-   trainer's stacked path and its loop fallback.
+   second view each round.  The generic runner executes it on the
+   trainer's client stacks.
 4. **Aggregation** is inherited data-size-weighted FedAvg.
 
 Ablation variants v1–v5 (paper Table V) are selected purely through
@@ -160,7 +160,7 @@ class PardonStrategy(Strategy):
 
             return standard_augmentation()(client.dataset.images, rng)
         if self.interpolation_style is None:
-            raise RuntimeError("fuse_prepare() must run before local_update()")
+            raise RuntimeError("fuse_prepare() must run before local training")
         style = self.interpolation_style.to_array()
         cached = client.scratch.get(_TRANSFER_CACHE_KEY)
         if cached is not None and np.array_equal(cached[0], style):

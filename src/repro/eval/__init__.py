@@ -1,6 +1,6 @@
 """``repro.eval`` — evaluation protocols, metrics, and landscape tooling."""
 
-from repro.eval.metrics import evaluate_accuracy, evaluate_loss
+from repro.eval.metrics import evaluate_accuracy
 from repro.eval.protocols import (
     ExperimentSetting,
     SplitOutcome,
@@ -29,7 +29,6 @@ __all__ = [
     "paired_win_rate",
     "mean_std",
     "evaluate_accuracy",
-    "evaluate_loss",
     "ExperimentSetting",
     "SplitOutcome",
     "check_split",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.synthetic import LabeledDataset
-from repro.fl.evaluation import evaluate_loss
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import FeatureClassifierModel
 from repro.nn.serialize import StateDict, flatten_state, unflatten_state
 
@@ -68,6 +68,14 @@ def _random_directions(
     return d1 * scale, d2 * scale
 
 
+def _dataset_loss(model: FeatureClassifierModel, dataset: LabeledDataset) -> float:
+    """Mean eval-mode cross-entropy of ``model`` on ``dataset`` (0 if empty)."""
+    if len(dataset) == 0:
+        return 0.0
+    logits = model.predict_logits(dataset.images, batch_size=256)
+    return CrossEntropyLoss().forward(logits, dataset.labels)
+
+
 def loss_landscape_slice(
     model: FeatureClassifierModel,
     center_state: StateDict,
@@ -91,7 +99,7 @@ def loss_landscape_slice(
         for j, beta in enumerate(betas):
             shifted = center_flat + alpha * d1 + beta * d2
             model.load_state_dict(unflatten_state(shifted, center_state))
-            losses[i, j] = evaluate_loss(model, dataset)
+            losses[i, j] = _dataset_loss(model, dataset)
     model.load_state_dict(center_state)
     return LandscapeSlice(alphas=alphas, betas=betas, losses=losses)
 

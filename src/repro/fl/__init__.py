@@ -24,7 +24,7 @@ from repro.fl.communication import (
     MeasuredCommunication,
     method_communication,
 )
-from repro.fl.evaluation import evaluate_accuracy, evaluate_loss
+from repro.fl.evaluation import evaluate_accuracy
 from repro.fl.executor import (
     ClientUpdate,
     Executor,
@@ -90,7 +90,6 @@ __all__ = [
     "EnsembleBackend",
     "method_communication",
     "evaluate_accuracy",
-    "evaluate_loss",
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",

@@ -9,22 +9,21 @@ axis (:mod:`repro.nn.ensemble`) and runs their local epochs as single
 batched matmuls per layer, with one fused SGD step over the whole
 ``(K, ...)`` parameter stack, through
 :meth:`repro.fl.strategy.Strategy.train_group`, which every strategy has.
-Only two things run through the per-client loop fallback (:func:`_run_loop`:
-load the broadcast weights, run
-:meth:`repro.fl.strategy.Strategy.local_update`, repeat): a model with a
-module that has no ensemble converter (``Dropout``) and an empty client.
-There is nothing to select or negotiate.
+An empty client trains nothing: the trainer answers it with the broadcast
+weights and a zero loss.  There is no other path, and nothing to select or
+negotiate; a model with a module that has no ensemble converter is refused
+by :meth:`repro.fl.round.Executor.run_round` before any dispatch.
 
 Numerical contract
 ------------------
 Per-client results are *independent of grouping*: slice ``k`` of a K-stack
-is bitwise the computation the loop fallback runs for that client (see
-:mod:`repro.nn.ensemble` for why).  The serial engine may therefore hand a
-round's survivors over as one group while the wire engines hand over one
-group per home, and the trainer may split either into stacks of any size —
-their traces stay bit-identical, the invariant the cross-engine tests in
-``tests/test_nn_ensemble.py`` enforce (``_STACK_STEP_ELEMENTS = 1`` forces
-K=1 stacks through the same code, one client at a time).
+is bitwise the scalar computation of that client alone on the template
+model (see :mod:`repro.nn.ensemble` for why).  The serial engine may
+therefore hand a round's survivors over as one group while the wire engines
+hand over one group per home, and the trainer may split either into stacks
+of any size — their traces stay bit-identical, the invariant the
+cross-engine tests in ``tests/test_nn_ensemble.py`` enforce against the
+scalar per-client loop kept in ``tests/reference_loop.py``.
 
 Memory
 ------
@@ -47,12 +46,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from repro.fl.client import Client
-from repro.nn.ensemble import (
-    ensemble_of,
-    ensemble_supports,
-    load_state_broadcast,
-    release_step_caches,
-)
+from repro.nn.ensemble import ensemble_of, load_state_broadcast, release_step_caches
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.fl.executor import ClientUpdate
@@ -61,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.nn.module import Module
     from repro.nn.serialize import StateDict
 
-__all__ = ["EnsembleBackend", "timed_local_update"]
+__all__ = ["EnsembleBackend"]
 
 #: Input elements one stack's training step may hold, summed over its slices:
 #: a stack of K clients takes ``K * min(batch_size, num_samples) *
@@ -106,37 +100,14 @@ def _architecture(model: "Module") -> tuple:
     ) + tuple((name, buffer.shape) for name, buffer in model.named_buffers())
 
 
-def timed_local_update(
-    strategy: "Strategy",
-    client: Client,
-    model: "FeatureClassifierModel",
-    round_index: int,
-    seed: int,
-) -> "ClientUpdate":
-    """Run one local update on ``model`` (already holding the broadcast
-    weights) and stamp its wall clock."""
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    update = strategy.local_update(client, model, round_index, rng)
-    update.train_seconds = time.perf_counter() - start
-    return update
-
-
-def _run_loop(
-    strategy: "Strategy",
-    model: "FeatureClassifierModel",
-    wire_state: "StateDict",
-    clients: Sequence[Client],
-    round_index: int,
-    seeds: Sequence[int],
-) -> "list[ClientUpdate]":
-    """The per-client loop fallback: each client trains on ``model`` from
-    the broadcast weights, in group order."""
-    updates = []
-    for client, seed in zip(clients, seeds):
-        model.load_state_dict(wire_state)
-        updates.append(timed_local_update(strategy, client, model, round_index, seed))
-    return updates
+def _broadcast_copy(model: "Module", wire_state: "StateDict") -> "StateDict":
+    """What ``model.state_dict()`` reads after ``load_state_dict(wire_state)``
+    (same keys in the same order, float64 copies), without touching
+    ``model``."""
+    return {
+        name: np.array(wire_state[name], dtype=np.float64)
+        for name, _ in _architecture(model)
+    }
 
 
 class EnsembleBackend:
@@ -154,9 +125,9 @@ class EnsembleBackend:
     geometry), and each sub-group trains as the fewest even stacks whose
     per-step input fits :data:`_STACK_STEP_ELEMENTS` (two stack sizes at
     most).  Stacks train in the order of their first position, so the
-    lowest untrained position is always in the next stack.  Unstackable
-    models and empty-dataset clients run through the loop fallback one
-    client at a time.
+    lowest untrained position is always in the next stack.  An empty client
+    is answered on its own, in that order, with the broadcast weights and a
+    zero loss; it consumes no randomness.
     """
 
     def __init__(self) -> None:
@@ -178,28 +149,24 @@ class EnsembleBackend:
         return max(1, _STACK_STEP_ELEMENTS // step)
 
     def _plan(
-        self, strategy: "Strategy", model: "Module", clients: Sequence[Client]
-    ) -> "list[tuple[bool, list[int]]]":
-        """The run plan: ``(stacked, positions)`` entries ordered by their
-        first position."""
-        if not ensemble_supports(model):
-            return [(False, [position]) for position in range(len(clients))]
+        self, strategy: "Strategy", clients: Sequence[Client]
+    ) -> "list[list[int]]":
+        """The run plan: one position list per stack, or a lone empty
+        client, ordered by first position."""
         by_size: dict[int, list[int]] = {}
         for position, client in enumerate(clients):
             by_size.setdefault(client.num_samples, []).append(position)
-        plan: "list[tuple[bool, list[int]]]" = []
+        plan: "list[list[int]]" = []
         for num_samples, positions in by_size.items():
             if num_samples == 0:
-                # ``local_update`` answers an empty client before consuming
-                # any randomness; ``train_group`` only sees non-empty ones.
-                plan += [(False, [position]) for position in positions]
+                plan += [[position] for position in positions]
                 continue
             limit = self._stack_limit(strategy, clients[positions[0]])
             start = 0
             for stack in _stack_sizes(len(positions), limit):
-                plan.append((True, positions[start : start + stack]))
+                plan.append(positions[start : start + stack])
                 start += stack
-        plan.sort(key=lambda entry: entry[1][0])
+        plan.sort(key=lambda chunk: chunk[0])
         return plan
 
     def _clone_for(self, model: "Module", stack: int) -> "Module":
@@ -220,16 +187,20 @@ class EnsembleBackend:
         round_index: int,
         seeds: Sequence[int],
     ) -> "Iterator[tuple[list[int], list[ClientUpdate]]]":
-        plan = self._plan(strategy, model, clients)
-        largest = max((len(chunk) for stacked, chunk in plan if stacked), default=0)
+        from repro.fl.executor import ClientUpdate
+
+        plan = self._plan(strategy, clients)
+        largest = max(
+            (len(chunk) for chunk in plan if clients[chunk[0]].num_samples),
+            default=0,
+        )
         emodel = self._clone_for(model, largest) if largest else None
-        for stacked, chunk in plan:
+        for chunk in plan:
             members = [clients[position] for position in chunk]
-            if not stacked:
-                yield chunk, _run_loop(
-                    strategy, model, wire_state, members, round_index,
-                    [seeds[position] for position in chunk],
-                )
+            if not members[0].num_samples:
+                yield chunk, [ClientUpdate.from_client(
+                    members[0], _broadcast_copy(model, wire_state), 0.0
+                )]
                 continue
             stack = len(chunk)
             load_state_broadcast(emodel, wire_state, stack)
@@ -239,8 +210,7 @@ class EnsembleBackend:
             elapsed = time.perf_counter() - begin
             release_step_caches(emodel)
             # The stack trained as one fused pass; attribute each client an
-            # equal share so timing reports stay comparable with the loop
-            # fallback's per-client clocks.
+            # equal share so timing reports stay per-client.
             for update in updates:
                 update.train_seconds = elapsed / stack
             yield chunk, updates

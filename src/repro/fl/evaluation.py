@@ -1,4 +1,4 @@
-"""Model evaluation helpers used by the simulation core and strategies.
+"""Model evaluation helpers used by the simulation core.
 
 Lives inside ``repro.fl`` so the federated substrate has no dependency on
 the higher-level ``repro.eval`` protocols (which depend on ``repro.fl``).
@@ -18,13 +18,11 @@ import numpy as np
 
 from repro.data.synthetic import LabeledDataset
 from repro.nn.functional import accuracy
-from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import FeatureClassifierModel
 
 __all__ = [
     "EvaluationStage",
     "evaluate_accuracy",
-    "evaluate_loss",
 ]
 
 #: Images per forward chunk on the evaluation thread.  Its activations and
@@ -47,18 +45,6 @@ def evaluate_accuracy(
         return 0.0
     logits = model.predict_logits(dataset.images, batch_size=batch_size)
     return accuracy(logits, dataset.labels)
-
-
-def evaluate_loss(
-    model: FeatureClassifierModel,
-    dataset: LabeledDataset,
-    batch_size: int = 256,
-) -> float:
-    """Mean cross-entropy of ``model`` on ``dataset`` in evaluation mode."""
-    if len(dataset) == 0:
-        return 0.0
-    logits = model.predict_logits(dataset.images, batch_size=batch_size)
-    return CrossEntropyLoss().forward(logits, dataset.labels)
 
 
 class EvaluationStage:

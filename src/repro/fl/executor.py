@@ -125,7 +125,7 @@ class ClientUpdate:
     *only* channel through which a local update may influence the server.
     Strategies therefore put method-specific uploads — FPL's class
     prototypes, for instance — into ``payload`` instead of mutating strategy
-    state from inside :meth:`repro.fl.strategy.Strategy.local_update`.  The
+    state from inside :meth:`repro.fl.strategy.Strategy.train_group`.  The
     client's scratch is not part of it: caches stay on the endpoint that
     built them, so PARDON's re-styled images never reach the server.
 

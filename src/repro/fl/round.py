@@ -42,6 +42,7 @@ from repro.fl.faults import (
 )
 from repro.fl.history import RoundRecord
 from repro.fl.wire import WireServer, WireStats, _Row
+from repro.nn.ensemble import check_stackable
 from repro.nn.serialize import StateDict, encode_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -237,6 +238,10 @@ class Executor(WireServer):
         the number of returned updates, which is how
         :meth:`repro.fl.strategy.Strategy.aggregate` cross-checks that the
         engine and the stream saw the same round."""
+        # Refused here, before any lane opens: inside a lane the trainer's
+        # ``ensemble_of`` would raise it instead, and an agent that dies of
+        # it reads as a disconnect, a round that "succeeds" training no one.
+        check_stackable(model)
         start, wire_before = time.perf_counter(), self.wire_stats()
         record = RoundRecord(
             round_index, 0.0, [client.client_id for client in participants]

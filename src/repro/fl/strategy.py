@@ -9,8 +9,8 @@ learning:
   computes a payload from its own data alone (PARDON's ``R^{2d}`` style,
   CCST's published styles), and the server fuses the payloads into
   broadcast strategy state (PARDON's interpolation style, CCST's bank);
-* :meth:`Strategy.local_update` / :meth:`Strategy.train_group` — the
-  client-side step, for one client or a ``(K, ...)`` stack of them;
+* :meth:`Strategy.train_group` — the client-side step, for a ``(K, ...)``
+  stack of clients (the trainer's stacks are one client or more);
 * :meth:`Strategy.aggregate` — how the server merges client states
   (FedAvg by default; FedGMA masks by gradient sign agreement; FedDG-GA
   reweights by generalization gap).
@@ -18,10 +18,9 @@ learning:
 The simulation core (:mod:`repro.fl.server`) is method-agnostic and only
 calls these hooks, so adding a new FedDG method requires exactly one class.
 
-No FedDG method writes its own epoch loop: the base ``train_client`` /
-``train_group`` run a declarative
-:class:`repro.nn.objective.CompositeObjective` through the generic epoch
-runners, and a method customizes the *ingredients* instead —
+No FedDG method writes its own epoch loop: the base ``train_group`` runs a
+declarative :class:`repro.nn.objective.CompositeObjective` through the
+generic epoch runner, and a method customizes the *ingredients* instead —
 
 * :attr:`Strategy.objective` — the method's weighted term list (FedSR is
   ``ce + embed_l2 + class_align``; per-experiment reweighting comes in
@@ -39,17 +38,15 @@ runners, and a method customizes the *ingredients* instead —
   streaming path.
 
 So every strategy inherits the trainer's vectorized ``(K, ...)`` stacks:
-the generic runners own both the scalar and the stacked loop.  A method
-that adds work around the step (FedDG-GA's pre-training loss) overrides
-:meth:`Strategy.train_client` and :meth:`Strategy.train_group` together,
-both below the empty-client guard in ``local_update``; overriding
-``local_update``, or only one of the two, is a ``TypeError`` at class
-definition.
+the generic runner owns the stacked loop.  A method that adds work around
+the step (FedDG-GA's pre-training loss) overrides :meth:`Strategy.train_group`
+and calls the base.  The trainer answers an empty client itself, so
+``train_group`` only ever sees clients with data.
 
 Execution contract
 ------------------
-The client halves — ``prepare_client`` and ``local_update`` — read one
-client's data and nothing else the server holds.  ``local_update`` may run
+The client halves — ``prepare_client`` and ``train_group`` — read their
+clients' data and nothing else the server holds.  ``train_group`` may run
 inside a worker process (see :mod:`repro.fl.executor`), so it must be
 *self-contained*: everything it reads lives on the strategy or the client
 at dispatch time, and everything it wants the server to see travels back
@@ -95,10 +92,8 @@ from repro.nn.models import FeatureClassifierModel
 from repro.nn.module import Module
 from repro.nn.objective import (
     CompositeObjective,
-    dataset_embeddings,
     ensemble_dataset_embeddings,
     run_objective_ensemble,
-    run_objective_epochs,
 )
 from repro.nn.serialize import StateDict
 from repro.utils.rng import SeedTree
@@ -142,23 +137,6 @@ class Strategy:
     #: Attribute names stripped when the strategy is shipped to a worker
     #: process — server-side handles that a local update must not depend on.
     _server_only_state: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        """Every strategy trains on the trainer's stacks, so a subclass
-        that could not is refused where it is defined."""
-        super().__init_subclass__(**kwargs)
-        if cls.local_update is not Strategy.local_update:
-            raise TypeError(
-                f"{cls.__name__} overrides local_update; override "
-                f"train_client and train_group together instead"
-            )
-        if (cls.train_client is Strategy.train_client) != (
-            cls.train_group is Strategy.train_group
-        ):
-            raise TypeError(
-                f"{cls.__name__} overrides only one of train_client and "
-                f"train_group; the trainer runs both, so override both"
-            )
 
     def __init__(self, local_config: LocalTrainingConfig | None = None) -> None:
         self.local_config = local_config or LocalTrainingConfig()
@@ -214,8 +192,7 @@ class Strategy:
         """An optional second view of the client's images, index-aligned
         with ``client.dataset`` (PARDON's style transfer, FedCCRL's
         augmentation).  Called once per update, *before* any batch
-        permutation is drawn, so view randomness and shuffle randomness
-        compose identically on the loop and ensemble paths."""
+        permutation is drawn on the client's generator."""
         return None
 
     def batch_views(
@@ -225,13 +202,13 @@ class Strategy:
         the batch itself (the base), the batch followed by re-styled copies
         (CCST), or a re-styled batch in its place (MixStyle).  Called once
         per batch, right after it is indexed, on the client's own
-        generator — on the loop and the stacked path alike — and the row
-        count over the batch sets the step's ``views``."""
+        generator, and the row count over the batch sets the step's
+        ``views``."""
         return images
 
     def _views_per_batch(self) -> bool:
-        """Whether the runners get :meth:`batch_views`; the base is the
-        identity, and leaving it out spares the stacked runner a per-batch
+        """Whether the runner gets :meth:`batch_views`; the base is the
+        identity, and leaving it out spares the runner a per-batch
         restack."""
         return type(self).batch_views is not Strategy.batch_views
 
@@ -265,66 +242,6 @@ class Strategy:
 
     # -- client-side updates ----------------------------------------------
 
-    def local_update(
-        self,
-        client: Client,
-        model: FeatureClassifierModel,
-        round_index: int,
-        rng: np.random.Generator,
-    ) -> ClientUpdate:
-        """Train ``model`` (already loaded with the global weights) on the
-        client's data; return the client's upload.
-
-        A zero-sample client contributes a zero-loss, unchanged-state
-        update without consuming randomness — guarded here so every
-        strategy inherits it (the trainer never stacks an empty client);
-        the method's step is :meth:`train_client`.
-        """
-        if client.num_samples == 0:
-            return ClientUpdate.from_client(client, model.state_dict(), 0.0)
-        return self.train_client(client, model, round_index, rng)
-
-    def train_client(
-        self,
-        client: Client,
-        model: FeatureClassifierModel,
-        round_index: int,
-        rng: np.random.Generator,
-    ) -> ClientUpdate:
-        """The method-specific client step (``client.num_samples > 0``
-        guaranteed).  The base runs :attr:`objective` through the generic
-        epoch runner — FedAvg's plain CE step bit-for-bit when the
-        objective is the default — then distills the upload payload, if
-        the strategy extracts one."""
-        secondary = self.local_views(client, rng)
-        loss = run_objective_epochs(
-            model,
-            client.dataset,
-            self.objective,
-            self.local_config,
-            rng,
-            extras=self.objective_context(client),
-            secondary=secondary,
-            batch_views=(
-                functools.partial(self.batch_views, client)
-                if self._views_per_batch()
-                else None
-            ),
-        )
-        payload = None
-        if self._extracts_payload():
-            model.eval()
-            embeddings = dataset_embeddings(
-                model.forward_features, client.dataset.images
-            )
-            payload = self.payload_from_embeddings(
-                client, embeddings, client.dataset.labels
-            )
-            model.train()
-        return ClientUpdate.from_client(
-            client, model.state_dict(), loss, payload=payload
-        )
-
     def train_group(
         self,
         clients: list[Client],
@@ -337,11 +254,11 @@ class Strategy:
         ``emodel`` is the ensemble clone of the architecture
         (:func:`repro.nn.ensemble.ensemble_of`) with the broadcast weights
         already loaded into every slice, and ``rngs`` are the per-client
-        generators :meth:`local_update` would receive.  Slice ``k`` must
-        draw from ``rngs[k]`` in exactly the loop path's order, so it
-        reproduces client ``k``'s :meth:`train_client` bitwise.  The base
-        is :meth:`train_client` vectorized: per-client views drawn first,
-        one stacked objective run, then the payload sweep."""
+        generators.  Slice ``k`` draws from ``rngs[k]`` alone, so its
+        result does not depend on the rest of the stack: a client trains
+        bitwise alike in a stack of one or of many.  The base draws the
+        per-client views first, runs the objective once over the stack,
+        then sweeps the payload."""
         views = [
             self.local_views(client, rng) for client, rng in zip(clients, rngs)
         ]

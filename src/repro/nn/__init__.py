@@ -8,7 +8,6 @@ the loss functions PARDON's objective is built from.
 
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.layers import (
-    Dropout,
     Flatten,
     LeakyReLU,
     Linear,
@@ -39,9 +38,9 @@ from repro.nn.serialize import (
     unflatten_state,
 )
 from repro.nn.ensemble import (
+    check_stackable,
     ensemble_of,
     ensemble_state_dicts,
-    ensemble_supports,
     load_state_broadcast,
     load_state_stack,
     register_ensemble_converter,
@@ -58,7 +57,6 @@ __all__ = [
     "Tanh",
     "Sigmoid",
     "Flatten",
-    "Dropout",
     "Conv2d",
     "MaxPool2d",
     "AvgPool2d",
@@ -81,9 +79,9 @@ __all__ = [
     "flatten_state",
     "unflatten_state",
     "state_allclose",
+    "check_stackable",
     "ensemble_of",
     "ensemble_state_dicts",
-    "ensemble_supports",
     "load_state_broadcast",
     "load_state_stack",
     "register_ensemble_converter",

@@ -17,8 +17,8 @@ equals the same reduction on the extracted slice.  Every ensemble layer below
 is written so its per-slice computation is literally the template layer's
 computation — same operand order, same reduction axes relative to the slice —
 which is what makes K=1 stacks through this code path bit-identical to the
-classic loop, and makes per-client results
-independent of how clients are grouped into stacks.  The test suite
+classic per-client loop, and makes per-client results independent of how
+clients are grouped into stacks.  The test suite
 (`tests/test_nn_ensemble.py`) enforces both properties.
 
 Ensemble layers mirror their template's attribute names (``weight``,
@@ -27,9 +27,12 @@ Ensemble layers mirror their template's attribute names (``weight``,
 the generic state helpers at the bottom of this module stack / split client
 state dicts without any per-layer knowledge.
 
-``Dropout`` is deliberately unsupported (it owns a stateful mask generator
-whose draw order cannot be reproduced per-slice); models containing it fall
-back to the trainer's per-client loop via :func:`ensemble_supports`.
+A layer type without a registered converter cannot be stacked, and the
+trainer has no other way to train: :func:`check_stackable` names such
+layers, and every engine's ``run_round`` calls it before it dispatches
+anything.  A layer that owns a stateful generator (a dropout mask, say)
+would need per-slice generators to keep slices independent; none is
+registered.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ __all__ = [
     "EnsembleTripletStyleLoss",
     "EnsembleEmbeddingL2Loss",
     "register_ensemble_converter",
-    "ensemble_supports",
+    "check_stackable",
     "ensemble_of",
     "load_state_stack",
     "load_state_broadcast",
@@ -650,14 +653,25 @@ def register_ensemble_converter(
 
     Matching is by exact type (like the codec registry's spec names): a
     subclass with different semantics must register its own converter or its
-    models fall back to the trainer's per-client loop.
+    models cannot train (:func:`check_stackable`).
     """
     _CONVERTERS[template_type] = converter
 
 
-def ensemble_supports(model: Module) -> bool:
-    """True if every module in ``model`` has a registered ensemble converter."""
-    return all(type(module) in _CONVERTERS for module in model.modules())
+def check_stackable(model: Module) -> None:
+    """Raise ``ValueError`` naming the module types in ``model`` that have
+    no registered ensemble converter; return quietly if there are none."""
+    unsupported = sorted(
+        {
+            type(module).__name__
+            for module in model.modules()
+            if type(module) not in _CONVERTERS
+        }
+    )
+    if unsupported:
+        raise ValueError(
+            f"model contains modules without ensemble converters: {unsupported}"
+        )
 
 
 def _convert(module: Module, ensemble_size: int) -> Module:
@@ -676,17 +690,7 @@ def ensemble_of(model: Module, ensemble_size: int) -> Module:
     Every slice of the result starts as a copy of ``model``'s weights; use
     :func:`load_state_stack` to give each slice its own state.
     """
-    if not ensemble_supports(model):
-        unsupported = sorted(
-            {
-                type(module).__name__
-                for module in model.modules()
-                if type(module) not in _CONVERTERS
-            }
-        )
-        raise ValueError(
-            f"model contains modules without ensemble converters: {unsupported}"
-        )
+    check_stackable(model)
     return _convert(model, ensemble_size)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
-__all__ = ["Linear", "ReLU", "LeakyReLU", "Tanh", "Sigmoid", "Flatten", "Dropout"]
+__all__ = ["Linear", "ReLU", "LeakyReLU", "Tanh", "Sigmoid", "Flatten"]
 
 
 def memory_axes(x: np.ndarray) -> tuple[int, ...] | None:
@@ -163,32 +163,3 @@ class Flatten(Module):
         if self._shape is None:
             raise RuntimeError("backward called before forward")
         return in_memory_order(grad_output.reshape(self._shape), self._axes)
-
-
-class Dropout(Module):
-    """Inverted dropout: active only in training mode.
-
-    The mask generator is owned by the layer so that a federated client's
-    local epochs remain reproducible under a fixed seed tree.
-    """
-
-    def __init__(self, p: float, rng: np.random.Generator) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask

@@ -6,8 +6,8 @@ permute, batch, forward, accumulate gradients at the logits and/or the
 embedding, step — and differs only in *which* loss terms it sums and with
 what weights.  This module makes that difference declarative (the
 ``CompositeLoss`` idiom): a strategy states its objective as an ordered
-list of ``(name, weight, term)`` bindings, and the generic epoch runners
-below execute it on both the scalar and the ensemble compute paths.
+list of ``(name, weight, term)`` bindings, and the generic epoch runner
+below executes it on the trainer's ``(K, ...)`` client stacks.
 
 Why this matters beyond tidiness:
 
@@ -20,7 +20,7 @@ Why this matters beyond tidiness:
 
 Bitwise contract
 ----------------
-The runners and terms preserve the historical strategies' float operand
+The runner and terms preserve the historical strategies' float operand
 order exactly: term weights multiply *inside* each term at the position
 the hand-written loops multiplied them (``weight * 2.0 * deviation /
 batch``), gradient buffers start at zeros and terms accumulate with
@@ -55,14 +55,12 @@ __all__ = [
     "EnsembleStepContext",
     "ObjectiveTerm",
     "StepContext",
-    "dataset_embeddings",
     "ensemble_dataset_embeddings",
     "make_term",
     "objective_term_specs",
     "parse_objective_overrides",
     "prototype_nce",
     "register_objective_term",
-    "run_objective_epochs",
     "run_objective_ensemble",
 ]
 
@@ -605,76 +603,8 @@ class CompositeObjective:
 
 
 # --------------------------------------------------------------------------
-# Generic epoch runners (scalar + ensemble)
+# The generic epoch runner
 # --------------------------------------------------------------------------
-
-
-def run_objective_epochs(
-    model,
-    dataset,
-    objective: CompositeObjective,
-    config,
-    rng: np.random.Generator,
-    *,
-    extras: Mapping[str, Any] | None = None,
-    secondary: np.ndarray | None = None,
-    batch_views: Callable[[np.ndarray, np.random.Generator], np.ndarray]
-    | None = None,
-) -> float:
-    """Train ``model`` on ``dataset`` under ``objective``; returns the mean
-    per-batch weighted loss.
-
-    ``batch_views(images, rng)`` maps each indexed batch to the rows the
-    step forwards: the batch, then any per-batch re-styled copies (CCST),
-    or a re-styled batch in its place (MixStyle).  ``secondary`` is an
-    optional view aligned index-for-index with the dataset
-    (style-transferred or augmented positives), appended after them.  Each
-    batch runs one concatenated forward so batch statistics are shared, and
-    ``views`` is the row count over the batch size.  Randomness: one
-    ``rng.permutation(n)`` per epoch, then whatever ``batch_views`` draws
-    per batch.
-    """
-    images = dataset.images
-    labels = dataset.labels
-    model.train()
-    optimizer = config.make_optimizer(model)
-    needs_embedding = objective.needs_embedding()
-    losses: list[float] = []
-    n = images.shape[0]
-    for _ in range(config.local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            batch = idx.shape[0]
-            combined = images[idx]
-            if batch_views is not None:
-                combined = batch_views(combined, rng)
-            if secondary is not None:
-                combined = np.concatenate([combined, secondary[idx]], axis=0)
-            model.zero_grad()
-            embeddings = model.forward_features(combined)
-            logits = model.forward_logits(embeddings)
-            ctx = StepContext(
-                labels=labels[idx],
-                embeddings=embeddings,
-                logits=logits,
-                batch=batch,
-                views=combined.shape[0] // batch,
-                grad_logits=np.zeros_like(logits),
-                grad_embedding=(
-                    np.zeros_like(embeddings) if needs_embedding else None
-                ),
-                extras=extras or {},
-            )
-            loss = objective.evaluate(ctx)
-            model.backward(
-                grad_logits=ctx.grad_logits,
-                grad_embedding=ctx.grad_embedding,
-                input_grad=False,
-            )
-            optimizer.step()
-            losses.append(loss)
-    return float(np.mean(losses)) if losses else 0.0
 
 
 def run_objective_ensemble(
@@ -692,13 +622,22 @@ def run_objective_ensemble(
     ]
     | None = None,
 ) -> np.ndarray:
-    """:func:`run_objective_epochs` over a ``(K, N, ...)`` client stack.
+    """Train the ``(K, N, ...)`` client stack ``emodel`` on ``images`` /
+    ``labels`` under ``objective``; returns the per-slice mean per-batch
+    weighted losses, shape ``(K,)``.
 
-    Returns the per-slice mean weighted losses, shape ``(K,)``.  Randomness
-    is consumed in the loop path's order — one permutation per client per
-    epoch, drawn in client order, then ``batch_views[k]`` once per batch on
-    ``rngs[k]`` — so slice ``k`` reproduces client ``k``'s scalar result
-    bitwise.
+    ``batch_views[k](images, rng)`` maps slice ``k``'s indexed batch to the
+    rows its step forwards: the batch, then any per-batch re-styled copies
+    (CCST), or a re-styled batch in its place (MixStyle).  ``secondary`` is
+    an optional ``(K, N, ...)`` view aligned index-for-index with
+    ``images`` (style-transferred or augmented positives), appended after
+    them.  Each batch runs one concatenated forward so batch statistics are
+    shared, and ``views`` is the row count over the batch size.
+
+    Randomness: one ``rngs[k].permutation(N)`` per slice per epoch, drawn
+    in slice order, then ``batch_views[k]`` once per batch on ``rngs[k]``.
+    Slice ``k`` reads nothing but ``rngs[k]``, so it reproduces client
+    ``k`` trained alone bitwise.
     """
     stack = images.shape[0]
     count = images.shape[1]
@@ -752,28 +691,17 @@ def run_objective_ensemble(
 
 
 # --------------------------------------------------------------------------
-# Shared payload helpers: eval-mode embedding sweeps
+# Payload helper: the eval-mode embedding sweep
 # --------------------------------------------------------------------------
-
-
-def dataset_embeddings(
-    forward_features, images: np.ndarray, chunk: int = 256
-) -> np.ndarray:
-    """Chunked eval-mode embedding sweep over a whole dataset (the payload
-    extraction pattern FPL introduced; chunk boundaries are part of the
-    bitwise contract with :func:`ensemble_dataset_embeddings`)."""
-    parts = [
-        forward_features(images[start : start + chunk])
-        for start in range(0, images.shape[0], chunk)
-    ]
-    return np.concatenate(parts, axis=0)
 
 
 def ensemble_dataset_embeddings(
     forward_features, images: np.ndarray, chunk: int = 256
 ) -> np.ndarray:
-    """The ``(K, N, ...)`` stacked counterpart of :func:`dataset_embeddings`
-    (same chunk boundaries, so slice ``k`` is bitwise the scalar sweep)."""
+    """Chunked eval-mode sweep of ``forward_features`` over a ``(K, N, ...)``
+    stack of datasets (the payload extraction pattern FPL introduced).
+    Chunk boundaries are part of the bitwise contract: slice ``k`` equals
+    the same chunks swept through the template model."""
     parts = [
         forward_features(images[:, start : start + chunk])
         for start in range(0, images.shape[1], chunk)

@@ -23,6 +23,7 @@ from repro.data import synthetic_pacs, partition_clients
 from repro.fl import (
     Client,
     ClientUpdate,
+    EnsembleBackend,
     FederatedConfig,
     FederatedServer,
     LocalTrainingConfig,
@@ -30,11 +31,12 @@ from repro.fl import (
     SerialExecutor,
     run_prepare,
 )
-from repro.fl import compute as fl_compute
 from repro.fl.net.serve import trace_dict
+from repro.fl.strategy import Strategy
 from repro.nn import build_cnn_model, build_mlp_model
 from repro.nn.serialize import state_allclose, state_sub
 from repro.utils.rng import SeedTree
+from tests import reference_loop
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
 FAST = LocalTrainingConfig(batch_size=8)
@@ -273,13 +275,13 @@ class TestFedDGGA:
         }
 
     def test_participant_reports_loss_of_the_broadcast_weights(self):
-        from repro.fl import evaluate_loss
-
         strategy = FedDGGAStrategy(local_config=FAST)
         client = make_clients(3)[0]
         model = make_model()
-        expected = evaluate_loss(model, client.dataset)
-        update = strategy.local_update(client, model, 0, np.random.default_rng(0))
+        expected = reference_loop.evaluate_loss(model, client.dataset)
+        (update,) = EnsembleBackend().run_group(
+            strategy, model, model.state_dict(), [client], 0, [0]
+        )
         assert update.payload == {"gap": expected}
 
     def test_weights_shift_toward_high_loss_clients(self):
@@ -376,16 +378,18 @@ class TestEveryMethodOnTheRunners:
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_trains_on_stacks_only(self, method, monkeypatch):
-        """With a stackable model and no empty client, no method reaches
-        the trainer's per-client loop."""
-        looped = []
-        run_loop = fl_compute._run_loop
+        """Every participant of every round trains through
+        ``Strategy.train_group``, once."""
+        trained = []
+        train_group = Strategy.train_group
         monkeypatch.setattr(
-            fl_compute, "_run_loop",
-            lambda *args: looped.extend(args[3]) or run_loop(*args),
+            Strategy, "train_group",
+            lambda self, clients, *rest: trained.extend(
+                client.client_id for client in clients
+            ) or train_group(self, clients, *rest),
         )
         traced_run(METHODS[method](), SerialExecutor())
-        assert looped == []
+        assert len(trained) == 3 * 4
 
 
 class TestPerBatchViewDigests:

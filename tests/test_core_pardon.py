@@ -13,7 +13,7 @@ from repro.core import (
     extract_interpolation_style,
 )
 from repro.data import DomainStyle, render_images, synthetic_pacs, partition_clients
-from repro.fl import Client, LocalTrainingConfig, run_prepare
+from repro.fl import Client, EnsembleBackend, LocalTrainingConfig, run_prepare
 from repro.nn import build_mlp_model
 from repro.style import InvertibleEncoder, StyleVector
 from repro.utils.rng import SeedTree
@@ -200,6 +200,15 @@ def make_pardon_clients(n_clients=6, heterogeneity=0.2):
     return [Client(i, d) for i, d in enumerate(partition.client_datasets)]
 
 
+def train_one(strategy, client, model, seed=0):
+    """One client's local update through the trainer, from ``model``'s
+    weights."""
+    (update,) = EnsembleBackend().run_group(
+        strategy, model, model.state_dict(), [client], 0, [seed]
+    )
+    return update
+
+
 class TestPardonStrategy:
     def test_prepare_extracts_global_style(self):
         strategy = PardonStrategy()
@@ -214,8 +223,8 @@ class TestPardonStrategy:
         strategy = PardonStrategy()
         clients = make_pardon_clients()
         model = build_mlp_model(SUITE.image_shape, SUITE.num_classes, rng=rng)
-        with pytest.raises(RuntimeError):
-            strategy.local_update(clients[0], model, 0, rng)
+        with pytest.raises(RuntimeError, match="fuse_prepare"):
+            train_one(strategy, clients[0], model)
 
     def test_transfer_cache_reused(self, rng):
         strategy = PardonStrategy()
@@ -241,7 +250,7 @@ class TestPardonStrategy:
         model = build_mlp_model(SUITE.image_shape, SUITE.num_classes, rng=rng)
         run_prepare(strategy, clients, SeedTree(0))
         before = model.state_dict()
-        update = strategy.local_update(clients[0], model, 0, rng)
+        update = train_one(strategy, clients[0], model)
         assert update.loss > 0
         assert update.client_id == clients[0].client_id
         changed = any(
@@ -266,7 +275,7 @@ class TestPardonStrategy:
         model = build_mlp_model(SUITE.image_shape, SUITE.num_classes, rng=rng)
         run_prepare(strategy, clients, SeedTree(0))
         empty = Client(99, clients[0].dataset.subset(np.array([], dtype=int)))
-        update = strategy.local_update(empty, model, 0, rng)
+        update = train_one(strategy, empty, model)
         assert update.loss == 0.0
         assert update.num_samples == 0
 

@@ -3,9 +3,8 @@ fedccrl) built on the composable objective registry.
 
 The acceptance bar mirrors the transport tests: serial, parallel+pipe, and
 parallel+shm runs must produce bit-identical traces under both lossless
-codecs; the trainer's loop fallback, its stacks and its K=1 stacks must
-agree; and the
-per-class payload statistics must survive the wire untouched — including
+codecs; the scalar reference loop, the trainer's stacks and its K=1 stacks
+must agree; and the per-class payload statistics must survive the wire untouched — including
 under the *lossy* codecs, because ``ClientUpdate.payload`` travels raw
 (only the weight state is codec-transformed).
 """
@@ -17,6 +16,7 @@ from repro.baselines import FedAlignStrategy, FedCCRLStrategy
 from repro.data import partition_clients, synthetic_pacs
 from repro.fl import (
     Client,
+    EnsembleBackend,
     FederatedConfig,
     FederatedServer,
     LocalTrainingConfig,
@@ -25,6 +25,7 @@ from repro.fl import (
     shm_supported,
 )
 from repro.fl import compute as fl_compute
+from tests import reference_loop
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
 FAST = LocalTrainingConfig(batch_size=8)
@@ -125,15 +126,16 @@ class TestTraceInvariance:
 
 
 class TestStacksMatchLoop:
-    """The trainer's stacks reproduce its loop fallback bitwise, fused
-    targets included."""
+    """The trainer's stacks reproduce the scalar reference loop bitwise,
+    fused targets included."""
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_backends_match_loop(self, name, monkeypatch):
         with monkeypatch.context() as patch:
-            # The per-client loop fallback, as for a model without an
-            # ensemble converter.
-            patch.setattr(fl_compute, "ensemble_supports", lambda model: False)
+            # The scalar reference loop, one client at a time.
+            patch.setattr(
+                EnsembleBackend, "train_stacks", reference_loop.train_stacks
+            )
             reference, loop = run_once(name, SerialExecutor())
         assert reference.global_targets
         for compute, stack_step in (("ensemble", None), ("strict", 1)):

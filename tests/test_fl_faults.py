@@ -44,6 +44,7 @@ from repro.fl.faults import FixedDeadline, poison_state, state_is_corrupt
 from repro.fl.transport import SHM_SEGMENT_PREFIX
 from repro.nn import build_mlp_model
 from repro.utils.rng import SeedTree
+from tests import reference_loop
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
 FAST = LocalTrainingConfig(batch_size=8)
@@ -412,7 +413,8 @@ class TestPartialAggregation:
                 if client_id in record.dropped:
                     continue
                 replay_model.load_state_dict(state)
-                update = strategy.local_update(
+                update = reference_loop.local_update(
+                    strategy,
                     by_id[client_id],
                     replay_model,
                     record.round_index,

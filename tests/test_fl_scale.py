@@ -20,7 +20,6 @@ from repro.core import PardonStrategy
 from repro.fl import (
     Client,
     ClientUpdate,
-    EnsembleBackend,
     FederatedConfig,
     FederatedServer,
     LazyPopulation,
@@ -38,6 +37,7 @@ from repro.data import partition_clients, synthetic_pacs
 from repro.data.synthetic import LabeledDataset
 from repro.nn import build_cnn_model, build_mlp_model
 from repro.nn.serialize import MeanAccumulator, average_states
+from tests import reference_loop
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
 FAST = LocalTrainingConfig(batch_size=8)
@@ -238,11 +238,10 @@ class TestZeroWeightStreamFallback:
 
 
 class TestEmptyClientGuard:
-    """Regression: the zero-sample guard lives in the *base* strategy's
-    ``local_update`` and the trainer never stacks an empty client, so every
-    strategy, the trainer's stacks and its loop fallback handle empty
-    clients uniformly — zero loss, unchanged state, no randomness
-    consumed."""
+    """Regression: the trainer answers a zero-sample client itself — zero
+    loss, the broadcast weights, no randomness consumed — on every engine
+    and at every stack limit, as the scalar reference loop does, and its
+    neighbours train as if it were not there."""
 
     @staticmethod
     def _empty_dataset():
@@ -254,45 +253,67 @@ class TestEmptyClientGuard:
         clients.append(Client(98, self._empty_dataset()))
         return clients
 
-    def test_base_local_update_guards_empty_client(self, rng):
-        strategy = FedAvgStrategy(FAST)
-        model = _model()
-        before = {k: v.copy() for k, v in model.state_dict().items()}
-        update = strategy.local_update(
-            Client(99, self._empty_dataset()), model, 0, rng
-        )
-        assert update.loss == 0.0
-        assert update.num_samples == 0
-        for key in before:
-            np.testing.assert_array_equal(update.state[key], before[key])
-
     @pytest.mark.parametrize("stack_step", [None, 1], ids=["ensemble", "strict"])
     def test_backends_agree_on_group_with_empty_clients(self, stack_step, monkeypatch):
         """A group mixing empty and non-empty clients produces bitwise the
-        loop fallback's updates through the trainer's stacks, K=1 ones
-        included."""
+        reference loop's updates through the trainer's stacks, K=1 ones
+        included, on the serial engine and on a 2-worker pool (whose
+        fork-started workers inherit the stack limit)."""
         if stack_step is not None:
             monkeypatch.setattr(fl_compute, "_STACK_STEP_ELEMENTS", stack_step)
         model = _model()
         wire = model.state_dict()
         seeds = list(range(100, 106))
+        empty_ids = {97, 98}
 
-        def updates_for(train):
-            return train(
-                FedAvgStrategy(FAST), _model(), wire,
-                self._mixed_clients(), 0, seeds,
-            )
+        reference = reference_loop.run_loop(
+            FedAvgStrategy(FAST), _model(), wire, self._mixed_clients(), 0, seeds
+        )
 
-        reference = updates_for(fl_compute._run_loop)
-        batched = updates_for(EnsembleBackend().run_group)
-        assert [u.client_id for u in batched] == [
-            u.client_id for u in reference
+        def on_engine(engine):
+            with engine:
+                return engine.run_round(
+                    FedAvgStrategy(FAST), _model(), wire,
+                    self._mixed_clients(), 0, seeds,
+                )
+
+        serial = on_engine(SerialExecutor())
+        pooled = on_engine(ParallelExecutor(num_workers=2))
+        for engine, got in (("serial", serial), ("pool", pooled)):
+            assert [u.client_id for u in got] == [u.client_id for u in reference]
+            for ref, update in zip(reference, got):
+                assert update.loss == ref.loss, engine
+                assert update.num_samples == ref.num_samples
+                assert list(update.state) == list(ref.state)
+                for key in ref.state:
+                    assert update.state[key].dtype == ref.state[key].dtype
+                    np.testing.assert_array_equal(update.state[key], ref.state[key])
+            for update in got:
+                if update.client_id not in empty_ids:
+                    continue
+                assert update.loss == 0.0
+                assert list(update.state) == list(wire)
+                for key in wire:
+                    np.testing.assert_array_equal(update.state[key], wire[key])
+                    assert not np.shares_memory(update.state[key], wire[key])
+        # The neighbours train exactly as in a group without the empty
+        # clients, on the same seeds.
+        trained = [
+            (client, seed)
+            for client, seed in zip(self._mixed_clients(), seeds)
+            if client.client_id not in empty_ids
         ]
-        for ref, got in zip(reference, batched):
-            assert got.loss == ref.loss
-            assert got.num_samples == ref.num_samples
-            for key in ref.state:
-                np.testing.assert_array_equal(got.state[key], ref.state[key])
+        alone = reference_loop.run_loop(
+            FedAvgStrategy(FAST), _model(), wire,
+            [client for client, _ in trained], 0, [seed for _, seed in trained],
+        )
+        for got in (serial, pooled):
+            neighbours = [u for u in got if u.client_id not in empty_ids]
+            for want, update in zip(alone, neighbours, strict=True):
+                assert update.client_id == want.client_id
+                assert update.loss == want.loss
+                for key in want.state:
+                    np.testing.assert_array_equal(update.state[key], want.state[key])
 
 
 class TestAverageStatesOut:

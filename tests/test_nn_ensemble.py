@@ -3,14 +3,14 @@
 The acceptance bar: slice ``k`` of every ``(K, ...)`` ensemble layer is
 *bitwise* the template layer's computation on that slice (forward, backward,
 parameter gradients, running buffers); a K-stack local update is bitwise K
-independent loop updates, so client results never depend on how an engine
-groups them; ``_STACK_STEP_ELEMENTS = 1`` (K=1 stacks through the ensemble
-code) proves that equivalence one client at a time; and a model without an
-ensemble converter (``Dropout``) falls back to the trainer's per-client loop
-rather than erroring.  Every strategy stacks, CCST's and MixStyle's per-batch
-views included.  The loop reference is that fallback itself: ``_run_loop``
-at the trainer boundary, ``ensemble_supports`` patched to refuse every model
-at the engine boundary (:func:`_loop_reference`).
+independent scalar updates, so client results never depend on how an engine
+groups them, K=1 stacks (``_STACK_STEP_ELEMENTS = 1``) included; and a model
+with a module that has no ensemble converter is refused before any dispatch
+on every engine.  Every CLI method stacks, CCST's and MixStyle's per-batch
+views included.  The reference is the scalar per-client loop in
+``tests/reference_loop.py``: ``run_loop`` at the trainer boundary, patched
+over ``EnsembleBackend.train_stacks`` at the engine boundary
+(:func:`_loop_reference`).
 """
 
 import hashlib
@@ -20,14 +20,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    CCSTStrategy,
-    FedAvgStrategy,
-    FedDGGAStrategy,
-    FPLStrategy,
-    MixStyleStrategy,
-)
-from repro.core import PardonStrategy
+from repro.baselines import CCSTStrategy, FedAvgStrategy
+from repro.cli import METHODS
 from repro.data import partition_clients, synthetic_pacs
 from repro.data.synthetic import LabeledDataset
 from repro.fl import (
@@ -42,14 +36,11 @@ from repro.fl import (
     shm_supported,
 )
 from repro.fl import compute as fl_compute
-from repro.fl.faults import FaultEvent, FaultPlan
 from repro.fl.net.executor import RemoteExecutor
-from repro.fl.strategy import Strategy
 from repro.nn import (
     AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     FeatureClassifierModel,
     Flatten,
     GlobalAvgPool2d,
@@ -66,7 +57,6 @@ from repro.nn import (
     build_mlp_model,
     ensemble_of,
     ensemble_state_dicts,
-    ensemble_supports,
     load_state_broadcast,
     load_state_stack,
 )
@@ -74,8 +64,11 @@ from repro.nn import conv
 from repro.nn.conv import im2col
 from repro.nn.ensemble import ensemble_cross_entropy
 from repro.nn.losses import CrossEntropyLoss
+from repro.nn.module import Module
 from repro.utils.rng import SeedTree
+from tests import reference_loop
 from tests.gradcheck import check_module_gradients
+from tests.test_fl_net import thread_agents
 
 needs_shm = pytest.mark.skipif(
     not shm_supported(), reason="platform has no POSIX shared memory"
@@ -324,7 +317,7 @@ def _toy_clients(sizes, num_classes=4, image_shape=(3, 8, 8), seed=0):
 
 def _run_trainer(strategy_factory, sizes, seed=0, loop=False):
     """One round on fresh clients through the trainer (or, with ``loop``,
-    its per-client loop fallback alone); returns (updates, clients)."""
+    the scalar reference loop); returns (updates, clients)."""
     clients = _toy_clients(sizes, seed=seed)
     model = build_cnn_model(
         (3, 8, 8), 4, np.random.default_rng(42), widths=(4, 6), embed_dim=8
@@ -333,7 +326,7 @@ def _run_trainer(strategy_factory, sizes, seed=0, loop=False):
     run_prepare(strategy, clients, SeedTree(7))
     wire_state = model.state_dict()
     seeds = [1000 + client.client_id for client in clients]
-    train = fl_compute._run_loop if loop else EnsembleBackend().run_group
+    train = reference_loop.run_loop if loop else EnsembleBackend().run_group
     updates = train(strategy, model, wire_state, clients, 0, seeds)
     return updates, clients
 
@@ -348,14 +341,22 @@ def _assert_updates_bitwise_equal(got, want):
             assert np.array_equal(got_update.state[name], want_update.state[name]), (
                 f"client {want_update.client_id}: state {name} diverged"
             )
-        assert set(got_update.payload) == set(want_update.payload)
-        for key, value in want_update.payload.items():
-            if isinstance(value, dict):
-                assert set(got_update.payload[key]) == set(value)
-                for inner, array in value.items():
-                    assert np.array_equal(got_update.payload[key][inner], array)
-            else:
-                assert np.array_equal(got_update.payload[key], value)
+        _assert_payload_equal(got_update.payload, want_update.payload)
+
+
+def _assert_payload_equal(got, want):
+    """Bitwise, through nested dicts and tuples (FedAlign's and FedCCRL's
+    per-class statistics)."""
+    if isinstance(want, dict):
+        assert set(got) == set(want)
+        for key, value in want.items():
+            _assert_payload_equal(got[key], value)
+    elif isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for got_part, want_part in zip(got, want):
+            _assert_payload_equal(got_part, want_part)
+    else:
+        assert np.array_equal(got, want)
 
 
 def _assert_scratch_equal(got_clients, want_clients):
@@ -369,16 +370,15 @@ def _assert_scratch_equal(got_clients, want_clients):
                 )
 
 
+#: Every CLI method on the ``FAST`` config, plus CCST's sampling mode.
 STRATEGIES = {
-    "ccst": lambda: CCSTStrategy(local_config=FAST),
+    **{
+        name: (lambda factory=factory: factory(local_config=FAST))
+        for name, factory in METHODS.items()
+    },
     "ccst-sample": lambda: CCSTStrategy(
         mode="sample", augment_per_batch=2, local_config=FAST
     ),
-    "fedavg": lambda: FedAvgStrategy(FAST),
-    "feddg_ga": lambda: FedDGGAStrategy(local_config=FAST),
-    "fpl": lambda: FPLStrategy(local_config=FAST),
-    "mixstyle": lambda: MixStyleStrategy(local_config=FAST),
-    "pardon": lambda: PardonStrategy(local_config=FAST),
 }
 
 
@@ -464,10 +464,10 @@ class TestGroupingInvariance:
         _assert_updates_bitwise_equal(warm, fresh)
 
     def test_clone_cache_keeps_only_the_latest_groups_clones(self, monkeypatch):
-        """Dropout changes the survivor count from round to round; the
-        trainer holds exactly one clone (it used to keep one per stack size
-        of the latest group), rebuilt only when a round needs a larger
-        stack, and the trace stays the loop fallback's."""
+        """Fault dropout changes the survivor count from round to round;
+        the trainer holds exactly one clone (it used to keep one per stack
+        size of the latest group), rebuilt only when a round needs a larger
+        stack, and the trace stays the scalar reference's."""
         built = []
         monkeypatch.setattr(
             fl_compute, "ensemble_of",
@@ -555,6 +555,8 @@ class TestGroupingInvariance:
         _assert_updates_bitwise_equal(got, train(ensemble_of(model, 2), 2, seed=2))
 
     def test_empty_client_routes_through_loop_path(self):
+        """An empty client between two stackable ones: the trainer answers
+        it as the reference loop does, and its neighbours still stack."""
         sizes = (6, 0, 6)
         batched, _ = _run_trainer(STRATEGIES["fedavg"], sizes)
         loop, _ = _run_trainer(STRATEGIES["fedavg"], sizes, loop=True)
@@ -563,7 +565,7 @@ class TestGroupingInvariance:
     def test_scratch_deltas_stay_per_client(self):
         """PARDON's style cache: each slice writes only its own scratch —
         the images it caches are its own client's, re-styled exactly as
-        the loop fallback re-styles them."""
+        the reference loop re-styles them."""
         sizes = (9, 9, 9)
         updates, clients = _run_trainer(STRATEGIES["pardon"], sizes)
         _, loop_clients = _run_trainer(STRATEGIES["pardon"], sizes, loop=True)
@@ -575,55 +577,22 @@ class TestGroupingInvariance:
 
 
 # --------------------------------------------------------------------------
-# Every strategy stacks: the loop is for models and empty clients only
+# The engine-level reference
 # --------------------------------------------------------------------------
 
 
 def _loop_reference(monkeypatch, run):
-    """``run()`` with the trainer on its per-client loop fallback, as for a
-    model without an ensemble converter: the engine-level reference every
-    stacked run must match bitwise.  Pool workers forked inside ``run``
-    inherit the patch."""
+    """``run()`` with every trainer on the scalar reference loop: the
+    engine-level reference every stacked run must match bitwise.  Pool
+    workers forked inside ``run`` inherit the patch."""
     with monkeypatch.context() as patch:
-        patch.setattr(fl_compute, "ensemble_supports", lambda model: False)
+        patch.setattr(EnsembleBackend, "train_stacks", reference_loop.train_stacks)
         return run()
-
-
-class TestStrategyContract:
-    def test_loop_only_subclasses_are_refused(self):
-        """A strategy the trainer could not stack fails where it is
-        defined, not by quietly training one client at a time."""
-        with pytest.raises(TypeError, match="local_update"):
-
-            class _OverridesLocalUpdate(Strategy):
-                def local_update(self, client, model, round_index, rng):
-                    return super().local_update(client, model, round_index, rng)
-
-        with pytest.raises(TypeError, match="only one of"):
-
-            class _ScalarStepOnly(FedAvgStrategy):
-                def train_client(self, client, model, round_index, rng):
-                    return super().train_client(client, model, round_index, rng)
-
-        with pytest.raises(TypeError, match="only one of"):
-
-            class _StackedStepOnly(FedAvgStrategy):
-                def train_group(self, clients, emodel, round_index, rngs):
-                    return super().train_group(clients, emodel, round_index, rngs)
-
-
-def _dropout_model():
-    rng = np.random.default_rng(0)
-    features = Sequential(
-        Flatten(), Linear(12, 8, rng=rng), Dropout(0.5, rng=rng)
-    )
-    return FeatureClassifierModel(features, Linear(8, 3, rng=rng), embed_dim=8)
 
 
 class TestRegistry:
     """The two engine keywords that accept one value each (the frozen
-    benchmark harness passes them), and the one model type the trainer
-    cannot stack."""
+    benchmark harness passes them)."""
 
     def test_unknown_spec_raises(self):
         for spec in ("loop", "ensemble", "strict", "abacus"):
@@ -637,29 +606,6 @@ class TestRegistry:
         the one trainer and the one wave every engine runs."""
         assert isinstance(SerialExecutor(compute="auto")._trainer, EnsembleBackend)
         RemoteExecutor(pipelined=True).close()
-
-    def test_dropout_model_is_unsupported(self):
-        model = _dropout_model()
-        assert not ensemble_supports(model)
-        with pytest.raises(ValueError, match="Dropout"):
-            ensemble_of(model, 2)
-
-    def test_dropout_model_falls_back_bitwise(self):
-        """The trainer must *run* unsupported models via its loop."""
-        clients = _toy_clients((4, 4), image_shape=(1, 2, 6))
-        strategy = FedAvgStrategy(FAST)
-
-        def run(train):
-            rng = np.random.default_rng(5)
-            features = Sequential(Flatten(), Linear(12, 8, rng=rng), Dropout(0.5, rng=rng))
-            model = FeatureClassifierModel(
-                features, Linear(8, 4, rng=rng), embed_dim=8
-            )
-            return train(strategy, model, model.state_dict(), clients, 0, [3, 4])
-
-        _assert_updates_bitwise_equal(
-            run(EnsembleBackend().run_group), run(fl_compute._run_loop)
-        )
 
 
 class TestStateHelpers:
@@ -718,7 +664,7 @@ class TestStateHelpers:
 
 
 # --------------------------------------------------------------------------
-# Cross-engine traces: serial / pipe / shm x loop fallback / stacks / K=1
+# Cross-engine traces: serial / pipe / shm x reference loop / stacks / K=1
 # --------------------------------------------------------------------------
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
@@ -762,20 +708,9 @@ def _assert_same_run(run, reference, context):
         assert np.array_equal(run.final_state[key], reference.final_state[key])
 
 
-def _server_dropout_model(p):
-    rng = np.random.default_rng(0)
-    features = Sequential(
-        Flatten(), Linear(int(np.prod(SUITE.image_shape)), 16, rng=rng),
-        Dropout(p, rng=rng),
-    )
-    return FeatureClassifierModel(
-        features, Linear(16, SUITE.num_classes, rng=rng), embed_dim=16
-    )
-
-
 class TestCrossEngineTraces:
-    """The same run must trace bit-identically on every engine, whether
-    the trainer stacks or loops."""
+    """The same run must trace bit-identically on every engine, and as
+    the scalar reference loop traces it."""
 
     def test_all_backends_all_engines_match_serial_loop(self, monkeypatch):
         reference = _loop_reference(
@@ -802,41 +737,6 @@ class TestCrossEngineTraces:
             _loop_reference(monkeypatch, pool_loop), reference, "pipe/loop"
         )
 
-    def test_dropout_model_on_the_pool(self, monkeypatch):
-        """``Dropout`` has no ensemble converter, so a pool worker's one
-        task per home runs through the trainer's loop fallback.  With
-        ``p=0`` the pool traces equal serial.  With ``p>0`` the layer's own
-        mask generator advances per model instance — one per worker, one
-        on the server — so the pool is held against itself with one task
-        per client (zero-delay stragglers ride alone): grouping moves no
-        bit."""
-        tasks = []
-        submit = ParallelExecutor.submit
-        monkeypatch.setattr(
-            ParallelExecutor, "submit",
-            lambda self, task_id, home, task: tasks.append(task[0])
-            or submit(self, task_id, home, task),
-        )
-        serial = _run_server(SerialExecutor(), model=_server_dropout_model(0.0))
-        with ParallelExecutor(num_workers=2, transport="pipe") as executor:
-            pool = _run_server(executor, model=_server_dropout_model(0.0))
-        _assert_same_run(pool, serial, "pipe/dropout")
-        assert max(len(client_ids) for client_ids in tasks) > 1
-        singles = FaultPlan(events=tuple(
-            FaultEvent("straggler", round_index, client_id)
-            for round_index in range(2) for client_id in range(8)
-        ))
-        runs = []
-        for faults in (None, singles):
-            tasks.clear()
-            with ParallelExecutor(
-                num_workers=2, transport="pipe", faults=faults
-            ) as executor:
-                runs.append(_run_server(executor, model=_server_dropout_model(0.5)))
-            grouped = max(len(client_ids) for client_ids in tasks) > 1
-            assert grouped == (faults is None)
-        _assert_same_run(runs[1], runs[0], "pipe/dropout p=0.5")
-
     #: The quorum run below, traced before the serial engine answered its
     #: round stack by stack: the change must not move a bit.
     QUORUM_DIGEST = "4118d5dd67697b96"
@@ -852,9 +752,6 @@ class TestCrossEngineTraces:
         trained = []
 
         class Recording(FedAvgStrategy):
-            def train_client(self, client, model, round_index, rng):
-                raise AssertionError("every participant trains on a stack")
-
             def train_group(self, clients, emodel, round_index, rngs):
                 trained.append([client.client_id for client in clients])
                 return super().train_group(clients, emodel, round_index, rngs)
@@ -900,7 +797,7 @@ class TestCrossEngineTraces:
         """Interleaved dataset sizes split into stacks of two per size: the
         stacks train in order of their first row, so every poll answers the
         lowest untrained one and a quorum keeps the first six participants,
-        exactly as the per-client loop does."""
+        exactly as the scalar reference loop does."""
         monkeypatch.setattr(
             fl_compute, "_STACK_STEP_ELEMENTS", 2 * FAST.batch_size * 3 * 8 * 8
         )
@@ -932,6 +829,63 @@ class TestCrossEngineTraces:
         assert isinstance(trainer, EnsembleBackend)
         _run_server(executor)
         assert executor._trainer is trainer and trainer._clone is not None
+
+
+# --------------------------------------------------------------------------
+# Models no engine can train
+# --------------------------------------------------------------------------
+
+
+class _Halve(Module):
+    """A layer with no ensemble converter."""
+
+    def forward(self, x):
+        return 0.5 * x
+
+    def backward(self, grad_output):
+        return 0.5 * grad_output
+
+
+class TestUnstackableModel:
+    """A model with a module that has no ensemble converter cannot train,
+    and ``Executor.run_round`` says so before it opens a lane."""
+
+    @pytest.mark.parametrize("engine", ["serial", "pool", "agents"])
+    def test_refused_before_any_dispatch(self, engine, monkeypatch):
+        rng = np.random.default_rng(0)
+        model = FeatureClassifierModel(
+            Sequential(
+                Flatten(),
+                Linear(int(np.prod(SUITE.image_shape)), 16, rng=rng),
+                _Halve(),
+            ),
+            Linear(16, SUITE.num_classes, rng=rng),
+            embed_dim=16,
+        )
+        executor = {
+            "serial": SerialExecutor,
+            "pool": lambda: ParallelExecutor(num_workers=2),
+            "agents": lambda: RemoteExecutor(num_agents=2),
+        }[engine]()
+        opened = []
+        open_lanes = type(executor).open
+        monkeypatch.setattr(
+            type(executor), "open",
+            lambda self, model: opened.append(model) or open_lanes(self, model),
+        )
+        refusal = pytest.raises(ValueError, match=r"converters: \['_Halve'\]")
+        if engine == "agents":
+            with thread_agents(executor):
+                # A stackable run first, so both agents are connected (and
+                # leave on a clean shutdown) when the refusal comes.
+                _run_server(executor, rounds=1)
+                opened.clear()
+                with refusal:
+                    _run_server(executor, model=model)
+        else:
+            with executor, refusal:
+                _run_server(executor, model=model)
+        assert opened == []
 
 
 # --------------------------------------------------------------------------

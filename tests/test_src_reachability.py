@@ -29,10 +29,6 @@ ALLOWED = {
     "src/repro/nn/models.py": {"build_mlp_model": FIXTURE},
     "src/repro/nn/serialize.py": {"state_allclose": FIXTURE},
     "src/repro/nn/ensemble.py": {"load_state_stack": FIXTURE},
-    "src/repro/nn/layers.py": {
-        "Dropout": FIXTURE + ": the one module without an ensemble "
-        "converter, i.e. the loop fallback inside the one trainer",
-    },
 }
 
 
