@@ -341,12 +341,12 @@ def _timing_row(name: str, timing) -> list[str]:
 
     "unique down" counts each broadcast blob once per round regardless of
     worker fan-out; "bcast decode" is worker decode time that overlapped
-    the local phase; "overlap (s)" is pipelined cross-host time the
-    remote engine hid behind the round's wall clock (0.0 for in-host
-    engines); "dropped"/"straggler (s)"/"rebuilt" are the
+    the local phase; "overlap (s)" is pipelined cross-agent time the
+    pool and remote engines hid behind the round's wall clock (0.0 for
+    the serial engine); "dropped"/"straggler (s)"/"rebuilt" are the
     fault-tolerance counters — selected clients that produced no
-    aggregated update, injected straggler slowdown absorbed, and worker
-    slots rebuilt after crashes; "rejected"/"early close (s)" are the
+    aggregated update, injected straggler slowdown absorbed, and pool
+    agents relaunched after crashes; "rejected"/"early close (s)" are the
     robustness counters — uploads the aggregation rule excluded and
     wall-clock saved by quorum early-closes; "peak mem (MiB)" is the
     tracemalloc peak the server sampled at round boundaries — 0.0 when

@@ -12,6 +12,7 @@ thread while round r+1 trains.
 from __future__ import annotations
 
 import copy
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 import numpy as np
@@ -22,8 +23,15 @@ from repro.nn.models import FeatureClassifierModel
 
 __all__ = [
     "EvaluationStage",
+    "FORK_LOCK",
     "evaluate_accuracy",
 ]
+
+#: Held by the evaluation thread while it scores one eval set, and by
+#: whoever starts a process (:class:`repro.fl.net.executor.ParallelExecutor`
+#: launching an agent).  OpenBLAS's fork handler tears its thread pool down
+#: under a GEMM another thread is running, and that GEMM never returns.
+FORK_LOCK = threading.Lock()
 
 #: Images per forward chunk on the evaluation thread.  Its activations and
 #: ``_cols`` caches (which nobody backpropagates through) are live *while a
@@ -81,10 +89,13 @@ class EvaluationStage:
         return self._in_flight
 
     def _score(self) -> dict[str, float]:
-        return {
-            name: evaluate_accuracy(self._model, dataset, batch_size=_STAGE_CHUNK)
-            for name, dataset in self._eval_sets.items()
-        }
+        scores = {}
+        for name, dataset in self._eval_sets.items():
+            with FORK_LOCK:
+                scores[name] = evaluate_accuracy(
+                    self._model, dataset, batch_size=_STAGE_CHUNK
+                )
+        return scores
 
     def __enter__(self) -> EvaluationStage:
         return self

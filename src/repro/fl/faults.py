@@ -34,9 +34,9 @@ Fault kinds
     really slept inside the local update (worker-side under the parallel
     engine) and the client survives.  The cooperative check is
     *per client*: on the parallel engine co-resident surviving stragglers
-    still serialize on their slot's FIFO queue, so the bit-identical
-    guarantee requires the deadline to comfortably exceed the per-slot
-    *sum* of surviving injected delays plus compute — pick
+    still serialize on their agent, which serves its tasks in order, so the
+    bit-identical guarantee requires the deadline to comfortably exceed the
+    per-agent *sum* of surviving injected delays plus compute — pick
     ``deadline >> participants x straggler_delay`` (as the chaos tests
     and benches do), or use ``hang`` when the point is to blow the
     deadline for real.
@@ -533,8 +533,8 @@ def sleep_injected(fault: "FaultEvent | None") -> None:
     genuine compute: before it on a pool worker or a remote agent, and in
     the serial engine's own process as its stack's uploads are handed
     back.  A ``hang`` sleeps past the server's
-    round deadline; a preemptive engine drops it and absorbs the eventual
-    result as a zombie.
+    round deadline; a preemptive engine drops it and discards the eventual
+    result by task id.
     """
     if fault is not None and fault.kind in ("straggler", "hang"):
         time.sleep(fault.delay_seconds)

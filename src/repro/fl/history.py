@@ -53,13 +53,13 @@ class RoundRecord:
     decode_seconds: float = field(default=0.0, compare=False)
     #: Elapsed server-side time of the round's local phase.
     wall_seconds: float = field(default=0.0, compare=False)
-    #: Cross-host broadcast/train/upload overlap (remote rounds only):
-    #: endpoint busy time that ran concurrently with other hosts'.
+    #: Broadcast/train/upload overlap across agents (pool and remote
+    #: rounds): endpoint busy time that ran concurrently with other agents'.
     overlap_seconds: float = field(default=0.0, compare=False)
     #: Injected straggler slowdown — plan-derived, so cooperatively skipped
     #: stragglers count too.
     straggler_seconds: float = 0.0
-    #: Worker-pool slots rebuilt after a crash.
+    #: Pool agents relaunched after a crash.
     rebuilt_workers: int = 0
     #: Whether a quorum closed the round before every upload arrived, and
     #: the wall clock that saved against the round's deadline.

@@ -8,23 +8,24 @@ while keeping every trace bit-identical to the in-host engines:
     the partial-read tests byte by byte) plus blocking-socket and asyncio
     helpers built on it.
 :mod:`repro.fl.net.protocol`
-    Message vocabulary + the version/codec/compute handshake that mirrors
-    pool build: an agent's HELLO is answered by WELCOME (negotiated specs
-    + model blob) or REJECT, exactly as ``_worker_init`` initargs would
-    have configured an in-host worker.
+    Message vocabulary + the version/codec handshake: an agent's HELLO is
+    answered by WELCOME (negotiated codec and transport specs + model
+    blob) or REJECT.
 :mod:`repro.fl.net.transport`
     :class:`TcpTransport` — the ``tcp`` entry in the transport registry.
     One post-codec broadcast blob published to an in-process asyncio blob
     server; workers pull it (and push uploads back) over TCP.
 :mod:`repro.fl.net.executor`
-    :class:`RemoteExecutor` — drives remote agent connections through the
-    standard ``run_round`` contract: registration, per-round broadcasts,
-    task dispatch, arrival-order upload ingest with streaming aggregation,
-    deadlines/quorum, and peer-disconnect fault mapping.  Pipelined by
-    default (broadcast / train / upload overlap across hosts).
+    The socket lane of the ``run_round`` contract over agents:
+    :class:`RemoteExecutor` accepts them over TCP,
+    :class:`ParallelExecutor` (the in-host pool) launches its own on
+    socketpairs.  Registration, per-round broadcasts, task dispatch,
+    arrival-order upload ingest, deadlines/quorum and lost-agent fault
+    mapping, pipelined (broadcast / train / upload overlap across agents).
 :mod:`repro.fl.net.serve` / :mod:`repro.fl.net.agent`
-    The standalone daemon (``python -m repro.fl.net.serve``) and remote
-    client agent (``python -m repro.fl.net.agent``) binaries.
+    The standalone daemon (``python -m repro.fl.net.serve``) and the
+    client agent (``python -m repro.fl.net.agent``; the pool runs its serve
+    loop in-host).
 
 Everything here reuses the existing wire contract (`ClientUpdate`,
 `encode_payload` protocol-5 out-of-band blobs, codec reference chains,

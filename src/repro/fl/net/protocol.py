@@ -9,33 +9,42 @@ kind       direction meaning
 hello      agent →   protocol version + optional pinned codec
 welcome    → agent   negotiated codec/transport specs + the pickled model
 reject     → agent   handshake refused; ``meta["reason"]`` says why
-register   → agent   pool-resident client registration blob (+ evictions)
-broadcast  → agent   round strategy blob + codec-encoded global state
+register   → agent   resident client registration blob (+ evictions)
+registered agent →   the registration is installed (the server waits)
+broadcast  → agent   round strategy blob + the state frame's handle: the
+                     frame itself under ``pipe``, else ``meta["handle"]``
+                     (shm segment / tcp host, port, blob id; length)
 task       → agent   one ``(client_ids, round, seeds, fault)`` tuple
 upload     agent →   ``encode_payload(list[ClientUpdate])`` for one task
+error      agent →   ``meta["task"]`` failed (``None``: a registration or
+                     broadcast did); ``meta["text"]`` is the traceback
 bye        → agent   clean shutdown; the agent exits its serve loop
 ========== ========= =====================================================
 
 ``meta`` is a small plain dict (version numbers, spec strings, round
-indices); ``blob`` is an opaque byte string.  Blobs are always the *same
-bytes* the in-host engine would have put on its pipes —
+indices, handle fields); ``blob`` is an opaque byte string.  Blobs are
 ``encode_payload`` output with protocol-5 out-of-band buffers framed
-inline — so the serializer round-trips untouched across the socket and
+inline, so the serializer round-trips untouched across the socket and
 traces stay transport-invariant by construction.
 
-The handshake mirrors pool build: an in-host worker is configured by
-``_worker_init(model_blob, codec_spec, transport_spec)`` initargs; a
-remote agent gets the identical three values via hello/welcome.  An agent may *pin* a codec spec in its hello (operators
-do this to refuse surprise lossy codecs); a pin that differs from the
-server's negotiated spec is a reject, not a silent override.
+The handshake is how every agent is configured, launched or remote: the
+welcome carries the three values a :class:`repro.fl.wire.WorkerRuntime`
+is built from (model blob, codec spec, transport spec).  An agent may
+*pin* a codec spec in its hello (operators do this to refuse surprise
+lossy codecs); a pin that differs from the server's negotiated spec is a
+reject, not a silent override.
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.fl.net.frames import FrameError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fl.transport import Transport
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -43,9 +52,11 @@ __all__ = [
     "WELCOME",
     "REJECT",
     "REGISTER",
+    "REGISTERED",
     "BROADCAST",
     "TASK",
     "UPLOAD",
+    "ERROR",
     "BYE",
     "Message",
     "HandshakeError",
@@ -53,19 +64,23 @@ __all__ = [
     "decode_message",
     "hello_meta",
     "evaluate_hello",
+    "broadcast_message",
+    "broadcast_parts",
 ]
 
 #: Bumped on any incompatible change to the message vocabulary or blob
 #: encodings.  Both sides send it; a mismatch is a handshake reject.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 HELLO = "hello"
 WELCOME = "welcome"
 REJECT = "reject"
 REGISTER = "register"
+REGISTERED = "registered"
 BROADCAST = "broadcast"
 TASK = "task"
 UPLOAD = "upload"
+ERROR = "error"
 BYE = "bye"
 
 
@@ -127,8 +142,8 @@ def hello_meta(name: str = "", codec: "str | None" = None) -> dict:
 def evaluate_hello(meta: dict, *, codec_spec: str) -> "str | None":
     """Server-side hello check: the reject reason, or ``None`` to welcome.
 
-    ``codec_spec`` is the server's negotiated spec (the same string an
-    in-host pool would ship in initargs).
+    ``codec_spec`` is the server's negotiated spec (the string its welcome
+    ships).
     """
     version = meta.get("version")
     if version != PROTOCOL_VERSION:
@@ -143,3 +158,26 @@ def evaluate_hello(meta: dict, *, codec_spec: str) -> "str | None":
             f"server negotiated {codec_spec!r}"
         )
     return None
+
+
+def broadcast_message(strategy_blob: bytes, handle: object, round_index: int) -> bytes:
+    """One round's broadcast frame payload.  A ``pipe`` handle *is* the
+    state frame, so it follows the strategy blob; any other handle crosses
+    as its plain fields in ``meta["handle"]``."""
+    meta = {"round": round_index, "strategy_bytes": len(strategy_blob)}
+    if isinstance(handle, bytes):
+        return encode_message(BROADCAST, meta, strategy_blob + handle)
+    meta["handle"] = asdict(handle)
+    return encode_message(BROADCAST, meta, strategy_blob)
+
+
+def broadcast_parts(
+    message: Message, transport: "Transport"
+) -> "tuple[bytes, object, int]":
+    """``(strategy_blob, handle, round_index)`` of a broadcast message, the
+    handle rebuilt for the agent's negotiated ``transport``."""
+    split, fields = message.meta["strategy_bytes"], message.meta.get("handle")
+    handle = (
+        message.blob[split:] if fields is None else transport.handle_type(**fields)
+    )
+    return message.blob[:split], handle, message.meta["round"]

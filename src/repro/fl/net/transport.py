@@ -12,10 +12,10 @@ and all, and traces stay bit-identical to pipe/shm by construction.
 
 Uploads stream back over the same socket: :meth:`~TcpTransport.send_upload`
 pushes the encoded update blob to the blob server and returns a tiny
-marker that rides the pool's result pipe; :meth:`~TcpTransport.recv_upload`
-redeems the marker server-side.  If the push cannot reach the server (a
-zombie straggler finishing after executor close, say) the blob falls back
-to riding the result pipe inline — degraded accounting, never a wedge.
+marker that rides the agent's upload frame; :meth:`~TcpTransport.recv_upload`
+redeems the marker server-side.  If the push cannot reach the server (an
+abandoned task finishing after executor close, say) the blob falls back
+to riding the upload frame inline — degraded accounting, never a wedge.
 
 Spec forms: ``tcp`` binds loopback on an ephemeral port; ``tcp:host:port``
 binds where told (``port`` may be 0 for ephemeral).  Worker-side endpoints
@@ -45,7 +45,7 @@ _log = get_logger("fl.net.transport")
 #: has no inline fallback — the blob only exists server-side).
 _CONNECT_TIMEOUT = 10.0
 
-#: Marker prefix for redeemable uploads on the result pipe.  Distinct from
+#: Marker prefix for redeemable uploads in an upload frame.  Distinct from
 #: the serializer's ``RPB5`` magic, so the inline fallback (a raw
 #: ``encode_payload`` blob) can never be mistaken for a marker.
 _UPLOAD_MAGIC = b"RTU1"
@@ -221,12 +221,13 @@ class TcpTransport(Transport):
     """Socket broadcast via the blob server; see the module docstring.
 
     One instance per endpoint role: the server's (created by the executor)
-    lazily starts a :class:`_BlobServer` on first publish; each worker's
-    (rebuilt from the same spec in ``_worker_init``) never binds anything
-    and only dials the endpoints its handles name.
+    lazily starts a :class:`_BlobServer` on first publish; each agent's
+    (rebuilt from the same spec named in the handshake welcome) never binds
+    anything and only dials the endpoints its handles name.
     """
 
     name = "tcp"
+    handle_type = TcpHandle
 
     def __init__(self, params: "str | None" = None) -> None:
         self._params = params or None
@@ -282,9 +283,10 @@ class TcpTransport(Transport):
     def end_round(self) -> None:
         # Same lifecycle as shm's segment unlink: once the round's uploads
         # are in, its blobs are dead weight, and any upload not redeemed by
-        # round close belongs to a deadline-dropped zombie.  A zombie that
-        # fetches after this point gets a ConnectionError in its own
-        # worker, exactly like a zombie attaching an unlinked segment.
+        # round close belongs to a deadline-dropped task.  Such a task that
+        # fetches after this point gets a ConnectionError on its own agent
+        # (an error frame the server discards by id), exactly like one
+        # attaching an unlinked segment.
         if self._server is not None:
             self._server.clear()
 
@@ -334,8 +336,8 @@ class TcpTransport(Transport):
             if reply != b"ok":  # pragma: no cover - defensive
                 return blob
         except OSError:
-            # The blob server is gone (executor closed under a zombie
-            # straggler) — ride the result pipe inline rather than wedge.
+            # The blob server is gone (executor closed under an abandoned
+            # straggler) — ride the upload frame inline rather than wedge.
             return blob
         return _UPLOAD_MAGIC + _UPLOAD_HEAD.pack(len(blob)) + token
 

@@ -4,9 +4,9 @@
 is dropped and why, what is folded into aggregation — once, for every
 engine (the lifecycle diagram is in :mod:`repro.fl.executor`).  An engine
 is reduced to a *lane set*: the methods at the bottom of :class:`Executor`,
-which only know a mechanism — a function call, FIFO single-process pool
-slots, framed sockets, or a scripted fake in ``tests/test_fl_round.py``.
-A *home* is one lane of the set (a pool slot, an agent); every client has
+which only know a mechanism — a function call, framed sockets to agents,
+or a scripted fake in ``tests/test_fl_round.py``.
+A *home* is one lane of the set (an agent); every client has
 exactly one home per round.  Lanes never decide membership: they move
 bytes and report ``(task_id, upload)`` or ``(task_id, LOST)``.
 
@@ -130,7 +130,7 @@ class Executor(WireServer):
     """
 
     #: Whether a plan's crash victim is dispatched so its lane really dies
-    #: (the pool kills and rebuilds its own processes).  Otherwise the
+    #: (the pool's launched agent exits and is relaunched).  Otherwise the
     #: victim is dropped at dispatch — an agent is not the server's process
     #: to kill, and an in-process lane would take the server with it.
     kills_crash_victims = False
@@ -239,8 +239,7 @@ class Executor(WireServer):
         :meth:`repro.fl.strategy.Strategy.aggregate` cross-checks that the
         engine and the stream saw the same round."""
         # Refused here, before any lane opens: inside a lane the trainer's
-        # ``ensemble_of`` would raise it instead, and an agent that dies of
-        # it reads as a disconnect, a round that "succeeds" training no one.
+        # ``ensemble_of`` would raise it on every agent instead.
         check_stackable(model)
         start, wire_before = time.perf_counter(), self.wire_stats()
         record = RoundRecord(
@@ -266,6 +265,10 @@ class Executor(WireServer):
             self._close_unanswered(rnd, rows)
             remote_seconds = time.perf_counter() - dispatch_start
         finally:
+            # A round that raised leaves no task live: a late answer of it
+            # is discarded by id, never taken for a later round's.
+            for task_id in rnd.outstanding:
+                self.abandon(task_id)
             # Release round-scoped wire resources (shm segments) even when
             # dispatch, a lane, or an upload failed — callers that catch
             # the error must not retain blob-sized shared memory until the
@@ -632,7 +635,7 @@ class Executor(WireServer):
 
     def abandon(self, task_id: int) -> None:
         """The round closed without this task: absorb its eventual result
-        (a zombie future, a late upload discarded by id)."""
+        (a late upload, or error, discarded by id)."""
 
     def respawn(self, home: object) -> bool:
         """The lane at ``home`` is dead.  Either stand up a fresh, empty

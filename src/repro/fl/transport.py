@@ -14,7 +14,7 @@ experiment's :class:`repro.fl.server.FederatedConfig`):
 
 ``pipe``
     The historical path: the encoded broadcast blob is pickled into each
-    participating worker's task pipe — one full copy per worker.
+    participating agent's broadcast frame — one full copy per agent.
 ``shm``
     Single-copy broadcast via :mod:`multiprocessing.shared_memory`: the
     server writes the post-codec blob **once** into a named segment and
@@ -40,8 +40,8 @@ Segment lifecycle (shm)
 The server owns every segment: one per distinct encoded broadcast blob per
 round, unlinked as soon as the round's uploads are all in
 (:meth:`Transport.end_round`), and unconditionally on
-:meth:`Transport.close` — which pool rebuilds and
-:meth:`repro.fl.executor.Executor.close` both call.  A
+:meth:`Transport.close` — which closing (or re-templating) a
+:class:`repro.fl.executor.ParallelExecutor` calls.  A
 ``weakref.finalize`` guard (which doubles as an atexit hook) unlinks
 whatever is still live if the transport is dropped without a clean close,
 so aborted runs cannot strand segments in ``/dev/shm``.  Workers only
@@ -53,7 +53,7 @@ crashes cannot leak either.
 Upload channel
 --------------
 Uploads are per-client payloads with no fan-out redundancy, so ``pipe``
-and ``shm`` pass them straight through the pool's result pipe
+and ``shm`` pass them straight through the agent's upload frame
 (:meth:`Transport.send_upload` / :meth:`Transport.recv_upload` are
 identity hooks there).  ``tcp`` overrides both: a worker parks its upload
 on the server's blob server and only a small reference crosses the pipe.
@@ -113,7 +113,7 @@ class Transport:
 
     One instance lives on the server (``publish`` / ``handle_wire_bytes`` /
     ``end_round`` / ``close`` / ``recv_upload``) and one per worker process
-    (``fetch`` / ``send_upload``), negotiated by spec at pool build exactly
+    (``fetch`` / ``send_upload``), negotiated by spec in the welcome exactly
     like the codec — both endpoints are built from the same name before any
     blob crosses.
 
@@ -125,11 +125,16 @@ class Transport:
     #: Spec string this transport answers to in the registry.
     name = "transport"
 
+    #: The frozen dataclass :meth:`publish` returns, rebuilt on an agent
+    #: from the fields its broadcast message carries (``None``: the handle
+    #: is the blob itself).
+    handle_type: "type | None" = None
+
     @property
     def spec(self) -> str:
         """The full spec string that rebuilds an equivalent endpoint in a
         worker process (``name`` plus any instance parameters).  Shipped in
-        pool initargs so both sides negotiate from the same string."""
+        the handshake welcome so both sides negotiate from the same string."""
         return self.name
 
     # -- server role ---------------------------------------------------------
@@ -154,7 +159,7 @@ class Transport:
 
     def close(self) -> None:
         """Release everything.  Idempotent; called on executor close and on
-        every pool rebuild."""
+        every agent-set rebuild."""
 
     # -- worker role ---------------------------------------------------------
 
@@ -166,8 +171,8 @@ class Transport:
     # -- upload channel ------------------------------------------------------
 
     def send_upload(self, blob: bytes) -> bytes:
-        """Worker-side upload hook; stock transports pass through the pool's
-        result pipe (per-client payloads have no fan-out redundancy)."""
+        """Agent-side upload hook; stock transports pass through the agent's
+        upload frame (per-client payloads have no fan-out redundancy)."""
         return blob
 
     def recv_upload(self, wire: bytes) -> bytes:
@@ -222,6 +227,7 @@ class ShmTransport(Transport):
     """
 
     name = "shm"
+    handle_type = ShmHandle
 
     def __init__(self) -> None:
         # Server role: segments published since the last end_round().  The
@@ -414,7 +420,7 @@ def shm_supported() -> bool:
 
 def _log_degrade(reason: str) -> None:
     """Log the shm -> pipe degradation once per process (``auto`` resolves
-    each time an engine builds its transport, e.g. at every pool build)."""
+    each time an engine builds its transport)."""
     global _DEGRADE_LOGGED
     if not _DEGRADE_LOGGED:
         _DEGRADE_LOGGED = True

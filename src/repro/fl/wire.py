@@ -23,7 +23,7 @@ travel.
    that starts without them recomputes them.
 
 Codec and transport specs are negotiated before any of this: they travel
-with the worker init (pool initargs / the handshake welcome), so both
+in the handshake welcome (:mod:`repro.fl.net.protocol`), so both
 endpoints build the same pipeline before any state crosses.
 Stateful codecs (``delta``) diff against reference states both endpoints
 hold — the previous broadcast per home, the last acknowledged upload per
@@ -37,16 +37,13 @@ against them.
 :class:`WireStats`; the round driver (:class:`repro.fl.round.Executor`)
 inherits it and decides *when* each step happens, a lane only moves the
 resulting blobs, and the in-process lane never calls it.
-:class:`WorkerRuntime` is the training endpoint's half: pool workers
-install one through the module-level entrypoints at the bottom, which the
-pool pickles *by qualified name* (a ``spawn``-started worker imports this
-module afresh to find them); remote agents (:mod:`repro.fl.net.agent`)
-build one per connection.
+:class:`WorkerRuntime` is the training endpoint's half: every agent
+(:mod:`repro.fl.net.agent`), launched by the pool or dialling in from
+another machine, builds one per connection from its welcome.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from dataclasses import dataclass, replace
@@ -390,10 +387,9 @@ class WorkerRuntime:
     lockstep with the server-side chains because lossless decoding is
     bit-exact (that invariant is why stateful codecs must be lossless).
 
-    Construction *is* negotiation: the three arguments are the pool
-    initargs — and, verbatim, what a remote agent receives in its
-    handshake welcome — so every endpoint builds the same pipeline from
-    the same strings before any state crosses the wire.
+    Construction *is* negotiation: the three arguments are what an agent
+    receives in its handshake welcome, so every endpoint builds the same
+    pipeline from the same strings before any state crosses the wire.
     """
 
     def __init__(
@@ -489,9 +485,9 @@ class WorkerRuntime:
         share a group, which the trainer stacks where it can.  The upload
         is always a *list* of updates, in group order.
 
-        Crash faults never get here: the pool wrapper
-        (:func:`_run_resident_task`) hard-exits the process first, and the
-        other lanes never dispatch a crash victim.
+        Crash faults never get here: a launched agent hard-exits first
+        (:mod:`repro.fl.net.agent`), and the other lanes never dispatch a
+        crash victim.
         """
         client_ids, round_index, seeds, fault = task
         if self.strategy is None:  # pragma: no cover - protocol violation
@@ -534,37 +530,3 @@ class WorkerRuntime:
             if self.codec.stateful:
                 self.upload_refs[update.client_id] = state
         return self.transport.send_upload(encode_payload(updates))
-
-
-# The pool worker's process-wide runtime, installed by _worker_init.
-_WORKER_RUNTIME: "WorkerRuntime | None" = None
-
-
-def _worker_init(model_blob: bytes, codec_spec: str, transport_spec: str) -> None:
-    # A fresh runtime replaces whatever fork inherited from a sibling pool's
-    # module state, wholesale.
-    global _WORKER_RUNTIME
-    _WORKER_RUNTIME = WorkerRuntime(model_blob, codec_spec, transport_spec)
-
-
-def _worker_register(clients_blob: bytes) -> int:
-    return _WORKER_RUNTIME.register(clients_blob)
-
-
-def _worker_broadcast(
-    strategy_blob: bytes, handle: object, round_index: int
-) -> None:
-    _WORKER_RUNTIME.broadcast(strategy_blob, handle, round_index)
-
-
-def _run_resident_task(task: "Task") -> bytes:
-    fault = task[3]
-    if fault is not None and fault.kind == "crash":
-        # Simulate a hard worker crash: no cleanup, no exception back up
-        # the pipe — the pool just loses this process, exactly like a
-        # kill -9.  os._exit skips atexit/finalizers on purpose.
-        os._exit(1)
-    if _WORKER_RUNTIME is None:  # pragma: no cover - protocol violation
-        raise RuntimeError("worker received a task before init")
-    return _WORKER_RUNTIME.run_task(task)
-

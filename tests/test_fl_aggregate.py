@@ -536,13 +536,17 @@ class TestQuorum:
         """Regression: when one ``poll`` batch carries more answers than the
         quorum needs, the surplus tasks are already off the pool's books;
         closing the round must not trip over them."""
-        from concurrent.futures import wait
+        import select
+        import time
 
         executor = ParallelExecutor(num_workers=2, quorum=1)
         real_poll = executor.poll
 
         def poll_once_everything_finished(timeout):
-            wait([future for _, future in executor._tasks.values()])
+            # Every lane with a task out has its upload readable first.
+            lanes = {executor._agents[home].sock for home in executor._tasks.values()}
+            while len(select.select(list(lanes), [], [])[0]) < len(lanes):
+                time.sleep(0.01)
             return real_poll(timeout)
 
         monkeypatch.setattr(executor, "poll", poll_once_everything_finished)

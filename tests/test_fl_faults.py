@@ -43,6 +43,7 @@ from repro.fl import (
 from repro.fl.faults import FixedDeadline, poison_state, state_is_corrupt
 from repro.fl.transport import SHM_SEGMENT_PREFIX
 from repro.nn import build_mlp_model
+from repro.nn.serialize import encode_payload
 from repro.utils.rng import SeedTree
 from tests import reference_loop
 
@@ -341,6 +342,43 @@ class TestChaosInvariance:
                 assert parallel.timing.rebuilt_workers >= 1
             assert _trace(parallel) == _trace(serial), f"attempt {attempt}"
 
+    def test_agent_launch_waits_out_an_evaluation_gemm(self):
+        """Starting a process while the evaluation thread is inside a
+        threaded GEMM left that GEMM spinning forever (OpenBLAS's fork
+        handler stops its thread pool under the running call).  Launches
+        take ``FORK_LOCK``, which the evaluation holds per eval set; run in
+        a fresh interpreter so a regression is a timeout, not a wedged
+        suite."""
+        script = (
+            "import numpy as np\n"
+            "from repro.data.synthetic import LabeledDataset\n"
+            "from repro.fl import ParallelExecutor\n"
+            "from repro.fl.evaluation import EvaluationStage\n"
+            "from repro.nn import build_mlp_model\n"
+            "model = build_mlp_model((3, 32, 32), 10,\n"
+            "    rng=np.random.default_rng(0), hidden_dim=1024)\n"
+            "images = np.random.default_rng(1).standard_normal((2048, 3, 32, 32))\n"
+            "labels = np.zeros(2048, dtype=np.int64)\n"
+            "held_out = {'test': LabeledDataset(images, labels, labels)}\n"
+            "with EvaluationStage(model, held_out) as stage:\n"
+            "    for attempt in range(10):\n"
+            "        future = stage.submit(model.state_dict())\n"
+            "        executor = ParallelExecutor(num_workers=2)\n"
+            "        executor.open(model)\n"
+            "        executor.close()\n"
+            "        future.result()\n"
+            "print('CLEAN')\n"
+        )
+        repo = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(repo / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, cwd=repo, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "CLEAN" in proc.stdout
+
     def test_fault_free_plan_changes_nothing(self):
         """An empty plan must not perturb the trace (the fault layer's
         bookkeeping is observable only through faults)."""
@@ -603,23 +641,30 @@ class TestCrashRecovery:
 
     def test_unplanned_worker_death_is_survived(self):
         """Crash recovery is always on: a worker lost without any fault
-        plan re-runs its tasks instead of killing the run."""
+        plan is relaunched and re-helloed, and re-runs its tasks instead of
+        killing the run."""
         clients = make_clients()[:4]
         seeds = _round_seeds(clients, rounds=2)
         model = _model()
         state = model.state_dict()
         with ParallelExecutor(num_workers=2) as ex:
             ex.run_round(FedAvgStrategy(FAST), model, state, clients, 0, seeds[0])
-            # Kill one worker process behind the executor's back.
-            victim_pool = ex._pools[0]
-            pid = next(iter(victim_pool._processes))
-            os.kill(pid, 9)
+            # SIGKILL one launched agent behind the executor's back.
+            victim = ex._agents[0].process
+            os.kill(victim.pid, 9)
+            victim.join()
+            before = ex.wire_stats().registration_bytes
             updates = ex.run_round(
                 FedAvgStrategy(FAST), model, state, clients, 1, seeds[1]
             )
             assert [u.client_id for u in updates] == [0, 1, 2, 3]
             assert ex.last_round.rebuilt_workers >= 1
             assert ex.last_round.dropped == {}
+            # The re-hello re-shipped one model template in its welcome,
+            # and the lane's clients (0 and 2) registered again.
+            assert ex.wire_stats().registration_bytes - before == len(
+                encode_payload(model)
+            ) + len(encode_payload(([clients[0], clients[2]], ())))
 
 
 class TestTimingAndHistory:

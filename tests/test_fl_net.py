@@ -11,6 +11,7 @@ and spec mismatches; a mid-upload agent disconnect is a typed fault
 
 import json
 import logging
+import multiprocessing
 import os
 import pickle
 import socket
@@ -26,6 +27,7 @@ from repro.core import PardonStrategy
 from repro.data import partition_clients, synthetic_pacs
 from repro.fl import (
     Client,
+    FaultEvent,
     FaultPlan,
     FederatedConfig,
     FederatedServer,
@@ -59,6 +61,7 @@ from repro.fl.net.protocol import (
     PROTOCOL_VERSION,
     HELLO,
     REGISTER,
+    REGISTERED,
     REJECT,
     TASK,
     UPLOAD,
@@ -257,10 +260,11 @@ class TestHandshake:
     def test_version_mismatch_rejected(self):
         reason = evaluate_hello({"version": 0}, codec_spec="identity")
         assert reason is not None and "version" in reason
-        # A version-1 task tuple carries a fifth (scratch-sync) field, and a
-        # version-2 welcome a compute spec.
-        assert PROTOCOL_VERSION == 3
-        for version in (1, 2):
+        # A version-1 task tuple carries a fifth (scratch-sync) field, a
+        # version-2 welcome a compute spec, and a version-3 agent neither
+        # acknowledges registrations nor reads broadcast handles from meta.
+        assert PROTOCOL_VERSION == 4
+        for version in (1, 2, 3):
             reason = evaluate_hello({"version": version}, codec_spec="identity")
             assert reason is not None and "version" in reason
 
@@ -574,7 +578,10 @@ class TestDisconnect:
                 frame = stream.next_frame()
                 if frame is None:
                     break
-                if decode_message(frame).kind == TASK:
+                kind = decode_message(frame).kind
+                if kind == REGISTER:
+                    stream.send(encode_message(REGISTERED))
+                if kind == TASK:
                     break  # vanish mid-round: task accepted, upload never sent
             sock.close()
 
@@ -597,6 +604,106 @@ class TestDisconnect:
         assert result.history.records[-1].participants
 
 
+class ExplodingStrategy(FedAvgStrategy):
+    """Local training raises, wherever it runs."""
+
+    def train_group(self, clients, emodel, round_index, rngs):
+        raise ValueError("exploding strategy")
+
+
+class TestAgentErrors:
+    """A task that raises on its agent is an error at the server — naming
+    the agent and the task, carrying the remote traceback — not a
+    disconnect, and the agents keep serving."""
+
+    def _assert_reported(self, executor, agent_name):
+        with pytest.raises(
+            RuntimeError,
+            match=rf"(?s)agent '{agent_name}' failed task \d+:\n"
+            rf"Traceback.*ValueError: exploding strategy",
+        ):
+            run_once(executor, strategy=ExplodingStrategy(FAST), rounds=1)
+        # The other lane's error belongs to the failed round: it is
+        # discarded by id, and the same engine runs the next experiment.
+        result = run_once(executor, rounds=2)
+        assert [r.dropped for r in result.history.records] == [{}, {}]
+
+    def test_on_remote_agents(self):
+        remote = RemoteExecutor(num_agents=2)
+        with thread_agents(remote):
+            self._assert_reported(remote, r"agent-\d")
+
+    def test_on_the_pool(self):
+        with ParallelExecutor(num_workers=2) as executor:
+            self._assert_reported(executor, r"worker\d")
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+class TestLaunchedAgents:
+    def test_hung_up_lane_exits_its_agent(self):
+        """The server hangs up one lane without ``bye``: its agent sees EOF
+        and exits, although the younger sibling was forked while that
+        lane's server end was open (each child closes the copies of the
+        server ends it inherited)."""
+        executor = ParallelExecutor(num_workers=2, start_method="fork")
+        try:
+            run_once(executor, rounds=1)
+            first, second = (agent.process for agent in executor._agents)
+            executor._mark_dead(0)
+            first.join(timeout=5)
+            assert first.exitcode == 0
+            assert second.is_alive()
+            # Nothing of the lane was outstanding, so no round saw it lost:
+            # the next round's open relaunches it before homing clients.
+            result = run_once(executor, rounds=1)
+            assert result.history.records[0].dropped == {}
+            relaunched = executor._agents[0].process
+            assert relaunched is not first and relaunched.is_alive()
+            assert executor._agents[1].process is second
+        finally:
+            executor.close()
+
+    def test_a_busy_agent_never_wedges_dispatch(self):
+        """Under ``pipe`` a broadcast frame outgrows the socket buffer.  An
+        agent still training an abandoned task is not reading, and the
+        upload it then writes outgrows the buffer too: the server reads
+        that answer while its own frame waits, or both ends would block in
+        a write forever."""
+        clients = make_clients()
+        model = build_mlp_model(
+            SUITE.image_shape, SUITE.num_classes,
+            rng=np.random.default_rng(0), hidden_dim=1024,
+        )
+        plan = FaultPlan(events=(FaultEvent("straggler", 1, 1, delay_seconds=1.0),))
+        executor = ParallelExecutor(
+            num_workers=2, transport="pipe", faults=plan, quorum=2
+        )
+        # Round 1's quorum closes on lane 0 and abandons client 1 asleep on
+        # lane 1; round 2 broadcasts to lane 1 for client 5, resident since
+        # round 0, so no acknowledged registration drains the lane first.
+        rounds = [[5, 7], [0, 2, 1], [0, 2, 5]]
+        dropped = []
+
+        def run():
+            for index, ids in enumerate(rounds):
+                executor.run_round(
+                    FedAvgStrategy(FAST), model, model.state_dict(),
+                    [clients[i] for i in ids], index, list(range(len(ids))),
+                )
+                dropped.append(executor.last_round.dropped)
+
+        thread = threading.Thread(target=run, daemon=True)
+        try:
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "dispatch wedged on a busy agent"
+        finally:
+            executor.close()
+        assert dropped == [{}, {1: "quorum"}, {5: "quorum"}]
+
+
 def faulty_agent(address, connected, on_task):
     """A protocol-complete agent (the real ``WorkerRuntime`` behind a
     hand-rolled serve loop) that calls ``on_task(stream, meta)`` before each
@@ -610,15 +717,24 @@ def faulty_agent(address, connected, on_task):
         stream = FrameStream(sock)
         stream.send(encode_message(HELLO, hello_meta(name="faulty")))
         welcome = decode_message(stream.next_frame())
-        runtime = WorkerRuntime(welcome.blob, welcome.meta["codec"], "pipe")
+        runtime = WorkerRuntime(
+            welcome.blob, welcome.meta["codec"], welcome.meta["transport"]
+        )
         while (frame := stream.next_frame()) is not None:
             message = decode_message(frame)
             if message.kind == REGISTER:
                 runtime.register(message.blob)
+                stream.send(encode_message(REGISTERED))
             elif message.kind == BROADCAST:
-                split = message.meta["strategy_bytes"]
+                # The state frame follows the strategy blob under pipe;
+                # any other transport's handle crosses as meta fields.
+                split, fields = (
+                    message.meta["strategy_bytes"], message.meta.get("handle")
+                )
                 runtime.broadcast(
-                    message.blob[:split], message.blob[split:],
+                    message.blob[:split],
+                    message.blob[split:] if fields is None
+                    else runtime.transport.handle_type(**fields),
                     message.meta["round"],
                 )
             elif message.kind == TASK:
