@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.fl.client import Client
 from repro.nn.ensemble import ensemble_of, load_state_broadcast, release_step_caches
+from repro.nn.module import architecture_signature
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.fl.executor import ClientUpdate
@@ -93,20 +94,13 @@ def _stack_sizes(count: int, limit: int) -> list[int]:
     return [base + 1] * extra + [base] * (stacks - extra)
 
 
-def _architecture(model: "Module") -> tuple:
-    """What an ensemble clone's structure depends on: names and shapes."""
-    return tuple(
-        (name, param.data.shape) for name, param in model.named_parameters()
-    ) + tuple((name, buffer.shape) for name, buffer in model.named_buffers())
-
-
 def _broadcast_copy(model: "Module", wire_state: "StateDict") -> "StateDict":
     """What ``model.state_dict()`` reads after ``load_state_dict(wire_state)``
     (same keys in the same order, float64 copies), without touching
     ``model``."""
     return {
         name: np.array(wire_state[name], dtype=np.float64)
-        for name, _ in _architecture(model)
+        for name, _ in model.named_parameters()
     }
 
 
@@ -140,7 +134,9 @@ class EnsembleBackend:
         #: safe because every use starts with a full
         #: ``load_state_broadcast`` — the clone carries no state between
         #: stacks, only structure — which is also why the key only needs to
-        #: pin the architecture, not the owning model object.
+        #: pin the architecture (:func:`repro.nn.architecture_signature`,
+        #: hyperparameters such as conv strides included), not the owning
+        #: model object.
         self._clone: "tuple[tuple, int, Module] | None" = None
 
     def _stack_limit(self, strategy: "Strategy", client: Client) -> int:
@@ -171,7 +167,7 @@ class EnsembleBackend:
 
     def _clone_for(self, model: "Module", stack: int) -> "Module":
         """The one clone, holding at least ``stack`` slices of ``model``."""
-        architecture = _architecture(model)
+        architecture = architecture_signature(model)
         clone = self._clone
         if clone is None or clone[0] != architecture or clone[1] < stack:
             self._clone = clone = None  # freed before its successor is built

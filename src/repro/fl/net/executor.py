@@ -81,6 +81,7 @@ from repro.fl.net.protocol import (
 from repro.fl.net.transport import parse_endpoint
 from repro.fl.round import LOST, Executor, time_left
 from repro.fl.transport import make_transport
+from repro.nn.module import architecture_signature
 from repro.nn.serialize import encode_payload
 from repro.utils.logging import get_logger
 
@@ -217,7 +218,7 @@ class _AgentLanes(Executor):
             self._agents[home] = agent
 
     def open(self, model: "FeatureClassifierModel") -> None:
-        architecture = self._architecture_of(model)
+        architecture = architecture_signature(model)
         if self._agents is not None and architecture != self._architecture:
             self._template_changed()
         if self._agents is None:

@@ -1,4 +1,4 @@
-"""``tcp``: socket broadcast + upload streaming behind the Transport API.
+"""``tcp``: socket broadcast behind the Transport API.
 
 The server side runs a tiny in-process **blob server** — an asyncio
 length-prefixed-frame service on a daemon thread, started lazily on the
@@ -10,12 +10,9 @@ exchanging one request/response frame pair — so the bytes that cross are
 exactly the bytes ``publish`` was given, protocol-5 out-of-band framing
 and all, and traces stay bit-identical to pipe/shm by construction.
 
-Uploads stream back over the same socket: :meth:`~TcpTransport.send_upload`
-pushes the encoded update blob to the blob server and returns a tiny
-marker that rides the agent's upload frame; :meth:`~TcpTransport.recv_upload`
-redeems the marker server-side.  If the push cannot reach the server (an
-abandoned task finishing after executor close, say) the blob falls back
-to riding the upload frame inline — degraded accounting, never a wedge.
+The blob server only serves broadcasts: it answers a get and closes any
+other request unanswered, so nothing a peer sends is stored.  Uploads ride
+the agent's upload frame on its lane socket, as under every transport.
 
 Spec forms: ``tcp`` binds loopback on an ephemeral port; ``tcp:host:port``
 binds where told (``port`` may be 0 for ephemeral).  Worker-side endpoints
@@ -26,7 +23,6 @@ same spec string builds both roles, exactly like pipe/shm.
 from __future__ import annotations
 
 import pickle
-import secrets
 import socket
 import struct
 import threading
@@ -41,26 +37,17 @@ __all__ = ["TcpTransport", "TcpHandle", "parse_endpoint"]
 _log = get_logger("fl.net.transport")
 
 #: Seconds a worker waits to reach the blob server before declaring the
-#: broadcast unfetchable (a fetch failure, unlike an upload push failure,
-#: has no inline fallback — the blob only exists server-side).
+#: broadcast unfetchable (the blob only exists server-side).
 _CONNECT_TIMEOUT = 10.0
-
-#: Marker prefix for redeemable uploads in an upload frame.  Distinct from
-#: the serializer's ``RPB5`` magic, so the inline fallback (a raw
-#: ``encode_payload`` blob) can never be mistaken for a marker.
-_UPLOAD_MAGIC = b"RTU1"
-_UPLOAD_HEAD = struct.Struct(">I")
 
 _FOUND = b"\x01"
 _MISSING = b"\x00"
 
-#: The blob server's two requests: a one-byte op tag, then fixed fields —
-#: ``G`` + big-endian ``u64`` blob id, ``P`` + upload token + blob.  Plain
-#: bytes, never unpickled: anything that can reach the port can send them.
+#: The blob server's one request: the tag ``G`` + big-endian ``u64`` blob
+#: id.  Plain bytes, never unpickled: anything that can reach the port can
+#: send them.
 _GET = b"G"
-_PUT = b"P"
 _BLOB_ID = struct.Struct(">Q")
-_TOKEN_BYTES = 16
 
 
 def parse_endpoint(
@@ -102,18 +89,17 @@ class TcpHandle:
 class _BlobServer:
     """The asyncio frame service backing one server-side TcpTransport.
 
-    Requests are a tag byte plus fixed fields (``_GET`` / ``_PUT``) — a get
-    answered with a status byte + blob, a put with ``b"ok"``; anything else
-    closes the connection — one request/response turn per connection per
-    call, which keeps the worker side a dumb blocking socket with no
-    demultiplexing.
+    A request is ``_GET`` plus a blob id, answered with a status byte +
+    blob; anything else closes the connection.  One request/response turn
+    per connection per call keeps the worker side a dumb blocking socket
+    with no demultiplexing.
     Runs its own event loop on a daemon thread so the executor's
     synchronous round loop never has to be async-aware.
     """
 
     def __init__(self, host: str, port: int) -> None:
         self._bind = (host, port)
-        self._store: "dict[tuple[str, object], bytes]" = {}
+        self._store: "dict[int, bytes]" = {}
         self._lock = threading.Lock()
         self._loop = None
         self._thread: "threading.Thread | None" = None
@@ -181,16 +167,11 @@ class _BlobServer:
                 if op == _GET and len(body) == _BLOB_ID.size:
                     (blob_id,) = _BLOB_ID.unpack(body)
                     with self._lock:
-                        blob = self._store.get(("blob", blob_id))
+                        blob = self._store.get(blob_id)
                     if blob is None:
                         await write_frame(writer, _MISSING)
                     else:
                         await write_frame(writer, _FOUND + blob)
-                elif op == _PUT and len(body) >= _TOKEN_BYTES:
-                    token, blob = body[:_TOKEN_BYTES], body[_TOKEN_BYTES:]
-                    with self._lock:
-                        self._store[("upload", token)] = blob
-                    await write_frame(writer, b"ok")
                 else:
                     break
         except (FrameError, ConnectionError, OSError):
@@ -206,11 +187,7 @@ class _BlobServer:
 
     def put_blob(self, blob_id: int, blob: bytes) -> None:
         with self._lock:
-            self._store[("blob", blob_id)] = blob
-
-    def pop_upload(self, token: bytes) -> "bytes | None":
-        with self._lock:
-            return self._store.pop(("upload", token), None)
+            self._store[blob_id] = blob
 
     def clear(self) -> None:
         with self._lock:
@@ -234,9 +211,6 @@ class TcpTransport(Transport):
         self._bind = parse_endpoint(self._params)
         self._server: "_BlobServer | None" = None
         self._next_blob_id = 0
-        # Worker role: the blob-server endpoint seen on the latest fetch —
-        # uploads push back to wherever the broadcast came from.
-        self._upload_endpoint: "tuple[str, int] | None" = None
 
     @property
     def spec(self) -> str:
@@ -282,8 +256,7 @@ class TcpTransport(Transport):
 
     def end_round(self) -> None:
         # Same lifecycle as shm's segment unlink: once the round's uploads
-        # are in, its blobs are dead weight, and any upload not redeemed by
-        # round close belongs to a deadline-dropped task.  Such a task that
+        # are in, its blobs are dead weight.  A deadline-dropped task that
         # fetches after this point gets a ConnectionError on its own agent
         # (an error frame the server discards by id), exactly like one
         # attaching an unlinked segment.
@@ -303,7 +276,6 @@ class TcpTransport(Transport):
                 f"tcp transport received a {type(handle).__name__} handle; "
                 f"the endpoints negotiated different transports"
             )
-        self._upload_endpoint = (handle.host, handle.port)
         with socket.create_connection(
             (handle.host, handle.port), timeout=_CONNECT_TIMEOUT
         ) as sock:
@@ -320,35 +292,4 @@ class TcpTransport(Transport):
                 f"broadcast blob {handle.blob_id} truncated: "
                 f"{len(blob)}/{handle.length} bytes"
             )
-        return blob
-
-    # -- upload channel ------------------------------------------------------
-
-    def send_upload(self, blob: bytes) -> bytes:
-        endpoint = self._upload_endpoint
-        if endpoint is None:  # pragma: no cover - tasks always fetch first
-            return blob
-        token = secrets.token_hex(_TOKEN_BYTES // 2).encode("ascii")
-        try:
-            with socket.create_connection(endpoint, timeout=_CONNECT_TIMEOUT) as sock:
-                send_frame(sock, _PUT + token + blob)
-                reply = recv_frame(sock)
-            if reply != b"ok":  # pragma: no cover - defensive
-                return blob
-        except OSError:
-            # The blob server is gone (executor closed under an abandoned
-            # straggler) — ride the upload frame inline rather than wedge.
-            return blob
-        return _UPLOAD_MAGIC + _UPLOAD_HEAD.pack(len(blob)) + token
-
-    def recv_upload(self, wire: bytes) -> bytes:
-        if wire[: len(_UPLOAD_MAGIC)] != _UPLOAD_MAGIC:
-            return wire  # inline fallback blob
-        token = bytes(wire[len(_UPLOAD_MAGIC) + _UPLOAD_HEAD.size :])
-        blob = self._server.pop_upload(token) if self._server is not None else None
-        if blob is None:
-            raise ConnectionError(f"upload {token!r} missing from the blob server")
-        (length,) = _UPLOAD_HEAD.unpack_from(wire, len(_UPLOAD_MAGIC))
-        if len(blob) != length:  # pragma: no cover - defensive
-            raise ConnectionError(f"upload {token!r} truncated: {len(blob)}/{length}")
         return blob

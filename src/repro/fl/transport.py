@@ -50,13 +50,11 @@ segment plus the previous one, whose decoded views a stateful codec may
 still reference) and mappings die with the worker process, so worker
 crashes cannot leak either.
 
-Upload channel
---------------
-Uploads are per-client payloads with no fan-out redundancy, so ``pipe``
-and ``shm`` pass them straight through the agent's upload frame
-(:meth:`Transport.send_upload` / :meth:`Transport.recv_upload` are
-identity hooks there).  ``tcp`` overrides both: a worker parks its upload
-on the server's blob server and only a small reference crosses the pipe.
+Uploads
+-------
+A transport only carries the broadcast.  Uploads are per-client payloads
+with no fan-out redundancy, so under every transport they ride the
+agent's upload frame on its lane socket.
 """
 
 from __future__ import annotations
@@ -109,13 +107,12 @@ class ShmHandle:
 
 
 class Transport:
-    """Downlink fan-out + upload channel for one executor's wire.
+    """Downlink fan-out for one executor's wire.
 
     One instance lives on the server (``publish`` / ``handle_wire_bytes`` /
-    ``end_round`` / ``close`` / ``recv_upload``) and one per worker process
-    (``fetch`` / ``send_upload``), negotiated by spec in the welcome exactly
-    like the codec — both endpoints are built from the same name before any
-    blob crosses.
+    ``end_round`` / ``close``) and one per worker process (``fetch``),
+    negotiated by spec in the welcome exactly like the codec — both
+    endpoints are built from the same name before any blob crosses.
 
     The contract: ``fetch(publish(blob))`` yields the same bytes in every
     worker, and a handle must stay fetchable until :meth:`end_round` is
@@ -167,17 +164,6 @@ class Transport:
         """The published blob for ``handle``, as a bytes-like the serializer
         can decode from directly (shm returns a read-only zero-copy view)."""
         raise NotImplementedError
-
-    # -- upload channel ------------------------------------------------------
-
-    def send_upload(self, blob: bytes) -> bytes:
-        """Agent-side upload hook; stock transports pass through the agent's
-        upload frame (per-client payloads have no fan-out redundancy)."""
-        return blob
-
-    def recv_upload(self, wire: bytes) -> bytes:
-        """Server-side inverse of :meth:`send_upload`."""
-        return wire
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

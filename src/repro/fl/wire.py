@@ -175,39 +175,6 @@ class WireServer:
         engine moves nothing across a process boundary)."""
         return replace(self.wire)
 
-    @staticmethod
-    def _architecture_of(model: "FeatureClassifierModel") -> tuple:
-        """Structural signature deciding whether the endpoints' model
-        template still fits.
-
-        Covers everything ``load_state_dict`` validates — parameter *and*
-        buffer names/shapes — plus each module's class and public scalar
-        hyperparameters (stride, padding, ...), which change forward
-        semantics without changing any tensor shape.  ``training`` and
-        underscore-prefixed attributes are excluded: they vary at runtime
-        and would only force needless pool rebuilds.
-        """
-        structure = tuple(
-            (
-                type(module).__name__,
-                tuple(
-                    sorted(
-                        (key, value)
-                        for key, value in vars(module).items()
-                        if key != "training"
-                        and not key.startswith("_")
-                        and isinstance(value, (bool, int, float, str, tuple))
-                    )
-                ),
-            )
-            for module in model.modules()
-        )
-        return (
-            structure,
-            tuple((name, param.shape) for name, param in model.named_parameters()),
-            tuple((name, buf.shape) for name, buf in model.named_buffers()),
-        )
-
     def _newcomers(self, rows: "list[_Row]") -> "dict[object, list[Client]]":
         """The clients of ``rows`` that are not resident at their row's
         home yet, per home.  Residency is keyed on client *identity*: a run
@@ -312,14 +279,13 @@ class WireServer:
             row.fault,
         )
 
-    def _decode_upload(self, wire: object) -> "list[ClientUpdate]":
-        """Unwrap one wire upload: codec-decode each state against its
-        client's reference chain.
+    def _decode_upload(self, blob: bytes) -> "list[ClientUpdate]":
+        """Unwrap one upload frame's blob: codec-decode each state against
+        its client's reference chain.
 
         The decode order is fixed per row, so any arrival order advances
         the chains identically for a given set of ingested rows.
         """
-        blob = self.transport.recv_upload(wire)
         self.wire.upload_bytes += len(blob)
         updates: "list[ClientUpdate]" = decode_payload(blob)
         for update in updates:
@@ -529,4 +495,4 @@ class WorkerRuntime:
             )
             if self.codec.stateful:
                 self.upload_refs[update.client_id] = state
-        return self.transport.send_upload(encode_payload(updates))
+        return encode_payload(updates)

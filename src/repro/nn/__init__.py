@@ -6,17 +6,9 @@ initialization, PyTorch-style state dicts for federated weight exchange, and
 the loss functions PARDON's objective is built from.
 """
 
-from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.layers import (
-    Flatten,
-    LeakyReLU,
-    Linear,
-    ReLU,
-    Sigmoid,
-    Tanh,
-)
-from repro.nn.conv import AvgPool2d, Conv2d, GlobalAvgPool2d, MaxPool2d
-from repro.nn.norm import BatchNorm2d, InstanceNorm2d, LayerNorm
+from repro.nn.module import Module, Parameter, Sequential, architecture_signature
+from repro.nn.layers import Flatten, Linear, ReLU, Tanh
+from repro.nn.conv import Conv2d
 from repro.nn.losses import (
     CrossEntropyLoss,
     EmbeddingL2Loss,
@@ -51,19 +43,12 @@ __all__ = [
     "Module",
     "Parameter",
     "Sequential",
+    "architecture_signature",
     "Linear",
     "ReLU",
-    "LeakyReLU",
     "Tanh",
-    "Sigmoid",
     "Flatten",
     "Conv2d",
-    "MaxPool2d",
-    "AvgPool2d",
-    "GlobalAvgPool2d",
-    "BatchNorm2d",
-    "InstanceNorm2d",
-    "LayerNorm",
     "CrossEntropyLoss",
     "TripletStyleLoss",
     "EmbeddingL2Loss",

@@ -1,4 +1,4 @@
-"""Convolution and pooling layers.
+"""The convolution layer.
 
 Conv2d is implemented with im2col: patches are gathered into a matrix so the
 convolution becomes one matmul, which is the only way to get acceptable
@@ -24,9 +24,6 @@ from repro.nn.module import Module, Parameter
 
 __all__ = [
     "Conv2d",
-    "MaxPool2d",
-    "AvgPool2d",
-    "GlobalAvgPool2d",
     "im2col",
     "col2im",
     "conv2d",
@@ -262,98 +259,3 @@ class Conv2d(Module):
     def backward_params(self, grad_output: np.ndarray) -> None:
         self._accumulate(grad_output)
 
-
-class MaxPool2d(Module):
-    """Max pooling with square window; stride defaults to the window size."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self._argmax: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int, int] | None = None
-        self._out_hw: tuple[int, int] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = x.shape
-        reshaped = x.reshape(batch * channels, 1, height, width)
-        cols, (out_h, out_w) = im2col(reshaped, self.kernel_size, self.stride, 0)
-        self._argmax = np.argmax(cols, axis=1)
-        self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
-        out = cols[np.arange(cols.shape[0]), self._argmax]
-        return out.reshape(batch, channels, out_h, out_w)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._argmax is None or self._x_shape is None or self._out_hw is None:
-            raise RuntimeError("backward called before forward")
-        batch, channels, height, width = self._x_shape
-        out_h, out_w = self._out_hw
-        grad_cols = np.zeros(
-            (batch * channels * out_h * out_w, self.kernel_size * self.kernel_size),
-            dtype=grad_output.dtype,
-        )
-        grad_cols[np.arange(grad_cols.shape[0]), self._argmax] = grad_output.reshape(-1)
-        grad = col2im(
-            grad_cols,
-            (batch * channels, 1, height, width),
-            self.kernel_size,
-            self.stride,
-            0,
-        )
-        return grad.reshape(batch, channels, height, width)
-
-
-class AvgPool2d(Module):
-    """Average pooling with square window; stride defaults to the window."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self._x_shape: tuple[int, int, int, int] | None = None
-        self._out_hw: tuple[int, int] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = x.shape
-        reshaped = x.reshape(batch * channels, 1, height, width)
-        cols, (out_h, out_w) = im2col(reshaped, self.kernel_size, self.stride, 0)
-        self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
-        return cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        batch, channels, height, width = self._x_shape
-        window = self.kernel_size * self.kernel_size
-        grad_cols = np.repeat(
-            grad_output.reshape(-1, 1) / window, window, axis=1
-        )
-        grad = col2im(
-            grad_cols,
-            (batch * channels, 1, height, width),
-            self.kernel_size,
-            self.stride,
-            0,
-        )
-        return grad.reshape(batch, channels, height, width)
-
-
-class GlobalAvgPool2d(Module):
-    """Average each channel over its full spatial extent → (batch, channels)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._x_shape: tuple[int, int, int, int] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
-        return x.mean(axis=(2, 3))
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        batch, channels, height, width = self._x_shape
-        spread = grad_output[:, :, None, None] / (height * width)
-        return np.broadcast_to(spread, self._x_shape).copy()

@@ -9,7 +9,7 @@ on these layers.
 
 Why the per-client numerics survive stacking
 --------------------------------------------
-numpy's batched ``matmul`` and axis reductions (``mean``/``var``/``sum``)
+numpy's batched ``matmul`` and axis reductions (``sum``/``max``)
 produce *bitwise identical* results per slice regardless of the stack
 composition: slice ``k`` of a batched ``(K, M, N) @ (K, N, P)`` equals the
 plain 2-D product of the same operands, and a reduction over a slice's axes
@@ -22,7 +22,7 @@ clients are grouped into stacks.  The test suite
 (`tests/test_nn_ensemble.py`) enforces both properties.
 
 Ensemble layers mirror their template's attribute names (``weight``,
-``bias``, ``gamma``, ``layers``, ...), so ``named_parameters`` /
+``bias``, ``layers``, ...), so ``named_parameters`` /
 ``state_dict`` yield the *same dotted names* with ``(K,) + shape`` values —
 the generic state helpers at the bottom of this module stack / split client
 state dicts without any per-layer knowledge.
@@ -41,38 +41,16 @@ from typing import Callable
 
 import numpy as np
 
-from repro.nn.conv import (
-    AvgPool2d,
-    Conv2d,
-    GlobalAvgPool2d,
-    MaxPool2d,
-    col2im,
-    im2col,
-    weight_matrix,
-)
-from repro.nn.layers import (
-    Flatten,
-    LeakyReLU,
-    Linear,
-    ReLU,
-    Sigmoid,
-    Tanh,
-    in_memory_order,
-    memory_axes,
-)
+from repro.nn.conv import Conv2d, col2im, im2col, weight_matrix
+from repro.nn.layers import Flatten, Linear, ReLU, in_memory_order, memory_axes
 from repro.nn.models import FeatureClassifierModel
 from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.norm import BatchNorm2d, InstanceNorm2d, LayerNorm
 
 __all__ = [
     "EnsembleModule",
     "EnsembleConv2d",
     "EnsembleLinear",
     "EnsembleFlatten",
-    "EnsembleSpatialPool",
-    "EnsembleBatchNorm2d",
-    "EnsembleInstanceNorm2d",
-    "EnsembleLayerNorm",
     "EnsembleFeatureClassifierModel",
     "ensemble_cross_entropy",
     "EnsembleTripletStyleLoss",
@@ -243,199 +221,6 @@ class EnsembleFlatten(EnsembleModule):
         if self._shape is None:
             raise RuntimeError("backward called before forward")
         return in_memory_order(grad_output.reshape(self._shape), self._axes)
-
-
-class EnsembleSpatialPool(EnsembleModule):
-    """Run a parameter-free spatial pool over a flattened ``(K*B, ...)`` view.
-
-    Pooling acts per sample, so folding the stack axis into the batch axis is
-    exact; the wrapped template instance does all the work.
-    """
-
-    def __init__(self, pool: Module, ensemble_size: int) -> None:
-        super().__init__(ensemble_size)
-        self.pool = pool
-        self._lead: tuple[int, int] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        stack, batch = x.shape[:2]
-        self._lead = (stack, batch)
-        out = self.pool.forward(x.reshape(stack * batch, *x.shape[2:]))
-        return out.reshape(stack, batch, *out.shape[1:])
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._lead is None:
-            raise RuntimeError("backward called before forward")
-        stack, batch = self._lead
-        grad = self.pool.backward(
-            grad_output.reshape(stack * batch, *grad_output.shape[2:])
-        )
-        return grad.reshape(stack, batch, *grad.shape[1:])
-
-
-class EnsembleBatchNorm2d(EnsembleModule):
-    """K independent BatchNorm2d layers; per-slice statistics over (B, H, W)."""
-
-    def __init__(self, template: BatchNorm2d, ensemble_size: int) -> None:
-        super().__init__(ensemble_size)
-        self.num_features = template.num_features
-        self.momentum = template.momentum
-        self.eps = template.eps
-        self.gamma = _stack_param(template.gamma, ensemble_size, "gamma")
-        self.beta = _stack_param(template.beta, ensemble_size, "beta")
-        self._buffers = {
-            name: np.broadcast_to(value, (ensemble_size,) + value.shape).copy()
-            for name, value in template._buffers.items()
-        }
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if (
-            x.ndim != 5
-            or x.shape[0] != self.ensemble_size
-            or x.shape[2] != self.num_features
-        ):
-            raise ValueError(
-                f"EnsembleBatchNorm2d expected ({self.ensemble_size}, batch, "
-                f"{self.num_features}, H, W), got {x.shape}"
-            )
-        if self.training:
-            mean = x.mean(axis=(1, 3, 4))
-            var = x.var(axis=(1, 3, 4))
-            self._buffers["running_mean"] = (
-                (1 - self.momentum) * self._buffers["running_mean"]
-                + self.momentum * mean
-            )
-            self._buffers["running_var"] = (
-                (1 - self.momentum) * self._buffers["running_var"]
-                + self.momentum * var
-            )
-        else:
-            mean = self._buffers["running_mean"]
-            var = self._buffers["running_var"]
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        normalized = (x - mean[:, None, :, None, None]) * inv_std[
-            :, None, :, None, None
-        ]
-        self._cache = (normalized, inv_std, x.shape)
-        return (
-            self.gamma.data[:, None, :, None, None] * normalized
-            + self.beta.data[:, None, :, None, None]
-        )
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        normalized, inv_std, shape = self._cache
-        _, batch, _, height, width = shape
-        count = batch * height * width
-        self.gamma.grad += (grad_output * normalized).sum(axis=(1, 3, 4))
-        self.beta.grad += grad_output.sum(axis=(1, 3, 4))
-        grad_norm = grad_output * self.gamma.data[:, None, :, None, None]
-        if not self.training:
-            return grad_norm * inv_std[:, None, :, None, None]
-        sum_grad = grad_norm.sum(axis=(1, 3, 4), keepdims=True)
-        sum_grad_norm = (grad_norm * normalized).sum(axis=(1, 3, 4), keepdims=True)
-        return (
-            inv_std[:, None, :, None, None]
-            / count
-            * (count * grad_norm - sum_grad - normalized * sum_grad_norm)
-        )
-
-
-class EnsembleInstanceNorm2d(EnsembleModule):
-    """K independent InstanceNorm2d layers; statistics are per sample anyway."""
-
-    def __init__(self, template: InstanceNorm2d, ensemble_size: int) -> None:
-        super().__init__(ensemble_size)
-        self.num_features = template.num_features
-        self.eps = template.eps
-        self.affine = template.affine
-        if template.affine:
-            self.gamma = _stack_param(template.gamma, ensemble_size, "gamma")
-            self.beta = _stack_param(template.beta, ensemble_size, "beta")
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if (
-            x.ndim != 5
-            or x.shape[0] != self.ensemble_size
-            or x.shape[2] != self.num_features
-        ):
-            raise ValueError(
-                f"EnsembleInstanceNorm2d expected ({self.ensemble_size}, batch, "
-                f"{self.num_features}, H, W), got {x.shape}"
-            )
-        mean = x.mean(axis=(3, 4), keepdims=True)
-        var = x.var(axis=(3, 4), keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        normalized = (x - mean) * inv_std
-        self._cache = (normalized, inv_std, x.shape)
-        if not self.affine:
-            return normalized
-        return (
-            self.gamma.data[:, None, :, None, None] * normalized
-            + self.beta.data[:, None, :, None, None]
-        )
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        normalized, inv_std, shape = self._cache
-        height, width = shape[3], shape[4]
-        count = height * width
-        if self.affine:
-            self.gamma.grad += (grad_output * normalized).sum(axis=(1, 3, 4))
-            self.beta.grad += grad_output.sum(axis=(1, 3, 4))
-            grad_norm = grad_output * self.gamma.data[:, None, :, None, None]
-        else:
-            grad_norm = grad_output
-        sum_grad = grad_norm.sum(axis=(3, 4), keepdims=True)
-        sum_grad_norm = (grad_norm * normalized).sum(axis=(3, 4), keepdims=True)
-        return inv_std / count * (count * grad_norm - sum_grad - normalized * sum_grad_norm)
-
-
-class EnsembleLayerNorm(EnsembleModule):
-    """K independent LayerNorm layers over the last axis of (K, B, F) input."""
-
-    def __init__(self, template: LayerNorm, ensemble_size: int) -> None:
-        super().__init__(ensemble_size)
-        self.num_features = template.num_features
-        self.eps = template.eps
-        self.gamma = _stack_param(template.gamma, ensemble_size, "gamma")
-        self.beta = _stack_param(template.beta, ensemble_size, "beta")
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if (
-            x.ndim != 3
-            or x.shape[0] != self.ensemble_size
-            or x.shape[2] != self.num_features
-        ):
-            raise ValueError(
-                f"EnsembleLayerNorm expected ({self.ensemble_size}, batch, "
-                f"{self.num_features}), got {x.shape}"
-            )
-        mean = x.mean(axis=2, keepdims=True)
-        var = x.var(axis=2, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        normalized = (x - mean) * inv_std
-        self._cache = (normalized, inv_std)
-        return (
-            self.gamma.data[:, None, :] * normalized + self.beta.data[:, None, :]
-        )
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        normalized, inv_std = self._cache
-        count = self.num_features
-        self.gamma.grad += (grad_output * normalized).sum(axis=1)
-        self.beta.grad += grad_output.sum(axis=1)
-        grad_norm = grad_output * self.gamma.data[:, None, :]
-        sum_grad = grad_norm.sum(axis=2, keepdims=True)
-        sum_grad_norm = (grad_norm * normalized).sum(axis=2, keepdims=True)
-        return inv_std / count * (count * grad_norm - sum_grad - normalized * sum_grad_norm)
 
 
 class EnsembleFeatureClassifierModel(FeatureClassifierModel):
@@ -694,37 +479,14 @@ def ensemble_of(model: Module, ensemble_size: int) -> Module:
     return _convert(model, ensemble_size)
 
 
-def _convert_fresh(factory: Callable[[Module], Module]) -> Callable[[Module, int], Module]:
-    return lambda template, ensemble_size: factory(template)
-
-
 register_ensemble_converter(Conv2d, EnsembleConv2d)
 register_ensemble_converter(Linear, EnsembleLinear)
-register_ensemble_converter(BatchNorm2d, EnsembleBatchNorm2d)
-register_ensemble_converter(InstanceNorm2d, EnsembleInstanceNorm2d)
-register_ensemble_converter(LayerNorm, EnsembleLayerNorm)
 register_ensemble_converter(
     Flatten, lambda template, ensemble_size: EnsembleFlatten(ensemble_size)
 )
-# Elementwise layers are shape-agnostic: fresh template-class instances work
-# on (K, batch, ...) stacks unchanged.
-register_ensemble_converter(ReLU, _convert_fresh(lambda t: ReLU()))
-register_ensemble_converter(Tanh, _convert_fresh(lambda t: Tanh()))
-register_ensemble_converter(Sigmoid, _convert_fresh(lambda t: Sigmoid()))
-register_ensemble_converter(
-    LeakyReLU, _convert_fresh(lambda t: LeakyReLU(t.negative_slope))
-)
-register_ensemble_converter(
-    MaxPool2d,
-    lambda t, k: EnsembleSpatialPool(MaxPool2d(t.kernel_size, t.stride), k),
-)
-register_ensemble_converter(
-    AvgPool2d,
-    lambda t, k: EnsembleSpatialPool(AvgPool2d(t.kernel_size, t.stride), k),
-)
-register_ensemble_converter(
-    GlobalAvgPool2d, lambda t, k: EnsembleSpatialPool(GlobalAvgPool2d(), k)
-)
+# ReLU is elementwise and shape-agnostic: a fresh instance works on
+# (K, batch, ...) stacks unchanged.
+register_ensemble_converter(ReLU, lambda template, ensemble_size: ReLU())
 register_ensemble_converter(
     Sequential,
     lambda t, k: Sequential(*[_convert(layer, k) for layer in t.layers]),
@@ -756,9 +518,9 @@ def _use_leading(emodel: Module, ensemble_size: int) -> None:
     """Make ``emodel`` an ``ensemble_size``-stack over the leading slices of
     the storage it was built with.
 
-    Each module's parameter data, gradients and buffers at build size are
-    remembered on first use; every later call points them at ``[:size]``
-    views of that storage.  A leading slice of a C-contiguous array is
+    Each module's parameter data and gradients at build size are remembered
+    on first use; every later call points them at ``[:size]`` views of that
+    storage.  A leading slice of a C-contiguous array is
     C-contiguous at the same address, so every GEMM operand keeps the
     layout a freshly built ``size``-stack would give it.
     """
@@ -767,16 +529,12 @@ def _use_leading(emodel: Module, ensemble_size: int) -> None:
             module.ensemble_size = ensemble_size
         storage = vars(module).get("_storage")
         if storage is None:
-            storage = module._storage = (
-                {
-                    attr: (value.data, value.grad)
-                    for attr, value in vars(module).items()
-                    if isinstance(value, Parameter)
-                },
-                dict(getattr(module, "_buffers", None) or {}),
-            )
-        params, buffers = storage
-        for attr, (data, grad) in params.items():
+            storage = module._storage = {
+                attr: (value.data, value.grad)
+                for attr, value in vars(module).items()
+                if isinstance(value, Parameter)
+            }
+        for attr, (data, grad) in storage.items():
             if data.shape[0] < ensemble_size:
                 raise ValueError(
                     f"a {data.shape[0]}-stack clone cannot train "
@@ -784,8 +542,6 @@ def _use_leading(emodel: Module, ensemble_size: int) -> None:
                 )
             param = getattr(module, attr)
             param.data, param.grad = data[:ensemble_size], grad[:ensemble_size]
-        for name, buffer in buffers.items():
-            module._buffers[name] = buffer[:ensemble_size]
 
 
 def load_state_broadcast(
@@ -796,18 +552,13 @@ def load_state_broadcast(
 
     ``emodel`` may have been built for more slices (the trainer keeps one
     clone, sized to the largest stack it needs): a smaller stack then
-    trains on leading-slice views of the clone's parameters, gradients and
-    buffers (:func:`_use_leading`).  The broadcast is copied into those
-    views in place, never into fresh arrays.
+    trains on leading-slice views of the clone's parameters and gradients
+    (:func:`_use_leading`).  The broadcast is copied into those views in
+    place, never into fresh arrays.
     """
     _use_leading(emodel, ensemble_size)
-    params, buffer_hosts = emodel.state_targets(state)
-    targets = [(name, param.data) for name, param in params.items()]
-    targets += [
-        (name, host._buffers[attr]) for name, (host, attr) in buffer_hosts.items()
-    ]
-    for name, target in targets:
-        value = state[name]
+    for name, param in emodel.state_targets(state).items():
+        value, target = state[name], param.data
         if np.shape(value) != target.shape[1:]:
             raise ValueError(
                 f"shape mismatch for {name}: "
@@ -817,12 +568,12 @@ def load_state_broadcast(
 
 
 #: What ensemble layers keep from a forward for its backward.
-_STEP_CACHES = ("_cols", "_input", "_mask", "_cache", "_argmax", "_output")
+_STEP_CACHES = ("_cols", "_input", "_mask")
 
 
 def release_step_caches(emodel: Module) -> None:
     """Drop the activations ``emodel``'s layers cached for a backward, so a
-    clone at rest holds only its parameters, gradients and buffers."""
+    clone at rest holds only its parameters and gradients."""
     for module in emodel.modules():
         for attr in _STEP_CACHES:
             if getattr(module, attr, None) is not None:
@@ -832,11 +583,10 @@ def release_step_caches(emodel: Module) -> None:
 def ensemble_state_dicts(emodel: Module) -> list[dict[str, np.ndarray]]:
     """Split an ensemble model back into K per-client state dicts.
 
-    Key order matches the template's ``state_dict`` (parameters, then
-    buffers) because ensemble layers mirror the template attribute names.
-    Each stack is copied once and the K states hold its row views, which
-    are C-contiguous snapshots that alias neither the live stack nor each
-    other.
+    Key order matches the template's ``state_dict`` because ensemble layers
+    mirror the template attribute names.  Each stack is copied once and the
+    K states hold its row views, which are C-contiguous snapshots that alias
+    neither the live stack nor each other.
     """
     ensemble_size = getattr(emodel, "ensemble_size", None)
     if ensemble_size is None:
@@ -847,10 +597,8 @@ def ensemble_state_dicts(emodel: Module) -> list[dict[str, np.ndarray]]:
     if ensemble_size is None:
         raise ValueError("not an ensemble model: no ensemble_size found")
     states: list[dict[str, np.ndarray]] = [{} for _ in range(ensemble_size)]
-    stacks = [(name, param.data) for name, param in emodel.named_parameters()]
-    stacks += emodel.named_buffers()
-    for name, stack in stacks:
-        rows = stack.copy()
+    for name, param in emodel.named_parameters():
+        rows = param.data.copy()
         for index in range(ensemble_size):
             states[index][name] = rows[index]
     return states

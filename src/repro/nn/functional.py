@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["softmax", "log_softmax", "one_hot", "accuracy", "sigmoid"]
+__all__ = ["softmax", "log_softmax", "one_hot", "accuracy"]
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -42,12 +42,3 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     predictions = np.argmax(logits, axis=1)
     return float(np.mean(predictions == np.asarray(labels)))
 
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically-stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out

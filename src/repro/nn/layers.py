@@ -7,7 +7,7 @@ import numpy as np
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
-__all__ = ["Linear", "ReLU", "LeakyReLU", "Tanh", "Sigmoid", "Flatten"]
+__all__ = ["Linear", "ReLU", "Tanh", "Flatten"]
 
 
 def memory_axes(x: np.ndarray) -> tuple[int, ...] | None:
@@ -87,24 +87,6 @@ class ReLU(Module):
         return grad_output * self._mask
 
 
-class LeakyReLU(Module):
-    """Elementwise leaky rectifier with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.1) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * np.where(self._mask, 1.0, self.negative_slope)
-
-
 class Tanh(Module):
     """Elementwise hyperbolic tangent."""
 
@@ -120,25 +102,6 @@ class Tanh(Module):
         if self._output is None:
             raise RuntimeError("backward called before forward")
         return grad_output * (1.0 - self._output**2)
-
-
-class Sigmoid(Module):
-    """Elementwise logistic function."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        from repro.nn.functional import sigmoid
-
-        self._output = sigmoid(x)
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * self._output * (1.0 - self._output)
 
 
 class Flatten(Module):

@@ -16,11 +16,11 @@ federated-averaging code reads naturally.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-__all__ = ["Parameter", "Module", "Sequential"]
+__all__ = ["Parameter", "Module", "Sequential", "architecture_signature"]
 
 
 class Parameter:
@@ -124,36 +124,12 @@ class Module:
     # -- state exchange (the FL wire format) --------------------------------
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        """Return a copy of all parameters plus registered buffers.
-
-        Buffers (e.g. batch-norm running statistics) are exposed by modules
-        through a ``_buffers`` dict of name -> ndarray.
-        """
-        state: dict[str, np.ndarray] = {}
-        for name, param in self.named_parameters():
-            state[name] = param.data.copy()
-        for name, buffer in self.named_buffers():
-            state[name] = buffer.copy()
-        return state
-
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        """Yield ``(dotted_name, buffer)`` pairs, depth first."""
-        buffers = getattr(self, "_buffers", None)
-        if buffers:
-            for attr, value in buffers.items():
-                yield (f"{prefix}{attr}", value)
-        for attr, value in vars(self).items():
-            if isinstance(value, Module):
-                yield from value.named_buffers(prefix=f"{prefix}{attr}.")
-            elif isinstance(value, (list, tuple)):
-                for index, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield from item.named_buffers(prefix=f"{prefix}{attr}.{index}.")
+        """Return a copy of all parameters, by dotted name."""
+        return {name: param.data.copy() for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load parameters and buffers from ``state`` (copies, never aliases)."""
-        params, buffer_hosts = self.state_targets(state)
-        for name, param in params.items():
+        """Load parameters from ``state`` (copies, never aliases)."""
+        for name, param in self.state_targets(state).items():
             value = np.asarray(state[name], dtype=np.float64)
             if value.shape != param.data.shape:
                 raise ValueError(
@@ -161,51 +137,19 @@ class Module:
                     f"expected {param.data.shape}, got {value.shape}"
                 )
             param.data = value.copy()
-        for name, (host, attr) in buffer_hosts.items():
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != host._buffers[attr].shape:
-                raise ValueError(
-                    f"shape mismatch for buffer {name}: "
-                    f"expected {host._buffers[attr].shape}, got {value.shape}"
-                )
-            host._buffers[attr] = value.copy()
 
-    def state_targets(
-        self, state: dict[str, np.ndarray]
-    ) -> tuple[dict[str, Parameter], dict[str, tuple["Module", str]]]:
-        """The parameters and buffer hosts ``state`` loads into, by dotted
-        name; a ``KeyError`` unless it names exactly those."""
+    def state_targets(self, state: dict[str, np.ndarray]) -> dict[str, Parameter]:
+        """The parameters ``state`` loads into, by dotted name; a
+        ``KeyError`` unless it names exactly those."""
         params = dict(self.named_parameters())
-        buffer_hosts = self._buffer_hosts()
-        expected = set(params) | set(buffer_hosts)
-        missing = expected - set(state)
-        unexpected = set(state) - expected
+        missing = set(params) - set(state)
+        unexpected = set(state) - set(params)
         if missing or unexpected:
             raise KeyError(
                 f"state dict mismatch: missing={sorted(missing)} "
                 f"unexpected={sorted(unexpected)}"
             )
-        return params, buffer_hosts
-
-    def _buffer_hosts(
-        self, prefix: str = ""
-    ) -> dict[str, tuple["Module", str]]:
-        """Map dotted buffer names to their (owner module, attribute) pair."""
-        hosts: dict[str, tuple[Module, str]] = {}
-        buffers = getattr(self, "_buffers", None)
-        if buffers:
-            for attr in buffers:
-                hosts[f"{prefix}{attr}"] = (self, attr)
-        for attr, value in vars(self).items():
-            if isinstance(value, Module):
-                hosts.update(value._buffer_hosts(prefix=f"{prefix}{attr}."))
-            elif isinstance(value, (list, tuple)):
-                for index, item in enumerate(value):
-                    if isinstance(item, Module):
-                        hosts.update(
-                            item._buffer_hosts(prefix=f"{prefix}{attr}.{index}.")
-                        )
-        return hosts
+        return params
 
     # -- computation (implemented by subclasses) ----------------------------
 
@@ -260,3 +204,30 @@ class Sequential(Module):
         for layer in reversed(self.layers[1:]):
             grad_output = layer.backward(grad_output)
         self.layers[0].backward_params(grad_output)
+
+
+def architecture_signature(model: Module) -> tuple:
+    """What decides whether a clone or a remote template of ``model`` still
+    fits another model: parameter names and shapes, plus each module's class
+    and public scalar hyperparameters (stride, padding, ...), which change
+    the forward pass without changing any tensor shape.  Weights,
+    ``training`` and underscore-prefixed attributes are excluded: they vary
+    at runtime and are not structure."""
+    structure = tuple(
+        (
+            type(module).__name__,
+            tuple(
+                sorted(
+                    (key, value)
+                    for key, value in vars(module).items()
+                    if key != "training"
+                    and not key.startswith("_")
+                    and isinstance(value, (bool, int, float, str, tuple))
+                )
+            ),
+        )
+        for module in model.modules()
+    )
+    return structure, tuple(
+        (name, param.shape) for name, param in model.named_parameters()
+    )

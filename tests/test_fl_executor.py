@@ -32,7 +32,7 @@ from repro.fl import (
 from repro.fl.net.serve import trace_dict
 from repro.fl.history import RoundRecord
 from repro.fl.timing import TimingReport
-from repro.nn import build_mlp_model
+from repro.nn import architecture_signature, build_mlp_model
 from repro.nn.module import Module
 from repro.nn.serialize import decode_payload, encode_payload
 from repro.utils.rng import SeedTree
@@ -463,7 +463,7 @@ class TestParallelMechanics:
             rng=np.random.default_rng(0),
             hidden_dim=128,
         )
-        sig = ParallelExecutor._architecture_of
+        sig = architecture_signature
         assert sig(same_a) == sig(same_b)  # weights don't matter
         assert sig(same_a) != sig(wider)
         # Mode flips must not force a pool rebuild.

@@ -328,7 +328,7 @@ class TestTcpTransport:
         assert TcpTransport("127.0.0.1:0").spec == "tcp:127.0.0.1:0"
         assert isinstance(make_transport("tcp"), TcpTransport)
 
-    def test_publish_fetch_upload_roundtrip(self):
+    def test_publish_fetch_roundtrip(self):
         server_side = TcpTransport()
         worker_side = TcpTransport()
         blob = os.urandom(4096)
@@ -337,9 +337,6 @@ class TestTcpTransport:
             assert isinstance(handle, TcpHandle)
             assert handle.length == len(blob)
             assert worker_side.fetch(handle) == blob
-            upload = worker_side.send_upload(b"u" * 512)
-            assert len(upload) < 64  # a marker, not the blob
-            assert server_side.recv_upload(upload) == b"u" * 512
         finally:
             worker_side.close()
             server_side.close()
@@ -359,17 +356,6 @@ class TestTcpTransport:
             worker_side.close()
             server_side.close()
 
-    def test_upload_falls_back_inline_when_server_gone(self):
-        server_side = TcpTransport()
-        worker_side = TcpTransport()
-        try:
-            handle = server_side.publish(b"y" * 32)
-            worker_side.fetch(handle)
-        finally:
-            server_side.close()
-        assert worker_side.send_upload(b"late") == b"late"
-        assert server_side.recv_upload(b"late") == b"late"
-
     def test_fetch_rejects_foreign_handles(self):
         transport = TcpTransport()
         with pytest.raises(TypeError):
@@ -378,13 +364,15 @@ class TestTcpTransport:
     def test_peer_frames_are_never_unpickled(self):
         """Anyone who can reach the blob server's port can send it a
         frame.  A pickle that would call a function of this module on load
-        is closed on unanswered, and so is the old pickled ``get``."""
+        is closed on unanswered, and so are the old pickled ``get`` and the
+        old ``P`` upload put: the server stores nothing a peer sends."""
         server_side = TcpTransport()
         try:
             handle = server_side.publish(b"z" * 16)
             for frame in (
                 pickle.dumps(_CallsOnUnpickle()),
                 pickle.dumps(("get", handle.blob_id)),
+                b"P" + b"0" * 16 + b"an upload blob",
             ):
                 with socket.create_connection(
                     (handle.host, handle.port), timeout=10

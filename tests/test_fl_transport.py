@@ -243,10 +243,6 @@ class TestPipeTransport:
         assert transport.handle_wire_bytes(handle) == 1000
         assert transport.publish_wire_bytes(blob) == 0
 
-    def test_upload_passthrough(self):
-        transport = PipeTransport()
-        assert transport.recv_upload(transport.send_upload(b"up")) == b"up"
-
 
 @needs_shm
 class TestShmTransport:

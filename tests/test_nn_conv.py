@@ -170,52 +170,3 @@ class TestConv2d:
         layer = nn.Conv2d(3, 4, kernel_size=3, rng=rng)
         with pytest.raises(ValueError, match="expected"):
             layer.forward(rng.normal(size=(1, 2, 8, 8)))
-
-
-class TestPooling:
-    def test_maxpool_selects_max(self):
-        layer = nn.MaxPool2d(2)
-        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out = layer.forward(x)
-        np.testing.assert_array_equal(out[0, 0], [[5, 7], [13, 15]])
-
-    def test_maxpool_gradients(self, rng):
-        # Distinct values avoid FD ambiguity at ties.
-        x = rng.permutation(64).astype(np.float64).reshape(1, 4, 4, 4)
-        check_module_gradients(nn.MaxPool2d(2), x)
-
-    def test_avgpool_is_mean(self):
-        layer = nn.AvgPool2d(2)
-        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out = layer.forward(x)
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avgpool_gradients(self, rng):
-        check_module_gradients(nn.AvgPool2d(2), rng.normal(size=(2, 3, 4, 4)))
-
-    @pytest.mark.parametrize("pool", [nn.MaxPool2d, nn.AvgPool2d])
-    def test_pools_accept_channels_last_input(self, pool, rng):
-        """Pools sit behind convs, so they see NHWC-memory views."""
-        x = rng.permutation(2 * 3 * 6 * 6).astype(np.float64).reshape(2, 3, 6, 6)
-        plain, strided = pool(3, stride=2), pool(3, stride=2)
-        out = plain.forward(x)
-        np.testing.assert_array_equal(
-            strided.forward(as_layout(x, "channels_last")), out
-        )
-        grad = rng.normal(size=out.shape)
-        np.testing.assert_array_equal(
-            strided.backward(as_layout(grad, "channels_last")), plain.backward(grad)
-        )
-
-    def test_maxpool_gradient_takes_the_upstream_dtype(self, rng):
-        layer = nn.MaxPool2d(2)
-        out = layer.forward(rng.normal(size=(1, 2, 4, 4)))
-        assert layer.backward(np.ones_like(out, dtype=np.float32)).dtype == np.float32
-
-    def test_global_avgpool(self, rng):
-        layer = nn.GlobalAvgPool2d()
-        x = rng.normal(size=(2, 3, 5, 5))
-        np.testing.assert_allclose(layer.forward(x), x.mean(axis=(2, 3)))
-
-    def test_global_avgpool_gradients(self, rng):
-        check_module_gradients(nn.GlobalAvgPool2d(), rng.normal(size=(2, 3, 4, 4)))

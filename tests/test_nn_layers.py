@@ -37,8 +37,8 @@ class TestLinear:
 class TestActivations:
     @pytest.mark.parametrize(
         "layer_factory",
-        [nn.ReLU, lambda: nn.LeakyReLU(0.2), nn.Tanh, nn.Sigmoid],
-        ids=["relu", "leaky_relu", "tanh", "sigmoid"],
+        [nn.ReLU, nn.Tanh],
+        ids=["relu", "tanh"],
     )
     def test_gradients(self, layer_factory, rng):
         layer = layer_factory()
@@ -71,15 +71,6 @@ class TestActivations:
         assert out.strides == x.strides
         np.testing.assert_array_equal(out, np.where(x > 0, x, 0.0))
         assert layer.backward(out).strides == x.strides
-
-    def test_leaky_relu_scales_negatives(self):
-        out = nn.LeakyReLU(0.1).forward(np.array([[-2.0, 3.0]]))
-        np.testing.assert_allclose(out, [[-0.2, 3.0]])
-
-    def test_sigmoid_extreme_values_stable(self):
-        out = nn.Sigmoid().forward(np.array([[-1000.0, 1000.0]]))
-        assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out, [[0.0, 1.0]], atol=1e-12)
 
 
 class TestFlatten:
