@@ -41,8 +41,11 @@ def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-# Reusable zero-padded NHWC staging buffers, keyed by (shape, dtype), most
-# recently used last.  A training step calls im2col once per conv layer per
+# Reusable zero-padded NHWC staging buffers, keyed by (shape, padding,
+# dtype), most recently used last.  The padding is part of the key because
+# one padded shape arises from several (side, padding) pairs, and a buffer
+# whose interior was written at padding 1 holds data in the ring padding 2
+# needs zero.  A training step calls im2col once per conv layer per
 # batch with identical shapes, so reusing the allocation avoids a fresh
 # zero-fill (and, at these sizes, a fresh mmap + page faults) every call.
 # Only the interior is overwritten; the border is zeroed once at allocation
@@ -75,9 +78,11 @@ def _scratch_pool() -> dict[tuple, np.ndarray]:
     return _OTHER_THREADS.pool
 
 
-def _padded_scratch(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+def _padded_scratch(
+    shape: tuple[int, ...], padding: int, dtype: np.dtype
+) -> np.ndarray:
     pool = _scratch_pool()
-    key = (shape, dtype.str)
+    key = (shape, padding, dtype.str)
     buffer = pool.pop(key, None)
     if buffer is None:
         buffer = np.zeros(shape, dtype=dtype)
@@ -105,7 +110,9 @@ def im2col(
     x = x.transpose(0, 2, 3, 1)
     if padding:
         padded = _padded_scratch(
-            (batch, height + 2 * padding, width + 2 * padding, channels), x.dtype
+            (batch, height + 2 * padding, width + 2 * padding, channels),
+            padding,
+            x.dtype,
         )
         padded[:, padding : padding + height, padding : padding + width] = x
         x = padded

@@ -72,7 +72,7 @@ from repro.fl.net.protocol import (
     hello_meta,
 )
 from repro.fl.net.serve import trace_dict
-from repro.fl.net.transport import parse_endpoint
+from repro.fl.net.transport import _BLOB_ID, _GET, parse_endpoint
 from repro.nn import build_mlp_model
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
@@ -381,6 +381,57 @@ class TestTcpTransport:
                     assert recv_frame(sock) is None
             assert _UNPICKLED == []
             assert TcpTransport().fetch(handle) == b"z" * 16  # still serving
+        finally:
+            server_side.close()
+
+    def test_one_connection_serves_several_gets(self):
+        """A get is answered with a status byte, found or missing, and the
+        connection stays open for the next one."""
+        server_side = TcpTransport()
+        try:
+            first = server_side.publish(b"first")
+            second = server_side.publish(b"second")
+            with socket.create_connection(
+                (first.host, first.port), timeout=10
+            ) as sock:
+                for blob_id, reply in (
+                    (second.blob_id, b"\x01second"),
+                    (first.blob_id, b"\x01first"),
+                    (second.blob_id + 1, b"\x00"),
+                ):
+                    send_frame(sock, _GET + _BLOB_ID.pack(blob_id))
+                    assert recv_frame(sock) == reply
+        finally:
+            server_side.close()
+
+    @pytest.mark.parametrize(
+        "frame",
+        [_GET, _GET + b"\x00" * (_BLOB_ID.size - 1), _GET + b"\x00" * (_BLOB_ID.size + 1)],
+        ids=["no_id", "short_id", "long_id"],
+    )
+    def test_malformed_get_is_closed_unanswered(self, frame):
+        server_side = TcpTransport()
+        try:
+            handle = server_side.publish(b"y" * 8)
+            with socket.create_connection(
+                (handle.host, handle.port), timeout=10
+            ) as sock:
+                send_frame(sock, frame)
+                assert recv_frame(sock) is None
+            assert TcpTransport().fetch(handle) == b"y" * 8
+        finally:
+            server_side.close()
+
+    def test_fetch_of_an_unknown_blob_raises(self):
+        server_side = TcpTransport()
+        try:
+            handle = server_side.publish(b"w" * 8)
+            stale = TcpHandle(
+                host=handle.host, port=handle.port,
+                blob_id=handle.blob_id + 5, length=8,
+            )
+            with pytest.raises(ConnectionError, match="unavailable"):
+                TcpTransport().fetch(stale)
         finally:
             server_side.close()
 

@@ -44,8 +44,10 @@ from repro.nn import (
     Linear,
     ReLU,
     Sequential,
+    Tanh,
     build_cnn_model,
     build_mlp_model,
+    check_stackable,
     ensemble_of,
     ensemble_state_dicts,
     load_state_broadcast,
@@ -137,8 +139,43 @@ class TestLayerParity:
             (3, 2, 6, 6),
         )
 
+    @pytest.mark.parametrize(
+        "kernel,stride,padding",
+        [(k, s, p) for k in (1, 3) for s in (1, 2) for p in (0, 1)],
+        ids=[f"k{k}s{s}p{p}" for k in (1, 3) for s in (1, 2) for p in (0, 1)],
+    )
+    def test_conv2d_on_the_grid(self, kernel, stride, padding):
+        _assert_slicewise_equal(
+            lambda rng: Conv2d(
+                2, 3, kernel_size=kernel, stride=stride, padding=padding, rng=rng
+            ),
+            (2, 2, 7, 7),
+        )
+
+    def test_conv2d_without_bias(self):
+        _assert_slicewise_equal(
+            lambda rng: Conv2d(3, 4, kernel_size=3, padding=1, bias=False, rng=rng),
+            (2, 3, 5, 5),
+        )
+
     def test_linear(self):
         _assert_slicewise_equal(lambda rng: Linear(7, 4, rng=rng), (6, 7))
+
+    def test_linear_without_bias(self):
+        _assert_slicewise_equal(lambda rng: Linear(7, 4, rng=rng, bias=False), (6, 7))
+
+    def test_single_slice_stack(self):
+        """K=1 is the stack every engine trains a lone client on."""
+        _assert_slicewise_equal(
+            lambda rng: Sequential(
+                Conv2d(2, 3, kernel_size=3, stride=2, padding=1, rng=rng),
+                ReLU(),
+                Flatten(),
+                Linear(3 * 3 * 3, 2, rng=rng),
+            ),
+            (4, 2, 6, 6),
+            k=1,
+        )
 
     @pytest.mark.parametrize("factory", [lambda rng: ReLU()], ids=["relu"])
     def test_elementwise(self, factory):
@@ -581,6 +618,22 @@ class TestRegistry:
         }
         assert set(_CONVERTERS) == built
 
+    @pytest.mark.parametrize("builder", [build_cnn_model, build_mlp_model],
+                             ids=["cnn", "mlp"])
+    def test_every_builder_is_stackable(self, builder):
+        check_stackable(builder((3, 8, 8), 4, np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("name", ["Tanh", "_Halve"], ids=["tanh", "custom"])
+    def test_unconverted_layers_are_named(self, name):
+        """Tanh stays a layer (the inversion decoder uses it) but no
+        builder stacks it, so a model that holds it is refused by name,
+        before any conversion starts."""
+        layer = {"Tanh": Tanh, "_Halve": _Halve}[name]()
+        model = Sequential(Linear(4, 4, rng=np.random.default_rng(0)), layer)
+        for refuse in (check_stackable, lambda m: ensemble_of(m, K)):
+            with pytest.raises(ValueError, match=rf"converters: \['{name}'\]"):
+                refuse(model)
+
     def test_unknown_spec_raises(self):
         for spec in ("loop", "ensemble", "strict", "abacus"):
             with pytest.raises(ValueError, match="ROADMAP item 6"):
@@ -899,6 +952,17 @@ class TestIm2colScratch:
         assert shape == ref_shape
         assert np.array_equal(cols, ref_cols)
 
+    def test_one_padded_shape_from_two_paddings_is_exact(self):
+        """A 7x7 input at padding 1 and a 5x5 input at padding 2 both pad
+        to 9x9; the second must not see the first's data in its border."""
+        rng = np.random.default_rng(4)
+        im2col(rng.normal(size=(2, 2, 7, 7)), kernel=3, stride=1, padding=1)
+        x = rng.normal(size=(2, 2, 5, 5))
+        cols, _ = im2col(x, kernel=3, stride=2, padding=2)
+        padded = np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2)))
+        ref_cols, _ = im2col(padded, kernel=3, stride=2, padding=0)
+        assert np.array_equal(cols, ref_cols)
+
     def test_scratch_border_survives_dirty_interiors(self):
         """Repeated calls only overwrite the interior; the zero border the
         padding contract depends on must survive arbitrarily many calls."""
@@ -938,18 +1002,18 @@ class TestIm2colScratch:
         float64 = np.dtype(np.float64)
         monkeypatch.setattr(conv, "_PAD_SCRATCH", {})
         monkeypatch.setattr(conv, "_PAD_SCRATCH_MAX_BYTES", 3 * 16 * float64.itemsize)
-        conv._padded_scratch((4, 4), float64)
-        conv._padded_scratch((4, 4, 1), float64)
-        conv._padded_scratch((4, 4, 1, 1), float64)
-        conv._padded_scratch((4, 4), float64)  # refreshed: now most recent
-        conv._padded_scratch((2, 8), float64)  # evicts (4, 4, 1), the oldest
+        conv._padded_scratch((4, 4), 1, float64)
+        conv._padded_scratch((4, 4, 1), 1, float64)
+        conv._padded_scratch((4, 4, 1, 1), 1, float64)
+        conv._padded_scratch((4, 4), 1, float64)  # refreshed: now most recent
+        conv._padded_scratch((2, 8), 1, float64)  # evicts (4, 4, 1), the oldest
         assert [key[0] for key in conv._PAD_SCRATCH] == [(4, 4, 1, 1), (4, 4), (2, 8)]
         held = sum(buffer.nbytes for buffer in conv._PAD_SCRATCH.values())
         assert held <= conv._PAD_SCRATCH_MAX_BYTES
         # A buffer over the whole budget is handed out but never retained.
-        big = conv._padded_scratch((4, 4, 4), float64)
+        big = conv._padded_scratch((4, 4, 4), 1, float64)
         assert big.shape == (4, 4, 4) and not big.any()
-        assert ((4, 4, 4), float64.str) not in conv._PAD_SCRATCH
+        assert ((4, 4, 4), 1, float64.str) not in conv._PAD_SCRATCH
         assert len(conv._PAD_SCRATCH) == 3
 
     def test_same_shape_im2col_from_two_threads_is_exact(self):

@@ -72,6 +72,26 @@ class TestActivations:
         np.testing.assert_array_equal(out, np.where(x > 0, x, 0.0))
         assert layer.backward(out).strides == x.strides
 
+    def test_tanh_matches_numpy(self, rng):
+        x = rng.normal(size=(3, 5))
+        np.testing.assert_array_equal(nn.Tanh().forward(x), np.tanh(x))
+
+    def test_tanh_saturates_without_overflow(self):
+        x = np.array([[-1e308, -50.0, 0.0, 50.0, 1e308]])
+        layer = nn.Tanh()
+        with np.errstate(all="raise"):
+            out = layer.forward(x)
+            grad = layer.backward(np.ones_like(x))
+        np.testing.assert_array_equal(out, [[-1.0, -1.0, 0.0, 1.0, 1.0]])
+        np.testing.assert_array_equal(grad, [[0.0, 0.0, 1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "layer_factory", [nn.ReLU, nn.Tanh, nn.Flatten], ids=["relu", "tanh", "flatten"]
+    )
+    def test_backward_before_forward_raises(self, layer_factory):
+        with pytest.raises(RuntimeError, match="before forward"):
+            layer_factory().backward(np.zeros((2, 3)))
+
 
 class TestFlatten:
     def test_round_trip_shapes(self, rng):
@@ -115,3 +135,9 @@ class TestSequential:
         model.append(nn.Linear(3, 3, rng=rng))
         assert len(model) == 1
         assert len(model.parameters()) == 2
+
+    def test_empty_sequential_is_the_identity(self, rng):
+        model = nn.Sequential()
+        x = rng.normal(size=(2, 3))
+        assert model.forward(x) is x
+        assert model.backward(x) is x

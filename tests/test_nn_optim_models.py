@@ -115,6 +115,157 @@ class TestModuleSystem:
         layer = nn.Linear(10, 5, rng=rng)
         assert layer.num_parameters() == 10 * 5 + 5
 
+    def test_load_rejects_unexpected_keys(self, rng):
+        model = nn.build_mlp_model((3, 4, 4), num_classes=2, rng=rng)
+        state = model.state_dict()
+        state["features.layers.1.running_mean"] = np.zeros(4)
+        with pytest.raises(KeyError, match="unexpected"):
+            model.load_state_dict(state)
+
+    def test_load_copies_never_aliases(self, rng):
+        model = nn.build_mlp_model((3, 4, 4), num_classes=2, rng=rng)
+        state = model.state_dict()
+        model.load_state_dict(state)
+        for name, param in model.named_parameters():
+            assert not np.shares_memory(param.data, state[name])
+
+    @pytest.mark.parametrize(
+        "builder,keys",
+        [
+            (
+                nn.build_cnn_model,
+                [
+                    ("features.layers.0.weight", (12, 3, 3, 3)),
+                    ("features.layers.0.bias", (12,)),
+                    ("features.layers.2.weight", (24, 12, 3, 3)),
+                    ("features.layers.2.bias", (24,)),
+                    ("features.layers.5.weight", (96, 64)),
+                    ("features.layers.5.bias", (64,)),
+                    ("classifier.weight", (64, 4)),
+                    ("classifier.bias", (4,)),
+                ],
+            ),
+            (
+                nn.build_mlp_model,
+                [
+                    ("features.layers.1.weight", (192, 64)),
+                    ("features.layers.1.bias", (64,)),
+                    ("features.layers.3.weight", (64, 32)),
+                    ("features.layers.3.bias", (32,)),
+                    ("classifier.weight", (32, 4)),
+                    ("classifier.bias", (4,)),
+                ],
+            ),
+        ],
+        ids=["cnn", "mlp"],
+    )
+    def test_state_dict_keys_and_order_are_pinned(self, builder, keys, rng):
+        """The wire format: aggregation, codecs and every trace digest depend
+        on these names, shapes and this order."""
+        model = builder((3, 8, 8), 4, rng)
+        state = model.state_dict()
+        assert [(name, value.shape) for name, value in state.items()] == keys
+        assert list(state) == [name for name, _ in model.named_parameters()]
+
+
+def _signature_pair(variant):
+    """Two models that differ only in ``variant``'s one structural choice."""
+    rng = np.random.default_rng(0)
+
+    def convs(first_stride, second_stride, padding=1, bias=True):
+        return nn.Sequential(
+            nn.Conv2d(3, 4, kernel_size=3, stride=first_stride, padding=padding,
+                      bias=bias, rng=rng),
+            nn.ReLU(),
+            nn.Conv2d(4, 4, kernel_size=3, stride=second_stride, padding=padding,
+                      bias=bias, rng=rng),
+        )
+
+    if variant == "conv_strides":
+        return convs(2, 1), convs(1, 2)
+    if variant == "conv_padding":
+        return convs(1, 1, padding=0), convs(1, 1, padding=1)
+    if variant == "conv_bias":
+        return convs(1, 1), convs(1, 1, bias=False)
+    if variant == "linear_bias":
+        return nn.Linear(4, 3, rng=rng), nn.Linear(4, 3, rng=rng, bias=False)
+    if variant == "activation_class":
+        return (
+            nn.Sequential(nn.Linear(4, 4, rng=rng), nn.ReLU()),
+            nn.Sequential(nn.Linear(4, 4, rng=rng), nn.Tanh()),
+        )
+    if variant == "layer_order":
+        return (
+            nn.Sequential(nn.ReLU(), nn.Flatten(), nn.Linear(4, 2, rng=rng)),
+            nn.Sequential(nn.Flatten(), nn.ReLU(), nn.Linear(4, 2, rng=rng)),
+        )
+    if variant == "extra_layer":
+        return (
+            nn.Sequential(nn.Linear(4, 4, rng=rng)),
+            nn.Sequential(nn.Linear(4, 4, rng=rng), nn.ReLU()),
+        )
+    if variant == "embed_dim":
+        return (
+            nn.build_mlp_model((1, 2, 2), 3, rng, embed_dim=8),
+            nn.build_mlp_model((1, 2, 2), 3, rng, embed_dim=6),
+        )
+    if variant == "builder":
+        return (
+            nn.build_cnn_model((3, 4, 4), 3, rng, widths=(2, 2), embed_dim=4),
+            nn.build_mlp_model((3, 4, 4), 3, rng, hidden_dim=4, embed_dim=4),
+        )
+    raise AssertionError(variant)
+
+
+class TestArchitectureSignature:
+    """The key of the trainer's cached clone and of the socket lane's
+    template check: equal exactly when one model's forward pass is the
+    other's up to weights."""
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            "conv_strides",
+            "conv_padding",
+            "conv_bias",
+            "linear_bias",
+            "activation_class",
+            "layer_order",
+            "extra_layer",
+            "embed_dim",
+            "builder",
+        ],
+    )
+    def test_differs_when_the_structure_does(self, variant):
+        first, second = _signature_pair(variant)
+        assert nn.architecture_signature(first) != nn.architecture_signature(second)
+
+    @pytest.mark.parametrize(
+        "change", ["weights", "training_mode", "forward_caches", "gradients"]
+    )
+    def test_ignores_runtime_state(self, change):
+        rng = np.random.default_rng(1)
+        model = nn.build_cnn_model((3, 8, 8), 4, rng, widths=(4, 6), embed_dim=8)
+        before = nn.architecture_signature(model)
+        if change == "weights":
+            model.load_state_dict(
+                {name: value + 1.0 for name, value in model.state_dict().items()}
+            )
+        elif change == "training_mode":
+            model.eval()
+        elif change == "forward_caches":
+            model.forward(rng.normal(size=(2, 3, 8, 8)))
+        else:
+            for param in model.parameters():
+                param.grad += 1.0
+        assert nn.architecture_signature(model) == before
+
+    def test_is_hashable(self, rng):
+        model = nn.build_cnn_model((3, 8, 8), 4, rng, widths=(4, 6), embed_dim=8)
+        assert {nn.architecture_signature(model): 1}[
+            nn.architecture_signature(model)
+        ] == 1
+
 
 class TestModels:
     def test_cnn_shapes(self, rng):
