@@ -98,17 +98,13 @@ def _setting_from_args(args: argparse.Namespace, usage_error) -> ExperimentSetti
     # `serve` brings its own engine and has no in-host flags.
     engine = {
         name: getattr(args, name)
-        for name in ("workers", "transport", "max_resident")
+        for name in ("workers", "transport")
         if hasattr(args, name)
     }
-    if (
-        engine.get("transport", "auto") != "auto"
-        and engine["workers"] is None
-        and engine["max_resident"] is None
-    ):
+    if engine.get("transport", "auto") != "auto" and engine["workers"] is None:
         usage_error(
-            f"--transport {engine['transport']} needs --workers or "
-            f"--max-resident; the serial engine has no wire"
+            f"--transport {engine['transport']} needs --workers; the serial "
+            f"engine has no wire"
         )
     return ExperimentSetting(
         objective=args.objective,
@@ -279,13 +275,6 @@ def _add_in_host_flags(parser: argparse.ArgumentParser) -> None:
         "'tcp[:host:port]' serves it from a loopback (or bound) blob "
         "server; 'auto' (default) prefers shm where the platform "
         "supports it; anything but 'auto' needs the parallel engine",
-    )
-    parser.add_argument(
-        "--max-resident", type=_positive_int, default=None,
-        help="bound the parallel engine's resident-client LRU (server-side "
-        "copies + upload reference chains) to this many clients; evicted "
-        "clients re-register with a full frame when re-sampled; implies "
-        "the parallel engine",
     )
     parser.add_argument(
         "--timing", action="store_true",

@@ -43,8 +43,7 @@ class ExperimentSetting:
     """Everything that defines one federated DG experiment besides the
     method itself (so all methods share it exactly).
 
-    The engine is parallel iff ``workers`` or ``max_resident`` is given
-    (see :func:`repro.fl.executor.make_executor`).  ``codec`` names the
+    The engine is parallel iff ``workers`` is given (see :func:`repro.fl.executor.make_executor`).  ``codec`` names the
     wire codec for weight payloads (:mod:`repro.fl.codec`) — it reaches the
     engine and the :class:`repro.fl.server.FederatedConfig` of every run
     built from this setting — and ``transport`` the parallel engine's wire
@@ -57,8 +56,7 @@ class ExperimentSetting:
     aggregation rule (:mod:`repro.fl.aggregate`) installed on the
     strategy; ``None`` keeps the rule the strategy arrives with (the
     historical weighted FedAvg unless the caller set another).
-    ``max_resident`` bounds the parallel engine's resident-client LRU —
-    the scaling knob for large lazy populations.  ``objective`` reweights
+    ``objective`` reweights
     the strategy's composite training objective per experiment (a
     ``"term=weight,..."`` spec over the terms the method's objective
     declares — see :mod:`repro.nn.objective`); ``None`` keeps the method's
@@ -80,7 +78,6 @@ class ExperimentSetting:
     deadline: float | str | None = None
     aggregator: str | None = None
     quorum: int | None = None
-    max_resident: int | None = None
     objective: str | None = None
 
     def make_executor(self) -> Executor:
@@ -92,7 +89,6 @@ class ExperimentSetting:
             faults=self.faults,
             deadline=self.deadline,
             quorum=self.quorum,
-            max_resident=self.max_resident,
         )
 
     def model_factory(self, suite: DomainSuite) -> ModelFactory:
@@ -167,8 +163,8 @@ def run_split_experiment(
     ``executor`` lets protocol sweeps share one engine (and its warm worker
     pool) across splits; when omitted, one is built from ``setting`` and
     closed before returning.  A caller-supplied engine *is* the engine:
-    the setting's ``workers`` / ``transport`` / ``max_resident`` /
-    ``faults`` / ``deadline`` / ``quorum`` describe the engine
+    the setting's ``workers`` / ``transport`` / ``faults`` /
+    ``deadline`` / ``quorum`` describe the engine
     :meth:`ExperimentSetting.make_executor` builds and are not compared
     with one built elsewhere (``codec`` is, by the server).
     """

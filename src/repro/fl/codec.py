@@ -5,8 +5,9 @@ repository is a :class:`repro.nn.serialize.StateDict`.  A :class:`Codec`
 turns one into a :class:`Payload` — the unit the transport serializes — and
 back, optionally against a *reference state* both endpoints already hold.
 The execution engines (:mod:`repro.fl.executor`) maintain those references:
-workers cache the previous broadcast, the server keeps every client's last
-acknowledged upload, so a stateful codec can ship only what changed.
+a broadcast diffs against the previous broadcast its endpoint decoded, and
+an upload against the broadcast it trained from, so a stateful codec can
+ship only what changed.
 
 Four codecs ship by default, selectable by spec string (``--codec`` on the
 CLI, ``codec=`` on :class:`repro.fl.server.FederatedConfig` and
@@ -271,8 +272,8 @@ class IdentityCodec(Codec):
 
 class DeltaCodec(Codec):
     """Lossless bidirectional deltas: XOR vs. the reference, shuffled and
-    DEFLATEd.  Without a reference (a client's or worker's first exchange)
-    the full state travels, still shuffled + DEFLATEd.
+    DEFLATEd.  Without a reference (an endpoint's first broadcast) the
+    full state travels, still shuffled + DEFLATEd.
     """
 
     name = "delta"

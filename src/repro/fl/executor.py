@@ -9,13 +9,13 @@ overrides::
     plan ─▶ register ─▶ broadcast ─▶ group ─▶ dispatch ─▶ collect ─▶ close
      │        │            │           │         │           │          │
      │        │            │           │         │           │          └ RoundTimeoutError · deadline
-     │        │            │           │         │           │            history · LRU eviction · stats
+     │        │            │           │         │           │            history · released-client eviction · stats
      │        │            │           │         │           └ arrival order; stops at: all answered ·
      │        │            │           │         │             accepted ≥ quorum · deadline · no live lane
      │        │            │           │         └ one wave: every home fed before any upload is awaited
      │        │            │           └ wire lanes: one task per home, faulted clients alone
      │        │            └ encoded once per distinct reference chain, one handle per home
-     │        └ newcomers (+ piggy-backed evictions), once per client per lane lifetime
+     │        └ newcomers (+ piggy-backed evictions), once per client object per lane lifetime
      └ pinned replay, or fault-plan triage + crash victims
 
 — and three *lane sets* that only know a mechanism:
@@ -291,14 +291,13 @@ def make_executor(
     faults: "str | FaultPlan | None" = None,
     deadline: "float | str | None" = None,
     quorum: int | None = None,
-    max_resident: int | None = None,
 ) -> Executor:
     """Build an engine from the CLI/bench knobs (``--workers`` /
     ``--codec`` / ``--transport`` / ``--faults`` / ``--deadline`` /
-    ``--quorum`` / ``--max-resident``).
+    ``--quorum``).
 
     The engine is what the caller already said: parallel iff a ``workers``
-    count or a ``max_resident`` bound is given, else serial.
+    count is given, else serial.
     ``transport`` only applies to the parallel engine: the serial engine
     has no wire, so any spec but ``auto`` is a ``ValueError`` there rather
     than silently ignored.  ``faults``, ``deadline`` and ``quorum``
@@ -307,17 +306,17 @@ def make_executor(
     """
     if isinstance(transport, str):
         validate_transport(transport)  # reject typos for either engine
-    if workers is None and max_resident is None:
+    if workers is None:
         if transport != "auto":
             raise ValueError(
                 f"transport {getattr(transport, 'spec', transport)!r} needs "
-                f"the parallel engine (give workers or max_resident); the "
-                f"serial engine has no wire"
+                f"the parallel engine (give workers); the serial engine has "
+                f"no wire"
             )
         return SerialExecutor(
             codec=codec, faults=faults, deadline=deadline, quorum=quorum
         )
     return ParallelExecutor(
         num_workers=workers, codec=codec, transport=transport, faults=faults,
-        deadline=deadline, quorum=quorum, max_resident=max_resident,
+        deadline=deadline, quorum=quorum,
     )

@@ -91,8 +91,7 @@ Magnitude screen
 ----------------
 ``screen=M`` arms a second acceptance check on every decoded upload:
 reject states whose global L2 norm exceeds ``M`` times the broadcast
-state's norm (reason ``"corrupt"``, same drop path as NaN — ref-chains
-advance identically).  This catches ``scale``-mode attacks even under the
+state's norm (reason ``"corrupt"``, same drop path as NaN).  This catches ``scale``-mode attacks even under the
 plain ``mean`` aggregator.  Off by default: the screen changes no prior
 trace unless asked for.
 
@@ -581,7 +580,7 @@ def state_is_corrupt(
     ``scale`` byzantine mode) fail this even though every value is a
     perfectly ordinary float.  Engines run this on every decoded upload
     when a fault plan is active; rejects use the ``"corrupt"`` drop path,
-    so codec ref-chains stay in lockstep exactly as for NaN poisoning.
+    exactly as for NaN poisoning.
     """
     if any(
         not np.isfinite(np.asarray(value)).all() for value in state.values()

@@ -498,9 +498,6 @@ class ParallelExecutor(_AgentLanes):
         Lane count.  Defaults to ``min(4, cpu_count)`` (at least 2 — a
         single worker is strictly worse than
         :class:`repro.fl.executor.SerialExecutor`).
-    start_method:
-        ``multiprocessing`` start method of the agent processes; defaults
-        to ``fork`` when the platform offers it.
     transport:
         How encoded broadcast blobs reach the agents
         (:mod:`repro.fl.transport`): ``"pipe"`` copies the blob into each
@@ -509,12 +506,6 @@ class ParallelExecutor(_AgentLanes):
         ``"auto"`` (default) prefers ``shm`` when the platform supports
         it.  Negotiated in the welcome like the codec; purely mechanical —
         traces are transport-invariant.
-    max_resident:
-        Bound on resident clients: the longest-unsampled are evicted
-        (server-side copy, upload reference chain, and — piggybacked on
-        the lane's next registration — the agent-side copy) and
-        re-register with a full frame when next sampled, so a bounded run
-        traces identically to an unbounded one.
     codec, faults, deadline, quorum:
         As on every engine (:class:`repro.fl.round.Executor`).  Injected
         faults travel inside the task tuples, so agents need no plan of
@@ -534,10 +525,11 @@ class ParallelExecutor(_AgentLanes):
     style-transferred images) stay there; a relaunched agent or a
     re-registered client recomputes them, which cannot move the trace.
 
-    The agents are launched at the first round and relaunched only when a
-    different model *architecture* shows up, so one executor (and its warm
-    agents + resident clients) serves consecutive runs — e.g. every split
-    of a LODO sweep.
+    The agents are launched (under ``fork`` on Linux, the platform's
+    default start method elsewhere) at the first round and relaunched only
+    when a different model *architecture* shows up, so one executor (and
+    its warm agents) serves consecutive runs — e.g. every split of a LODO
+    sweep, whose fresh client objects re-register under the same ids.
     """
 
     kills_crash_victims = True
@@ -545,22 +537,16 @@ class ParallelExecutor(_AgentLanes):
     def __init__(
         self,
         num_workers: "int | None" = None,
-        start_method: "str | None" = None,
         codec: "str | Codec" = "identity",
         transport: "str | Transport" = "auto",
         faults: "str | FaultPlan | None" = None,
         deadline: "float | str | FixedDeadline | AdaptiveDeadline | None" = None,
         quorum: "int | None" = None,
-        max_resident: "int | None" = None,
     ) -> None:
         if num_workers is not None and num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        if max_resident is not None and max_resident < 1:
-            raise ValueError(f"max_resident must be >= 1, got {max_resident}")
         self.num_workers = num_workers or max(2, min(4, os.cpu_count() or 2))
         super().__init__(self.num_workers, transport, codec, faults, deadline, quorum)
-        self.max_resident = max_resident
-        self.start_method = start_method or _default_start_method()
 
     def _join(self) -> None:
         self._seat(len(self._agents), self._launch(len(self._agents)))
@@ -571,13 +557,14 @@ class ParallelExecutor(_AgentLanes):
         # A forked child holds copies of every server end open right now;
         # it closes them first (see serve_launched).  Other start methods
         # pass the child its own end only.
+        start_method = _default_start_method()
         inherited = (
             [ours] + [agent.sock for agent in self._agents]
-            if self.start_method == "fork"
+            if start_method == "fork"
             else []
         )
         name = f"worker{home}"
-        process = multiprocessing.get_context(self.start_method).Process(
+        process = multiprocessing.get_context(start_method).Process(
             target=serve_launched, args=(theirs, name, inherited),
             name=f"repro-{name}", daemon=True,
         )

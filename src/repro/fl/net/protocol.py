@@ -15,7 +15,8 @@ broadcast  → agent   round strategy blob + the state frame's handle: the
                      frame itself under ``pipe``, else ``meta["handle"]``
                      (shm segment / tcp host, port, blob id; length)
 task       → agent   one ``(client_ids, round, seeds, fault)`` tuple
-upload     agent →   ``encode_payload(list[ClientUpdate])`` for one task
+upload     agent →   ``encode_payload(list[ClientUpdate])`` for one task,
+                     each state codec-encoded against the round's broadcast
 error      agent →   ``meta["task"]`` failed (``None``: a registration or
                      broadcast did); ``meta["text"]`` is the traceback
 bye        → agent   clean shutdown; the agent exits its serve loop
@@ -68,9 +69,10 @@ __all__ = [
     "broadcast_parts",
 ]
 
-#: Bumped on any incompatible change to the message vocabulary or blob
-#: encodings.  Both sides send it; a mismatch is a handshake reject.
-PROTOCOL_VERSION = 4
+#: Bumped on any incompatible change to the message vocabulary, blob
+#: encodings or codec references.  Both sides send it; a mismatch is a
+#: handshake reject.
+PROTOCOL_VERSION = 5
 
 HELLO = "hello"
 WELCOME = "welcome"

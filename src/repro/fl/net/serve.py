@@ -8,7 +8,7 @@ prints the outcome.  Every experiment knob mirrors ``python -m repro
 run`` (same suites, methods, codecs, fault specs...), so a cross-machine
 run is the in-host CLI command with ``run`` swapped for this module plus
 a ``--listen`` — minus the in-host flags (``--workers``, ``--transport``,
-``--max-resident``, ``--timing``): this daemon *is* the engine.
+``--timing``): this daemon *is* the engine.
 
 Operational extras:
 

@@ -29,10 +29,11 @@ and every other strategy without a client-side prepare half never
 enumerate.
 
 Per-client caches (``client.scratch``) survive only while the endpoint
-keeps the client resident.  An LRU-evicted (or never-retained) client is
-rebuilt pristine when re-sampled and recomputes its caches — eviction
-costs a recompute (PARDON re-styles the client's images), never a
-different result.
+keeps the client resident, and an engine keeps a client resident only
+while its population holds the object.  A released client is evicted at
+the end of the round and rebuilt pristine when re-sampled, recomputing its
+caches — eviction costs a recompute (PARDON re-styles the client's
+images), never a different result.
 """
 
 from __future__ import annotations
@@ -103,9 +104,8 @@ class LazyPopulation(ClientPopulation):
 
     ``factory(client_id)`` is called once per sampled id per round; the
     constructed participants are handed to the round and released after
-    it, so the server never holds more than O(participants) clients (plus
-    whatever bounded resident set the engine keeps for delta encoding and
-    crash recovery).
+    it, so neither the server nor an engine's endpoints hold more than
+    O(participants) clients.
     """
 
     def __init__(self, size: int, factory: ClientFactory) -> None:

@@ -11,9 +11,8 @@ exactly one home per round.  Lanes never decide membership: they move
 bytes and report ``(task_id, upload)`` or ``(task_id, LOST)``.
 
 The collector waits for uploads in *arrival order*.  That is safe because
-results are keyed by dispatch position, each row decodes in a fixed order,
-per-client codec chains are independent across rows and
-:meth:`AggregationStream.fold` is order-invariant — so the bits (and,
+results are keyed by dispatch position, every upload decodes against the
+round's broadcast and :meth:`AggregationStream.fold` is order-invariant — so the bits (and,
 under a deadline, the membership: everything finished by the deadline is
 accepted) do not depend on it.
 """
@@ -296,7 +295,7 @@ class Executor(WireServer):
                 accepted=tuple(update.client_id for update in updates),
             )
         self.note_round(record, updates, remote_seconds)
-        self._evict_lru(participants)
+        self._evict_released()
         self._observe_round_duration(time.perf_counter() - round_start)
         return updates
 
@@ -479,7 +478,7 @@ class Executor(WireServer):
         newcomers = self._newcomers(rows) if self.transport is not None else {}
         # Homes with queued evictions but nothing to do this round get an
         # empty registration — the flush that actually frees the endpoint's
-        # copies — so LRU hygiene never waits on a resample.
+        # copies — so an eviction never waits on a resample.
         for home in sorted(set(self._pending_evictions) - set(homes)):
             self.send_register(home, self._registration(home, []))
         for home in homes:
@@ -527,8 +526,9 @@ class Executor(WireServer):
 
     def _drop(self, rnd: _Round, row: _Row, reason: str) -> None:
         """Record a row's clients as dropped.  They re-register before
-        their next participation, because the endpoint's copies diverge
-        the moment an absorbed update completes."""
+        their next participation: the endpoint acknowledges a registration
+        only after the abandoned task ahead of it has finished, so that
+        task never runs into the next round's deadline clock."""
         for client in row.clients:
             rnd.record.dropped[client.client_id] = reason
             self._resident.pop(client.client_id, None)
@@ -538,8 +538,8 @@ class Executor(WireServer):
         the loss took (the lane came back) or drop it (it did not).
 
         The rule is the same whatever the lane: endpoint-resident state
-        is forgotten, upload reference chains are not touched mid-round
-        (see :meth:`WireServer._forget_home`).
+        is forgotten (see :meth:`WireServer._forget_home`); uploads that
+        outran the loss still decode against the round's broadcast.
         """
         rebuilt = self.respawn(home)
         self._forget_home(home)
@@ -574,7 +574,9 @@ class Executor(WireServer):
         """Take one row's upload through the acceptance path into
         ``rnd.results`` (keyed by dispatch position) and the stream."""
         updates: "list[ClientUpdate]" = (
-            upload if self.transport is None else self._decode_upload(upload)
+            upload
+            if self.transport is None
+            else self._decode_upload(upload, rnd.global_state)
         )
         for position, update in zip(row.positions, updates):
             if self.fault_plan is not None and state_is_corrupt(
@@ -583,8 +585,7 @@ class Executor(WireServer):
                 norm_screen=self.fault_plan.norm_screen,
             ):
                 # Acceptance check on every decoded upload: distrust the
-                # weights, and leave both reference chains advanced so the
-                # next delta still decodes bit-exactly.
+                # weights.
                 rnd.record.dropped[update.client_id] = "corrupt"
                 continue
             rnd.results[position] = update
@@ -592,8 +593,7 @@ class Executor(WireServer):
                 # Streaming aggregation overlaps collection: fold the
                 # accepted upload into the online accumulator the moment
                 # it passes the checks and free the decoded state — the
-                # server holds the accumulator plus at most the stateful
-                # codec's bounded reference chain, never the round's full
+                # server holds the accumulator, never the round's full
                 # update set.
                 rnd.stream.fold(update.state, float(update.num_samples))
                 update.state = None

@@ -4,10 +4,11 @@ Mirrors the per-round-traffic argument PARDON makes against cross-sharing
 methods (§IV-B-3, Fig. 4b): clients keep their data, only model updates
 travel.
 
-1. **Registration** (once per client per lane lifetime): the client's id
-   and dataset ship to its home — a pickled :class:`Client` carries an
-   empty scratch.  Ids the server's LRU evicted since ride along, so
-   endpoint copies are freed without a message.
+1. **Registration** (once per client object per lane lifetime): the
+   client's id and dataset ship to its home — a pickled :class:`Client`
+   carries an empty scratch.  Ids evicted from the home since ride along
+   (clients their population released, clients that moved to another
+   home), so endpoint copies are freed without a message.
 2. **Broadcast** (once per participating home per round): the strategy
    blob and the codec-encoded global weights; workers cache the strategy
    decode keyed on the blob bytes and decode the weights lazily.
@@ -25,13 +26,12 @@ travel.
 Codec and transport specs are negotiated before any of this: they travel
 in the handshake welcome (:mod:`repro.fl.net.protocol`), so both
 endpoints build the same pipeline before any state crosses.
-Stateful codecs (``delta``) diff against reference states both endpoints
-hold — the previous broadcast per home, the last acknowledged upload per
-client — which reset whenever their endpoint resets: a rebuilt lane
-restarts its broadcast chain from a full frame, and (re-)registering a
-client clears that client's upload chain on both sides.  A lost lane never
-touches upload chains mid-round: uploads that outran the loss still decode
-against them.
+Stateful codecs (``delta``) diff against states both endpoints hold, and
+the only per-endpoint one is the previous broadcast per home, which resets
+with its endpoint: a rebuilt lane restarts its broadcast chain from a full
+frame.  Uploads diff against the round's broadcast, which the endpoint
+just decoded and the server still holds, so no state is kept per client
+and even a newcomer's first upload is a delta.
 
 :class:`WireServer` is the server half, every byte it produces counted in
 :class:`WireStats`; the round driver (:class:`repro.fl.round.Executor`)
@@ -46,8 +46,9 @@ from __future__ import annotations
 
 import pickle
 import time
+import weakref
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.fl.client import Client
 from repro.fl.codec import Codec, Payload, make_codec
@@ -146,29 +147,22 @@ class WireServer:
     #: boundary to cross.
     transport: "Transport | None" = None
 
-    #: Bound on resident clients (LRU over server-side copies and upload
-    #: reference chains); only engines that expose the knob set it.
-    max_resident: "int | None" = None
-
     def __init__(self, codec: "str | Codec" = "identity") -> None:
         self.codec = make_codec(codec)
         self.wire = WireStats()
-        # client_id -> (home, the exact server-side object resident there).
-        # Strong references on purpose: identity (``is``) decides
-        # re-registration, and a dead object's id must not be recycled into
-        # a false "already resident".  Insertion order doubles as LRU
-        # recency (dispatched residents are re-inserted each round), so a
-        # ``max_resident`` bound evicts the longest-unsampled clients.
-        self._resident: "dict[int, tuple[object, Client]]" = {}
+        # client_id -> (home, weak reference to the object resident there).
+        # Identity decides re-registration, and a weak reference never
+        # answers for a recycled id.  It also bounds the map by what the
+        # population holds: a released client is evicted at round close.
+        self._resident: "dict[int, tuple[object, weakref.ref[Client]]]" = {}
         # Eviction ids queued per home, piggybacked on that home's next
-        # registration blob so the endpoint's own copies (and upload refs)
-        # are freed without a dedicated message.
+        # registration blob so the endpoint's own copies are freed without
+        # a dedicated message.
         self._pending_evictions: "dict[object, list[int]]" = {}
-        # Server halves of the stateful-codec reference chains (see
-        # WorkerRuntime): home -> last broadcast state, and client_id ->
-        # last decoded upload.  Populated only when ``codec.stateful``.
+        # Server half of the stateful-codec broadcast chain (see
+        # WorkerRuntime): home -> last broadcast state.  Populated only
+        # when ``codec.stateful``.
         self._bcast_refs: "dict[object, StateDict]" = {}
-        self._upload_refs: "dict[int, StateDict]" = {}
 
     def wire_stats(self) -> WireStats:
         """Snapshot of the engine's cumulative wire traffic (zero when the
@@ -185,27 +179,23 @@ class WireServer:
         for row in rows:
             for client in row.clients:
                 resident = self._resident.get(client.client_id)
-                if resident is not None and resident[1] is client:
-                    if resident[0] == row.home:
-                        # LRU recency: re-insert, so insertion order stays
-                        # oldest-unsampled-first for the end-of-round
-                        # eviction.
-                        self._resident[client.client_id] = self._resident.pop(
+                if resident is not None:
+                    home, ref = resident
+                    if home != row.home:
+                        # The lane layout moved under the id (an agent
+                        # vanished): free the stale copy where it was,
+                        # whichever object it is.  Re-registering at the
+                        # same home replaces it in place.
+                        self._pending_evictions.setdefault(home, []).append(
                             client.client_id
                         )
+                    elif ref() is client:
                         continue
-                    # Same object, other home: the lane layout moved under
-                    # it (an agent vanished).  Free the stale copy where it
-                    # was; the new home recomputes its caches.
-                    self._pending_evictions.setdefault(
-                        resident[0], []
-                    ).append(client.client_id)
                 newcomers.setdefault(row.home, []).append(client)
         return newcomers
 
     def _registration(self, home: object, clients: "list[Client]") -> bytes:
-        """One registration blob for ``home``, resetting the clients' upload
-        reference chains on both endpoints.  Eviction ids queued for the
+        """One registration blob for ``home``.  Eviction ids queued for the
         home ride along in the same blob (see ``WorkerRuntime.register``);
         either half may be empty."""
         evict_ids = tuple(self._pending_evictions.pop(home, ()))
@@ -215,10 +205,7 @@ class WireServer:
         # fan-out-free and counts unchanged toward the unique floor.
         self.wire.unique_registration_bytes += len(blob)
         for client in clients:
-            self._resident[client.client_id] = (home, client)
-            # Mirror the worker-side chain reset: a fresh resident's
-            # first upload is a full frame again.
-            self._upload_refs.pop(client.client_id, None)
+            self._resident[client.client_id] = (home, weakref.ref(client))
         return blob
 
     def _publish(
@@ -279,33 +266,26 @@ class WireServer:
             row.fault,
         )
 
-    def _decode_upload(self, blob: bytes) -> "list[ClientUpdate]":
+    def _decode_upload(
+        self, blob: bytes, global_state: StateDict
+    ) -> "list[ClientUpdate]":
         """Unwrap one upload frame's blob: codec-decode each state against
-        its client's reference chain.
-
-        The decode order is fixed per row, so any arrival order advances
-        the chains identically for a given set of ingested rows.
-        """
+        the round's broadcast ``global_state``, the reference the endpoint
+        encoded against (stateful codecs are lossless, so the endpoint's
+        decoded broadcast is bit-identical to it)."""
         self.wire.upload_bytes += len(blob)
         updates: "list[ClientUpdate]" = decode_payload(blob)
         for update in updates:
             # Restore the codec-encoded state before anything downstream
             # (aggregation, benches) touches the update.
-            update.state = self.codec.decode(
-                update.state, self._upload_refs.get(update.client_id)
-            )
-            if self.codec.stateful:
-                self._upload_refs[update.client_id] = update.state
+            update.state = self.codec.decode(update.state, global_state)
         return updates
 
     def _forget_home(self, home: object) -> None:
         """The endpoint at ``home`` is gone, and everything resident on it
-        with it: its clients re-register from the server-side copies before
-        their next task, its broadcast chain restarts from a full frame,
-        and evictions queued for it are moot.  Server-side *upload*
-        reference chains are left alone: uploads that outran the loss
-        still decode against them, and (re-)registration resets both
-        halves."""
+        with it: its clients re-register before their next task, its
+        broadcast chain restarts from a full frame, and evictions queued
+        for it are moot."""
         for client_id in [
             cid for cid, (at, _) in self._resident.items() if at == home
         ]:
@@ -313,32 +293,22 @@ class WireServer:
         self._bcast_refs.pop(home, None)
         self._pending_evictions.pop(home, None)
 
-    def _evict_lru(self, participants: Sequence[Client]) -> None:
-        """Bound the resident set: evict the longest-unsampled clients
-        (never a current participant — mid-round recovery reads them)
-        down to ``max_resident``, dropping the server-side copy and
-        upload reference now and queueing the endpoint-side eviction for
-        the home's next registration blob."""
-        if self.max_resident is None:
-            return
-        in_round = {client.client_id for client in participants}
-        excess = max(0, len(self._resident) - self.max_resident)
+    def _evict_released(self) -> None:
+        """Drop every resident whose client object its population has
+        released, and queue the endpoint-side eviction for its home's next
+        registration blob."""
         for client_id in [
-            cid for cid in self._resident if cid not in in_round
-        ][:excess]:
+            cid for cid, (_, ref) in self._resident.items() if ref() is None
+        ]:
             home, _ = self._resident.pop(client_id)
-            self._upload_refs.pop(client_id, None)
             self._pending_evictions.setdefault(home, []).append(client_id)
 
     def close(self) -> None:
         """Release any worker resources.  Idempotent; lanes that can be
         rebuilt lazily may be reused after closing.  Everything the
-        endpoints held dies with them: residency, queued evictions and
-        both halves of the reference chains restart from full frames."""
-        for store in (
-            self._resident, self._pending_evictions,
-            self._bcast_refs, self._upload_refs,
-        ):
+        endpoints held dies with them: residency, queued evictions and the
+        broadcast chains restart from full frames."""
+        for store in (self._resident, self._pending_evictions, self._bcast_refs):
             store.clear()
 
 
@@ -348,10 +318,10 @@ class WorkerRuntime:
     Holds everything a worker keeps between messages: the decoded model
     template, the negotiated codec and transport, its one trainer,
     resident clients, the current round's (lazily decoded) broadcast, and
-    the stateful-codec reference states — the previous decoded broadcast
-    and each resident client's last uploaded state, which advance in
-    lockstep with the server-side chains because lossless decoding is
-    bit-exact (that invariant is why stateful codecs must be lossless).
+    the stateful-codec reference — the previous decoded broadcast, which
+    advances in lockstep with the server's chain for this home because
+    lossless decoding is bit-exact (that invariant is why stateful codecs
+    must be lossless).
 
     Construction *is* negotiation: the three arguments are what an agent
     receives in its handshake welcome, so every endpoint builds the same
@@ -377,27 +347,21 @@ class WorkerRuntime:
         # instead of serializing behind a per-round barrier.
         self.pending: "tuple[object, int] | None" = None
         self.bcast_ref: StateDict | None = None
-        self.upload_refs: dict[int, StateDict] = {}
 
     def register(self, clients_blob: bytes) -> int:
         """Make the shipped clients resident; replaces same-id residents.
 
-        The blob also carries the ids the server's LRU evicted from this
-        endpoint since the last registration — piggybacked here so
-        worker-side copies (and their upload reference chains) are freed
-        without a dedicated message.  Either half may be empty: a
-        pure-eviction flush ships no clients, a pure registration no
-        evictions.
+        The blob also carries the ids the server evicted from this endpoint
+        since the last registration — piggybacked here so worker-side
+        copies are freed without a dedicated message.  Either half may be
+        empty: a pure-eviction flush ships no clients, a pure registration
+        no evictions.
         """
         clients, evict_ids = decode_payload(clients_blob)
         for client_id in evict_ids:
             self.clients.pop(client_id, None)
-            self.upload_refs.pop(client_id, None)
         for client in clients:
             self.clients[client.client_id] = client
-            # A fresh resident starts a fresh upload-reference chain; the
-            # server drops its copy at the same point.
-            self.upload_refs.pop(client.client_id, None)
         return len(clients)
 
     def broadcast(
@@ -485,14 +449,10 @@ class WorkerRuntime:
             # on the honest update pre-codec, against the broadcast this
             # endpoint decoded.
             apply_update_fault(updates[0], fault, self.state)
-        # Codec-encode each upload; ``update.state`` carries the Payload
-        # across the wire and the server restores a decoded state before
-        # anyone else sees the update.
+        # Codec-encode each upload against the broadcast it trained from;
+        # ``update.state`` carries the Payload across the wire and the
+        # server restores a decoded state before anyone else sees the
+        # update.
         for update in updates:
-            state = update.state
-            update.state = self.codec.encode(
-                state, self.upload_refs.get(update.client_id)
-            )
-            if self.codec.stateful:
-                self.upload_refs[update.client_id] = state
+            update.state = self.codec.encode(update.state, self.state)
         return encode_payload(updates)

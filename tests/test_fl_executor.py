@@ -29,6 +29,7 @@ from repro.fl import (
     make_executor,
     run_prepare,
 )
+from repro.fl.net import executor as net_executor
 from repro.fl.net.serve import trace_dict
 from repro.fl.history import RoundRecord
 from repro.fl.timing import TimingReport
@@ -113,33 +114,26 @@ class TestMakeExecutor:
 
 
 class TestExecutorResolution:
-    """The engine is what the caller said: parallel iff a worker count or
-    a residency bound is given, else serial."""
+    """The engine is what the caller said: parallel iff a worker count is
+    given, else serial."""
 
     @pytest.mark.parametrize(
-        "workers, max_resident, expected",
+        "workers, expected",
         [
-            pytest.param(None, None, SerialExecutor, id="unset"),
-            pytest.param(2, 8, ParallelExecutor, id="parallel-sized"),
-            pytest.param(4, None, ParallelExecutor, id="workers-imply-parallel"),
-            pytest.param(None, 8, ParallelExecutor, id="resident-implies-parallel"),
+            pytest.param(None, SerialExecutor, id="unset"),
+            pytest.param(2, ParallelExecutor, id="parallel-sized"),
+            pytest.param(4, ParallelExecutor, id="workers-imply-parallel"),
         ],
     )
-    def test_resolution(self, workers, max_resident, expected):
+    def test_resolution(self, workers, expected):
         from repro.eval import ExperimentSetting
 
-        setting = ExperimentSetting(workers=workers, max_resident=max_resident)
-        builders = (
-            lambda: make_executor(workers, max_resident=max_resident),
-            setting.make_executor,
-        )
-        for build in builders:
+        setting = ExperimentSetting(workers=workers)
+        for build in (lambda: make_executor(workers), setting.make_executor):
             with build() as engine:
                 assert type(engine) is expected
                 if expected is ParallelExecutor:
-                    assert engine.max_resident == max_resident
-                    if workers is not None:
-                        assert engine.num_workers == workers
+                    assert engine.num_workers == workers
 
 
 class TestDeterminism:
@@ -176,7 +170,7 @@ class TestDeterminism:
 
 
     @pytest.mark.parametrize("codec", ["identity", "delta"])
-    def test_spawn_start_method_equals_serial(self, codec):
+    def test_spawn_start_method_equals_serial(self, codec, monkeypatch):
         """``spawn`` (the default off Linux) pickles the pool entrypoints
         by qualified name and imports them in a fresh interpreter — the
         one start method that notices when they move between modules."""
@@ -198,9 +192,8 @@ class TestDeterminism:
             return server.run()
 
         serial = run(SerialExecutor(codec=codec))
-        with ParallelExecutor(
-            num_workers=2, start_method="spawn", codec=codec
-        ) as executor:
+        monkeypatch.setattr(net_executor, "_default_start_method", lambda: "spawn")
+        with ParallelExecutor(num_workers=2, codec=codec) as executor:
             spawned = run(executor)
         assert_identical_runs(serial, spawned)
 

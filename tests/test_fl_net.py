@@ -55,6 +55,7 @@ from repro.fl.net import (
     send_frame,
 )
 from repro.fl.executor import WorkerRuntime
+from repro.fl.net import executor as net_executor
 from repro.fl.net.agent import run_agent
 from repro.fl.net.protocol import (
     BROADCAST,
@@ -261,10 +262,12 @@ class TestHandshake:
         reason = evaluate_hello({"version": 0}, codec_spec="identity")
         assert reason is not None and "version" in reason
         # A version-1 task tuple carries a fifth (scratch-sync) field, a
-        # version-2 welcome a compute spec, and a version-3 agent neither
-        # acknowledges registrations nor reads broadcast handles from meta.
-        assert PROTOCOL_VERSION == 4
-        for version in (1, 2, 3):
+        # version-2 welcome a compute spec, a version-3 agent neither
+        # acknowledges registrations nor reads broadcast handles from meta,
+        # and a version-4 agent encodes uploads against its previous upload
+        # instead of the round's broadcast.
+        assert PROTOCOL_VERSION == 5
+        for version in (1, 2, 3, 4):
             reason = evaluate_hello({"version": version}, codec_spec="identity")
             assert reason is not None and "version" in reason
 
@@ -681,12 +684,13 @@ class TestAgentErrors:
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
 )
 class TestLaunchedAgents:
-    def test_hung_up_lane_exits_its_agent(self):
+    def test_hung_up_lane_exits_its_agent(self, monkeypatch):
         """The server hangs up one lane without ``bye``: its agent sees EOF
         and exits, although the younger sibling was forked while that
         lane's server end was open (each child closes the copies of the
         server ends it inherited)."""
-        executor = ParallelExecutor(num_workers=2, start_method="fork")
+        monkeypatch.setattr(net_executor, "_default_start_method", lambda: "fork")
+        executor = ParallelExecutor(num_workers=2)
         try:
             run_once(executor, rounds=1)
             first, second = (agent.process for agent in executor._agents)

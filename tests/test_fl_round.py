@@ -25,12 +25,20 @@ from hypothesis import strategies as st
 
 from repro.baselines import FedAvgStrategy
 from repro.data import partition_clients, synthetic_pacs
-from repro.fl import Client, LocalTrainingConfig, SerialExecutor, make_transport
+from repro.fl import (
+    Client,
+    FederatedConfig,
+    FederatedServer,
+    LazyPopulation,
+    LocalTrainingConfig,
+    SerialExecutor,
+    make_transport,
+)
 from repro.fl.executor import WorkerRuntime
 from repro.fl.faults import FaultEvent, FaultPlan, RoundTimeoutError
 from repro.fl.round import LOST, Executor
 from repro.nn import build_mlp_model
-from repro.nn.serialize import encode_payload
+from repro.nn.serialize import decode_payload, encode_payload
 from repro.utils.rng import SeedTree
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
@@ -174,7 +182,7 @@ class TestArrivalOrderInvariance:
         """Whatever order uploads arrive in, however many a poll returns,
         and however many clients share a task (all six on one home down to
         one per home): same updates, same ``finalize()`` bits, same
-        reference chains, same bytes."""
+        bytes."""
         rng = random.Random(seed)
 
         def shuffled(lanes, pending):
@@ -188,12 +196,6 @@ class TestArrivalOrderInvariance:
         assert_same_trace(serial, drive(any_order))
         assert any_order.wire_stats() == in_order.wire_stats()
         assert any_order.wire_stats().bytes_up > 0
-        assert set(any_order._upload_refs) == set(in_order._upload_refs)
-        for client_id, state in in_order._upload_refs.items():
-            for key in state:
-                np.testing.assert_array_equal(
-                    state[key], any_order._upload_refs[client_id][key]
-                )
         for log in (in_order.log, any_order.log):
             submits = [entry for entry in log if entry[0] == "submit"]
             # Each home's clients share one task, every round.
@@ -336,8 +338,9 @@ class TestLostLane:
 
     @pytest.mark.parametrize("codec", ["identity", "delta"])
     def test_no_respawn_drops_disconnect_and_keeps_upload_chains(self, codec):
-        """A lost lane never touches upload reference chains mid-round:
-        the other lane's in-flight delta uploads still decode."""
+        """A lost lane leaves the other lane's in-flight delta uploads
+        decodable: they diff against the round's broadcast, which no loss
+        touches."""
         lanes = ScriptedLanes(
             script=self._kill_home_zero(1, in_round=1),
             respawns=False, codec=codec,
@@ -376,3 +379,88 @@ class TestEpilogue:
         assert lanes.last_round.round_index == 0
         assert lanes.last_round.participants == [0, 1, 2, 3, 4, 5]
         assert lanes.last_round.bytes_down > 0  # registration + broadcast
+
+
+class TestUploadsDiffAgainstTheBroadcast:
+    def test_a_newcomers_first_upload_is_a_delta(self):
+        """Under ``delta`` a newly registered client's first upload already
+        diffs against the round's broadcast, and decodes to the state the
+        identity codec delivers."""
+        payloads = []
+
+        class Capturing(ScriptedLanes):
+            def poll(self, timeout):
+                events = super().poll(timeout)
+                for _, upload in events:
+                    payloads.extend(u.state for u in decode_payload(upload))
+                return events
+
+        def one_round(lanes):
+            model = _model()
+            clients = make_clients()
+            return lanes.run_round(
+                FedAvgStrategy(FAST), model, model.state_dict(), clients, 0,
+                [1000 + client.client_id for client in clients],
+            )
+
+        expected = one_round(ScriptedLanes(codec="identity"))
+        updates = one_round(Capturing(codec="delta"))
+        assert [p.kind for p in payloads] == ["delta"] * len(expected)
+        assert [u.client_id for u in updates] == [u.client_id for u in expected]
+        for update, reference in zip(updates, expected):
+            assert sorted(update.state) == sorted(reference.state)
+            for key in reference.state:
+                np.testing.assert_array_equal(update.state[key], reference.state[key])
+
+
+class TestResidency:
+    def test_a_rehomed_client_is_resident_only_at_its_new_home(self):
+        """The lane layout shifts (a lost agent's clients re-home over the
+        survivors) and fresh client objects arrive under the same ids: each
+        id ends up on its current home's endpoint and nowhere else."""
+        lanes = ScriptedLanes(homes=3)
+        drive(lanes, rounds=1)
+        lanes.home = lambda client_id: [0, 2][client_id % 2]
+        drive(lanes, rounds=2, clients=make_clients())
+        assert {
+            home: sorted(endpoint.clients)
+            for home, endpoint in lanes.endpoints.items()
+        } == {0: [0, 2, 4], 1: [], 2: [1, 3, 5]}
+        assert {cid: home for cid, (home, _) in lanes._resident.items()} == {
+            cid: [0, 2][cid % 2] for cid in range(6)
+        }
+
+    def test_a_lazy_population_bounds_every_endpoint(self):
+        """A lazy population releases each round's clients after it: the
+        server forgets them at the next round close, and the evictions
+        reach the endpoints with the round after, so no endpoint holds
+        more than the last two rounds' participants."""
+        suite_clients = make_clients()
+        sampled = []
+
+        class Recording(LazyPopulation):
+            def sample(self, sampler, rng):
+                participants = super().sample(sampler, rng)
+                sampled.append({client.client_id for client in participants})
+                return participants
+
+        population = Recording(
+            60,
+            lambda client_id: Client(
+                client_id, suite_clients[client_id % len(suite_clients)].dataset
+            ),
+        )
+        lanes = ScriptedLanes(homes=2)
+        FederatedServer(
+            strategy=FedAvgStrategy(FAST),
+            clients=population,
+            model=_model(),
+            eval_sets={"test": SUITE.datasets[2]},
+            config=FederatedConfig(num_rounds=5, clients_per_round=6, seed=0),
+            executor=lanes,
+        ).run()
+        assert len(sampled) == 5 and len(set().union(*sampled)) > 12
+        assert set(lanes._resident) == sampled[-1]
+        held = [set(endpoint.clients) for endpoint in lanes.endpoints.values()]
+        assert all(held)
+        assert set().union(*held) <= sampled[-1] | sampled[-2]

@@ -1,11 +1,12 @@
 """Population-scaling layer: streaming aggregation, lazy populations,
-and resident-client LRU bounds.
+and residency that follows the population.
 
 The acceptance bar: streaming folds in *any* arrival order are
 bit-identical to the batch weighted mean (the compensated accumulator's
-order invariance), a bounded resident set changes no trace (evicted
-clients fall back to full re-registration), and server peak memory under
-a lazy population scales with participants — not with the population.
+order invariance), evicting the clients a population released changes no
+trace (they fall back to full re-registration), and server peak memory
+under a lazy population scales with participants — not with the
+population.
 """
 
 import tracemalloc
@@ -30,7 +31,6 @@ from repro.fl import (
     UniformClientSampler,
     as_population,
     make_aggregator,
-    make_executor,
 )
 from repro.fl import compute as fl_compute
 from repro.data import partition_clients, synthetic_pacs
@@ -462,63 +462,54 @@ def _tiny_dataset(samples=4):
     )
 
 
-class TestMaxResidentLRU:
-    def test_bounded_residency_changes_no_trace(self):
-        """Eviction falls back to full re-registration, so a tiny bound
-        must reproduce the unbounded run bit-for-bit (delta codec: the
-        reference chains must reset consistently on both endpoints; PARDON:
-        an evicted client recomputes its style-transfer cache)."""
+class _ResidencyRecording(ParallelExecutor):
+    """A pool that records, after each round, how many clients it keeps
+    resident and its cumulative registration bytes."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.resident_after = []
+        self.registered_after = []
+
+    def run_round(self, *args, **kwargs):
+        updates = super().run_round(*args, **kwargs)
+        self.resident_after.append(len(self._resident))
+        self.registered_after.append(self.wire.registration_bytes)
+        return updates
+
+
+class TestResidencyFollowsThePopulation:
+    def test_lazy_pool_run_equals_serial_and_stays_bounded(self):
+        """A lazy population releases each round's clients, so the pool
+        evicts them and re-registers fresh objects when re-sampled (delta
+        codec: even a first upload diffs against the broadcast; PARDON: a
+        re-registered client recomputes its style-transfer cache) — without
+        moving a bit, and with at most one round's participants resident."""
         for strategy in (FedAvgStrategy, PardonStrategy):
-            unbounded = _run(
-                make_clients(12),
-                ParallelExecutor(num_workers=2, transport="pipe", codec="delta"),
+            serial = _run(
+                LazyPopulation(40, _lazy_factory()), SerialExecutor(codec="delta"),
                 rounds=4, codec="delta", clients_per_round=6,
                 strategy=strategy(local_config=FAST),
             )
-            bounded = _run(
-                make_clients(12),
-                ParallelExecutor(num_workers=2, transport="pipe", codec="delta",
-                                 max_resident=6),
+            pool = _ResidencyRecording(
+                num_workers=2, transport="pipe", codec="delta"
+            )
+            parallel = _run(
+                LazyPopulation(40, _lazy_factory()), pool,
                 rounds=4, codec="delta", clients_per_round=6,
                 strategy=strategy(local_config=FAST),
             )
-            _assert_same_run(unbounded, bounded)
+            _assert_same_run(serial, parallel)
+            assert len(pool.resident_after) == 4
+            assert max(pool.resident_after) <= 6
 
-    def test_resident_set_is_bounded(self):
-        executor = ParallelExecutor(
-            num_workers=2, transport="pipe", max_resident=4
-        )
-        _run(make_clients(12), executor, rounds=3, clients_per_round=6)
-        # close() cleared it; inspect the bound instead via a fresh run.
-        executor = ParallelExecutor(
-            num_workers=2, transport="pipe", max_resident=4
-        )
-        try:
-            server = FederatedServer(
-                strategy=FedAvgStrategy(FAST),
-                clients=make_clients(12),
-                model=_model(),
-                eval_sets={"test": SUITE.datasets[2]},
-                config=FederatedConfig(
-                    num_rounds=3, clients_per_round=6, seed=0
-                ),
-                executor=executor,
-            )
-            server.run()
-            assert len(executor._resident) <= 4 + 6
-            assert len(executor._upload_refs) <= 4 + 6
-        finally:
-            executor.close()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_resident"):
-            ParallelExecutor(num_workers=2, max_resident=0)
-        engine = make_executor(max_resident=8)
-        try:
-            assert isinstance(engine, ParallelExecutor)
-            assert engine.max_resident == 8
-        finally:
-            engine.close()
+    def test_a_list_population_stays_resident(self):
+        """A list population holds every client, so nothing it holds is
+        evicted: after the first round nobody registers again."""
+        pool = _ResidencyRecording(num_workers=2, transport="pipe")
+        _run(make_clients(8), pool, rounds=3, clients_per_round=8)
+        assert pool.resident_after == [8, 8, 8]
+        assert len(set(pool.registered_after)) == 1
 
 
 class TestConfigValidation:
