@@ -4,7 +4,10 @@ An aggregation-side method: the server maintains a per-client aggregation
 weight and, after each round, nudges weights toward clients on which the
 global model still has a high generalization gap (loss), so hard clients —
 often those holding domains the current model handles poorly — gain
-influence.  Weights are smoothed with momentum, floored, and renormalized.
+influence.  Weights are smoothed with momentum, floored, and renormalized
+by the configured rule, which folds each upload with its client's weight
+(:meth:`FedDGGAStrategy.upload_weight`); under ``mean`` that is the
+paper's weighted average.
 
 The gap is a loss on the client's own data, so the client measures it:
 each participant evaluates the broadcast weights on its dataset before
@@ -22,7 +25,6 @@ from repro.fl.strategy import LocalTrainingConfig, Strategy
 from repro.nn.ensemble import ensemble_cross_entropy
 from repro.nn.module import Module
 from repro.nn.objective import ensemble_dataset_embeddings
-from repro.nn.serialize import StateDict, average_states
 
 __all__ = ["FedDGGAStrategy"]
 
@@ -73,27 +75,16 @@ class FedDGGAStrategy(Strategy):
             update.payload["gap"] = float(gap)
         return updates
 
-    def aggregate(
-        self,
-        global_state: StateDict,
-        updates: list[ClientUpdate],
-        round_index: int,
-    ) -> StateDict:
-        if not updates:
-            return global_state
-        # Aggregate with the adjusted weights (renormalized over this
-        # round's participants).
-        raw = np.array(
-            [
-                self.client_weights.get(update.client_id, 1.0)
-                for update in updates
-            ]
-        )
-        new_state = average_states([update.state for update in updates], raw)
+    def upload_weight(self, update: ClientUpdate) -> float:
+        # The adjusted weight, renormalized over the round's participants
+        # by whichever rule folds it.
+        return self.client_weights.get(update.client_id, 1.0)
 
-        # Adjust weights for future rounds from the reported gaps.  A
-        # participant without one (a zero-sample client trains nothing and
-        # measures nothing) keeps its current weight.
+    def fuse_payloads(self, updates: list[ClientUpdate], round_index: int) -> None:
+        # Adjust weights for future rounds from the reported gaps; this
+        # round's uploads were already folded with the old ones.  An update
+        # without a gap (one not produced by ``train_group``) keeps its
+        # client's weight.
         reported = [update for update in updates if "gap" in update.payload]
         if self.step_size > 0 and reported:
             gaps = np.array([update.payload["gap"] for update in reported])
@@ -110,4 +101,3 @@ class FedDGGAStrategy(Strategy):
                     self.client_weights[update.client_id] = max(
                         updated, self.weight_floor
                     )
-        return new_state

@@ -41,16 +41,17 @@ Rules
 
 Streaming
 ---------
-Rules that are online-reducible set :attr:`Aggregator.streaming` and
-implement :meth:`Aggregator.begin_stream`, which returns an
-:class:`AggregationStream`: the engine folds each upload in as it
-arrives (``fold(state, weight)``) and frees it, and the server
-finalizes — constant memory in the number of participants, and
-aggregation work overlapped with upload collection.  ``mean`` (and
-``clip(tau)+mean``) stream; ``median`` / ``trimmed_mean`` / ``krum`` are
-order statistics over the full upload set and explicitly declare
-themselves non-streaming — they fall back to the batch path that
-materializes the survivor list.
+A round aggregates one way: :meth:`Aggregator.begin_stream` opens an
+:class:`AggregationStream`, the engine folds each accepted upload into it
+as it arrives (``fold(state, weight, position)``), and the server
+finalizes.  ``mean`` folds into one compensated accumulator and frees the
+upload — constant memory in the number of participants, aggregation
+overlapped with collection.  The order statistics (``median``,
+``trimmed_mean``, ``krum``) hold their uploads by dispatch ``position``
+and reduce them in position order at finalize, so arrival order never
+reaches their bits.  ``clip(tau)+<rule>`` clips each upload as it folds
+and passes it to the wrapped rule's stream.  :meth:`Aggregator.aggregate`
+is the batch form of the same thing: fold in order, then finalize.
 
 Determinism contract
 --------------------
@@ -62,6 +63,7 @@ compensated (double-double) weighted reduction of
 to ~106 bits: batch and streaming-in-arrival-order reductions produce the
 same float64 bits, which is what lets the parallel engine fold uploads in
 nondeterministic arrival order without breaking trace identity.  The
+other rules reduce in dispatch order whatever the arrival order was.  The
 hypothesis tests pin the permutation invariance down.
 
 Selection rules publish which uploads they excluded in
@@ -98,19 +100,21 @@ __all__ = [
 ]
 
 class AggregationStream:
-    """One in-flight streaming reduction.
+    """One in-flight reduction.
 
     Created by :meth:`Aggregator.begin_stream`; the execution engine calls
-    :meth:`fold` once per accepted upload — *in arrival order*, then frees
-    the upload's state — and the server calls :meth:`finalize` once.
-    Arrival order carries no meaning, by the order-invariance contract of
-    the underlying compensated reduction.
+    :meth:`fold` once per accepted upload — *in arrival order*, with the
+    upload's dispatch ``position`` (default: the arrival count) — and the
+    server calls :meth:`finalize` once.  Arrival order carries no meaning:
+    ``mean`` is order-invariant, every other rule reduces by position.
     """
 
     #: Number of uploads folded in so far.
     count = 0
 
-    def fold(self, state: StateDict, weight: float) -> None:
+    def fold(
+        self, state: StateDict, weight: float, position: int | None = None
+    ) -> None:
         raise NotImplementedError
 
     def finalize(self) -> StateDict:
@@ -118,44 +122,57 @@ class AggregationStream:
         raise NotImplementedError
 
 
-class _MeanStream(AggregationStream):
-    """Streaming form of ``mean``: one compensated accumulator.
+class _CollectingStream(AggregationStream):
+    """The order statistics' stream: hold ``{position: (state, weight)}``
+    and hand the uploads to :meth:`Aggregator.reduce` in position order."""
 
-    The batch path falls back to uniform weights when every survivor
-    weighs zero (an all-empty-client round); the stream mirrors that with
-    a shadow accumulator folding each state at weight 1.0 for as long as
-    the real weights are all zero.  The first positive weight makes the
-    fallback unreachable (weights are non-negative sample counts, so the
-    total is now > 0) and drops the shadow — memory stays constant.
-    """
+    def __init__(self, aggregator: "Aggregator", ref: StateDict | None) -> None:
+        self._aggregator = aggregator
+        self._ref = ref
+        self._held: dict[int, tuple[StateDict, float]] = {}
+
+    @property
+    def count(self) -> int:  # type: ignore[override]
+        return len(self._held)
+
+    def fold(
+        self, state: StateDict, weight: float, position: int | None = None
+    ) -> None:
+        position = len(self._held) if position is None else position
+        self._held[position] = (state, float(weight))
+
+    def finalize(self) -> StateDict:
+        if not self._held:
+            raise ValueError("need at least one state to aggregate")
+        states, weights = zip(*(self._held[p] for p in sorted(self._held)))
+        return self._aggregator.reduce(list(states), list(weights), self._ref)
+
+
+class _MeanStream(AggregationStream):
+    """The ``mean`` stream: one compensated accumulator; each upload is
+    folded and can be freed at once."""
 
     def __init__(self, aggregator: "Aggregator") -> None:
         self._aggregator = aggregator
         self.partial = MeanAccumulator()
-        self.uniform: MeanAccumulator | None = MeanAccumulator()
 
     @property
     def count(self) -> int:  # type: ignore[override]
         return self.partial.count
 
-    def fold(self, state: StateDict, weight: float) -> None:
-        if self.uniform is not None:
-            if weight > 0:
-                self.uniform = None
-            else:
-                self.uniform.fold(state, 1.0)
+    def fold(
+        self, state: StateDict, weight: float, position: int | None = None
+    ) -> None:
         self.partial.fold(state, weight)
 
     def finalize(self) -> StateDict:
         self._aggregator.last_rejected = ()
-        if self.uniform is not None and self.uniform.count:
-            return self.uniform.finalize()
         return self.partial.finalize()
 
 
 class _ClipStream(AggregationStream):
-    """Streaming form of ``clip(tau)+<inner>``: clip each upload against
-    the broadcast ``ref`` as it arrives, then fold into the inner stream."""
+    """``clip(tau)+<inner>``: clip each upload against the broadcast
+    ``ref`` as it arrives, then fold it into the inner rule's stream."""
 
     def __init__(self, aggregator: "ClipAggregator", ref: StateDict | None) -> None:
         self._aggregator = aggregator
@@ -167,26 +184,30 @@ class _ClipStream(AggregationStream):
     def count(self) -> int:  # type: ignore[override]
         return self._inner.count
 
-    def fold(self, state: StateDict, weight: float) -> None:
+    def fold(
+        self, state: StateDict, weight: float, position: int | None = None
+    ) -> None:
         shrunk, was_clipped = self._aggregator.clip_one(state, self._ref)
         self._clipped += was_clipped
-        self._inner.fold(shrunk, weight)
+        self._inner.fold(shrunk, weight, position)
 
     def finalize(self) -> StateDict:
         result = self._inner.finalize()
         self._aggregator.last_clipped = self._clipped
-        self._aggregator.last_rejected = ()
+        self._aggregator.last_rejected = self._aggregator.inner.last_rejected
         return result
 
 
 class Aggregator:
     """One server-side aggregation rule.
 
-    ``aggregate`` consumes the round's decoded upload states (immutable —
-    possibly read-only zero-copy views) with their raw sample-count
-    weights, plus the broadcast ``ref`` state the round trained from
-    (``clip`` measures deltas against it), and returns a freshly allocated
-    next global state.
+    A round feeds the rule through :meth:`begin_stream`: decoded upload
+    states (immutable — possibly read-only zero-copy views) with their
+    fold weights, plus the broadcast ``ref`` state the round trained from
+    (``clip`` measures deltas against it); finalizing returns a freshly
+    allocated next global state.  A rule implements either its own stream
+    (``mean``) or :meth:`reduce`, the reduction over the whole upload
+    list that the base's collecting stream calls (the order statistics).
 
     ``robust`` marks rules with a nonzero breakdown point; strategy-level
     side channels (FPL's prototype fusion) consult it to harden their own
@@ -196,10 +217,6 @@ class Aggregator:
     name = "aggregator"
     #: Whether the rule survives adversarial uploads (breakdown point > 0).
     robust = False
-    #: Whether the rule is online-reducible (supports :meth:`begin_stream`).
-    #: Order statistics (median, trimmed mean, krum) need the full upload
-    #: set and stay ``False`` — they fall back to the batch path.
-    streaming = False
 
     def __init__(self) -> None:
         #: Indices (into the last call's upload list) excluded outright.
@@ -218,17 +235,29 @@ class Aggregator:
         weights: Sequence[float],
         ref: StateDict | None = None,
     ) -> StateDict:
-        raise NotImplementedError
+        """The batch form: fold ``states`` in order, then finalize."""
+        if len(weights) != len(states):
+            raise ValueError("one weight per state dict required")
+        stream = self.begin_stream(ref)
+        for state, weight in zip(states, weights):
+            stream.fold(state, weight)
+        return stream.finalize()
 
     def begin_stream(self, ref: StateDict | None = None) -> AggregationStream:
-        """Open a streaming reduction (only when :attr:`streaming`).
+        """Open one round's reduction.  ``ref`` is the broadcast state the
+        round trained from, for rules that measure uploads against it.
+        The base collects the uploads for :meth:`reduce`."""
+        return _CollectingStream(self, ref)
 
-        ``ref`` is the broadcast state the round trained from, for rules
-        that measure uploads against it (``clip``).
-        """
-        raise NotImplementedError(
-            f"aggregator {self.spec!r} is not streaming-capable"
-        )
+    def reduce(
+        self,
+        states: list[StateDict],
+        weights: list[float],
+        ref: StateDict | None,
+    ) -> StateDict:
+        """The rule over the round's uploads, in dispatch order (at least
+        one)."""
+        raise NotImplementedError
 
     def reduce_vectors(self, matrix: np.ndarray) -> np.ndarray:
         """Robustly fuse row vectors (strategy side channels, e.g. FPL's
@@ -250,20 +279,10 @@ class Aggregator:
 
 class MeanAggregator(Aggregator):
     """Weighted FedAvg — bit-identical to
-    :func:`repro.nn.serialize.average_states` (paper §III-B), and the
-    only base rule that streams."""
+    :func:`repro.nn.serialize.average_states` (paper §III-B), folded
+    upload by upload."""
 
     name = "mean"
-    streaming = True
-
-    def aggregate(
-        self,
-        states: Sequence[StateDict],
-        weights: Sequence[float],
-        ref: StateDict | None = None,
-    ) -> StateDict:
-        self.last_rejected = ()
-        return average_states(states, weights)
 
     def begin_stream(self, ref: StateDict | None = None) -> AggregationStream:
         return _MeanStream(self)
@@ -275,15 +294,13 @@ class MedianAggregator(Aggregator):
     name = "median"
     robust = True
 
-    def aggregate(
+    def reduce(
         self,
-        states: Sequence[StateDict],
-        weights: Sequence[float],
-        ref: StateDict | None = None,
+        states: list[StateDict],
+        weights: list[float],
+        ref: StateDict | None,
     ) -> StateDict:
         self.last_rejected = ()
-        if not states:
-            raise ValueError("need at least one state to aggregate")
         result: StateDict = {}
         for key in sorted(states[0]):
             stacked = np.stack([np.asarray(state[key]) for state in states])
@@ -310,15 +327,13 @@ class TrimmedMeanAggregator(Aggregator):
     def spec(self) -> str:
         return f"trimmed_mean({self.k})"
 
-    def aggregate(
+    def reduce(
         self,
-        states: Sequence[StateDict],
-        weights: Sequence[float],
-        ref: StateDict | None = None,
+        states: list[StateDict],
+        weights: list[float],
+        ref: StateDict | None,
     ) -> StateDict:
         self.last_rejected = ()
-        if not states:
-            raise ValueError("need at least one state to aggregate")
         count = len(states)
         k = min(self.k, (count - 1) // 2)
         result: StateDict = {}
@@ -366,14 +381,12 @@ class KrumAggregator(Aggregator):
             args.append(str(self.f))
         return self.name + (f"({', '.join(args)})" if args else "")
 
-    def aggregate(
+    def reduce(
         self,
-        states: Sequence[StateDict],
-        weights: Sequence[float],
-        ref: StateDict | None = None,
+        states: list[StateDict],
+        weights: list[float],
+        ref: StateDict | None,
     ) -> StateDict:
-        if not states:
-            raise ValueError("need at least one state to aggregate")
         count = len(states)
         keep = min(self.m, count)
         if count <= keep:
@@ -441,10 +454,6 @@ class ClipAggregator(Aggregator):
     def spec(self) -> str:
         return f"clip({self.tau:g})+{self.inner.spec}"
 
-    @property
-    def streaming(self) -> bool:  # type: ignore[override]
-        return self.inner.streaming
-
     def reduce_vectors(self, matrix: np.ndarray) -> np.ndarray:
         return self.inner.reduce_vectors(matrix)
 
@@ -469,26 +478,7 @@ class ClipAggregator(Aggregator):
         return shrunk, True
 
     def begin_stream(self, ref: StateDict | None = None) -> AggregationStream:
-        if not self.streaming:
-            return super().begin_stream(ref)
         return _ClipStream(self, ref)
-
-    def aggregate(
-        self,
-        states: Sequence[StateDict],
-        weights: Sequence[float],
-        ref: StateDict | None = None,
-    ) -> StateDict:
-        clipped_states: list[StateDict] = []
-        clipped = 0
-        for state in states:
-            shrunk, was_clipped = self.clip_one(state, ref)
-            clipped += was_clipped
-            clipped_states.append(shrunk)
-        result = self.inner.aggregate(clipped_states, weights, ref)
-        self.last_clipped = clipped
-        self.last_rejected = self.inner.last_rejected
-        return result
 
 
 # -- registry -----------------------------------------------------------------

@@ -9,10 +9,10 @@ axis (:mod:`repro.nn.ensemble`) and runs their local epochs as single
 batched matmuls per layer, with one fused SGD step over the whole
 ``(K, ...)`` parameter stack, through
 :meth:`repro.fl.strategy.Strategy.train_group`, which every strategy has.
-An empty client trains nothing: the trainer answers it with the broadcast
-weights and a zero loss.  There is no other path, and nothing to select or
-negotiate; a model with a module that has no ensemble converter is refused
-by :meth:`repro.fl.round.Executor.run_round` before any dispatch.
+There is no other path, and nothing to select or negotiate; a model with a
+module that has no ensemble converter, or a participant without samples,
+is refused by :meth:`repro.fl.round.Executor.run_round` before any
+dispatch.
 
 Numerical contract
 ------------------
@@ -94,16 +94,6 @@ def _stack_sizes(count: int, limit: int) -> list[int]:
     return [base + 1] * extra + [base] * (stacks - extra)
 
 
-def _broadcast_copy(model: "Module", wire_state: "StateDict") -> "StateDict":
-    """What ``model.state_dict()`` reads after ``load_state_dict(wire_state)``
-    (same keys in the same order, float64 copies), without touching
-    ``model``."""
-    return {
-        name: np.array(wire_state[name], dtype=np.float64)
-        for name, _ in model.named_parameters()
-    }
-
-
 class EnsembleBackend:
     """The one trainer: train one co-resident group, one stack at a time.
 
@@ -119,9 +109,7 @@ class EnsembleBackend:
     geometry), and each sub-group trains as the fewest even stacks whose
     per-step input fits :data:`_STACK_STEP_ELEMENTS` (two stack sizes at
     most).  Stacks train in the order of their first position, so the
-    lowest untrained position is always in the next stack.  An empty client
-    is answered on its own, in that order, with the broadcast weights and a
-    zero loss; it consumes no randomness.
+    lowest untrained position is always in the next stack.
     """
 
     def __init__(self) -> None:
@@ -147,16 +135,13 @@ class EnsembleBackend:
     def _plan(
         self, strategy: "Strategy", clients: Sequence[Client]
     ) -> "list[list[int]]":
-        """The run plan: one position list per stack, or a lone empty
-        client, ordered by first position."""
+        """The run plan: one position list per stack, ordered by first
+        position."""
         by_size: dict[int, list[int]] = {}
         for position, client in enumerate(clients):
             by_size.setdefault(client.num_samples, []).append(position)
         plan: "list[list[int]]" = []
-        for num_samples, positions in by_size.items():
-            if num_samples == 0:
-                plan += [[position] for position in positions]
-                continue
+        for positions in by_size.values():
             limit = self._stack_limit(strategy, clients[positions[0]])
             start = 0
             for stack in _stack_sizes(len(positions), limit):
@@ -183,21 +168,10 @@ class EnsembleBackend:
         round_index: int,
         seeds: Sequence[int],
     ) -> "Iterator[tuple[list[int], list[ClientUpdate]]]":
-        from repro.fl.executor import ClientUpdate
-
         plan = self._plan(strategy, clients)
-        largest = max(
-            (len(chunk) for chunk in plan if clients[chunk[0]].num_samples),
-            default=0,
-        )
-        emodel = self._clone_for(model, largest) if largest else None
+        emodel = self._clone_for(model, max(map(len, plan)))
         for chunk in plan:
             members = [clients[position] for position in chunk]
-            if not members[0].num_samples:
-                yield chunk, [ClientUpdate.from_client(
-                    members[0], _broadcast_copy(model, wire_state), 0.0
-                )]
-                continue
             stack = len(chunk)
             load_state_broadcast(emodel, wire_state, stack)
             rngs = [np.random.default_rng(seeds[position]) for position in chunk]

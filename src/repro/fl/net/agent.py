@@ -140,6 +140,12 @@ def serve(sock: socket.socket, name: str = "", codec: "str | None" = None) -> in
                 stream.send(reply)
     except OSError:
         pass  # the server vanished; nothing left to serve
+    finally:
+        # The round state and the codec reference may be zero-copy views of
+        # attached shm segments; a segment closed (or collected) while they
+        # live reports its exported buffer.
+        runtime.state = runtime.bcast_ref = None
+        runtime.transport.close()
     return tasks_served
 
 

@@ -12,9 +12,10 @@ bytes and report ``(task_id, upload)`` or ``(task_id, LOST)``.
 
 The collector waits for uploads in *arrival order*.  That is safe because
 results are keyed by dispatch position, every upload decodes against the
-round's broadcast and :meth:`AggregationStream.fold` is order-invariant — so the bits (and,
-under a deadline, the membership: everything finished by the deadline is
-accepted) do not depend on it.
+round's broadcast and folds into :meth:`AggregationStream.fold` at its
+dispatch position (the mean is order-invariant; the other rules reduce in
+position order) — so the bits (and, under a deadline, the membership:
+everything finished by the deadline is accepted) do not depend on it.
 """
 
 from __future__ import annotations
@@ -230,16 +231,26 @@ class Executor(WireServer):
         stream: "AggregationStream | None" = None,
     ) -> "list[ClientUpdate]":
         """Run one round's local updates; with ``stream`` each *accepted*
-        upload is folded into the online aggregation accumulator as
-        membership resolves and its ``state`` freed — the returned updates
-        then carry ``state=None`` and the caller finalizes the stream
-        instead of re-reducing the batch.  ``stream.count`` always equals
-        the number of returned updates, which is how
-        :meth:`repro.fl.strategy.Strategy.aggregate` cross-checks that the
-        engine and the stream saw the same round."""
+        upload is folded into the round's aggregation stream as membership
+        resolves — at its dispatch position, weighted by
+        ``strategy.upload_weight`` — and its ``state`` freed: the returned
+        updates then carry ``state=None`` and the caller finalizes the
+        stream.  ``stream.count`` always equals the number of returned
+        updates, which is how :meth:`repro.fl.strategy.Strategy.aggregate`
+        cross-checks that the engine and the stream saw the same round.
+
+        A participant without samples is a ``ValueError``: it has nothing
+        to train on and no weight to fold with."""
         # Refused here, before any lane opens: inside a lane the trainer's
         # ``ensemble_of`` would raise it on every agent instead.
         check_stackable(model)
+        empty = [
+            client.client_id for client in participants if not client.num_samples
+        ]
+        if empty:
+            raise ValueError(
+                f"round {round_index}: participants {empty} hold no samples"
+            )
         start, wire_before = time.perf_counter(), self.wire_stats()
         record = RoundRecord(
             round_index, 0.0, [client.client_id for client in participants]
@@ -590,12 +601,13 @@ class Executor(WireServer):
                 continue
             rnd.results[position] = update
             if rnd.stream is not None:
-                # Streaming aggregation overlaps collection: fold the
-                # accepted upload into the online accumulator the moment
-                # it passes the checks and free the decoded state — the
-                # server holds the accumulator, never the round's full
-                # update set.
-                rnd.stream.fold(update.state, float(update.num_samples))
+                # Aggregation overlaps collection: fold the accepted upload
+                # into the round's stream the moment it passes the checks,
+                # at its dispatch position, and let go of the decoded state
+                # — only the stream decides what it keeps.
+                rnd.stream.fold(
+                    update.state, rnd.strategy.upload_weight(update), position
+                )
                 update.state = None
 
     # -- the lane set ---------------------------------------------------------

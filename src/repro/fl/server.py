@@ -239,12 +239,10 @@ class FederatedServer:
                 for client in participants
             ]
 
-            # Streaming aggregation (mean and its clip composition):
-            # the engine folds each accepted upload into the stream as it
-            # arrives and frees it, so aggregation overlaps collection and
-            # the server never materializes the survivor list.  ``None``
-            # (order statistics, strategies with their own aggregate)
-            # keeps the batch path.
+            # The engine folds each accepted upload into the round's
+            # stream as it arrives; ``mean`` frees it at once, so the
+            # server never materializes the survivor list, and the order
+            # statistics reduce in dispatch order at finalize.
             stream = self.strategy.begin_stream(global_state)
 
             # ``updates`` only ever holds the clients that responded in
@@ -262,17 +260,9 @@ class FederatedServer:
             record = self.executor.last_round
 
             start = time.perf_counter()
-            # The kwarg only exists on the base ``aggregate`` — and a stream
-            # only exists when that base is what runs (supports_streaming),
-            # so overriding strategies never see it.
-            if stream is not None:
-                global_state = self.strategy.aggregate(
-                    global_state, updates, round_index, stream=stream
-                )
-            else:
-                global_state = self.strategy.aggregate(
-                    global_state, updates, round_index
-                )
+            global_state = self.strategy.aggregate(
+                global_state, updates, round_index, stream=stream
+            )
             record.aggregation_seconds = time.perf_counter() - start
             # A round that aggregated nothing never ran the rule, whose
             # ``last_rejected`` still holds the previous round's indices.

@@ -11,9 +11,12 @@ learning:
   broadcast strategy state (PARDON's interpolation style, CCST's bank);
 * :meth:`Strategy.train_group` — the client-side step, for a ``(K, ...)``
   stack of clients (the trainer's stacks are one client or more);
-* :meth:`Strategy.aggregate` — how the server merges client states
-  (FedAvg by default; FedGMA masks by gradient sign agreement; FedDG-GA
-  reweights by generalization gap).
+* :meth:`Strategy.aggregate` — how the server merges client states: every
+  accepted upload is folded into the round's stream
+  (:meth:`Strategy.begin_stream`, the configured rule's by default) with
+  :meth:`Strategy.upload_weight` (its sample count by default; FedDG-GA
+  reweights by generalization gap), and the stream is finalized.  No
+  method overrides ``aggregate``; FedGMA brings its own rule.
 
 The simulation core (:mod:`repro.fl.server`) is method-agnostic and only
 calls these hooks, so adding a new FedDG method requires exactly one class.
@@ -34,14 +37,13 @@ generic epoch runner, and a method customizes the *ingredients* instead —
 * :meth:`Strategy.payload_from_embeddings` — the method's upload side
   channel, distilled from a post-training embedding sweep;
 * :meth:`Strategy.fuse_payloads` — the server-side merge of those
-  payloads, run at the top of :meth:`aggregate` on both the batch and the
-  streaming path.
+  payloads, run by :meth:`aggregate` after the round's folds.
 
 So every strategy inherits the trainer's vectorized ``(K, ...)`` stacks:
 the generic runner owns the stacked loop.  A method that adds work around
 the step (FedDG-GA's pre-training loss) overrides :meth:`Strategy.train_group`
-and calls the base.  The trainer answers an empty client itself, so
-``train_group`` only ever sees clients with data.
+and calls the base.  A round refuses a participant without samples before
+any lane opens, so ``train_group`` only ever sees clients with data.
 
 Execution contract
 ------------------
@@ -230,9 +232,10 @@ class Strategy:
     def fuse_payloads(self, updates: list[ClientUpdate], round_index: int) -> None:
         """Server-side merge of the round's ``ClientUpdate.payload``
         entries into strategy state broadcast next round (FPL fuses
-        prototypes, FedAlign fuses alignment targets).  Runs at the top of
-        :meth:`aggregate` on both the batch and the streaming path —
-        payloads survive streaming; only upload *states* are freed."""
+        prototypes, FedAlign fuses alignment targets, FedDG-GA moves its
+        fold weights).  :meth:`aggregate` runs it after every upload was
+        folded — payloads survive the fold; only upload *states* are
+        freed."""
 
     def _extracts_payload(self) -> bool:
         return (
@@ -299,27 +302,15 @@ class Strategy:
             )
         ]
 
-    def supports_streaming(self) -> bool:
-        """Whether this round's aggregation can run as a streaming fold.
+    def upload_weight(self, update: ClientUpdate) -> float:
+        """The weight ``update`` folds into the round's stream with: its
+        sample count (paper §III-B Aggregation)."""
+        return float(update.num_samples)
 
-        True when the subclass kept the base :meth:`aggregate` (so the
-        reduction really is the aggregator's) *and* the installed
-        aggregator is online-reducible (``mean`` and its ``clip``
-        composition).  A strategy that overrides ``aggregate``
-        — FedGMA's sign masking, FedDG-GA's gap reweighting — silently
-        keeps the batch path that materializes the survivor list.
-        """
-        if type(self).aggregate is not Strategy.aggregate:
-            return False
-        return self.aggregator.streaming
-
-    def begin_stream(self, global_state: StateDict) -> AggregationStream | None:
-        """Open this round's streaming reduction, or ``None`` when the
-        strategy/aggregator combination cannot stream.  The execution
-        engine folds each accepted upload in (freeing its state) and
-        :meth:`aggregate` finalizes."""
-        if not self.supports_streaming():
-            return None
+    def begin_stream(self, global_state: StateDict) -> AggregationStream:
+        """Open this round's reduction: the configured rule's stream.  The
+        execution engine folds each accepted upload in (freeing its state)
+        and :meth:`aggregate` finalizes."""
         return self.aggregator.begin_stream(global_state)
 
     def aggregate(
@@ -331,42 +322,34 @@ class Strategy:
     ) -> StateDict:
         """Merge client uploads into the next global state.
 
-        Default: data-size-weighted FedAvg (paper §III-B Aggregation).
+        ``stream`` is the round's reduction (from :meth:`begin_stream`):
+        the engine already folded every accepted upload in — at its
+        dispatch position, with :meth:`upload_weight` — and freed
+        ``update.state`` to ``None``.  Without one, a stream is opened here
+        and ``updates`` are folded in order.  Either way the reduction is
+        :attr:`aggregator`'s (:mod:`repro.fl.aggregate`) unless the
+        strategy brings its own rule (FedGMA), so every other strategy
+        inherits whichever Byzantine-robust rule the run configured.
 
         ``update.state`` is always a *decoded* state dict: the execution
         engine strips any wire codec (delta reconstruction, dequantized
         fp16/qint8) before aggregation runs, so strategies never see the
         wire format.  Decoded tensors may be read-only zero-copy views —
-        treat them as immutable and allocate fresh outputs, as
-        :func:`repro.nn.serialize.average_states` does.
-
-        The reduction itself is delegated to :attr:`aggregator`
-        (:mod:`repro.fl.aggregate`), so every strategy built on this hook
-        inherits whichever Byzantine-robust rule the run configured.
-
-        ``stream`` is the round's in-flight streaming reduction (from
-        :meth:`begin_stream`): the engine already folded every accepted
-        upload in — ``update.state`` is freed to ``None`` on that path —
-        so this call only finalizes.  Order invariance of the compensated
-        mean makes the result bit-identical to the batch reduction.
+        treat them as immutable.
         """
+        if stream is None:
+            stream = self.begin_stream(global_state)
+            for update in updates:
+                stream.fold(update.state, self.upload_weight(update))
         self.fuse_payloads(updates, round_index)
-        if stream is not None:
-            if stream.count != len(updates):
-                raise RuntimeError(
-                    f"aggregation stream folded {stream.count} uploads but "
-                    f"{len(updates)} were accepted — engine/stream mismatch"
-                )
-            if stream.count == 0:
-                return global_state
-            return stream.finalize()
+        if stream.count != len(updates):
+            raise RuntimeError(
+                f"aggregation stream folded {stream.count} uploads but "
+                f"{len(updates)} were accepted — engine/stream mismatch"
+            )
         if not updates:
             return global_state
-        states = [update.state for update in updates]
-        weights = [float(update.num_samples) for update in updates]
-        if sum(weights) <= 0:
-            weights = [1.0] * len(states)
-        return self.aggregator.aggregate(states, weights, ref=global_state)
+        return stream.finalize()
 
 
 def run_prepare(

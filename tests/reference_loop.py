@@ -4,8 +4,8 @@
 (:class:`repro.fl.compute.EnsembleBackend`).  This module keeps the
 historical scalar path it replaced, arithmetic unchanged: one client at a
 time on the template model, the epoch runner over one dataset, FedDG-GA's
-gap from a scalar evaluation, the chunked embedding sweep, and the
-empty-client answer.  A stack of any size must reproduce it bitwise.
+gap from a scalar evaluation and the chunked embedding sweep.  A stack of
+any size must reproduce it bitwise.
 
 Two entry points:
 
@@ -110,16 +110,14 @@ def dataset_embeddings(
 
 def evaluate_loss(model, dataset, batch_size: int = 256) -> float:
     """Mean cross-entropy of ``model`` on ``dataset`` in evaluation mode."""
-    if len(dataset) == 0:
-        return 0.0
     logits = model.predict_logits(dataset.images, batch_size=batch_size)
     return CrossEntropyLoss().forward(logits, dataset.labels)
 
 
-def train_client(strategy, client: Client, model, round_index: int, rng):
-    """One non-empty client's step on ``model`` (holding the broadcast
-    weights): FedDG-GA's gap first, then the base step — views, the epoch
-    runner, the payload sweep."""
+def local_update(strategy, client: Client, model, round_index: int, rng):
+    """One client's step on ``model`` (holding the broadcast weights):
+    FedDG-GA's gap first, then the base step — views, the epoch runner,
+    the payload sweep."""
     gap = (
         evaluate_loss(model, client.dataset)
         if isinstance(strategy, FedDGGAStrategy)
@@ -156,14 +154,6 @@ def train_client(strategy, client: Client, model, round_index: int, rng):
     if gap is not None:
         update.payload["gap"] = gap
     return update
-
-
-def local_update(strategy, client: Client, model, round_index: int, rng):
-    """A zero-sample client answers with the weights it was given and a zero
-    loss, drawing nothing; any other client trains."""
-    if client.num_samples == 0:
-        return ClientUpdate.from_client(client, model.state_dict(), 0.0)
-    return train_client(strategy, client, model, round_index, rng)
 
 
 def run_loop(

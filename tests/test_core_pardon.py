@@ -269,16 +269,6 @@ class TestPardonStrategy:
             feats.mean(axis=(2, 3)).mean(axis=0), target.mu, atol=0.15
         )
 
-    def test_empty_client_update_is_noop(self, rng):
-        strategy = PardonStrategy()
-        clients = make_pardon_clients()
-        model = build_mlp_model(SUITE.image_shape, SUITE.num_classes, rng=rng)
-        run_prepare(strategy, clients, SeedTree(0))
-        empty = Client(99, clients[0].dataset.subset(np.array([], dtype=int)))
-        update = train_one(strategy, empty, model)
-        assert update.loss == 0.0
-        assert update.num_samples == 0
-
     def test_prepare_with_all_empty_clients_raises(self):
         strategy = PardonStrategy()
         clients = make_pardon_clients()

@@ -180,15 +180,6 @@ class TestLossyCodecPayloadSurvival:
         )
 
 
-class TestStreamingCompatibility:
-    """The siblings keep the base aggregate, so they stream — and the
-    payload fusion still runs on the streaming path."""
-
-    @pytest.mark.parametrize("name", sorted(STRATEGIES))
-    def test_supports_streaming(self, name):
-        assert STRATEGIES[name]().supports_streaming()
-
-
 class TestCLIKnobs:
     @pytest.mark.parametrize(
         "argv, names",

@@ -11,15 +11,24 @@ serial / parallel+pipe / parallel+shm; and quorum / adaptive-deadline runs
 """
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import FedAvgStrategy, FPLStrategy
+from repro.baselines import (
+    FedAvgStrategy,
+    FedDGGAStrategy,
+    FedGMAStrategy,
+    FPLStrategy,
+)
+from repro.cli import METHODS
 from repro.fl import (
     Client,
+    ClientUpdate,
     FederatedConfig,
     FederatedServer,
     LocalTrainingConfig,
@@ -53,6 +62,7 @@ from repro.fl.faults import (
     state_is_corrupt,
 )
 from repro.data import partition_clients, synthetic_pacs
+from repro.fl.net.serve import trace_dict
 from repro.nn import build_mlp_model
 from repro.nn.serialize import average_states
 
@@ -81,7 +91,7 @@ def _model(rng_seed=0):
     )
 
 
-def run_once(executor, strategy=None, rounds=3, aggregator=None):
+def run_once(executor, strategy=None, rounds=3, aggregator=None, clients_per_round=4):
     """One run on ``executor`` (which carries the codec, faults, deadline
     and quorum); ``aggregator`` is installed on the strategy."""
     strategy = strategy or FedAvgStrategy(FAST)
@@ -93,7 +103,7 @@ def run_once(executor, strategy=None, rounds=3, aggregator=None):
         model=_model(),
         eval_sets={"test": SUITE.datasets[2]},
         config=FederatedConfig(
-            num_rounds=rounds, clients_per_round=4, seed=0,
+            num_rounds=rounds, clients_per_round=clients_per_round, seed=0,
             codec=executor.codec.spec,
         ),
         executor=executor,
@@ -180,7 +190,7 @@ class TestRegistry:
         class FirstAggregator(Aggregator):
             name = "first"
 
-            def aggregate(self, states, weights, ref=None):
+            def reduce(self, states, weights, ref):
                 self.last_rejected = tuple(range(1, len(states)))
                 return dict(states[0])
 
@@ -938,3 +948,106 @@ class TestFPLPrototypeHook:
         a = strategy._fuse_prototypes(matrix)
         b = strategy._fuse_prototypes(matrix)
         np.testing.assert_array_equal(a, b)
+
+
+# -- one aggregation path -----------------------------------------------------
+
+
+def _digest(result):
+    return hashlib.sha256(
+        json.dumps(trace_dict(result), sort_keys=True).encode()
+    ).hexdigest()[:16]
+
+
+class _RoundCounting(SerialExecutor):
+    rounds_run = 0
+
+    def run_round(self, *args, **kwargs):
+        self.rounds_run += 1
+        return super().run_round(*args, **kwargs)
+
+
+class TestOneAggregationPath:
+    """Every rule and every strategy aggregates through one stream."""
+
+    #: Traces from before the order statistics and the two server-side
+    #: strategies streamed (4 rounds of 5 clients): folding at dispatch
+    #: positions must not move a bit of them, on either engine.
+    DIGESTS = {
+        ("fedavg", "median"): "103c7a1a9963319e",
+        ("fedavg", "trimmed_mean(1)"): "8f33fb2fb1833128",
+        ("fedavg", "trimmed_mean(0)"): "71cfe2e3c252bb18",
+        ("fedavg", "krum"): "5a6a9a7e6b035d23",
+        ("fedavg", "multi-krum(2)"): "d185eb39676e2feb",
+        ("fedavg", "clip(0.01)+krum"): "beb6ae8f5b77385a",
+        ("fedavg", "clip(0.01)+median"): "45ff803d4fc64aa3",
+        ("fedavg", "clip(0.01)+mean"): "cf6a5b35f708d051",
+        ("fedavg", "mean"): "77f27ff2832bbc92",
+        ("fedgma", "mean"): "9aebd25239210c26",
+        ("feddg_ga", "mean"): "3e4a39ff074cdf62",
+    }
+    FACTORIES = {
+        "fedavg": FedAvgStrategy,
+        "fedgma": FedGMAStrategy,
+        "feddg_ga": FedDGGAStrategy,
+    }
+
+    @pytest.mark.parametrize("engine", ["serial", "pool"])
+    def test_rule_and_strategy_digests_are_pinned(self, engine):
+        executor = (
+            SerialExecutor() if engine == "serial" else ParallelExecutor(num_workers=2)
+        )
+        with executor:
+            got = {
+                (method, spec): _digest(
+                    run_once(
+                        executor, self.FACTORIES[method](local_config=FAST),
+                        rounds=4, aggregator=spec, clients_per_round=5,
+                    )
+                )
+                for method, spec in self.DIGESTS
+            }
+        assert got == self.DIGESTS
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_every_method_observes_or_refuses_the_rule(self, method):
+        """``--aggregator median`` either moves a method's trace off
+        ``mean``'s or is refused before the first round runs."""
+        mean = _digest(
+            run_once(
+                SerialExecutor(), METHODS[method](local_config=FAST),
+                rounds=2, aggregator="mean",
+            )
+        )
+        executor = _RoundCounting()
+        try:
+            median = _digest(
+                run_once(
+                    executor, METHODS[method](local_config=FAST),
+                    rounds=2, aggregator="median",
+                )
+            )
+        except ValueError as exc:
+            assert method in str(exc) and "'median'" in str(exc)
+            assert executor.rounds_run == 0
+        else:
+            assert median != mean
+
+    def test_feddg_ga_folds_with_its_adjusted_weights(self):
+        """FedDG-GA's weights reach any rule through ``upload_weight``,
+        and move only after the round's folds."""
+        strategy = FedDGGAStrategy(step_size=0.5, momentum=0.0, local_config=FAST)
+        strategy.aggregator = make_aggregator("multi-krum(2)")
+        clients = make_clients(3)
+        strategy.client_weights = {clients[0].client_id: 3.0}
+        global_state = {"w": np.zeros(2)}
+        updates = [
+            ClientUpdate.from_client(
+                client, {"w": np.full(2, value)}, 0.0, payload={"gap": gap}
+            )
+            for client, value, gap in zip(clients, [1.0, 2.0, 9.0], [0.5, 2.5, 1.5])
+        ]
+        merged = strategy.aggregate(global_state, updates, 0)
+        # multi-krum keeps the two nearest uploads, weighted 3 : 1.
+        np.testing.assert_allclose(merged["w"], np.full(2, 1.25))
+        assert strategy.client_weights[clients[0].client_id] == 2.5

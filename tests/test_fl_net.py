@@ -16,6 +16,7 @@ import os
 import pickle
 import socket
 import struct
+import sys
 import threading
 from contextlib import contextmanager
 
@@ -745,6 +746,21 @@ class TestLaunchedAgents:
         finally:
             executor.close()
         assert dropped == [{}, {1: "quorum"}, {5: "quorum"}]
+
+    @pytest.mark.skipif(not shm_supported(), reason="no POSIX shared memory")
+    def test_shm_agents_exit_without_buffer_errors(self, capfd, monkeypatch):
+        """An agent lets go of its zero-copy views into the attached
+        segments before it leaves: no ``SharedMemory.__del__`` reports an
+        exported buffer on the agents' stderr."""
+        # The agents fork from this process: give them the interpreter's
+        # own hook, which prints what pytest's would only record.
+        monkeypatch.setattr(sys, "unraisablehook", sys.__unraisablehook__)
+        executor = ParallelExecutor(num_workers=2, transport="shm")
+        try:
+            run_once(executor, rounds=2)
+        finally:
+            executor.close()
+        assert "BufferError" not in capfd.readouterr().err
 
 
 def faulty_agent(address, connected, on_task):

@@ -2,8 +2,9 @@
 and residency that follows the population.
 
 The acceptance bar: streaming folds in *any* arrival order are
-bit-identical to the batch weighted mean (the compensated accumulator's
-order invariance), evicting the clients a population released changes no
+bit-identical to the batch reduction (the compensated accumulator's order
+invariance for the mean, dispatch positions for the order statistics),
+evicting the clients a population released changes no
 trace (they fall back to full re-registration), and server peak memory
 under a lazy population scales with participants — not with the
 population.
@@ -20,7 +21,6 @@ from repro.baselines import FedAvgStrategy
 from repro.core import PardonStrategy
 from repro.fl import (
     Client,
-    ClientUpdate,
     FederatedConfig,
     FederatedServer,
     LazyPopulation,
@@ -32,12 +32,10 @@ from repro.fl import (
     as_population,
     make_aggregator,
 )
-from repro.fl import compute as fl_compute
 from repro.data import partition_clients, synthetic_pacs
 from repro.data.synthetic import LabeledDataset
 from repro.nn import build_cnn_model, build_mlp_model
 from repro.nn.serialize import MeanAccumulator, average_states
-from tests import reference_loop
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
 FAST = LocalTrainingConfig(batch_size=8)
@@ -156,164 +154,74 @@ class TestStreamingFoldOrder:
         for key in batch:
             np.testing.assert_array_equal(streamed[key], batch[key])
 
-    def test_order_statistics_are_not_streaming(self):
-        aggregator = make_aggregator("median")
-        assert not aggregator.streaming
-        with pytest.raises(NotImplementedError, match="not streaming"):
-            aggregator.begin_stream()
-
-
-class TestZeroWeightStreamFallback:
-    """Regression: an all-zero-weight round (every sampled client empty)
-    must stream to the same uniform-mean fallback the batch path takes
-    (``Strategy.aggregate``'s ``sum(weights) <= 0`` branch), bit for bit.
-    Before the fix the stream's finalize raised ``weights must not sum to
-    zero`` where the batch path silently recovered."""
-
-    @pytest.mark.parametrize(
-        "spec", ["mean", "clip(1.5)+mean"]
+    @settings(deadline=None, max_examples=40)
+    @given(
+        rows=st.lists(st.integers(-2, 2), min_size=1, max_size=7),
+        spec=st.sampled_from(
+            ["krum(0)", "multi-krum(2, 0)", "median", "trimmed_mean(1)",
+             "clip(1.5)+krum(0)"]
+        ),
+        arrival_seed=st.integers(0, 2**32 - 1),
     )
-    def test_zero_weight_stream_matches_batch_uniform_fallback(self, spec):
-        states, _ = _states_and_weights(23, 5)
-        ref = {key: np.zeros_like(value) for key, value in states[0].items()}
-        aggregator = make_aggregator(spec)
-        batch = aggregator.aggregate(states, [1.0] * len(states), ref=ref)
-        stream = aggregator.begin_stream(ref)
-        for state in states:
-            stream.fold(state, 0.0)
+    def test_collecting_stream_reduces_in_position_order(
+        self, rows, spec, arrival_seed
+    ):
+        """An order statistic folded in any arrival order, each upload at
+        its dispatch position (with gaps, as drops leave them), gives
+        ``aggregate`` over the uploads in position order — bits, weights
+        and Krum's ``last_rejected`` alike.  The few distinct values make
+        Krum's scores tie, so its position tie-break is exercised."""
+        rng = np.random.default_rng(arrival_seed)
+        states = [
+            {"w": np.array([float(value), 1.0]), "b": np.array(float(value))}
+            for value in rows
+        ]
+        weights = [float(w) for w in rng.integers(1, 5, size=len(rows))]
+        positions = sorted(
+            int(p) for p in rng.choice(3 * len(rows), size=len(rows), replace=False)
+        )
+        ref = {"w": np.zeros(2), "b": np.array(0.0)}
+        batch_rule = make_aggregator(spec)
+        batch = batch_rule.aggregate(states, weights, ref=ref)
+        rule = make_aggregator(spec)
+        stream = rule.begin_stream(ref)
+        for index in rng.permutation(len(rows)):
+            stream.fold(states[index], weights[index], positions[index])
+        assert stream.count == len(rows)
         streamed = stream.finalize()
-        for key in batch:
-            np.testing.assert_array_equal(
-                streamed[key], batch[key],
-                err_msg=f"{spec}: zero-weight stream diverged from batch",
-            )
-
-    def test_first_positive_weight_drops_the_shadow(self):
-        """A zero-weight prefix must not disturb the weighted result once
-        any positive weight arrives — and the shadow accumulator is freed
-        (constant memory, weights are non-negative sample counts)."""
-        states, weights = _states_and_weights(29, 5)
-        weights[0] = 0.0
-        weights[1] = 0.0
-        aggregator = make_aggregator("mean")
-        batch = aggregator.aggregate(states, weights)
-        stream = aggregator.begin_stream()
-        for state, weight in zip(states, weights):
-            stream.fold(state, weight)
-            if weight > 0:
-                assert stream.uniform is None
-        streamed = stream.finalize()
+        assert rule.last_rejected == batch_rule.last_rejected
+        assert rule.last_clipped == batch_rule.last_clipped
+        assert sorted(streamed) == sorted(batch)
         for key in batch:
             np.testing.assert_array_equal(streamed[key], batch[key])
 
-    def test_strategy_batch_and_stream_agree_on_all_empty_round(self):
-        """End of the wire: Strategy.aggregate must return the same state
-        whether the engine streamed the all-empty round or batched it."""
-        strategy = FedAvgStrategy(FAST)
-        global_state = _model().state_dict()
-        states, _ = _states_and_weights(31, 4)
+class TestEmptyParticipantRefused:
+    """A participant without samples has nothing to train on and no
+    weight to fold with: every engine refuses the round before any lane
+    opens, naming the empty ids.  (The sampler never draws one, and a lazy
+    population refuses to build one.)"""
+
+    @pytest.mark.parametrize("engine", ["serial", "pool"])
+    def test_round_refuses_empty_participants(self, engine, monkeypatch):
         empty_dataset = SUITE.datasets[0].subset(np.array([], dtype=int))
-        clients = [Client(i, empty_dataset) for i in range(4)]
-        batch_updates = [
-            ClientUpdate.from_client(client, state, 0.0)
-            for client, state in zip(clients, states)
-        ]
-        merged_batch = strategy.aggregate(global_state, batch_updates, 0)
-        stream = strategy.begin_stream(global_state)
-        assert stream is not None
-        stream_updates = [
-            ClientUpdate.from_client(client, state, 0.0)
-            for client, state in zip(clients, states)
-        ]
-        for update in stream_updates:
-            stream.fold(update.state, float(update.num_samples))
-            update.state = None  # the engine frees folded uploads
-        merged_stream = strategy.aggregate(
-            global_state, stream_updates, 0, stream=stream
-        )
-        for key in merged_batch:
-            np.testing.assert_array_equal(
-                merged_batch[key], merged_stream[key]
-            )
-
-
-class TestEmptyClientGuard:
-    """Regression: the trainer answers a zero-sample client itself — zero
-    loss, the broadcast weights, no randomness consumed — on every engine
-    and at every stack limit, as the scalar reference loop does, and its
-    neighbours train as if it were not there."""
-
-    @staticmethod
-    def _empty_dataset():
-        return SUITE.datasets[0].subset(np.array([], dtype=int))
-
-    def _mixed_clients(self):
         clients = make_clients(4)
-        clients.insert(1, Client(97, self._empty_dataset()))
-        clients.append(Client(98, self._empty_dataset()))
-        return clients
+        clients.insert(1, Client(97, empty_dataset))
+        clients.append(Client(98, empty_dataset))
+        executor = (
+            SerialExecutor() if engine == "serial" else ParallelExecutor(num_workers=2)
+        )
 
-    @pytest.mark.parametrize("stack_step", [None, 1], ids=["ensemble", "strict"])
-    def test_backends_agree_on_group_with_empty_clients(self, stack_step, monkeypatch):
-        """A group mixing empty and non-empty clients produces bitwise the
-        reference loop's updates through the trainer's stacks, K=1 ones
-        included, on the serial engine and on a 2-worker pool (whose
-        fork-started workers inherit the stack limit)."""
-        if stack_step is not None:
-            monkeypatch.setattr(fl_compute, "_STACK_STEP_ELEMENTS", stack_step)
+        def no_lanes(model):
+            raise AssertionError("a lane opened for a refused round")
+
+        monkeypatch.setattr(executor, "open", no_lanes)
         model = _model()
-        wire = model.state_dict()
-        seeds = list(range(100, 106))
-        empty_ids = {97, 98}
-
-        reference = reference_loop.run_loop(
-            FedAvgStrategy(FAST), _model(), wire, self._mixed_clients(), 0, seeds
-        )
-
-        def on_engine(engine):
-            with engine:
-                return engine.run_round(
-                    FedAvgStrategy(FAST), _model(), wire,
-                    self._mixed_clients(), 0, seeds,
+        with executor:
+            with pytest.raises(ValueError, match=r"\[97, 98\] hold no samples"):
+                executor.run_round(
+                    FedAvgStrategy(FAST), model, model.state_dict(), clients,
+                    0, list(range(len(clients))),
                 )
-
-        serial = on_engine(SerialExecutor())
-        pooled = on_engine(ParallelExecutor(num_workers=2))
-        for engine, got in (("serial", serial), ("pool", pooled)):
-            assert [u.client_id for u in got] == [u.client_id for u in reference]
-            for ref, update in zip(reference, got):
-                assert update.loss == ref.loss, engine
-                assert update.num_samples == ref.num_samples
-                assert list(update.state) == list(ref.state)
-                for key in ref.state:
-                    assert update.state[key].dtype == ref.state[key].dtype
-                    np.testing.assert_array_equal(update.state[key], ref.state[key])
-            for update in got:
-                if update.client_id not in empty_ids:
-                    continue
-                assert update.loss == 0.0
-                assert list(update.state) == list(wire)
-                for key in wire:
-                    np.testing.assert_array_equal(update.state[key], wire[key])
-                    assert not np.shares_memory(update.state[key], wire[key])
-        # The neighbours train exactly as in a group without the empty
-        # clients, on the same seeds.
-        trained = [
-            (client, seed)
-            for client, seed in zip(self._mixed_clients(), seeds)
-            if client.client_id not in empty_ids
-        ]
-        alone = reference_loop.run_loop(
-            FedAvgStrategy(FAST), _model(), wire,
-            [client for client, _ in trained], 0, [seed for _, seed in trained],
-        )
-        for got in (serial, pooled):
-            neighbours = [u for u in got if u.client_id not in empty_ids]
-            for want, update in zip(alone, neighbours, strict=True):
-                assert update.client_id == want.client_id
-                assert update.loss == want.loss
-                for key in want.state:
-                    np.testing.assert_array_equal(update.state[key], want.state[key])
 
 
 class TestAverageStatesOut:

@@ -567,14 +567,6 @@ class TestGroupingInvariance:
             assert param.data.flags.c_contiguous
         _assert_updates_bitwise_equal(got, train(ensemble_of(model, 2), 2, seed=2))
 
-    def test_empty_client_routes_through_loop_path(self):
-        """An empty client between two stackable ones: the trainer answers
-        it as the reference loop does, and its neighbours still stack."""
-        sizes = (6, 0, 6)
-        batched, _ = _run_trainer(STRATEGIES["fedavg"], sizes)
-        loop, _ = _run_trainer(STRATEGIES["fedavg"], sizes, loop=True)
-        _assert_updates_bitwise_equal(batched, loop)
-
     def test_scratch_deltas_stay_per_client(self):
         """PARDON's style cache: each slice writes only its own scratch —
         the images it caches are its own client's, re-styled exactly as

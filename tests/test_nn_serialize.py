@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fl.aggregate import make_aggregator
 from repro.nn.serialize import (
     MeanAccumulator,
     average_states,
@@ -298,19 +297,6 @@ class TestMeanAccumulatorBlock:
         else:
             with pytest.raises(ValueError, match="sum to zero"):
                 acc.finalize()
-
-    @given(fold_sequences())
-    @settings(max_examples=30, deadline=None)
-    def test_all_zero_weights_take_the_uniform_shadow(self, drawn):
-        states, _ = drawn
-        stream = make_aggregator("mean").begin_stream()
-        reference = PerKeyMeanAccumulator()
-        for state in states:
-            stream.fold(state, 0.0)
-            reference.fold(state, 1.0)
-        result, expected = stream.finalize(), reference.finalize()
-        for key in expected:
-            np.testing.assert_array_equal(result[key], expected[key])
 
     def test_views_share_the_one_block(self, rng):
         acc = MeanAccumulator()
