@@ -19,7 +19,6 @@ import numpy as np
 
 from common import emit, is_fast_mode
 
-from repro.core import PardonConfig
 from repro.core.interpolation import extract_interpolation_style
 from repro.core.local_style import compute_client_style
 from repro.data import synthetic_pacs

@@ -7,9 +7,10 @@ the most among single-component removals; dropping both clusterings with
 generic augmentation positives (v4) is worst.
 
 An extended sweep additionally ablates the median-vs-mean choice of Eq. 5
-and the gamma coefficients — the design choices exposed as
-``repro.core.config.PardonConfig`` fields (README "Architecture map",
-``repro.core`` row).
+and the loss weights of Eq. 9.  Switches are ``repro.core.config.PardonConfig``
+fields (README "Architecture map", ``repro.core`` row); weights are
+objective overrides on the run's setting — γ_T is the ``triplet_style``
+term and γ_reg the ``pair_l2`` term, as ``--objective`` would set them.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ VARIANTS = [
 ]
 
 
-def _setting(seed=0) -> ExperimentSetting:
+def _setting(seed=0, objective=None) -> ExperimentSetting:
     return ExperimentSetting(
+        objective=objective,
         num_clients=20,
         clients_per_round=0.2,
         heterogeneity=0.1,
@@ -64,23 +66,24 @@ def _run_variants(suite) -> str:
 
 
 def _run_extended(suite) -> str:
-    """Design-choice ablations beyond the paper's grid (``PardonConfig``
-    fields; README "Architecture map", ``repro.core`` row)."""
+    """Design-choice ablations beyond the paper's grid: ``PardonConfig``
+    switches, or objective overrides of the Eq. 9 weights (README
+    "Architecture map", ``repro.core`` row)."""
     split = {"train": [2, 3], "val": [1], "test": [0]}
     cases = [
-        ("median (Eq. 5, default)", PardonConfig()),
-        ("mean instead of median", PardonConfig(global_clustering=False)),
-        ("gamma_triplet=0", PardonConfig(gamma_triplet=0.0)),
-        ("gamma_triplet=3", PardonConfig(gamma_triplet=3.0)),
-        ("gamma_reg=0", PardonConfig(gamma_reg=0.0)),
+        ("median (Eq. 5, default)", PardonConfig(), None),
+        ("mean instead of median", PardonConfig(global_clustering=False), None),
+        ("triplet_style=0 (γ_T=0)", PardonConfig(), "triplet_style=0"),
+        ("triplet_style=3 (γ_T=3)", PardonConfig(), "triplet_style=3"),
+        ("pair_l2=0 (γ_reg=0)", PardonConfig(), "pair_l2=0"),
         ("strict Eq.9 CE (original half only)",
-         PardonConfig(ce_on_transferred=False)),
-        ("hinged triplet", PardonConfig(triplet_hinge=True)),
+         PardonConfig(ce_on_transferred=False), None),
+        ("hinged triplet", PardonConfig(triplet_hinge=True), None),
     ]
     rows = []
-    for name, config in cases:
+    for name, config, objective in cases:
         outcome = run_split_experiment(
-            suite, split, PardonStrategy(config), _setting()
+            suite, split, PardonStrategy(config), _setting(objective=objective)
         )
         rows.append(
             [name, format_percent(outcome.val_accuracy),

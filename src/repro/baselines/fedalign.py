@@ -34,22 +34,15 @@ class FedAlignStrategy(Strategy):
 
     name = "fedalign"
 
-    def __init__(
-        self,
-        align_weight: float = 0.5,
-        local_config: LocalTrainingConfig | None = None,
-    ) -> None:
+    def __init__(self, local_config: LocalTrainingConfig | None = None) -> None:
         super().__init__(local_config)
-        if align_weight < 0:
-            raise ValueError(f"align_weight must be >= 0, got {align_weight}")
-        self.align_weight = align_weight
         # class id -> (embed_dim,) fused alignment target, broadcast with
         # the strategy each round (empty before the first fusion).
         self.global_targets: dict[int, np.ndarray] = {}
         self.objective = CompositeObjective(
             [
                 ("ce", 1.0),
-                ("align", align_weight, FeatureAlignTerm("align_targets")),
+                ("align", 0.5, FeatureAlignTerm("align_targets")),
             ]
         )
 

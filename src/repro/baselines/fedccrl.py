@@ -10,15 +10,10 @@ training:
   forward, and a quadratic consistency term pulls the two views' embeddings
   together, with cross-entropy supervising *both* views;
 * **cross-client alignment** — clients upload per-class representation
-  statistics ``(mean, mean-of-squares, count)`` in ``ClientUpdate.payload``;
+  statistics ``(mean, count)`` in ``ClientUpdate.payload``, as in FedAlign;
   the server fuses them into global per-class targets (count-weighted, or
   the aggregation rule's robust vector reduction) and re-broadcasts, and the
   ``align`` term pulls embeddings of both views toward their class target.
-
-The second moment rides along so the server can report per-class
-representation spread (:meth:`FedCCRLStrategy.target_spread`) — the
-quantity FedCCRL's alignment is meant to shrink — without another upload
-channel.
 """
 
 from __future__ import annotations
@@ -43,26 +38,15 @@ class FedCCRLStrategy(Strategy):
 
     name = "fedccrl"
 
-    def __init__(
-        self,
-        consistency_weight: float = 0.5,
-        align_weight: float = 0.25,
-        local_config: LocalTrainingConfig | None = None,
-    ) -> None:
+    def __init__(self, local_config: LocalTrainingConfig | None = None) -> None:
         super().__init__(local_config)
-        if consistency_weight < 0 or align_weight < 0:
-            raise ValueError("term weights must be non-negative")
-        self.consistency_weight = consistency_weight
-        self.align_weight = align_weight
-        # class id -> (embed_dim,) fused representation target; second
-        # moments and counts ride along for spread reporting.
+        # class id -> (embed_dim,) fused representation target.
         self.global_targets: dict[int, np.ndarray] = {}
-        self.global_sqmeans: dict[int, np.ndarray] = {}
         self.objective = CompositeObjective(
             [
                 ("ce", 1.0, CrossEntropyTerm(all_views=True)),
-                ("consistency", consistency_weight),
-                ("align", align_weight, FeatureAlignTerm("align_targets")),
+                ("consistency", 0.5),
+                ("align", 0.25, FeatureAlignTerm("align_targets")),
             ]
         )
 
@@ -84,52 +68,24 @@ class FedCCRLStrategy(Strategy):
         stats = {}
         for label in np.unique(labels):
             rows = embeddings[labels == label]
-            stats[int(label)] = (
-                rows.mean(axis=0),
-                np.mean(rows**2, axis=0),
-                int(rows.shape[0]),
-            )
+            stats[int(label)] = (rows.mean(axis=0), int(rows.shape[0]))
         return {"repr_stats": stats}
 
     # -- server side ----------------------------------------------------------
 
     def fuse_payloads(self, updates: list[ClientUpdate], round_index: int) -> None:
-        per_class: dict[int, list[tuple[np.ndarray, np.ndarray, int]]] = {}
+        per_class: dict[int, list[tuple[np.ndarray, int]]] = {}
         for update in updates:
             for label, stat in update.payload.get("repr_stats", {}).items():
                 per_class.setdefault(int(label), []).append(stat)
         for label, stats in per_class.items():
-            means = np.stack([mean for mean, _, _ in stats])
-            sqmeans = np.stack([sq for _, sq, _ in stats])
+            means = np.stack([mean for mean, _ in stats])
             if self.aggregator.robust:
                 self.global_targets[label] = self.aggregator.reduce_vectors(
                     means
                 )
-                self.global_sqmeans[label] = self.aggregator.reduce_vectors(
-                    sqmeans
-                )
             else:
-                counts = np.array(
-                    [count for _, _, count in stats], dtype=float
-                )
+                counts = np.array([count for _, count in stats], dtype=float)
                 self.global_targets[label] = np.average(
                     means, axis=0, weights=counts
                 )
-                self.global_sqmeans[label] = np.average(
-                    sqmeans, axis=0, weights=counts
-                )
-
-    def target_spread(self) -> dict[int, float]:
-        """Mean per-class representation variance implied by the fused
-        first and second moments (``E[x^2] - E[x]^2``, clipped at zero)."""
-        return {
-            label: float(
-                np.mean(
-                    np.maximum(
-                        self.global_sqmeans[label] - target**2, 0.0
-                    )
-                )
-            )
-            for label, target in self.global_targets.items()
-            if label in self.global_sqmeans
-        }

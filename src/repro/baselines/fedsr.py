@@ -31,21 +31,8 @@ class FedSRStrategy(Strategy):
 
     name = "fedsr"
 
-    def __init__(
-        self,
-        l2_weight: float = 0.1,
-        cmi_weight: float = 0.2,
-        local_config: LocalTrainingConfig | None = None,
-    ) -> None:
+    def __init__(self, local_config: LocalTrainingConfig | None = None) -> None:
         super().__init__(local_config)
-        if l2_weight < 0 or cmi_weight < 0:
-            raise ValueError("regularizer weights must be non-negative")
-        self.l2_weight = l2_weight
-        self.cmi_weight = cmi_weight
         self.objective = CompositeObjective(
-            [
-                ("ce", 1.0),
-                ("embed_l2", l2_weight),
-                ("class_align", cmi_weight),
-            ]
+            [("ce", 1.0), ("embed_l2", 0.1), ("class_align", 0.2)]
         )

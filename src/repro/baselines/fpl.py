@@ -25,7 +25,7 @@ from repro.clustering.finch import finch
 from repro.fl.client import Client
 from repro.fl.executor import ClientUpdate
 from repro.fl.strategy import LocalTrainingConfig, Strategy
-from repro.nn.objective import CompositeObjective, ProtoNCETerm, prototype_nce
+from repro.nn.objective import CompositeObjective, ProtoNCETerm
 
 __all__ = ["FPLStrategy"]
 
@@ -37,37 +37,22 @@ class FPLStrategy(Strategy):
 
     def __init__(
         self,
-        proto_weight: float = 0.5,
         temperature: float = 0.5,
         local_config: LocalTrainingConfig | None = None,
     ) -> None:
         super().__init__(local_config)
-        if proto_weight < 0:
-            raise ValueError(f"proto_weight must be >= 0, got {proto_weight}")
         if temperature <= 0:
             raise ValueError(f"temperature must be positive, got {temperature}")
-        self.proto_weight = proto_weight
-        self.temperature = temperature
         # class id -> (embed_dim,) unbiased global prototype
         self.global_prototypes: dict[int, np.ndarray] = {}
         self.objective = CompositeObjective(
             [
                 ("ce", 1.0),
-                ("proto_nce", proto_weight, ProtoNCETerm(temperature)),
+                ("proto_nce", 0.5, ProtoNCETerm(temperature)),
             ]
         )
 
     # -- client side ----------------------------------------------------------
-
-    def _prototype_gradient(
-        self, embeddings: np.ndarray, labels: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """The InfoNCE head against the current global prototypes
-        (kept as a method for direct inspection; the training loop runs
-        the same math through the ``proto_nce`` objective term)."""
-        return prototype_nce(
-            embeddings, labels, self.global_prototypes, self.temperature
-        )
 
     def objective_context(self, client: Client) -> dict:
         return {"prototypes": self.global_prototypes}

@@ -83,8 +83,14 @@ SUITES = {
 
 
 def _setting_from_args(args: argparse.Namespace, usage_error) -> ExperimentSetting:
-    """The experiment the flags name; a quorum no round could reach is a
-    usage error."""
+    """The experiment the flags name; a quorum no round could reach, or an
+    ``--objective`` term the method's objective lacks, is a usage error."""
+    if args.objective:
+        strategy = METHODS[args.method]()
+        try:
+            strategy.apply_objective_overrides(args.objective)
+        except ValueError as exc:
+            usage_error(f"--objective for --method {args.method}: {exc}")
     if args.quorum is not None:
         round_size = UniformClientSampler(args.participation).round_size(
             args.clients
@@ -215,7 +221,7 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
         help="reweight the method's composite objective, e.g. "
         "'proto_nce=0.7' or 'consistency=1,align=0.5'; valid term names "
         "are the ones the method's objective declares "
-        "(see repro.nn.objective; checked when the strategy is built)",
+        "(see repro.nn.objective); the one way to reweight a method",
     )
     parser.add_argument("--clients", type=_positive_int, default=20)
     parser.add_argument(

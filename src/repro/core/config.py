@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["PardonConfig"]
 
 
 @dataclass(frozen=True)
 class PardonConfig:
-    """Hyperparameters and component switches of PARDON.
+    """Component switches of PARDON.
 
-    Loss weights follow paper Eq. 9: ``L = L_CE + gamma_triplet * L_T +
-    gamma_reg * L_reg`` with triplet margin ``alpha``.
+    The loss weights of Eq. 9 are not fields: γ_T and γ_reg are the
+    ``triplet_style`` and ``pair_l2`` weights of the strategy's objective,
+    reweighted only by ``--objective`` (``ExperimentSetting.objective``).
+    ``triplet_hinge`` selects the hinged form of the triplet term.
 
     The three booleans reproduce the Table V ablation grid:
 
@@ -36,23 +38,12 @@ class PardonConfig:
     on by default and expose the switch for the ablation benches.
     """
 
-    gamma_triplet: float = 2.0
-    gamma_reg: float = 0.005
-    margin: float = 1.0
     triplet_hinge: bool = False
-    encoder_levels: int = 1
-    encoder_seed: int = 7
     local_clustering: bool = True
     global_clustering: bool = True
     contrastive: bool = True
     style_positives: bool = True
     ce_on_transferred: bool = True
-
-    def __post_init__(self) -> None:
-        if self.gamma_triplet < 0 or self.gamma_reg < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.margin < 0:
-            raise ValueError(f"margin must be non-negative, got {self.margin}")
 
     # -- Table V variants ----------------------------------------------------
 
@@ -83,7 +74,3 @@ class PardonConfig:
     def v5() -> "PardonConfig":
         """The full method (all components on)."""
         return PardonConfig()
-
-    def with_overrides(self, **changes: object) -> "PardonConfig":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)

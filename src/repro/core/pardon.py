@@ -15,8 +15,9 @@ The four steps of Fig. 2 map onto the strategy hooks as follows:
    broadcast; the per-client styles stay on the server.
 3. **Contrastive local training** is the declarative objective (Eq. 9):
    cross-entropy over both halves (or the original half, per
-   ``ce_on_transferred``), the triplet term at ``gamma_triplet``, and the
-   pair-L2 regularizer at ``gamma_reg`` — with
+   ``ce_on_transferred``), the ``triplet_style`` term at γ_T = 2 and the
+   ``pair_l2`` regularizer at γ_reg = 0.005 — reweighted only through
+   ``--objective`` — with
    :meth:`PardonStrategy.local_views` supplying the style-transferred
    second view each round.  The generic runner executes it on the
    trainer's client stacks.
@@ -24,7 +25,7 @@ The four steps of Fig. 2 map onto the strategy hooks as follows:
 
 Ablation variants v1–v5 (paper Table V) are selected purely through
 :class:`repro.core.config.PardonConfig` — the config decides which terms
-the objective carries.
+the objective carries, the objective owns their weights.
 """
 
 from __future__ import annotations
@@ -56,27 +57,16 @@ def _pardon_objective(config: PardonConfig) -> CompositeObjective:
 
     When ``config.contrastive`` is off (ablation v3) the transferred half
     still flows through cross-entropy as plain augmentation, matching the
-    paper's description of that variant.
+    paper's description of that variant.  A zero weight set by an
+    override keeps its binding; the trainer skips it.
     """
-    bindings: list = [
-        (
-            "ce",
-            1.0,
-            CrossEntropyTerm(
-                all_views=config.ce_on_transferred or not config.contrastive
-            ),
-        )
-    ]
-    if config.contrastive and config.gamma_triplet > 0:
+    all_views = config.ce_on_transferred or not config.contrastive
+    bindings: list = [("ce", 1.0, CrossEntropyTerm(all_views=all_views))]
+    if config.contrastive:
         bindings.append(
-            (
-                "triplet_style",
-                config.gamma_triplet,
-                TripletStyleTerm(margin=config.margin, hinge=config.triplet_hinge),
-            )
+            ("triplet_style", 2.0, TripletStyleTerm(hinge=config.triplet_hinge))
         )
-    if config.gamma_reg > 0:
-        bindings.append(("pair_l2", config.gamma_reg))
+    bindings.append(("pair_l2", 0.005))
     return CompositeObjective(bindings)
 
 
@@ -97,9 +87,7 @@ class PardonStrategy(Strategy):
     ) -> None:
         super().__init__(local_config)
         self.config = config or PardonConfig()
-        self.encoder = encoder or InvertibleEncoder(
-            levels=self.config.encoder_levels, seed=self.config.encoder_seed
-        )
+        self.encoder = encoder or InvertibleEncoder(levels=1, seed=7)
         self.interpolation_style: StyleVector | None = None
         self.client_styles: dict[int, StyleVector] = {}
         self.objective = _pardon_objective(self.config)

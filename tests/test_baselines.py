@@ -34,6 +34,7 @@ from repro.fl import (
 from repro.fl.net.serve import trace_dict
 from repro.fl.strategy import Strategy
 from repro.nn import build_cnn_model, build_mlp_model
+from repro.nn.objective import prototype_nce
 from repro.nn.serialize import state_allclose, state_sub
 from repro.utils.rng import SeedTree
 from tests import reference_loop
@@ -101,21 +102,18 @@ class TestFedSR:
     def test_regularizers_shrink_embeddings(self):
         """Stronger FedSR regularization yields smaller embedding norms —
         the mechanism behind its collapse in the paper's tables."""
-        def mean_embedding_norm(l2_weight):
-            strategy = FedSRStrategy(
-                l2_weight=l2_weight, cmi_weight=0.0, local_config=FAST
-            )
+        def mean_embedding_norm(overrides):
+            strategy = FedSRStrategy(local_config=FAST)
+            strategy.apply_objective_overrides(overrides)
             result = run_strategy(strategy, rounds=4)
             model = make_model()
             model.load_state_dict(result.final_state)
             z = model.forward_features(SUITE.datasets[0].images[:32])
             return float(np.linalg.norm(z, axis=1).mean())
 
-        assert mean_embedding_norm(2.0) < mean_embedding_norm(0.0)
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
-            FedSRStrategy(l2_weight=-1.0)
+        assert mean_embedding_norm("embed_l2=2,class_align=0") < (
+            mean_embedding_norm("embed_l2=0,class_align=0")
+        )
 
 
 class TestFedGMA:
@@ -180,7 +178,9 @@ class TestFPL:
     def test_prototype_gradient_skips_unknown_classes(self, rng):
         strategy = FPLStrategy(local_config=FAST)
         z = rng.normal(size=(4, 8))
-        loss, grad = strategy._prototype_gradient(z, np.array([0, 1, 2, 3]))
+        loss, grad = prototype_nce(
+            z, np.array([0, 1, 2, 3]), strategy.global_prototypes, 0.5
+        )
         assert loss == 0.0
         assert np.all(grad == 0)
 
@@ -188,13 +188,13 @@ class TestFPL:
         strategy = FPLStrategy(local_config=FAST)
         strategy.global_prototypes = {0: rng.normal(size=8), 1: rng.normal(size=8)}
         z = rng.normal(size=(6, 8)) * 1e4  # extreme embeddings
-        loss, grad = strategy._prototype_gradient(z, np.array([0, 1, 0, 1, 0, 1]))
+        loss, grad = prototype_nce(
+            z, np.array([0, 1, 0, 1, 0, 1]), strategy.global_prototypes, 0.5
+        )
         assert np.isfinite(loss)
         assert np.all(np.isfinite(grad))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FPLStrategy(proto_weight=-0.1)
         with pytest.raises(ValueError):
             FPLStrategy(temperature=0.0)
 
@@ -231,27 +231,16 @@ class TestFedAlign:
         strategy.fuse_payloads(updates, 0)
         assert np.allclose(strategy.global_targets[0], 0.75)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FedAlignStrategy(align_weight=-0.1)
-
 
 class TestFedCCRL:
     def test_targets_and_spread_populated(self):
         strategy = FedCCRLStrategy(local_config=FAST)
         run_strategy(strategy, rounds=2)
         assert strategy.global_targets
-        spread = strategy.target_spread()
-        assert set(spread) == set(strategy.global_targets)
-        for value in spread.values():
-            assert np.isfinite(value)
-            assert value >= 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FedCCRLStrategy(consistency_weight=-1.0)
-        with pytest.raises(ValueError):
-            FedCCRLStrategy(align_weight=-1.0)
+        dim = make_model().embed_dim
+        for target in strategy.global_targets.values():
+            assert target.shape == (dim,)
+            assert np.all(np.isfinite(target))
 
 
 class TestFedDGGA:
@@ -363,6 +352,29 @@ def traced_run(strategy, executor):
     )
     trace = json.dumps(trace_dict(server.run()), sort_keys=True)
     return hashlib.sha256(trace.encode()).hexdigest()[:16]
+
+
+class TestEveryMethodOwnsItsWeights:
+    """Each method states its loss weights once, in its objective; these
+    are the defaults every ``repro.cli`` method trained with before the
+    per-method weight keywords went."""
+
+    SPECS = {
+        "ccst": "ce=1",
+        "fedalign": "ce=1,align=0.5",
+        "fedavg": "ce=1",
+        "fedccrl": "ce=1,consistency=0.5,align=0.25",
+        "feddg_ga": "ce=1",
+        "fedgma": "ce=1",
+        "fedsr": "ce=1,embed_l2=0.1,class_align=0.2",
+        "fpl": "ce=1,proto_nce=0.5",
+        "mixstyle": "ce=1",
+        "pardon": "ce=1,triplet_style=2,pair_l2=0.005",
+    }
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_default_objective_is_pinned(self, method):
+        assert METHODS[method]().objective.spec == self.SPECS[method]
 
 
 class TestEveryMethodOnTheRunners:

@@ -237,6 +237,42 @@ class TestCLIKnobs:
                  "--objective", spec]
             )
 
+    @pytest.mark.parametrize("command", ["run", "lodo", "serve"])
+    def test_term_the_method_lacks_is_a_usage_error(
+        self, command, capsys, monkeypatch
+    ):
+        """An ``--objective`` term outside the method's objective exits 2
+        naming the term, before any suite is built."""
+        from repro import cli
+        from repro.fl.net import serve
+
+        def no_suite(seed):
+            raise AssertionError("the suite was built")
+
+        monkeypatch.setitem(cli.SUITES, "pacs", no_suite)
+        split = ["--train-domains", "photo", "art_painting",
+                 "--val-domain", "cartoon", "--test-domain", "sketch"]
+        argv = ["--suite", "pacs", "--method", "fedavg", "--objective", "align=1"]
+        with pytest.raises(SystemExit) as exit_info:
+            if command == "serve":
+                serve.main([*argv, *split])
+            else:
+                cli.main([command, *argv, *(split if command == "run" else [])])
+        assert exit_info.value.code == 2
+        assert "'align'" in capsys.readouterr().err
+
+    def test_term_the_method_has_is_accepted(self):
+        from repro.cli import _setting_from_args, build_parser
+
+        def usage_error(message):
+            raise AssertionError(message)
+
+        args = build_parser().parse_args(
+            ["lodo", "--suite", "pacs", "--method", "fedsr",
+             "--objective", "embed_l2=0.3"]
+        )
+        assert _setting_from_args(args, usage_error).objective == "embed_l2=0.3"
+
     def test_unknown_term_rejected_at_strategy_build(self):
         strategy = STRATEGIES["fedalign"]()
         with pytest.raises(ValueError, match="unknown objective term"):
