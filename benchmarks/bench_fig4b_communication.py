@@ -8,11 +8,14 @@ this repository's float64 tensors.  The measured columns come from a real
 delta protocol byte-counts every hop (:class:`repro.fl.executor.WireStats`
 folded into the timing report).
 
-Shape to check: every method is dominated by weight exchange; PARDON adds
-one style vector per client once; CCST's one-time download grows linearly
-with the client count (the whole style bank); FPL pays prototypes every
-round.  Measured uploads track the analytic weight cost plus pickle framing
-(FPL's prototypes visible on top); PARDON's measured upload equals FedAvg's
+Shape to check: every ``repro.cli`` method is dominated by weight
+exchange; PARDON adds one style vector per client once; CCST's one-time
+download grows linearly with the client count (the whole style bank); FPL,
+FedAlign and FedCCRL pay the same per-class statistics every round (one
+class-statistics channel); MixStyle is pure weight exchange.  Measured
+uploads track the analytic weight cost plus pickle framing (the class
+statistics visible on top, their per-class counts a few bytes past the
+analytic float64 model); PARDON's measured upload equals FedAvg's
 — its re-styled images stay in the workers, and its one style vector per
 client is computed by the client half of the exchange before round 1
 (``Strategy.prepare_client``), which still runs in-process, so no wire
@@ -43,14 +46,13 @@ from repro.fl import (
     MeasuredCommunication,
     ParallelExecutor,
 )
-from repro.cli import METHODS as METHOD_FACTORIES
+from repro.cli import METHODS
 from repro.data import synthetic_pacs, partition_clients
 from repro.fl.client import Client
 from repro.fl.communication import method_communication
 from repro.nn import build_cnn_model
 from repro.utils.tables import format_table
 
-METHODS = ["fedavg", "fedsr", "fedgma", "fpl", "feddg_ga", "ccst", "pardon"]
 CODECS = ["identity", "delta", "fp16", "qint8"]
 
 MEASURE_CLIENTS = 8
@@ -67,7 +69,7 @@ def _measure(method: str, codec: str = "identity") -> MeasuredCommunication:
     model = build_cnn_model(
         suite.image_shape, suite.num_classes, rng=np.random.default_rng(0)
     )
-    strategy = METHOD_FACTORIES[method]()
+    strategy = METHODS[method]()
     strategy.local_config = LocalTrainingConfig(batch_size=8)
     with ParallelExecutor(num_workers=2, codec=codec) as executor:
         server = FederatedServer(

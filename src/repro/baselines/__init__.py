@@ -1,7 +1,7 @@
 """``repro.baselines`` — the SOTA FedDG baselines the paper compares
 against, plus plain FedAvg and the sibling methods from PAPERS.md's survey
-(FedAlign, FedCCRL) that stress the ``ClientUpdate`` payload path beyond
-FPL's prototypes.
+(FedAlign, FedCCRL) that share FPL's class-statistics channel
+(:attr:`repro.fl.strategy.Strategy.class_targets`).
 
 Each is a :class:`repro.fl.Strategy`, so any of them drops into the same
 simulation loop and benchmark harness as PARDON.

@@ -210,8 +210,8 @@ class Aggregator:
     list that the base's collecting stream calls (the order statistics).
 
     ``robust`` marks rules with a nonzero breakdown point; strategy-level
-    side channels (FPL's prototype fusion) consult it to harden their own
-    aggregation the same way.
+    side channels (the class-statistics fusion) consult it to harden
+    their own aggregation the same way.
     """
 
     name = "aggregator"
@@ -260,8 +260,8 @@ class Aggregator:
         raise NotImplementedError
 
     def reduce_vectors(self, matrix: np.ndarray) -> np.ndarray:
-        """Robustly fuse row vectors (strategy side channels, e.g. FPL's
-        per-class prototypes): the plain mean for the historical rule, the
+        """Robustly fuse row vectors (strategy side channels, e.g. one
+        class's uploaded means): the plain mean for the historical rule, the
         coordinate-wise median — breakdown point 1/2 — for robust ones."""
         if self.robust:
             return np.median(matrix, axis=0)

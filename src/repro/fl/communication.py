@@ -3,9 +3,9 @@
 The paper's scalability argument (§IV-B-3) is about computation, but the
 same comparison matters for bytes on the wire: PARDON adds a single
 ``R^{2d}`` vector per client *once*, while cross-sharing methods ship style
-banks or prototypes every round.  This module computes the exact payload
-sizes from the model and method parameters so the overhead bench can print
-a bytes-per-round column alongside wall-clock.
+banks or per-class statistics every round.  This module computes the
+exact payload sizes from the model and method parameters so the overhead
+bench can print a bytes-per-round column alongside wall-clock.
 """
 
 from __future__ import annotations
@@ -98,35 +98,38 @@ def method_communication(
     styles_per_client: int = 1,
     codec: str = "identity",
 ) -> CommunicationModel:
-    """Payload model for each method in the paper's line-up.
+    """Payload model for every ``repro.cli`` method.
 
-    ``style_dim`` is ``2d`` (mean+std per encoder channel); prototypes are
-    ``embed_dim`` floats per class.
+    ``style_dim`` is ``2d`` (mean+std per encoder channel); the
+    class-statistics channel (FPL, FedAlign, FedCCRL) is ``embed_dim``
+    floats per class each way.
 
     ``codec`` adjusts the *weight* component for the wire codec actually in
     use (see :mod:`repro.fl.codec`): fp16 ships 2 bytes per scalar, qint8
     one, and ``delta``/``deflate`` stay at the dense bound because their
     compression is data-dependent — that keeps this model an honest upper
     bound next to the measured columns, never an optimistic estimate.
-    Method-specific side payloads (styles, prototypes) are not
+    Method-specific side payloads (styles, class statistics) are not
     codec-encoded and keep their float64 size.
     """
     weights = int(
         model.num_parameters() * analytic_scalar_bytes(codec, _BYTES_PER_SCALAR)
     )
     style = style_dim * _BYTES_PER_SCALAR
-    prototypes = model.embed_dim * num_classes * _BYTES_PER_SCALAR
+    class_stats = model.embed_dim * num_classes * _BYTES_PER_SCALAR
 
     base = {"per_round_up": weights, "per_round_down": weights}
-    if method in ("fedavg", "fedsr", "fedgma", "feddg_ga"):
-        # Pure weight exchange; FedGMA/FedDG-GA differ only server-side.
+    if method in ("fedavg", "fedsr", "fedgma", "feddg_ga", "mixstyle"):
+        # Pure weight exchange; FedGMA/FedDG-GA differ only server-side,
+        # MixStyle only inside the client's batches.
         return CommunicationModel(method=method, **base)
-    if method == "fpl":
-        # Class prototypes ride along with every upload and download.
+    if method in ("fpl", "fedalign", "fedccrl"):
+        # The class-statistics channel, every round: a mean per class up, a
+        # fused target per class down (counts are framing-sized ints).
         return CommunicationModel(
             method=method,
-            per_round_up=weights + prototypes,
-            per_round_down=weights + prototypes,
+            per_round_up=weights + class_stats,
+            per_round_down=weights + class_stats,
         )
     if method == "ccst":
         # One-time style-bank build, then the whole bank is broadcast: each

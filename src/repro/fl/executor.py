@@ -110,9 +110,10 @@ class ClientUpdate:
     This is the upload half of the federated wire protocol: it must stay
     serializable (checked by the parallel engine on every hop), and it is the
     *only* channel through which a local update may influence the server.
-    Strategies therefore put method-specific uploads — FPL's class
-    prototypes, for instance — into ``payload`` instead of mutating strategy
-    state from inside :meth:`repro.fl.strategy.Strategy.train_group`.  The
+    Strategies therefore put method-specific uploads — the class channel's
+    ``class_stats`` (FPL, FedAlign, FedCCRL), FedDG-GA's ``gap`` — into
+    ``payload`` instead of mutating strategy state from inside
+    :meth:`repro.fl.strategy.Strategy.train_group`.  The
     client's scratch is not part of it: caches stay on the endpoint that
     built them, so PARDON's re-styled images never reach the server.
 
@@ -136,8 +137,8 @@ class ClientUpdate:
     codec :class:`repro.fl.codec.Payload` instead of a state dict; the
     server decodes it before anything else sees the update.
     ``__wire_oob__`` opts the record into the serializer's protocol-5
-    out-of-band framing, so every array it carries — wire tensors, FPL's
-    prototype payload — decodes as a zero-copy view.
+    out-of-band framing, so every array it carries — wire tensors, the
+    class channel's per-class means — decodes as a zero-copy view.
     """
 
     __wire_oob__ = True

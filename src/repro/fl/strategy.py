@@ -32,11 +32,12 @@ generic epoch runner, and a method customizes the *ingredients* instead —
   the client's images (PARDON's style transfer, FedCCRL's augmentation);
 * :meth:`Strategy.batch_views` — the rows each batch step forwards, drawn
   per batch (CCST's style-bank copies, MixStyle's within-batch mixing);
-* :meth:`Strategy.objective_context` — per-client extras the terms read
-  (FPL's global prototypes, FedAlign's fused alignment targets);
-* :meth:`Strategy.payload_from_embeddings` — the method's upload side
-  channel, distilled from a post-training embedding sweep;
-* :meth:`Strategy.fuse_payloads` — the server-side merge of those
+* :attr:`Strategy.class_targets` — the class-statistics channel (FPL,
+  FedAlign, FedCCRL): holding a dict makes every client upload
+  ``payload["class_stats"]`` (per class, the mean post-training embedding
+  and the count), fused per class by :meth:`Strategy.fuse_class` into the
+  dict the ``align`` / ``proto_nce`` terms read;
+* :meth:`Strategy.fuse_payloads` — the server-side merge of the round's
   payloads, run by :meth:`aggregate` after the round's folds.
 
 So every strategy inherits the trainer's vectorized ``(K, ...)`` stacks:
@@ -54,10 +55,10 @@ inside a worker process (see :mod:`repro.fl.executor`), so it must be
 at dispatch time, and everything it wants the server to see travels back
 inside the returned :class:`repro.fl.executor.ClientUpdate` (state, loss,
 and method-specific ``payload`` entries — FedDG-GA's generalization gap,
-FPL's prototypes).  ``prepare_client`` likewise returns its payload and
-never writes strategy state.  Mutating strategy attributes from a client
-half is lost under parallel execution and is therefore forbidden.  The
-server halves — ``fuse_prepare``, ``fuse_payloads``, ``aggregate`` — see
+the class channel's statistics).  ``prepare_client`` likewise returns its
+payload and never writes strategy state.  Mutating strategy attributes
+from a client half is lost under parallel execution and is therefore
+forbidden.  The server halves — ``fuse_prepare``, ``fuse_payloads``, ``aggregate`` — see
 payloads only: no model, no client, no dataset.  Server-side state that
 workers do not need (PARDON's per-client styles) is listed in
 ``_server_only_state`` and stripped on pickling.
@@ -100,7 +101,7 @@ from repro.nn.objective import (
 from repro.nn.serialize import StateDict
 from repro.utils.rng import SeedTree
 
-__all__ = ["LocalTrainingConfig", "Strategy", "run_prepare"]
+__all__ = ["LocalTrainingConfig", "Strategy", "class_stats", "run_prepare"]
 
 
 @dataclass(frozen=True)
@@ -131,10 +132,26 @@ class LocalTrainingConfig:
         )
 
 
+def class_stats(
+    embeddings: np.ndarray, labels: np.ndarray
+) -> dict[int, tuple[np.ndarray, int]]:
+    """One client's class-channel upload: ``{class: (mean embedding,
+    sample count)}`` over the classes it holds, in label order."""
+    stats = {}
+    for label in np.unique(labels):
+        rows = embeddings[labels == label]
+        stats[int(label)] = (rows.mean(axis=0), int(rows.shape[0]))
+    return stats
+
+
 class Strategy:
     """Base class for federated strategies.  Subclasses override the hooks."""
 
     name = "strategy"
+
+    #: The class-statistics channel, ``{class: (dim,) fused target}``;
+    #: a subclass opts in by assigning a dict.
+    class_targets: dict[int, np.ndarray] | None = None
 
     #: Attribute names stripped when the strategy is shipped to a worker
     #: process — server-side handles that a local update must not depend on.
@@ -214,34 +231,31 @@ class Strategy:
         restack."""
         return type(self).batch_views is not Strategy.batch_views
 
-    def objective_context(self, client: Client) -> dict:
-        """Per-client extras the objective's terms read (global
-        prototypes, alignment targets).  Values must be picklable — they
-        travel to worker processes on the strategy."""
-        return {}
-
-    def payload_from_embeddings(
-        self, client: Client, embeddings: np.ndarray, labels: np.ndarray
-    ) -> dict | None:
-        """Distill the method's upload side channel from a post-training
-        eval-mode embedding sweep of the client's dataset.  Returning a
-        dict opts the strategy into the sweep; the base returns ``None``
-        and no sweep runs."""
-        return None
-
     def fuse_payloads(self, updates: list[ClientUpdate], round_index: int) -> None:
         """Server-side merge of the round's ``ClientUpdate.payload``
-        entries into strategy state broadcast next round (FPL fuses
-        prototypes, FedAlign fuses alignment targets, FedDG-GA moves its
-        fold weights).  :meth:`aggregate` runs it after every upload was
-        folded — payloads survive the fold; only upload *states* are
-        freed."""
+        entries into strategy state broadcast next round: the base fuses
+        each class's ``class_stats`` rows, in first-seen order, into
+        ``class_targets`` (FedDG-GA moves its fold weights instead).
+        :meth:`aggregate` runs it after every upload was folded —
+        payloads survive the fold; only upload *states* are freed."""
+        per_class: dict[int, list[tuple[np.ndarray, int]]] = {}
+        for update in updates:
+            for label, stat in update.payload.get("class_stats", {}).items():
+                per_class.setdefault(int(label), []).append(stat)
+        for label, stats in per_class.items():
+            means, counts = zip(*stats)
+            self.class_targets[label] = self.fuse_class(
+                np.stack(means), np.array(counts, dtype=float)
+            )
 
-    def _extracts_payload(self) -> bool:
-        return (
-            type(self).payload_from_embeddings
-            is not Strategy.payload_from_embeddings
-        )
+    def fuse_class(self, means: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """One class's target from its ``(clients, dim)`` uploaded means:
+        the count-weighted mean, or under a robust rule its vector
+        reduction, ignoring the counts (an inflated one would let a
+        poisoned mean dominate)."""
+        if self.aggregator.robust:
+            return self.aggregator.reduce_vectors(means)
+        return np.average(means, axis=0, weights=counts)
 
     # -- client-side updates ----------------------------------------------
 
@@ -261,7 +275,7 @@ class Strategy:
         result does not depend on the rest of the stack: a client trains
         bitwise alike in a stack of one or of many.  The base draws the
         per-client views first, runs the objective once over the stack,
-        then sweeps the payload."""
+        then sweeps the class statistics (with :attr:`class_targets`)."""
         views = [
             self.local_views(client, rng) for client, rng in zip(clients, rngs)
         ]
@@ -275,7 +289,7 @@ class Strategy:
             self.objective,
             self.local_config,
             rngs,
-            extras=[self.objective_context(client) for client in clients],
+            class_targets=self.class_targets,
             secondary=secondary,
             batch_views=(
                 [functools.partial(self.batch_views, client) for client in clients]
@@ -284,14 +298,14 @@ class Strategy:
             ),
         )
         payloads: list[dict | None] = [None] * len(clients)
-        if self._extracts_payload():
+        if self.class_targets is not None:
             emodel.eval()
             embeddings = ensemble_dataset_embeddings(
                 emodel.forward_features, images
             )
             payloads = [
-                self.payload_from_embeddings(client, embeddings[k], labels[k])
-                for k, client in enumerate(clients)
+                {"class_stats": class_stats(embeddings[k], labels[k])}
+                for k in range(len(clients))
             ]
             emodel.train()
         states = ensemble_state_dicts(emodel)

@@ -30,14 +30,15 @@ vectorizable (class-conditional references, prototype InfoNCE) apply
 per-slice on the ensemble path — the stacked model's slice independence
 does the rest.
 
-Terms treat externally supplied references (global prototypes, alignment
-targets) and in-batch class means as *constants* (stop-gradient), which is
-the FedSR/FPL reading of those regularizers.
+Terms treat externally supplied references (the strategy's fused
+``class_targets``: FPL's prototypes, FedAlign's alignment targets) and
+in-batch class means as *constants* (stop-gradient), which is the
+FedSR/FPL reading of those regularizers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -73,7 +74,8 @@ __all__ = [
 @dataclass
 class StepContext:
     """One batch step's tensors, shared mutable gradient buffers, and the
-    strategy-provided extras (prototypes, alignment targets, ...).
+    strategy's fused per-class targets (``{class: (dim,) vector}``, or
+    ``None`` for a method without them).
 
     ``views`` counts the ``batch``-row blocks concatenated along the rows:
     1 for plain batches, 2 when a second index-aligned view
@@ -91,7 +93,7 @@ class StepContext:
     views: int = 1
     grad_logits: np.ndarray | None = None
     grad_embedding: np.ndarray | None = None
-    extras: Mapping[str, Any] = field(default_factory=dict)
+    class_targets: Mapping[int, np.ndarray] | None = None
 
     def view_labels(self) -> np.ndarray:
         """Labels tiled across the concatenated views."""
@@ -104,9 +106,13 @@ class StepContext:
 class EnsembleStepContext:
     """The ``(K, ...)`` stacked counterpart of :class:`StepContext`.
 
-    ``extras`` is per-slice (one mapping per stacked client).  Terms
-    without a hand-vectorized path fall back to :meth:`slice`, which views
-    one client's tensors and gradient buffers — writes go through.
+    ``class_targets`` is one mapping shared by every slice: the broadcast
+    strategy's.  Terms without a hand-vectorized path fall back to
+    :meth:`slice`, which views one client's tensors and gradient buffers —
+    writes go through.
+
+    ``extras`` is no field: the frozen benchmark harness still passes
+    ``extras=[{}] * K``, so it accepts empty mappings (ROADMAP item 6).
     """
 
     labels: np.ndarray
@@ -116,7 +122,12 @@ class EnsembleStepContext:
     views: int = 1
     grad_logits: np.ndarray | None = None
     grad_embedding: np.ndarray | None = None
-    extras: Sequence[Mapping[str, Any]] = ()
+    class_targets: Mapping[int, np.ndarray] | None = None
+    extras: InitVar[Sequence[Mapping[str, Any]] | None] = None
+
+    def __post_init__(self, extras) -> None:
+        if extras and any(extras):
+            raise ValueError("per-slice extras are gone; use class_targets")
 
     @property
     def stack(self) -> int:
@@ -133,7 +144,7 @@ class EnsembleStepContext:
             grad_embedding=(
                 None if self.grad_embedding is None else self.grad_embedding[k]
             ),
-            extras=self.extras[k] if self.extras else {},
+            class_targets=self.class_targets,
         )
 
 
@@ -237,18 +248,14 @@ class ClassAlignTerm(ObjectiveTerm):
 
 class FeatureAlignTerm(ObjectiveTerm):
     """Pull each embedding toward a *globally fused* per-class target
-    (FedAlign): targets live in ``extras[targets_key]`` as a
-    ``{class: (dim,) vector}`` mapping, treated as constants.  Classes
-    without a target yet (round 1, or absent everywhere) contribute
-    nothing."""
+    (FedAlign): the context's ``class_targets``, treated as constants.
+    Classes without a target yet (round 1, or absent everywhere)
+    contribute nothing."""
 
     name = "align"
 
-    def __init__(self, targets_key: str = "align_targets") -> None:
-        self.targets_key = targets_key
-
     def apply(self, ctx: StepContext, weight: float) -> float:
-        targets = ctx.extras.get(self.targets_key) or {}
+        targets = ctx.class_targets or {}
         if not targets:
             return 0.0
         embeddings = ctx.embeddings
@@ -313,23 +320,22 @@ def prototype_nce(
 
 
 class ProtoNCETerm(ObjectiveTerm):
-    """FPL's prototype-contrastive head; prototypes arrive through
-    ``extras[prototypes_key]``."""
+    """FPL's prototype-contrastive head over the context's
+    ``class_targets``."""
 
     name = "proto_nce"
 
-    def __init__(
-        self, temperature: float = 0.5, prototypes_key: str = "prototypes"
-    ) -> None:
+    def __init__(self, temperature: float = 0.5) -> None:
         if temperature <= 0:
             raise ValueError(f"temperature must be positive, got {temperature}")
         self.temperature = temperature
-        self.prototypes_key = prototypes_key
 
     def apply(self, ctx: StepContext, weight: float) -> float:
-        prototypes = ctx.extras.get(self.prototypes_key) or {}
         loss, grad = prototype_nce(
-            ctx.embeddings, ctx.view_labels(), prototypes, self.temperature
+            ctx.embeddings,
+            ctx.view_labels(),
+            ctx.class_targets or {},
+            self.temperature,
         )
         ctx.grad_embedding += weight * grad
         return weight * loss
@@ -615,7 +621,7 @@ def run_objective_ensemble(
     config,
     rngs: Sequence[np.random.Generator],
     *,
-    extras: Sequence[Mapping[str, Any]] | None = None,
+    class_targets: Mapping[int, np.ndarray] | None = None,
     secondary: np.ndarray | None = None,
     batch_views: Sequence[
         Callable[[np.ndarray, np.random.Generator], np.ndarray]
@@ -633,6 +639,8 @@ def run_objective_ensemble(
     ``images`` (style-transferred or augmented positives), appended after
     them.  Each batch runs one concatenated forward so batch statistics are
     shared, and ``views`` is the row count over the batch size.
+    ``class_targets`` is the strategy's fused per-class targets, the same
+    for every slice.
 
     Randomness: one ``rngs[k].permutation(N)`` per slice per epoch, drawn
     in slice order, then ``batch_views[k]`` once per batch on ``rngs[k]``.
@@ -645,7 +653,6 @@ def run_objective_ensemble(
     optimizer = config.make_optimizer(emodel)
     needs_embedding = objective.needs_embedding()
     rows = np.arange(stack)[:, None]
-    extras_list = list(extras) if extras is not None else [{}] * stack
     batch_totals: list[np.ndarray] = []
     for _ in range(config.local_epochs):
         orders = np.stack([rng.permutation(count) for rng in rngs])
@@ -675,7 +682,7 @@ def run_objective_ensemble(
                 grad_embedding=(
                     np.zeros_like(embeddings) if needs_embedding else None
                 ),
-                extras=extras_list,
+                class_targets=class_targets,
             )
             totals = objective.evaluate_ensemble(ctx)
             emodel.backward(
@@ -699,7 +706,7 @@ def ensemble_dataset_embeddings(
     forward_features, images: np.ndarray, chunk: int = 256
 ) -> np.ndarray:
     """Chunked eval-mode sweep of ``forward_features`` over a ``(K, N, ...)``
-    stack of datasets (the payload extraction pattern FPL introduced).
+    stack of datasets (the class-statistics sweep, FedDG-GA's gap).
     Chunk boundaries are part of the bitwise contract: slice ``k`` equals
     the same chunks swept through the template model."""
     parts = [

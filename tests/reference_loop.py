@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.baselines import FedDGGAStrategy
 from repro.fl.client import Client
 from repro.fl.executor import ClientUpdate
+from repro.fl.strategy import class_stats
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.objective import StepContext
 
@@ -39,7 +40,7 @@ def run_objective_epochs(
     config,
     rng: np.random.Generator,
     *,
-    extras: Mapping[str, Any] | None = None,
+    class_targets: Mapping[int, np.ndarray] | None = None,
     secondary: np.ndarray | None = None,
     batch_views: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     | None = None,
@@ -83,7 +84,7 @@ def run_objective_epochs(
                 grad_embedding=(
                     np.zeros_like(embeddings) if needs_embedding else None
                 ),
-                extras=extras or {},
+                class_targets=class_targets,
             )
             loss = objective.evaluate(ctx)
             model.backward(
@@ -117,7 +118,7 @@ def evaluate_loss(model, dataset, batch_size: int = 256) -> float:
 def local_update(strategy, client: Client, model, round_index: int, rng):
     """One client's step on ``model`` (holding the broadcast weights):
     FedDG-GA's gap first, then the base step — views, the epoch runner,
-    the payload sweep."""
+    the class-statistics sweep."""
     gap = (
         evaluate_loss(model, client.dataset)
         if isinstance(strategy, FedDGGAStrategy)
@@ -130,7 +131,7 @@ def local_update(strategy, client: Client, model, round_index: int, rng):
         strategy.objective,
         strategy.local_config,
         rng,
-        extras=strategy.objective_context(client),
+        class_targets=strategy.class_targets,
         secondary=secondary,
         batch_views=(
             functools.partial(strategy.batch_views, client)
@@ -139,14 +140,12 @@ def local_update(strategy, client: Client, model, round_index: int, rng):
         ),
     )
     payload = None
-    if strategy._extracts_payload():
+    if strategy.class_targets is not None:
         model.eval()
         embeddings = dataset_embeddings(
             model.forward_features, client.dataset.images
         )
-        payload = strategy.payload_from_embeddings(
-            client, embeddings, client.dataset.labels
-        )
+        payload = {"class_stats": class_stats(embeddings, client.dataset.labels)}
         model.train()
     update = ClientUpdate.from_client(
         client, model.state_dict(), loss, payload=payload

@@ -169,9 +169,9 @@ class TestFPL:
     def test_prototypes_populated_after_round(self):
         strategy = FPLStrategy(local_config=FAST)
         run_strategy(strategy, rounds=2)
-        assert strategy.global_prototypes
+        assert strategy.class_targets
         dim = make_model().embed_dim
-        for proto in strategy.global_prototypes.values():
+        for proto in strategy.class_targets.values():
             assert proto.shape == (dim,)
             assert np.all(np.isfinite(proto))
 
@@ -179,17 +179,17 @@ class TestFPL:
         strategy = FPLStrategy(local_config=FAST)
         z = rng.normal(size=(4, 8))
         loss, grad = prototype_nce(
-            z, np.array([0, 1, 2, 3]), strategy.global_prototypes, 0.5
+            z, np.array([0, 1, 2, 3]), strategy.class_targets, 0.5
         )
         assert loss == 0.0
         assert np.all(grad == 0)
 
     def test_prototype_gradient_is_finite_at_scale(self, rng):
         strategy = FPLStrategy(local_config=FAST)
-        strategy.global_prototypes = {0: rng.normal(size=8), 1: rng.normal(size=8)}
+        strategy.class_targets = {0: rng.normal(size=8), 1: rng.normal(size=8)}
         z = rng.normal(size=(6, 8)) * 1e4  # extreme embeddings
         loss, grad = prototype_nce(
-            z, np.array([0, 1, 0, 1, 0, 1]), strategy.global_prototypes, 0.5
+            z, np.array([0, 1, 0, 1, 0, 1]), strategy.class_targets, 0.5
         )
         assert np.isfinite(loss)
         assert np.all(np.isfinite(grad))
@@ -203,9 +203,9 @@ class TestFedAlign:
     def test_targets_populated_after_round(self):
         strategy = FedAlignStrategy(local_config=FAST)
         run_strategy(strategy, rounds=2)
-        assert strategy.global_targets
+        assert strategy.class_targets
         dim = make_model().embed_dim
-        for target in strategy.global_targets.values():
+        for target in strategy.class_targets.values():
             assert target.shape == (dim,)
             assert np.all(np.isfinite(target))
 
@@ -219,26 +219,26 @@ class TestFedAlign:
                 clients[0],
                 make_model().state_dict(),
                 0.0,
-                payload={"feature_stats": {0: (a, 1)}},
+                payload={"class_stats": {0: (a, 1)}},
             ),
             ClientUpdate.from_client(
                 clients[1],
                 make_model().state_dict(),
                 0.0,
-                payload={"feature_stats": {0: (b, 3)}},
+                payload={"class_stats": {0: (b, 3)}},
             ),
         ]
         strategy.fuse_payloads(updates, 0)
-        assert np.allclose(strategy.global_targets[0], 0.75)
+        assert np.allclose(strategy.class_targets[0], 0.75)
 
 
 class TestFedCCRL:
     def test_targets_and_spread_populated(self):
         strategy = FedCCRLStrategy(local_config=FAST)
         run_strategy(strategy, rounds=2)
-        assert strategy.global_targets
+        assert strategy.class_targets
         dim = make_model().embed_dim
-        for target in strategy.global_targets.values():
+        for target in strategy.class_targets.values():
             assert target.shape == (dim,)
             assert np.all(np.isfinite(target))
 

@@ -6,7 +6,8 @@ parallel+shm runs must produce bit-identical traces under both lossless
 codecs; the scalar reference loop, the trainer's stacks and its K=1 stacks
 must agree; and the per-class payload statistics must survive the wire untouched — including
 under the *lossy* codecs, because ``ClientUpdate.payload`` travels raw
-(only the weight state is codec-transformed).
+(only the weight state is codec-transformed).  ``TestClassStatsChannel``
+covers the class-statistics channel the siblings share with FPL.
 """
 
 import numpy as np
@@ -25,7 +26,10 @@ from repro.fl import (
     shm_supported,
 )
 from repro.fl import compute as fl_compute
+from repro.fl.aggregate import make_aggregator
+from repro.fl.strategy import Strategy
 from tests import reference_loop
+from tests.test_baselines import traced_run
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
 FAST = LocalTrainingConfig(batch_size=8)
@@ -103,7 +107,7 @@ class TestTraceInvariance:
             name, SerialExecutor(codec=codec), codec=codec
         )
         # The payload pathway was actually exercised, not vacuously empty.
-        assert reference.global_targets
+        assert reference.class_targets
         transports = ["pipe"] + (["shm"] if shm_supported() else [])
         for transport in transports:
             with ParallelExecutor(
@@ -120,7 +124,7 @@ class TestTraceInvariance:
                     serial.final_state[key], parallel.final_state[key]
                 )
             _assert_targets_equal(
-                reference.global_targets, strategy.global_targets,
+                reference.class_targets, strategy.class_targets,
                 f"{name}/{transport}/{codec}",
             )
 
@@ -137,7 +141,7 @@ class TestStacksMatchLoop:
                 EnsembleBackend, "train_stacks", reference_loop.train_stacks
             )
             reference, loop = run_once(name, SerialExecutor())
-        assert reference.global_targets
+        assert reference.class_targets
         for compute, stack_step in (("ensemble", None), ("strict", 1)):
             if stack_step is not None:
                 monkeypatch.setattr(fl_compute, "_STACK_STEP_ELEMENTS", stack_step)
@@ -150,7 +154,7 @@ class TestStacksMatchLoop:
                     loop.final_state[key], run.final_state[key]
                 )
             _assert_targets_equal(
-                reference.global_targets, strategy.global_targets,
+                reference.class_targets, strategy.class_targets,
                 f"{name}/{compute}",
             )
 
@@ -166,8 +170,8 @@ class TestLossyCodecPayloadSurvival:
         reference, serial = run_once(
             name, SerialExecutor(codec=codec), codec=codec
         )
-        assert reference.global_targets
-        for target in reference.global_targets.values():
+        assert reference.class_targets
+        for target in reference.class_targets.values():
             assert np.all(np.isfinite(target))
         with ParallelExecutor(num_workers=2, codec=codec) as executor:
             strategy, parallel = run_once(name, executor, codec=codec)
@@ -175,9 +179,95 @@ class TestLossyCodecPayloadSurvival:
             f"{name}/{codec}: trace diverged from serial"
         )
         _assert_targets_equal(
-            reference.global_targets, strategy.global_targets,
+            reference.class_targets, strategy.class_targets,
             f"{name}/{codec}",
         )
+
+
+class TestClassStatsChannel:
+    """FPL, FedAlign and FedCCRL exchange per-class statistics through the
+    one channel on :class:`Strategy`.  The digests were traced when each of
+    them carried its own upload, fusion loop and target attribute; they
+    must not move, on the serial engine or the pool."""
+
+    CHANNEL = ("fedalign", "fedccrl", "fpl")
+    DIGESTS = {
+        ("fpl", "mean"): "e3ad46f988ab398b",
+        ("fpl", "median"): "0d0c6b210c46f7c3",
+        ("fedalign", "mean"): "d004bfdee6b58b84",
+        ("fedalign", "median"): "18b863f3ff717a63",
+        ("fedccrl", "mean"): "d4b1cbea5630e20d",
+        ("fedccrl", "median"): "5343c4ca71b85cf2",
+    }
+
+    @pytest.mark.parametrize("method, rule", sorted(DIGESTS))
+    def test_serial(self, method, rule):
+        from repro.cli import METHODS
+
+        strategy = METHODS[method]()
+        strategy.aggregator = make_aggregator(rule)
+        assert traced_run(strategy, SerialExecutor()) == (
+            self.DIGESTS[method, rule]
+        )
+
+    @pytest.mark.parametrize("method", CHANNEL)
+    def test_pool(self, method):
+        from repro.cli import METHODS
+
+        with ParallelExecutor(num_workers=2) as executor:
+            digest = traced_run(METHODS[method](), executor)
+        assert digest == self.DIGESTS[method, "mean"]
+
+    def test_every_method_uploads_through_the_channel_or_not_at_all(
+        self, monkeypatch
+    ):
+        """One round of every ``repro.cli`` method: the three class-
+        statistics methods upload exactly ``class_stats``, one ``(mean,
+        count)`` per class the client holds, and fuse one target per
+        uploaded class; every other method holds no targets and uploads
+        no statistics (FedDG-GA's payload stays its gap)."""
+        from repro.cli import METHODS
+
+        uploads = []
+        aggregate = Strategy.aggregate
+
+        def spy(self, global_state, updates, *rest, **kwargs):
+            uploads.extend(updates)
+            return aggregate(self, global_state, updates, *rest, **kwargs)
+
+        monkeypatch.setattr(Strategy, "aggregate", spy)
+        clients = {client.client_id: client for client in make_clients()}
+        for method in sorted(METHODS):
+            uploads.clear()
+            strategy = METHODS[method](local_config=FAST)
+            FederatedServer(
+                strategy=strategy,
+                clients=list(clients.values()),
+                model=_model(),
+                eval_sets={},
+                config=FederatedConfig(num_rounds=1, clients_per_round=4, seed=0),
+            ).run()
+            assert len(uploads) == 4, method
+            if method not in self.CHANNEL:
+                assert strategy.class_targets is None, method
+                expected = {"gap"} if method == "feddg_ga" else set()
+                for update in uploads:
+                    assert set(update.payload) == expected, method
+                continue
+            fused = set()
+            for update in uploads:
+                assert set(update.payload) == {"class_stats"}, method
+                labels = clients[update.client_id].dataset.labels
+                held, counts = np.unique(labels, return_counts=True)
+                stats = update.payload["class_stats"]
+                assert sorted(stats) == held.tolist(), method
+                for label, count in zip(held.tolist(), counts.tolist()):
+                    mean, uploaded = stats[label]
+                    assert uploaded == count, method
+                    assert mean.shape == (_model().embed_dim,), method
+                    assert np.all(np.isfinite(mean)), method
+                fused.update(stats)
+            assert set(strategy.class_targets) == fused, method
 
 
 class TestCLIKnobs:

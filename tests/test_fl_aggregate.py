@@ -933,11 +933,12 @@ class TestFPLPrototypeHook:
         matrix = np.vstack(
             [np.ones((4, 3)), np.full((1, 3), 1e6)]
         )
+        counts = np.ones(5)
         strategy = FPLStrategy(local_config=FAST)
-        historical = strategy._fuse_prototypes(matrix)
+        historical = strategy.fuse_class(matrix, counts)
         assert historical.max() > 1.0  # FINCH path, poisoned row leaks in
         strategy.aggregator = make_aggregator("median")
-        hardened = strategy._fuse_prototypes(matrix)
+        hardened = strategy.fuse_class(matrix, counts)
         np.testing.assert_allclose(hardened, np.ones(3))
 
     def test_mean_rule_keeps_the_finch_path(self):
@@ -945,9 +946,14 @@ class TestFPLPrototypeHook:
         matrix = rng.normal(size=(6, 4))
         strategy = FPLStrategy(local_config=FAST)
         assert not strategy.aggregator.robust
-        a = strategy._fuse_prototypes(matrix)
-        b = strategy._fuse_prototypes(matrix)
+        counts = np.ones(6)
+        a = strategy.fuse_class(matrix, counts)
+        b = strategy.fuse_class(matrix, counts)
         np.testing.assert_array_equal(a, b)
+        # FINCH clusters the rows; the uploaded counts play no part.
+        np.testing.assert_array_equal(
+            a, strategy.fuse_class(matrix, np.arange(1.0, 7.0))
+        )
 
 
 # -- one aggregation path -----------------------------------------------------

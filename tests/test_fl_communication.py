@@ -51,7 +51,7 @@ class TestTotalArithmetic:
 
 class TestMethodPayloads:
     def test_weight_only_methods(self):
-        for method in ("fedavg", "fedsr", "fedgma", "feddg_ga"):
+        for method in ("fedavg", "fedsr", "fedgma", "feddg_ga", "mixstyle"):
             comm = method_communication(method, MODEL)
             assert comm.per_round_up == WEIGHTS
             assert comm.per_round_down == WEIGHTS
@@ -63,6 +63,20 @@ class TestMethodPayloads:
         prototypes = MODEL.embed_dim * 7 * BYTES
         assert comm.per_round_up == WEIGHTS + prototypes
         assert comm.per_round_down == WEIGHTS + prototypes
+
+    def test_class_statistics_methods_share_one_channel(self):
+        """FPL, FedAlign and FedCCRL exchange the same per-class
+        statistics, so they cost the same."""
+        fpl, fedalign, fedccrl = (
+            method_communication(method, MODEL, num_classes=7)
+            for method in ("fpl", "fedalign", "fedccrl")
+        )
+        assert fedalign == CommunicationModel(
+            "fedalign", fpl.per_round_up, fpl.per_round_down
+        )
+        assert fedccrl == CommunicationModel(
+            "fedccrl", fpl.per_round_up, fpl.per_round_down
+        )
 
     def test_pardon_one_time_style_only(self):
         comm = method_communication("pardon", MODEL, style_dim=24)

@@ -160,12 +160,12 @@ class TestDeterminism:
         with ParallelExecutor(num_workers=2) as executor:
             parallel = run_once(parallel_strategy, executor)
         assert_identical_runs(serial, parallel)
-        assert set(serial_strategy.global_prototypes) == set(
-            parallel_strategy.global_prototypes
+        assert set(serial_strategy.class_targets) == set(
+            parallel_strategy.class_targets
         )
-        for label, proto in serial_strategy.global_prototypes.items():
+        for label, proto in serial_strategy.class_targets.items():
             np.testing.assert_array_equal(
-                proto, parallel_strategy.global_prototypes[label]
+                proto, parallel_strategy.class_targets[label]
             )
 
 
@@ -199,12 +199,16 @@ class TestDeterminism:
 
 
 class PidStampStrategy(FedAvgStrategy):
-    """Stamps the training process's pid into each upload's payload."""
+    """Stamps the training process's pid into each upload's payload, on
+    top of the base step (the way FedDG-GA adds its gap)."""
 
     name = "pid_stamp"
 
-    def payload_from_embeddings(self, client, embeddings, labels):
-        return {"pid": os.getpid()}
+    def train_group(self, clients, emodel, round_index, rngs):
+        updates = super().train_group(clients, emodel, round_index, rngs)
+        for update in updates:
+            update.payload["pid"] = os.getpid()
+        return updates
 
 
 def _round_setup(clients, rounds=1):

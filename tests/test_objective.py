@@ -6,6 +6,8 @@ spec parser, and finite-difference gradient checks of every term that
 routes gradient through the embedding or logits entry points.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,7 @@ def make_context(
     views=1,
     dim=6,
     classes=4,
-    extras=None,
+    class_targets=None,
 ):
     """A random single-view or two-view step context with zeroed buffers."""
     rows = batch * views
@@ -69,7 +71,7 @@ def make_context(
         views=views,
         grad_logits=np.zeros_like(logits),
         grad_embedding=np.zeros_like(embeddings),
-        extras=extras or {},
+        class_targets=class_targets,
     )
 
 
@@ -269,7 +271,7 @@ class TestTermGradients:
 
     def test_feature_align_gradient(self, rng):
         targets = {c: rng.normal(size=6) for c in range(4)}
-        ctx = make_context(rng, extras={"align_targets": targets})
+        ctx = make_context(rng, class_targets=targets)
         term = FeatureAlignTerm()
         term.apply(ctx, 0.6)
 
@@ -280,7 +282,7 @@ class TestTermGradients:
                 logits=ctx.logits,
                 batch=ctx.batch,
                 grad_embedding=np.zeros_like(ctx.embeddings),
-                extras={"align_targets": targets},
+                class_targets=targets,
             )
             return FeatureAlignTerm().apply(fresh, 0.6)
 
@@ -288,21 +290,21 @@ class TestTermGradients:
         np.testing.assert_allclose(ctx.grad_embedding, numeric, atol=1e-7)
 
     def test_feature_align_no_targets_is_inert(self, rng):
-        ctx = make_context(rng, extras={"align_targets": {}})
+        ctx = make_context(rng, class_targets={})
         assert FeatureAlignTerm().apply(ctx, 1.0) == 0.0
         assert np.all(ctx.grad_embedding == 0.0)
 
     def test_feature_align_partial_targets(self, rng):
         """Classes without a target contribute zero loss and gradient."""
         targets = {0: np.zeros(6)}
-        ctx = make_context(rng, extras={"align_targets": targets})
+        ctx = make_context(rng, class_targets=targets)
         FeatureAlignTerm().apply(ctx, 1.0)
         other = ctx.labels != 0
         assert np.all(ctx.grad_embedding[other] == 0.0)
 
     def test_proto_nce_gradient(self, rng):
         prototypes = {c: rng.normal(size=6) for c in range(4)}
-        ctx = make_context(rng, extras={"prototypes": prototypes})
+        ctx = make_context(rng, class_targets=prototypes)
         term = ProtoNCETerm(temperature=0.5)
         term.apply(ctx, 0.8)
 
@@ -359,6 +361,25 @@ class TestEnsemblePath:
     """apply_ensemble (vectorized or per-slice fallback) must reproduce the
     scalar apply on every slice bitwise — the backend-invariance contract."""
 
+    def test_slices_share_one_target_mapping(self, rng):
+        """Every slice reads the one ``class_targets`` mapping; the old
+        per-slice ``extras`` is no field, and its keyword takes only the
+        empty per-slice mappings the benchmark harness passes."""
+        targets = {0: rng.normal(size=6)}
+        shape = dict(
+            labels=np.zeros((2, 3), dtype=int),
+            embeddings=rng.normal(size=(2, 3, 6)),
+            logits=rng.normal(size=(2, 3, 4)),
+            batch=3,
+        )
+        ctx = EnsembleStepContext(**shape, class_targets=targets)
+        assert all(ctx.slice(k).class_targets is targets for k in range(2))
+        for cls in (StepContext, EnsembleStepContext):
+            assert "extras" not in {f.name for f in dataclasses.fields(cls)}
+        assert EnsembleStepContext(**shape, extras=[{}, {}]).class_targets is None
+        with pytest.raises(ValueError, match="per-slice extras"):
+            EnsembleStepContext(**shape, extras=[{}, {"prototypes": targets}])
+
     @pytest.mark.parametrize("name", BUILTIN_TERMS)
     def test_slices_match_scalar(self, name, rng):
         stack, batch, views, dim, classes = 3, 5, 2, 6, 4
@@ -366,15 +387,8 @@ class TestEnsemblePath:
         embeddings = rng.normal(size=(stack, rows, dim))
         logits = rng.normal(size=(stack, rows, classes))
         labels = rng.integers(0, classes, size=(stack, batch))
-        extras = [
-            {
-                "prototypes": {c: rng.normal(size=dim) for c in range(classes)},
-                "align_targets": {
-                    c: rng.normal(size=dim) for c in range(classes)
-                },
-            }
-            for _ in range(stack)
-        ]
+        # One mapping for every slice: the broadcast strategy's targets.
+        class_targets = {c: rng.normal(size=dim) for c in range(classes)}
         term = make_term(name)
         ectx = EnsembleStepContext(
             labels=labels,
@@ -384,7 +398,7 @@ class TestEnsemblePath:
             views=views,
             grad_logits=np.zeros((stack, rows, classes)),
             grad_embedding=np.zeros((stack, rows, dim)),
-            extras=extras,
+            class_targets=class_targets,
         )
         losses = term.apply_ensemble(ectx, 0.7)
         assert losses.shape == (stack,)
@@ -397,7 +411,7 @@ class TestEnsemblePath:
                 views=views,
                 grad_logits=np.zeros((rows, classes)),
                 grad_embedding=np.zeros((rows, dim)),
-                extras=extras[k],
+                class_targets=class_targets,
             )
             scalar_loss = term.apply(sctx, 0.7)
             np.testing.assert_array_equal(
