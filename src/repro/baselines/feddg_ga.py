@@ -64,7 +64,7 @@ class FedDGGAStrategy(Strategy):
         # weights on its own dataset, before training moves them.
         emodel.eval()
         logits = ensemble_dataset_embeddings(
-            emodel.forward, np.stack([client.dataset.images for client in clients])
+            emodel.forward, [client.dataset.images for client in clients]
         )
         emodel.train()
         gaps, _ = ensemble_cross_entropy(

@@ -64,6 +64,11 @@ def partition_clients(
         The ``lambda`` level in [0, 1]; see module docstring.
     rng:
         Controls home-domain assignment shuffling and sample routing.
+
+    Each client's arrays are fresh: its rows are gathered from every
+    domain it draws on straight into one array per field, in
+    ``train_domain_indices`` order, so no client shares memory with the
+    suite and no intermediate per-domain copy is made.
     """
     if not 0.0 <= heterogeneity <= 1.0:
         raise ValueError(f"heterogeneity must be in [0, 1], got {heterogeneity}")
@@ -123,29 +128,34 @@ def partition_clients(
                 )
                 offset += take
 
-    client_datasets: list[LabeledDataset] = []
-    empty_shape = (0,) + suite.image_shape
-    for client in range(num_clients):
-        parts = [
-            suite.datasets[domain_index].subset(indices)
-            for domain_index, indices in per_client_indices[client]
-        ]
-        parts = [p for p in parts if len(p)]
-        if parts:
-            client_datasets.append(LabeledDataset.concatenate(parts))
-        else:
-            client_datasets.append(
-                LabeledDataset(
-                    images=np.zeros(empty_shape),
-                    labels=np.zeros(0, dtype=np.int64),
-                    domain_ids=np.zeros(0, dtype=np.int64),
-                )
-            )
+    client_datasets = [_gather(suite, parts) for parts in per_client_indices]
     return ClientPartition(
         client_datasets=client_datasets,
         home_domains=[int(h) for h in home],
         mixture_weights=weights,
     )
+
+
+def _gather(
+    suite: DomainSuite, parts: list[tuple[int, np.ndarray]]
+) -> LabeledDataset:
+    """One client's dataset: the rows ``parts`` names, domain after domain,
+    taken straight into one fresh array each (no per-domain copies)."""
+    total = sum(len(indices) for _, indices in parts)
+    images = np.empty((total,) + suite.image_shape)
+    labels = np.empty(total, dtype=np.int64)
+    domain_ids = np.empty(total, dtype=np.int64)
+    offset = 0
+    for domain_index, indices in parts:
+        source = suite.datasets[domain_index]
+        rows = slice(offset, offset + len(indices))
+        # The indices are a slice of a permutation of the domain's rows, so
+        # "clip" never clips; unlike "raise" it writes ``out`` unbuffered.
+        np.take(source.images, indices, axis=0, out=images[rows], mode="clip")
+        np.take(source.labels, indices, out=labels[rows], mode="clip")
+        np.take(source.domain_ids, indices, out=domain_ids[rows], mode="clip")
+        offset += len(indices)
+    return LabeledDataset(images=images, labels=labels, domain_ids=domain_ids)
 
 
 def lodo_splits(num_domains: int) -> list[dict[str, list[int]]]:

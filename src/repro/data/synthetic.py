@@ -51,12 +51,14 @@ class LabeledDataset:
         return tuple(self.images.shape[1:])  # type: ignore[return-value]
 
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
-        """A new dataset containing the rows at ``indices`` (copies)."""
+        """A new dataset containing the rows at ``indices``: one fresh copy
+        of each array (fancy indexing already copies), independent of this
+        dataset."""
         indices = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(
-            images=self.images[indices].copy(),
-            labels=self.labels[indices].copy(),
-            domain_ids=self.domain_ids[indices].copy(),
+            images=self.images[indices],
+            labels=self.labels[indices],
+            domain_ids=self.domain_ids[indices],
         )
 
     @staticmethod
@@ -175,9 +177,24 @@ class DomainSuite:
         return self.datasets[int(name_or_index)]
 
     def merged(self, domain_indices: list[int]) -> LabeledDataset:
-        """Union of several domains' data (e.g. the LODO training pool)."""
+        """Union of several domains' data (e.g. the LODO training pool).
+
+        One non-empty domain is returned as read-only views of that
+        domain's arrays, so an evaluation split (LODO's val and test are
+        the same held-out domain) costs no copy; several domains are
+        concatenated into fresh arrays.  An empty selection, or one whose
+        domains are all empty, raises ``ValueError``."""
         if not domain_indices:
             raise ValueError("domain_indices must not be empty")
+        if len(domain_indices) == 1 and len(self.datasets[domain_indices[0]]):
+            domain = self.datasets[domain_indices[0]]
+            views = [
+                array.view()
+                for array in (domain.images, domain.labels, domain.domain_ids)
+            ]
+            for view in views:
+                view.flags.writeable = False
+            return LabeledDataset(*views)
         return LabeledDataset.concatenate(
             [self.datasets[i] for i in domain_indices]
         )

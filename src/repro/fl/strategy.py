@@ -275,13 +275,16 @@ class Strategy:
         result does not depend on the rest of the stack: a client trains
         bitwise alike in a stack of one or of many.  The base draws the
         per-client views first, runs the objective once over the stack,
-        then sweeps the class statistics (with :attr:`class_targets`)."""
+        then sweeps the class statistics (with :attr:`class_targets`).
+        The members' datasets and views go to the runner as per-slice
+        sequences, so no whole dataset is stacked: each step gathers its
+        batch rows into one buffer."""
         views = [
             self.local_views(client, rng) for client, rng in zip(clients, rngs)
         ]
-        secondary = np.stack(views) if views and views[0] is not None else None
-        images = np.stack([client.dataset.images for client in clients])
-        labels = np.stack([client.dataset.labels for client in clients])
+        secondary = views if views and views[0] is not None else None
+        images = [client.dataset.images for client in clients]
+        labels = [client.dataset.labels for client in clients]
         mean_losses = run_objective_ensemble(
             emodel,
             images,

@@ -613,67 +613,101 @@ class CompositeObjective:
 # --------------------------------------------------------------------------
 
 
+def _step_input(
+    images: Sequence[np.ndarray],
+    indices: Sequence[np.ndarray],
+    secondary: Sequence[np.ndarray] | None,
+    batch_views,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """One step's ``(K, rows, ...)`` input, gathered into one buffer: per
+    slice its primary rows (or ``batch_views[k]`` of them), then its
+    secondary rows.  The indices are slices of a permutation of each
+    slice's rows, so ``take``'s "clip" never clips; it writes unbuffered."""
+    batch = len(indices[0])
+    primary = None
+    rows = batch
+    if batch_views is not None:
+        primary = [
+            views(part[index], rng)
+            for views, part, index, rng in zip(batch_views, images, indices, rngs)
+        ]
+        rows = primary[0].shape[0]
+    extra = 0 if secondary is None else batch
+    combined = np.empty(
+        (len(indices), rows + extra) + images[0].shape[1:], dtype=images[0].dtype
+    )
+    for k, index in enumerate(indices):
+        if primary is None:
+            np.take(images[k], index, axis=0, out=combined[k, :rows], mode="clip")
+        else:
+            combined[k, :rows] = primary[k]
+        if secondary is not None:
+            np.take(secondary[k], index, axis=0, out=combined[k, rows:], mode="clip")
+    return combined
+
+
 def run_objective_ensemble(
     emodel,
-    images: np.ndarray,
-    labels: np.ndarray,
+    images: Sequence[np.ndarray],
+    labels: Sequence[np.ndarray],
     objective: CompositeObjective,
     config,
     rngs: Sequence[np.random.Generator],
     *,
     class_targets: Mapping[int, np.ndarray] | None = None,
-    secondary: np.ndarray | None = None,
+    secondary: Sequence[np.ndarray] | None = None,
     batch_views: Sequence[
         Callable[[np.ndarray, np.random.Generator], np.ndarray]
     ]
     | None = None,
 ) -> np.ndarray:
-    """Train the ``(K, N, ...)`` client stack ``emodel`` on ``images`` /
-    ``labels`` under ``objective``; returns the per-slice mean per-batch
-    weighted losses, shape ``(K,)``.
+    """Train the K-slice client stack ``emodel`` on ``images`` / ``labels``
+    under ``objective``; returns the per-slice mean per-batch weighted
+    losses, shape ``(K,)``.
+
+    ``images``, ``labels`` and ``secondary`` are per-slice sequences of
+    equal-length ``(N, ...)`` arrays (a stacked ``(K, N, ...)`` array is
+    one); the runner only reads them and never stacks them whole.  Each
+    step gathers, per slice, the batch's rows into one fresh ``(K, rows,
+    ...)`` buffer, so a step's input is the only image copy it makes.
 
     ``batch_views[k](images, rng)`` maps slice ``k``'s indexed batch to the
     rows its step forwards: the batch, then any per-batch re-styled copies
     (CCST), or a re-styled batch in its place (MixStyle).  ``secondary`` is
-    an optional ``(K, N, ...)`` view aligned index-for-index with
-    ``images`` (style-transferred or augmented positives), appended after
-    them.  Each batch runs one concatenated forward so batch statistics are
-    shared, and ``views`` is the row count over the batch size.
-    ``class_targets`` is the strategy's fused per-class targets, the same
-    for every slice.
+    an optional per-slice view aligned index-for-index with ``images``
+    (style-transferred or augmented positives), appended after them.  Each
+    batch runs one concatenated forward so batch statistics are shared, and
+    ``views`` is the row count over the batch size.  ``class_targets`` is
+    the strategy's fused per-class targets, the same for every slice.
 
     Randomness: one ``rngs[k].permutation(N)`` per slice per epoch, drawn
     in slice order, then ``batch_views[k]`` once per batch on ``rngs[k]``.
     Slice ``k`` reads nothing but ``rngs[k]``, so it reproduces client
     ``k`` trained alone bitwise.
     """
-    stack = images.shape[0]
-    count = images.shape[1]
+    stack = len(images)
+    count = len(images[0])
+    parts = [*images, *(() if secondary is None else secondary)]
+    if any(len(part) != count for part in parts):
+        raise ValueError("every slice and view must hold the same number of rows")
     emodel.train()
     optimizer = config.make_optimizer(emodel)
     needs_embedding = objective.needs_embedding()
-    rows = np.arange(stack)[:, None]
     batch_totals: list[np.ndarray] = []
     for _ in range(config.local_epochs):
-        orders = np.stack([rng.permutation(count) for rng in rngs])
+        orders = [rng.permutation(count) for rng in rngs]
         for start in range(0, count, config.batch_size):
-            indices = orders[:, start : start + config.batch_size]
-            batch = indices.shape[1]
-            combined = images[rows, indices]
-            if batch_views is not None:
-                combined = np.stack([
-                    views(part, rng)
-                    for views, part, rng in zip(batch_views, combined, rngs)
-                ])
-            if secondary is not None:
-                combined = np.concatenate(
-                    [combined, secondary[rows, indices]], axis=1
-                )
+            indices = [order[start : start + config.batch_size] for order in orders]
+            batch = len(indices[0])
+            combined = _step_input(images, indices, secondary, batch_views, rngs)
             emodel.zero_grad()
             embeddings = emodel.forward_features(combined)
             logits = emodel.forward_logits(embeddings)
             ctx = EnsembleStepContext(
-                labels=labels[rows, indices],
+                labels=np.stack(
+                    [part[index] for part, index in zip(labels, indices)]
+                ),
                 embeddings=embeddings,
                 logits=logits,
                 batch=batch,
@@ -703,14 +737,15 @@ def run_objective_ensemble(
 
 
 def ensemble_dataset_embeddings(
-    forward_features, images: np.ndarray, chunk: int = 256
+    forward_features, images: Sequence[np.ndarray], chunk: int = 256
 ) -> np.ndarray:
-    """Chunked eval-mode sweep of ``forward_features`` over a ``(K, N, ...)``
-    stack of datasets (the class-statistics sweep, FedDG-GA's gap).
-    Chunk boundaries are part of the bitwise contract: slice ``k`` equals
-    the same chunks swept through the template model."""
+    """Chunked eval-mode sweep of ``forward_features`` over a per-slice
+    sequence of equal-length datasets (the class-statistics sweep,
+    FedDG-GA's gap); each chunk is stacked on its own, never the whole
+    datasets.  Chunk boundaries are part of the bitwise contract: slice
+    ``k`` equals the same chunks swept through the template model."""
     parts = [
-        forward_features(images[:, start : start + chunk])
-        for start in range(0, images.shape[1], chunk)
+        forward_features(np.stack([part[start : start + chunk] for part in images]))
+        for start in range(0, len(images[0]), chunk)
     ]
     return np.concatenate(parts, axis=1)

@@ -17,7 +17,9 @@ import repro.data.content
 import repro.data.synthetic
 from repro.data import (
     ContentBank,
+    DomainSuite,
     LabeledDataset,
+    partition_clients,
     smooth_noise,
     synthetic_domain_sweep,
     synthetic_iwildcam,
@@ -121,6 +123,114 @@ class TestPacsSuite:
         assert len(pool) == 2 * 3 * 7
         with pytest.raises(ValueError):
             suite.merged([])
+
+
+def tagged_suite():
+    """Four domains (the third empty) whose every pixel names its domain
+    and position, so a digest of a partition pins the routing alone and
+    not the generator's machine-dependent floats."""
+    datasets = []
+    for domain, count in enumerate((35, 42, 0, 28)):
+        images = np.arange(count * 48, dtype=np.float64).reshape(count, 3, 4, 4)
+        datasets.append(
+            LabeledDataset(
+                images=images + 1e6 * domain,
+                labels=np.arange(count) % 7,
+                domain_ids=np.full(count, domain),
+            )
+        )
+    return DomainSuite(
+        name="tagged", num_classes=7, image_shape=(3, 4, 4),
+        domain_names=["a", "b", "c", "d"], datasets=datasets,
+    )
+
+
+#: (train domains, clients, heterogeneity, seed): mixed, one-domain,
+#: homogeneous, fewer clients than domains at lambda 0, and empty clients.
+PARTITION_CASES = [
+    ([0, 1, 3], 5, 0.3, 0),
+    ([0, 1, 2, 3], 9, 0.0, 1),
+    ([1, 3], 4, 1.0, 2),
+    ([0, 1, 3], 2, 0.0, 3),
+    ([3], 40, 0.0, 4),
+]
+
+
+def partition_sha256(suite, cases):
+    digest = hashlib.sha256()
+    for train, clients, heterogeneity, seed in cases:
+        partition = partition_clients(
+            suite, train, clients, heterogeneity, np.random.default_rng(seed)
+        )
+        for dataset in partition.client_datasets:
+            for array in (dataset.images, dataset.labels, dataset.domain_ids):
+                digest.update(repr((array.dtype.str, array.shape)).encode())
+                digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+class TestEachImageArrayOnce:
+    """A one-domain split is a read-only view of its domain; several
+    domains, and every client of a partition, are fresh arrays."""
+
+    FIELDS = ("images", "labels", "domain_ids")
+
+    def test_one_domain_split_shares_its_domain(self):
+        suite = synthetic_pacs(seed=0, samples_per_class=3, image_size=8)
+        split = suite.merged([2])
+        for field in self.FIELDS:
+            assert np.shares_memory(
+                getattr(split, field), getattr(suite.datasets[2], field)
+            )
+            np.testing.assert_array_equal(
+                getattr(split, field), getattr(suite.datasets[2], field)
+            )
+
+    def test_one_domain_split_is_read_only(self):
+        suite = synthetic_pacs(seed=0, samples_per_class=3, image_size=8)
+        split = suite.merged([1])
+        with pytest.raises(ValueError):
+            split.images[0] = 0.0
+        with pytest.raises(ValueError):
+            split.labels[0] = 0
+        assert suite.datasets[1].images.flags.writeable
+
+    def test_several_domains_are_copied(self):
+        suite = synthetic_pacs(seed=0, samples_per_class=3, image_size=8)
+        pool = suite.merged([0, 3])
+        for field in self.FIELDS:
+            for domain in (0, 3):
+                assert not np.shares_memory(
+                    getattr(pool, field), getattr(suite.datasets[domain], field)
+                )
+        np.testing.assert_array_equal(
+            pool.images,
+            np.concatenate([suite.datasets[0].images, suite.datasets[3].images]),
+        )
+        assert pool.images.flags.writeable
+
+    def test_empty_domain_still_raises(self):
+        with pytest.raises(ValueError):
+            tagged_suite().merged([2])
+
+    def test_partition_equals_the_concatenating_partition(self):
+        """Pinned at the commit that still built each client by
+        ``subset`` then ``concatenate``."""
+        assert partition_sha256(tagged_suite(), PARTITION_CASES) == (
+            "1039c7932e02b0f9f331a368f7d5a8471cce2b49b7b667fa03586e5f4c5c7c1d"
+        )
+
+    def test_clients_share_nothing_with_the_suite(self):
+        suite = tagged_suite()
+        partition = partition_clients(
+            suite, [0, 1, 3], 5, 0.3, np.random.default_rng(0)
+        )
+        for dataset in partition.client_datasets:
+            for field in self.FIELDS:
+                for domain in suite.datasets:
+                    assert not np.shares_memory(
+                        getattr(dataset, field), getattr(domain, field)
+                    )
 
 
 class TestOfficeHomeSuite:

@@ -34,8 +34,11 @@ from repro.fl import (
 )
 from repro.data import partition_clients, synthetic_pacs
 from repro.data.synthetic import LabeledDataset
+from repro.fl.compute import EnsembleBackend
+from repro.fl.strategy import run_prepare
 from repro.nn import build_cnn_model, build_mlp_model
 from repro.nn.serialize import MeanAccumulator, average_states
+from repro.utils.rng import SeedTree
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
 FAST = LocalTrainingConfig(batch_size=8)
@@ -546,4 +549,50 @@ class TestMemoryScaling:
         small, large = peaks
         assert large < 1.6 * small, (
             f"round peak grew with the participants: {small} -> {large}"
+        )
+
+    @pytest.mark.parametrize(
+        "make_strategy",
+        [
+            lambda config: FedAvgStrategy(config),
+            lambda config: PardonStrategy(local_config=config),
+        ],
+        ids=["fedavg", "pardon"],
+    )
+    def test_stack_peak_does_not_hold_the_datasets(self, make_strategy):
+        """A K=2 stack of 3x16x16 clients (batch 32) trains from its
+        members' own arrays, gathering one step's rows at a time, so 4x
+        the samples adds less than one (K, 420) stack of the added images
+        to ``run_group``'s peak.  Stacking every member's dataset (and
+        PARDON's style-transferred views) added at least that."""
+        image_shape = (3, 16, 16)
+        config = LocalTrainingConfig(batch_size=32)
+        peaks = []
+        for samples in (140, 560):
+            factory = _lazy_factory(image_shape=image_shape, samples=samples)
+            clients = [factory(client_id) for client_id in range(2)]
+            strategy = make_strategy(config)
+            run_prepare(strategy, clients, SeedTree(0))
+            model = build_cnn_model(
+                image_shape, SUITE.num_classes, rng=np.random.default_rng(0),
+                widths=(4, 6), embed_dim=8,
+            )
+            state = model.state_dict()
+            backend = EnsembleBackend()
+
+            def train():
+                return backend.run_group(strategy, model, state, clients, 0, [1, 2])
+
+            train()  # builds the clone and PARDON's style-transfer cache
+            tracemalloc.start()
+            try:
+                train()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        small, large = peaks
+        added_stack = 2 * (560 - 140) * int(np.prod(image_shape)) * 8
+        assert large - small < added_stack, (
+            f"run_group peak grew by {large - small} bytes from 140 to 560 "
+            f"samples; one (2, 420) image stack is {added_stack}"
         )

@@ -14,7 +14,7 @@ import pytest
 from tests.gradcheck import numeric_gradient
 from repro.data.synthetic import LabeledDataset
 from repro.fl.strategy import LocalTrainingConfig
-from repro.nn.ensemble import ensemble_of
+from repro.nn.ensemble import ensemble_of, ensemble_state_dicts
 from repro.nn.models import build_cnn_model
 from repro.nn.objective import (
     OBJECTIVE_TERMS,
@@ -423,6 +423,38 @@ class TestEnsemblePath:
                 err_msg=f"{name}: slice {k} grad_embedding diverges",
             )
             assert losses[k] == scalar_loss, f"{name}: slice {k} loss diverges"
+
+    def test_runner_takes_per_slice_arrays(self, rng):
+        """The members' own arrays train bitwise as their ``(K, N, ...)``
+        stack, secondary view and per-batch views included; slices of
+        unequal length are refused."""
+        template = build_cnn_model((3, 8, 8), 4, rng, widths=(3, 4), embed_dim=5)
+        objective = CompositeObjective([("ce", 1.0), ("embed_l2", 0.1)])
+        config = LocalTrainingConfig(batch_size=4)
+        images = rng.normal(size=(2, 10, 3, 8, 8))
+        labels = rng.integers(0, 4, size=(2, 10))
+        secondary = rng.normal(size=images.shape)
+        flip = [lambda batch, rng: np.concatenate([batch, batch[..., ::-1]])] * 2
+        results = []
+        for wrap in (np.asarray, list):
+            emodel = ensemble_of(template, 2)
+            losses = run_objective_ensemble(
+                emodel, wrap(images), wrap(labels), objective, config,
+                [np.random.default_rng(seed) for seed in (1, 2)],
+                secondary=wrap(secondary), batch_views=flip,
+            )
+            results.append((losses, ensemble_state_dicts(emodel)))
+        (stacked_losses, stacked), (listed_losses, listed) = results
+        np.testing.assert_array_equal(stacked_losses, listed_losses)
+        for a, b in zip(stacked, listed):
+            for key in a:
+                np.testing.assert_array_equal(a[key], b[key])
+        with pytest.raises(ValueError, match="same number of rows"):
+            run_objective_ensemble(
+                ensemble_of(template, 2), [images[0], images[1, :9]],
+                [labels[0], labels[1, :9]], objective, config,
+                [np.random.default_rng(seed) for seed in (1, 2)],
+            )
 
 
 class TestRunnersLeaveTheInputGradientAlone:
