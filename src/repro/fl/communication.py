@@ -53,7 +53,7 @@ class MeasuredCommunication:
     overhead bench can print measured next to analytic.
 
     Measured bytes include what the analytic model abstracts away — pickle
-    framing, the strategy blob in the broadcast, task tuples — and the
+    framing, the strategy blob in the broadcast, task fields — and the
     parallel engine broadcasts once per *worker*, not per client, so the
     per-client download can come out *below* the analytic weight cost.
     """

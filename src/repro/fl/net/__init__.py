@@ -4,13 +4,14 @@ This package takes the federated round loop across machine boundaries
 while keeping every trace bit-identical to the in-host engines:
 
 :mod:`repro.fl.net.frames`
-    Length-prefixed wire frames — a sans-io :class:`FrameDecoder` (drives
-    the partial-read tests byte by byte) plus blocking-socket and asyncio
-    helpers built on it.
+    Length-prefixed wire frames — scatter writes (``sendmsg``), exact
+    reads into one buffer per frame (:class:`FrameStream`), and a sans-io
+    :class:`FrameDecoder` for the request/response helpers.
 :mod:`repro.fl.net.protocol`
-    Message vocabulary + the version/codec handshake: an agent's HELLO is
-    answered by WELCOME (negotiated codec and transport specs + model
-    blob) or REJECT.
+    Message vocabulary (a ``struct`` header, JSON meta, raw buffers — no
+    pickle) + the version/codec handshake: an agent's HELLO is answered by
+    WELCOME (negotiated codec and transport specs + model blob) or
+    REJECT.
 :mod:`repro.fl.net.transport`
     :class:`TcpTransport` — the ``tcp`` entry in the transport registry.
     One post-codec broadcast blob published to an in-process asyncio blob
@@ -28,9 +29,15 @@ while keeping every trace bit-identical to the in-host engines:
     loop in-host).
 
 Everything here reuses the existing wire contract (`ClientUpdate`,
-`encode_payload` protocol-5 out-of-band blobs, codec reference chains,
-`WireStats`, fault plans, deadlines, streaming folds) — the socket is a
-new hop, not a new protocol.
+codec reference chains, `WireStats`, fault plans, deadlines, streaming
+folds) — the socket is a new hop, not a new round protocol.  What crosses
+it is plain: task fields and handles as JSON, a registration as JSON plus
+the raw bytes of each client's arrays, sent from the server's own memory.
+The blobs that are still ``encode_payload`` pickles (the welcome's model
+template, the broadcast's strategy, uploads) ride as opaque buffers; the
+broadcast's state frame and an upload's codec payloads keep their
+protocol-5 out-of-band framing, so they decode straight from the received
+frame.
 """
 
 from repro.fl.net.frames import (

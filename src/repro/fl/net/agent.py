@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import pickle
 import socket
 import sys
 import time
@@ -46,11 +45,11 @@ from repro.fl.net.protocol import (
     Message,
     broadcast_parts,
     decode_message,
-    encode_message,
     hello_meta,
+    message_parts,
 )
 from repro.fl.net.transport import parse_endpoint
-from repro.fl.wire import WorkerRuntime
+from repro.fl.wire import Registration, WorkerRuntime, task_from_fields
 from repro.utils.logging import get_logger
 
 __all__ = ["run_agent", "serve", "main"]
@@ -75,16 +74,16 @@ def _connect(host: str, port: int, retry_seconds: float) -> socket.socket:
             time.sleep(_CONNECT_RETRY_DELAY)
 
 
-def _answer(runtime: WorkerRuntime, message: Message) -> "bytes | None":
-    """Handle one server message; the reply frame payload, if any."""
+def _answer(runtime: WorkerRuntime, message: Message) -> "list | None":
+    """Handle one server message; the reply's scatter list, if any."""
     if message.kind == REGISTER:
-        runtime.register(message.blob)
-        return encode_message(REGISTERED)
+        runtime.register(Registration(message.meta, message.buffers))
+        return message_parts(REGISTERED)
     if message.kind == BROADCAST:
         runtime.broadcast(*broadcast_parts(message, runtime.transport))
         return None
     if message.kind == TASK:
-        task = pickle.loads(message.blob)
+        task = task_from_fields(message.meta)
         fault = task[3]
         if fault is not None and fault.kind == "crash":
             # The plan's crash victim: a hard crash, no cleanup and no
@@ -93,7 +92,7 @@ def _answer(runtime: WorkerRuntime, message: Message) -> "bytes | None":
             # one; the server sees EOF and relaunches the lane.
             os._exit(1)
         wire = runtime.run_task(task)
-        return encode_message(UPLOAD, {"task": message.meta["task"]}, wire)
+        return message_parts(UPLOAD, {"task": message.meta["task"]}, wire)
     _log.warning("ignoring unexpected %r frame", message.kind)  # pragma: no cover
     return None
 
@@ -109,7 +108,7 @@ def serve(sock: socket.socket, name: str = "", codec: "str | None" = None) -> in
     and the loop goes on; the server decides what it means.
     """
     stream = FrameStream(sock)
-    stream.send(encode_message(HELLO, hello_meta(name=name, codec=codec)))
+    stream.send(*message_parts(HELLO, hello_meta(name=name, codec=codec)))
     frame = stream.next_frame()
     if frame is None:
         raise HandshakeError("server closed during handshake")
@@ -132,12 +131,12 @@ def serve(sock: socket.socket, name: str = "", codec: "str | None" = None) -> in
                 reply = _answer(runtime, message)
                 tasks_served += message.kind == TASK
             except Exception:
-                reply = encode_message(
+                reply = message_parts(
                     ERROR,
                     {"task": message.meta.get("task"), "text": traceback.format_exc()},
                 )
             if reply is not None:
-                stream.send(reply)
+                stream.send(*reply)
     except OSError:
         pass  # the server vanished; nothing left to serve
     finally:

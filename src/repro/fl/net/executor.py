@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import select
 import selectors
 import socket
@@ -59,12 +58,18 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.fl.evaluation import FORK_LOCK
-from repro.fl.net.agent import serve_launched
-from repro.fl.net.frames import FrameError, FrameStream, encode_frame
+from repro.fl.net.frames import (
+    MAX_FRAME_BYTES,
+    FrameError,
+    FrameStream,
+    frame_views,
+    send_views,
+)
 from repro.fl.net.protocol import (
     BYE,
     ERROR,
     HELLO,
+    MAX_HELLO_BYTES,
     REGISTER,
     REGISTERED,
     REJECT,
@@ -74,13 +79,14 @@ from repro.fl.net.protocol import (
     Message,
     broadcast_message,
     decode_message,
-    encode_message,
     evaluate_hello,
+    message_parts,
     PROTOCOL_VERSION,
 )
 from repro.fl.net.transport import parse_endpoint
 from repro.fl.round import LOST, Executor, time_left
 from repro.fl.transport import make_transport
+from repro.fl.wire import task_fields
 from repro.nn.module import architecture_signature
 from repro.nn.serialize import encode_payload
 from repro.utils.logging import get_logger
@@ -91,6 +97,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fl.faults import AdaptiveDeadline, FaultPlan, FixedDeadline
     from repro.fl.history import RoundRecord
     from repro.fl.transport import Transport
+    from repro.fl.wire import Registration
     from repro.nn.models import FeatureClassifierModel
 
 __all__ = ["RemoteExecutor", "ParallelExecutor"]
@@ -183,12 +190,19 @@ class _AgentLanes(Executor):
 
     def _welcome(self, sock: socket.socket, peer: str) -> "_Agent | None":
         """Run hello/welcome on a connected socket whose timeout bounds the
-        hello read; a peer that is turned away is closed (``None``)."""
-        stream = FrameStream(sock)
+        hello read.  A peer that sends no readable hello (silence, EOF, a
+        frame over :data:`MAX_HELLO_BYTES`, bytes that are no message) is
+        closed unanswered, one that sends a hello we refuse is rejected
+        with the reason; either way ``None``."""
+        stream = FrameStream(sock, max_bytes=MAX_HELLO_BYTES)
         message = _read_message(stream)
+        if message is None:
+            _log.warning("closing %s: no readable hello", peer)
+            sock.close()
+            return None
         reason = (
-            "no hello"
-            if message is None or message.kind != HELLO
+            f"expected hello, got {message.kind!r}"
+            if message.kind != HELLO
             else evaluate_hello(message.meta, codec_spec=self.codec.spec)
         )
         try:
@@ -198,12 +212,13 @@ class _AgentLanes(Executor):
                     "codec": self.codec.spec,
                     "transport": self.transport.spec,
                 }
-                stream.send(encode_message(WELCOME, meta, self._model_blob))
+                stream.send(*message_parts(WELCOME, meta, self._model_blob))
                 sock.settimeout(None)  # rounds use blocking reads
+                stream.max_bytes = MAX_FRAME_BYTES
                 self.wire.registration_bytes += len(self._model_blob)
                 return _Agent(sock, stream, message.meta.get("name") or peer)
             _log.warning("rejecting agent %s: %s", peer, reason)
-            stream.send(encode_message(REJECT, {"reason": reason}))
+            stream.send(*message_parts(REJECT, {"reason": reason}))
         except OSError:
             pass  # the peer vanished mid-handshake
         sock.close()
@@ -252,24 +267,26 @@ class _AgentLanes(Executor):
         for task_id in orphaned:
             del self._tasks[task_id]
 
-    def _send(self, home: int, payload: bytes) -> bool:
-        """Write one frame to an agent; a write failure is a disconnect.
+    def _send(self, home: int, parts: list) -> bool:
+        """Write one frame (payload: ``parts`` back to back) to an agent; a
+        write failure is a disconnect.
 
-        The socket is never left blocking on a full buffer: an agent busy
-        writing its own upload is not reading either, so while the frame
-        does not fit, the agent's frames are read in between (onto the
-        next poll's events)."""
+        The parts go out as one scatter list (``sendmsg``), straight from
+        the buffers they live in.  The socket is never left blocking on a
+        full buffer: an agent busy writing its own upload is not reading
+        either, so while the frame does not fit, the agent's frames are
+        read in between (onto the next poll's events)."""
         agent = self._agents[home]
-        data = memoryview(encode_frame(payload))
+        views = frame_views(parts)
         try:
-            while agent.alive and data:
+            while agent.alive and views:
+                try:
+                    views = send_views(agent.sock, views, socket.MSG_DONTWAIT)
+                    continue
+                except BlockingIOError:
+                    pass
                 readable, writable, _ = select.select([agent.sock], [agent.sock], [])
-                if writable:
-                    try:
-                        data = data[agent.sock.send(data, socket.MSG_DONTWAIT):]
-                    except BlockingIOError:
-                        pass
-                elif readable:
+                if readable and not writable:
                     self._read(home)
             if agent.alive:
                 return True
@@ -283,11 +300,12 @@ class _AgentLanes(Executor):
     def home(self, client_id: int) -> int:
         return self._live[client_id % len(self._live)]
 
-    def send_register(self, home: int, blob: bytes) -> None:
+    def send_register(self, home: int, registration: "Registration") -> None:
         # Waited on: the ack comes back after the registration is
         # installed, behind whatever the agent was still finishing (an
         # abandoned task's answer is read, and discarded, on the way).
-        if self._send(home, encode_message(REGISTER, blob=blob)):
+        parts = message_parts(REGISTER, registration.meta, *registration.buffers)
+        if self._send(home, parts):
             while self._agents[home].alive and self._read(home) != REGISTERED:
                 pass
 
@@ -297,13 +315,9 @@ class _AgentLanes(Executor):
         self._send(home, broadcast_message(strategy_blob, handle, round_index))
 
     def submit(self, task_id: int, home: int, task: tuple) -> None:
-        frame = encode_message(
-            TASK,
-            {"task": task_id, "round": task[1]},
-            pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL),
-        )
+        parts = message_parts(TASK, {"task": task_id, **task_fields(*task)})
         self._tasks[task_id] = home  # orphaned on the spot if the send fails
-        self._send(home, frame)
+        self._send(home, parts)
 
     def _read(self, home: int) -> "str | None":
         """Process one frame from the agent at ``home``; returns its kind
@@ -333,11 +347,8 @@ class _AgentLanes(Executor):
     def poll(self, timeout: "float | None") -> "list[tuple[int, object]]":
         limit = None if timeout is None else time.perf_counter() + timeout
         while True:
-            # Frames already decoded off a socket never re-trigger the
-            # selector: drain them before blocking on readability.
-            for home, agent in enumerate(self._agents):
-                while agent.alive and agent.stream.buffered:
-                    self._read(home)
+            # Reads are exact (FrameStream), so every unread frame is still
+            # in its socket, where the selector sees it.
             if self._events or not self._selector.get_map():
                 events, self._events = self._events, []
                 return events
@@ -369,7 +380,7 @@ class _AgentLanes(Executor):
         """Send every live agent a clean shutdown and tear the sockets
         down.  Idempotent."""
         for home, agent in enumerate(self._agents or []):
-            if self._send(home, encode_message(BYE)):
+            if self._send(home, message_parts(BYE)):
                 agent.hang_up()
         self._agents = None
         if self._selector is not None:
@@ -564,6 +575,11 @@ class ParallelExecutor(_AgentLanes):
             else []
         )
         name = f"worker{home}"
+        # Imported here, not at module level: ``python -m
+        # repro.fl.net.agent`` imports this package before it runs the
+        # agent module as ``__main__``.
+        from repro.fl.net.agent import serve_launched
+
         process = multiprocessing.get_context(start_method).Process(
             target=serve_launched, args=(theirs, name, inherited),
             name=f"repro-{name}", daemon=True,

@@ -5,19 +5,33 @@ bytes.  That is the whole format — no per-frame type tag (message kinds
 live inside the payload, see :mod:`repro.fl.net.protocol`), no checksum
 (TCP already guarantees integrity), no padding.
 
-The core is the sans-io :class:`FrameDecoder`: feed it whatever byte
-chunks the kernel hands you — down to one byte at a time — and collect
-completed frames.  The blocking-socket helpers (:func:`send_frame` /
-:func:`recv_frame`) and the asyncio helpers (:func:`read_frame` /
-:func:`write_frame`) are thin shims over the same encoder/decoder, so the
-fragmentation tests exercise exactly the production parsing path.
+Sending is a scatter write: :func:`frame_views` turns the payload's parts
+(a message header, its meta, raw array buffers) into one list of flat
+byte views behind the prefix, and :func:`send_views` hands as much of it
+as the kernel takes to one ``socket.sendmsg`` call — the parts are never
+joined into one bytes object.  Receiving is an exact read:
+:class:`FrameStream` reads the prefix, then ``recv_into`` the payload's
+own buffer of exactly that size, and hands out a read-only ``memoryview``
+of it, so nothing past the frame is ever read off the socket and nothing
+is copied after the kernel's.  A payload from
+:data:`_MMAP_FROM` bytes up lands in an anonymous ``mmap``, whose pages
+commit only as ``recv_into`` writes them: a peer that announces a large
+frame and stops costs the bytes it sent, not the bytes it announced.
+
+The sans-io :class:`FrameDecoder` parses any byte chunks — down to one
+byte at a time — for the request/response helpers (:func:`recv_frame`,
+the tcp blob server's asyncio :func:`read_frame` / :func:`write_frame`)
+and the fragmentation tests.
 """
 
 from __future__ import annotations
 
 import asyncio
+import mmap
+import os
 import socket
 import struct
+from typing import Iterable
 
 __all__ = [
     "FrameDecoder",
@@ -25,6 +39,8 @@ __all__ = [
     "FrameStream",
     "MAX_FRAME_BYTES",
     "encode_frame",
+    "frame_views",
+    "send_views",
     "send_frame",
     "recv_frame",
     "read_frame",
@@ -38,10 +54,28 @@ _HEADER = struct.Struct(">I")
 #: a corrupt or hostile peer, and refusing it early beats an OOM later.
 MAX_FRAME_BYTES = 1 << 30
 
+#: Payloads from this size up are received into an anonymous ``mmap``
+#: (pages commit as they are written) instead of a zero-filled bytearray.
+_MMAP_FROM = 1 << 20
+
+
+def _iov_max() -> int:
+    try:
+        limit = os.sysconf("SC_IOV_MAX")
+    except (AttributeError, ValueError, OSError):  # pragma: no cover
+        limit = -1
+    return limit if limit > 0 else 1024
+
+
+#: Most parts one ``sendmsg`` call may carry; longer scatter lists go out
+#: in chunks of this many.
+_IOV_MAX = _iov_max()
+
 
 class FrameError(ValueError):
-    """A malformed frame: oversized length prefix, or a peer that closed
-    mid-frame (leaving an undecodable tail)."""
+    """A malformed frame: oversized length prefix, a peer that closed
+    mid-frame (leaving an undecodable tail), or a payload that is not a
+    protocol message (:func:`repro.fl.net.protocol.decode_message`)."""
 
 
 def encode_frame(payload: "bytes | memoryview") -> bytes:
@@ -92,14 +126,55 @@ class FrameDecoder:
         return len(self._buffer)
 
 
+# -- scatter writes ------------------------------------------------------------
+
+
+def frame_views(parts: "Iterable[object]") -> "list[memoryview]":
+    """The on-wire scatter list of one frame whose payload is ``parts``
+    back to back: the ``>I`` prefix, then each non-empty part as a flat
+    byte view of its own memory (contiguous buffers only; nothing is
+    copied)."""
+    views = []
+    for part in parts:
+        view = memoryview(part)
+        if view.nbytes:
+            flat = view.format == "B" and view.ndim == 1
+            views.append(view if flat else view.cast("B"))
+    length = sum(view.nbytes for view in views)
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(f"frame payload of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    return [memoryview(_HEADER.pack(length)), *views]
+
+
+def send_views(
+    sock: socket.socket, views: "list[memoryview]", flags: int = 0
+) -> "list[memoryview]":
+    """One ``sendmsg`` of the head of ``views`` (at most :data:`_IOV_MAX`
+    parts); returns what is still to send.  A non-blocking attempt
+    (``flags=socket.MSG_DONTWAIT``) that fits nothing raises
+    ``BlockingIOError``."""
+    sent = sock.sendmsg(views[:_IOV_MAX], (), flags)
+    done = 0
+    while done < len(views) and sent >= views[done].nbytes:
+        sent -= views[done].nbytes
+        done += 1
+    rest = views[done:]
+    if sent:
+        rest[0] = rest[0][sent:]
+    return rest
+
+
 # -- blocking-socket shims -----------------------------------------------------
 
 
-def send_frame(sock: socket.socket, payload: "bytes | memoryview") -> int:
-    """Write one frame to a blocking socket; returns bytes on the wire."""
-    data = encode_frame(payload)
-    sock.sendall(data)
-    return len(data)
+def send_frame(sock: socket.socket, *parts: object) -> int:
+    """Write one frame, whose payload is ``parts`` back to back, to a
+    blocking socket; returns bytes on the wire."""
+    views = frame_views(parts)
+    wire_bytes = sum(view.nbytes for view in views)
+    while views:
+        views = send_views(sock, views)
+    return wire_bytes
 
 
 def recv_frame(sock: socket.socket) -> "bytes | None":
@@ -126,48 +201,65 @@ def recv_frame(sock: socket.socket) -> "bytes | None":
             return frames[0]
 
 
+def _recv_exact(sock: socket.socket, view: memoryview) -> int:
+    """Fill ``view`` from ``sock``; returns the bytes read, short only at EOF."""
+    got = 0
+    while got < len(view):
+        count = sock.recv_into(view[got:])
+        if not count:
+            break
+        got += count
+    return got
+
+
 class FrameStream:
     """A persistent framed view of one blocking socket.
 
     Unlike :func:`recv_frame` (strict request/response: one frame per
-    turn, pipelined bytes are an error), a stream keeps its decoder
-    across calls, so a peer may pipeline frames back-to-back — which the
-    federation server does after the welcome (register, broadcast, and a
-    burst of tasks can all be in flight at once).  The agent serve loop
-    is the intended consumer.
+    turn, pipelined bytes are an error), a stream reads frame after frame,
+    so a peer may pipeline them back-to-back — which the federation server
+    does after the welcome (register, broadcast, and a burst of tasks can
+    all be in flight at once).  Every read is exact (the prefix, then the
+    payload into its own buffer), so a frame the peer sent is either
+    returned or still in the socket: selector loops never have to drain
+    anything decoded in user space.
+
+    ``max_bytes`` caps the payload a prefix may announce; the server holds
+    a peer to the small hello cap until it has welcomed it
+    (:mod:`repro.fl.net.executor`).
     """
 
-    def __init__(self, sock: socket.socket) -> None:
+    def __init__(self, sock: socket.socket, max_bytes: int = MAX_FRAME_BYTES) -> None:
         self._sock = sock
-        self._decoder = FrameDecoder()
-        self._ready: "list[bytes]" = []
+        self.max_bytes = max_bytes
+        self._prefix = bytearray(_HEADER.size)
 
-    def next_frame(self) -> "bytes | None":
-        """The next frame, blocking until one arrives; ``None`` on a
-        clean EOF at a frame boundary."""
-        while not self._ready:
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                if self._decoder.pending_bytes:
-                    raise FrameError(
-                        f"peer closed mid-frame with "
-                        f"{self._decoder.pending_bytes} bytes buffered"
-                    )
-                return None
-            self._ready.extend(self._decoder.feed(chunk))
-        return self._ready.pop(0)
+    def next_frame(self) -> "memoryview | None":
+        """The next frame's payload as a read-only view of its own buffer,
+        blocking until it has arrived; ``None`` on a clean EOF at a frame
+        boundary."""
+        got = _recv_exact(self._sock, memoryview(self._prefix))
+        if not got:
+            return None
+        if got < _HEADER.size:
+            raise FrameError(f"peer closed mid-frame with {got} header bytes")
+        (length,) = _HEADER.unpack(self._prefix)
+        if length > self.max_bytes:
+            raise FrameError(
+                f"frame header announces {length} bytes, over the "
+                f"{self.max_bytes} cap — corrupt or hostile peer"
+            )
+        buffer = mmap.mmap(-1, length) if length >= _MMAP_FROM else bytearray(length)
+        view = memoryview(buffer)
+        got = _recv_exact(self._sock, view)
+        if got < length:
+            raise FrameError(f"peer closed mid-frame: {got}/{length} payload bytes")
+        return view.toreadonly()
 
-    @property
-    def buffered(self) -> bool:
-        """Whether a decoded frame is already waiting (i.e. ``next_frame``
-        would return without touching the socket).  Selector loops must
-        drain buffered frames before blocking on readability again — the
-        kernel will not signal bytes that already left the socket."""
-        return bool(self._ready)
-
-    def send(self, payload: "bytes | memoryview") -> int:
-        """Write one frame back to the peer; returns bytes on the wire."""
-        return send_frame(self._sock, payload)
+    def send(self, *parts: object) -> int:
+        """Write one frame (payload: ``parts`` back to back) to the peer;
+        returns bytes on the wire."""
+        return send_frame(self._sock, *parts)
 
 
 # -- asyncio shims -------------------------------------------------------------

@@ -1,54 +1,88 @@
 """Message vocabulary + handshake for the federation socket protocol.
 
-Every frame payload (:mod:`repro.fl.net.frames`) is one pickled
-``(kind, meta, blob)`` triple:
+Every frame payload (:mod:`repro.fl.net.frames`) is one message: a fixed
+``struct`` header, a UTF-8 JSON *meta* object of plain fields, and zero
+or more raw buffers, back to back::
+
+    >BII        kind (index into KINDS), meta length, buffer count
+    >I * count  each buffer's length
+    meta        compact JSON object
+    buffers     the buffers themselves, in order, each starting at the
+                next multiple of 8 bytes into the payload (zero padding)
+
+The alignment is what lets an array read in place from a received frame
+(a registered client's images, an out-of-band decoded state) be an
+aligned numpy array: a frame's payload buffer itself starts aligned.
+
+:func:`message_parts` returns those pieces as a scatter list — header,
+meta and the caller's own buffers, never joined — which the lanes write
+with one ``socket.sendmsg``; :func:`decode_message` parses a received
+payload with ``struct`` and ``json`` only and hands the buffers out as
+``memoryview`` slices of the frame.  Nothing here unpickles anything:
+bytes that do not parse as a message are one typed
+:class:`~repro.fl.net.frames.FrameError`.
 
 ========== ========= =====================================================
-kind       direction meaning
+kind       direction meta / buffers
 ========== ========= =====================================================
-hello      agent →   protocol version + optional pinned codec
-welcome    → agent   negotiated codec/transport specs + the pickled model
-reject     → agent   handshake refused; ``meta["reason"]`` says why
-register   → agent   resident client registration blob (+ evictions)
+hello      agent →   ``{version, name, codec?}``: protocol version and an
+                     optional pinned codec
+welcome    → agent   ``{version, codec, transport}`` + one buffer, the
+                     pickled model template
+reject     → agent   ``{reason}``: the handshake is refused
+register   → agent   ``{clients: [{id, arrays: [{dtype, shape}] * 3}],
+                     evict: [ids]}`` + each client's ``images`` /
+                     ``labels`` / ``domain_ids`` bytes, sent from the
+                     server's own arrays (:class:`repro.fl.wire.Registration`)
 registered agent →   the registration is installed (the server waits)
-broadcast  → agent   round strategy blob + the state frame's handle: the
-                     frame itself under ``pipe``, else ``meta["handle"]``
-                     (shm segment / tcp host, port, blob id; length)
-task       → agent   one ``(client_ids, round, seeds, fault)`` tuple
-upload     agent →   ``encode_payload(list[ClientUpdate])`` for one task,
+broadcast  → agent   ``{round, handle?}`` + the strategy blob and, under
+                     ``pipe``, the state frame as a second buffer; any
+                     other transport's handle is ``meta["handle"]``
+                     (shm segment and length; tcp host, port, blob id,
+                     length)
+task       → agent   ``{task, clients, round, seeds, fault}``; ``fault`` is
+                     a :class:`~repro.fl.faults.FaultEvent`'s fields or
+                     ``null``
+upload     agent →   ``{task}`` + ``encode_payload(list[ClientUpdate])``,
                      each state codec-encoded against the round's broadcast
-error      agent →   ``meta["task"]`` failed (``None``: a registration or
-                     broadcast did); ``meta["text"]`` is the traceback
+error      agent →   ``{task, text}``: handling a message raised
+                     (``task`` is ``null`` for a registration or broadcast);
+                     ``text`` is the traceback
 bye        → agent   clean shutdown; the agent exits its serve loop
 ========== ========= =====================================================
 
-``meta`` is a small plain dict (version numbers, spec strings, round
-indices, handle fields); ``blob`` is an opaque byte string.  Blobs are
-``encode_payload`` output with protocol-5 out-of-band buffers framed
-inline, so the serializer round-trips untouched across the socket and
-traces stay transport-invariant by construction.
+Three buffers are still pickles (``encode_payload``; ROADMAP item 2b):
+the welcome's model template and the broadcast's strategy blob, which an
+agent decodes from the server it dialled, and the upload, which the server
+decodes from an agent it has welcomed but not authenticated.  Every other
+field crosses as JSON or as raw array bytes.
 
 The handshake is how every agent is configured, launched or remote: the
 welcome carries the three values a :class:`repro.fl.wire.WorkerRuntime`
 is built from (model blob, codec spec, transport spec).  An agent may
 *pin* a codec spec in its hello (operators do this to refuse surprise
 lossy codecs); a pin that differs from the server's negotiated spec is a
-reject, not a silent override.
+reject, not a silent override.  Until it is welcomed, a peer's frames are
+capped at :data:`MAX_HELLO_BYTES`.
 """
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import asdict, dataclass, field
+import json
+import struct
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from repro.fl.net.frames import FrameError
+from repro.nn.serialize import encode_meta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fl.transport import Transport
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "MAX_HELLO_BYTES",
+    "KINDS",
     "HELLO",
     "WELCOME",
     "REJECT",
@@ -61,6 +95,7 @@ __all__ = [
     "BYE",
     "Message",
     "HandshakeError",
+    "message_parts",
     "encode_message",
     "decode_message",
     "hello_meta",
@@ -72,7 +107,12 @@ __all__ = [
 #: Bumped on any incompatible change to the message vocabulary, blob
 #: encodings or codec references.  Both sides send it; a mismatch is a
 #: handshake reject.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
+
+#: The largest frame a peer may send before it is welcomed.  A hello is
+#: well under 1 KiB; the cap bounds what an unknown peer can make the
+#: server allocate.
+MAX_HELLO_BYTES = 1 << 16
 
 HELLO = "hello"
 WELCOME = "welcome"
@@ -85,6 +125,18 @@ UPLOAD = "upload"
 ERROR = "error"
 BYE = "bye"
 
+#: Wire order of the kinds: the header carries the index.
+KINDS = (
+    HELLO, WELCOME, REJECT, REGISTER, REGISTERED, BROADCAST, TASK, UPLOAD, ERROR, BYE,
+)
+_KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+
+_HEAD = struct.Struct(">BII")
+_LENGTH = struct.Struct(">I")
+#: Every buffer starts at a multiple of this many bytes into the payload.
+_ALIGN = 8
+_PADDING = bytes(_ALIGN)
+
 
 class HandshakeError(ConnectionError):
     """The peer rejected (or botched) the hello/welcome exchange."""
@@ -92,44 +144,87 @@ class HandshakeError(ConnectionError):
 
 @dataclass
 class Message:
-    """One decoded protocol message."""
+    """One decoded protocol message: views of the frame's buffers."""
 
     kind: str
-    meta: dict = field(default_factory=dict)
-    blob: "bytes | None" = None
+    meta: dict
+    buffers: "tuple[memoryview, ...]" = ()
+
+    @property
+    def blob(self) -> "memoryview | None":
+        """The first buffer (a welcome's or an upload's only one)."""
+        return self.buffers[0] if self.buffers else None
 
 
-def encode_message(kind: str, meta: "dict | None" = None, blob: "bytes | None" = None) -> bytes:
-    """Serialize one message into a frame payload."""
-    return pickle.dumps(
-        (kind, dict(meta or {}), None if blob is None else bytes(blob)),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+def message_parts(kind: str, meta: "dict | None" = None, *buffers: object) -> list:
+    """One message as a scatter list: header, meta, then ``buffers``
+    themselves (any contiguous bytes-like; none is copied)."""
+    meta_bytes = encode_meta(meta or {})
+    lengths = [memoryview(buffer).nbytes for buffer in buffers]
+    head = _HEAD.pack(_KIND_CODES[kind], len(meta_bytes), len(lengths))
+    parts = [head + struct.pack(f">{len(lengths)}I", *lengths), meta_bytes]
+    offset = len(parts[0]) + len(meta_bytes)
+    for buffer, length in zip(buffers, lengths):
+        pad = -offset % _ALIGN
+        if pad:
+            parts.append(_PADDING[:pad])
+        parts.append(buffer)
+        offset += pad + length
+    return parts
+
+
+def encode_message(kind: str, meta: "dict | None" = None, *buffers: object) -> bytes:
+    """One message as a single bytes payload (for callers that want one
+    object; the lanes send :func:`message_parts` without joining)."""
+    return b"".join(message_parts(kind, meta, *buffers))
 
 
 def decode_message(payload: "bytes | memoryview") -> Message:
-    """Parse a frame payload back into a :class:`Message`.
+    """Parse a frame payload back into a :class:`Message`, zero-copy: the
+    buffers are views of ``payload``.
 
-    Anything that is not a pickled ``(kind, meta, blob)`` triple of the
-    documented types raises :class:`repro.fl.net.frames.FrameError` — one
-    typed error for "this peer is not speaking the protocol", whatever the
-    unpickler happened to choke on, so no caller's read loop can be crashed
-    by the bytes a peer chose to send.
+    Anything that is not a well-formed message — a short or unknown
+    header, lengths that do not add up to the payload, meta that is not a
+    UTF-8 JSON object — raises :class:`repro.fl.net.frames.FrameError`,
+    one typed error for "this peer is not speaking the protocol", so no
+    caller's read loop can be crashed by the bytes a peer chose to send.
     """
-    try:
-        kind, meta, blob = pickle.loads(payload)
-    except Exception as exc:
-        raise FrameError(f"frame payload is not a protocol message: {exc!r}") from exc
-    if (
-        not isinstance(kind, str)
-        or not isinstance(meta, dict)
-        or not isinstance(blob, (bytes, type(None)))
-    ):
+    view = memoryview(payload)
+    if view.format != "B" or view.ndim != 1:
+        view = view.cast("B")
+    if len(view) < _HEAD.size:
+        raise FrameError(f"{len(view)}-byte payload is shorter than a message header")
+    code, meta_length, count = _HEAD.unpack_from(view)
+    if code >= len(KINDS):
+        raise FrameError(f"unknown message kind {code}")
+    offset = _HEAD.size + _LENGTH.size * count
+    if offset + meta_length > len(view):
         raise FrameError(
-            f"malformed protocol message: ({type(kind).__name__}, "
-            f"{type(meta).__name__}, {type(blob).__name__})"
+            f"message header announces {count} buffer(s) and {meta_length} "
+            f"meta bytes, beyond its {len(view)}-byte payload"
         )
-    return Message(kind=kind, meta=meta, blob=blob)
+    lengths = struct.unpack_from(f">{count}I", view, _HEAD.size)
+    meta_view = view[offset : offset + meta_length]
+    offset += meta_length
+    starts = []
+    for length in lengths:
+        offset += -offset % _ALIGN
+        starts.append(offset)
+        offset += length
+    if offset != len(view):
+        raise FrameError(
+            f"message parts add up to {offset} bytes, its payload is {len(view)}"
+        )
+    try:
+        meta = json.loads(str(meta_view, "utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise FrameError(f"message meta is not JSON: {exc!r}") from exc
+    if not isinstance(meta, dict):
+        raise FrameError(f"message meta is a {type(meta).__name__}, not an object")
+    buffers = tuple(
+        view[start : start + length] for start, length in zip(starts, lengths)
+    )
+    return Message(KINDS[code], meta, buffers)
 
 
 def hello_meta(name: str = "", codec: "str | None" = None) -> dict:
@@ -162,24 +257,21 @@ def evaluate_hello(meta: dict, *, codec_spec: str) -> "str | None":
     return None
 
 
-def broadcast_message(strategy_blob: bytes, handle: object, round_index: int) -> bytes:
-    """One round's broadcast frame payload.  A ``pipe`` handle *is* the
-    state frame, so it follows the strategy blob; any other handle crosses
-    as its plain fields in ``meta["handle"]``."""
-    meta = {"round": round_index, "strategy_bytes": len(strategy_blob)}
-    if isinstance(handle, bytes):
-        return encode_message(BROADCAST, meta, strategy_blob + handle)
-    meta["handle"] = asdict(handle)
-    return encode_message(BROADCAST, meta, strategy_blob)
+def broadcast_message(strategy_blob: bytes, handle: object, round_index: int) -> list:
+    """One round's broadcast as a scatter list.  A ``pipe`` handle *is* the
+    state frame, so it crosses as the second buffer; any other handle
+    crosses as its plain fields in ``meta["handle"]``."""
+    if isinstance(handle, (bytes, memoryview)):
+        return message_parts(BROADCAST, {"round": round_index}, strategy_blob, handle)
+    meta = {"round": round_index, "handle": asdict(handle)}
+    return message_parts(BROADCAST, meta, strategy_blob)
 
 
 def broadcast_parts(
     message: Message, transport: "Transport"
-) -> "tuple[bytes, object, int]":
+) -> "tuple[memoryview, object, int]":
     """``(strategy_blob, handle, round_index)`` of a broadcast message, the
     handle rebuilt for the agent's negotiated ``transport``."""
-    split, fields = message.meta["strategy_bytes"], message.meta.get("handle")
-    handle = (
-        message.blob[split:] if fields is None else transport.handle_type(**fields)
-    )
-    return message.blob[:split], handle, message.meta["round"]
+    fields = message.meta.get("handle")
+    handle = message.buffers[1] if fields is None else transport.handle_type(**fields)
+    return message.buffers[0], handle, message.meta["round"]

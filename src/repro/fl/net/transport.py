@@ -22,7 +22,6 @@ same spec string builds both roles, exactly like pipe/shm.
 
 from __future__ import annotations
 
-import pickle
 import socket
 import struct
 import threading
@@ -249,10 +248,9 @@ class TcpTransport(Transport):
 
     def handle_wire_bytes(self, handle: object) -> int:
         # Each worker pulls a full copy over its own connection, plus the
-        # pickled handle in its broadcast message — honest per-worker cost,
-        # same shape as pipe.
-        handle_len = len(pickle.dumps(handle, protocol=pickle.HIGHEST_PROTOCOL))
-        return handle_len + getattr(handle, "length", 0)
+        # handle's fields in its broadcast message — honest per-worker
+        # cost, same shape as pipe.
+        return super().handle_wire_bytes(handle) + handle.length
 
     def end_round(self) -> None:
         # Same lifecycle as shm's segment unlink: once the round's uploads

@@ -41,7 +41,7 @@ from repro.fl.faults import (
     state_is_corrupt,
 )
 from repro.fl.history import RoundRecord
-from repro.fl.wire import WireServer, WireStats, _Row
+from repro.fl.wire import Registration, WireServer, WireStats, _Row
 from repro.nn.ensemble import check_stackable
 from repro.nn.serialize import StateDict, encode_payload
 
@@ -622,8 +622,8 @@ class Executor(WireServer):
         while the lane layout is unchanged.  Homes must be sortable."""
         raise NotImplementedError
 
-    def send_register(self, home: object, blob: bytes) -> None:
-        """Deliver one registration blob, ahead of anything sent later."""
+    def send_register(self, home: object, registration: "Registration") -> None:
+        """Deliver one registration, ahead of anything sent later."""
         raise NotImplementedError
 
     def send_broadcast(

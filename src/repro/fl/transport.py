@@ -5,7 +5,7 @@ state; this module decides how those bytes travel between the server and
 its worker processes.  The split matters for the server→client hop: PARDON
 ships **one** global model to every participant each round, so the
 broadcast is a fan-out of identical bytes — exactly the pattern where a
-single shared-memory copy beats N pickled pipe copies.
+single shared-memory copy beats N per-agent copies.
 
 Three transports ship, selectable by spec string (``--transport`` on the
 CLI, ``transport=`` on :class:`repro.eval.protocols.ExperimentSetting` and
@@ -13,7 +13,7 @@ CLI, ``transport=`` on :class:`repro.eval.protocols.ExperimentSetting` and
 experiment's :class:`repro.fl.server.FederatedConfig`):
 
 ``pipe``
-    The historical path: the encoded broadcast blob is pickled into each
+    The historical path: the encoded broadcast blob rides in each
     participating agent's broadcast frame — one full copy per agent.
 ``shm``
     Single-copy broadcast via :mod:`multiprocessing.shared_memory`: the
@@ -63,9 +63,10 @@ import os
 import secrets
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
+from repro.nn.serialize import encode_meta
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -98,7 +99,7 @@ _WORKER_ATTACH_RETENTION = 2
 
 @dataclass(frozen=True)
 class ShmHandle:
-    """What actually crosses the pipe under the shm transport: the segment
+    """What actually crosses the lane under the shm transport: the segment
     name and the blob length (segments round up to page size, so the length
     cannot be recovered from the mapping)."""
 
@@ -138,7 +139,8 @@ class Transport:
 
     def publish(self, blob: bytes) -> object:
         """Make one encoded broadcast blob available to workers; returns the
-        (small, picklable) handle to ship in their broadcast message."""
+        handle to ship in their broadcast message (the blob itself, or a
+        small frozen dataclass of plain fields)."""
         raise NotImplementedError
 
     def publish_wire_bytes(self, blob: bytes) -> int:
@@ -147,8 +149,9 @@ class Transport:
         return 0
 
     def handle_wire_bytes(self, handle: object) -> int:
-        """Per-worker cost of shipping ``handle`` in a broadcast message."""
-        raise NotImplementedError
+        """Per-worker cost of shipping ``handle`` in a broadcast message:
+        its plain fields, as the message's meta encodes them."""
+        return len(encode_meta(asdict(handle)))
 
     def end_round(self) -> None:
         """All of the round's uploads are in: release round-scoped
@@ -170,8 +173,8 @@ class Transport:
 
 
 class PipeTransport(Transport):
-    """The historical wire: the blob *is* the handle, so the pool pickles
-    one full copy into every participating worker's pipe."""
+    """The historical wire: the blob *is* the handle, so one full copy
+    rides in every participating worker's broadcast frame."""
 
     name = "pipe"
 
@@ -249,11 +252,6 @@ class ShmTransport(Transport):
 
     def publish_wire_bytes(self, blob: bytes) -> int:
         return len(blob)  # the single copy into the segment
-
-    def handle_wire_bytes(self, handle: object) -> int:
-        import pickle
-
-        return len(pickle.dumps(handle, protocol=pickle.HIGHEST_PROTOCOL))
 
     def end_round(self) -> None:
         _unlink_segments(self._published)

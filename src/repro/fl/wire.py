@@ -5,15 +5,17 @@ methods (§IV-B-3, Fig. 4b): clients keep their data, only model updates
 travel.
 
 1. **Registration** (once per client object per lane lifetime): the
-   client's id and dataset ship to its home — a pickled :class:`Client`
-   carries an empty scratch.  Ids evicted from the home since ride along
-   (clients their population released, clients that moved to another
-   home), so endpoint copies are freed without a message.
+   client's id and dataset ship to its home as a :class:`Registration` —
+   plain fields plus the raw bytes of its three arrays, never its
+   scratch.  Ids evicted from the home since ride along (clients their
+   population released, clients that moved to another home), so endpoint
+   copies are freed without a message.
 2. **Broadcast** (once per participating home per round): the strategy
    blob and the codec-encoded global weights; workers cache the strategy
    decode keyed on the blob bytes and decode the weights lazily.
 3. **Task** (per co-resident group per round):
-   ``(client_ids, round_index, seeds, fault)``.  A home's fault-free
+   ``(client_ids, round_index, seeds, fault)``, crossing as the plain
+   fields of :func:`task_fields`.  A home's fault-free
    participants share one task, which the endpoint's trainer
    (:mod:`repro.fl.compute`) stacks where it can; faulted clients always
    ride alone.
@@ -44,29 +46,153 @@ another machine, builds one per connection from its welcome.
 
 from __future__ import annotations
 
-import pickle
+import math
 import time
 import weakref
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass, replace
+from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
+from repro.data.synthetic import LabeledDataset
 from repro.fl.client import Client
 from repro.fl.codec import Codec, Payload, make_codec
 from repro.fl.compute import EnsembleBackend
 from repro.fl.faults import FaultEvent, apply_update_fault, sleep_injected
 from repro.fl.transport import Transport, make_transport
-from repro.nn.serialize import StateDict, decode_payload, encode_payload
+from repro.nn.serialize import StateDict, decode_payload, encode_meta, encode_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.fl.executor import ClientUpdate
     from repro.fl.strategy import Strategy
     from repro.nn.models import FeatureClassifierModel
 
-__all__ = ["WireServer", "WireStats", "WorkerRuntime"]
+__all__ = [
+    "Registration",
+    "WireServer",
+    "WireStats",
+    "WorkerRuntime",
+    "task_fields",
+    "task_from_fields",
+]
 
 #: ``(client_ids, round_index, seeds, fault)`` — see
 #: :meth:`WorkerRuntime.run_task`.
 Task = "tuple[tuple[int, ...], int, tuple[int, ...], FaultEvent | None]"
+
+
+def task_fields(
+    client_ids: "Sequence[int]",
+    round_index: int,
+    seeds: "Sequence[int]",
+    fault: "FaultEvent | None",
+) -> dict:
+    """A task's plain fields, as its wire message carries them."""
+    return {
+        "clients": list(client_ids),
+        "round": round_index,
+        "seeds": list(seeds),
+        "fault": None if fault is None else asdict(fault),
+    }
+
+
+def task_from_fields(fields: dict) -> "Task":
+    """The task tuple :func:`task_fields` describes."""
+    fault = fields["fault"]
+    return (
+        tuple(fields["clients"]),
+        fields["round"],
+        tuple(fields["seeds"]),
+        None if fault is None else FaultEvent(**fault),
+    )
+
+
+#: A client's dataset arrays, in the order a registration carries them.
+_DATASET_ARRAYS = ("images", "labels", "domain_ids")
+
+#: The dtypes a registered array may cross as: little-endian numbers only.
+#: An endpoint refuses any other before it reads a byte of the buffer.
+_ARRAY_DTYPES = frozenset({"<f8", "<f4", "<i8", "<i4", "|u1"})
+
+
+def _wire_array(spec: object, buffer: object) -> np.ndarray:
+    """The array ``spec`` (``{dtype, shape}``) describes, read-only and
+    zero-copy over ``buffer``; a :class:`ValueError` if the two disagree."""
+    dtype = spec.get("dtype") if isinstance(spec, dict) else None
+    shape = spec.get("shape") if isinstance(spec, dict) else None
+    if type(dtype) is not str or dtype not in _ARRAY_DTYPES:
+        raise ValueError(f"registration array dtype {dtype!r} is not allowed")
+    if not isinstance(shape, list) or not all(
+        type(dim) is int and dim >= 0 for dim in shape
+    ):
+        raise ValueError(f"registration array shape {shape!r} is malformed")
+    array = np.frombuffer(buffer, dtype=np.dtype(dtype))
+    if array.size != math.prod(shape):
+        raise ValueError(
+            f"registration array of shape {shape} arrived as {array.size} items"
+        )
+    array = array.reshape(shape)
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(eq=False)
+class Registration:
+    """One home's registration as it crosses the wire: plain fields
+    (``meta``) plus the raw bytes of every client's dataset arrays
+    (``buffers``, three per client, in ``meta`` order).
+
+    Built by the server with :meth:`of`, whose buffers are flat byte views
+    of the clients' own arrays (a non-contiguous array is made contiguous
+    first, the one copy it needs); rebuilt on an endpoint from a
+    ``register`` message's meta and buffers, whose arrays
+    :meth:`clients` reads in place.  Nothing in it is pickled.
+    """
+
+    meta: dict
+    buffers: "Sequence[object]"
+
+    @classmethod
+    def of(
+        cls, clients: "Sequence[Client]", evict_ids: "Sequence[int]"
+    ) -> "Registration":
+        entries, buffers = [], []
+        for client in clients:
+            specs = []
+            for name in _DATASET_ARRAYS:
+                array = np.ascontiguousarray(getattr(client.dataset, name))
+                specs.append({"dtype": array.dtype.str, "shape": list(array.shape)})
+                buffers.append(array.reshape(-1).view(np.uint8))
+            entries.append({"id": client.client_id, "arrays": specs})
+        return cls({"clients": entries, "evict": list(evict_ids)}, buffers)
+
+    @property
+    def nbytes(self) -> int:
+        """What crosses: the meta's encoding plus every array's bytes."""
+        return len(encode_meta(self.meta)) + sum(
+            memoryview(buffer).nbytes for buffer in self.buffers
+        )
+
+    def clients(self) -> "list[Client]":
+        """The registered clients, their arrays read-only views of the
+        buffers.  Anything malformed raises (``ValueError`` for an id that
+        is not an int, or a buffer count, dtype or shape that does not
+        match)."""
+        entries = self.meta["clients"]
+        if len(self.buffers) != len(_DATASET_ARRAYS) * len(entries):
+            raise ValueError(
+                f"registration of {len(entries)} client(s) carries "
+                f"{len(self.buffers)} buffers"
+            )
+        buffers = iter(self.buffers)
+        clients = []
+        for entry in entries:
+            client_id, specs = entry["id"], entry["arrays"]
+            if type(client_id) is not int or len(specs) != len(_DATASET_ARRAYS):
+                raise ValueError(f"malformed registration entry {entry!r}")
+            arrays = [_wire_array(spec, next(buffers)) for spec in specs]
+            clients.append(Client(client_id, LabeledDataset(*arrays)))
+        return clients
 
 
 @dataclass
@@ -156,7 +282,7 @@ class WireServer:
         # population holds: a released client is evicted at round close.
         self._resident: "dict[int, tuple[object, weakref.ref[Client]]]" = {}
         # Eviction ids queued per home, piggybacked on that home's next
-        # registration blob so the endpoint's own copies are freed without
+        # registration so the endpoint's own copies are freed without
         # a dedicated message.
         self._pending_evictions: "dict[object, list[int]]" = {}
         # Server half of the stateful-codec broadcast chain (see
@@ -194,19 +320,18 @@ class WireServer:
                 newcomers.setdefault(row.home, []).append(client)
         return newcomers
 
-    def _registration(self, home: object, clients: "list[Client]") -> bytes:
-        """One registration blob for ``home``.  Eviction ids queued for the
-        home ride along in the same blob (see ``WorkerRuntime.register``);
-        either half may be empty."""
-        evict_ids = tuple(self._pending_evictions.pop(home, ()))
-        blob = encode_payload((clients, evict_ids))
-        self.wire.registration_bytes += len(blob)
-        # Each client ships to exactly one home, so the blob is already
-        # fan-out-free and counts unchanged toward the unique floor.
-        self.wire.unique_registration_bytes += len(blob)
+    def _registration(self, home: object, clients: "list[Client]") -> Registration:
+        """One registration for ``home``.  Eviction ids queued for the home
+        ride along in it (see ``WorkerRuntime.register``); either half may
+        be empty."""
+        registration = Registration.of(clients, self._pending_evictions.pop(home, ()))
+        self.wire.registration_bytes += registration.nbytes
+        # Each client ships to exactly one home, so the registration is
+        # already fan-out-free and counts unchanged toward the unique floor.
+        self.wire.unique_registration_bytes += registration.nbytes
         for client in clients:
             self._resident[client.client_id] = (home, weakref.ref(client))
-        return blob
+        return registration
 
     def _publish(
         self,
@@ -249,16 +374,12 @@ class WireServer:
         """The constant-size task tuple for one row; a fault-plan event for
         the group rides inside it, so endpoints need no plan state."""
         for client, seed in zip(row.clients, row.seeds):
-            # Count each client's fixed task fields exactly; the group
-            # tuple's framing is charged to noise like the blob framing —
-            # so the accounting stays invariant to the grouping and the
-            # lane count.
-            self.wire.task_bytes += len(
-                pickle.dumps(
-                    (client.client_id, round_index, seed, row.fault),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            )
+            # Count each client's fields as the meta of a task of its own
+            # would carry them; the group's shared framing (and its task
+            # id) is charged to noise like the blob framing — so the
+            # accounting stays invariant to the grouping and the lane count.
+            fields = task_fields([client.client_id], round_index, [seed], row.fault)
+            self.wire.task_bytes += len(encode_meta(fields))
         return (
             tuple(client.client_id for client in row.clients),
             round_index,
@@ -267,7 +388,7 @@ class WireServer:
         )
 
     def _decode_upload(
-        self, blob: bytes, global_state: StateDict
+        self, blob: "bytes | memoryview", global_state: StateDict
     ) -> "list[ClientUpdate]":
         """Unwrap one upload frame's blob: codec-decode each state against
         the round's broadcast ``global_state``, the reference the endpoint
@@ -296,7 +417,7 @@ class WireServer:
     def _evict_released(self) -> None:
         """Drop every resident whose client object its population has
         released, and queue the endpoint-side eviction for its home's next
-        registration blob."""
+        registration."""
         for client_id in [
             cid for cid, (_, ref) in self._resident.items() if ref() is None
         ]:
@@ -348,24 +469,24 @@ class WorkerRuntime:
         self.pending: "tuple[object, int] | None" = None
         self.bcast_ref: StateDict | None = None
 
-    def register(self, clients_blob: bytes) -> int:
+    def register(self, registration: Registration) -> int:
         """Make the shipped clients resident; replaces same-id residents.
 
-        The blob also carries the ids the server evicted from this endpoint
-        since the last registration — piggybacked here so worker-side
+        The registration also carries the ids the server evicted from this
+        endpoint since the last one — piggybacked here so worker-side
         copies are freed without a dedicated message.  Either half may be
         empty: a pure-eviction flush ships no clients, a pure registration
         no evictions.
         """
-        clients, evict_ids = decode_payload(clients_blob)
-        for client_id in evict_ids:
+        clients = registration.clients()
+        for client_id in registration.meta["evict"]:
             self.clients.pop(client_id, None)
         for client in clients:
             self.clients[client.client_id] = client
         return len(clients)
 
     def broadcast(
-        self, strategy_blob: bytes, handle: object, round_index: int
+        self, strategy_blob: "bytes | memoryview", handle: object, round_index: int
     ) -> None:
         """Record one round's strategy + broadcast handle.
 
@@ -376,7 +497,8 @@ class WorkerRuntime:
         """
         if strategy_blob != self.strategy_blob:  # decode cached on the bytes
             self.strategy = decode_payload(strategy_blob)
-            self.strategy_blob = strategy_blob
+            # Its own copy: a view would hold the whole broadcast frame.
+            self.strategy_blob = bytes(strategy_blob)
         self.pending = (handle, round_index)
 
     def ensure_round_state(self, round_index: int) -> float:

@@ -8,6 +8,7 @@ verified primitives.
 
 from __future__ import annotations
 
+import json
 import pickle
 import struct
 from typing import Any, Iterable, Sequence
@@ -24,6 +25,7 @@ __all__ = [
     "state_allclose",
     "encode_payload",
     "decode_payload",
+    "encode_meta",
 ]
 
 StateDict = dict[str, np.ndarray]
@@ -213,13 +215,18 @@ def state_allclose(a: StateDict, b: StateDict, atol: float = 1e-10) -> bool:
 # leave the pickle stream as out-of-band buffers and are framed after the
 # (tiny) head, so encoding skips pickle's per-array framing and *decoding*
 # hands numpy zero-copy views into the received blob instead of fresh
-# allocations.  Eligible are state dicts, bare arrays, and any type that
-# opts in with a ``__wire_oob__ = True`` class attribute (the codec
-# :class:`repro.fl.codec.Payload` and the executor's ``ClientUpdate`` — the
-# latter is what puts the class channel's per-class means out of band on
-# the upload hop).
+# allocations.  Eligible are state dicts, bare arrays, any type that opts
+# in with a ``__wire_oob__ = True`` class attribute (the codec
+# :class:`repro.fl.codec.Payload` and the executor's ``ClientUpdate``), and
+# a non-empty list of eligible items — an upload, one ``ClientUpdate`` per
+# client of its task, which is what puts wire tensors and the class
+# channel's per-class means out of band on the upload hop.  Each buffer
+# starts at a multiple of ``_OOB_ALIGN`` bytes into the blob (zero padding
+# after its length), so a blob that starts aligned — a wire frame's buffer,
+# a shared-memory segment — decodes to aligned arrays.
 _OOB_MAGIC = b"RPB5"
 _OOB_LEN = struct.Struct("<Q")
+_OOB_ALIGN = 8
 
 
 def _is_state_dict(obj: Any) -> bool:
@@ -234,6 +241,8 @@ def _is_state_dict(obj: Any) -> bool:
 
 
 def _wants_oob(obj: Any) -> bool:
+    if type(obj) is list:
+        return bool(obj) and all(_wants_oob(item) for item in obj)
     return (
         isinstance(obj, np.ndarray)
         or _is_state_dict(obj)
@@ -264,10 +273,13 @@ def encode_payload(obj: Any) -> bytes:
                 head,
                 _OOB_LEN.pack(len(buffers)),
             ]
+            offset = sum(len(part) for part in parts)
             for buffer in buffers:
                 raw = buffer.raw()
-                parts.append(_OOB_LEN.pack(raw.nbytes))
+                pad = -(offset + _OOB_LEN.size) % _OOB_ALIGN
+                parts.append(_OOB_LEN.pack(raw.nbytes) + bytes(pad))
                 parts.append(raw)
+                offset += _OOB_LEN.size + pad + raw.nbytes
             return b"".join(parts)
         return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:  # surface *what* failed to serialize
@@ -295,7 +307,18 @@ def decode_payload(data: bytes) -> Any:
         for _ in range(count):
             (length,) = _OOB_LEN.unpack_from(view, offset)
             offset += _OOB_LEN.size
+            offset += -offset % _OOB_ALIGN
             buffers.append(view[offset : offset + length])
             offset += length
         return pickle.loads(head, buffers=buffers)
     return pickle.loads(data)
+
+
+_META_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def encode_meta(fields: dict) -> bytes:
+    """The one encoding of a wire message's plain fields (its *meta*):
+    compact ASCII JSON.  The wire accounting measures meta bytes with it
+    too, so the bytes it charges are the bytes a frame carries."""
+    return _META_ENCODER.encode(fields).encode("ascii")

@@ -42,6 +42,7 @@ from repro.fl import (
 )
 from repro.fl.faults import FixedDeadline, poison_state, state_is_corrupt
 from repro.fl.transport import SHM_SEGMENT_PREFIX
+from repro.fl.wire import Registration
 from repro.nn import build_mlp_model
 from repro.nn.serialize import encode_payload
 from repro.utils.rng import SeedTree
@@ -664,7 +665,7 @@ class TestCrashRecovery:
             # and the lane's clients (0 and 2) registered again.
             assert ex.wire_stats().registration_bytes - before == len(
                 encode_payload(model)
-            ) + len(encode_payload(([clients[0], clients[2]], ())))
+            ) + Registration.of([clients[0], clients[2]], ()).nbytes
 
 
 class TestTimingAndHistory:

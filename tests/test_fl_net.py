@@ -14,18 +14,23 @@ import logging
 import multiprocessing
 import os
 import pickle
+import select
 import socket
 import struct
+import subprocess
 import sys
 import threading
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import FedAvgStrategy
 from repro.core import PardonStrategy
 from repro.data import partition_clients, synthetic_pacs
+from repro.data.synthetic import LabeledDataset
 from repro.fl import (
     Client,
     FaultEvent,
@@ -55,13 +60,16 @@ from repro.fl.net import (
     recv_frame,
     send_frame,
 )
-from repro.fl.executor import WorkerRuntime
+from repro.fl.codec import make_codec
+from repro.fl.executor import ClientUpdate, WorkerRuntime
+from repro.fl.wire import Registration, task_fields, task_from_fields
 from repro.fl.net import executor as net_executor
 from repro.fl.net.agent import run_agent
 from repro.fl.net.protocol import (
     BROADCAST,
     PROTOCOL_VERSION,
     HELLO,
+    MAX_HELLO_BYTES,
     REGISTER,
     REGISTERED,
     REJECT,
@@ -72,10 +80,12 @@ from repro.fl.net.protocol import (
     encode_message,
     evaluate_hello,
     hello_meta,
+    message_parts,
 )
 from repro.fl.net.serve import trace_dict
 from repro.fl.net.transport import _BLOB_ID, _GET, parse_endpoint
 from repro.nn import build_mlp_model
+from repro.nn.serialize import decode_payload, encode_payload
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
 FAST = LocalTrainingConfig(batch_size=8)
@@ -234,14 +244,33 @@ class TestFrames:
         a.close()
         b.close()
 
+    def test_scatter_send_of_more_parts_than_one_sendmsg_takes(self):
+        """A frame of more parts than ``IOV_MAX``, too large for the
+        socket buffer, arrives whole: ``send_views`` advances across
+        partial writes and chunks the scatter list."""
+        parts = [bytes([i % 251]) * 997 for i in range(2500)]
+        near, far = socket.socketpair()
+        try:
+            sender = threading.Thread(target=send_frame, args=(near, *parts))
+            sender.start()
+            frame = FrameStream(far).next_frame()
+            sender.join(timeout=30)
+            assert not sender.is_alive()
+        finally:
+            near.close()
+            far.close()
+        assert frame == b"".join(parts)
+
     def test_frame_stream_tolerates_pipelined_peer(self):
         a, b = socket.socketpair()
         a.sendall(encode_frame(b"one") + encode_frame(b"two"))
         stream = FrameStream(b)
         assert stream.next_frame() == b"one"
-        assert stream.buffered  # second frame already decoded
+        # Reads are exact: the second frame is still in the socket, where
+        # a selector loop sees it.
+        assert select.select([b], [], [], 0)[0] == [b]
         assert stream.next_frame() == b"two"
-        assert not stream.buffered
+        assert select.select([b], [], [], 0)[0] == []
         a.close()
         assert stream.next_frame() is None
         b.close()
@@ -265,10 +294,11 @@ class TestHandshake:
         # A version-1 task tuple carries a fifth (scratch-sync) field, a
         # version-2 welcome a compute spec, a version-3 agent neither
         # acknowledges registrations nor reads broadcast handles from meta,
-        # and a version-4 agent encodes uploads against its previous upload
-        # instead of the round's broadcast.
-        assert PROTOCOL_VERSION == 5
-        for version in (1, 2, 3, 4):
+        # a version-4 agent encodes uploads against its previous upload
+        # instead of the round's broadcast, and a version-5 one speaks
+        # pickled (kind, meta, blob) frames.
+        assert PROTOCOL_VERSION == 6
+        for version in (1, 2, 3, 4, 5):
             reason = evaluate_hello({"version": version}, codec_spec="identity")
             assert reason is not None and "version" in reason
 
@@ -312,6 +342,263 @@ class TestHandshake:
         remote.close()
         good.join(timeout=10)
         assert "result" in box, box.get("error")
+
+
+# -- the pickle-free message layer ---------------------------------------------
+
+
+def _decodes_or_frame_error(payload):
+    """``decode_message`` of ``payload`` is a ``Message`` or a
+    ``FrameError`` — any other exception fails the caller's test."""
+    try:
+        return decode_message(payload)
+    except FrameError:
+        return None
+
+
+def _vm_rss_bytes():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no VmRSS line")  # pragma: no cover
+
+
+class TestWireFuzz:
+    """Whatever bytes a peer sends end in a ``Message`` or a typed
+    ``FrameError``, on the message layer and on the socket stream."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(payload=st.binary(max_size=512))
+    def test_arbitrary_payloads(self, payload):
+        _decodes_or_frame_error(payload)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_messages(self, data):
+        """Near-misses of real messages: one byte changed, or the payload
+        cut short, anywhere in header, meta or buffers."""
+        payload = bytearray(encode_message(
+            data.draw(st.sampled_from([TASK, UPLOAD, REGISTER, HELLO])),
+            {"task": 3, "round": [1, 2.5, None], "text": "é"},
+            b"abc", b"", b"\x00" * 9,
+        ))
+        at = data.draw(st.integers(0, len(payload) - 1))
+        if data.draw(st.booleans()):
+            payload[at] = data.draw(st.integers(0, 255))
+        else:
+            del payload[at:]
+        message = _decodes_or_frame_error(bytes(payload))
+        if message is not None:
+            assert sum(len(buffer) for buffer in message.buffers) <= len(payload)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        stream_bytes=st.one_of(
+            st.binary(max_size=256),
+            st.lists(st.binary(max_size=64), max_size=4).map(
+                lambda payloads: b"".join(encode_frame(p) for p in payloads)
+            ),
+            st.tuples(st.binary(max_size=64), st.binary(max_size=64)).map(
+                lambda pair: encode_frame(encode_message(UPLOAD, {}, pair[0])) + pair[1]
+            ),
+        )
+    )
+    def test_socket_streams(self, stream_bytes):
+        """A peer writes the bytes and hangs up: the stream yields frames
+        until a clean EOF or a ``FrameError``, and every frame decodes or
+        raises ``FrameError``."""
+        near, far = socket.socketpair()
+        try:
+            near.sendall(stream_bytes)
+            near.close()
+            stream = FrameStream(far)
+            while True:
+                try:
+                    frame = stream.next_frame()
+                except FrameError:
+                    break
+                if frame is None:
+                    break
+                _decodes_or_frame_error(frame)
+        finally:
+            far.close()
+
+
+class TestHostilePeers:
+    def test_oversized_hello_is_closed_unanswered(self, monkeypatch):
+        """A frame over the hello cap from a peer not yet welcomed is
+        closed on without a reply, and the listener keeps accepting."""
+        monkeypatch.setattr(net_executor, "_ACCEPT_TIMEOUT", 5.0)
+        remote = RemoteExecutor(num_agents=1)
+        with socket.create_connection(remote.address, timeout=10) as peer:
+            peer.sendall(struct.pack(">I", MAX_HELLO_BYTES + 1))
+            good = threading.Thread(
+                target=run_agent, args=(remote.address,), daemon=True
+            )
+            good.start()
+            try:
+                result = run_once(remote, rounds=1)
+            finally:
+                remote.close()
+                good.join(timeout=10)
+            assert peer.recv(16) == b""  # closed, nothing said
+        assert len(result.history.records) == 1
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads Linux VmRSS"
+    )
+    def test_announced_gigabyte_costs_what_arrived(self):
+        """A peer that announces the largest frame and hangs up after
+        1 KiB raises ``FrameError``; the reader committed memory for the
+        bytes that came, not for the gigabyte announced."""
+        near, far = socket.socketpair()
+        try:
+            near.sendall(struct.pack(">I", MAX_FRAME_BYTES) + os.urandom(1024))
+            near.close()
+            before = _vm_rss_bytes()
+            with pytest.raises(FrameError, match="mid-frame"):
+                FrameStream(far).next_frame()
+            assert _vm_rss_bytes() - before < 16 << 20
+        finally:
+            far.close()
+
+
+def _odd_clients():
+    """Clients whose arrays cover the registration's shapes: one with a
+    non-contiguous image array (a strided view), one with no samples."""
+    base = make_clients(n_clients=2)
+    strided = base[0].dataset.images[:, :, :, ::-1][:, :, ::2]
+    assert not strided.flags.c_contiguous
+    dataset = base[0].dataset
+    odd = LabeledDataset(strided, dataset.labels, dataset.domain_ids)
+    empty = dataset.subset(np.arange(0))
+    return [Client(3, odd), base[1], Client(9, empty)]
+
+
+class TestRegistration:
+    def test_round_trips_bit_identically_over_a_socket(self):
+        clients = _odd_clients()
+        registration = Registration.of(clients, (4, 5))
+        # Contiguous arrays cross from the server's own memory.
+        assert np.shares_memory(registration.buffers[3], clients[1].dataset.images)
+        near, far = socket.socketpair()
+        try:
+            sender = threading.Thread(target=send_frame, args=(
+                near, *message_parts(REGISTER, registration.meta, *registration.buffers)
+            ))
+            sender.start()
+            frame = FrameStream(far).next_frame()
+            sender.join()
+        finally:
+            near.close()
+            far.close()
+        message = decode_message(frame)
+        assert message.kind == REGISTER and message.meta["evict"] == [4, 5]
+        shipped = Registration(message.meta, message.buffers).clients()
+        assert [c.client_id for c in shipped] == [3, 1, 9]
+        for mine, theirs in zip(clients, shipped):
+            for name in ("images", "labels", "domain_ids"):
+                ours, got = getattr(mine.dataset, name), getattr(theirs.dataset, name)
+                assert got.dtype == ours.dtype and got.shape == ours.shape
+                assert got.tobytes() == ours.tobytes()
+                assert not got.flags.writeable and got.flags.aligned
+                if got.size:  # read in place: a view of the received frame
+                    assert np.shares_memory(got, np.frombuffer(frame, np.uint8))
+
+    def test_wire_bytes_are_meta_plus_arrays(self):
+        clients = _odd_clients()
+        registration = Registration.of(clients, ())
+        arrays = sum(
+            getattr(c.dataset, name).nbytes
+            for c in clients for name in ("images", "labels", "domain_ids")
+        )
+        meta = len(json.dumps(registration.meta, separators=(",", ":")))
+        assert registration.nbytes == arrays + meta
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"dtype": "|O", "shape": [2]},
+            {"dtype": ">f8", "shape": [2]},
+            {"dtype": "<i8", "shape": [3]},
+            {"dtype": "<i8", "shape": [-1]},
+            {"dtype": "<i8", "shape": [2.0]},
+            {"dtype": "<i8"},
+        ],
+        ids=[
+            "object", "big-endian", "short-buffer", "negative", "float-dim",
+            "no-shape",
+        ],
+    )
+    def test_refuses_what_it_cannot_read_in_place(self, spec):
+        ok = {"dtype": "<i8", "shape": [2]}
+        meta = {"clients": [{"id": 0, "arrays": [ok, ok, spec]}], "evict": []}
+        buffers = [np.zeros(2, np.int64).view(np.uint8)] * 3
+        with pytest.raises(ValueError, match="registration array"):
+            Registration(meta, buffers).clients()
+
+    def test_task_fields_round_trip_through_json(self):
+        fault = FaultEvent("byzantine", 2, 7, mode="scale", payload_seed=11)
+        for task in [((1, 3), 2, (10, 30), None), ((7,), 2, (70,), fault)]:
+            message = decode_message(encode_message(TASK, task_fields(*task)))
+            assert task_from_fields(message.meta) == task
+
+
+class TestUploadFrames:
+    def test_upload_decodes_in_place_from_its_frame(self):
+        """An upload's arrays (codec tensors, class-channel means) come out
+        of ``decode_payload`` as views of the received frame."""
+        update = ClientUpdate(
+            client_id=3, num_samples=5,
+            state=make_codec("identity").encode({"w": np.arange(6.0)}),
+            loss=0.5, payload={"class_stats": np.ones((2, 4))},
+        )
+        near, far = socket.socketpair()
+        try:
+            upload = encode_payload([update])
+            send_frame(near, *message_parts(UPLOAD, {"task": 1}, upload))
+            frame = FrameStream(far).next_frame()
+        finally:
+            near.close()
+            far.close()
+        (got,) = decode_payload(decode_message(frame).blob)
+        whole = np.frombuffer(frame, np.uint8)
+        assert np.shares_memory(got.state.tensors["w"], whole)
+        assert np.shares_memory(got.payload["class_stats"], whole)
+        assert got.state.tensors["w"].flags.aligned
+        assert got.payload["class_stats"].flags.aligned
+        np.testing.assert_array_equal(got.state.tensors["w"], np.arange(6.0))
+
+
+class TestNoPickleOnTheWire:
+    def test_the_wire_modules_do_not_import_pickle(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        for relative in (
+            "src/repro/fl/transport.py",
+            "src/repro/fl/net/protocol.py",
+            "src/repro/fl/net/agent.py",
+            "src/repro/fl/net/executor.py",
+        ):
+            with open(os.path.join(root, relative)) as source:
+                assert "import pickle" not in source.read(), relative
+
+    def test_agent_module_runs_without_a_runpy_warning(self):
+        """``python -m repro.fl.net.agent`` must not find the agent module
+        already imported by its own package."""
+        import repro
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.fl.net.agent", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
 
 
 # -- the tcp transport (ParallelExecutor wire) ---------------------------------
@@ -767,8 +1054,6 @@ def faulty_agent(address, connected, on_task):
     """A protocol-complete agent (the real ``WorkerRuntime`` behind a
     hand-rolled serve loop) that calls ``on_task(stream, meta)`` before each
     task and leaves — closing its socket — when that returns true."""
-    import pickle
-
     sock = socket.create_connection(address, timeout=30)
     connected.set()
     try:
@@ -782,17 +1067,15 @@ def faulty_agent(address, connected, on_task):
         while (frame := stream.next_frame()) is not None:
             message = decode_message(frame)
             if message.kind == REGISTER:
-                runtime.register(message.blob)
+                runtime.register(Registration(message.meta, message.buffers))
                 stream.send(encode_message(REGISTERED))
             elif message.kind == BROADCAST:
-                # The state frame follows the strategy blob under pipe;
-                # any other transport's handle crosses as meta fields.
-                split, fields = (
-                    message.meta["strategy_bytes"], message.meta.get("handle")
-                )
+                # The state frame is the second buffer under pipe; any
+                # other transport's handle crosses as meta fields.
+                fields = message.meta.get("handle")
                 runtime.broadcast(
-                    message.blob[:split],
-                    message.blob[split:] if fields is None
+                    message.buffers[0],
+                    message.buffers[1] if fields is None
                     else runtime.transport.handle_type(**fields),
                     message.meta["round"],
                 )
@@ -801,7 +1084,7 @@ def faulty_agent(address, connected, on_task):
                     return
                 stream.send(encode_message(
                     UPLOAD, {"task": message.meta["task"]},
-                    runtime.run_task(pickle.loads(message.blob)),
+                    runtime.run_task(task_from_fields(message.meta)),
                 ))
             else:
                 return
@@ -858,7 +1141,7 @@ class TestLostAgentMidRun:
         """A frame that is not a protocol message loses the lane, exactly
         like EOF: its rows drop as ``disconnect`` and the round closes."""
         def babble(stream, meta):
-            stream.send(b"\x00 not a pickled (kind, meta, blob)")
+            stream.send(b"\x00 not a protocol message")
             # Keep the socket open — no EOF for the server to see — until
             # the server itself hangs up on the offender.
             try:
