@@ -11,7 +11,7 @@ from repro.data.styles import DomainStyle, render_images
 from repro.data.synthetic import (
     DomainSuite,
     LabeledDataset,
-    generate_domain_dataset,
+    RenderedDomains,
 )
 from repro.data.registry import (
     synthetic_domain_sweep,
@@ -22,6 +22,7 @@ from repro.data.registry import (
 )
 from repro.data.partition import (
     ClientPartition,
+    SuiteRows,
     lodo_splits,
     ltdo_splits,
     partition_clients,
@@ -34,13 +35,14 @@ __all__ = [
     "render_images",
     "DomainSuite",
     "LabeledDataset",
-    "generate_domain_dataset",
+    "RenderedDomains",
     "synthetic_pacs",
     "synthetic_office_home",
     "synthetic_iwildcam",
     "synthetic_domain_sweep",
     "synthetic_skew",
     "ClientPartition",
+    "SuiteRows",
     "partition_clients",
     "lodo_splits",
     "ltdo_splits",

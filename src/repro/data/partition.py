@@ -14,24 +14,119 @@ heterogeneity level ``lambda``:
 
 Samples are assigned without replacement, conserving every sample exactly
 once across clients — an invariant the property tests pin down.
+
+A client's dataset is a :class:`SuiteRows`: which rows of which domains it
+holds.  Partitioning reads labels only, so it renders nothing, and a client
+of a generated suite is a *recipe* — the suite's spec plus its rows — that
+any process can render bit for bit.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.synthetic import DomainSuite, LabeledDataset
 
-__all__ = ["ClientPartition", "partition_clients", "lodo_splits", "ltdo_splits"]
+__all__ = [
+    "ClientPartition",
+    "SuiteRows",
+    "partition_clients",
+    "lodo_splits",
+    "ltdo_splits",
+]
+
+
+def _no_images() -> None:
+    return None
+
+
+class SuiteRows(LabeledDataset):
+    """One client's rows of a suite: ``parts`` lists ``(domain index,
+    row indices)``, domain after domain, in the order the client holds them.
+
+    Labels and domain ids are gathered at once (they need no render).
+    Images are gathered from the domains when read, into one fresh array
+    that is shared by every read while anything still holds it, so nothing
+    keeps a client's images but the code using them.  A gather renders
+    the domains it needs unless they are live; :meth:`hold` keeps them
+    rendered for as long as this dataset lives, which is what a process
+    that trains the client (a lane, the serial engine) does.
+    """
+
+    def __init__(
+        self, suite: DomainSuite, parts: "list[tuple[int, np.ndarray]]"
+    ) -> None:
+        self.suite = suite
+        self.parts = [
+            (int(domain), np.asarray(rows, np.int64)) for domain, rows in parts
+        ]
+        total = sum(len(rows) for _, rows in self.parts)
+        self.labels = np.empty(total, dtype=np.int64)
+        self.domain_ids = np.empty(total, dtype=np.int64)
+        for (domain, rows), span in zip(self.parts, self._spans()):
+            source = suite.datasets[domain]
+            # The rows are distinct and in range (a slice of a permutation,
+            # or a recipe checked on arrival), so "clip" never clips;
+            # unlike "raise" it writes ``out`` unbuffered.
+            np.take(source.labels, rows, out=self.labels[span], mode="clip")
+            np.take(source.domain_ids, rows, out=self.domain_ids[span], mode="clip")
+        self._images = _no_images
+        self._held: tuple = ()
+
+    def _spans(self) -> "list[slice]":
+        spans, offset = [], 0
+        for _, rows in self.parts:
+            spans.append(slice(offset, offset + len(rows)))
+            offset += len(rows)
+        return spans
+
+    @property
+    def images(self) -> np.ndarray:  # type: ignore[override]
+        images = self._images()
+        if images is None:
+            images = np.empty((len(self),) + tuple(self.suite.image_shape))
+            for domain, (_, rows), span in zip(
+                self._held or self.pin(), self.parts, self._spans()
+            ):
+                np.take(domain, rows, axis=0, out=images[span], mode="clip")
+            self._images = weakref.ref(images)
+        return images
+
+    @property
+    def image_shape(self) -> tuple[int, int, int]:
+        return tuple(self.suite.image_shape)  # type: ignore[return-value]
+
+    def pin(self) -> tuple:
+        return tuple(self.suite.datasets[domain].images for domain, _ in self.parts)
+
+    def hold(self) -> "SuiteRows":
+        if not self._held:
+            self._held = self.pin()
+        return self
+
+    @property
+    def recipe(self) -> "dict | None":
+        """What a lane renders this dataset from — the suite's spec and
+        the parts as JSON lists — or ``None`` for a suite built by hand."""
+        if self.suite.spec is None:
+            return None
+        return {
+            "suite": self.suite.spec,
+            "parts": [[domain, rows.tolist()] for domain, rows in self.parts],
+        }
+
+    def __repr__(self) -> str:
+        return f"SuiteRows({self.suite.name}, {len(self)} rows)"
 
 
 @dataclass
 class ClientPartition:
     """The result of partitioning: one dataset per client plus bookkeeping."""
 
-    client_datasets: list[LabeledDataset]
+    client_datasets: list[SuiteRows]
     home_domains: list[int]
     mixture_weights: np.ndarray  # (n_clients, n_domains), rows sum to 1
 
@@ -65,10 +160,11 @@ def partition_clients(
     rng:
         Controls home-domain assignment shuffling and sample routing.
 
-    Each client's arrays are fresh: its rows are gathered from every
-    domain it draws on straight into one array per field, in
-    ``train_domain_indices`` order, so no client shares memory with the
-    suite and no intermediate per-domain copy is made.
+    Each client's dataset is a :class:`SuiteRows` over the domains it
+    draws on, in ``train_domain_indices`` order: its arrays are gathered
+    straight into one fresh array per field (the images only when read),
+    so no client shares memory with the suite.  Partitioning reads
+    labels only and renders nothing.
     """
     if not 0.0 <= heterogeneity <= 1.0:
         raise ValueError(f"heterogeneity must be in [0, 1], got {heterogeneity}")
@@ -98,8 +194,7 @@ def partition_clients(
         [] for _ in range(num_clients)
     ]
     for local_domain, domain_index in enumerate(train_domain_indices):
-        dataset = suite.datasets[domain_index]
-        n_samples = len(dataset)
+        n_samples = len(suite.datasets[domain_index])
         if n_samples == 0:
             continue
         share = weights[:, local_domain]
@@ -128,34 +223,11 @@ def partition_clients(
                 )
                 offset += take
 
-    client_datasets = [_gather(suite, parts) for parts in per_client_indices]
     return ClientPartition(
-        client_datasets=client_datasets,
+        client_datasets=[SuiteRows(suite, parts) for parts in per_client_indices],
         home_domains=[int(h) for h in home],
         mixture_weights=weights,
     )
-
-
-def _gather(
-    suite: DomainSuite, parts: list[tuple[int, np.ndarray]]
-) -> LabeledDataset:
-    """One client's dataset: the rows ``parts`` names, domain after domain,
-    taken straight into one fresh array each (no per-domain copies)."""
-    total = sum(len(indices) for _, indices in parts)
-    images = np.empty((total,) + suite.image_shape)
-    labels = np.empty(total, dtype=np.int64)
-    domain_ids = np.empty(total, dtype=np.int64)
-    offset = 0
-    for domain_index, indices in parts:
-        source = suite.datasets[domain_index]
-        rows = slice(offset, offset + len(indices))
-        # The indices are a slice of a permutation of the domain's rows, so
-        # "clip" never clips; unlike "raise" it writes ``out`` unbuffered.
-        np.take(source.images, indices, axis=0, out=images[rows], mode="clip")
-        np.take(source.labels, indices, out=labels[rows], mode="clip")
-        np.take(source.domain_ids, indices, out=domain_ids[rows], mode="clip")
-        offset += len(indices)
-    return LabeledDataset(images=images, labels=labels, domain_ids=domain_ids)
 
 
 def lodo_splits(num_domains: int) -> list[dict[str, list[int]]]:

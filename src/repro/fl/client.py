@@ -17,10 +17,11 @@ class Client:
     ``scratch`` is a per-client dict strategies may use for *caches*: values
     recomputable from the client's data and the broadcast strategy (e.g.
     PARDON's style-transferred images).  It stays on the endpoint that
-    writes it — a pickled client ships with an empty scratch, and nothing
-    syncs it between server and workers — so any endpoint may start with
-    it empty and a cache must check it still fits the strategy it reads it
-    for.  The simulation core never reads it.
+    writes it — a registration carries only the client's id and its data
+    (a recipe, or the arrays), and nothing syncs scratch between server
+    and workers — so any endpoint may start with it empty and a cache
+    must check it still fits the strategy it reads it for.  The
+    simulation core never reads it.
 
     Co-resident clients (the same engine location in one round) may be
     handed to the trainer (:mod:`repro.fl.compute`) as one *group* and
@@ -37,7 +38,3 @@ class Client:
     @property
     def num_samples(self) -> int:
         return len(self.dataset)
-
-    def __getstate__(self) -> dict[str, Any]:
-        # Scratch stays where it is written: a shipped copy starts empty.
-        return {"client_id": self.client_id, "dataset": self.dataset, "scratch": {}}

@@ -40,6 +40,7 @@ every stack.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -129,7 +130,7 @@ class EnsembleBackend:
 
     def _stack_limit(self, strategy: "Strategy", client: Client) -> int:
         batch = min(strategy.local_config.batch_size, client.num_samples)
-        step = batch * client.dataset.images[0].size
+        step = batch * math.prod(client.dataset.image_shape)
         return max(1, _STACK_STEP_ELEMENTS // step)
 
     def _plan(

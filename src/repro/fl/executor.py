@@ -235,6 +235,9 @@ class SerialExecutor(Executor):
         self._frame = (strategy, state, round_index)
 
     def submit(self, task_id: int, home: int, row: "_Row") -> None:
+        # The client trains here: its domains stay rendered while it lives,
+        # instead of rendering again each time its images are read.
+        row.clients[0].dataset.hold()
         self._queued.append((task_id, row))
 
     def poll(self, timeout: "float | None") -> "list[tuple[int, list[ClientUpdate]]]":

@@ -85,7 +85,10 @@ drops a client with reason ``"disconnect"`` when the agent hosting it
 vanishes mid-round (socket EOF or write error).  Like a crash, the round
 closes gracefully over the survivors; unlike a crash, nothing is rebuilt
 — the dead agent's clients are simply outstanding until the server
-re-homes them in a later round.
+re-homes them in a later round.  ``mismatch`` is its data-side sibling:
+a lane that renders a client's domain (from the client's recipe, see
+:mod:`repro.fl.wire`) to other bytes than the reference — another numpy
+build, say — is dropped the same way, and is not rebuilt in the round.
 
 Magnitude screen
 ----------------

@@ -22,7 +22,8 @@ class RoundRecord:
     ``participants`` is who the sampler *selected*; ``dropped`` maps the
     selected clients that produced no aggregated update to the reason the
     fault layer recorded (``"dropout"``, ``"straggler"``, ``"deadline"``,
-    ``"corrupt"``, ``"crash"``, ``"quorum"``, ``"disconnect"`` — see
+    ``"corrupt"``, ``"crash"``, ``"quorum"``, ``"disconnect"``,
+    ``"mismatch"`` — see
     :mod:`repro.fl.faults`).
     Aggregation reweighted over the survivors: ``participants`` minus
     ``dropped``.

@@ -31,8 +31,9 @@ while keeping every trace bit-identical to the in-host engines:
 Everything here reuses the existing wire contract (`ClientUpdate`,
 codec reference chains, `WireStats`, fault plans, deadlines, streaming
 folds) — the socket is a new hop, not a new round protocol.  What crosses
-it is plain: task fields and handles as JSON, a registration as JSON plus
-the raw bytes of each client's arrays, sent from the server's own memory.
+it is plain: task fields and handles as JSON, a registration as JSON —
+each suite-built client as a recipe its agent renders, any other client
+with the raw bytes of its arrays, sent from the server's own memory.
 The blobs that are still ``encode_payload`` pickles (the welcome's model
 template, the broadcast's strategy, uploads) ride as opaque buffers; the
 broadcast's state frame and an upload's codec payloads keep their

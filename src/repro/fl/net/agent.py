@@ -6,8 +6,9 @@
 launches the same loop itself, one process per lane, on one end of a
 ``socket.socketpair()``.  Either way :func:`serve` performs the
 hello/welcome handshake and then serves the federation protocol until the
-server says goodbye or hangs up: registrations make clients resident (and
-are acknowledged), broadcasts install each round's strategy and (lazily
+server says goodbye or hangs up: registrations make clients resident,
+rendering the domains their recipes read (and are acknowledged with those
+domains' digests), broadcasts install each round's strategy and (lazily
 decoded) global state, tasks train co-resident client groups, and each
 task's updates stream straight back as an upload frame — or, if training
 raised, as an error frame carrying the traceback.
@@ -78,7 +79,7 @@ def _answer(runtime: WorkerRuntime, message: Message) -> "list | None":
     """Handle one server message; the reply's scatter list, if any."""
     if message.kind == REGISTER:
         runtime.register(Registration(message.meta, message.buffers))
-        return message_parts(REGISTERED)
+        return message_parts(REGISTERED, {"digests": runtime.digests()})
     if message.kind == BROADCAST:
         runtime.broadcast(*broadcast_parts(message, runtime.transport))
         return None

@@ -39,7 +39,10 @@ outstanding tasks lost.  A launched agent is relaunched and re-helloed in
 place, and the round re-runs what it lost; a remote agent is not the
 server's process to restart, so its clients drop with reason
 ``"disconnect"`` (:mod:`repro.fl.faults`, "Drop reasons") and are re-homed
-(and re-registered) across the remaining agents on the next round.  A task
+(and re-registered) across the remaining agents on the next round.  An
+agent whose registration answer shows a domain rendered to other bytes than
+the reference is dropped the same way, its clients with reason
+``"mismatch"``, and is not relaunched within the round.  A task
 that raises on its agent comes back as an ``error`` frame: a live task's
 error is a :class:`RuntimeError` here, naming the agent and carrying the
 remote traceback; an abandoned task's error, like its late upload, is
@@ -303,11 +306,26 @@ class _AgentLanes(Executor):
     def send_register(self, home: int, registration: "Registration") -> None:
         # Waited on: the ack comes back after the registration is
         # installed, behind whatever the agent was still finishing (an
-        # abandoned task's answer is read, and discarded, on the way).
+        # abandoned task's answer is read, and discarded, on the way).  It
+        # carries the digests of the domains the agent rendered; an agent
+        # whose bytes differ from the reference is dropped.
         parts = message_parts(REGISTER, registration.meta, *registration.buffers)
-        if self._send(home, parts):
-            while self._agents[home].alive and self._read(home) != REGISTERED:
-                pass
+        if not self._send(home, parts):
+            return
+        message = None
+        while self._agents[home].alive and (
+            message is None or message.kind != REGISTERED
+        ):
+            message = self._read(home)
+        if message is not None and not self._check_digests(
+            registration, message.meta.get("digests")
+        ):
+            _log.warning(
+                "agent %r rendered a client domain to different bytes; "
+                "dropping it", self._agents[home].name,
+            )
+            self._mismatched.add(home)
+            self._mark_dead(home)
 
     def send_broadcast(
         self, home: int, strategy_blob: bytes, handle: object, round_index: int
@@ -319,8 +337,8 @@ class _AgentLanes(Executor):
         self._tasks[task_id] = home  # orphaned on the spot if the send fails
         self._send(home, parts)
 
-    def _read(self, home: int) -> "str | None":
-        """Process one frame from the agent at ``home``; returns its kind
+    def _read(self, home: int) -> "Message | None":
+        """Process one frame from the agent at ``home``; returns it
         (``None``: the agent is lost).  EOF, a read error and a frame that
         is not a protocol message are all a disconnect — a mid-upload
         disconnect (or a garbage frame) can never wedge round close."""
@@ -342,7 +360,7 @@ class _AgentLanes(Executor):
             )
         elif message.kind not in (UPLOAD, ERROR, REGISTERED):  # pragma: no cover
             _log.warning("unexpected %r frame from agent %r", message.kind, agent.name)
-        return message.kind
+        return message
 
     def poll(self, timeout: "float | None") -> "list[tuple[int, object]]":
         limit = None if timeout is None else time.perf_counter() + timeout

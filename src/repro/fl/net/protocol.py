@@ -30,11 +30,15 @@ hello      agent →   ``{version, name, codec?}``: protocol version and an
 welcome    → agent   ``{version, codec, transport}`` + one buffer, the
                      pickled model template
 reject     → agent   ``{reason}``: the handshake is refused
-register   → agent   ``{clients: [{id, arrays: [{dtype, shape}] * 3}],
-                     evict: [ids]}`` + each client's ``images`` /
-                     ``labels`` / ``domain_ids`` bytes, sent from the
-                     server's own arrays (:class:`repro.fl.wire.Registration`)
-registered agent →   the registration is installed (the server waits)
+register   → agent   ``{clients: [{id, recipe} | {id, arrays}], evict:
+                     [ids]}``; a ``recipe`` is ``{suite: {builder, args},
+                     parts: [[domain, [rows]]]}``, rendered by the agent;
+                     an ``arrays`` client's ``[{dtype, shape}] * 3`` come
+                     with its ``images`` / ``labels`` / ``domain_ids``
+                     bytes as buffers, sent from the server's own arrays
+                     (:class:`repro.fl.wire.Registration`)
+registered agent →   ``{digests: [[suite, domain, sha256]]}``: installed
+                     (the server waits), with each recipe domain's digest
 broadcast  → agent   ``{round, handle?}`` + the strategy blob and, under
                      ``pipe``, the state frame as a second buffer; any
                      other transport's handle is ``meta["handle"]``
@@ -107,7 +111,7 @@ __all__ = [
 #: Bumped on any incompatible change to the message vocabulary, blob
 #: encodings or codec references.  Both sides send it; a mismatch is a
 #: handshake reject.
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 #: The largest frame a peer may send before it is welcomed.  A hello is
 #: well under 1 KiB; the cap bounds what an unknown peer can make the

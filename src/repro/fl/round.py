@@ -290,7 +290,7 @@ class Executor(WireServer):
         unreachable = tuple(
             client_id
             for client_id, reason in record.dropped.items()
-            if reason in ("deadline", "disconnect")
+            if reason in ("deadline", "disconnect", "mismatch")
         )
         if (unreachable and self._replay is None) and (
             not updates or (rnd.quorum is not None and not rnd.quorum_met)
@@ -552,7 +552,11 @@ class Executor(WireServer):
         is forgotten (see :meth:`WireServer._forget_home`); uploads that
         outran the loss still decode against the round's broadcast.
         """
-        rebuilt = self.respawn(home)
+        # A lane refused for its data is not rebuilt here: a new one on
+        # the same numpy would render the same bytes.
+        mismatched = home in self._mismatched
+        self._mismatched.discard(home)
+        rebuilt = not mismatched and self.respawn(home)
         self._forget_home(home)
         lost = [row for row in rnd.outstanding.values() if row.home == home]
         rnd.record.rebuilt_workers += int(rebuilt)
@@ -575,7 +579,10 @@ class Executor(WireServer):
                 rerun.append(row)
             else:
                 del rnd.outstanding[row.task_id]
-                self._drop(rnd, row, "crash" if rebuilt else "disconnect")
+                self._drop(
+                    rnd, row,
+                    "mismatch" if mismatched else "crash" if rebuilt else "disconnect",
+                )
         if rerun:
             # The fresh endpoint holds no reference state, so the
             # re-broadcast is a full frame.

@@ -377,11 +377,18 @@ def run_prepare(
     """The exchange before round 1: every client's ``prepare_client``
     payload, one client at a time on its own ``("prepare", client_id)``
     generator, then one ``fuse_prepare``.  A no-op — the population is not
-    even enumerated — for strategies without a client half."""
+    even enumerated — for strategies without a client half.
+
+    Each domain the clients' data is rendered from renders once and is
+    held only until this returns
+    (:meth:`repro.data.synthetic.LabeledDataset.pin`), so a server whose
+    clients train on lanes keeps none of their images.  (The serial
+    engine renders them again when its clients first train.)"""
     if type(strategy).prepare_client is Strategy.prepare_client:
         return
-    payloads = {}
+    payloads, held = {}, []
     for client in as_population(clients).iter_clients():
+        held.append(client.dataset.pin())
         payload = strategy.prepare_client(
             client, seed_tree.generator("prepare", client.client_id)
         )

@@ -5,11 +5,17 @@ methods (§IV-B-3, Fig. 4b): clients keep their data, only model updates
 travel.
 
 1. **Registration** (once per client object per lane lifetime): the
-   client's id and dataset ship to its home as a :class:`Registration` —
-   plain fields plus the raw bytes of its three arrays, never its
-   scratch.  Ids evicted from the home since ride along (clients their
-   population released, clients that moved to another home), so endpoint
-   copies are freed without a message.
+   client's id and data ship to its home as a :class:`Registration`, never
+   its scratch.  A client partitioned from a generated suite ships as a
+   *recipe* — the suite's spec and its rows — which the endpoint checks
+   and renders itself (keeping each domain it renders for as long as a
+   resident reads it), so its images never cross the wire; any other
+   client ships the raw bytes of its three arrays.  The endpoint answers
+   with the sha256 of every domain its recipes read, and the server drops
+   a lane whose bytes differ from its reference (:meth:`WireServer._check_digests`).
+   Ids evicted from the home since ride along (clients their population
+   released, clients that moved to another home), so endpoint copies are
+   freed without a message.
 2. **Broadcast** (once per participating home per round): the strategy
    blob and the codec-encoded global weights; workers cache the strategy
    decode keyed on the blob bytes and decode the weights lazily.
@@ -49,12 +55,14 @@ from __future__ import annotations
 import math
 import time
 import weakref
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.data.synthetic import LabeledDataset
+from repro.data.partition import SuiteRows
+from repro.data.registry import RecipeError, check_render, spec_key, suite_from_spec
+from repro.data.synthetic import DomainSuite, LabeledDataset
 from repro.fl.client import Client
 from repro.fl.codec import Codec, Payload, make_codec
 from repro.fl.compute import EnsembleBackend
@@ -136,35 +144,88 @@ def _wire_array(spec: object, buffer: object) -> np.ndarray:
     return array
 
 
+def _recipe_parts(
+    recipe: object, suites: "dict[str, DomainSuite]", max_domain_bytes: int
+) -> "tuple[DomainSuite, list[tuple[int, np.ndarray]]]":
+    """The suite and parts ``recipe`` (``{suite, parts}``) names, checked
+    before anything renders: an allowed builder with bounded arguments
+    (:func:`repro.data.registry.suite_from_spec`), domains that exist and
+    render within ``max_domain_bytes``, and rows that are integers, in
+    range and distinct.  Anything else is a :class:`RecipeError`.
+    ``suites`` caches the suites built so far, by spec."""
+    if not isinstance(recipe, dict) or set(recipe) != {"suite", "parts"}:
+        raise RecipeError(f"malformed recipe {recipe!r}")
+    if not isinstance(recipe["parts"], list):
+        raise RecipeError(f"recipe parts {recipe['parts']!r} are not a list")
+    key = spec_key(recipe["suite"])
+    suite = suites.get(key) or suite_from_spec(recipe["suite"])
+    suites[key] = suite
+    parts, taken = [], {}
+    for part in recipe["parts"]:
+        if not (
+            isinstance(part, list) and len(part) == 2 and isinstance(part[1], list)
+        ):
+            raise RecipeError(f"malformed recipe part {part!r}")
+        domain, rows = part
+        check_render(suite, domain, max_domain_bytes)
+        length = len(suite.datasets[domain])
+        if not all(type(row) is int and 0 <= row < length for row in rows):
+            raise RecipeError(
+                f"recipe rows of domain {domain} are not all integers in "
+                f"[0, {length})"
+            )
+        rows = np.array(rows, dtype=np.int64)
+        seen = taken.setdefault(domain, np.zeros(length, dtype=bool))
+        if np.unique(rows).size != rows.size or seen[rows].any():
+            raise RecipeError(f"recipe repeats a row of domain {domain}")
+        seen[rows] = True
+        parts.append((domain, rows))
+    return suite, parts
+
+
 @dataclass(eq=False)
 class Registration:
     """One home's registration as it crosses the wire: plain fields
-    (``meta``) plus the raw bytes of every client's dataset arrays
-    (``buffers``, three per client, in ``meta`` order).
+    (``meta``) plus the raw bytes of the dataset arrays of every client
+    that has no recipe (``buffers``, three per such client, in ``meta``
+    order).
 
-    Built by the server with :meth:`of`, whose buffers are flat byte views
-    of the clients' own arrays (a non-contiguous array is made contiguous
-    first, the one copy it needs); rebuilt on an endpoint from a
-    ``register`` message's meta and buffers, whose arrays
-    :meth:`clients` reads in place.  Nothing in it is pickled.
+    Built by the server with :meth:`of`: a client whose dataset is a
+    :class:`repro.data.partition.SuiteRows` of a generated suite goes as
+    its ``recipe``, and ``domains`` maps each domain the recipes read to
+    the server's own suite (for :meth:`WireServer._check_digests`); any
+    other client's buffers are flat byte views of its own arrays (a
+    non-contiguous array is made contiguous first, the one copy it
+    needs).  Rebuilt on an endpoint from a ``register`` message's meta and
+    buffers, whose arrays :meth:`clients` reads in place.  Nothing in it
+    is pickled.
     """
 
     meta: dict
     buffers: "Sequence[object]"
+    #: ``(spec key, domain)`` -> the server's suite of that domain.
+    domains: "dict[tuple[str, int], DomainSuite]" = field(default_factory=dict)
 
     @classmethod
     def of(
         cls, clients: "Sequence[Client]", evict_ids: "Sequence[int]"
     ) -> "Registration":
-        entries, buffers = [], []
+        entries, buffers, domains = [], [], {}
         for client in clients:
+            recipe = getattr(client.dataset, "recipe", None)
+            if recipe is not None:
+                entries.append({"id": client.client_id, "recipe": recipe})
+                key = spec_key(recipe["suite"])
+                for domain, _ in recipe["parts"]:
+                    domains[key, domain] = client.dataset.suite
+                continue
             specs = []
             for name in _DATASET_ARRAYS:
                 array = np.ascontiguousarray(getattr(client.dataset, name))
                 specs.append({"dtype": array.dtype.str, "shape": list(array.shape)})
                 buffers.append(array.reshape(-1).view(np.uint8))
             entries.append({"id": client.client_id, "arrays": specs})
-        return cls({"clients": entries, "evict": list(evict_ids)}, buffers)
+        return cls({"clients": entries, "evict": list(evict_ids)}, buffers, domains)
 
     @property
     def nbytes(self) -> int:
@@ -173,26 +234,54 @@ class Registration:
             memoryview(buffer).nbytes for buffer in self.buffers
         )
 
-    def clients(self) -> "list[Client]":
-        """The registered clients, their arrays read-only views of the
-        buffers.  Anything malformed raises (``ValueError`` for an id that
-        is not an int, or a buffer count, dtype or shape that does not
-        match)."""
+    def clients(
+        self, suites: "dict[str, DomainSuite] | None" = None
+    ) -> "list[Client]":
+        """The registered clients.  Inline arrays are read-only views of
+        the buffers; a recipe client's dataset is a :class:`SuiteRows`
+        over a suite from ``suites`` (built there from its spec if new),
+        holding its domains rendered.  Every entry is checked before any
+        domain renders: anything malformed raises a ``ValueError``
+        (:class:`RecipeError` for a recipe, whose domains may each render
+        at most a frame's bound, ``MAX_FRAME_BYTES``; an id that is not an
+        int, or a buffer count, dtype or shape that does not match)."""
+        # Imported here: repro.fl.net imports this module.
+        from repro.fl.net.frames import MAX_FRAME_BYTES
+
+        suites = {} if suites is None else suites
         entries = self.meta["clients"]
-        if len(self.buffers) != len(_DATASET_ARRAYS) * len(entries):
+        if not all(isinstance(entry, dict) for entry in entries):
+            raise ValueError(f"malformed registration entries {entries!r}")
+        inline = [entry for entry in entries if "recipe" not in entry]
+        if len(self.buffers) != len(_DATASET_ARRAYS) * len(inline):
             raise ValueError(
-                f"registration of {len(entries)} client(s) carries "
+                f"registration of {len(inline)} client(s) with arrays carries "
                 f"{len(self.buffers)} buffers"
             )
         buffers = iter(self.buffers)
-        clients = []
+        checked = []
         for entry in entries:
-            client_id, specs = entry["id"], entry["arrays"]
-            if type(client_id) is not int or len(specs) != len(_DATASET_ARRAYS):
+            client_id = entry.get("id")
+            if type(client_id) is not int:
+                raise ValueError(f"malformed registration entry {entry!r}")
+            if "recipe" in entry:
+                checked.append(
+                    (client_id, _recipe_parts(entry["recipe"], suites, MAX_FRAME_BYTES))
+                )
+                continue
+            specs = entry.get("arrays")
+            if not isinstance(specs, list) or len(specs) != len(_DATASET_ARRAYS):
                 raise ValueError(f"malformed registration entry {entry!r}")
             arrays = [_wire_array(spec, next(buffers)) for spec in specs]
-            clients.append(Client(client_id, LabeledDataset(*arrays)))
-        return clients
+            checked.append((client_id, LabeledDataset(*arrays)))
+        return [
+            Client(
+                client_id,
+                dataset if isinstance(dataset, LabeledDataset)
+                else SuiteRows(*dataset).hold(),
+            )
+            for client_id, dataset in checked
+        ]
 
 
 @dataclass
@@ -289,6 +378,12 @@ class WireServer:
         # WorkerRuntime): home -> last broadcast state.  Populated only
         # when ``codec.stateful``.
         self._bcast_refs: "dict[object, StateDict]" = {}
+        # (spec key, domain) -> the first digest a lane reported for it,
+        # the reference for domains this process never rendered.
+        self._digests: "dict[tuple[str, int], str]" = {}
+        # Homes refused for rendering a domain to other bytes, until the
+        # round driver drops their clients (reason "mismatch").
+        self._mismatched: "set[object]" = set()
 
     def wire_stats(self) -> WireStats:
         """Snapshot of the engine's cumulative wire traffic (zero when the
@@ -332,6 +427,29 @@ class WireServer:
         for client in clients:
             self._resident[client.client_id] = (home, weakref.ref(client))
         return registration
+
+    def _check_digests(self, registration: Registration, digests: object) -> bool:
+        """Whether a lane rendered the domains ``registration``'s recipes
+        read to the reference bytes: this process's own render of a domain
+        if it made one, else the first digest any lane reported for it.
+        ``digests`` is the lane's answer, ``[[spec, domain, sha256], ...]``.
+        Only what it reports is checked: the guard catches lanes whose
+        numpy renders differently, not a peer that lies."""
+        for entry in digests if isinstance(digests, list) else ():
+            if not (
+                isinstance(entry, list) and len(entry) == 3
+                and type(entry[1]) is int and type(entry[2]) is str
+            ):
+                return False
+            spec, domain, digest = entry
+            key = (spec_key(spec), domain)
+            suite = registration.domains.get(key)
+            if suite is None:
+                continue  # not a domain this registration reads
+            own = suite.datasets.digests.get(domain)
+            if digest != (own or self._digests.setdefault(key, digest)):
+                return False
+        return True
 
     def _publish(
         self,
@@ -457,6 +575,9 @@ class WorkerRuntime:
         self.transport: Transport = make_transport(transport_spec)  # ...and transport
         self.trainer = EnsembleBackend()
         self.clients: dict[int, Client] = {}
+        #: Spec key -> the suite recipes were rendered from; each domain
+        #: stays rendered while a resident holds it.
+        self.suites: "dict[str, DomainSuite]" = {}
         self.strategy_blob: "bytes | None" = None
         self.strategy: "Strategy | None" = None
         self.state: StateDict | None = None
@@ -478,12 +599,22 @@ class WorkerRuntime:
         empty: a pure-eviction flush ships no clients, a pure registration
         no evictions.
         """
-        clients = registration.clients()
+        clients = registration.clients(self.suites)
         for client_id in registration.meta["evict"]:
             self.clients.pop(client_id, None)
         for client in clients:
             self.clients[client.client_id] = client
         return len(clients)
+
+    def digests(self) -> "list[list]":
+        """``[spec, domain, sha256]`` of every domain this endpoint has
+        rendered from a recipe, for the server to check against its
+        reference."""
+        return [
+            [suite.spec, domain, digest]
+            for suite in self.suites.values()
+            for domain, digest in sorted(suite.datasets.digests.items())
+        ]
 
     def broadcast(
         self, strategy_blob: "bytes | memoryview", handle: object, round_index: int

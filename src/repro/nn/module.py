@@ -52,6 +52,16 @@ class Parameter:
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
 
+    def __getstate__(self) -> dict:
+        # A copy (a pickled model template, an evaluation snapshot) carries
+        # the value only; its gradient starts at zero, as a fresh one does.
+        return {"data": self.data, "name": self.name}
+
+    def __setstate__(self, state: dict) -> None:
+        self.data = state["data"]
+        self.name = state["name"]
+        self.grad = np.zeros_like(self.data)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"
 

@@ -2,7 +2,6 @@
 and the simulation loop itself."""
 
 import itertools
-import pickle
 import threading
 
 import numpy as np
@@ -55,18 +54,6 @@ class TestClient:
         clients = make_clients()
         clients[0].scratch["x"] = 1
         assert "x" not in clients[1].scratch
-
-    def test_scratch_stays_on_the_endpoint_that_wrote_it(self):
-        client = make_clients()[0]
-        client.scratch["cache"] = np.ones(3)
-        assert type(client.scratch) is dict
-        shipped = pickle.loads(pickle.dumps(client))
-        assert shipped.scratch == {}
-        assert shipped.client_id == client.client_id
-        np.testing.assert_array_equal(
-            shipped.dataset.images, client.dataset.images
-        )
-        assert "cache" in client.scratch  # the writer keeps its copy
 
 
 class TestSampler:

@@ -252,10 +252,10 @@ class TestWireProtocol:
             executor.run_round(FedAvgStrategy(FAST), model, state, clients, 0, seeds)
             wire = executor.wire_stats()
         # Tasks are (client_ids, round, seeds, fault): constant-size, far
-        # below even a single client's pickled dataset.
+        # below even a single client's images.
         per_task = wire.task_bytes / len(clients)
         assert per_task < 256
-        assert wire.task_bytes < len(pickle.dumps(clients[0]))
+        assert wire.task_bytes < clients[0].dataset.images.nbytes
 
     def test_broadcast_is_per_worker_not_per_task(self):
         clients = make_clients()

@@ -662,7 +662,8 @@ class TestCrashRecovery:
             assert ex.last_round.rebuilt_workers >= 1
             assert ex.last_round.dropped == {}
             # The re-hello re-shipped one model template in its welcome,
-            # and the lane's clients (0 and 2) registered again.
+            # and the lane's clients (0 and 2) registered again — as
+            # recipes, a few hundred bytes where their arrays were 43 KB.
             assert ex.wire_stats().registration_bytes - before == len(
                 encode_payload(model)
             ) + Registration.of([clients[0], clients[2]], ()).nbytes

@@ -29,7 +29,9 @@ from hypothesis import strategies as st
 
 from repro.baselines import FedAvgStrategy
 from repro.core import PardonStrategy
+import repro.data.registry
 from repro.data import partition_clients, synthetic_pacs
+from repro.data.registry import RecipeError
 from repro.data.synthetic import LabeledDataset
 from repro.fl import (
     Client,
@@ -64,9 +66,11 @@ from repro.fl.codec import make_codec
 from repro.fl.executor import ClientUpdate, WorkerRuntime
 from repro.fl.wire import Registration, task_fields, task_from_fields
 from repro.fl.net import executor as net_executor
-from repro.fl.net.agent import run_agent
+from repro.fl.net.agent import run_agent, serve
 from repro.fl.net.protocol import (
     BROADCAST,
+    BYE,
+    ERROR,
     PROTOCOL_VERSION,
     HELLO,
     MAX_HELLO_BYTES,
@@ -295,10 +299,11 @@ class TestHandshake:
         # version-2 welcome a compute spec, a version-3 agent neither
         # acknowledges registrations nor reads broadcast handles from meta,
         # a version-4 agent encodes uploads against its previous upload
-        # instead of the round's broadcast, and a version-5 one speaks
-        # pickled (kind, meta, blob) frames.
-        assert PROTOCOL_VERSION == 6
-        for version in (1, 2, 3, 4, 5):
+        # instead of the round's broadcast, a version-5 one speaks
+        # pickled (kind, meta, blob) frames, and a version-6 one reads
+        # every client's images from its registration (no recipes).
+        assert PROTOCOL_VERSION == 7
+        for version in (1, 2, 3, 4, 5, 6):
             reason = evaluate_hello({"version": version}, codec_spec="identity")
             assert reason is not None and "version" in reason
 
@@ -425,7 +430,160 @@ class TestWireFuzz:
             far.close()
 
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_recipe_metas(self, data):
+        """A registration's recipe with any one field replaced by any JSON
+        value registers clients or raises ``ValueError`` (a
+        ``RecipeError`` for the recipe itself) with nothing rendered."""
+        meta = _recipe_meta(_TINY_RECIPE)
+        path, container = data.draw(st.sampled_from(_recipe_fields(meta)))
+        container[path] = data.draw(_JSON_VALUES)
+        message = decode_message(encode_message(REGISTER, meta))
+        suites = {}
+        try:
+            clients = Registration(message.meta, message.buffers).clients(suites)
+        except ValueError:
+            assert not any(suite.datasets.renders for suite in suites.values())
+            return
+        for client in clients:
+            assert client.dataset.images.shape[1:] == client.dataset.image_shape
+
+
+#: A tiny generated suite's recipe of two rows in two domains.
+_TINY_RECIPE = {
+    "suite": {
+        "builder": "synthetic_pacs",
+        "args": {"seed": 0, "samples_per_class": 2, "image_size": 4},
+    },
+    "parts": [[0, [3, 1]], [2, [0]]],
+}
+
+#: What a fuzzed recipe field becomes: boundary integers, floats, strings,
+#: null, booleans and containers.
+_JSON_VALUES = st.one_of(
+    st.sampled_from([-1, 0, 1, 2, 5, 13, 2**31, 2**63, 10**30]),
+    st.sampled_from([0.5, -2.0, 1e300]),
+    st.sampled_from(["", "synthetic_pacs", "os.system", "seed"]),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(-3, 20), max_size=4),
+    st.dictionaries(st.sampled_from(["seed", "x"]), st.integers(0, 3), max_size=2),
+)
+
+
+def _recipe_meta(recipe, client_id=0):
+    return {
+        "clients": [{"id": client_id, "recipe": json.loads(json.dumps(recipe))}],
+        "evict": [],
+    }
+
+
+def _recipe_fields(meta):
+    """Every ``(key, container)`` slot of ``meta``'s recipe, leaves and
+    inner nodes alike."""
+    slots, stack = [], [meta["clients"][0]]
+    while stack:
+        node = stack.pop()
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            slots.append((key, node))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    return slots
+
+
+def _count_renders(monkeypatch):
+    """Every domain render from here on appends to the returned list."""
+    renders = []
+    real = repro.data.registry.render_domain
+
+    def counted(*args):
+        renders.append(args[1].name)
+        return real(*args)
+
+    monkeypatch.setattr(repro.data.registry, "render_domain", counted)
+    return renders
+
+
 class TestHostilePeers:
+    @pytest.mark.parametrize(
+        "recipe, match",
+        [
+            ({**_TINY_RECIPE, "suite": {
+                "builder": "synthetic_pacs",
+                "args": {"seed": 0, "samples_per_class": 10**8, "image_size": 8},
+            }}, "would render"),
+            ({**_TINY_RECIPE, "suite": {
+                "builder": "os.system", "args": {},
+            }}, "not allowed"),
+            ({**_TINY_RECIPE, "parts": [[0, [3, 14]]]}, "in \\[0, 14\\)"),
+            ({**_TINY_RECIPE, "parts": [[0, [3, 3]]]}, "repeats"),
+            ({**_TINY_RECIPE, "parts": [[0, [1]], [0, [1]]]}, "repeats"),
+            ({**_TINY_RECIPE, "parts": [[0, [True]]]}, "integers"),
+            ({**_TINY_RECIPE, "parts": [[4, [0]]]}, "no domain"),
+            ({**_TINY_RECIPE, "suite": {
+                "builder": "synthetic_pacs", "args": {"seed": -1},
+            }}, "out of bounds"),
+            ({**_TINY_RECIPE, "suite": {
+                "builder": "synthetic_pacs", "args": {"exec": 1},
+            }}, "takes no argument"),
+            ({**_TINY_RECIPE, "suite": {
+                "builder": "synthetic_domain_sweep",
+                "args": {"num_classes": 4096, "image_size": 1024},
+            }}, "would render"),
+        ],
+        ids=[
+            "oversized-samples-per-class", "unknown-builder", "out-of-range-row",
+            "repeated-row", "row-in-two-parts", "bool-row", "unknown-domain",
+            "negative-seed", "unknown-argument", "oversized-content-bank",
+        ],
+    )
+    def test_hostile_recipe_is_refused_before_rendering(
+        self, recipe, match, monkeypatch
+    ):
+        """A recipe is checked whole before its lane renders anything: a
+        hostile one is a typed ``RecipeError`` and nothing rendered — also
+        for the recipe's well-formed neighbour in the same registration."""
+        renders = _count_renders(monkeypatch)
+        meta = _recipe_meta(_TINY_RECIPE)
+        meta["clients"] += _recipe_meta(recipe, client_id=1)["clients"]
+        runtime = WorkerRuntime(encode_payload(_model()), "identity", "pipe")
+        with pytest.raises(RecipeError, match=match):
+            runtime.register(Registration(meta, []))
+        assert renders == [] and runtime.clients == {}
+
+    def test_agent_answers_a_hostile_recipe_with_a_typed_error(self, monkeypatch):
+        """Over a real agent loop: the registration is answered with an
+        ``error`` frame naming ``RecipeError``, nothing rendered, and the
+        agent keeps serving."""
+        renders = _count_renders(monkeypatch)
+        near, far = socket.socketpair()
+        agent = threading.Thread(target=serve, args=(far,), daemon=True)
+        agent.start()
+        try:
+            stream = FrameStream(near)
+            assert decode_message(stream.next_frame()).kind == HELLO
+            stream.send(*message_parts(
+                WELCOME,
+                {"version": PROTOCOL_VERSION, "codec": "identity", "transport": "pipe"},
+                encode_payload(_model()),
+            ))
+            hostile = {**_TINY_RECIPE, "parts": [[0, [0, 99]]]}
+            for recipe, kind in ((hostile, ERROR), (_TINY_RECIPE, REGISTERED)):
+                stream.send(*message_parts(REGISTER, _recipe_meta(recipe)))
+                reply = decode_message(stream.next_frame())
+                assert reply.kind == kind
+                if kind == ERROR:
+                    assert "RecipeError" in reply.meta["text"]
+                    assert renders == []
+            assert sorted(renders) == ["cartoon", "photo"]
+            stream.send(*message_parts(BYE))
+        finally:
+            agent.join(timeout=10)
+            near.close()
+            far.close()
+
     def test_oversized_hello_is_closed_unanswered(self, monkeypatch):
         """A frame over the hello cap from a peer not yet welcomed is
         closed on without a reply, and the listener keeps accepting."""
@@ -465,15 +623,17 @@ class TestHostilePeers:
 
 
 def _odd_clients():
-    """Clients whose arrays cover the registration's shapes: one with a
-    non-contiguous image array (a strided view), one with no samples."""
+    """Clients built by hand, so they register their arrays: one with a
+    non-contiguous image array (a strided view), one plain, one with no
+    samples."""
     base = make_clients(n_clients=2)
     strided = base[0].dataset.images[:, :, :, ::-1][:, :, ::2]
     assert not strided.flags.c_contiguous
     dataset = base[0].dataset
     odd = LabeledDataset(strided, dataset.labels, dataset.domain_ids)
+    plain = base[1].dataset.subset(np.arange(base[1].num_samples))
     empty = dataset.subset(np.arange(0))
-    return [Client(3, odd), base[1], Client(9, empty)]
+    return [Client(3, odd), Client(1, plain), Client(9, empty)]
 
 
 class TestRegistration:
