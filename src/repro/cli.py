@@ -83,14 +83,21 @@ SUITES = {
 
 
 def _setting_from_args(args: argparse.Namespace, usage_error) -> ExperimentSetting:
-    """The experiment the flags name; a quorum no round could reach, or an
-    ``--objective`` term the method's objective lacks, is a usage error."""
-    if args.objective:
-        strategy = METHODS[args.method]()
-        try:
-            strategy.apply_objective_overrides(args.objective)
-        except ValueError as exc:
-            usage_error(f"--objective for --method {args.method}: {exc}")
+    """The experiment the flags name; a quorum no round could reach, an
+    ``--objective`` term the method's objective lacks, or an
+    ``--aggregator`` rule the method refuses, is a usage error."""
+    strategy = METHODS[args.method]()
+    try:
+        strategy.apply_objective_overrides(args.objective)
+    except ValueError as exc:
+        usage_error(f"--objective for --method {args.method}: {exc}")
+    # A strategy refuses a rule it cannot run under when it opens a round's
+    # reduction; opening one over an empty state costs nothing.
+    strategy.aggregator = make_aggregator(args.aggregator)
+    try:
+        strategy.begin_stream({})
+    except ValueError as exc:
+        usage_error(f"--aggregator for --method {args.method}: {exc}")
     if args.quorum is not None:
         round_size = UniformClientSampler(args.participation).round_size(
             args.clients

@@ -9,12 +9,7 @@ the loss functions PARDON's objective is built from.
 from repro.nn.module import Module, Parameter, Sequential, architecture_signature
 from repro.nn.layers import Flatten, Linear, ReLU, Tanh
 from repro.nn.conv import Conv2d
-from repro.nn.losses import (
-    CrossEntropyLoss,
-    EmbeddingL2Loss,
-    MSELoss,
-    TripletStyleLoss,
-)
+from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.optim import SGD, Adam
 from repro.nn.models import (
     FeatureClassifierModel,
@@ -50,8 +45,6 @@ __all__ = [
     "Flatten",
     "Conv2d",
     "CrossEntropyLoss",
-    "TripletStyleLoss",
-    "EmbeddingL2Loss",
     "MSELoss",
     "SGD",
     "Adam",

@@ -279,13 +279,36 @@ def ensemble_cross_entropy(
 
 
 class EnsembleTripletStyleLoss:
-    """Leading-axis mirror of :class:`repro.nn.losses.TripletStyleLoss`.
+    """PARDON's multi-domain triplet loss (paper Eq. 7), per slice of a
+    ``(K, B, d)`` stack.
+
+    For each sample ``i`` with embedding ``z_i`` (anchor) and style-transferred
+    embedding ``z'_i`` (positive), the negatives are the style-transferred
+    embeddings of every sample in the slice's batch with a different label:
+
+    ``L_T = sum_i ( ||z_i - z'_i||^2 - mean_n ||z_i - z'_n||^2 + alpha )``
+
+    The paper's Eq. 7 carries no hinge: the pull-to-positive / push-from-
+    negative pressure is always active, and the companion regularizer
+    (Eq. 8, :class:`EnsembleEmbeddingL2Loss`) is what keeps the raw embedding
+    norms bounded.  Pass ``hinge=True`` for the classical FaceNet variant
+    ``[...]_+`` (exposed for ablations).
+
+    With ``normalize=True`` (default) the distances are computed between
+    L2-normalized embeddings — the standard practice in contrastive FedDG
+    implementations — which bounds every pairwise term in ``[0, 4]`` and
+    makes the hinge-free objective well-conditioned at any loss weight.
+    Gradients chain through the normalization.
+
+    Gradients are produced with respect to **both** the anchor batch and the
+    transferred batch, since both come from the same trainable feature
+    extractor.  Samples with an empty negative set (their class fills the
+    batch) contribute only the positive pull term.
 
     Inputs are ``(K, B, d)`` stacks plus ``(K, B)`` labels; ``forward``
     returns per-slice losses of shape ``(K,)`` and ``backward`` the matching
-    gradient stacks.  Slice ``k`` reproduces the template loss on that slice
-    bitwise (same operand order; the pairwise products become batched
-    matmuls).
+    gradient stacks.  Slices never mix: the pairwise products are batched
+    matmuls.
     """
 
     def __init__(
@@ -395,7 +418,12 @@ class EnsembleTripletStyleLoss:
 
 
 class EnsembleEmbeddingL2Loss:
-    """Leading-axis mirror of :class:`repro.nn.losses.EmbeddingL2Loss`."""
+    """Paper Eq. 8, per slice of a ``(K, B, d)`` stack:
+    ``L_reg = sum_i ||z_i||^2 + ||z'_i||^2``.
+
+    Unlike weight decay, this bounds the *representations*, limiting how much
+    client-specific information the embedding can encode (following FedSR).
+    """
 
     def __init__(self, reduction: str = "mean") -> None:
         if reduction not in ("mean", "sum"):

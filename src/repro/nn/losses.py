@@ -1,16 +1,16 @@
-"""Loss functions.
+"""Loss functions over one batch.
 
 Each loss exposes ``forward(...) -> float`` and returns gradients with respect
-to its inputs from ``backward()``.  The PARDON objective (paper Eq. 9) is the
-composite ``L = L_CE + gamma1 * L_T + gamma2 * L_reg`` where:
+to its inputs from ``backward()``: cross-entropy for the loss-landscape
+probes, mean squared error for the privacy-attack inverter.
 
-* ``L_CE`` — cross-entropy on the classifier logits (paper §III-B, intra-client
-  learning);
-* ``L_T`` — the style-transfer triplet loss of Eq. 7, anchors are original
-  embeddings, positives their AdaIN-transferred versions, negatives the
-  transferred embeddings of *other* classes;
-* ``L_reg`` — Eq. 8, an L2 penalty on the embeddings themselves (not the
-  weights), bounding representation complexity as in FedSR.
+The training losses live over the trainer's ``(K, ...)`` client stacks
+(K = 1 is one client): PARDON's objective (paper Eq. 9) is
+``L = L_CE + gamma1 * L_T + gamma2 * L_reg`` with ``L_CE`` from
+:func:`repro.nn.ensemble.ensemble_cross_entropy`, ``L_T`` (Eq. 7) from
+:class:`repro.nn.ensemble.EnsembleTripletStyleLoss` and ``L_reg`` (Eq. 8)
+from :class:`repro.nn.ensemble.EnsembleEmbeddingL2Loss`, bound into terms by
+:mod:`repro.nn.objective`.
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ import numpy as np
 
 from repro.nn.functional import log_softmax, one_hot, softmax
 
-__all__ = [
-    "CrossEntropyLoss",
-    "TripletStyleLoss",
-    "EmbeddingL2Loss",
-    "MSELoss",
-]
+__all__ = ["CrossEntropyLoss", "MSELoss"]
 
 
 class CrossEntropyLoss:
@@ -60,174 +55,6 @@ class CrossEntropyLoss:
         if self.reduction == "mean":
             grad = grad / max(self._probs.shape[0], 1)
         return grad
-
-
-class TripletStyleLoss:
-    """PARDON's multi-domain triplet loss (paper Eq. 7).
-
-    For each sample ``i`` with embedding ``z_i`` (anchor) and style-transferred
-    embedding ``z'_i`` (positive), the negatives are the style-transferred
-    embeddings of every sample in the batch with a different label:
-
-    ``L_T = sum_i ( ||z_i - z'_i||^2 - mean_n ||z_i - z'_n||^2 + alpha )``
-
-    The paper's Eq. 7 carries no hinge: the pull-to-positive / push-from-
-    negative pressure is always active, and the companion regularizer
-    (Eq. 8, :class:`EmbeddingL2Loss`) is what keeps the raw embedding norms
-    bounded.  Pass ``hinge=True`` for the classical FaceNet variant
-    ``[...]_+`` (exposed for ablations).
-
-    With ``normalize=True`` (default) the distances are computed between
-    L2-normalized embeddings — the standard practice in contrastive FedDG
-    implementations — which bounds every pairwise term in ``[0, 4]`` and
-    makes the hinge-free objective well-conditioned at any loss weight.
-    Gradients chain through the normalization.
-
-    Gradients are produced with respect to **both** the anchor batch and the
-    transferred batch, since both come from the same trainable feature
-    extractor.  Samples with an empty negative set (their class fills the
-    batch) contribute only the positive pull term.
-    """
-
-    def __init__(
-        self,
-        margin: float = 1.0,
-        reduction: str = "mean",
-        hinge: bool = False,
-        normalize: bool = True,
-    ) -> None:
-        if margin < 0:
-            raise ValueError(f"margin must be non-negative, got {margin}")
-        if reduction not in ("mean", "sum"):
-            raise ValueError(f"unknown reduction {reduction!r}")
-        self.margin = margin
-        self.reduction = reduction
-        self.hinge = hinge
-        self.normalize = normalize
-        self._grads: tuple[np.ndarray, np.ndarray] | None = None
-
-    def forward(
-        self,
-        anchors: np.ndarray,
-        transferred: np.ndarray,
-        labels: np.ndarray,
-    ) -> float:
-        if anchors.shape != transferred.shape:
-            raise ValueError(
-                f"anchor/transferred shape mismatch: "
-                f"{anchors.shape} vs {transferred.shape}"
-            )
-        labels = np.asarray(labels)
-        batch = anchors.shape[0]
-        if batch == 0:
-            self._grads = (np.zeros_like(anchors), np.zeros_like(transferred))
-            return 0.0
-
-        raw_anchors, raw_transferred = anchors, transferred
-        if self.normalize:
-            anchor_norms = np.linalg.norm(anchors, axis=1, keepdims=True)
-            transfer_norms = np.linalg.norm(transferred, axis=1, keepdims=True)
-            anchor_norms = np.maximum(anchor_norms, 1e-12)
-            transfer_norms = np.maximum(transfer_norms, 1e-12)
-            anchors = anchors / anchor_norms
-            transferred = transferred / transfer_norms
-
-        # Pairwise squared distances between anchors and transferred samples.
-        diff = anchors[:, None, :] - transferred[None, :, :]  # (B, B, d)
-        sq_dist = np.einsum("ijk,ijk->ij", diff, diff)  # (B, B)
-        negative_mask = labels[:, None] != labels[None, :]  # (B, B)
-        negative_counts = negative_mask.sum(axis=1)  # (B,)
-
-        positive_term = np.diagonal(sq_dist)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            negative_mean = np.where(
-                negative_counts > 0,
-                (sq_dist * negative_mask).sum(axis=1) / np.maximum(negative_counts, 1),
-                0.0,
-            )
-        raw = positive_term - negative_mean + self.margin
-        if self.hinge:
-            active = raw > 0
-            per_sample = np.where(active, raw, 0.0)
-        else:
-            active = np.ones_like(raw, dtype=bool)
-            per_sample = raw
-
-        scale = 1.0 / batch if self.reduction == "mean" else 1.0
-
-        grad_anchor = np.zeros_like(anchors)
-        grad_transferred = np.zeros_like(transferred)
-        # d positive / d z_i = 2 (z_i - z'_i); d positive / d z'_i = -2 (...)
-        pos_diff = anchors - transferred
-        grad_anchor += np.where(active[:, None], 2.0 * pos_diff, 0.0)
-        grad_transferred -= np.where(active[:, None], 2.0 * pos_diff, 0.0)
-        # d(-negative_mean)/dz_i = -(2/|N_i|) sum_n (z_i - z'_n)
-        # d(-negative_mean)/dz'_n = +(2/|N_i|) (z_i - z'_n)
-        has_neg = active & (negative_counts > 0)
-        if np.any(has_neg):
-            inv_counts = np.where(negative_counts > 0, 1.0 / np.maximum(negative_counts, 1), 0.0)
-            weights = (negative_mask * has_neg[:, None]) * inv_counts[:, None]  # (B, B)
-            # grad wrt anchor i: -2 * sum_n w_in (z_i - z'_n)
-            grad_anchor -= 2.0 * (
-                weights.sum(axis=1)[:, None] * anchors
-                - weights @ transferred
-            )
-            # grad wrt transferred n: +2 * sum_i w_in (z_i - z'_n)
-            grad_transferred += 2.0 * (
-                weights.T @ anchors - weights.sum(axis=0)[:, None] * transferred
-            )
-
-        grad_anchor *= scale
-        grad_transferred *= scale
-        if self.normalize:
-            # Chain through u = z / ||z||: J^T g = (g - (g . u) u) / ||z||.
-            radial_a = np.sum(grad_anchor * anchors, axis=1, keepdims=True)
-            grad_anchor = (grad_anchor - radial_a * anchors) / anchor_norms
-            radial_t = np.sum(grad_transferred * transferred, axis=1, keepdims=True)
-            grad_transferred = (
-                grad_transferred - radial_t * transferred
-            ) / transfer_norms
-        self._grads = (grad_anchor, grad_transferred)
-        loss = per_sample.sum() * scale
-        return float(loss)
-
-    def backward(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(grad_wrt_anchors, grad_wrt_transferred)``."""
-        if self._grads is None:
-            raise RuntimeError("backward called before forward")
-        return self._grads
-
-
-class EmbeddingL2Loss:
-    """Paper Eq. 8: ``L_reg = sum_i ||z_i||^2 + ||z'_i||^2``.
-
-    Unlike weight decay, this bounds the *representations*, limiting how much
-    client-specific information the embedding can encode (following FedSR).
-    """
-
-    def __init__(self, reduction: str = "mean") -> None:
-        if reduction not in ("mean", "sum"):
-            raise ValueError(f"unknown reduction {reduction!r}")
-        self.reduction = reduction
-        self._grads: tuple[np.ndarray, np.ndarray] | None = None
-
-    def forward(self, anchors: np.ndarray, transferred: np.ndarray) -> float:
-        if anchors.shape != transferred.shape:
-            raise ValueError(
-                f"anchor/transferred shape mismatch: "
-                f"{anchors.shape} vs {transferred.shape}"
-            )
-        batch = anchors.shape[0]
-        scale = 1.0 / batch if (self.reduction == "mean" and batch) else 1.0
-        loss = (np.sum(anchors**2) + np.sum(transferred**2)) * scale
-        self._grads = (2.0 * anchors * scale, 2.0 * transferred * scale)
-        return float(loss)
-
-    def backward(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(grad_wrt_anchors, grad_wrt_transferred)``."""
-        if self._grads is None:
-            raise RuntimeError("backward called before forward")
-        return self._grads
 
 
 class MSELoss:

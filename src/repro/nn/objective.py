@@ -25,10 +25,11 @@ order exactly: term weights multiply *inside* each term at the position
 the hand-written loops multiplied them (``weight * 2.0 * deviation /
 batch``), gradient buffers start at zeros and terms accumulate with
 ``+=`` (``0.0 + x == x`` bitwise), and a weight of ``1.0`` is harmless
-because ``x * 1.0 == x`` in IEEE-754.  Terms whose math is not trivially
-vectorizable (class-conditional references, prototype InfoNCE) apply
-per-slice on the ensemble path — the stacked model's slice independence
-does the rest.
+because ``x * 1.0 == x`` in IEEE-754.  Every term is written once, over
+the ``(K, ...)`` stacks (K = 1 is one client).  A term whose math does not
+vectorize bitwise loops over the slices inside that one form: ``class_align``
+takes each slice's in-batch class means, ``proto_nce`` runs
+:func:`prototype_nce` per slice.
 
 Terms treat externally supplied references (the strategy's fused
 ``class_targets``: FPL's prototypes, FedAlign's alignment targets) and
@@ -49,13 +50,11 @@ from repro.nn.ensemble import (
     ensemble_cross_entropy,
 )
 from repro.nn.functional import softmax
-from repro.nn.losses import CrossEntropyLoss, EmbeddingL2Loss, TripletStyleLoss
 
 __all__ = [
     "CompositeObjective",
     "EnsembleStepContext",
     "ObjectiveTerm",
-    "StepContext",
     "ensemble_dataset_embeddings",
     "make_term",
     "objective_term_specs",
@@ -67,49 +66,24 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# Step contexts: what one optimization step exposes to the terms
+# The step context: what one optimization step exposes to the terms
 # --------------------------------------------------------------------------
 
 
 @dataclass
-class StepContext:
-    """One batch step's tensors, shared mutable gradient buffers, and the
-    strategy's fused per-class targets (``{class: (dim,) vector}``, or
-    ``None`` for a method without them).
+class EnsembleStepContext:
+    """One batch step of a ``(K, ...)`` client stack: its tensors, the
+    shared mutable gradient buffers, and the strategy's fused per-class
+    targets (``{class: (dim,) vector}``, one mapping shared by every slice,
+    or ``None`` for a method without them).
 
-    ``views`` counts the ``batch``-row blocks concatenated along the rows:
-    1 for plain batches, 2 when a second index-aligned view
+    ``views`` counts the ``batch``-row blocks concatenated along each
+    slice's rows: 1 for plain batches, 2 when a second index-aligned view
     (style-transferred / augmented positives) follows the first ``batch``
     rows, one more per re-styled copy a strategy's ``batch_views`` adds;
-    ``labels`` always covers the *primary* view.
-    Terms accumulate weighted gradients into ``grad_logits`` /
-    ``grad_embedding`` in place and return their weighted loss.
-    """
-
-    labels: np.ndarray
-    embeddings: np.ndarray
-    logits: np.ndarray
-    batch: int
-    views: int = 1
-    grad_logits: np.ndarray | None = None
-    grad_embedding: np.ndarray | None = None
-    class_targets: Mapping[int, np.ndarray] | None = None
-
-    def view_labels(self) -> np.ndarray:
-        """Labels tiled across the concatenated views."""
-        if self.views == 1:
-            return self.labels
-        return np.concatenate([self.labels] * self.views)
-
-
-@dataclass
-class EnsembleStepContext:
-    """The ``(K, ...)`` stacked counterpart of :class:`StepContext`.
-
-    ``class_targets`` is one mapping shared by every slice: the broadcast
-    strategy's.  Terms without a hand-vectorized path fall back to
-    :meth:`slice`, which views one client's tensors and gradient buffers —
-    writes go through.
+    ``labels`` (``(K, batch)``) always covers the *primary* view.  Terms
+    accumulate weighted gradients into ``grad_logits`` / ``grad_embedding``
+    in place and return their weighted losses, shape ``(K,)``.
 
     ``extras`` is no field: the frozen benchmark harness still passes
     ``extras=[{}] * K``, so it accepts empty mappings (ROADMAP item 6).
@@ -133,19 +107,11 @@ class EnsembleStepContext:
     def stack(self) -> int:
         return int(self.embeddings.shape[0])
 
-    def slice(self, k: int) -> StepContext:
-        return StepContext(
-            labels=self.labels[k],
-            embeddings=self.embeddings[k],
-            logits=self.logits[k],
-            batch=self.batch,
-            views=self.views,
-            grad_logits=None if self.grad_logits is None else self.grad_logits[k],
-            grad_embedding=(
-                None if self.grad_embedding is None else self.grad_embedding[k]
-            ),
-            class_targets=self.class_targets,
-        )
+    def view_labels(self) -> np.ndarray:
+        """Labels tiled across the concatenated views, ``(K, rows)``."""
+        if self.views == 1:
+            return self.labels
+        return np.concatenate([self.labels] * self.views, axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -154,24 +120,28 @@ class EnsembleStepContext:
 
 
 class ObjectiveTerm:
-    """One named loss term.  Subclasses implement :meth:`apply` (and may
-    vectorize :meth:`apply_ensemble`); both receive the binding's weight and
-    must *fold it into every loss and gradient they emit*."""
+    """One named loss term.  Subclasses implement :meth:`apply_ensemble`,
+    the term's one form, over the step's ``(K, ...)`` stacks: it receives
+    the binding's weight, must *fold it into every loss and gradient it
+    emits*, and returns the ``(K,)`` weighted losses."""
 
     name = "term"
     #: Whether the term routes gradient through the embedding entry point
     #: (the runner only allocates ``grad_embedding`` when some term does).
     uses_embedding = True
 
-    def apply(self, ctx: StepContext, weight: float) -> float:
+    def apply_ensemble(self, ctx: EnsembleStepContext, weight: float) -> np.ndarray:
         raise NotImplementedError
 
-    def apply_ensemble(self, ctx: EnsembleStepContext, weight: float) -> np.ndarray:
-        """Per-slice fallback: bitwise the scalar term on each client."""
-        out = np.zeros(ctx.stack)
-        for k in range(ctx.stack):
-            out[k] = self.apply(ctx.slice(k), weight)
-        return out
+
+def _mean_square(
+    ctx: EnsembleStepContext, deviation: np.ndarray, weight: float
+) -> np.ndarray:
+    """Each slice's weighted mean over rows of ``||deviation_row||^2``; its
+    gradient accumulates into ``grad_embedding``."""
+    rows = deviation.shape[1]
+    ctx.grad_embedding += weight * 2.0 * deviation / rows
+    return weight * np.mean(np.sum(deviation**2, axis=2), axis=1)
 
 
 class CrossEntropyTerm(ObjectiveTerm):
@@ -188,16 +158,6 @@ class CrossEntropyTerm(ObjectiveTerm):
     def __init__(self, all_views: bool = False) -> None:
         self.all_views = all_views
 
-    def apply(self, ctx: StepContext, weight: float) -> float:
-        criterion = CrossEntropyLoss()
-        if ctx.views > 1 and not self.all_views:
-            loss = criterion.forward(ctx.logits[: ctx.batch], ctx.labels)
-            ctx.grad_logits[: ctx.batch] += weight * criterion.backward()
-        else:
-            loss = criterion.forward(ctx.logits, ctx.view_labels())
-            ctx.grad_logits += weight * criterion.backward()
-        return weight * loss
-
     def apply_ensemble(self, ctx: EnsembleStepContext, weight: float) -> np.ndarray:
         if ctx.views > 1 and not self.all_views:
             losses, grad = ensemble_cross_entropy(
@@ -205,10 +165,7 @@ class CrossEntropyTerm(ObjectiveTerm):
             )
             ctx.grad_logits[:, : ctx.batch] += weight * grad
         else:
-            labels = ctx.labels
-            if ctx.views > 1:
-                labels = np.concatenate([ctx.labels] * ctx.views, axis=1)
-            losses, grad = ensemble_cross_entropy(ctx.logits, labels)
+            losses, grad = ensemble_cross_entropy(ctx.logits, ctx.view_labels())
             ctx.grad_logits += weight * grad
         return weight * losses
 
@@ -218,32 +175,28 @@ class EmbeddingNormTerm(ObjectiveTerm):
 
     name = "embed_l2"
 
-    def apply(self, ctx: StepContext, weight: float) -> float:
-        embeddings = ctx.embeddings
-        rows = embeddings.shape[0]
-        loss = weight * float(np.mean(np.sum(embeddings**2, axis=1)))
-        ctx.grad_embedding += weight * 2.0 * embeddings / rows
-        return loss
+    def apply_ensemble(self, ctx: EnsembleStepContext, weight: float) -> np.ndarray:
+        return _mean_square(ctx, ctx.embeddings, weight)
 
 
 class ClassAlignTerm(ObjectiveTerm):
     """Pull each embedding toward its class's *in-batch* mean
-    (stop-gradient reference) — FedSR's conditional-alignment surrogate."""
+    (stop-gradient reference) — FedSR's conditional-alignment surrogate.
+    The means are each slice's own, so they are taken slice by slice."""
 
     name = "class_align"
 
-    def apply(self, ctx: StepContext, weight: float) -> float:
+    def apply_ensemble(self, ctx: EnsembleStepContext, weight: float) -> np.ndarray:
         embeddings = ctx.embeddings
         labels = ctx.view_labels()
         references = np.empty_like(embeddings)
-        for label in np.unique(labels):
-            mask = labels == label
-            references[mask] = embeddings[mask].mean(axis=0)
-        deviation = embeddings - references
-        rows = embeddings.shape[0]
-        loss = weight * float(np.mean(np.sum(deviation**2, axis=1)))
-        ctx.grad_embedding += weight * 2.0 * deviation / rows
-        return loss
+        for slice_embeddings, slice_labels, slice_references in zip(
+            embeddings, labels, references
+        ):
+            for label in np.unique(slice_labels):
+                mask = slice_labels == label
+                slice_references[mask] = slice_embeddings[mask].mean(axis=0)
+        return _mean_square(ctx, embeddings - references, weight)
 
 
 class FeatureAlignTerm(ObjectiveTerm):
@@ -254,10 +207,10 @@ class FeatureAlignTerm(ObjectiveTerm):
 
     name = "align"
 
-    def apply(self, ctx: StepContext, weight: float) -> float:
+    def apply_ensemble(self, ctx: EnsembleStepContext, weight: float) -> np.ndarray:
         targets = ctx.class_targets or {}
         if not targets:
-            return 0.0
+            return np.zeros(ctx.stack)
         embeddings = ctx.embeddings
         labels = ctx.view_labels()
         deviation = np.zeros_like(embeddings)
@@ -267,10 +220,7 @@ class FeatureAlignTerm(ObjectiveTerm):
                 continue
             mask = labels == label
             deviation[mask] = embeddings[mask] - target
-        rows = embeddings.shape[0]
-        loss = weight * float(np.mean(np.sum(deviation**2, axis=1)))
-        ctx.grad_embedding += weight * 2.0 * deviation / rows
-        return loss
+        return _mean_square(ctx, deviation, weight)
 
 
 def prototype_nce(
@@ -321,7 +271,7 @@ def prototype_nce(
 
 class ProtoNCETerm(ObjectiveTerm):
     """FPL's prototype-contrastive head over the context's
-    ``class_targets``."""
+    ``class_targets``, one :func:`prototype_nce` per slice."""
 
     name = "proto_nce"
 
@@ -330,15 +280,17 @@ class ProtoNCETerm(ObjectiveTerm):
             raise ValueError(f"temperature must be positive, got {temperature}")
         self.temperature = temperature
 
-    def apply(self, ctx: StepContext, weight: float) -> float:
-        loss, grad = prototype_nce(
-            ctx.embeddings,
-            ctx.view_labels(),
-            ctx.class_targets or {},
-            self.temperature,
-        )
-        ctx.grad_embedding += weight * grad
-        return weight * loss
+    def apply_ensemble(self, ctx: EnsembleStepContext, weight: float) -> np.ndarray:
+        labels = ctx.view_labels()
+        losses = np.zeros(ctx.stack)
+        prototypes = ctx.class_targets or {}
+        for k in range(ctx.stack):
+            loss, grad = prototype_nce(
+                ctx.embeddings[k], labels[k], prototypes, self.temperature
+            )
+            ctx.grad_embedding[k] += weight * grad
+            losses[k] = weight * loss
+        return losses
 
 
 class TripletStyleTerm(ObjectiveTerm):
@@ -350,17 +302,6 @@ class TripletStyleTerm(ObjectiveTerm):
     def __init__(self, margin: float = 1.0, hinge: bool = True) -> None:
         self.margin = margin
         self.hinge = hinge
-
-    def apply(self, ctx: StepContext, weight: float) -> float:
-        batch = ctx.batch
-        triplet = TripletStyleLoss(margin=self.margin, hinge=self.hinge)
-        loss = triplet.forward(
-            ctx.embeddings[:batch], ctx.embeddings[batch:], ctx.labels
-        )
-        grad_anchor, grad_positive = triplet.backward()
-        ctx.grad_embedding[:batch] += weight * grad_anchor
-        ctx.grad_embedding[batch:] += weight * grad_positive
-        return weight * loss
 
     def apply_ensemble(self, ctx: EnsembleStepContext, weight: float) -> np.ndarray:
         batch = ctx.batch
@@ -379,15 +320,6 @@ class PairNormTerm(ObjectiveTerm):
     batch (Eq. 8)."""
 
     name = "pair_l2"
-
-    def apply(self, ctx: StepContext, weight: float) -> float:
-        batch = ctx.batch
-        regularizer = EmbeddingL2Loss()
-        loss = regularizer.forward(ctx.embeddings[:batch], ctx.embeddings[batch:])
-        grad_anchor, grad_positive = regularizer.backward()
-        ctx.grad_embedding[:batch] += weight * grad_anchor
-        ctx.grad_embedding[batch:] += weight * grad_positive
-        return weight * loss
 
     def apply_ensemble(self, ctx: EnsembleStepContext, weight: float) -> np.ndarray:
         batch = ctx.batch
@@ -408,14 +340,13 @@ class ConsistencyTerm(ObjectiveTerm):
 
     name = "consistency"
 
-    def apply(self, ctx: StepContext, weight: float) -> float:
+    def apply_ensemble(self, ctx: EnsembleStepContext, weight: float) -> np.ndarray:
         batch = ctx.batch
-        diff = ctx.embeddings[:batch] - ctx.embeddings[batch:]
-        loss = weight * float(np.mean(diff**2))
-        grad = weight * 2.0 * diff / diff.size
-        ctx.grad_embedding[:batch] += grad
-        ctx.grad_embedding[batch:] -= grad
-        return loss
+        diff = ctx.embeddings[:, :batch] - ctx.embeddings[:, batch:]
+        grad = weight * 2.0 * diff / diff[0].size
+        ctx.grad_embedding[:, :batch] += grad
+        ctx.grad_embedding[:, batch:] -= grad
+        return weight * np.mean(diff**2, axis=(1, 2))
 
 
 # --------------------------------------------------------------------------
@@ -588,16 +519,6 @@ class CompositeObjective:
                 for b in self.bindings
             ]
         )
-
-    def evaluate(self, ctx: StepContext) -> float:
-        """Apply every (nonzero-weight) term in order; returns the summed
-        weighted loss.  Gradients accumulate into the context's buffers."""
-        total = 0.0
-        for binding in self.bindings:
-            if binding.weight == 0.0:
-                continue
-            total += binding.term.apply(ctx, binding.weight)
-        return total
 
     def evaluate_ensemble(self, ctx: EnsembleStepContext) -> np.ndarray:
         total = np.zeros(ctx.stack)

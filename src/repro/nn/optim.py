@@ -14,7 +14,8 @@ class SGD:
 
     This is the optimizer used by every federated client in the paper's
     experiments; weight decay here acts on parameters (standard L2), distinct
-    from PARDON's representation-space regularizer (``EmbeddingL2Loss``).
+    from PARDON's representation-space regularizer (Eq. 8, the ``pair_l2``
+    term).
     """
 
     def __init__(

@@ -31,6 +31,7 @@ from repro.fl import (
     SerialExecutor,
     run_prepare,
 )
+from repro.fl.aggregate import make_aggregator
 from repro.fl.net.serve import trace_dict
 from repro.fl.strategy import Strategy
 from repro.nn import build_cnn_model, build_mlp_model
@@ -437,3 +438,22 @@ class TestPerBatchViewDigests:
         with ParallelExecutor(num_workers=2) as executor:
             digest = traced_run(self.FACTORIES[case](), executor)
         assert digest == self.DIGESTS[case]
+
+
+class TestFedSRDigests:
+    """FedSR's two regularizers (``embed_l2``, ``class_align``) were traced
+    while both ran through the per-slice fallback; their stacked forms
+    must not move these digests, on the serial engine or the pool."""
+
+    DIGESTS = {"mean": "037720b7abfb264c", "median": "62773eb12d5c2e2c"}
+
+    @pytest.mark.parametrize("rule", sorted(DIGESTS))
+    def test_serial(self, rule):
+        strategy = METHODS["fedsr"]()
+        strategy.aggregator = make_aggregator(rule)
+        assert traced_run(strategy, SerialExecutor()) == self.DIGESTS[rule]
+
+    def test_pool(self):
+        with ParallelExecutor(num_workers=2) as executor:
+            digest = traced_run(METHODS["fedsr"](), executor)
+        assert digest == self.DIGESTS["mean"]

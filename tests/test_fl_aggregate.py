@@ -1039,6 +1039,30 @@ class TestOneAggregationPath:
         else:
             assert median != mean
 
+    @pytest.mark.parametrize("command", ["run", "lodo", "serve"])
+    def test_rule_the_method_refuses_is_a_usage_error(
+        self, command, capsys, monkeypatch
+    ):
+        """An ``--aggregator`` rule the method cannot run under exits 2
+        naming the rule, before any suite is built."""
+        from repro import cli
+        from repro.fl.net import serve
+
+        def no_suite(seed):
+            raise AssertionError("the suite was built")
+
+        monkeypatch.setitem(cli.SUITES, "pacs", no_suite)
+        split = ["--train-domains", "photo", "art_painting",
+                 "--val-domain", "cartoon", "--test-domain", "sketch"]
+        argv = ["--suite", "pacs", "--method", "fedgma", "--aggregator", "median"]
+        with pytest.raises(SystemExit) as exit_info:
+            if command == "serve":
+                serve.main([*argv, *split])
+            else:
+                cli.main([command, *argv, *(split if command == "run" else [])])
+        assert exit_info.value.code == 2
+        assert "'median'" in capsys.readouterr().err
+
     def test_feddg_ga_folds_with_its_adjusted_weights(self):
         """FedDG-GA's weights reach any rule through ``upload_weight``,
         and move only after the round's folds."""

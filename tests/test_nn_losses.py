@@ -1,10 +1,13 @@
 """Tests for loss functions, including finite-difference checks of the
-triplet loss — the heart of PARDON's contrastive mechanism."""
+triplet loss — the heart of PARDON's contrastive mechanism.  The Eq. 7 /
+Eq. 8 losses exist only over ``(K, ...)`` stacks; they are checked here on
+a stack of one client."""
 
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn.ensemble import EnsembleEmbeddingL2Loss, EnsembleTripletStyleLoss
 from repro.nn.functional import log_softmax
 from tests.gradcheck import numeric_gradient
 
@@ -45,14 +48,29 @@ class TestCrossEntropy:
             nn.CrossEntropyLoss().forward(rng.normal(size=(3, 2)), np.array([0, 1]))
 
 
+def one_client(criterion, *arrays):
+    """``criterion``'s loss on a stack of one client (K = 1)."""
+    (loss,) = criterion.forward(*(np.asarray(a)[None] for a in arrays))
+    return loss
+
+
+def one_client_grads(criterion):
+    """The single slice of ``criterion``'s two gradient stacks."""
+    grad_a, grad_t = criterion.backward()
+    return grad_a[0], grad_t[0]
+
+
 class TestTripletStyleLoss:
+    """Paper Eq. 7 through :class:`EnsembleTripletStyleLoss`, one client."""
+
     def test_hinge_zero_when_negatives_far_and_positive_close(self, rng):
         anchors = rng.normal(size=(4, 8))
         anchors[2:] += 100.0  # well-separated classes
         transferred = anchors.copy()  # positives exactly at anchors
         labels = np.array([0, 0, 1, 1])
-        loss = nn.TripletStyleLoss(margin=1.0, hinge=True, normalize=False).forward(
-            anchors, transferred, labels
+        loss = one_client(
+            EnsembleTripletStyleLoss(margin=1.0, hinge=True, normalize=False),
+            anchors, transferred, labels,
         )
         assert loss == 0.0
 
@@ -64,8 +82,9 @@ class TestTripletStyleLoss:
         anchors[2:] += 100.0
         transferred = anchors.copy()
         labels = np.array([0, 0, 1, 1])
-        loss = nn.TripletStyleLoss(margin=1.0, hinge=False, normalize=False).forward(
-            anchors, transferred, labels
+        loss = one_client(
+            EnsembleTripletStyleLoss(margin=1.0, hinge=False, normalize=False),
+            anchors, transferred, labels,
         )
         assert loss < 0.0
 
@@ -73,7 +92,10 @@ class TestTripletStyleLoss:
         anchors = np.array([[0.0, 0.0], [10.0, 10.0]])
         transferred = np.array([[5.0, 5.0], [0.1, 0.1]])  # other-class is closer
         labels = np.array([0, 1])
-        loss = nn.TripletStyleLoss(margin=0.5, normalize=False).forward(anchors, transferred, labels)
+        loss = one_client(
+            EnsembleTripletStyleLoss(margin=0.5, normalize=False),
+            anchors, transferred, labels,
+        )
         assert loss > 0.0
 
     @pytest.mark.parametrize("reduction", ["mean", "sum"])
@@ -83,16 +105,19 @@ class TestTripletStyleLoss:
         anchors = rng.normal(size=(5, 4))
         transferred = rng.normal(size=(5, 4))
         labels = np.array([0, 1, 0, 2, 1])
-        criterion = nn.TripletStyleLoss(
+        criterion = EnsembleTripletStyleLoss(
             margin=2.0, reduction=reduction, hinge=hinge, normalize=normalize
         )
-        criterion.forward(anchors, transferred, labels)
-        grad_a, grad_t = criterion.backward()
+        one_client(criterion, anchors, transferred, labels)
+        grad_a, grad_t = one_client_grads(criterion)
 
         def loss_fn():
-            return nn.TripletStyleLoss(
-                margin=2.0, reduction=reduction, hinge=hinge, normalize=normalize
-            ).forward(anchors, transferred, labels)
+            return one_client(
+                EnsembleTripletStyleLoss(
+                    margin=2.0, reduction=reduction, hinge=hinge, normalize=normalize
+                ),
+                anchors, transferred, labels,
+            )
 
         numeric_a = numeric_gradient(loss_fn, anchors)
         numeric_t = numeric_gradient(loss_fn, transferred)
@@ -105,8 +130,9 @@ class TestTripletStyleLoss:
         anchors = rng.normal(size=(6, 8)) * 1e6
         transferred = rng.normal(size=(6, 8)) * 1e-6
         labels = np.array([0, 1, 2, 0, 1, 2])
-        loss = nn.TripletStyleLoss(margin=0.0, normalize=True).forward(
-            anchors, transferred, labels
+        loss = one_client(
+            EnsembleTripletStyleLoss(margin=0.0, normalize=True),
+            anchors, transferred, labels,
         )
         assert -4.0 <= loss <= 4.0
 
@@ -116,9 +142,9 @@ class TestTripletStyleLoss:
         anchors = rng.normal(size=(4, 6))
         transferred = rng.normal(size=(4, 6))
         labels = np.array([0, 1, 0, 1])
-        criterion = nn.TripletStyleLoss(normalize=True)
-        criterion.forward(anchors, transferred, labels)
-        grad_a, grad_t = criterion.backward()
+        criterion = EnsembleTripletStyleLoss(normalize=True)
+        one_client(criterion, anchors, transferred, labels)
+        grad_a, grad_t = one_client_grads(criterion)
         radial_a = np.sum(grad_a * anchors, axis=1)
         radial_t = np.sum(grad_t * transferred, axis=1)
         np.testing.assert_allclose(radial_a, 0.0, atol=1e-10)
@@ -129,22 +155,23 @@ class TestTripletStyleLoss:
         anchors = rng.normal(size=(3, 4))
         transferred = rng.normal(size=(3, 4))
         labels = np.zeros(3, dtype=int)
-        loss = nn.TripletStyleLoss(margin=0.0, reduction="sum", normalize=False).forward(
-            anchors, transferred, labels
+        loss = one_client(
+            EnsembleTripletStyleLoss(margin=0.0, reduction="sum", normalize=False),
+            anchors, transferred, labels,
         )
         expected = np.sum((anchors - transferred) ** 2)
         np.testing.assert_allclose(loss, expected)
 
     def test_empty_batch(self):
-        criterion = nn.TripletStyleLoss()
-        loss = criterion.forward(np.zeros((0, 4)), np.zeros((0, 4)), np.zeros(0))
+        criterion = EnsembleTripletStyleLoss()
+        loss = one_client(criterion, np.zeros((0, 4)), np.zeros((0, 4)), np.zeros(0))
         assert loss == 0.0
-        grad_a, grad_t = criterion.backward()
+        grad_a, grad_t = one_client_grads(criterion)
         assert grad_a.shape == (0, 4) and grad_t.shape == (0, 4)
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):
-            nn.TripletStyleLoss(margin=-1.0)
+            EnsembleTripletStyleLoss(margin=-1.0)
 
     def test_minimizing_pulls_anchor_to_positive(self, rng):
         """Gradient descent on the loss moves anchors toward their positives
@@ -152,10 +179,10 @@ class TestTripletStyleLoss:
         anchors = np.array([[0.0, 0.0], [4.0, 4.0]])
         transferred = np.array([[2.0, 0.0], [2.0, 4.0]])
         labels = np.array([0, 1])
-        criterion = nn.TripletStyleLoss(margin=10.0, normalize=False)
+        criterion = EnsembleTripletStyleLoss(margin=10.0, normalize=False)
         for _ in range(50):
-            criterion.forward(anchors, transferred, labels)
-            grad_a, _ = criterion.backward()
+            one_client(criterion, anchors, transferred, labels)
+            grad_a, _ = one_client_grads(criterion)
             anchors -= 0.05 * grad_a
         dist_pos_0 = np.linalg.norm(anchors[0] - transferred[0])
         dist_neg_0 = np.linalg.norm(anchors[0] - transferred[1])
@@ -163,18 +190,20 @@ class TestTripletStyleLoss:
 
 
 class TestEmbeddingL2:
+    """Paper Eq. 8 through :class:`EnsembleEmbeddingL2Loss`, one client."""
+
     def test_value(self, rng):
         a = rng.normal(size=(3, 4))
         t = rng.normal(size=(3, 4))
-        loss = nn.EmbeddingL2Loss(reduction="sum").forward(a, t)
+        loss = one_client(EnsembleEmbeddingL2Loss(reduction="sum"), a, t)
         np.testing.assert_allclose(loss, np.sum(a**2) + np.sum(t**2))
 
     def test_gradients(self, rng):
         a = rng.normal(size=(3, 4))
         t = rng.normal(size=(3, 4))
-        criterion = nn.EmbeddingL2Loss()
-        criterion.forward(a, t)
-        grad_a, grad_t = criterion.backward()
+        criterion = EnsembleEmbeddingL2Loss()
+        one_client(criterion, a, t)
+        grad_a, grad_t = one_client_grads(criterion)
         np.testing.assert_allclose(grad_a, 2 * a / 3)
         np.testing.assert_allclose(grad_t, 2 * t / 3)
 

@@ -27,7 +27,6 @@ from repro.nn.objective import (
     FeatureAlignTerm,
     ObjectiveTerm,
     ProtoNCETerm,
-    StepContext,
     make_term,
     objective_term_specs,
     parse_objective_overrides,
@@ -58,12 +57,13 @@ def make_context(
     classes=4,
     class_targets=None,
 ):
-    """A random single-view or two-view step context with zeroed buffers."""
+    """A random single-view or two-view step context of one client (a
+    stack of K = 1) with zeroed buffers."""
     rows = batch * views
-    embeddings = rng.normal(size=(rows, dim))
-    logits = rng.normal(size=(rows, classes))
-    labels = rng.integers(0, classes, size=batch)
-    return StepContext(
+    embeddings = rng.normal(size=(1, rows, dim))
+    logits = rng.normal(size=(1, rows, classes))
+    labels = rng.integers(0, classes, size=(1, batch))
+    return EnsembleStepContext(
         labels=labels,
         embeddings=embeddings,
         logits=logits,
@@ -97,8 +97,8 @@ class TestRegistry:
             name = "null"
             uses_embedding = False
 
-            def apply(self, ctx, weight):
-                return 0.0
+            def apply_ensemble(self, ctx, weight):
+                return np.zeros(ctx.stack)
 
         register_objective_term("null", NullTerm)
         try:
@@ -184,15 +184,15 @@ class TestCompositeObjective:
         class ExplodingTerm(ObjectiveTerm):
             name = "boom"
 
-            def apply(self, ctx, weight):
+            def apply_ensemble(self, ctx, weight):
                 raise AssertionError("zero-weight term must not run")
 
         objective = CompositeObjective(
             [("ce", 1.0), ("boom", 0.0, ExplodingTerm())]
         )
         ctx = make_context(rng)
-        total = objective.evaluate(ctx)
-        assert np.isfinite(total)
+        total = objective.evaluate_ensemble(ctx)
+        assert np.all(np.isfinite(total))
 
     def test_evaluate_sums_term_losses(self):
         """The composite's total is the left-fold of its terms' weighted
@@ -200,24 +200,25 @@ class TestCompositeObjective:
         objective = CompositeObjective([("ce", 1.0), ("embed_l2", 0.5)])
         ce_only = CompositeObjective([("ce", 1.0)])
         l2_only = CompositeObjective([("embed_l2", 0.5)])
-        both = objective.evaluate(make_context(np.random.default_rng(7)))
-        ce = ce_only.evaluate(make_context(np.random.default_rng(7)))
-        l2 = l2_only.evaluate(make_context(np.random.default_rng(7)))
-        assert both == ce + l2
+        both = objective.evaluate_ensemble(make_context(np.random.default_rng(7)))
+        ce = ce_only.evaluate_ensemble(make_context(np.random.default_rng(7)))
+        l2 = l2_only.evaluate_ensemble(make_context(np.random.default_rng(7)))
+        np.testing.assert_array_equal(both, ce + l2)
 
 
 class TestTermGradients:
-    """Finite-difference checks: each term's accumulated gradient matches
-    central differences of its returned loss (references held constant)."""
+    """Finite-difference checks on one client (K = 1): each term's
+    accumulated gradient matches central differences of its returned loss
+    (references held constant)."""
 
     def test_cross_entropy_logits_gradient(self, rng):
         ctx = make_context(rng)
         term = CrossEntropyTerm()
-        term.apply(ctx, 0.7)
+        term.apply_ensemble(ctx, 0.7)
 
         def loss():
-            return CrossEntropyTerm().apply(
-                StepContext(
+            return CrossEntropyTerm().apply_ensemble(
+                EnsembleStepContext(
                     labels=ctx.labels,
                     embeddings=ctx.embeddings,
                     logits=ctx.logits,
@@ -225,29 +226,29 @@ class TestTermGradients:
                     grad_logits=np.zeros_like(ctx.logits),
                 ),
                 0.7,
-            )
+            )[0]
 
         numeric = numeric_gradient(loss, ctx.logits)
         np.testing.assert_allclose(ctx.grad_logits, numeric, atol=1e-7)
 
     def test_cross_entropy_two_view_primary_only(self, rng):
         ctx = make_context(rng, views=2)
-        CrossEntropyTerm(all_views=False).apply(ctx, 1.0)
+        CrossEntropyTerm(all_views=False).apply_ensemble(ctx, 1.0)
         # Gradient confined to the primary view's rows.
-        assert np.all(ctx.grad_logits[ctx.batch :] == 0.0)
-        assert np.any(ctx.grad_logits[: ctx.batch] != 0.0)
+        assert np.all(ctx.grad_logits[:, ctx.batch :] == 0.0)
+        assert np.any(ctx.grad_logits[:, : ctx.batch] != 0.0)
 
     def test_cross_entropy_two_view_all_views(self, rng):
         ctx = make_context(rng, views=2)
-        CrossEntropyTerm(all_views=True).apply(ctx, 1.0)
-        assert np.any(ctx.grad_logits[ctx.batch :] != 0.0)
+        CrossEntropyTerm(all_views=True).apply_ensemble(ctx, 1.0)
+        assert np.any(ctx.grad_logits[:, ctx.batch :] != 0.0)
 
     def test_embedding_norm_gradient(self, rng):
         ctx = make_context(rng)
-        EmbeddingNormTerm().apply(ctx, 0.3)
+        EmbeddingNormTerm().apply_ensemble(ctx, 0.3)
 
         def loss():
-            return 0.3 * float(np.mean(np.sum(ctx.embeddings**2, axis=1)))
+            return 0.3 * float(np.mean(np.sum(ctx.embeddings[0] ** 2, axis=1)))
 
         numeric = numeric_gradient(loss, ctx.embeddings)
         np.testing.assert_allclose(ctx.grad_embedding, numeric, atol=1e-7)
@@ -258,25 +259,23 @@ class TestTermGradients:
         NOT the naive numeric gradient (which would move the mean too)."""
         ctx = make_context(rng)
         weight = 0.4
-        ClassAlignTerm().apply(ctx, weight)
-        references = np.empty_like(ctx.embeddings)
-        for label in np.unique(ctx.labels):
-            mask = ctx.labels == label
-            references[mask] = ctx.embeddings[mask].mean(axis=0)
-        expected = (
-            weight * 2.0 * (ctx.embeddings - references)
-            / ctx.embeddings.shape[0]
-        )
-        np.testing.assert_array_equal(ctx.grad_embedding, expected)
+        ClassAlignTerm().apply_ensemble(ctx, weight)
+        embeddings, labels = ctx.embeddings[0], ctx.labels[0]
+        references = np.empty_like(embeddings)
+        for label in np.unique(labels):
+            mask = labels == label
+            references[mask] = embeddings[mask].mean(axis=0)
+        expected = weight * 2.0 * (embeddings - references) / embeddings.shape[0]
+        np.testing.assert_array_equal(ctx.grad_embedding[0], expected)
 
     def test_feature_align_gradient(self, rng):
         targets = {c: rng.normal(size=6) for c in range(4)}
         ctx = make_context(rng, class_targets=targets)
         term = FeatureAlignTerm()
-        term.apply(ctx, 0.6)
+        term.apply_ensemble(ctx, 0.6)
 
         def loss():
-            fresh = StepContext(
+            fresh = EnsembleStepContext(
                 labels=ctx.labels,
                 embeddings=ctx.embeddings,
                 logits=ctx.logits,
@@ -284,21 +283,21 @@ class TestTermGradients:
                 grad_embedding=np.zeros_like(ctx.embeddings),
                 class_targets=targets,
             )
-            return FeatureAlignTerm().apply(fresh, 0.6)
+            return FeatureAlignTerm().apply_ensemble(fresh, 0.6)[0]
 
         numeric = numeric_gradient(loss, ctx.embeddings)
         np.testing.assert_allclose(ctx.grad_embedding, numeric, atol=1e-7)
 
     def test_feature_align_no_targets_is_inert(self, rng):
         ctx = make_context(rng, class_targets={})
-        assert FeatureAlignTerm().apply(ctx, 1.0) == 0.0
+        assert FeatureAlignTerm().apply_ensemble(ctx, 1.0).tolist() == [0.0]
         assert np.all(ctx.grad_embedding == 0.0)
 
     def test_feature_align_partial_targets(self, rng):
         """Classes without a target contribute zero loss and gradient."""
         targets = {0: np.zeros(6)}
         ctx = make_context(rng, class_targets=targets)
-        FeatureAlignTerm().apply(ctx, 1.0)
+        FeatureAlignTerm().apply_ensemble(ctx, 1.0)
         other = ctx.labels != 0
         assert np.all(ctx.grad_embedding[other] == 0.0)
 
@@ -306,11 +305,11 @@ class TestTermGradients:
         prototypes = {c: rng.normal(size=6) for c in range(4)}
         ctx = make_context(rng, class_targets=prototypes)
         term = ProtoNCETerm(temperature=0.5)
-        term.apply(ctx, 0.8)
+        term.apply_ensemble(ctx, 0.8)
 
         def loss():
             value, _ = prototype_nce(
-                ctx.embeddings, ctx.labels, prototypes, 0.5
+                ctx.embeddings[0], ctx.labels[0], prototypes, 0.5
             )
             return 0.8 * value
 
@@ -321,10 +320,10 @@ class TestTermGradients:
 
     def test_consistency_gradient(self, rng):
         ctx = make_context(rng, views=2)
-        ConsistencyTerm().apply(ctx, 0.9)
+        ConsistencyTerm().apply_ensemble(ctx, 0.9)
 
         def loss():
-            diff = ctx.embeddings[: ctx.batch] - ctx.embeddings[ctx.batch :]
+            diff = ctx.embeddings[0, : ctx.batch] - ctx.embeddings[0, ctx.batch :]
             return 0.9 * float(np.mean(diff**2))
 
         numeric = numeric_gradient(loss, ctx.embeddings)
@@ -337,10 +336,10 @@ class TestTermGradients:
         ]:
             ctx = make_context(rng, views=2)
             term = make_term(name, **params)
-            term.apply(ctx, 0.35)
+            term.apply_ensemble(ctx, 0.35)
 
             def loss():
-                fresh = StepContext(
+                fresh = EnsembleStepContext(
                     labels=ctx.labels,
                     embeddings=ctx.embeddings,
                     logits=ctx.logits,
@@ -348,7 +347,7 @@ class TestTermGradients:
                     views=2,
                     grad_embedding=np.zeros_like(ctx.embeddings),
                 )
-                return make_term(name, **params).apply(fresh, 0.35)
+                return make_term(name, **params).apply_ensemble(fresh, 0.35)[0]
 
             numeric = numeric_gradient(loss, ctx.embeddings)
             np.testing.assert_allclose(
@@ -358,13 +357,19 @@ class TestTermGradients:
 
 
 class TestEnsemblePath:
-    """apply_ensemble (vectorized or per-slice fallback) must reproduce the
-    scalar apply on every slice bitwise — the backend-invariance contract."""
+    """Each term's one stacked form must reproduce, on every slice bitwise,
+    the reference loop's own scalar form of that term — the
+    backend-invariance contract, checked against code the terms do not
+    share."""
+
+    #: Terms that need the two-view batch (anchors, then positives).
+    TWO_VIEW = {"consistency", "pair_l2", "triplet_style"}
 
     def test_slices_share_one_target_mapping(self, rng):
-        """Every slice reads the one ``class_targets`` mapping; the old
-        per-slice ``extras`` is no field, and its keyword takes only the
-        empty per-slice mappings the benchmark harness passes."""
+        """The context holds the one ``class_targets`` mapping every slice
+        reads; the old per-slice ``extras`` is no field, and its keyword
+        takes only the empty per-slice mappings the benchmark harness
+        passes."""
         targets = {0: rng.normal(size=6)}
         shape = dict(
             labels=np.zeros((2, 3), dtype=int),
@@ -373,56 +378,87 @@ class TestEnsemblePath:
             batch=3,
         )
         ctx = EnsembleStepContext(**shape, class_targets=targets)
-        assert all(ctx.slice(k).class_targets is targets for k in range(2))
-        for cls in (StepContext, EnsembleStepContext):
-            assert "extras" not in {f.name for f in dataclasses.fields(cls)}
+        assert ctx.class_targets is targets
+        fields = {f.name for f in dataclasses.fields(EnsembleStepContext)}
+        assert "extras" not in fields
         assert EnsembleStepContext(**shape, extras=[{}, {}]).class_targets is None
         with pytest.raises(ValueError, match="per-slice extras"):
             EnsembleStepContext(**shape, extras=[{}, {"prototypes": targets}])
 
+    @staticmethod
+    def _draws(rng):
+        """``(stack, batch, views, dim, labels, class_targets)`` draws: a
+        plain one, one client alone, a class held by one slice only with
+        targets for some classes, no targets at all, a one-row batch, and
+        random shapes."""
+        draws = [
+            (3, 5, 2, 6, rng.integers(0, 4, size=(3, 5)), "all"),
+            (1, 7, 2, 5, rng.integers(0, 3, size=(1, 7)), "all"),
+        ]
+        # Class 3 lives in slice 0 only; classes 1 and 3 have no target.
+        labels = rng.integers(0, 3, size=(4, 6))
+        labels[0, :2] = 3
+        draws.append((4, 6, 2, 4, labels, (0, 2)))
+        draws.append((2, 4, 2, 3, rng.integers(0, 3, size=(2, 4)), None))
+        draws.append((3, 1, 2, 4, rng.integers(0, 2, size=(3, 1)), (1,)))
+        for _ in range(4):
+            stack, batch, dim = (int(v) for v in rng.integers(1, 9, size=3))
+            classes = int(rng.integers(1, 5))
+            labels = rng.integers(0, classes, size=(stack, batch))
+            held = tuple(c for c in range(classes) if rng.random() < 0.6)
+            draws.append((stack, batch, int(rng.integers(1, 3)), dim, labels, held))
+        return draws
+
     @pytest.mark.parametrize("name", BUILTIN_TERMS)
     def test_slices_match_scalar(self, name, rng):
-        stack, batch, views, dim, classes = 3, 5, 2, 6, 4
-        rows = batch * views
-        embeddings = rng.normal(size=(stack, rows, dim))
-        logits = rng.normal(size=(stack, rows, classes))
-        labels = rng.integers(0, classes, size=(stack, batch))
-        # One mapping for every slice: the broadcast strategy's targets.
-        class_targets = {c: rng.normal(size=dim) for c in range(classes)}
+        scalar = reference_loop.SCALAR_TERMS[name]
         term = make_term(name)
-        ectx = EnsembleStepContext(
-            labels=labels,
-            embeddings=embeddings.copy(),
-            logits=logits.copy(),
-            batch=batch,
-            views=views,
-            grad_logits=np.zeros((stack, rows, classes)),
-            grad_embedding=np.zeros((stack, rows, dim)),
-            class_targets=class_targets,
-        )
-        losses = term.apply_ensemble(ectx, 0.7)
-        assert losses.shape == (stack,)
-        for k in range(stack):
-            sctx = StepContext(
-                labels=labels[k],
-                embeddings=embeddings[k].copy(),
-                logits=logits[k].copy(),
+        for stack, batch, views, dim, labels, held in self._draws(rng):
+            if name in self.TWO_VIEW and views != 2:
+                continue
+            rows, classes = batch * views, 4
+            embeddings = rng.normal(size=(stack, rows, dim))
+            logits = rng.normal(size=(stack, rows, classes))
+            # One mapping for every slice: the broadcast strategy's targets.
+            if held is None:
+                class_targets = None
+            else:
+                held = range(classes) if held == "all" else held
+                class_targets = {c: rng.normal(size=dim) for c in held}
+            ectx = EnsembleStepContext(
+                labels=labels,
+                embeddings=embeddings.copy(),
+                logits=logits.copy(),
                 batch=batch,
                 views=views,
-                grad_logits=np.zeros((rows, classes)),
-                grad_embedding=np.zeros((rows, dim)),
+                grad_logits=np.zeros((stack, rows, classes)),
+                grad_embedding=np.zeros((stack, rows, dim)),
                 class_targets=class_targets,
             )
-            scalar_loss = term.apply(sctx, 0.7)
-            np.testing.assert_array_equal(
-                ectx.grad_logits[k], sctx.grad_logits,
-                err_msg=f"{name}: slice {k} grad_logits diverges",
-            )
-            np.testing.assert_array_equal(
-                ectx.grad_embedding[k], sctx.grad_embedding,
-                err_msg=f"{name}: slice {k} grad_embedding diverges",
-            )
-            assert losses[k] == scalar_loss, f"{name}: slice {k} loss diverges"
+            losses = term.apply_ensemble(ectx, 0.7)
+            assert losses.shape == (stack,)
+            for k in range(stack):
+                sctx = reference_loop.StepContext(
+                    labels=labels[k],
+                    embeddings=embeddings[k].copy(),
+                    logits=logits[k].copy(),
+                    batch=batch,
+                    views=views,
+                    grad_logits=np.zeros((rows, classes)),
+                    grad_embedding=np.zeros((rows, dim)),
+                    class_targets=class_targets,
+                )
+                scalar_loss = scalar(term, sctx, 0.7)
+                where = f"{name}: slice {k} of {stack}, labels {labels.tolist()}"
+                np.testing.assert_array_equal(
+                    ectx.grad_logits[k], sctx.grad_logits,
+                    err_msg=f"{where}: grad_logits diverges",
+                )
+                np.testing.assert_array_equal(
+                    ectx.grad_embedding[k], sctx.grad_embedding,
+                    err_msg=f"{where}: grad_embedding diverges",
+                )
+                assert losses[k] == scalar_loss, f"{where}: loss diverges"
 
     def test_runner_takes_per_slice_arrays(self, rng):
         """The members' own arrays train bitwise as their ``(K, N, ...)``
