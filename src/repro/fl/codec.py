@@ -65,6 +65,7 @@ Contract
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -82,6 +83,7 @@ __all__ = [
     "Qint8Codec",
     "DeflateCodec",
     "make_codec",
+    "wire_dtype",
     "register_codec",
     "register_filter",
     "codec_specs",
@@ -89,20 +91,34 @@ __all__ = [
 ]
 
 
+#: The dtypes a peer may name for an array: little-endian numbers and
+#: bools.  Every dtype read off the wire — a registered array's, a state
+#: frame's or upload's tensor's, a packing spec's, and the dtype fp16 and
+#: qint8 restore — passes :func:`wire_dtype` before numpy sees it.
+_ARRAY_DTYPES = frozenset({"<f8", "<f4", "<f2", "<i8", "<i4", "|u1", "|b1"})
+
+
+def wire_dtype(name: object) -> np.dtype:
+    """The dtype a peer named, or a :class:`ValueError` if it is not one
+    of :data:`_ARRAY_DTYPES`."""
+    if type(name) is not str or name not in _ARRAY_DTYPES:
+        raise ValueError(f"wire dtype {name!r} is not allowed")
+    return np.dtype(name)
+
+
 @dataclass(frozen=True)
 class Payload:
     """One codec-encoded state, ready for the transport.
 
-    ``tensors`` carries array-valued wire content and rides the
-    serializer's out-of-band fast path (see
-    :func:`repro.nn.serialize.encode_payload`); ``blob`` carries
-    byte-filtered (compressed) content; ``meta`` is small per-tensor
-    metadata (dtypes, quantization parameters, packing specs).  ``codec``
-    records the producing pipeline spec so a decode with the wrong codec
-    fails loudly instead of corrupting states.
+    ``tensors`` carries array-valued wire content and ``blob``
+    byte-filtered (compressed) content; both cross as raw message buffers
+    (:mod:`repro.fl.wire`), so a received payload's tensors and blob are
+    views of its frame.  ``meta`` is small per-tensor metadata (dtypes,
+    quantization parameters, packing specs) that crosses as JSON: tuples
+    in it arrive as lists.  ``codec`` records the producing pipeline spec
+    so a decode with the wrong codec fails loudly instead of corrupting
+    states.
     """
-
-    __wire_oob__ = True
 
     codec: str
     kind: str
@@ -211,7 +227,7 @@ def _pack(tensors: StateDict) -> tuple[bytes, tuple]:
     return _deflate(body), spec
 
 
-def _unpack(blob: bytes, spec: tuple) -> StateDict:
+def _unpack(blob: "bytes | memoryview", spec: "tuple | list") -> StateDict:
     """Inflate ``blob`` and unshuffle it into the tensors ``spec`` names.
 
     Inflation stops one byte past what ``spec`` implies, so a frame cannot
@@ -219,16 +235,26 @@ def _unpack(blob: bytes, spec: tuple) -> StateDict:
     over-long stream and lets an exact one reach its end; ``max_length=0``
     would mean *unlimited*).  For ``delta`` frames the bound comes from the
     local reference; for full and ``+deflate`` frames it is the peer's own
-    ``meta`` spec, so it is only as trustworthy as the peer.
+    ``meta`` spec, so it is only as trustworthy as the peer — which is why
+    each of its entries must be ``[key, allowed dtype, shape]`` and a
+    stream that does not inflate is a :class:`ValueError` too.
     """
-    sizes = [
-        np.dtype(dtype_str).itemsize
-        * (int(np.prod(shape, dtype=np.int64)) if shape else 1)
-        for _, dtype_str, shape in spec
-    ]
-    expected = sum(sizes)
+    entries = []
+    for key, dtype_str, shape in spec:
+        if (
+            type(key) is not str
+            or not isinstance(shape, (list, tuple))
+            or not all(type(dim) is int and dim >= 0 for dim in shape)
+        ):
+            raise ValueError(f"packed tensor {key!r} of shape {shape!r} is malformed")
+        dtype = wire_dtype(dtype_str)
+        entries.append((key, dtype, tuple(shape), dtype.itemsize * math.prod(shape)))
+    expected = sum(entry[3] for entry in entries)
     inflater = zlib.decompressobj()
-    body = memoryview(inflater.decompress(blob, expected + 1))
+    try:
+        body = memoryview(inflater.decompress(blob, expected + 1))
+    except (zlib.error, OverflowError) as exc:
+        raise ValueError(f"packed payload does not inflate: {exc}") from None
     if (
         len(body) != expected
         or inflater.unconsumed_tail
@@ -238,10 +264,8 @@ def _unpack(blob: bytes, spec: tuple) -> StateDict:
         raise ValueError("packed payload length does not match its spec")
     tensors: StateDict = {}
     offset = 0
-    for (key, dtype_str, shape), nbytes in zip(spec, sizes):
-        tensors[key] = _unshuffle(
-            body[offset : offset + nbytes], np.dtype(dtype_str), shape
-        )
+    for key, dtype, shape, nbytes in entries:
+        tensors[key] = _unshuffle(body[offset : offset + nbytes], dtype, shape)
         offset += nbytes
     return tensors
 
@@ -352,7 +376,7 @@ class Fp16Codec(Codec):
         self._check(payload)
         dtypes = payload.meta["dtypes"]
         return {
-            key: value.astype(np.dtype(dtypes[key])) if key in dtypes else value
+            key: value.astype(wire_dtype(dtypes[key])) if key in dtypes else value
             for key, value in payload.tensors.items()
         }
 
@@ -398,7 +422,7 @@ class Qint8Codec(Codec):
         for key, value in payload.tensors.items():
             if key in affine:
                 scale, offset, dtype_str = affine[key]
-                state[key] = (value.astype(np.dtype(dtype_str)) * scale) + offset
+                state[key] = (value.astype(wire_dtype(dtype_str)) * scale) + offset
             else:
                 state[key] = value
         return state

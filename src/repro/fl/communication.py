@@ -52,8 +52,8 @@ class MeasuredCommunication:
     :class:`CommunicationModel` (per participating client per round) so the
     overhead bench can print measured next to analytic.
 
-    Measured bytes include what the analytic model abstracts away — pickle
-    framing, the strategy blob in the broadcast, task fields — and the
+    Measured bytes include what the analytic model abstracts away — message
+    meta, the strategy blob in the broadcast, task fields — and the
     parallel engine broadcasts once per *worker*, not per client, so the
     per-client download can come out *below* the analytic weight cost.
     """

@@ -107,8 +107,7 @@ __all__ = [
 class ClientUpdate:
     """Everything one client sends back after a local update.
 
-    This is the upload half of the federated wire protocol: it must stay
-    serializable (checked by the parallel engine on every hop), and it is the
+    This is the upload half of the federated wire protocol, and the
     *only* channel through which a local update may influence the server.
     Strategies therefore put method-specific uploads — the class channel's
     ``class_stats`` (FPL, FedAlign, FedCCRL), FedDG-GA's ``gap`` — into
@@ -133,15 +132,15 @@ class ClientUpdate:
     so cooperatively skipped stragglers (which never produce an update)
     count too.
 
-    On the parallel engine's upload hop, ``state`` transiently holds the
-    codec :class:`repro.fl.codec.Payload` instead of a state dict; the
-    server decodes it before anything else sees the update.
-    ``__wire_oob__`` opts the record into the serializer's protocol-5
-    out-of-band framing, so every array it carries — wire tensors, the
-    class channel's per-class means — decodes as a zero-copy view.
+    On a wire lane's upload hop, ``state`` transiently holds the codec
+    :class:`repro.fl.codec.Payload` instead of a state dict; the server
+    decodes it before anything else sees the update.  The record crosses
+    as an upload message (:func:`repro.fl.wire.encode_upload`): its
+    scalars as JSON, every array it carries — wire tensors, the class
+    channel's per-class means — as a buffer that decodes to a zero-copy
+    view.  So ``payload`` holds numbers, strings, ``None``, arrays, lists
+    and dicts with scalar keys (a tuple arrives as a list).
     """
-
-    __wire_oob__ = True
 
     client_id: int
     num_samples: int

@@ -34,11 +34,11 @@ folds) — the socket is a new hop, not a new round protocol.  What crosses
 it is plain: task fields and handles as JSON, a registration as JSON —
 each suite-built client as a recipe its agent renders, any other client
 with the raw bytes of its arrays, sent from the server's own memory.
-The blobs that are still ``encode_payload`` pickles (the welcome's model
-template, the broadcast's strategy, uploads) ride as opaque buffers; the
-broadcast's state frame and an upload's codec payloads keep their
-protocol-5 out-of-band framing, so they decode straight from the received
-frame.
+The broadcast's state frame and each upload are typed messages too (their
+arrays as buffers that decode straight from the received frame), so the
+server unpickles nothing; the two blobs that are still ``encode_payload``
+pickles (the welcome's model template, the broadcast's strategy) ride as
+opaque buffers that only an agent decodes.
 """
 
 from repro.fl.net.frames import (

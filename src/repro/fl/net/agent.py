@@ -92,8 +92,8 @@ def _answer(runtime: WorkerRuntime, message: Message) -> "list | None":
             # finalizers on purpose).  Only a launched agent is ever sent
             # one; the server sees EOF and relaunches the lane.
             os._exit(1)
-        wire = runtime.run_task(task)
-        return message_parts(UPLOAD, {"task": message.meta["task"]}, wire)
+        meta, buffers = runtime.run_task(task)
+        return message_parts(UPLOAD, {"task": message.meta["task"], **meta}, *buffers)
     _log.warning("ignoring unexpected %r frame", message.kind)  # pragma: no cover
     return None
 

@@ -351,7 +351,7 @@ class _AgentLanes(Executor):
         live = self._tasks.get(task_id) == home
         if message.kind == UPLOAD and live:
             del self._tasks[task_id]
-            self._events.append((task_id, message.blob))
+            self._events.append((task_id, message))
         elif message.kind == ERROR and (live or task_id is None):
             self._tasks.pop(task_id, None)
             what = "a registration or broadcast" if task_id is None else f"task {task_id}"

@@ -43,6 +43,7 @@ __all__ = [
     "send_views",
     "send_frame",
     "recv_frame",
+    "recv_payload",
     "read_frame",
     "write_frame",
 ]
@@ -212,6 +213,18 @@ def _recv_exact(sock: socket.socket, view: memoryview) -> int:
     return got
 
 
+def recv_payload(sock: socket.socket, length: int) -> memoryview:
+    """Exactly ``length`` bytes from ``sock``, received straight into their
+    own buffer (an anonymous ``mmap`` from :data:`_MMAP_FROM` bytes up), as
+    a read-only view; a :class:`FrameError` if the peer closes first."""
+    buffer = mmap.mmap(-1, length) if length >= _MMAP_FROM else bytearray(length)
+    view = memoryview(buffer)
+    got = _recv_exact(sock, view)
+    if got < length:
+        raise FrameError(f"peer closed mid-frame: {got}/{length} payload bytes")
+    return view.toreadonly()
+
+
 class FrameStream:
     """A persistent framed view of one blocking socket.
 
@@ -249,12 +262,7 @@ class FrameStream:
                 f"frame header announces {length} bytes, over the "
                 f"{self.max_bytes} cap — corrupt or hostile peer"
             )
-        buffer = mmap.mmap(-1, length) if length >= _MMAP_FROM else bytearray(length)
-        view = memoryview(buffer)
-        got = _recv_exact(self._sock, view)
-        if got < length:
-            raise FrameError(f"peer closed mid-frame: {got}/{length} payload bytes")
-        return view.toreadonly()
+        return recv_payload(self._sock, length)
 
     def send(self, *parts: object) -> int:
         """Write one frame (payload: ``parts`` back to back) to the peer;
@@ -288,11 +296,12 @@ async def read_frame(reader: asyncio.StreamReader) -> "bytes | None":
         ) from exc
 
 
-async def write_frame(
-    writer: asyncio.StreamWriter, payload: "bytes | memoryview"
-) -> int:
-    """Write one frame to an asyncio stream and drain; returns wire bytes."""
-    data = encode_frame(payload)
-    writer.write(data)
+async def write_frame(writer: asyncio.StreamWriter, *parts: object) -> int:
+    """Write one frame, whose payload is ``parts`` back to back, to an
+    asyncio stream and drain; returns wire bytes.  The parts are written
+    as they are, never joined."""
+    views = frame_views(parts)
+    for view in views:
+        writer.write(view)
     await writer.drain()
-    return len(data)
+    return sum(view.nbytes for view in views)

@@ -11,8 +11,8 @@ or more raw buffers, back to back::
                 next multiple of 8 bytes into the payload (zero padding)
 
 The alignment is what lets an array read in place from a received frame
-(a registered client's images, an out-of-band decoded state) be an
-aligned numpy array: a frame's payload buffer itself starts aligned.
+(a registered client's images, a state frame's or an upload's tensors) be
+an aligned numpy array: a frame's payload buffer itself starts aligned.
 
 :func:`message_parts` returns those pieces as a scatter list — header,
 meta and the caller's own buffers, never joined — which the lanes write
@@ -33,9 +33,9 @@ reject     → agent   ``{reason}``: the handshake is refused
 register   → agent   ``{clients: [{id, recipe} | {id, arrays}], evict:
                      [ids]}``; a ``recipe`` is ``{suite: {builder, args},
                      parts: [[domain, [rows]]]}``, rendered by the agent;
-                     an ``arrays`` client's ``[{dtype, shape}] * 3`` come
-                     with its ``images`` / ``labels`` / ``domain_ids``
-                     bytes as buffers, sent from the server's own arrays
+                     an ``arrays`` client's ``images`` / ``labels`` /
+                     ``domain_ids`` are named in place (below) and come
+                     as buffers, sent from the server's own arrays
                      (:class:`repro.fl.wire.Registration`)
 registered agent →   ``{digests: [[suite, domain, sha256]]}``: installed
                      (the server waits), with each recipe domain's digest
@@ -44,22 +44,34 @@ broadcast  → agent   ``{round, handle?}`` + the strategy blob and, under
                      other transport's handle is ``meta["handle"]``
                      (shm segment and length; tcp host, port, blob id,
                      length)
+state      → agent   ``{state}`` + its arrays: the round's codec-encoded
+                     global state, published through the transport
+                     (:func:`repro.fl.wire.encode_state_frame`)
 task       → agent   ``{task, clients, round, seeds, fault}``; ``fault`` is
                      a :class:`~repro.fl.faults.FaultEvent`'s fields or
                      ``null``
-upload     agent →   ``{task}`` + ``encode_payload(list[ClientUpdate])``,
-                     each state codec-encoded against the round's broadcast
+upload     agent →   ``{task, updates}`` + their arrays: one row per
+                     ``ClientUpdate`` of the task, its state codec-encoded
+                     against the round's broadcast
+                     (:func:`repro.fl.wire.encode_upload`)
 error      agent →   ``{task, text}``: handling a message raised
                      (``task`` is ``null`` for a registration or broadcast);
                      ``text`` is the traceback
 bye        → agent   clean shutdown; the agent exits its serve loop
 ========== ========= =====================================================
 
-Three buffers are still pickles (``encode_payload``; ROADMAP item 2b):
-the welcome's model template and the broadcast's strategy blob, which an
-agent decodes from the server it dialled, and the upload, which the server
-decodes from an agent it has welcomed but not authenticated.  Every other
-field crosses as JSON or as raw array bytes.
+Arrays and blobs inside meta are named in place (:func:`encode_tree`):
+an array as ``{"a": [dtype, shape]}``, a blob as ``{"b": nbytes}``, each
+standing for the next buffer; a dict is ``{"d": [[key, value], ...]}``, so
+integer keys survive.  :func:`decode_tree` reads them back as read-only
+views of the buffers, refusing any dtype outside the wire's allow-list
+(:func:`repro.fl.codec.wire_dtype`), a shape its bytes do not fill, and a
+buffer count the meta does not name.  A registration's inline arrays, a
+state frame and an upload all cross that way.  Two buffers are still
+pickles (``encode_payload``; ROADMAP items 2b and 14): the welcome's model
+template and the broadcast's strategy blob, which only an agent decodes,
+from the server it dialled.  Every other field crosses as JSON or as raw
+array bytes, so the server unpickles nothing.
 
 The handshake is how every agent is configured, launched or remote: the
 welcome carries the three values a :class:`repro.fl.wire.WorkerRuntime`
@@ -73,10 +85,14 @@ capped at :data:`MAX_HELLO_BYTES`.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, Sequence
 
+import numpy as np
+
+from repro.fl.codec import wire_dtype
 from repro.fl.net.frames import FrameError
 from repro.nn.serialize import encode_meta
 
@@ -93,6 +109,7 @@ __all__ = [
     "REGISTER",
     "REGISTERED",
     "BROADCAST",
+    "STATE",
     "TASK",
     "UPLOAD",
     "ERROR",
@@ -102,6 +119,9 @@ __all__ = [
     "message_parts",
     "encode_message",
     "decode_message",
+    "encode_tree",
+    "decode_tree",
+    "message_nbytes",
     "hello_meta",
     "evaluate_hello",
     "broadcast_message",
@@ -111,7 +131,7 @@ __all__ = [
 #: Bumped on any incompatible change to the message vocabulary, blob
 #: encodings or codec references.  Both sides send it; a mismatch is a
 #: handshake reject.
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 
 #: The largest frame a peer may send before it is welcomed.  A hello is
 #: well under 1 KiB; the cap bounds what an unknown peer can make the
@@ -124,6 +144,7 @@ REJECT = "reject"
 REGISTER = "register"
 REGISTERED = "registered"
 BROADCAST = "broadcast"
+STATE = "state"
 TASK = "task"
 UPLOAD = "upload"
 ERROR = "error"
@@ -132,6 +153,7 @@ BYE = "bye"
 #: Wire order of the kinds: the header carries the index.
 KINDS = (
     HELLO, WELCOME, REJECT, REGISTER, REGISTERED, BROADCAST, TASK, UPLOAD, ERROR, BYE,
+    STATE,
 )
 _KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
@@ -156,7 +178,7 @@ class Message:
 
     @property
     def blob(self) -> "memoryview | None":
-        """The first buffer (a welcome's or an upload's only one)."""
+        """The first buffer (a welcome's only one)."""
         return self.buffers[0] if self.buffers else None
 
 
@@ -178,8 +200,9 @@ def message_parts(kind: str, meta: "dict | None" = None, *buffers: object) -> li
 
 
 def encode_message(kind: str, meta: "dict | None" = None, *buffers: object) -> bytes:
-    """One message as a single bytes payload (for callers that want one
-    object; the lanes send :func:`message_parts` without joining)."""
+    """One message as a single bytes payload: a state frame, which the
+    transport publishes as one blob (the lanes send :func:`message_parts`
+    without joining)."""
     return b"".join(message_parts(kind, meta, *buffers))
 
 
@@ -229,6 +252,78 @@ def decode_message(payload: "bytes | memoryview") -> Message:
         view[start : start + length] for start, length in zip(starts, lengths)
     )
     return Message(KINDS[code], meta, buffers)
+
+
+def message_nbytes(meta: dict, buffers: "Sequence[object]") -> int:
+    """What a message carries, as the wire accounting charges it: its
+    meta's encoding plus its buffers."""
+    return len(encode_meta(meta)) + sum(memoryview(b).nbytes for b in buffers)
+
+
+def encode_tree(value: object, buffers: list) -> object:
+    """``value`` as JSON meta, the bytes of its arrays and blobs appended to
+    ``buffers`` (never copied, save a non-contiguous array made contiguous):
+    an array as ``{"a": [dtype, shape]}``, a blob (``bytes`` or
+    ``memoryview``) as ``{"b": nbytes}``, a dict as ``{"d": [[key, value],
+    ...]}``, a list or tuple as a list, anything else as itself."""
+    if isinstance(value, np.ndarray):
+        shape = list(value.shape)
+        value = np.ascontiguousarray(value)
+        buffers.append(value.reshape(-1).view(np.uint8))
+        return {"a": [value.dtype.str, shape]}
+    if isinstance(value, (bytes, memoryview)):
+        buffers.append(value)
+        return {"b": memoryview(value).nbytes}
+    if isinstance(value, dict):
+        return {"d": [[key, encode_tree(item, buffers)] for key, item in value.items()]}
+    if isinstance(value, (list, tuple)):
+        return [encode_tree(item, buffers) for item in value]
+    return value
+
+
+def decode_tree(node: object, buffers: "Sequence[object]") -> object:
+    """Inverse of :func:`encode_tree` over all of a message's ``buffers``:
+    arrays and blobs come back as read-only views of them, tuples as lists.
+    A :class:`ValueError` (or the ``TypeError`` of a node of the wrong
+    type) if a node, dtype, shape or the buffer count does not fit."""
+    rest = iter(buffers)
+    value = _untree(node, rest)
+    if next(rest, None) is not None:
+        raise ValueError("message carries more buffers than its meta names")
+    return value
+
+
+def _untree(node: object, buffers: "Iterator") -> object:
+    if isinstance(node, list):
+        return [_untree(item, buffers) for item in node]
+    if not isinstance(node, dict):
+        return node
+    ((tag, body),) = node.items()
+    if tag == "d" and isinstance(body, list):
+        return {key: _untree(item, buffers) for key, item in body}
+    buffer = next(buffers, None)
+    if buffer is None:
+        raise ValueError("message carries fewer buffers than its meta names")
+    if tag == "a" and isinstance(body, list) and len(body) == 2:
+        return _array(*body, buffer)
+    if tag == "b" and body == memoryview(buffer).nbytes:
+        return memoryview(buffer).toreadonly()
+    raise ValueError(f"malformed meta node {node!r}"[:200])
+
+
+def _array(dtype: object, shape: object, buffer: object) -> np.ndarray:
+    """The array of ``dtype`` and ``shape`` that ``buffer`` holds,
+    read-only and zero-copy."""
+    if not isinstance(shape, list) or not all(
+        type(dim) is int and dim >= 0 for dim in shape
+    ):
+        raise ValueError(f"wire array shape {shape!r} is malformed")
+    array = np.frombuffer(buffer, dtype=wire_dtype(dtype))
+    if array.size != math.prod(shape):
+        raise ValueError(f"wire array of shape {shape} arrived as {array.size} items")
+    array = array.reshape(shape)
+    array.flags.writeable = False
+    return array
 
 
 def hello_meta(name: str = "", codec: "str | None" = None) -> dict:

@@ -7,8 +7,9 @@ broadcast blob once under a blob id; the handle shipped to each worker is
 a :class:`TcpHandle` naming the endpoint, blob id, and length.  Workers
 :meth:`~TcpTransport.fetch` by opening a plain blocking connection and
 exchanging one request/response frame pair — so the bytes that cross are
-exactly the bytes ``publish`` was given, protocol-5 out-of-band framing
-and all, and traces stay bit-identical to pipe/shm by construction.
+exactly the bytes ``publish`` was given (a ``state`` message), received
+into one buffer of their own, and traces stay bit-identical to pipe/shm by
+construction.
 
 The blob server only serves broadcasts: it answers a get and closes any
 other request unanswered, so nothing a peer sends is stored.  Uploads ride
@@ -27,7 +28,7 @@ import struct
 import threading
 from dataclasses import dataclass
 
-from repro.fl.net.frames import recv_frame, send_frame
+from repro.fl.net.frames import FrameError, recv_payload, send_frame
 from repro.fl.transport import Transport
 from repro.utils.logging import get_logger
 
@@ -47,6 +48,10 @@ _MISSING = b"\x00"
 #: send them.
 _GET = b"G"
 _BLOB_ID = struct.Struct(">Q")
+
+#: What a worker reads of a reply before the blob: the frame's length
+#: prefix and the status byte.
+_REPLY_HEAD = struct.Struct(">Ic")
 
 
 def parse_endpoint(
@@ -170,7 +175,7 @@ class _BlobServer:
                     if blob is None:
                         await write_frame(writer, _MISSING)
                     else:
-                        await write_frame(writer, _FOUND + blob)
+                        await write_frame(writer, _FOUND, blob)
                 else:
                     break
         except (FrameError, ConnectionError, OSError):
@@ -268,7 +273,10 @@ class TcpTransport(Transport):
 
     # -- worker role ---------------------------------------------------------
 
-    def fetch(self, handle: object) -> bytes:
+    def fetch(self, handle: object) -> memoryview:
+        """The blob, read off the socket straight into its own buffer (the
+        reply's prefix and status byte first, then exactly the blob's
+        bytes), so it is received once, not copied after."""
         if not isinstance(handle, TcpHandle):
             raise TypeError(
                 f"tcp transport received a {type(handle).__name__} handle; "
@@ -278,16 +286,13 @@ class TcpTransport(Transport):
             (handle.host, handle.port), timeout=_CONNECT_TIMEOUT
         ) as sock:
             send_frame(sock, _GET + _BLOB_ID.pack(handle.blob_id))
-            reply = recv_frame(sock)
-        if not reply or reply[:1] != _FOUND:
-            raise ConnectionError(
-                f"broadcast blob {handle.blob_id} unavailable at "
-                f"{handle.host}:{handle.port} (round already ended?)"
-            )
-        blob = reply[1:]
-        if len(blob) != handle.length:
-            raise ConnectionError(
-                f"broadcast blob {handle.blob_id} truncated: "
-                f"{len(blob)}/{handle.length} bytes"
-            )
-        return blob
+            try:
+                head = _REPLY_HEAD.unpack(recv_payload(sock, _REPLY_HEAD.size))
+                if head == (handle.length + 1, _FOUND):
+                    return recv_payload(sock, handle.length)
+            except FrameError:
+                pass  # the peer closed early: the blob is not there
+        raise ConnectionError(
+            f"broadcast blob {handle.blob_id} of {handle.length} bytes unavailable "
+            f"at {handle.host}:{handle.port} (round already ended?)"
+        )

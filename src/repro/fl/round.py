@@ -57,6 +57,10 @@ __all__ = ["Executor", "LOST", "time_left"]
 #: carrying a task is gone (a dead pool process, a vanished agent).
 LOST = object()
 
+#: What reading a peer's upload raises when its fields are malformed or
+#: of the wrong type (:meth:`WireServer._decode_upload`): a typed drop.
+_MALFORMED = (ValueError, TypeError, KeyError, IndexError, RecursionError)
+
 
 def time_left(limit: "float | None") -> "float | None":
     """Seconds until the ``perf_counter`` reading ``limit``, floored at
@@ -590,12 +594,17 @@ class Executor(WireServer):
 
     def _ingest(self, rnd: _Round, row: _Row, upload: object) -> None:
         """Take one row's upload through the acceptance path into
-        ``rnd.results`` (keyed by dispatch position) and the stream."""
-        updates: "list[ClientUpdate]" = (
-            upload
-            if self.transport is None
-            else self._decode_upload(upload, rnd.global_state)
-        )
+        ``rnd.results`` (keyed by dispatch position) and the stream.  A
+        wire upload that does not read back as one well-formed update per
+        client, shaped like the broadcast, drops the row's clients as
+        ``corrupt``, fault plan or not."""
+        updates: "list[ClientUpdate]" = upload
+        if self.transport is not None:
+            try:
+                updates = self._decode_upload(upload, rnd.global_state, row)
+            except _MALFORMED:
+                self._drop(rnd, row, "corrupt")
+                return
         for position, update in zip(row.positions, updates):
             if self.fault_plan is not None and state_is_corrupt(
                 update.state,

@@ -19,8 +19,8 @@ experiment's :class:`repro.fl.server.FederatedConfig`):
     Single-copy broadcast via :mod:`multiprocessing.shared_memory`: the
     server writes the post-codec blob **once** into a named segment and
     ships workers only a tiny :class:`ShmHandle`.  Workers map the segment
-    and feed a *read-only, zero-copy* view straight into the serializer's
-    protocol-5 out-of-band decode — no per-worker copy ever exists.
+    and read the state frame's tensors as *read-only, zero-copy* views of
+    it — no per-worker copy ever exists.
 
 ``tcp``
     Socket broadcast (:mod:`repro.fl.net.transport`): the server publishes

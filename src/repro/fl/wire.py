@@ -17,19 +17,25 @@ travel.
    released, clients that moved to another home), so endpoint copies are
    freed without a message.
 2. **Broadcast** (once per participating home per round): the strategy
-   blob and the codec-encoded global weights; workers cache the strategy
-   decode keyed on the blob bytes and decode the weights lazily.
+   blob and the codec-encoded global weights as a ``state`` message
+   (:func:`encode_state_frame`), published through the transport; workers
+   cache the strategy decode keyed on the blob bytes and decode the
+   weights lazily.
 3. **Task** (per co-resident group per round):
    ``(client_ids, round_index, seeds, fault)``, crossing as the plain
    fields of :func:`task_fields`.  A home's fault-free
    participants share one task, which the endpoint's trainer
    (:mod:`repro.fl.compute`) stacks where it can; faulted clients always
    ride alone.
-4. **Upload** (per group per round): the list of ``ClientUpdate`` records
-   in group order — state (codec-encoded) plus method payload, nothing
-   else.  Scratch caches (PARDON's style-transferred images) stay on the
-   endpoint that built them: they never cross the wire, and an endpoint
-   that starts without them recomputes them.
+4. **Upload** (per group per round): the ``ClientUpdate`` records in
+   group order — state (codec-encoded) plus method payload, nothing else
+   — as one typed message (:func:`encode_upload`): scalars and codec meta
+   as JSON, every array as a buffer.  The server reads it back through the
+   wire's dtype allow-list and checks it against the round's broadcast;
+   anything malformed drops the group's clients as ``corrupt``.  Scratch
+   caches (PARDON's style-transferred images) stay on the endpoint that
+   built them: they never cross the wire, and an endpoint that starts
+   without them recomputes them.
 
 Codec and transport specs are negotiated before any of this: they travel
 in the handshake welcome (:mod:`repro.fl.net.protocol`), so both
@@ -52,7 +58,6 @@ another machine, builds one per connection from its welcome.
 
 from __future__ import annotations
 
-import math
 import time
 import weakref
 from dataclasses import asdict, dataclass, field, replace
@@ -67,8 +72,17 @@ from repro.fl.client import Client
 from repro.fl.codec import Codec, Payload, make_codec
 from repro.fl.compute import EnsembleBackend
 from repro.fl.faults import FaultEvent, apply_update_fault, sleep_injected
+from repro.fl.net.protocol import (
+    STATE,
+    Message,
+    decode_message,
+    decode_tree,
+    encode_message,
+    encode_tree,
+    message_nbytes,
+)
 from repro.fl.transport import Transport, make_transport
-from repro.nn.serialize import StateDict, decode_payload, encode_meta, encode_payload
+from repro.nn.serialize import StateDict, decode_payload, encode_meta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.fl.executor import ClientUpdate
@@ -80,6 +94,10 @@ __all__ = [
     "WireServer",
     "WireStats",
     "WorkerRuntime",
+    "decode_state_frame",
+    "decode_upload",
+    "encode_state_frame",
+    "encode_upload",
     "task_fields",
     "task_from_fields",
 ]
@@ -118,30 +136,83 @@ def task_from_fields(fields: dict) -> "Task":
 #: A client's dataset arrays, in the order a registration carries them.
 _DATASET_ARRAYS = ("images", "labels", "domain_ids")
 
-#: The dtypes a registered array may cross as: little-endian numbers only.
-#: An endpoint refuses any other before it reads a byte of the buffer.
-_ARRAY_DTYPES = frozenset({"<f8", "<f4", "<i8", "<i4", "|u1"})
+
+def _payload_fields(payload: Payload) -> list:
+    return [payload.codec, payload.kind, payload.tensors, payload.meta, payload.blob]
 
 
-def _wire_array(spec: object, buffer: object) -> np.ndarray:
-    """The array ``spec`` (``{dtype, shape}``) describes, read-only and
-    zero-copy over ``buffer``; a :class:`ValueError` if the two disagree."""
-    dtype = spec.get("dtype") if isinstance(spec, dict) else None
-    shape = spec.get("shape") if isinstance(spec, dict) else None
-    if type(dtype) is not str or dtype not in _ARRAY_DTYPES:
-        raise ValueError(f"registration array dtype {dtype!r} is not allowed")
-    if not isinstance(shape, list) or not all(
-        type(dim) is int and dim >= 0 for dim in shape
+def _payload(codec: str, kind: str, tensors: dict, meta: dict, blob: object) -> Payload:
+    """A codec payload from its read-back fields, each checked for its type."""
+    if not (
+        type(codec) is type(kind) is str and type(tensors) is type(meta) is dict
+        and all(type(key) is str for key in tensors)
+        and all(isinstance(value, np.ndarray) for value in tensors.values())
+        and (blob is None or isinstance(blob, memoryview))
     ):
-        raise ValueError(f"registration array shape {shape!r} is malformed")
-    array = np.frombuffer(buffer, dtype=np.dtype(dtype))
-    if array.size != math.prod(shape):
-        raise ValueError(
-            f"registration array of shape {shape} arrived as {array.size} items"
-        )
-    array = array.reshape(shape)
-    array.flags.writeable = False
-    return array
+        raise ValueError("malformed codec payload")
+    return Payload(codec, kind, tensors, meta, blob)
+
+
+def encode_upload(updates: "Sequence[ClientUpdate]") -> "tuple[dict, list]":
+    """The meta and buffers of one upload message (sent unjoined): per
+    update a row ``[client_id, num_samples, floats, state, payload]`` as
+    :func:`~repro.fl.net.protocol.encode_tree` writes it.  ``floats`` is
+    the loss and the three timings as one float64 array, so an upload's
+    byte count does not vary with the timings it reports; ``state`` is the
+    codec payload's fields."""
+    buffers: list = []
+    rows = [
+        [
+            update.client_id, update.num_samples,
+            np.array([update.loss, update.train_seconds, update.decode_seconds,
+                      update.straggler_seconds], dtype=np.float64),
+            _payload_fields(update.state), update.payload,
+        ]
+        for update in updates
+    ]
+    return {"updates": encode_tree(rows, buffers)}, buffers
+
+
+def decode_upload(meta: dict, buffers: "Sequence[object]") -> "list[ClientUpdate]":
+    """The updates an upload message carries, their states still codec
+    payloads and every array a read-only view of its buffer.  Meta that
+    does not read back as :func:`encode_upload`'s rows, a buffer count or
+    shape that does not match, or a dtype outside the allow-list raises (a
+    :class:`ValueError`, or the error of a field of the wrong type)."""
+    # Imported here: repro.fl.executor imports this module.
+    from repro.fl.executor import ClientUpdate
+
+    updates = []
+    for client_id, num_samples, floats, state, payload in decode_tree(
+        meta.get("updates"), buffers
+    ):
+        if not (
+            type(client_id) is type(num_samples) is int and type(payload) is dict
+            and isinstance(floats, np.ndarray) and floats.shape == (4,)
+            and floats.dtype == np.float64
+        ):
+            raise ValueError("malformed upload row")
+        loss, *seconds = floats.tolist()
+        state = _payload(*state)
+        updates.append(ClientUpdate(client_id, num_samples, state, loss, payload, *seconds))
+    return updates
+
+
+def encode_state_frame(payload: Payload) -> bytes:
+    """One broadcast's codec payload as a ``state`` message, joined into
+    the one blob a transport publishes."""
+    buffers: list = []
+    fields = encode_tree(_payload_fields(payload), buffers)
+    return encode_message(STATE, {"state": fields}, *buffers)
+
+
+def decode_state_frame(frame: "bytes | memoryview") -> Payload:
+    """The codec payload a state frame carries, its arrays views of
+    ``frame``."""
+    message = decode_message(frame)
+    if message.kind != STATE:
+        raise ValueError(f"expected a state frame, got {message.kind!r}")
+    return _payload(*decode_tree(message.meta.get("state"), message.buffers))
 
 
 def _recipe_parts(
@@ -188,7 +259,8 @@ class Registration:
     """One home's registration as it crosses the wire: plain fields
     (``meta``) plus the raw bytes of the dataset arrays of every client
     that has no recipe (``buffers``, three per such client, in ``meta``
-    order).
+    order, each named in meta as
+    :func:`repro.fl.net.protocol.encode_tree` names an array).
 
     Built by the server with :meth:`of`: a client whose dataset is a
     :class:`repro.data.partition.SuiteRows` of a generated suite goes as
@@ -219,20 +291,14 @@ class Registration:
                 for domain, _ in recipe["parts"]:
                     domains[key, domain] = client.dataset.suite
                 continue
-            specs = []
-            for name in _DATASET_ARRAYS:
-                array = np.ascontiguousarray(getattr(client.dataset, name))
-                specs.append({"dtype": array.dtype.str, "shape": list(array.shape)})
-                buffers.append(array.reshape(-1).view(np.uint8))
-            entries.append({"id": client.client_id, "arrays": specs})
+            arrays = [getattr(client.dataset, name) for name in _DATASET_ARRAYS]
+            entries.append({"id": client.client_id, "arrays": encode_tree(arrays, buffers)})
         return cls({"clients": entries, "evict": list(evict_ids)}, buffers, domains)
 
     @property
     def nbytes(self) -> int:
         """What crosses: the meta's encoding plus every array's bytes."""
-        return len(encode_meta(self.meta)) + sum(
-            memoryview(buffer).nbytes for buffer in self.buffers
-        )
+        return message_nbytes(self.meta, self.buffers)
 
     def clients(
         self, suites: "dict[str, DomainSuite] | None" = None
@@ -241,10 +307,11 @@ class Registration:
         the buffers; a recipe client's dataset is a :class:`SuiteRows`
         over a suite from ``suites`` (built there from its spec if new),
         holding its domains rendered.  Every entry is checked before any
-        domain renders: anything malformed raises a ``ValueError``
-        (:class:`RecipeError` for a recipe, whose domains may each render
-        at most a frame's bound, ``MAX_FRAME_BYTES``; an id that is not an
-        int, or a buffer count, dtype or shape that does not match)."""
+        domain renders: anything malformed raises, a ``ValueError`` where
+        a field has the right type (:class:`RecipeError` for a recipe,
+        whose domains may each render at most a frame's bound,
+        ``MAX_FRAME_BYTES``; an id that is not an int, or a buffer count,
+        dtype or shape that does not match)."""
         # Imported here: repro.fl.net imports this module.
         from repro.fl.net.frames import MAX_FRAME_BYTES
 
@@ -252,13 +319,8 @@ class Registration:
         entries = self.meta["clients"]
         if not all(isinstance(entry, dict) for entry in entries):
             raise ValueError(f"malformed registration entries {entries!r}")
-        inline = [entry for entry in entries if "recipe" not in entry]
-        if len(self.buffers) != len(_DATASET_ARRAYS) * len(inline):
-            raise ValueError(
-                f"registration of {len(inline)} client(s) with arrays carries "
-                f"{len(self.buffers)} buffers"
-            )
-        buffers = iter(self.buffers)
+        inline = [entry.get("arrays") for entry in entries if "recipe" not in entry]
+        inline = iter(decode_tree(inline, self.buffers))
         checked = []
         for entry in entries:
             client_id = entry.get("id")
@@ -269,10 +331,12 @@ class Registration:
                     (client_id, _recipe_parts(entry["recipe"], suites, MAX_FRAME_BYTES))
                 )
                 continue
-            specs = entry.get("arrays")
-            if not isinstance(specs, list) or len(specs) != len(_DATASET_ARRAYS):
+            arrays = next(inline)
+            if not (
+                isinstance(arrays, list) and len(arrays) == len(_DATASET_ARRAYS)
+                and all(isinstance(array, np.ndarray) for array in arrays)
+            ):
                 raise ValueError(f"malformed registration entry {entry!r}")
-            arrays = [_wire_array(spec, next(buffers)) for spec in specs]
             checked.append((client_id, LabeledDataset(*arrays)))
         return [
             Client(
@@ -465,7 +529,7 @@ class WireServer:
         under shm, one written blob."""
         handle = published.get(id(ref))
         if handle is None:
-            blob = encode_payload(self.codec.encode(global_state, ref))
+            blob = encode_state_frame(self.codec.encode(global_state, ref))
             handle = published[id(ref)] = self.transport.publish(blob)
             self.wire.unique_broadcast_bytes += len(blob)
             self.wire.broadcast_bytes += self.transport.publish_wire_bytes(blob)
@@ -506,18 +570,36 @@ class WireServer:
         )
 
     def _decode_upload(
-        self, blob: "bytes | memoryview", global_state: StateDict
+        self, upload: Message, global_state: StateDict, row: "_Row"
     ) -> "list[ClientUpdate]":
-        """Unwrap one upload frame's blob: codec-decode each state against
-        the round's broadcast ``global_state``, the reference the endpoint
+        """Read one row's upload message: its updates, one per client of
+        the row and in its order (with that client's sample count), each
+        state codec-decoded against the
+        round's broadcast ``global_state`` — the reference the endpoint
         encoded against (stateful codecs are lossless, so the endpoint's
-        decoded broadcast is bit-identical to it)."""
-        self.wire.upload_bytes += len(blob)
-        updates: "list[ClientUpdate]" = decode_payload(blob)
+        decoded broadcast is bit-identical to it) — and holding exactly its
+        keys, shapes and dtypes.  Anything else raises (see
+        :func:`decode_upload`)."""
+        # The task id is framing, charged to noise as a task's is, so the
+        # count does not depend on which ids the tasks drew.
+        self.wire.upload_bytes += message_nbytes(
+            {"updates": upload.meta.get("updates")}, upload.buffers
+        )
+        updates = decode_upload(upload.meta, upload.buffers)
+        if [(update.client_id, update.num_samples) for update in updates] != [
+            (client.client_id, client.num_samples) for client in row.clients
+        ]:
+            raise ValueError("upload is not one update per client of its task")
         for update in updates:
             # Restore the codec-encoded state before anything downstream
             # (aggregation, benches) touches the update.
-            update.state = self.codec.decode(update.state, global_state)
+            state = self.codec.decode(update.state, global_state)
+            if state.keys() != global_state.keys() or any(
+                state[key].shape != value.shape or state[key].dtype != value.dtype
+                for key, value in global_state.items()
+            ):
+                raise ValueError("uploaded state does not match the broadcast")
+            update.state = state
         return updates
 
     def _forget_home(self, home: object) -> None:
@@ -641,10 +723,10 @@ class WorkerRuntime:
             handle, pending_round = self.pending
             start = time.perf_counter()
             # fetch() is a pipe no-op / a zero-copy shm view / a tcp pull;
-            # decode_payload reads it out-of-band, so the codec decodes
-            # straight from the transport's buffer without an intermediate
-            # copy.
-            payload: Payload = decode_payload(self.transport.fetch(handle))
+            # the state frame's arrays are views of it, so the codec
+            # decodes straight from the transport's buffer without an
+            # intermediate copy.
+            payload = decode_state_frame(self.transport.fetch(handle))
             self.state = self.codec.decode(payload, self.bcast_ref)
             if self.codec.stateful:
                 self.bcast_ref = self.state
@@ -658,8 +740,9 @@ class WorkerRuntime:
             )
         return decode_seconds
 
-    def run_task(self, task: "Task") -> bytes:
-        """Train one co-resident client group and upload its updates.
+    def run_task(self, task: "Task") -> "tuple[dict, list]":
+        """Train one co-resident client group; its upload message's meta
+        and buffers (:func:`encode_upload`).
 
         ``task`` carries the group's client ids, their per-client seeds and
         at most one fault event.  Faulted clients always dispatch as
@@ -708,4 +791,4 @@ class WorkerRuntime:
         # update.
         for update in updates:
             update.state = self.codec.encode(update.state, self.state)
-        return encode_payload(updates)
+        return encode_upload(updates)

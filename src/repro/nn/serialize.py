@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import pickle
-import struct
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -211,106 +210,24 @@ def state_allclose(a: StateDict, b: StateDict, atol: float = 1e-10) -> bool:
     return all(np.allclose(a[key], b[key], atol=atol) for key in a)
 
 
-# Array-carrying payloads get a pickle-protocol-5 fast path: array bodies
-# leave the pickle stream as out-of-band buffers and are framed after the
-# (tiny) head, so encoding skips pickle's per-array framing and *decoding*
-# hands numpy zero-copy views into the received blob instead of fresh
-# allocations.  Eligible are state dicts, bare arrays, any type that opts
-# in with a ``__wire_oob__ = True`` class attribute (the codec
-# :class:`repro.fl.codec.Payload` and the executor's ``ClientUpdate``), and
-# a non-empty list of eligible items — an upload, one ``ClientUpdate`` per
-# client of its task, which is what puts wire tensors and the class
-# channel's per-class means out of band on the upload hop.  Each buffer
-# starts at a multiple of ``_OOB_ALIGN`` bytes into the blob (zero padding
-# after its length), so a blob that starts aligned — a wire frame's buffer,
-# a shared-memory segment — decodes to aligned arrays.
-_OOB_MAGIC = b"RPB5"
-_OOB_LEN = struct.Struct("<Q")
-_OOB_ALIGN = 8
-
-
-def _is_state_dict(obj: Any) -> bool:
-    return (
-        type(obj) is dict
-        and bool(obj)
-        and all(
-            type(key) is str and isinstance(value, np.ndarray)
-            for key, value in obj.items()
-        )
-    )
-
-
-def _wants_oob(obj: Any) -> bool:
-    if type(obj) is list:
-        return bool(obj) and all(_wants_oob(item) for item in obj)
-    return (
-        isinstance(obj, np.ndarray)
-        or _is_state_dict(obj)
-        or bool(getattr(type(obj), "__wire_oob__", False))
-    )
-
-
 def encode_payload(obj: Any) -> bytes:
-    """Serialize a broadcast payload (model template, strategy state) to bytes.
+    """Pickle an object for an endpoint that trusts this process: the model
+    template of an agent's welcome and the strategy of each broadcast
+    (:mod:`repro.fl.net.protocol`).  States and uploads never take this
+    path; they cross as typed messages (:mod:`repro.fl.wire`).
 
-    The parallel execution engine uses this pair for the payloads it encodes
-    explicitly; it turns "is it serializable?" into an error naming the
-    offending object at dispatch time.  (Task arguments are pickled by the
-    process pool itself and fail with the pool's own traceback instead.)
-
-    :class:`StateDict`-shaped objects, bare arrays, and ``__wire_oob__``
-    types take the out-of-band fast path; both framings decode through
-    :func:`decode_payload`, which dispatches on the leading magic bytes (a
-    plain pickle stream can never start with them).
+    Turns "is it serializable?" into an error naming the offending object
+    at dispatch time.
     """
     try:
-        if _wants_oob(obj):
-            buffers: list[pickle.PickleBuffer] = []
-            head = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-            parts: list[bytes | memoryview] = [
-                _OOB_MAGIC,
-                _OOB_LEN.pack(len(head)),
-                head,
-                _OOB_LEN.pack(len(buffers)),
-            ]
-            offset = sum(len(part) for part in parts)
-            for buffer in buffers:
-                raw = buffer.raw()
-                pad = -(offset + _OOB_LEN.size) % _OOB_ALIGN
-                parts.append(_OOB_LEN.pack(raw.nbytes) + bytes(pad))
-                parts.append(raw)
-                offset += _OOB_LEN.size + pad + raw.nbytes
-            return b"".join(parts)
         return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:  # surface *what* failed to serialize
         raise TypeError(f"payload of type {type(obj).__name__} is not serializable: {exc}") from exc
 
 
-def decode_payload(data: bytes) -> Any:
-    """Inverse of :func:`encode_payload`.
-
-    Fast-path blobs decode zero-copy: the returned arrays are *read-only
-    views* into ``data``.  Every consumer in this repository treats decoded
-    states as immutable (``load_state_dict`` copies; aggregation allocates
-    fresh outputs); call ``.copy()`` first if you need to mutate one.
-    """
-    if data[: len(_OOB_MAGIC)] == _OOB_MAGIC:
-        view = memoryview(data)
-        offset = len(_OOB_MAGIC)
-        (head_len,) = _OOB_LEN.unpack_from(view, offset)
-        offset += _OOB_LEN.size
-        head = view[offset : offset + head_len]
-        offset += head_len
-        (count,) = _OOB_LEN.unpack_from(view, offset)
-        offset += _OOB_LEN.size
-        buffers = []
-        for _ in range(count):
-            (length,) = _OOB_LEN.unpack_from(view, offset)
-            offset += _OOB_LEN.size
-            offset += -offset % _OOB_ALIGN
-            buffers.append(view[offset : offset + length])
-            offset += length
-        return pickle.loads(head, buffers=buffers)
+def decode_payload(data: "bytes | memoryview") -> Any:
+    """Inverse of :func:`encode_payload`.  It unpickles, so only an agent
+    calls it, on bytes from the server it dialled."""
     return pickle.loads(data)
 
 

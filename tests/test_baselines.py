@@ -338,12 +338,13 @@ class TestCCST:
 VIEWS_CONFIG = LocalTrainingConfig(batch_size=5, local_epochs=2)
 
 
-def traced_run(strategy, executor):
-    """Three rounds of four of eight 14-sample clients on the CNN (which
-    has an ensemble converter); the digest of the run's trace."""
+def traced_run(strategy, executor, clients=None):
+    """Three rounds of four of eight 14-sample clients (or ``clients``) on
+    the CNN (which has an ensemble converter); the digest of the run's
+    trace."""
     server = FederatedServer(
         strategy=strategy,
-        clients=make_clients(8),
+        clients=make_clients(8) if clients is None else clients,
         model=build_cnn_model(
             SUITE.image_shape, SUITE.num_classes, rng=np.random.default_rng(0)
         ),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import FedAlignStrategy, FedCCRLStrategy
-from repro.data import partition_clients, synthetic_pacs
+from repro.data import LabeledDataset, partition_clients, synthetic_pacs
 from repro.fl import (
     Client,
     EnsembleBackend,
@@ -217,6 +217,43 @@ class TestClassStatsChannel:
         with ParallelExecutor(num_workers=2) as executor:
             digest = traced_run(METHODS[method](), executor)
         assert digest == self.DIGESTS[method, "mean"]
+
+    #: FPL where client 1 alone holds class 6.  Client 1 first trains in
+    #: round 2 (seed 0 samples 3, 0, 6, 2 / 0, 5, 7, 2 / 3, 2, 5, 1), so its
+    #: class-6 rows meet prototypes that cover every class but theirs:
+    #: ``prototype_nce``'s unknown-class path, which no other digest reaches.
+    UNKNOWN_CLASS_DIGEST = "0459555dbae4f6f4"
+
+    @staticmethod
+    def _one_holder_of_class_six():
+        from tests.test_baselines import make_clients as make_traced_clients
+
+        clients = []
+        for client in make_traced_clients(8):
+            dataset = client.dataset
+            keep = np.flatnonzero((dataset.labels != 6) | (client.client_id == 1))
+            subset = LabeledDataset(
+                dataset.images[keep], dataset.labels[keep], dataset.domain_ids[keep]
+            )
+            clients.append(Client(client.client_id, subset))
+        return clients
+
+    def test_fpl_unknown_class_serial(self):
+        from repro.cli import METHODS
+
+        digest = traced_run(
+            METHODS["fpl"](), SerialExecutor(), self._one_holder_of_class_six()
+        )
+        assert digest == self.UNKNOWN_CLASS_DIGEST
+
+    def test_fpl_unknown_class_pool(self):
+        from repro.cli import METHODS
+
+        with ParallelExecutor(num_workers=2) as executor:
+            digest = traced_run(
+                METHODS["fpl"](), executor, self._one_holder_of_class_six()
+            )
+        assert digest == self.UNKNOWN_CLASS_DIGEST
 
     def test_every_method_uploads_through_the_channel_or_not_at_all(
         self, monkeypatch

@@ -48,7 +48,7 @@ from repro.fl.codec import (
 )
 from repro.fl.communication import method_communication
 from repro.nn import build_mlp_model
-from repro.nn.serialize import encode_payload
+from repro.fl.wire import decode_state_frame, encode_state_frame
 from repro.utils.rng import SeedTree
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
@@ -223,11 +223,11 @@ class TestLossyRoundTrips:
 
 
 class TestWireSizes:
-    """Encoded payload sizes, through the real serializer."""
+    """Encoded payload sizes, as the state frame that carries them."""
 
     @staticmethod
     def _bytes(codec, state, ref=None):
-        return len(encode_payload(make_codec(codec).encode(state, ref)))
+        return len(encode_state_frame(make_codec(codec).encode(state, ref)))
 
     def test_quantized_codecs_shrink_the_wire(self, rng):
         state = {"w": rng.normal(size=(64, 64)), "b": rng.normal(size=(64,))}
@@ -416,15 +416,48 @@ class TestMeasuredWireReduction:
 
 
 class TestPayloadTransport:
-    def test_payload_takes_the_out_of_band_fast_path(self, rng):
-        payload = IdentityCodec().encode(make_state(rng))
-        blob = encode_payload(payload)
-        assert blob[:4] == b"RPB5"
-        from repro.nn.serialize import decode_payload
-
-        decoded = decode_payload(blob)
+    @pytest.mark.parametrize("spec", ["identity", "delta", "fp16", "qint8+deflate"])
+    def test_payload_crosses_as_a_state_frame(self, rng, spec):
+        """A codec payload crosses as a typed ``state`` message: its
+        tensors come back read-only, aligned views of the frame, and it
+        decodes to the state the codec's own round trip gives."""
+        state = make_state(rng)
+        codec = make_codec(spec)
+        payload = codec.encode(state)
+        frame = encode_state_frame(payload)
+        decoded = decode_state_frame(frame)
         assert isinstance(decoded, Payload)
-        assert_states_bit_identical(decoded.tensors, payload.tensors)
+        assert (decoded.codec, decoded.kind) == (payload.codec, payload.kind)
+        whole = np.frombuffer(frame, np.uint8)
+        for value in decoded.tensors.values():
+            assert not value.flags.writeable and value.flags.aligned
+            assert value.size == 0 or np.shares_memory(value, whole)
+        assert_states_bit_identical(
+            codec.decode(decoded), codec.decode(payload)
+        )
+
+    @pytest.mark.parametrize("dtype", ["|O", "V8", "<c16", ">f8", 3, None])
+    def test_a_peer_names_only_allowed_dtypes(self, dtype):
+        """Every dtype a peer's meta names passes the one allow-list before
+        numpy sees it: a packing spec's, fp16's and qint8's restore dtype."""
+        state = {"w": np.arange(4.0)}
+        packed = make_codec("identity+deflate").encode(state)
+        lying = Payload(
+            packed.codec, "full", meta={"packed": [["w", dtype, [4]]]},
+            blob=packed.blob,
+        )
+        fp16 = Fp16Codec().encode(state)
+        qint8 = Qint8Codec().encode(state)
+        for codec, payload in (
+            (make_codec("identity+deflate"), lying),
+            (Fp16Codec(), Payload("fp16", "full", fp16.tensors, {"dtypes": {"w": dtype}})),
+            (
+                Qint8Codec(),
+                Payload("qint8", "full", qint8.tensors, {"affine": {"w": [1.0, 0.0, dtype]}}),
+            ),
+        ):
+            with pytest.raises(ValueError, match="not allowed"):
+                codec.decode(payload)
 
     def test_custom_codec_registration(self):
         class NoopCodec(Codec):

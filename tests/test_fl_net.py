@@ -9,6 +9,7 @@ and spec mismatches; a mid-upload agent disconnect is a typed fault
 (``"disconnect"``) that never wedges round close.
 """
 
+import ast
 import json
 import logging
 import multiprocessing
@@ -20,6 +21,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -64,7 +66,13 @@ from repro.fl.net import (
 )
 from repro.fl.codec import make_codec
 from repro.fl.executor import ClientUpdate, WorkerRuntime
-from repro.fl.wire import Registration, task_fields, task_from_fields
+from repro.fl.wire import (
+    Registration,
+    decode_upload,
+    encode_upload,
+    task_fields,
+    task_from_fields,
+)
 from repro.fl.net import executor as net_executor
 from repro.fl.net.agent import run_agent, serve
 from repro.fl.net.protocol import (
@@ -89,7 +97,8 @@ from repro.fl.net.protocol import (
 from repro.fl.net.serve import trace_dict
 from repro.fl.net.transport import _BLOB_ID, _GET, parse_endpoint
 from repro.nn import build_mlp_model
-from repro.nn.serialize import decode_payload, encode_payload
+from repro.nn.serialize import encode_payload
+from tests.test_fl_round import ScriptedLanes
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
 FAST = LocalTrainingConfig(batch_size=8)
@@ -300,10 +309,11 @@ class TestHandshake:
         # acknowledges registrations nor reads broadcast handles from meta,
         # a version-4 agent encodes uploads against its previous upload
         # instead of the round's broadcast, a version-5 one speaks
-        # pickled (kind, meta, blob) frames, and a version-6 one reads
-        # every client's images from its registration (no recipes).
-        assert PROTOCOL_VERSION == 7
-        for version in (1, 2, 3, 4, 5, 6):
+        # pickled (kind, meta, blob) frames, a version-6 one reads every
+        # client's images from its registration (no recipes), and a
+        # version-7 one pickles its uploads and reads pickled state frames.
+        assert PROTOCOL_VERSION == 8
+        for version in (1, 2, 3, 4, 5, 6, 7):
             reason = evaluate_hello({"version": version}, codec_spec="identity")
             assert reason is not None and "version" in reason
 
@@ -448,6 +458,166 @@ class TestWireFuzz:
             return
         for client in clients:
             assert client.dataset.images.shape[1:] == client.dataset.image_shape
+
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_uploads_are_corrupt_drops(self, data):
+        """An upload whose meta or buffers are mutated so they no longer
+        describe one update per client, shaped like the broadcast, drops
+        its task's clients as ``corrupt``; the round closes over the
+        other lane's."""
+        mutation = data.draw(st.sampled_from(sorted(_UPLOAD_MUTATIONS)))
+        _assert_corrupt_drop(
+            lambda meta, buffers: _UPLOAD_MUTATIONS[mutation](data, meta, buffers)
+        )
+
+    @pytest.mark.parametrize("dtype", ["|O", "V8", "<c16"])
+    @pytest.mark.parametrize(
+        "codec, field",
+        [("identity", 2), ("fp16", 3), ("qint8", 3), ("identity+deflate", 3)],
+        ids=["tensor", "fp16-restore", "qint8-restore", "packing-spec"],
+    )
+    def test_a_disallowed_dtype_is_a_corrupt_drop(self, codec, field, dtype):
+        """Wherever an upload names a dtype — a tensor's (state field 2), or
+        in the codec meta (field 3) the one fp16 or qint8 restores or a
+        ``+deflate`` packing spec's — one outside the wire's allow-list
+        drops the task's clients as ``corrupt``."""
+
+        def rename(node):
+            if isinstance(node, list):
+                return [rename(item) for item in node]
+            if isinstance(node, dict):
+                return {key: rename(item) for key, item in node.items()}
+            return dtype if node in ("<f8", "<f2") else node
+
+        def name(meta, buffers):
+            state = meta["updates"][0][3]
+            state[field] = rename(state[field])
+            return meta, buffers
+
+        _assert_corrupt_drop(name, codec=codec)
+
+
+def _assert_corrupt_drop(tamper, codec="identity"):
+    """One round of six clients on two scripted lanes, whose first upload
+    (home 0's task: clients 0, 2 and 4) goes through ``tamper(meta,
+    buffers)`` before it is framed."""
+
+    class Tampering(ScriptedLanes):
+        def upload(self, task_id, meta, buffers):
+            if task_id == 0:
+                meta, buffers = tamper(json.loads(json.dumps(meta)), list(buffers))
+            return super().upload(task_id, meta, buffers)
+
+    lanes = Tampering(homes=2, codec=codec)
+    model, clients = _model(), make_clients(6)
+    updates = lanes.run_round(
+        FedAvgStrategy(FAST), model, model.state_dict(), clients, 0,
+        [100 + client.client_id for client in clients],
+    )
+    assert lanes.last_round.dropped == dict.fromkeys((0, 2, 4), "corrupt")
+    assert [update.client_id for update in updates] == [1, 3, 5]
+
+
+#: Values no field of a well-formed upload row can take where the
+#: mutations below put them.  An upload row is ``[client_id, num_samples,
+#: floats, state, payload]`` and its state ``[codec, kind, tensors, meta,
+#: blob]`` (see ``repro.fl.wire.encode_upload``).
+_NOT_A_COUNT = st.sampled_from([None, True, "3", 1.5, [], {}, -1, 2**63])
+_NOT_A_NODE = st.sampled_from(
+    [None, 7, "x", [], [{}], {"d": 5}, {"b": 3}, {"a": ["<f8", [1]]}, {"x": 1}]
+)
+
+
+def _mutate(*path, values):
+    """Replace the node at ``path`` under a drawn update row (``"*"``: a
+    drawn item of the list there) by a drawn value that differs from it."""
+
+    def mutate(data, meta, buffers):
+        node = data.draw(st.sampled_from(meta["updates"]))
+        *inner, last = path
+        for step in inner:
+            node = data.draw(st.sampled_from(node)) if step == "*" else node[step]
+        node[last] = data.draw(values.filter(lambda value: value != node[last]))
+        return meta, buffers
+
+    return mutate
+
+
+def _resize_buffer(data, meta, buffers):
+    at = data.draw(st.integers(0, len(buffers) - 1))
+    raw = bytes(buffers[at])
+    cut = data.draw(st.integers(1, 9))
+    buffers[at] = raw[:-cut] if data.draw(st.booleans()) else raw + bytes(cut)
+    return meta, buffers
+
+
+def _drop_buffer(data, meta, buffers):
+    del buffers[data.draw(st.integers(0, len(buffers) - 1))]
+    return meta, buffers
+
+
+def _add_buffer(data, meta, buffers):
+    at = data.draw(st.integers(0, len(buffers)))
+    buffers.insert(at, bytes(data.draw(st.sampled_from([0, 8, 64]))))
+    return meta, buffers
+
+
+def _drop_row(data, meta, buffers):
+    del meta["updates"][data.draw(st.integers(0, len(meta["updates"]) - 1))]
+    return meta, buffers
+
+
+def _repeat_row(data, meta, buffers):
+    meta["updates"].append(data.draw(st.sampled_from(meta["updates"])))
+    return meta, buffers
+
+
+def _truncate_row(data, meta, buffers):
+    row = data.draw(st.sampled_from(meta["updates"]))
+    del row[data.draw(st.integers(0, len(row) - 1)) :]
+    return meta, buffers
+
+
+def _no_updates(data, meta, buffers):
+    return {**meta, "updates": data.draw(_NOT_A_NODE)}, buffers
+
+
+_UPLOAD_MUTATIONS = {
+    "client_id": _mutate(0, values=_NOT_A_COUNT | st.sampled_from([6, 9])),
+    "num_samples": _mutate(1, values=_NOT_A_COUNT | st.sampled_from([0, 1000])),
+    "floats": _mutate(
+        2, values=_NOT_A_NODE | st.sampled_from(
+            [{"a": ["<f8", [3]]}, {"a": ["<f4", [4]]}, {"a": ["<i8", [4]]}]
+        ),
+    ),
+    "state": _mutate(3, values=_NOT_A_NODE),
+    "payload": _mutate(4, values=_NOT_A_NODE),
+    "codec": _mutate(3, 0, values=st.sampled_from(["delta", "fp16", "", 0, None])),
+    "kind": _mutate(3, 1, values=st.sampled_from([0, None, [], {"d": []}])),
+    "tensors": _mutate(3, 2, values=_NOT_A_NODE),
+    "codec_meta": _mutate(3, 3, values=st.sampled_from([0, None, [], "x", {"d": 5}])),
+    "blob": _mutate(3, 4, values=_NOT_A_NODE | st.sampled_from([True, 1, {"b": 0}])),
+    "key": _mutate(
+        3, 2, "d", "*", 0, values=st.sampled_from(["w", "", 0, None, "0.weight"])
+    ),
+    "dtype": _mutate(
+        3, 2, "d", "*", 1, "a", 0,
+        values=st.sampled_from(["<f4", "<i8", "<f2", "|u1", ">f8", "|O", "V8", "<c16"]),
+    ),
+    "shape": _mutate(
+        3, 2, "d", "*", 1, "a", 1,
+        values=st.sampled_from([[], [1], [0], [-1], [2.0], "x", None, [1, 1, 1, 1, 1]]),
+    ),
+    "row": _truncate_row,
+    "updates": _no_updates,
+    "drop_row": _drop_row,
+    "repeat_row": _repeat_row,
+    "resize_buffer": _resize_buffer,
+    "drop_buffer": _drop_buffer,
+    "add_buffer": _add_buffer,
+}
 
 
 #: A tiny generated suite's recipe of two rows in two domains.
@@ -679,12 +849,12 @@ class TestRegistration:
     @pytest.mark.parametrize(
         "spec",
         [
-            {"dtype": "|O", "shape": [2]},
-            {"dtype": ">f8", "shape": [2]},
-            {"dtype": "<i8", "shape": [3]},
-            {"dtype": "<i8", "shape": [-1]},
-            {"dtype": "<i8", "shape": [2.0]},
-            {"dtype": "<i8"},
+            {"a": ["|O", [2]]},
+            {"a": [">f8", [2]]},
+            {"a": ["<i8", [3]]},
+            {"a": ["<i8", [-1]]},
+            {"a": ["<i8", [2.0]]},
+            {"a": ["<i8"]},
         ],
         ids=[
             "object", "big-endian", "short-buffer", "negative", "float-dim",
@@ -692,10 +862,10 @@ class TestRegistration:
         ],
     )
     def test_refuses_what_it_cannot_read_in_place(self, spec):
-        ok = {"dtype": "<i8", "shape": [2]}
+        ok = {"a": ["<i8", [2]]}
         meta = {"clients": [{"id": 0, "arrays": [ok, ok, spec]}], "evict": []}
         buffers = [np.zeros(2, np.int64).view(np.uint8)] * 3
-        with pytest.raises(ValueError, match="registration array"):
+        with pytest.raises(ValueError, match="wire array|wire dtype|meta node"):
             Registration(meta, buffers).clients()
 
     def test_task_fields_round_trip_through_json(self):
@@ -708,7 +878,7 @@ class TestRegistration:
 class TestUploadFrames:
     def test_upload_decodes_in_place_from_its_frame(self):
         """An upload's arrays (codec tensors, class-channel means) come out
-        of ``decode_payload`` as views of the received frame."""
+        of ``decode_upload`` as views of the received frame."""
         update = ClientUpdate(
             client_id=3, num_samples=5,
             state=make_codec("identity").encode({"w": np.arange(6.0)}),
@@ -716,13 +886,14 @@ class TestUploadFrames:
         )
         near, far = socket.socketpair()
         try:
-            upload = encode_payload([update])
-            send_frame(near, *message_parts(UPLOAD, {"task": 1}, upload))
+            meta, buffers = encode_upload([update])
+            send_frame(near, *message_parts(UPLOAD, {"task": 1, **meta}, *buffers))
             frame = FrameStream(far).next_frame()
         finally:
             near.close()
             far.close()
-        (got,) = decode_payload(decode_message(frame).blob)
+        message = decode_message(frame)
+        (got,) = decode_upload(message.meta, message.buffers)
         whole = np.frombuffer(frame, np.uint8)
         assert np.shares_memory(got.state.tensors["w"], whole)
         assert np.shares_memory(got.payload["class_stats"], whole)
@@ -743,6 +914,32 @@ class TestNoPickleOnTheWire:
             with open(os.path.join(root, relative)) as source:
                 assert "import pickle" not in source.read(), relative
 
+    def test_only_the_worker_runtime_unpickles(self):
+        """``decode_payload`` and ``pickle.loads`` appear in ``repro.fl``
+        only inside ``WorkerRuntime``: an agent unpickles the template and
+        strategy of the server it dialled, and the server unpickles
+        nothing a peer sends."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        package = os.path.join(root, "src", "repro", "fl")
+        uses = []
+        for folder, _, names in os.walk(package):
+            for name in sorted(n for n in names if n.endswith(".py")):
+                path = os.path.join(folder, name)
+                with open(path) as source:
+                    tree = ast.parse(source.read())
+                uses += [
+                    (os.path.relpath(path, root), owner)
+                    for owner, node in _walk_with_class(tree)
+                    if (isinstance(node, ast.Name) and node.id == "decode_payload")
+                    or (
+                        isinstance(node, ast.Attribute)
+                        and node.attr in ("decode_payload", "loads")
+                        and (node.attr != "loads" or _names(node.value, "pickle"))
+                    )
+                ]
+        assert uses, "the agent side decodes its template and strategy"
+        assert {owner for _, owner in uses} == {"WorkerRuntime"}, uses
+
     def test_agent_module_runs_without_a_runpy_warning(self):
         """``python -m repro.fl.net.agent`` must not find the agent module
         already imported by its own package."""
@@ -759,6 +956,18 @@ class TestNoPickleOnTheWire:
         )
         assert done.returncode == 0
         assert done.stderr == ""
+
+
+def _walk_with_class(tree, owner=None):
+    """Every node of ``tree`` with the name of the class it sits in."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, ast.ClassDef) else owner
+        yield owner, node
+        yield from _walk_with_class(node, inner)
+
+
+def _names(node, name):
+    return isinstance(node, ast.Name) and node.id == name
 
 
 # -- the tcp transport (ParallelExecutor wire) ---------------------------------
@@ -871,6 +1080,26 @@ class TestTcpTransport:
                 assert recv_frame(sock) is None
             assert TcpTransport().fetch(handle) == b"y" * 8
         finally:
+            server_side.close()
+
+    def test_fetch_receives_the_blob_once(self):
+        """A fetched blob is read off the socket into one buffer of its
+        own: the allocation peak stays under 1.5x the blob (it was three
+        copies, 12 MiB for 4 MiB, when the reply was decoded and sliced)."""
+        server_side, worker_side = TcpTransport(), TcpTransport()
+        blob = os.urandom(4 << 20)
+        try:
+            handle = server_side.publish(blob)
+            tracemalloc.start()
+            try:
+                fetched = worker_side.fetch(handle)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert fetched == blob
+            assert peak < 1.5 * len(blob)
+        finally:
+            worker_side.close()
             server_side.close()
 
     def test_fetch_of_an_unknown_blob_raises(self):
@@ -1242,9 +1471,9 @@ def faulty_agent(address, connected, on_task):
             elif message.kind == TASK:
                 if on_task(stream, message.meta):
                     return
-                stream.send(encode_message(
-                    UPLOAD, {"task": message.meta["task"]},
-                    runtime.run_task(task_from_fields(message.meta)),
+                meta, buffers = runtime.run_task(task_from_fields(message.meta))
+                stream.send(*message_parts(
+                    UPLOAD, {"task": message.meta["task"], **meta}, *buffers
                 ))
             else:
                 return

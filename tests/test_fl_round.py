@@ -38,7 +38,9 @@ from repro.fl.executor import WorkerRuntime
 from repro.fl.faults import FaultEvent, FaultPlan, RoundTimeoutError
 from repro.fl.round import LOST, Executor
 from repro.nn import build_mlp_model
-from repro.nn.serialize import decode_payload, encode_payload
+from repro.fl.net.protocol import UPLOAD, decode_message, encode_message
+from repro.fl.wire import decode_upload
+from repro.nn.serialize import encode_payload
 from repro.utils.rng import SeedTree
 
 SUITE = synthetic_pacs(seed=0, samples_per_class=8, image_size=8)
@@ -110,8 +112,16 @@ class ScriptedLanes(Executor):
         events = []
         for task_id in action:
             home, task = self.pending.pop(task_id)
-            events.append((task_id, self.endpoints[home].run_task(task)))
+            meta, buffers = self.endpoints[home].run_task(task)
+            events.append((task_id, self.upload(task_id, meta, buffers)))
         return events
+
+    def upload(self, task_id, meta, buffers):
+        """The upload message as an agent's lane would hand it on: framed
+        and parsed, its buffers read-only views of the one payload."""
+        return decode_message(
+            encode_message(UPLOAD, {"task": task_id, **meta}, *buffers)
+        )
 
     def abandon(self, task_id):
         self.log.append(("abandon", task_id))
@@ -392,7 +402,9 @@ class TestUploadsDiffAgainstTheBroadcast:
             def poll(self, timeout):
                 events = super().poll(timeout)
                 for _, upload in events:
-                    payloads.extend(u.state for u in decode_payload(upload))
+                    payloads.extend(
+                        u.state for u in decode_upload(upload.meta, upload.buffers)
+                    )
                 return events
 
         def one_round(lanes):

@@ -7,6 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fl.codec import IdentityCodec
+from repro.fl.net.protocol import UPLOAD, decode_message, encode_message
+from repro.fl.wire import (
+    decode_state_frame,
+    decode_upload,
+    encode_state_frame,
+    encode_upload,
+)
 from repro.nn.serialize import (
     MeanAccumulator,
     average_states,
@@ -360,38 +368,39 @@ class TestMeanAccumulatorBlock:
 
 
 class TestPayloadCodec:
-    """encode/decode round trips, incl. the protocol-5 StateDict fast path."""
+    """The two codecs of the wire: plain pickle for the blobs only an agent
+    unpickles (model template, strategy), and the typed ``state`` frame
+    every codec-encoded state crosses as."""
 
-    def test_state_dict_takes_out_of_band_fast_path(self, rng):
+    def test_state_dict_round_trips(self, rng):
         state = make_state(rng)
-        blob = encode_payload(state)
-        assert blob[:4] == b"RPB5"
-        decoded = decode_payload(blob)
+        decoded = decode_payload(encode_payload(state))
         assert sorted(decoded) == sorted(state)
         for key in state:
             np.testing.assert_array_equal(decoded[key], state[key])
 
-    def test_fast_path_decodes_zero_copy_readonly(self, rng):
-        """Documented contract: fast-path arrays are read-only views into
-        the blob; consumers copy before mutating."""
-        decoded = decode_payload(encode_payload(make_state(rng)))
-        assert all(not value.flags.writeable for value in decoded.values())
+    def test_state_frame_decodes_zero_copy_readonly(self, rng):
+        """Documented contract: a state frame's tensors are read-only,
+        aligned views into the frame; consumers copy before mutating."""
+        frame = encode_state_frame(IdentityCodec().encode(make_state(rng)))
+        decoded = decode_state_frame(frame).tensors
+        whole = np.frombuffer(frame, dtype=np.uint8)
+        for value in decoded.values():
+            assert not value.flags.writeable and value.flags.aligned
+            assert np.shares_memory(value, whole)
 
-    def test_fast_path_handles_noncontiguous_arrays(self, rng):
+    def test_state_frame_handles_noncontiguous_arrays(self, rng):
         state = {"t": np.asarray(rng.normal(size=(6, 4))).T}  # F-contiguous
-        decoded = decode_payload(encode_payload(state))
-        np.testing.assert_array_equal(decoded["t"], state["t"])
+        decoded = decode_state_frame(encode_state_frame(IdentityCodec().encode(state)))
+        np.testing.assert_array_equal(decoded.tensors["t"], state["t"])
 
     def test_non_state_dicts_use_the_plain_pickle_path(self):
         for payload in ([1, 2, 3], {"mixed": 1}, {}, "text"):
-            blob = encode_payload(payload)
-            assert blob[:4] != b"RPB5"
-            assert decode_payload(blob) == payload
-        # Non-string keys disqualify a dict from the StateDict fast path.
+            assert decode_payload(encode_payload(payload)) == payload
         int_keyed = {1: np.zeros(2)}
-        blob = encode_payload(int_keyed)
-        assert blob[:4] != b"RPB5"
-        np.testing.assert_array_equal(decode_payload(blob)[1], int_keyed[1])
+        np.testing.assert_array_equal(
+            decode_payload(encode_payload(int_keyed))[1], int_keyed[1]
+        )
 
     def test_legacy_plain_pickle_blobs_still_decode(self, rng):
         state = make_state(rng)
@@ -405,50 +414,63 @@ class TestPayloadCodec:
             encode_payload((x for x in range(3)))
 
 
-class TestBareArrayFastPath:
-    """Satellite: bare ndarrays and ``__wire_oob__`` opt-ins take the
-    protocol-5 out-of-band path too (FPL's prototype arrays ride inside a
-    ``__wire_oob__`` ClientUpdate and previously paid in-band pickling)."""
+def _uploaded(update):
+    """``update`` as the server reads it back from its upload message."""
+    meta, buffers = encode_upload([update])
+    frame = encode_message(UPLOAD, {"task": 0, **meta}, *buffers)
+    message = decode_message(frame)
+    (decoded,) = decode_upload(message.meta, message.buffers)
+    return decoded, np.frombuffer(frame, dtype=np.uint8)
 
-    def test_bare_array_takes_the_fast_path(self, rng):
-        array = rng.normal(size=(32, 8))
-        blob = encode_payload(array)
-        assert blob[:4] == b"RPB5"
-        np.testing.assert_array_equal(decode_payload(blob), array)
 
-    def test_bare_array_decodes_zero_copy(self, rng):
-        """Zero-copy contract: the decoded array is a read-only view
-        backed by the received blob, not a fresh allocation."""
-        array = rng.normal(size=(16, 4))
-        blob = encode_payload(array)
-        decoded = decode_payload(blob)
-        assert not decoded.flags.writeable
-        assert np.shares_memory(
-            decoded, np.frombuffer(blob, dtype=np.uint8)
-        )
+class TestUploadArrays:
+    """Every array an upload carries — wire tensors, method payload
+    arrays such as FPL's integer-keyed prototypes — crosses as a buffer of
+    the upload message and decodes as a read-only view of it."""
 
-    def test_wire_oob_opt_in_carries_nested_arrays_out_of_band(self, rng):
-        """An opted-in record (here: the executor's ClientUpdate) puts every
-        nested array — including non-state-dict payload entries like FPL's
-        integer-keyed prototypes — out of band, decoded zero-copy."""
+    @staticmethod
+    def _update(rng, payload):
         from repro.fl.executor import ClientUpdate
 
-        update = ClientUpdate(
+        return ClientUpdate(
             client_id=3,
             num_samples=10,
-            state={"w": rng.normal(size=(8, 2))},
+            state=IdentityCodec().encode({"w": rng.normal(size=(8, 2))}),
             loss=0.5,
-            payload={"prototypes": {0: rng.normal(size=4), 1: rng.normal(size=4)}},
+            payload=payload,
         )
-        blob = encode_payload(update)
-        assert blob[:4] == b"RPB5"
-        decoded = decode_payload(blob)
-        np.testing.assert_array_equal(decoded.state["w"], update.state["w"])
-        for label, proto in update.payload["prototypes"].items():
+
+    def test_array_payload_round_trips(self, rng):
+        array = rng.normal(size=(32, 8))
+        decoded, _ = _uploaded(self._update(rng, {"x": array}))
+        np.testing.assert_array_equal(decoded.payload["x"], array)
+
+    def test_arrays_decode_zero_copy_readonly_aligned(self, rng):
+        """Zero-copy contract: a decoded array is a read-only, aligned view
+        backed by the received frame, not a fresh allocation."""
+        decoded, whole = _uploaded(self._update(rng, {"x": rng.normal(size=(16, 4))}))
+        for value in (decoded.payload["x"], decoded.state.tensors["w"]):
+            assert not value.flags.writeable and value.flags.aligned
+            assert np.shares_memory(value, whole)
+
+    def test_nested_int_keyed_arrays_survive(self, rng):
+        """A nested dict with integer keys keeps them (JSON objects would
+        not), and its arrays are views of the frame."""
+        prototypes = {0: rng.normal(size=4), 1: rng.normal(size=4)}
+        update = self._update(rng, {"prototypes": prototypes, "gap": 0.25})
+        decoded, whole = _uploaded(update)
+        np.testing.assert_array_equal(
+            decoded.state.tensors["w"], update.state.tensors["w"]
+        )
+        assert decoded.payload["gap"] == 0.25
+        assert sorted(decoded.payload["prototypes"]) == [0, 1]
+        for label, proto in prototypes.items():
             clone = decoded.payload["prototypes"][label]
             np.testing.assert_array_equal(clone, proto)
-            assert not clone.flags.writeable  # out-of-band view, not a copy
+            assert not clone.flags.writeable and np.shares_memory(clone, whole)
 
-    def test_non_contiguous_bare_array_round_trips(self, rng):
+    def test_noncontiguous_arrays_round_trip(self, rng):
         array = np.asarray(rng.normal(size=(6, 4))).T  # F-contiguous
-        np.testing.assert_array_equal(decode_payload(encode_payload(array)), array)
+        decoded, _ = _uploaded(self._update(rng, {"x": array, "scalar": np.float64(2.0)}))
+        np.testing.assert_array_equal(decoded.payload["x"], array)
+        assert decoded.payload["scalar"] == 2.0
