@@ -227,7 +227,9 @@ def _pack(tensors: StateDict) -> tuple[bytes, tuple]:
     return _deflate(body), spec
 
 
-def _unpack(blob: "bytes | memoryview", spec: "tuple | list") -> StateDict:
+def _unpack(
+    blob: "bytes | memoryview", spec: "tuple | list", ref: StateDict | None = None
+) -> StateDict:
     """Inflate ``blob`` and unshuffle it into the tensors ``spec`` names.
 
     Inflation stops one byte past what ``spec`` implies, so a frame cannot
@@ -236,8 +238,11 @@ def _unpack(blob: "bytes | memoryview", spec: "tuple | list") -> StateDict:
     would mean *unlimited*).  For ``delta`` frames the bound comes from the
     local reference; for full and ``+deflate`` frames it is the peer's own
     ``meta`` spec, so it is only as trustworthy as the peer — which is why
-    each of its entries must be ``[key, allowed dtype, shape]`` and a
-    stream that does not inflate is a :class:`ValueError` too.
+    each of its entries must be ``[key, allowed dtype, shape]``, a spec
+    naming more bytes than the local reference state ``ref`` holds (no
+    codec packs a state larger than itself) is refused before anything
+    inflates, and a stream that does not inflate is a
+    :class:`ValueError` too.
     """
     entries = []
     for key, dtype_str, shape in spec:
@@ -250,6 +255,8 @@ def _unpack(blob: "bytes | memoryview", spec: "tuple | list") -> StateDict:
         dtype = wire_dtype(dtype_str)
         entries.append((key, dtype, tuple(shape), dtype.itemsize * math.prod(shape)))
     expected = sum(entry[3] for entry in entries)
+    if ref is not None and expected > sum(value.nbytes for value in ref.values()):
+        raise ValueError("packed payload names more bytes than the reference state")
     inflater = zlib.decompressobj()
     try:
         body = memoryview(inflater.decompress(blob, expected + 1))
@@ -324,7 +331,7 @@ class DeltaCodec(Codec):
     def decode(self, payload: Payload, ref: StateDict | None = None) -> StateDict:
         self._check(payload)
         if payload.kind == "full":
-            return _unpack(payload.blob, payload.meta["spec"])
+            return _unpack(payload.blob, payload.meta["spec"], ref)
         if ref is None:
             raise ValueError(
                 "delta frame arrived without a reference state; the "
@@ -469,7 +476,7 @@ class DeflateCodec(Codec):
         self._check(payload)
         meta = dict(payload.meta)
         spec = meta.pop("packed", None)
-        tensors = _unpack(payload.blob, spec) if spec is not None else {}
+        tensors = _unpack(payload.blob, spec, ref) if spec is not None else {}
         inner_payload = Payload(
             codec=self.inner.spec,
             kind=payload.kind,

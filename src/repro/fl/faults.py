@@ -581,9 +581,9 @@ def state_is_corrupt(
     screen additionally rejects states whose global L2 norm exceeds
     ``norm_screen x ||ref||`` — finite but absurdly scaled uploads (the
     ``scale`` byzantine mode) fail this even though every value is a
-    perfectly ordinary float.  Engines run this on every decoded upload
-    when a fault plan is active; rejects use the ``"corrupt"`` drop path,
-    exactly as for NaN poisoning.
+    perfectly ordinary float.  Engines run this on every decoded upload,
+    with the plan's ``norm_screen`` when a fault plan is active; rejects
+    use the ``"corrupt"`` drop path, exactly as for NaN poisoning.
     """
     if any(
         not np.isfinite(np.asarray(value)).all() for value in state.values()

@@ -597,7 +597,8 @@ class Executor(WireServer):
         ``rnd.results`` (keyed by dispatch position) and the stream.  A
         wire upload that does not read back as one well-formed update per
         client, shaped like the broadcast, drops the row's clients as
-        ``corrupt``, fault plan or not."""
+        ``corrupt``, and so does an update with a non-finite value, fault
+        plan or not; the fault plan's norm screen runs only under a plan."""
         updates: "list[ClientUpdate]" = upload
         if self.transport is not None:
             try:
@@ -605,11 +606,10 @@ class Executor(WireServer):
             except _MALFORMED:
                 self._drop(rnd, row, "corrupt")
                 return
+        norm_screen = None if self.fault_plan is None else self.fault_plan.norm_screen
         for position, update in zip(row.positions, updates):
-            if self.fault_plan is not None and state_is_corrupt(
-                update.state,
-                ref=rnd.global_state,
-                norm_screen=self.fault_plan.norm_screen,
+            if state_is_corrupt(
+                update.state, ref=rnd.global_state, norm_screen=norm_screen
             ):
                 # Acceptance check on every decoded upload: distrust the
                 # weights.

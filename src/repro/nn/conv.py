@@ -2,7 +2,10 @@
 
 Conv2d is implemented with im2col: patches are gathered into a matrix so the
 convolution becomes one matmul, which is the only way to get acceptable
-throughput from numpy.
+throughput from numpy.  Like every parameterised layer it is written once,
+over a leading stack axis (:class:`repro.nn.module.StackedModule`): K
+clients' patches go through one batched matmul, and a template runs the
+same code as a stack of one.
 
 Memory layout.  Arrays are NCHW at the API — shapes, axis order and
 ``Flatten``'s feature order are unchanged — but the conv data path is
@@ -20,7 +23,7 @@ import threading
 import numpy as np
 
 from repro.nn import init
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Parameter, StackedModule
 
 __all__ = [
     "Conv2d",
@@ -179,22 +182,32 @@ def conv2d(
     stride: int,
     padding: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Convolve NCHW ``x`` with ``(out, in, k, k)`` weights.
+    """Convolve each slice of a ``(K, batch, C, H, W)`` stack with its own
+    ``(out, in, k, k)`` weights (``weight`` is ``(K, out, in, k, k)``,
+    ``bias`` ``(K, out)``).
 
-    Returns ``(out, cols)``: the NCHW-shaped, channels-last-in-memory output
-    and the patch matrix the backward pass needs.
+    One ``im2col`` over the flattened ``(K*batch, C, H, W)`` input feeds a
+    single ``(K, batch*oh*ow, k*k*C) @ (K, k*k*C, out)`` batched product.
+    Returns ``(out, cols)``: the ``(K, batch, out, oh, ow)``-shaped,
+    channels-last-in-memory output and the ``(K, rows, k*k*C)`` patch
+    matrix the backward pass needs.
     """
-    out_channels, _, kernel, _ = weight.shape
-    cols, (out_h, out_w) = im2col(x, kernel, stride, padding)
-    out = cols @ weight_matrix(weight).T
+    stack, batch = x.shape[:2]
+    kernel = weight.shape[-1]
+    flat = x.reshape(stack * batch, *x.shape[2:])
+    cols, (out_h, out_w) = im2col(flat, kernel, stride, padding)
+    cols = cols.reshape(stack, batch * out_h * out_w, -1)
+    out = np.matmul(cols, weight_matrix(weight).transpose(0, 2, 1))
     if bias is not None:
-        out += bias
-    out = out.reshape(x.shape[0], out_h, out_w, out_channels).transpose(0, 3, 1, 2)
+        out += bias[:, None, :]
+    out = out.reshape(stack, batch, out_h, out_w, weight.shape[1]).transpose(
+        0, 1, 4, 2, 3
+    )
     return out, cols
 
 
-class Conv2d(Module):
-    """2-D convolution over NCHW input."""
+class Conv2d(StackedModule):
+    """2-D convolution over NCHW input (``(K, batch, C, H, W)`` on a stack)."""
 
     def __init__(
         self,
@@ -225,20 +238,14 @@ class Conv2d(Module):
             Parameter(init.zeros((out_channels,)), name="bias") if bias else None
         )
         self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int, int] | None = None
+        self._x_shape: tuple[int, ...] | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"Conv2d expected (batch, {self.in_channels}, H, W), got {x.shape}"
-            )
-        out, self._cols = conv2d(
-            x,
-            self.weight.data,
-            None if self.bias is None else self.bias.data,
-            self.stride,
-            self.padding,
-        )
+    def stack_forward(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 5 or x.shape[0] != self.stack_size or x.shape[2] != self.in_channels:
+            self._refuse(x, f"batch, {self.in_channels}, H, W")
+        weight, _ = self.stacked(self.weight)
+        bias = None if self.bias is None else self.stacked(self.bias)[0]
+        out, self._cols = conv2d(x, weight, bias, self.stride, self.padding)
         self._x_shape = x.shape
         return out
 
@@ -246,23 +253,33 @@ class Conv2d(Module):
         """Add the parameter gradients; returns ``grad_output`` as GEMM rows."""
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
-        grad_rows = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        kernel = self.kernel_size
-        self.weight.grad += (
-            (grad_rows.T @ self._cols)
-            .reshape(self.out_channels, kernel, kernel, self.in_channels)
-            .transpose(0, 3, 1, 2)
+        stack, kernel = self._x_shape[0], self.kernel_size
+        grad_rows = grad_output.transpose(0, 1, 3, 4, 2).reshape(
+            stack, -1, self.out_channels
+        )
+        _, weight_grad = self.stacked(self.weight)
+        weight_grad += (
+            np.matmul(grad_rows.transpose(0, 2, 1), self._cols)
+            .reshape(stack, self.out_channels, kernel, kernel, self.in_channels)
+            .transpose(0, 1, 4, 2, 3)
         )
         if self.bias is not None:
-            self.bias.grad += grad_rows.sum(axis=0)
+            _, bias_grad = self.stacked(self.bias)
+            bias_grad += grad_rows.sum(axis=1)
         return grad_rows
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad_cols = self._accumulate(grad_output) @ weight_matrix(self.weight.data)
-        return col2im(
-            grad_cols, self._x_shape, self.kernel_size, self.stride, self.padding
+    def stack_backward(self, grad_output: np.ndarray) -> np.ndarray:
+        weight, _ = self.stacked(self.weight)
+        grad_cols = np.matmul(self._accumulate(grad_output), weight_matrix(weight))
+        stack, batch = self._x_shape[:2]
+        flat = col2im(
+            grad_cols.reshape(-1, grad_cols.shape[2]),
+            (stack * batch,) + self._x_shape[2:],
+            self.kernel_size,
+            self.stride,
+            self.padding,
         )
+        return flat.reshape(self._x_shape)
 
-    def backward_params(self, grad_output: np.ndarray) -> None:
+    def stack_backward_params(self, grad_output: np.ndarray) -> None:
         self._accumulate(grad_output)
-

@@ -1,31 +1,40 @@
-"""Leading-axis ensemble batching: train K identical models in one pass.
+"""Leading-axis stacks: K identical models trained in one pass.
 
 A federated worker hosting K co-resident clients runs K structurally
-identical models per round.  Instead of looping, this module stacks the K
-parameter sets along a new leading axis — weights become ``(K, ...)`` arrays —
-so one batched ``np.matmul``/``einsum`` per layer trains the whole stack at
-once.  The one trainer every engine runs (:mod:`repro.fl.compute`) is built
-on these layers.
+identical models per round.  Instead of looping, the trainer
+(:mod:`repro.fl.compute`) stacks the K parameter sets along a new leading
+axis — weights become ``(K, ...)`` arrays — so one batched
+``np.matmul`` per layer trains the whole stack at once.
 
-Why the per-client numerics survive stacking
---------------------------------------------
-numpy's batched ``matmul`` and axis reductions (``sum``/``max``)
-produce *bitwise identical* results per slice regardless of the stack
+One implementation per layer
+----------------------------
+``Conv2d``, ``Linear`` and ``Flatten`` are written once, over the stack
+axis (:class:`repro.nn.module.StackedModule`): :func:`ensemble_of` builds a
+K-stack of the *same classes*, and a template — parameters without the
+stack axis — runs that code as a stack of one.  ReLU is elementwise, and
+``Sequential`` / ``FeatureClassifierModel`` only route arrays, so each of
+them serves both shapes unchanged.  Softmax cross-entropy is likewise
+written once (:func:`ensemble_cross_entropy`; ``CrossEntropyLoss`` is it on
+a stack of one), as are the stacked Eq. 7 / Eq. 8 losses below.
+
+Why per-client numerics survive stacking
+----------------------------------------
+numpy's batched ``matmul`` and axis reductions (``sum``/``max``) produce
+*bitwise identical* results per slice regardless of the stack
 composition: slice ``k`` of a batched ``(K, M, N) @ (K, N, P)`` equals the
-plain 2-D product of the same operands, and a reduction over a slice's axes
-equals the same reduction on the extracted slice.  Every ensemble layer below
-is written so its per-slice computation is literally the template layer's
-computation — same operand order, same reduction axes relative to the slice —
-which is what makes K=1 stacks through this code path bit-identical to the
-classic per-client loop, and makes per-client results independent of how
-clients are grouped into stacks.  The test suite
-(`tests/test_nn_ensemble.py`) enforces both properties.
+plain 2-D product of the same operands, and a reduction over a slice's
+axes equals the same reduction on the extracted slice.  So per-client
+results do not depend on how clients are grouped into stacks, and a stack
+of one is a lone client.  The test suite holds every layer to an oracle it
+does not share — the per-batch scalar layers and cross-entropy kept in
+``tests/reference_loop.py`` — on drawn architectures
+(``tests/test_nn_ensemble.py``).
 
-Ensemble layers mirror their template's attribute names (``weight``,
-``bias``, ``layers``, ...), so ``named_parameters`` /
-``state_dict`` yield the *same dotted names* with ``(K,) + shape`` values —
-the generic state helpers at the bottom of this module stack / split client
-state dicts without any per-layer knowledge.
+A stack's layers keep their template's attribute names (``weight``,
+``bias``, ``layers``, ...), so ``named_parameters`` / ``state_dict`` yield
+the *same dotted names* with ``(K,) + shape`` values — the state helpers at
+the bottom of this module stack / split client state dicts without any
+per-layer knowledge.
 
 A layer type without a registered converter cannot be stacked, and the
 trainer has no other way to train: :func:`check_stackable` names such
@@ -41,17 +50,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.nn.conv import Conv2d, col2im, im2col, weight_matrix
-from repro.nn.layers import Flatten, Linear, ReLU, in_memory_order, memory_axes
+from repro.nn.conv import Conv2d
+from repro.nn.layers import Flatten, Linear, ReLU
 from repro.nn.models import FeatureClassifierModel
-from repro.nn.module import Module, Parameter, Sequential
+from repro.nn.module import Module, Parameter, Sequential, StackedModule
 
 __all__ = [
-    "EnsembleModule",
-    "EnsembleConv2d",
-    "EnsembleLinear",
-    "EnsembleFlatten",
-    "EnsembleFeatureClassifierModel",
     "ensemble_cross_entropy",
     "EnsembleTripletStyleLoss",
     "EnsembleEmbeddingL2Loss",
@@ -64,181 +68,23 @@ __all__ = [
 ]
 
 
-class EnsembleModule(Module):
-    """Base class for layers operating on ``(K, batch, ...)`` stacks."""
-
-    def __init__(self, ensemble_size: int) -> None:
-        super().__init__()
-        if ensemble_size < 1:
-            raise ValueError(f"ensemble size must be >= 1, got {ensemble_size}")
-        self.ensemble_size = ensemble_size
-
-
-def _stack_param(template: Parameter, ensemble_size: int, name: str) -> Parameter:
-    data = np.broadcast_to(
-        template.data, (ensemble_size,) + template.data.shape
-    ).copy()
-    return Parameter(data, name=name)
-
-
-class EnsembleConv2d(EnsembleModule):
-    """K independent Conv2d layers as one batched im2col matmul.
-
-    One ``im2col`` over the flattened ``(K*B, C, H, W)`` input feeds a single
-    ``(K, B*oh*ow, k*k*C) @ (K, k*k*C, out)`` batched product; layout and
-    column order are :class:`Conv2d`'s (see :mod:`repro.nn.conv`).
-    """
-
-    def __init__(self, template: Conv2d, ensemble_size: int) -> None:
-        super().__init__(ensemble_size)
-        self.in_channels = template.in_channels
-        self.out_channels = template.out_channels
-        self.kernel_size = template.kernel_size
-        self.stride = template.stride
-        self.padding = template.padding
-        self.weight = _stack_param(template.weight, ensemble_size, "weight")
-        self.bias = (
-            _stack_param(template.bias, ensemble_size, "bias")
-            if template.bias is not None
-            else None
-        )
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if (
-            x.ndim != 5
-            or x.shape[0] != self.ensemble_size
-            or x.shape[2] != self.in_channels
-        ):
-            raise ValueError(
-                f"EnsembleConv2d expected ({self.ensemble_size}, batch, "
-                f"{self.in_channels}, H, W), got {x.shape}"
+def _stack_layer(template: StackedModule, ensemble_size: int) -> StackedModule:
+    """A K-stack of ``template``: its class and hyperparameters, each
+    parameter broadcast to ``(K,) + shape``, no cached activations."""
+    if ensemble_size < 1:
+        raise ValueError(f"ensemble size must be >= 1, got {ensemble_size}")
+    layer = object.__new__(type(template))
+    for attr, value in vars(template).items():
+        if isinstance(value, Parameter):
+            value = Parameter(
+                np.broadcast_to(value.data, (ensemble_size,) + value.shape).copy(),
+                name=value.name,
             )
-        stack, batch = x.shape[:2]
-        flat = x.reshape(stack * batch, *x.shape[2:])
-        cols, (out_h, out_w) = im2col(flat, self.kernel_size, self.stride, self.padding)
-        cols = cols.reshape(stack, batch * out_h * out_w, -1)
-        self._cols = cols
-        self._x_shape = x.shape
-        out = np.matmul(cols, weight_matrix(self.weight.data).transpose(0, 2, 1))
-        if self.bias is not None:
-            out += self.bias.data[:, None, :]
-        return out.reshape(stack, batch, out_h, out_w, self.out_channels).transpose(
-            0, 1, 4, 2, 3
-        )
-
-    def _accumulate(self, grad_output: np.ndarray) -> np.ndarray:
-        """Add the parameter gradients; returns ``grad_output`` as GEMM rows."""
-        if self._cols is None or self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        stack, kernel = self.ensemble_size, self.kernel_size
-        grad_rows = grad_output.transpose(0, 1, 3, 4, 2).reshape(
-            stack, -1, self.out_channels
-        )
-        self.weight.grad += (
-            np.matmul(grad_rows.transpose(0, 2, 1), self._cols)
-            .reshape(stack, self.out_channels, kernel, kernel, self.in_channels)
-            .transpose(0, 1, 4, 2, 3)
-        )
-        if self.bias is not None:
-            self.bias.grad += grad_rows.sum(axis=1)
-        return grad_rows
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad_cols = np.matmul(
-            self._accumulate(grad_output), weight_matrix(self.weight.data)
-        )
-        stack, batch = self._x_shape[:2]
-        flat = col2im(
-            grad_cols.reshape(-1, grad_cols.shape[2]),
-            (stack * batch,) + self._x_shape[2:],
-            self.kernel_size,
-            self.stride,
-            self.padding,
-        )
-        return flat.reshape(self._x_shape)
-
-    def backward_params(self, grad_output: np.ndarray) -> None:
-        self._accumulate(grad_output)
-
-
-class EnsembleLinear(EnsembleModule):
-    """K independent Linear layers as one batched matmul."""
-
-    def __init__(self, template: Linear, ensemble_size: int) -> None:
-        super().__init__(ensemble_size)
-        self.in_features = template.in_features
-        self.out_features = template.out_features
-        self.weight = _stack_param(template.weight, ensemble_size, "weight")
-        self.bias = (
-            _stack_param(template.bias, ensemble_size, "bias")
-            if template.bias is not None
-            else None
-        )
-        self._input: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if (
-            x.ndim != 3
-            or x.shape[0] != self.ensemble_size
-            or x.shape[2] != self.in_features
-        ):
-            raise ValueError(
-                f"EnsembleLinear expected ({self.ensemble_size}, batch, "
-                f"{self.in_features}), got {x.shape}"
-            )
-        self._input = x
-        out = np.matmul(x, self.weight.data)
-        if self.bias is not None:
-            out = out + self.bias.data[:, None, :]
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input is None:
-            raise RuntimeError("backward called before forward")
-        self.weight.grad += np.matmul(self._input.transpose(0, 2, 1), grad_output)
-        if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=1)
-        return np.matmul(grad_output, self.weight.data.transpose(0, 2, 1))
-
-
-class EnsembleFlatten(EnsembleModule):
-    """Collapse all axes after ``(K, batch)`` into one; like :class:`Flatten`,
-    ``backward`` returns the gradient in the forward input's memory layout."""
-
-    def __init__(self, ensemble_size: int) -> None:
-        super().__init__(ensemble_size)
-        self._shape: tuple[int, ...] | None = None
-        self._axes: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
-        self._axes = memory_axes(x)
-        return x.reshape(x.shape[0], x.shape[1], -1)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called before forward")
-        return in_memory_order(grad_output.reshape(self._shape), self._axes)
-
-
-class EnsembleFeatureClassifierModel(FeatureClassifierModel):
-    """A stacked :class:`FeatureClassifierModel`; same split-gradient routing.
-
-    The parent's ``forward_features`` / ``forward_logits`` / ``backward`` are
-    shape-agnostic delegations, so only the stack size needs recording.
-    """
-
-    def __init__(
-        self,
-        features: Module,
-        classifier: Module,
-        embed_dim: int,
-        ensemble_size: int,
-    ) -> None:
-        super().__init__(features, classifier, embed_dim)
-        self.ensemble_size = ensemble_size
+        elif attr.startswith("_"):
+            value = None
+        setattr(layer, attr, value)
+    layer.ensemble_size = ensemble_size
+    return layer
 
 
 # --------------------------------------------------------------------------
@@ -249,11 +95,11 @@ class EnsembleFeatureClassifierModel(FeatureClassifierModel):
 def ensemble_cross_entropy(
     logits: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean-reduced softmax cross-entropy per slice of a ``(K, B, C)`` stack.
+    """Mean-reduced softmax cross-entropy per slice of a ``(K, B, C)`` stack
+    with ``(K, B)`` integer labels in ``[0, C)``.
 
     Returns ``(losses, grad_logits)`` with ``losses`` of shape ``(K,)`` and
-    ``grad_logits`` matching ``logits``; slice ``k`` is bitwise what
-    :class:`repro.nn.losses.CrossEntropyLoss` computes on that slice.
+    ``grad_logits`` matching ``logits``.
     """
     if logits.ndim != 3:
         raise ValueError(f"logits must be 3-D (K, B, C), got shape {logits.shape}")
@@ -263,6 +109,11 @@ def ensemble_cross_entropy(
             f"labels shape {labels.shape} does not match logits {logits.shape[:2]}"
         )
     stack, batch, num_classes = logits.shape
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(
+            f"labels out of range [0, {num_classes}): "
+            f"min={labels.min()}, max={labels.max()}"
+        )
     shifted = logits - logits.max(axis=2, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=2, keepdims=True)
@@ -314,16 +165,12 @@ class EnsembleTripletStyleLoss:
     def __init__(
         self,
         margin: float = 1.0,
-        reduction: str = "mean",
         hinge: bool = False,
         normalize: bool = True,
     ) -> None:
         if margin < 0:
             raise ValueError(f"margin must be non-negative, got {margin}")
-        if reduction not in ("mean", "sum"):
-            raise ValueError(f"unknown reduction {reduction!r}")
         self.margin = margin
-        self.reduction = reduction
         self.hinge = hinge
         self.normalize = normalize
         self._grads: tuple[np.ndarray, np.ndarray] | None = None
@@ -376,7 +223,7 @@ class EnsembleTripletStyleLoss:
             active = np.ones_like(raw, dtype=bool)
             per_sample = raw
 
-        scale = 1.0 / batch if self.reduction == "mean" else 1.0
+        scale = 1.0 / batch
 
         grad_anchor = np.zeros_like(anchors)
         grad_transferred = np.zeros_like(transferred)
@@ -425,10 +272,7 @@ class EnsembleEmbeddingL2Loss:
     client-specific information the embedding can encode (following FedSR).
     """
 
-    def __init__(self, reduction: str = "mean") -> None:
-        if reduction not in ("mean", "sum"):
-            raise ValueError(f"unknown reduction {reduction!r}")
-        self.reduction = reduction
+    def __init__(self) -> None:
         self._grads: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, anchors: np.ndarray, transferred: np.ndarray) -> np.ndarray:
@@ -438,7 +282,7 @@ class EnsembleEmbeddingL2Loss:
                 f"{anchors.shape} vs {transferred.shape}"
             )
         batch = anchors.shape[1]
-        scale = 1.0 / batch if (self.reduction == "mean" and batch) else 1.0
+        scale = 1.0 / batch if batch else 1.0
         losses = (
             np.sum(anchors**2, axis=(1, 2)) + np.sum(transferred**2, axis=(1, 2))
         ) * scale
@@ -507,11 +351,8 @@ def ensemble_of(model: Module, ensemble_size: int) -> Module:
     return _convert(model, ensemble_size)
 
 
-register_ensemble_converter(Conv2d, EnsembleConv2d)
-register_ensemble_converter(Linear, EnsembleLinear)
-register_ensemble_converter(
-    Flatten, lambda template, ensemble_size: EnsembleFlatten(ensemble_size)
-)
+for _layer in (Conv2d, Linear, Flatten):
+    register_ensemble_converter(_layer, _stack_layer)
 # ReLU is elementwise and shape-agnostic: a fresh instance works on
 # (K, batch, ...) stacks unchanged.
 register_ensemble_converter(ReLU, lambda template, ensemble_size: ReLU())
@@ -521,8 +362,8 @@ register_ensemble_converter(
 )
 register_ensemble_converter(
     FeatureClassifierModel,
-    lambda t, k: EnsembleFeatureClassifierModel(
-        _convert(t.features, k), _convert(t.classifier, k), t.embed_dim, k
+    lambda t, k: FeatureClassifierModel(
+        _convert(t.features, k), _convert(t.classifier, k), t.embed_dim
     ),
 )
 
@@ -553,7 +394,7 @@ def _use_leading(emodel: Module, ensemble_size: int) -> None:
     layout a freshly built ``size``-stack would give it.
     """
     for module in emodel.modules():
-        if hasattr(module, "ensemble_size"):
+        if isinstance(module, StackedModule):
             module.ensemble_size = ensemble_size
         storage = vars(module).get("_storage")
         if storage is None:
@@ -616,12 +457,14 @@ def ensemble_state_dicts(emodel: Module) -> list[dict[str, np.ndarray]]:
     K states hold its row views, which are C-contiguous snapshots that alias
     neither the live stack nor each other.
     """
-    ensemble_size = getattr(emodel, "ensemble_size", None)
-    if ensemble_size is None:
-        for module in emodel.modules():
-            ensemble_size = getattr(module, "ensemble_size", None)
-            if ensemble_size is not None:
-                break
+    ensemble_size = next(
+        (
+            module.ensemble_size
+            for module in emodel.modules()
+            if isinstance(module, StackedModule) and module.ensemble_size
+        ),
+        None,
+    )
     if ensemble_size is None:
         raise ValueError("not an ensemble model: no ensemble_size found")
     states: list[dict[str, np.ndarray]] = [{} for _ in range(ensemble_size)]

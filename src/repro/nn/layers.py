@@ -1,11 +1,16 @@
-"""Dense and elementwise layers for the numpy substrate."""
+"""Dense and elementwise layers for the numpy substrate.
+
+``Linear`` and ``Flatten`` are written once, over a leading stack axis
+(:class:`repro.nn.module.StackedModule`); the elementwise layers are
+shape-agnostic, so one instance serves a template and a stack alike.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.nn import init
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, StackedModule
 
 __all__ = ["Linear", "ReLU", "Tanh", "Flatten"]
 
@@ -27,8 +32,9 @@ def in_memory_order(x: np.ndarray, axes: tuple[int, ...] | None) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(axes)).transpose(inverse)
 
 
-class Linear(Module):
-    """Affine map ``y = x @ W + b`` over the last axis of 2-D input."""
+class Linear(StackedModule):
+    """Affine map ``y = x @ W + b`` over the last axis of ``(batch, in)``
+    input (``(K, batch, in)`` on a stack)."""
 
     def __init__(
         self,
@@ -47,24 +53,24 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,)), name="bias") if bias else None
         self._input: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(
-                f"Linear expected (batch, {self.in_features}), got {x.shape}"
-            )
+    def stack_forward(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 3 or x.shape[0] != self.stack_size or x.shape[2] != self.in_features:
+            self._refuse(x, f"batch, {self.in_features}")
         self._input = x
-        out = x @ self.weight.data
+        out = np.matmul(x, self.stacked(self.weight)[0])
         if self.bias is not None:
-            out = out + self.bias.data
+            out = out + self.stacked(self.bias)[0][:, None, :]
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def stack_backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise RuntimeError("backward called before forward")
-        self.weight.grad += self._input.T @ grad_output
+        weight, weight_grad = self.stacked(self.weight)
+        weight_grad += np.matmul(self._input.transpose(0, 2, 1), grad_output)
         if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=0)
-        return grad_output @ self.weight.data.T
+            _, bias_grad = self.stacked(self.bias)
+            bias_grad += grad_output.sum(axis=1)
+        return np.matmul(grad_output, weight.transpose(0, 2, 1))
 
 
 class ReLU(Module):
@@ -104,8 +110,9 @@ class Tanh(Module):
         return grad_output * (1.0 - self._output**2)
 
 
-class Flatten(Module):
-    """Collapse all axes after the batch axis into one.
+class Flatten(StackedModule):
+    """Collapse all axes after the batch axis (after ``(K, batch)`` on a
+    stack) into one.
 
     ``backward`` returns the gradient in the memory layout of the forward
     input (channels-last after a conv stack), so the elementwise and conv
@@ -117,12 +124,12 @@ class Flatten(Module):
         self._shape: tuple[int, ...] | None = None
         self._axes: tuple[int, ...] | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def stack_forward(self, x: np.ndarray) -> np.ndarray:
         self._shape = x.shape
         self._axes = memory_axes(x)
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], x.shape[1], -1)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def stack_backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._shape is None:
             raise RuntimeError("backward called before forward")
         return in_memory_order(grad_output.reshape(self._shape), self._axes)

@@ -17,44 +17,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import log_softmax, one_hot, softmax
+from repro.nn.ensemble import ensemble_cross_entropy
 
 __all__ = ["CrossEntropyLoss", "MSELoss"]
 
 
 class CrossEntropyLoss:
-    """Softmax cross-entropy over logits with integer labels."""
+    """Mean softmax cross-entropy over ``(batch, classes)`` logits with
+    integer labels: :func:`repro.nn.ensemble.ensemble_cross_entropy` on a
+    stack of one."""
 
-    def __init__(self, reduction: str = "mean") -> None:
-        if reduction not in ("mean", "sum"):
-            raise ValueError(f"unknown reduction {reduction!r}")
-        self.reduction = reduction
-        self._probs: np.ndarray | None = None
-        self._targets: np.ndarray | None = None
+    def __init__(self) -> None:
+        self._grad: np.ndarray | None = None
 
     def forward(self, logits: np.ndarray, labels: np.ndarray) -> float:
         if logits.ndim != 2:
             raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
         labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape[0] != logits.shape[0]:
+        if labels.shape != logits.shape[:1]:
             raise ValueError("batch size mismatch between logits and labels")
-        log_probs = log_softmax(logits, axis=1)
-        self._probs = softmax(logits, axis=1)
-        self._targets = one_hot(labels, logits.shape[1])
-        per_sample = -(self._targets * log_probs).sum(axis=1)
-        loss = per_sample.sum()
-        if self.reduction == "mean":
-            loss /= max(logits.shape[0], 1)
-        return float(loss)
+        losses, grad = ensemble_cross_entropy(logits[None], labels[None])
+        self._grad = grad[0]
+        return float(losses[0])
 
     def backward(self) -> np.ndarray:
         """Gradient of the loss with respect to the logits."""
-        if self._probs is None or self._targets is None:
+        if self._grad is None:
             raise RuntimeError("backward called before forward")
-        grad = self._probs - self._targets
-        if self.reduction == "mean":
-            grad = grad / max(self._probs.shape[0], 1)
-        return grad
+        return self._grad
 
 
 class MSELoss:

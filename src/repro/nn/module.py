@@ -20,7 +20,13 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["Parameter", "Module", "Sequential", "architecture_signature"]
+__all__ = [
+    "Parameter",
+    "Module",
+    "StackedModule",
+    "Sequential",
+    "architecture_signature",
+]
 
 
 class Parameter:
@@ -180,6 +186,68 @@ class Module:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
+
+
+class StackedModule(Module):
+    """A layer whose arithmetic is written once, over a leading stack axis.
+
+    Subclasses implement ``stack_forward`` / ``stack_backward`` (and, where
+    skipping the input gradient saves work, ``stack_backward_params``) over
+    ``(K, batch, ...)`` input, reaching each parameter with its stack axis
+    through :meth:`stacked`.  A K-stack (built by
+    :func:`repro.nn.ensemble.ensemble_of`) holds ``(K,) + shape`` parameters
+    and sets ``ensemble_size``.  A template holds its parameters without
+    the stack axis and takes ``(batch, ...)`` input, which runs the same
+    code as a unit stack: K = 1 is one client.
+    """
+
+    #: K on a stack; a template leaves the class's ``None`` (no instance
+    #: attribute, so its ``architecture_signature`` does not see it).
+    ensemble_size: int | None = None
+
+    @property
+    def stack_size(self) -> int:
+        """The stack axis' length: K, or 1 on a template."""
+        return self.ensemble_size or 1
+
+    def _refuse(self, x: np.ndarray, slice_shape: str) -> None:
+        """Raise the ``ValueError`` for stacked input ``x`` that is not
+        ``(K, slice_shape)``, naming the shape as the caller passed it."""
+        lead, got = "", x.shape[1:]
+        if self.ensemble_size is not None:
+            lead, got = f"{self.ensemble_size}, ", x.shape
+        raise ValueError(f"{type(self).__name__} expected ({lead}{slice_shape}), got {got}")
+
+    def stacked(self, param: Parameter) -> tuple[np.ndarray, np.ndarray]:
+        """``param``'s value and gradient with the stack axis (a unit-axis
+        view on a template, so gradients accumulate in place)."""
+        if self.ensemble_size is None:
+            return param.data[None], param.grad[None]
+        return param.data, param.grad
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if self.ensemble_size is None:
+            return self.stack_forward(x[None])[0]
+        return self.stack_forward(x)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        if self.ensemble_size is None:
+            return self.stack_backward(grad_output[None])[0]
+        return self.stack_backward(grad_output)
+
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        if self.ensemble_size is None:
+            grad_output = grad_output[None]
+        self.stack_backward_params(grad_output)
+
+    def stack_forward(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def stack_backward(self, grad_output: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def stack_backward_params(self, grad_output: np.ndarray) -> None:
+        self.stack_backward(grad_output)
 
 
 class Sequential(Module):

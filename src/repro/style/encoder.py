@@ -129,11 +129,11 @@ class FrozenConvEncoder:
         """NCHW images -> (N, out_channels, H/4, W/4) frozen features."""
         from repro.nn.conv import conv2d
 
-        x = images
+        x = images[None]  # a stack of one: conv2d runs over (K, ...) stacks
         for weight in (self.weight1, self.weight2):
-            x, _ = conv2d(x, weight, None, stride=2, padding=1)
+            x, _ = conv2d(x, weight[None], None, stride=2, padding=1)
             x = np.maximum(x, 0.0)
-        return x
+        return x[0]
 
     def pooled(self, images: np.ndarray) -> np.ndarray:
         """Spatially pooled features, one vector per image (for FID).

@@ -4,8 +4,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.utils.rng import SeedTree
+
+# ``--hypothesis-profile=ci``: the budget CI runs the generated-layer test
+# (tests/test_nn_ensemble.py::TestGeneratedLayers) at, as its own step.
+# Tier-1 keeps Hypothesis' default profile.
+settings.register_profile("ci", derandomize=True, max_examples=1000, deadline=None)
 
 
 @pytest.fixture

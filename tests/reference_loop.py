@@ -10,7 +10,12 @@ any size must reproduce it bitwise.
 It also keeps its own scalar form of every registered objective term
 (:data:`SCALAR_TERMS`, with the scalar triplet and embedding-L2 losses
 and :func:`prototype_nce` they need), so the stacked terms in
-:mod:`repro.nn.objective` are held to code they do not share.
+:mod:`repro.nn.objective` are held to code they do not share.  Likewise
+the layer oracle: the per-batch ``Conv2d`` / ``Linear`` /
+``Flatten`` and softmax cross-entropy that ``repro.nn`` now writes once
+over ``(K, ...)`` stacks (:func:`scalar_model` rebuilds any model of
+those layers on them; :func:`run_loop` trains that copy), with its own
+``im2col`` (``np.pad``, no scratch pool) and ``col2im``.
 
 Two entry points:
 
@@ -35,8 +40,256 @@ from repro.baselines import FedDGGAStrategy
 from repro.fl.client import Client
 from repro.fl.executor import ClientUpdate
 from repro.fl.strategy import class_stats
+from repro.nn import Conv2d, FeatureClassifierModel, Flatten, Linear, ReLU, Sequential
+from repro.nn.conv import weight_matrix
 from repro.nn.functional import softmax
-from repro.nn.losses import CrossEntropyLoss
+from repro.nn.layers import in_memory_order, memory_axes
+from repro.nn.module import Module, Parameter
+
+
+# --------------------------------------------------------------------------
+# The layer oracle: one sample batch per layer, no stack axis
+# --------------------------------------------------------------------------
+
+
+def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
+    out = (size + 2 * padding - kernel) // stride + 1
+    if out <= 0:
+        raise ValueError(
+            f"non-positive output size for input={size} kernel={kernel} "
+            f"stride={stride} padding={padding}"
+        )
+    return out
+
+
+def im2col(
+    x: np.ndarray, kernel: int, stride: int, padding: int
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """``repro.nn.conv.im2col`` with a fresh ``np.pad`` per call in place
+    of the reused scratch buffer; same ``(ki, kj, c)`` rows, same layout."""
+    batch, channels, height, width = x.shape
+    out_h = _out_size(height, kernel, stride, padding)
+    out_w = _out_size(width, kernel, stride, padding)
+    x = x.transpose(0, 2, 3, 1)
+    if padding:
+        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    s_batch, s_row, s_col, s_chan = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(batch, out_h, out_w, kernel, kernel, channels),
+        strides=(s_batch, s_row * stride, s_col * stride, s_row, s_col, s_chan),
+    )
+    cols = patches.reshape(batch * out_h * out_w, kernel * kernel * channels)
+    return np.ascontiguousarray(cols), (out_h, out_w)
+
+
+def col2im(
+    cols: np.ndarray,
+    x_shape: tuple[int, int, int, int],
+    kernel: int,
+    stride: int,
+    padding: int,
+) -> np.ndarray:
+    """Scatter-add column rows back into an NCHW tensor (adjoint of
+    :func:`im2col`), channels-last in memory."""
+    batch, channels, height, width = x_shape
+    out_h = _out_size(height, kernel, stride, padding)
+    out_w = _out_size(width, kernel, stride, padding)
+    padded = np.zeros(
+        (batch, height + 2 * padding, width + 2 * padding, channels), dtype=cols.dtype
+    )
+    patches = cols.reshape(batch, out_h, out_w, kernel, kernel, channels)
+    for ki in range(kernel):
+        for kj in range(kernel):
+            padded[
+                :,
+                ki : ki + stride * out_h : stride,
+                kj : kj + stride * out_w : stride,
+            ] += patches[:, :, :, ki, kj]
+    if padding:
+        padded = padded[:, padding:-padding, padding:-padding]
+    return padded.transpose(0, 3, 1, 2)
+
+
+def _copy_param(param: Parameter | None) -> Parameter | None:
+    return None if param is None else Parameter(param.data.copy(), name=param.name)
+
+
+class ScalarConv2d(Module):
+    """One client's 2-D convolution over NCHW input."""
+
+    def __init__(self, template: Conv2d) -> None:
+        super().__init__()
+        self.in_channels = template.in_channels
+        self.out_channels = template.out_channels
+        self.kernel_size = template.kernel_size
+        self.stride = template.stride
+        self.padding = template.padding
+        self.weight = _copy_param(template.weight)
+        self.bias = _copy_param(template.bias)
+        self._cols: np.ndarray | None = None
+        self._x_shape: tuple[int, int, int, int] | None = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 4 or x.shape[1] != self.in_channels:
+            raise ValueError(
+                f"Conv2d expected (batch, {self.in_channels}, H, W), got {x.shape}"
+            )
+        cols, (out_h, out_w) = im2col(x, self.kernel_size, self.stride, self.padding)
+        out = cols @ weight_matrix(self.weight.data).T
+        if self.bias is not None:
+            out += self.bias.data
+        self._cols = cols
+        self._x_shape = x.shape
+        return out.reshape(x.shape[0], out_h, out_w, self.out_channels).transpose(
+            0, 3, 1, 2
+        )
+
+    def _accumulate(self, grad_output: np.ndarray) -> np.ndarray:
+        """Add the parameter gradients; returns ``grad_output`` as GEMM rows."""
+        if self._cols is None or self._x_shape is None:
+            raise RuntimeError("backward called before forward")
+        grad_rows = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
+        kernel = self.kernel_size
+        self.weight.grad += (
+            (grad_rows.T @ self._cols)
+            .reshape(self.out_channels, kernel, kernel, self.in_channels)
+            .transpose(0, 3, 1, 2)
+        )
+        if self.bias is not None:
+            self.bias.grad += grad_rows.sum(axis=0)
+        return grad_rows
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        grad_cols = self._accumulate(grad_output) @ weight_matrix(self.weight.data)
+        return col2im(
+            grad_cols, self._x_shape, self.kernel_size, self.stride, self.padding
+        )
+
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        self._accumulate(grad_output)
+
+
+class ScalarLinear(Module):
+    """One client's affine map ``y = x @ W + b`` over 2-D input."""
+
+    def __init__(self, template: Linear) -> None:
+        super().__init__()
+        self.in_features = template.in_features
+        self.out_features = template.out_features
+        self.weight = _copy_param(template.weight)
+        self.bias = _copy_param(template.bias)
+        self._input: np.ndarray | None = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 2 or x.shape[1] != self.in_features:
+            raise ValueError(
+                f"Linear expected (batch, {self.in_features}), got {x.shape}"
+            )
+        self._input = x
+        out = x @ self.weight.data
+        if self.bias is not None:
+            out = out + self.bias.data
+        return out
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        if self._input is None:
+            raise RuntimeError("backward called before forward")
+        self.weight.grad += self._input.T @ grad_output
+        if self.bias is not None:
+            self.bias.grad += grad_output.sum(axis=0)
+        return grad_output @ self.weight.data.T
+
+
+class ScalarFlatten(Module):
+    """Collapse all axes after the batch axis; the gradient comes back in
+    the forward input's memory layout."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._shape: tuple[int, ...] | None = None
+        self._axes: tuple[int, ...] | None = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._shape = x.shape
+        self._axes = memory_axes(x)
+        return x.reshape(x.shape[0], -1)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        if self._shape is None:
+            raise RuntimeError("backward called before forward")
+        return in_memory_order(grad_output.reshape(self._shape), self._axes)
+
+
+def scalar_model(model: Module) -> Module:
+    """A copy of ``model`` (a template of ``repro.nn`` layers) on the oracle
+    layers, with the same parameter names, shapes and values."""
+    if isinstance(model, Conv2d):
+        return ScalarConv2d(model)
+    if isinstance(model, Linear):
+        return ScalarLinear(model)
+    if isinstance(model, Flatten):
+        return ScalarFlatten()
+    if isinstance(model, ReLU):
+        return ReLU()
+    if isinstance(model, Sequential):
+        return Sequential(*[scalar_model(layer) for layer in model.layers])
+    if isinstance(model, FeatureClassifierModel):
+        return FeatureClassifierModel(
+            scalar_model(model.features),
+            scalar_model(model.classifier),
+            model.embed_dim,
+        )
+    raise TypeError(f"no oracle layer for {type(model).__name__}")
+
+
+def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically-stable log-softmax along ``axis``."""
+    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+
+
+def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Return one-hot rows for integer ``labels``."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(
+            f"labels out of range [0, {num_classes}): "
+            f"min={labels.min()}, max={labels.max()}"
+        )
+    encoded = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
+    encoded[np.arange(labels.shape[0]), labels] = 1.0
+    return encoded
+
+
+class CrossEntropyLoss:
+    """One batch's mean softmax cross-entropy over logits with integer labels."""
+
+    def __init__(self) -> None:
+        self._probs: np.ndarray | None = None
+        self._targets: np.ndarray | None = None
+
+    def forward(self, logits: np.ndarray, labels: np.ndarray) -> float:
+        if logits.ndim != 2:
+            raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape[0] != logits.shape[0]:
+            raise ValueError("batch size mismatch between logits and labels")
+        log_probs = log_softmax(logits, axis=1)
+        self._probs = softmax(logits, axis=1)
+        self._targets = one_hot(labels, logits.shape[1])
+        per_sample = -(self._targets * log_probs).sum(axis=1)
+        loss = per_sample.sum()
+        loss /= max(logits.shape[0], 1)
+        return float(loss)
+
+    def backward(self) -> np.ndarray:
+        """Gradient of the loss with respect to the logits."""
+        if self._probs is None or self._targets is None:
+            raise RuntimeError("backward called before forward")
+        return (self._probs - self._targets) / max(self._probs.shape[0], 1)
 
 
 # --------------------------------------------------------------------------
@@ -79,16 +332,12 @@ class TripletStyleLoss:
     def __init__(
         self,
         margin: float = 1.0,
-        reduction: str = "mean",
         hinge: bool = False,
         normalize: bool = True,
     ) -> None:
         if margin < 0:
             raise ValueError(f"margin must be non-negative, got {margin}")
-        if reduction not in ("mean", "sum"):
-            raise ValueError(f"unknown reduction {reduction!r}")
         self.margin = margin
-        self.reduction = reduction
         self.hinge = hinge
         self.normalize = normalize
         self._grads: tuple[np.ndarray, np.ndarray] | None = None
@@ -140,7 +389,7 @@ class TripletStyleLoss:
             active = np.ones_like(raw, dtype=bool)
             per_sample = raw
 
-        scale = 1.0 / batch if self.reduction == "mean" else 1.0
+        scale = 1.0 / batch
 
         grad_anchor = np.zeros_like(anchors)
         grad_transferred = np.zeros_like(transferred)
@@ -189,10 +438,7 @@ class EmbeddingL2Loss:
     """One client's paper Eq. 8, the scalar form of
     :class:`repro.nn.ensemble.EnsembleEmbeddingL2Loss`."""
 
-    def __init__(self, reduction: str = "mean") -> None:
-        if reduction not in ("mean", "sum"):
-            raise ValueError(f"unknown reduction {reduction!r}")
-        self.reduction = reduction
+    def __init__(self) -> None:
         self._grads: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, anchors: np.ndarray, transferred: np.ndarray) -> float:
@@ -202,7 +448,7 @@ class EmbeddingL2Loss:
                 f"{anchors.shape} vs {transferred.shape}"
             )
         batch = anchors.shape[0]
-        scale = 1.0 / batch if (self.reduction == "mean" and batch) else 1.0
+        scale = 1.0 / batch if batch else 1.0
         loss = (np.sum(anchors**2) + np.sum(transferred**2)) * scale
         self._grads = (2.0 * anchors * scale, 2.0 * transferred * scale)
         return float(loss)
@@ -508,8 +754,10 @@ def run_loop(
     round_index: int,
     seeds: Sequence[int],
 ) -> list[ClientUpdate]:
-    """Each client trains on ``model`` from the broadcast weights, in group
-    order, on its own seeded generator."""
+    """Each client trains on an oracle-layer copy of ``model``
+    (:func:`scalar_model`) from the broadcast weights, in group order, on
+    its own seeded generator."""
+    model = scalar_model(model)
     updates = []
     for client, seed in zip(clients, seeds):
         model.load_state_dict(wire_state)

@@ -636,6 +636,27 @@ class TestBoundedInflate:
         # *input* — frame-sized, never the 300 MiB the stream would inflate to.
         assert peak < 4 * self.REF["w"].nbytes + len(bomb) + (64 << 10)
 
+    @pytest.mark.parametrize("codec", ["identity+deflate", "delta"])
+    def test_a_spec_past_the_reference_is_refused_before_it_inflates(self, codec):
+        """A 64 KiB stream of 64 MiB of zeros under a spec naming one 8 Mi
+        float64 tensor: with a reference state to decode against, the spec
+        is refused before any of it inflates."""
+        deflater = zlib.compressobj()
+        blob = b"".join(deflater.compress(bytes(1 << 20)) for _ in range(64))
+        blob += deflater.flush()
+        spec = (("w", "<f8", (8 << 20,)),)
+        meta = {"packed": spec} if codec.endswith("deflate") else {"spec": spec}
+        payload = Payload(codec=codec, kind="full", meta=meta, blob=blob)
+        ref = {"w": np.zeros(1 << 16)}  # 512 KiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="more bytes than the reference"):
+                make_codec(codec).decode(payload, ref)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ref["w"].nbytes
+
     def test_truncated_trailing_and_overlong_streams_are_refused(self):
         good = _deflate(b"\x01" * 128)
         np.testing.assert_array_equal(

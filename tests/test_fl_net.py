@@ -22,6 +22,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import zlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -64,7 +65,7 @@ from repro.fl.net import (
     recv_frame,
     send_frame,
 )
-from repro.fl.codec import make_codec
+from repro.fl.codec import DeflateCodec, make_codec
 from repro.fl.executor import ClientUpdate, WorkerRuntime
 from repro.fl.wire import (
     Registration,
@@ -497,6 +498,45 @@ class TestWireFuzz:
             return meta, buffers
 
         _assert_corrupt_drop(name, codec=codec)
+
+
+    def test_a_packing_spec_past_the_broadcast_is_a_corrupt_drop(
+        self, monkeypatch
+    ):
+        """A ``+deflate`` upload whose packing spec names more bytes than
+        the broadcast holds (one 8 Mi float64 tensor, over a 64 KiB stream
+        of zeros that would inflate to 64 MiB) is refused before it
+        inflates: a ``corrupt`` drop whose decode peaks below the
+        broadcast's byte size."""
+        refused_peaks = []
+        decode = DeflateCodec.decode
+
+        def traced_decode(codec, payload, ref=None):
+            tracemalloc.start()
+            try:
+                return decode(codec, payload, ref)
+            except ValueError:
+                _, peak = tracemalloc.get_traced_memory()
+                refused_peaks.append((peak, sum(v.nbytes for v in ref.values())))
+                raise
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(DeflateCodec, "decode", traced_decode)
+        deflater = zlib.compressobj()
+        bomb = b"".join(deflater.compress(bytes(1 << 20)) for _ in range(64))
+        bomb += deflater.flush()
+
+        def inflate(meta, buffers):
+            state = meta["updates"][0][3]  # [codec, kind, tensors, meta, blob]
+            state[3] = {"d": [["packed", [["w", "<f8", [8 << 20]]]]]}
+            state[4] = {"b": len(bomb)}
+            buffers[1] = np.frombuffer(bomb, dtype=np.uint8)  # after the floats
+            return meta, buffers
+
+        _assert_corrupt_drop(inflate, codec="identity+deflate")
+        ((peak, broadcast_bytes),) = refused_peaks
+        assert peak < broadcast_bytes
 
 
 def _assert_corrupt_drop(tamper, codec="identity"):

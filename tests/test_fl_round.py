@@ -270,6 +270,27 @@ class TestCloseRule:
         assert not lanes.last_round.early_closed
 
 
+class TestNonFiniteUploads:
+    def test_a_nan_upload_is_a_corrupt_drop_without_a_fault_plan(self):
+        """The finite-value check runs on every upload, fault plan or not:
+        client 2's first tensor arrives as NaN bytes and is dropped as
+        ``corrupt``; the round closes over the other five."""
+
+        class Poisoning(ScriptedLanes):
+            def upload(self, task_id, meta, buffers):
+                if task_id == 2:  # one home per client: client 2's task
+                    buffers = list(buffers)  # [floats, first tensor, ...]
+                    buffers[1] = np.full(buffers[1].nbytes // 8, np.nan).view(np.uint8)
+                return super().upload(task_id, meta, buffers)
+
+        lanes = Poisoning(homes=6)
+        (updates, state), = drive(lanes, rounds=1)
+        assert lanes.fault_plan is None
+        assert lanes.last_round.dropped == {2: "corrupt"}
+        assert [update[0] for update in updates] == [0, 1, 3, 4, 5]
+        assert all(np.isfinite(value).all() for value in state.values())
+
+
 class TestLostLane:
     def _kill_home_zero(self, times, in_round=0):
         """Lane 0 dies ``times`` times in round ``in_round``, each time with

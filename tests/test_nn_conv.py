@@ -5,7 +5,7 @@ import pytest
 
 from repro import nn
 from repro.nn.conv import col2im, im2col
-from repro.nn.ensemble import EnsembleConv2d
+from repro.nn.ensemble import ensemble_of
 from repro.style.encoder import FrozenConvEncoder
 from tests.gradcheck import check_module_gradients
 
@@ -147,7 +147,7 @@ class TestConv2d:
         layer = nn.Conv2d(3, 4, kernel_size=3, stride=2, padding=1, rng=rng)
         x = rng.normal(size=(2, 3, 6, 6))
         if ensemble:
-            layer = EnsembleConv2d(layer, 3)
+            layer = ensemble_of(layer, 3)
             for param in layer.parameters():
                 param.data += rng.normal(size=param.data.shape)
             x = rng.normal(size=(3, 2, 3, 6, 6))

@@ -1,8 +1,11 @@
 """Tests for the ensemble trainer (`repro.nn.ensemble` + `repro.fl.compute`).
 
-The acceptance bar: slice ``k`` of every ``(K, ...)`` ensemble layer is
-*bitwise* the template layer's computation on that slice (forward, backward,
-parameter gradients); a K-stack local update is bitwise K
+The acceptance bar: slice ``k`` of every ``(K, ...)`` stacked layer, and
+every template (which runs the same code as a stack of one), is *bitwise*
+the layer oracle's computation (``tests/reference_loop.py``: the
+historical per-batch layers) on that slice — forward, input gradient,
+``backward_params`` and parameter gradients, on the PARDON backbone and on
+Hypothesis-drawn conv/linear stacks; a K-stack local update is bitwise K
 independent scalar updates, so client results never depend on how an engine
 groups them, K=1 stacks (``_STACK_STEP_ELEMENTS = 1``) included; and a model
 with a module that has no ensemble converter is refused before any dispatch
@@ -19,6 +22,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import CCSTStrategy, FedAvgStrategy
 from repro.cli import METHODS
@@ -72,7 +77,7 @@ FAST = LocalTrainingConfig(batch_size=5, local_epochs=2)
 
 
 # --------------------------------------------------------------------------
-# Layer-level bitwise parity: slice k of the ensemble == template on slice k
+# Layer-level bitwise parity: slice k of a stack, and each template, == oracle
 # --------------------------------------------------------------------------
 
 
@@ -89,9 +94,46 @@ def _perturbed_variants(factory, k, seed):
     return layers
 
 
+def _assert_matches_oracle(model, x, grad_out, params=None, index=None):
+    """Forward, input gradient, ``backward_params`` gradients and parameter
+    gradients of ``model`` on ``x`` (slice ``index`` of a stack, or a
+    template's own batch) are bitwise the layer oracle's
+    (``reference_loop.scalar_model``) on ``params``' weights."""
+    where = "template" if index is None else f"slice {index}"
+    take = (lambda array: array) if index is None else (lambda array: array[index])
+    oracle = reference_loop.scalar_model(params if params is not None else model)
+    oracle_out = oracle.forward(take(x))
+    oracle.zero_grad()
+    oracle_grad_in = oracle.backward(take(grad_out))
+    oracle_grads = {name: p.grad.copy() for name, p in oracle.named_parameters()}
+    oracle.zero_grad()
+    oracle.forward(take(x))
+    oracle.backward_params(take(grad_out))
+    oracle_param_grads = dict(oracle.named_parameters())
+
+    out = model.forward(x)
+    model.zero_grad()
+    grad_in = model.backward(grad_out)
+    grads = {name: p.grad.copy() for name, p in model.named_parameters()}
+    model.zero_grad()
+    model.forward(x)
+    model.backward_params(grad_out)
+    assert np.array_equal(take(out), oracle_out), f"{where}: forward diverged"
+    assert np.array_equal(take(grad_in), oracle_grad_in), (
+        f"{where}: input gradient diverged"
+    )
+    for name, param in model.named_parameters():
+        assert np.array_equal(take(grads[name]), oracle_grads[name]), (
+            f"{where}: gradient of {name} diverged"
+        )
+        assert np.array_equal(take(param.grad), oracle_param_grads[name].grad), (
+            f"{where}: backward_params gradient of {name} diverged"
+        )
+
+
 def _assert_slicewise_equal(factory, x_shape, seed=0, k=K):
-    """Forward, input gradient and parameter gradients of the ensemble must
-    be bitwise the K independent template computations."""
+    """Slice ``k`` of a stack of K differently-weighted templates, and each
+    template on its own, compute bitwise what the layer oracle does."""
     templates = _perturbed_variants(factory, k, seed)
     emodel = ensemble_of(templates[0], k)
     states = [template.state_dict() for template in templates]
@@ -99,33 +141,15 @@ def _assert_slicewise_equal(factory, x_shape, seed=0, k=K):
         load_state_stack(emodel, states)
     rng = np.random.default_rng(seed + 100)
     x = rng.normal(size=(k,) + x_shape)
-
-    out = emodel.forward(x)
-    emodel.zero_grad()
-    emodel.forward(x)
-    grad_out = rng.normal(size=out.shape)
-    grad_in = emodel.backward(grad_out)
-
-    ensemble_params = dict(emodel.named_parameters())
+    grad_out = rng.normal(size=emodel.forward(x).shape)
     for index, template in enumerate(templates):
-        ref_out = template.forward(x[index])
-        assert np.array_equal(out[index], ref_out), (
-            f"slice {index}: forward diverged from template"
-        )
-        template.zero_grad()
-        template.forward(x[index])
-        ref_grad_in = template.backward(grad_out[index])
-        assert np.array_equal(grad_in[index], ref_grad_in), (
-            f"slice {index}: input gradient diverged from template"
-        )
-        for name, param in template.named_parameters():
-            assert np.array_equal(ensemble_params[name].grad[index], param.grad), (
-                f"slice {index}: gradient of {name} diverged from template"
-            )
+        _assert_matches_oracle(emodel, x, grad_out, params=template, index=index)
+        _assert_matches_oracle(template, x[index], grad_out[index])
 
 
 class TestLayerParity:
-    """Every layer type of the PARDON model (and the rest of the registry)."""
+    """Every layer type of the PARDON model (and the rest of the registry)
+    against the layer oracle in ``tests/reference_loop.py``."""
 
     def test_conv2d(self):
         _assert_slicewise_equal(
@@ -223,22 +247,23 @@ class TestLayerParity:
         )
         ensemble_params = dict(emodel.named_parameters())
         for index, template in enumerate(templates):
-            ref_embed = template.forward_features(x[index])
-            ref_logits = template.forward_logits(ref_embed)
-            assert np.array_equal(embeddings[index], ref_embed)
-            assert np.array_equal(logits[index], ref_logits)
-            template.zero_grad()
-            template.forward_features(x[index])
-            template.forward_logits(ref_embed)
-            ref_grad_in = template.backward(
-                grad_logits=grad_logits[index],
-                grad_embedding=grad_embedding[index],
-            )
-            assert np.array_equal(grad_in[index], ref_grad_in)
-            for name, param in template.named_parameters():
-                assert np.array_equal(
-                    ensemble_params[name].grad[index], param.grad
+            for model in (reference_loop.scalar_model(template), template):
+                ref_embed = model.forward_features(x[index])
+                ref_logits = model.forward_logits(ref_embed)
+                assert np.array_equal(embeddings[index], ref_embed)
+                assert np.array_equal(logits[index], ref_logits)
+                model.zero_grad()
+                model.forward_features(x[index])
+                model.forward_logits(ref_embed)
+                ref_grad_in = model.backward(
+                    grad_logits=grad_logits[index],
+                    grad_embedding=grad_embedding[index],
                 )
+                assert np.array_equal(grad_in[index], ref_grad_in)
+                for name, param in model.named_parameters():
+                    assert np.array_equal(
+                        ensemble_params[name].grad[index], param.grad
+                    )
 
     def test_cross_entropy_matches_template_loss(self):
         rng = np.random.default_rng(3)
@@ -246,10 +271,115 @@ class TestLayerParity:
         labels = rng.integers(0, 4, size=(K, 6))
         losses, grads = ensemble_cross_entropy(logits, labels)
         for index in range(K):
-            loss_fn = CrossEntropyLoss()
-            ref_loss = loss_fn.forward(logits[index], labels[index])
+            oracle = reference_loop.CrossEntropyLoss()
+            ref_loss = oracle.forward(logits[index], labels[index])
             assert losses[index] == ref_loss
-            assert np.array_equal(grads[index], loss_fn.backward())
+            assert np.array_equal(grads[index], oracle.backward())
+            template = CrossEntropyLoss()
+            assert template.forward(logits[index], labels[index]) == ref_loss
+            assert np.array_equal(template.backward(), oracle.backward())
+
+
+@st.composite
+def layer_stacks(draw):
+    """``(layers, input_shape, k)``: a ``Sequential`` recipe of 1-3 convs
+    (each maybe followed by ReLU), Flatten and 1-2 linears (ReLU between
+    them maybe), a ``(batch, C, H, W)`` input every conv fits, and a stack
+    size.  Layers are ``("conv", in, out, kernel, stride, padding, bias)``,
+    ``("relu",)``, ``("flatten",)`` and ``("linear", in, out, bias)``."""
+    batch, channels = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    height, width = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    shape = (batch, channels, height, width)
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        padding = draw(st.sampled_from((0, 1, 2)))
+        stride = draw(st.sampled_from((1, 2)))
+        fits = [k for k in (1, 3, 5) if k <= min(height, width) + 2 * padding]
+        kernel = draw(st.sampled_from(fits))
+        out_channels = draw(st.integers(1, 4))
+        layers.append(
+            ("conv", channels, out_channels, kernel, stride, padding, draw(st.booleans()))
+        )
+        if draw(st.booleans()):
+            layers.append(("relu",))
+        channels = out_channels
+        height = (height + 2 * padding - kernel) // stride + 1
+        width = (width + 2 * padding - kernel) // stride + 1
+    layers.append(("flatten",))
+    features = channels * height * width
+    for index in range(draw(st.integers(1, 2))):
+        if index and draw(st.booleans()):
+            layers.append(("relu",))
+        out_features = draw(st.integers(1, 5))
+        layers.append(("linear", features, out_features, draw(st.booleans())))
+        features = out_features
+    return tuple(layers), shape, draw(st.integers(1, 4))
+
+
+def _build_layers(layers, rng):
+    built = []
+    for kind, *args in layers:
+        if kind == "conv":
+            cin, cout, kernel, stride, padding, bias = args
+            built.append(
+                Conv2d(cin, cout, kernel, rng, stride=stride, padding=padding, bias=bias)
+            )
+        elif kind == "linear":
+            fin, fout, bias = args
+            built.append(Linear(fin, fout, rng=rng, bias=bias))
+        else:
+            built.append(ReLU() if kind == "relu" else Flatten())
+    return Sequential(*built)
+
+
+class TestGeneratedLayers:
+    """Drawn conv/ReLU/Flatten/linear stacks: every slice of a K-stack, and
+    every template on its own, is bitwise the layer oracle."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(layer_stacks())
+    # A 5x5 input at padding 1 and its 3x3 output at padding 2 both pad to
+    # 7x7: the second conv must not reuse the first one's pad buffer.
+    @example(
+        (
+            (
+                ("conv", 2, 2, 5, 1, 1, True),
+                ("conv", 2, 2, 3, 1, 2, True),
+                ("flatten",),
+                ("linear", 50, 3, True),
+            ),
+            (2, 2, 5, 5),
+            2,
+        )
+    )
+    def test_stack_and_template_match_the_oracle(self, case):
+        layers, shape, k = case
+        _assert_slicewise_equal(
+            lambda rng: _build_layers(layers, rng), shape, seed=len(layers), k=k
+        )
+
+
+class TestPredictLogitsDigest:
+    """Evaluation logits of a seeded PACS-shaped model, pinned at the
+    commit before the layers were written once over stacks."""
+
+    PINNED = {
+        64: "f42c055ae16a181c0930ce0a0caeb412441ce8eef09eeef735dc9dbb7e975e30",
+        256: "f42c055ae16a181c0930ce0a0caeb412441ce8eef09eeef735dc9dbb7e975e30",
+    }
+
+    @pytest.mark.parametrize("batch_size", [64, 256])
+    def test_predict_logits_digest(self, batch_size):
+        suite = synthetic_pacs(seed=0)
+        split = suite.merged([suite.domain_index("cartoon")])
+        rng = np.random.default_rng(5)
+        model = build_cnn_model(suite.image_shape, suite.num_classes, rng)
+        for param in model.parameters():
+            param.data += 0.1 * rng.normal(size=param.shape)
+        logits = model.predict_logits(split.images, batch_size=batch_size)
+        assert logits.shape == (len(split), suite.num_classes)
+        digest = hashlib.sha256(logits.tobytes()).hexdigest()
+        assert digest == self.PINNED[batch_size]
 
 
 class TestGradcheck:
