@@ -62,11 +62,11 @@ class FedDGGAStrategy(Strategy):
     ) -> list[ClientUpdate]:
         # The gap: each slice's mean eval-mode cross-entropy of the broadcast
         # weights on its own dataset, before training moves them.
-        emodel.eval()
         logits = ensemble_dataset_embeddings(
-            emodel.forward, [client.dataset.images for client in clients]
+            emodel,
+            [client.dataset.image_rows() for client in clients],
+            logits=True,
         )
-        emodel.train()
         gaps, _ = ensemble_cross_entropy(
             logits, np.stack([client.dataset.labels for client in clients])
         )

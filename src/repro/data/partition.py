@@ -43,6 +43,41 @@ def _no_images() -> None:
     return None
 
 
+class _DomainRows:
+    """A client's image rows, gathered from its rendered domains per
+    request (:meth:`SuiteRows.image_rows`): indexing and ``take`` as on
+    the client's ``images``, without gathering them whole."""
+
+    def __init__(self, domains: tuple, parts: "list[tuple[int, np.ndarray]]") -> None:
+        self._domains = domains
+        self._rows = [rows for _, rows in parts]
+        self._starts = np.cumsum([0] + [len(rows) for rows in self._rows])
+        self.shape = (int(self._starts[-1]),) + domains[0].shape[1:]
+        self.dtype = domains[0].dtype
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def take(self, indices, axis=0, out=None, mode="clip") -> np.ndarray:
+        """Rows ``indices`` (positions in the client's row order) into
+        ``out``; like ``SuiteRows.images``, "clip" never clips."""
+        indices = np.asarray(indices, np.int64)
+        if out is None:
+            out = np.empty((len(indices),) + self.shape[1:], self.dtype)
+        for domain, rows, start, stop in zip(
+            self._domains, self._rows, self._starts[:-1], self._starts[1:]
+        ):
+            mine = (indices >= start) & (indices < stop)
+            if mine.all():
+                np.take(domain, rows[indices - start], axis=0, out=out, mode="clip")
+            elif mine.any():
+                out[mine] = domain[rows[indices[mine] - start]]
+        return out
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.take(np.arange(len(self))[key])
+
+
 class SuiteRows(LabeledDataset):
     """One client's rows of a suite: ``parts`` lists ``(domain index,
     row indices)``, domain after domain, in the order the client holds them.
@@ -101,6 +136,11 @@ class SuiteRows(LabeledDataset):
 
     def pin(self) -> tuple:
         return tuple(self.suite.datasets[domain].images for domain, _ in self.parts)
+
+    def image_rows(self) -> _DomainRows:
+        """Rows gathered from the domains as a trainer asks for them, so a
+        round never reads :attr:`images` whole."""
+        return _DomainRows(self._held or self.pin(), self.parts)
 
     def hold(self) -> "SuiteRows":
         if not self._held:

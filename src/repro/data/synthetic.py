@@ -106,6 +106,12 @@ class LabeledDataset:
         dataset lives (nothing to do for one that holds its own arrays)."""
         return self
 
+    def image_rows(self):
+        """The images as a trainer reads them, a batch of rows at a time:
+        an array-like with ``len``, ``shape``, ``dtype``, indexing and
+        ndarray's ``take`` (here the images themselves)."""
+        return self.images
+
 
 def class_counts(
     num_classes: int, samples_per_class: "np.ndarray | int"

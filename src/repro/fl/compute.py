@@ -34,8 +34,14 @@ come — the serial engine folds each stack into the round's aggregate
 before the next one trains — holds one stack's states, not the group's.
 The trainer keeps one stacked clone, of the latest group's architecture,
 sized to the largest stack it has needed; a smaller stack trains on
-leading-slice views of it, and it drops its per-step activations after
-every stack.
+leading-slice views of it.  The clone holds one workspace
+(:class:`repro.nn.module.Workspace`): every array a step writes — the
+gathered input, padded inputs, im2col columns, activations, masks and
+gradients — is a leading view of a buffer sized to the largest
+``(K, rows)`` step the clone has run, so a warm step allocates only the
+objective's temporaries and the few small arrays it hands the strategy's
+terms.  The workspace goes with the clone when another architecture or a
+larger stack replaces it.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from repro.fl.client import Client
-from repro.nn.ensemble import ensemble_of, load_state_broadcast, release_step_caches
+from repro.nn.ensemble import ensemble_of, load_state_broadcast
 from repro.nn.module import architecture_signature
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -115,17 +121,18 @@ class EnsembleBackend:
 
     def __init__(self) -> None:
         #: (architecture, capacity, ensemble clone): one clone, of the latest
-        #: group's architecture, sized to the largest stack any group needed
-        #: and rebuilt only when a group needs a larger one.  Smaller stacks
-        #: train on its leading slices (``load_state_broadcast``).  A worker
-        #: trains the same resident group round after round, so rebuilding
-        #: the stacked module graph every round is pure waste.  Reuse is
-        #: safe because every use starts with a full
-        #: ``load_state_broadcast`` — the clone carries no state between
-        #: stacks, only structure — which is also why the key only needs to
-        #: pin the architecture (:func:`repro.nn.architecture_signature`,
-        #: hyperparameters such as conv strides included), not the owning
-        #: model object.
+        #: group's architecture, with its workspace, sized to the largest
+        #: stack any group needed and rebuilt only when a group needs a
+        #: larger one.  Smaller stacks train on its leading slices
+        #: (``load_state_broadcast``).  A worker trains the same resident
+        #: group round after round, so rebuilding the stacked module graph
+        #: every round is pure waste.  Reuse is safe because every use
+        #: starts with a full ``load_state_broadcast`` and every step
+        #: rewrites the workspace arrays it reads — the clone carries no
+        #: state between stacks, only structure — which is also why the key
+        #: only needs to pin the architecture
+        #: (:func:`repro.nn.architecture_signature`, hyperparameters such as
+        #: conv strides included), not the owning model object.
         self._clone: "tuple[tuple, int, Module] | None" = None
 
     def _stack_limit(self, strategy: "Strategy", client: Client) -> int:
@@ -157,7 +164,9 @@ class EnsembleBackend:
         clone = self._clone
         if clone is None or clone[0] != architecture or clone[1] < stack:
             self._clone = clone = None  # freed before its successor is built
-            self._clone = (architecture, stack, ensemble_of(model, stack))
+            emodel = ensemble_of(model, stack)
+            emodel.attach_workspace()
+            self._clone = (architecture, stack, emodel)
         return self._clone[2]
 
     def train_stacks(
@@ -179,7 +188,6 @@ class EnsembleBackend:
             begin = time.perf_counter()
             updates = strategy.train_group(members, emodel, round_index, rngs)
             elapsed = time.perf_counter() - begin
-            release_step_caches(emodel)
             # The stack trained as one fused pass; attribute each client an
             # equal share so timing reports stay per-client.
             for update in updates:

@@ -33,13 +33,13 @@ __all__ = [
 #: under a GEMM another thread is running, and that GEMM never returns.
 FORK_LOCK = threading.Lock()
 
-#: Images per forward chunk on the evaluation thread.  Its activations and
-#: ``_cols`` caches (which nobody backpropagates through) are live *while a
-#: training step is*: at 256 images that is ~20 MB on the bench CNN and +17 %
-#: peak RSS (138.6 -> 162.6 MiB, ``pacs_serial``, 3 seeds) on a paper-shaped
-#: serial run; at 64 the overlap costs no memory.  The logits are the
-#: 256-chunk ones bit for bit (they stop being so at <= 32, where BLAS picks
-#: other kernels for the short GEMMs).
+#: Images per forward chunk on the evaluation thread.  The evaluation model's
+#: workspace is sized by the chunk and live *while a training step is*: on
+#: the ``pacs_serial`` CNN it is 4.4 MiB at 64 images and 17.5 MiB at 256,
+#: and 64 is also the faster (1 400 images in 30 ms against 38 ms, one BLAS
+#: thread, 2-core Xeon).  The logits are the 256-chunk ones bit for bit
+#: (they stop being so at <= 32, where BLAS picks other kernels for the
+#: short GEMMs).
 _STAGE_CHUNK = 64
 
 
@@ -61,7 +61,8 @@ class EvaluationStage:
     A one-deep pipeline stage: :meth:`submit` loads a state into an
     evaluation model and scores it on one long-lived background thread, so
     the caller goes on to the next round's local phase.  The evaluation
-    model is a copy taken at construction that **nothing else can reach** —
+    model is a copy taken at construction, with its own workspace
+    (:class:`repro.nn.module.Workspace`), that **nothing else can reach** —
     not the caller's instance, which the serial engine trains in.  At most one
     evaluation is in flight: ``submit`` waits for the previous one before it
     touches the model, so per-state results are exactly a foreground
@@ -74,6 +75,8 @@ class EvaluationStage:
         self, model: FeatureClassifierModel, eval_sets: dict[str, LabeledDataset]
     ) -> None:
         self._model = copy.deepcopy(model)
+        # Every chunk of every round writes the same buffers.
+        self._model.attach_workspace()
         self._eval_sets = eval_sets
         self._thread = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="fl-evaluation"

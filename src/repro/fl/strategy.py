@@ -276,14 +276,16 @@ class Strategy:
         bitwise alike in a stack of one or of many.  The base draws the
         per-client views first, runs the objective once over the stack,
         then sweeps the class statistics (with :attr:`class_targets`).
-        The members' datasets and views go to the runner as per-slice
-        sequences, so no whole dataset is stacked: each step gathers its
-        batch rows into one buffer."""
+        The members' image rows
+        (:meth:`repro.data.synthetic.LabeledDataset.image_rows`) and views
+        go to the runner as per-slice sequences, so no whole dataset is
+        stacked or gathered: each step gathers its batch rows into one
+        buffer."""
         views = [
             self.local_views(client, rng) for client, rng in zip(clients, rngs)
         ]
         secondary = views if views and views[0] is not None else None
-        images = [client.dataset.images for client in clients]
+        images = [client.dataset.image_rows() for client in clients]
         labels = [client.dataset.labels for client in clients]
         mean_losses = run_objective_ensemble(
             emodel,
@@ -302,15 +304,11 @@ class Strategy:
         )
         payloads: list[dict | None] = [None] * len(clients)
         if self.class_targets is not None:
-            emodel.eval()
-            embeddings = ensemble_dataset_embeddings(
-                emodel.forward_features, images
-            )
+            embeddings = ensemble_dataset_embeddings(emodel, images)
             payloads = [
                 {"class_stats": class_stats(embeddings[k], labels[k])}
                 for k in range(len(clients))
             ]
-            emodel.train()
         states = ensemble_state_dicts(emodel)
         return [
             ClientUpdate.from_client(client, state, float(loss), payload=payload)

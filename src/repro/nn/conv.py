@@ -14,11 +14,21 @@ buffer into columns ordered ``(ki, kj, c)``, the GEMM output ``(rows, out)``
 is already NHWC and is handed on as an NCHW-shaped transposed view, and
 ``col2im`` scatters ``c``-contiguous runs back.  Elementwise layers keep the
 layout of their input, so from one conv to the next nothing is transposed.
+
+Buffers.  ``im2col``, ``col2im`` and ``conv2d`` write into arrays a
+``take(role, shape, dtype)`` callable supplies: fresh ones by default, and
+on a model with a workspace (:class:`repro.nn.module.Workspace`) the
+layer's own ``"cols"`` and ``"out"`` buffers plus the ``"pad"`` and
+``"weights"`` buffers every layer of the model takes in turn, so a warm
+step allocates none of them.  The backward writes the column gradient over
+the spent columns and scatters ``col2im`` into the pad buffer.  The pad
+buffer's border is zeroed on every ``im2col``, so whatever wrote it last
+(a ``col2im``, another layer's padding, a smaller step) never shows
+through.  A buffer belongs to one model, and two models on two threads
+(training and the server's evaluation) share none.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -44,80 +54,39 @@ def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-# Reusable zero-padded NHWC staging buffers, keyed by (shape, padding,
-# dtype), most recently used last.  The padding is part of the key because
-# one padded shape arises from several (side, padding) pairs, and a buffer
-# whose interior was written at padding 1 holds data in the ring padding 2
-# needs zero.  A training step calls im2col once per conv layer per
-# batch with identical shapes, so reusing the allocation avoids a fresh
-# zero-fill (and, at these sizes, a fresh mmap + page faults) every call.
-# Only the interior is overwritten; the border is zeroed once at allocation
-# and never touched again.  The byte budget bounds memory when many distinct
-# shapes cycle through; eviction is least-recently-used, one entry at a time,
-# so the handful of shapes a round alternates between never evict each other.
-#
-# A buffer must never be visible to two threads at once — between the
-# interior write and the gather it *is* the caller's input — and the server's
-# evaluation thread runs im2col on shapes that collide with training's (an
-# evaluation tail chunk is as large as a training tail batch).  So the pool
-# is per thread: ``_PAD_SCRATCH`` is the main thread's, every other thread
-# gets its own (same budget each), released when the thread ends.  No lock:
-# one held across the gather would serialise the two threads' largest copies.
-_PAD_SCRATCH: dict[tuple, np.ndarray] = {}
-_PAD_SCRATCH_MAX_BYTES = 64 << 20
-
-
-class _ThreadScratch(threading.local):
-    def __init__(self) -> None:  # runs once in each thread that touches it
-        self.pool: dict[tuple, np.ndarray] = {}
-
-
-_OTHER_THREADS = _ThreadScratch()
-
-
-def _scratch_pool() -> dict[tuple, np.ndarray]:
-    if threading.current_thread() is threading.main_thread():
-        return _PAD_SCRATCH
-    return _OTHER_THREADS.pool
-
-
-def _padded_scratch(
-    shape: tuple[int, ...], padding: int, dtype: np.dtype
-) -> np.ndarray:
-    pool = _scratch_pool()
-    key = (shape, padding, dtype.str)
-    buffer = pool.pop(key, None)
-    if buffer is None:
-        buffer = np.zeros(shape, dtype=dtype)
-        if buffer.nbytes > _PAD_SCRATCH_MAX_BYTES:
-            return buffer
-        held = sum(entry.nbytes for entry in pool.values())
-        while held + buffer.nbytes > _PAD_SCRATCH_MAX_BYTES:
-            held -= pool.pop(next(iter(pool))).nbytes
-    pool[key] = buffer
-    return buffer
+def _fresh(role: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    return np.empty(shape, dtype)
 
 
 def im2col(
-    x: np.ndarray, kernel: int, stride: int, padding: int
+    x: np.ndarray, kernel: int, stride: int, padding: int, take=_fresh
 ) -> tuple[np.ndarray, tuple[int, int]]:
     """Rearrange sliding ``kernel x kernel`` patches of NCHW ``x`` into rows.
 
     Returns ``(cols, (out_h, out_w))`` where ``cols`` has shape
     ``(batch * out_h * out_w, kernel * kernel * channels)``, each row ordered
     ``(ki, kj, c)`` so a copied run is ``kernel * channels`` contiguous values.
+    ``take(role, shape, dtype)`` supplies the arrays written: the ``"pad"``
+    staging buffer (NHWC, its border zeroed on every call, so a buffer a
+    backward or another padding wrote before is as good as a fresh one)
+    and ``"cols"``; fresh ones by default.
     """
     batch, channels, height, width = x.shape
     out_h = _out_size(height, kernel, stride, padding)
     out_w = _out_size(width, kernel, stride, padding)
     x = x.transpose(0, 2, 3, 1)
     if padding:
-        padded = _padded_scratch(
+        padded = take(
+            "pad",
             (batch, height + 2 * padding, width + 2 * padding, channels),
-            padding,
             x.dtype,
         )
-        padded[:, padding : padding + height, padding : padding + width] = x
+        inner = slice(padding, -padding)
+        padded[:, :padding] = 0.0
+        padded[:, -padding:] = 0.0
+        padded[:, inner, :padding] = 0.0
+        padded[:, inner, -padding:] = 0.0
+        padded[:, inner, inner] = x
         x = padded
     s_batch, s_row, s_col, s_chan = x.strides
     patches = np.lib.stride_tricks.as_strided(
@@ -125,15 +94,8 @@ def im2col(
         shape=(batch, out_h, out_w, kernel, kernel, channels),
         strides=(s_batch, s_row * stride, s_col * stride, s_row, s_col, s_chan),
     )
-    cols = patches.reshape(batch * out_h * out_w, kernel * kernel * channels)
-    if not cols.flags.c_contiguous:
-        # reshape returned a non-contiguous view (rare layouts, e.g. 1x1
-        # kernels); downstream matmuls want contiguous rows, so copy here.
-        cols = np.ascontiguousarray(cols)
-    elif padding and np.may_share_memory(cols, x):
-        # reshape returned a view into the reusable scratch buffer; callers
-        # cache cols across forward/backward, so detach it.
-        cols = cols.copy()
+    cols = take("cols", (batch * out_h * out_w, kernel * kernel * channels), x.dtype)
+    np.copyto(cols.reshape(patches.shape), patches)
     return cols, (out_h, out_w)
 
 
@@ -143,17 +105,22 @@ def col2im(
     kernel: int,
     stride: int,
     padding: int,
+    take=_fresh,
 ) -> np.ndarray:
     """Scatter-add column rows back into an NCHW tensor (adjoint of im2col).
 
-    The result is NCHW-shaped and channels-last in memory.
+    The result is NCHW-shaped and channels-last in memory, a view of the
+    ``"pad"`` array ``take`` supplies (fresh by default).
     """
     batch, channels, height, width = x_shape
     out_h = _out_size(height, kernel, stride, padding)
     out_w = _out_size(width, kernel, stride, padding)
-    padded = np.zeros(
-        (batch, height + 2 * padding, width + 2 * padding, channels), dtype=cols.dtype
+    padded = take(
+        "pad",
+        (batch, height + 2 * padding, width + 2 * padding, channels),
+        cols.dtype,
     )
+    padded.fill(0.0)
     patches = cols.reshape(batch, out_h, out_w, kernel, kernel, channels)
     for ki in range(kernel):
         for kj in range(kernel):
@@ -167,12 +134,16 @@ def col2im(
     return padded.transpose(0, 3, 1, 2)
 
 
-def weight_matrix(weight: np.ndarray) -> np.ndarray:
+def weight_matrix(weight: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``(..., out, in, k, k)`` conv weights as ``(..., out, k*k*in)`` rows in
-    im2col's ``(ki, kj, c)`` column order (a small contiguous copy)."""
+    im2col's ``(ki, kj, c)`` column order (a contiguous copy, into ``out``
+    when given)."""
     lead = weight.ndim - 3
     permuted = np.moveaxis(weight, lead, -1)
-    return permuted.reshape(weight.shape[:lead] + (-1,))
+    if out is None:
+        return permuted.reshape(weight.shape[:lead] + (-1,))
+    np.copyto(out.reshape(permuted.shape), permuted)
+    return out
 
 
 def conv2d(
@@ -181,6 +152,7 @@ def conv2d(
     bias: np.ndarray | None,
     stride: int,
     padding: int,
+    take=_fresh,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convolve each slice of a ``(K, batch, C, H, W)`` stack with its own
     ``(out, in, k, k)`` weights (``weight`` is ``(K, out, in, k, k)``,
@@ -190,14 +162,23 @@ def conv2d(
     single ``(K, batch*oh*ow, k*k*C) @ (K, k*k*C, out)`` batched product.
     Returns ``(out, cols)``: the ``(K, batch, out, oh, ow)``-shaped,
     channels-last-in-memory output and the ``(K, rows, k*k*C)`` patch
-    matrix the backward pass needs.
+    matrix the backward pass needs.  ``take`` supplies the arrays written,
+    as for :func:`im2col` plus the ``"weights"`` in GEMM layout and the
+    ``"out"`` product.
     """
     stack, batch = x.shape[:2]
     kernel = weight.shape[-1]
     flat = x.reshape(stack * batch, *x.shape[2:])
-    cols, (out_h, out_w) = im2col(flat, kernel, stride, padding)
+    cols, (out_h, out_w) = im2col(flat, kernel, stride, padding, take)
     cols = cols.reshape(stack, batch * out_h * out_w, -1)
-    out = np.matmul(cols, weight_matrix(weight).transpose(0, 2, 1))
+    matrix = weight_matrix(
+        weight, take("weights", (stack, weight.shape[1], cols.shape[2]), weight.dtype)
+    )
+    out = np.matmul(
+        cols,
+        matrix.transpose(0, 2, 1),
+        out=take("out", cols.shape[:2] + (weight.shape[1],), cols.dtype),
+    )
     if bias is not None:
         out += bias[:, None, :]
     out = out.reshape(stack, batch, out_h, out_w, weight.shape[1]).transpose(
@@ -240,14 +221,29 @@ class Conv2d(StackedModule):
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
 
+    def _take(self, role: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        # What dies within the call that writes it (the pad buffer, the
+        # weights in GEMM layout, weight-gradient products) is one
+        # workspace buffer that every layer takes in turn.
+        owner = self if role in ("cols", "out") else None
+        return self._workspace.take(owner, role, shape, dtype)
+
     def stack_forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 5 or x.shape[0] != self.stack_size or x.shape[2] != self.in_channels:
             self._refuse(x, f"batch, {self.in_channels}, H, W")
         weight, _ = self.stacked(self.weight)
         bias = None if self.bias is None else self.stacked(self.bias)[0]
-        out, self._cols = conv2d(x, weight, bias, self.stride, self.padding)
+        out, self._cols = conv2d(
+            x, weight, bias, self.stride, self.padding, self._take
+        )
         self._x_shape = x.shape
         return out
+
+    def _gemm_weights(self) -> np.ndarray:
+        """A ``(K, out, k*k*in)`` array: the weights' or the weight
+        gradient's GEMM layout."""
+        shape = self._cols.shape[:1] + (self.out_channels, self._cols.shape[2])
+        return self._take("weights", shape, self._cols.dtype)
 
     def _accumulate(self, grad_output: np.ndarray) -> np.ndarray:
         """Add the parameter gradients; returns ``grad_output`` as GEMM rows."""
@@ -258,11 +254,12 @@ class Conv2d(StackedModule):
             stack, -1, self.out_channels
         )
         _, weight_grad = self.stacked(self.weight)
-        weight_grad += (
-            np.matmul(grad_rows.transpose(0, 2, 1), self._cols)
-            .reshape(stack, self.out_channels, kernel, kernel, self.in_channels)
-            .transpose(0, 1, 4, 2, 3)
+        product = np.matmul(
+            grad_rows.transpose(0, 2, 1), self._cols, out=self._gemm_weights()
         )
+        weight_grad += product.reshape(
+            stack, self.out_channels, kernel, kernel, self.in_channels
+        ).transpose(0, 1, 4, 2, 3)
         if self.bias is not None:
             _, bias_grad = self.stacked(self.bias)
             bias_grad += grad_rows.sum(axis=1)
@@ -270,7 +267,15 @@ class Conv2d(StackedModule):
 
     def stack_backward(self, grad_output: np.ndarray) -> np.ndarray:
         weight, _ = self.stacked(self.weight)
-        grad_cols = np.matmul(self._accumulate(grad_output), weight_matrix(weight))
+        grad_rows = self._accumulate(grad_output)
+        # The columns are spent once the weight gradient has them: on a
+        # workspace the column gradient takes their buffer, and col2im
+        # scatters into the forward's pad buffer.
+        grad_cols = np.matmul(
+            grad_rows,
+            weight_matrix(weight, self._gemm_weights()),
+            out=self._take("cols", self._cols.shape, self._cols.dtype),
+        )
         stack, batch = self._x_shape[:2]
         flat = col2im(
             grad_cols.reshape(-1, grad_cols.shape[2]),
@@ -278,6 +283,7 @@ class Conv2d(StackedModule):
             self.kernel_size,
             self.stride,
             self.padding,
+            self._take,
         )
         return flat.reshape(self._x_shape)
 

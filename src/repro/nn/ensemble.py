@@ -70,18 +70,17 @@ __all__ = [
 
 def _stack_layer(template: StackedModule, ensemble_size: int) -> StackedModule:
     """A K-stack of ``template``: its class and hyperparameters, each
-    parameter broadcast to ``(K,) + shape``, no cached activations."""
+    parameter broadcast to ``(K,) + shape``, no cached activations and no
+    workspace (what a copy of the template carries)."""
     if ensemble_size < 1:
         raise ValueError(f"ensemble size must be >= 1, got {ensemble_size}")
     layer = object.__new__(type(template))
-    for attr, value in vars(template).items():
+    for attr, value in template.__getstate__().items():
         if isinstance(value, Parameter):
             value = Parameter(
                 np.broadcast_to(value.data, (ensemble_size,) + value.shape).copy(),
                 name=value.name,
             )
-        elif attr.startswith("_"):
-            value = None
         setattr(layer, attr, value)
     layer.ensemble_size = ensemble_size
     return layer
@@ -434,19 +433,6 @@ def load_state_broadcast(
                 f"expected {target.shape[1:]}, got {np.shape(value)}"
             )
         target[...] = value
-
-
-#: What ensemble layers keep from a forward for its backward.
-_STEP_CACHES = ("_cols", "_input", "_mask")
-
-
-def release_step_caches(emodel: Module) -> None:
-    """Drop the activations ``emodel``'s layers cached for a backward, so a
-    clone at rest holds only its parameters and gradients."""
-    for module in emodel.modules():
-        for attr in _STEP_CACHES:
-            if getattr(module, attr, None) is not None:
-                setattr(module, attr, None)
 
 
 def ensemble_state_dicts(emodel: Module) -> list[dict[str, np.ndarray]]:

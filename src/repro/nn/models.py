@@ -37,17 +37,22 @@ class FeatureClassifierModel(Module):
         self.classifier = classifier
         self.embed_dim = embed_dim
 
+    def _own(self, array: np.ndarray) -> np.ndarray:
+        """``array`` as the caller's own: a copy when it is a view of the
+        model's workspace (:class:`repro.nn.module.Workspace`)."""
+        return array.copy(order="K") if self._workspace.holds(array) else array
+
     def forward_features(self, x: np.ndarray) -> np.ndarray:
         """Embed a batch; caches activations for the next ``backward``."""
-        return self.features.forward(x)
+        return self._own(self.features.forward(x))
 
     def forward_logits(self, embeddings: np.ndarray) -> np.ndarray:
         """Classify embeddings; caches activations for the next ``backward``."""
-        return self.classifier.forward(embeddings)
+        return self._own(self.classifier.forward(embeddings))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Full forward pass to logits."""
-        return self.forward_logits(self.forward_features(x))
+        return self._own(self.classifier.forward(self.features.forward(x)))
 
     def backward(
         self,
@@ -74,27 +79,32 @@ class FeatureClassifierModel(Module):
             else:
                 total_grad_embedding = total_grad_embedding + grad_embedding
         if input_grad:
-            return self.features.backward(total_grad_embedding)
+            return self._own(self.features.backward(total_grad_embedding))
         self.features.backward_params(total_grad_embedding)
         return None
 
     def predict_logits(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Evaluation-mode logits, computed in batches to bound memory."""
+        """Evaluation-mode logits, computed in batches to bound memory; each
+        batch's logits are written straight into the result."""
         was_training = self.training
         self.eval()
         try:
-            chunks = [
-                self.forward(x[start : start + batch_size])
-                for start in range(0, x.shape[0], batch_size)
-            ]
-            if not chunks:
+            if not x.shape[0]:
                 # No chunk to take the logit width from: classify an empty
                 # embedding batch, which is (0, num_classes).
-                chunks = [self.forward_logits(np.zeros((0, self.embed_dim)))]
+                return self.forward_logits(np.zeros((0, self.embed_dim)))
+            logits = None
+            for start in range(0, x.shape[0], batch_size):
+                chunk = self.classifier.forward(
+                    self.features.forward(x[start : start + batch_size])
+                )
+                if logits is None:
+                    logits = np.empty((x.shape[0],) + chunk.shape[1:])
+                logits[start : start + batch_size] = chunk
         finally:
             if was_training:
                 self.train()
-        return np.concatenate(chunks, axis=0)
+        return logits
 
 
 def build_cnn_model(

@@ -16,6 +16,7 @@ federated-averaging code reads naturally.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "Module",
     "StackedModule",
     "Sequential",
+    "Workspace",
     "architecture_signature",
 ]
 
@@ -72,6 +74,72 @@ class Parameter:
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"
 
 
+class Workspace:
+    """The arrays one model's steps write: one buffer per layer and role.
+
+    A model that runs step after step (the trainer's stacked clone, the
+    evaluation stage's private copy) gets one through
+    :meth:`Module.attach_workspace`, and its layers take from it what a
+    step writes: padded inputs, im2col columns, activations, ReLU masks,
+    input gradients, the products that accumulate into parameter gradients
+    (``owner=None``: one buffer every layer takes in turn) and the
+    gathered step input.  Each ``(owner, role)`` is one flat buffer, grown
+    to the largest request and handed out as a leading view: a smaller
+    step (a tail batch, a smaller stack) reads the first elements, which
+    are C-contiguous at the same address, so every GEMM operand keeps the
+    shape and layout a fresh array would have.  A warm step allocates
+    nothing here.
+
+    A layer's results on such a model are the workspace's until the layer
+    runs again; :class:`repro.nn.models.FeatureClassifierModel` hands its
+    caller copies of whatever it returns from it.  Nothing is shared
+    between models, so two models train on two threads without a lock, and
+    a copy or a pickle of a model carries no workspace
+    (:meth:`Module.__getstate__`).  A model without one takes fresh arrays
+    (:data:`NO_WORKSPACE`).
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[tuple[int, str], np.ndarray] = {}
+
+    def _storage(self, key: tuple[int, str], size: int, dtype) -> np.ndarray:
+        buffer = self._buffers.get(key)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = self._buffers[key] = np.empty(size, dtype)
+        return buffer
+
+    def take(
+        self,
+        owner: object,
+        role: str,
+        shape: tuple[int, ...],
+        dtype=np.float64,
+        axes: tuple[int, ...] | None = None,
+    ) -> np.ndarray:
+        """``owner``'s ``role`` array of ``shape``, its contents undefined,
+        laid out in memory in ``axes`` order (slowest first; C order when
+        ``None``)."""
+        if axes is not None:
+            shape = tuple(shape[axis] for axis in axes)
+        size = math.prod(shape)
+        view = self._storage((id(owner), role), size, dtype)[:size].reshape(shape)
+        return view if axes is None else view.transpose(np.argsort(axes))
+
+    def holds(self, array: np.ndarray) -> bool:
+        """Whether ``array`` is a view of one of this workspace's buffers."""
+        base = array if array.base is None else array.base
+        return any(base is buffer for buffer in self._buffers.values())
+
+
+class _NoWorkspace(Workspace):
+    def _storage(self, key: tuple[int, str], size: int, dtype) -> np.ndarray:
+        return np.empty(size, dtype)
+
+
+#: What a model without a workspace takes from: a fresh array every time.
+NO_WORKSPACE: Workspace = _NoWorkspace()
+
+
 class Module:
     """Base class for all layers and models.
 
@@ -80,8 +148,37 @@ class Module:
     discovered by introspection, the same way PyTorch does it.
     """
 
+    #: Where the layers take the arrays a step writes; a class attribute,
+    #: so a template's instance state (and its pickle) does not carry it.
+    _workspace: Workspace = NO_WORKSPACE
+
     def __init__(self) -> None:
         self.training = True
+
+    @property
+    def workspace(self) -> Workspace:
+        """Where this module's step arrays come from (:data:`NO_WORKSPACE`
+        until :meth:`attach_workspace`)."""
+        return self._workspace
+
+    def attach_workspace(self) -> Workspace:
+        """Give this model and every module in it one new
+        :class:`Workspace`, and return it."""
+        workspace = Workspace()
+        for module in self.modules():
+            module._workspace = workspace
+        return workspace
+
+    def __getstate__(self) -> dict:
+        # A copy (a pickled model template, an evaluation snapshot) carries
+        # structure and weights: no workspace, and none of the arrays a
+        # step left for its backward (underscore attributes are runtime
+        # state, as architecture_signature treats them).
+        return {
+            attr: None if attr.startswith("_") else value
+            for attr, value in vars(self).items()
+            if attr != "_workspace"
+        }
 
     # -- structure ---------------------------------------------------------
 

@@ -535,16 +535,18 @@ class CompositeObjective:
 
 
 def _step_input(
+    emodel,
     images: Sequence[np.ndarray],
     indices: Sequence[np.ndarray],
     secondary: Sequence[np.ndarray] | None,
     batch_views,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """One step's ``(K, rows, ...)`` input, gathered into one buffer: per
-    slice its primary rows (or ``batch_views[k]`` of them), then its
-    secondary rows.  The indices are slices of a permutation of each
-    slice's rows, so ``take``'s "clip" never clips; it writes unbuffered."""
+    """One step's ``(K, rows, ...)`` input, gathered into the model's
+    workspace: per slice its primary rows (or ``batch_views[k]`` of them),
+    then its secondary rows.  The indices are slices of a permutation of
+    each slice's rows, so ``take``'s "clip" never clips; it writes
+    unbuffered."""
     batch = len(indices[0])
     primary = None
     rows = batch
@@ -555,17 +557,56 @@ def _step_input(
         ]
         rows = primary[0].shape[0]
     extra = 0 if secondary is None else batch
-    combined = np.empty(
-        (len(indices), rows + extra) + images[0].shape[1:], dtype=images[0].dtype
+    combined = emodel.workspace.take(
+        emodel,
+        "input",
+        (len(indices), rows + extra) + images[0].shape[1:],
+        images[0].dtype,
     )
     for k, index in enumerate(indices):
         if primary is None:
-            np.take(images[k], index, axis=0, out=combined[k, :rows], mode="clip")
+            images[k].take(index, axis=0, out=combined[k, :rows], mode="clip")
         else:
             combined[k, :rows] = primary[k]
         if secondary is not None:
-            np.take(secondary[k], index, axis=0, out=combined[k, rows:], mode="clip")
+            secondary[k].take(index, axis=0, out=combined[k, rows:], mode="clip")
     return combined
+
+
+def _train_step(
+    emodel,
+    optimizer,
+    objective: CompositeObjective,
+    combined: np.ndarray,
+    labels: np.ndarray,
+    batch: int,
+    class_targets: Mapping[int, np.ndarray] | None,
+) -> np.ndarray:
+    """One optimization step of the stack on its gathered input; returns
+    the ``(K,)`` weighted losses."""
+    emodel.zero_grad()
+    embeddings = emodel.forward_features(combined)
+    logits = emodel.forward_logits(embeddings)
+    ctx = EnsembleStepContext(
+        labels=labels,
+        embeddings=embeddings,
+        logits=logits,
+        batch=batch,
+        views=combined.shape[1] // batch,
+        grad_logits=np.zeros_like(logits),
+        grad_embedding=(
+            np.zeros_like(embeddings) if objective.needs_embedding() else None
+        ),
+        class_targets=class_targets,
+    )
+    totals = objective.evaluate_ensemble(ctx)
+    emodel.backward(
+        grad_logits=ctx.grad_logits,
+        grad_embedding=ctx.grad_embedding,
+        input_grad=False,
+    )
+    optimizer.step()
+    return totals
 
 
 def run_objective_ensemble(
@@ -589,9 +630,13 @@ def run_objective_ensemble(
 
     ``images``, ``labels`` and ``secondary`` are per-slice sequences of
     equal-length ``(N, ...)`` arrays (a stacked ``(K, N, ...)`` array is
-    one); the runner only reads them and never stacks them whole.  Each
-    step gathers, per slice, the batch's rows into one fresh ``(K, rows,
-    ...)`` buffer, so a step's input is the only image copy it makes.
+    one; an image source need only have ``len``, ``shape``, ``dtype``,
+    indexing and ndarray's ``take``, as
+    :meth:`repro.data.synthetic.LabeledDataset.image_rows` gives); the
+    runner only reads them and never stacks them whole.  Each step gathers,
+    per slice, the batch's rows into one ``(K, rows, ...)`` buffer of the
+    model's workspace (:class:`repro.nn.module.Workspace`; a fresh one on a
+    model without), so a step's input is the only image copy it makes.
 
     ``batch_views[k](images, rng)`` maps slice ``k``'s indexed batch to the
     rows its step forwards: the batch, then any per-batch re-styled copies
@@ -614,39 +659,28 @@ def run_objective_ensemble(
         raise ValueError("every slice and view must hold the same number of rows")
     emodel.train()
     optimizer = config.make_optimizer(emodel)
-    needs_embedding = objective.needs_embedding()
     batch_totals: list[np.ndarray] = []
     for _ in range(config.local_epochs):
         orders = [rng.permutation(count) for rng in rngs]
         for start in range(0, count, config.batch_size):
             indices = [order[start : start + config.batch_size] for order in orders]
-            batch = len(indices[0])
-            combined = _step_input(images, indices, secondary, batch_views, rngs)
-            emodel.zero_grad()
-            embeddings = emodel.forward_features(combined)
-            logits = emodel.forward_logits(embeddings)
-            ctx = EnsembleStepContext(
-                labels=np.stack(
-                    [part[index] for part, index in zip(labels, indices)]
-                ),
-                embeddings=embeddings,
-                logits=logits,
-                batch=batch,
-                views=combined.shape[1] // batch,
-                grad_logits=np.zeros_like(logits),
-                grad_embedding=(
-                    np.zeros_like(embeddings) if needs_embedding else None
-                ),
-                class_targets=class_targets,
+            combined = _step_input(
+                emodel, images, indices, secondary, batch_views, rngs
             )
-            totals = objective.evaluate_ensemble(ctx)
-            emodel.backward(
-                grad_logits=ctx.grad_logits,
-                grad_embedding=ctx.grad_embedding,
-                input_grad=False,
+            step_labels = np.stack(
+                [part[index] for part, index in zip(labels, indices)]
             )
-            optimizer.step()
-            batch_totals.append(totals)
+            batch_totals.append(
+                _train_step(
+                    emodel,
+                    optimizer,
+                    objective,
+                    combined,
+                    step_labels,
+                    len(indices[0]),
+                    class_targets,
+                )
+            )
     if batch_totals:
         return np.mean(np.stack(batch_totals, axis=1), axis=1)
     return np.zeros(stack)
@@ -658,15 +692,25 @@ def run_objective_ensemble(
 
 
 def ensemble_dataset_embeddings(
-    forward_features, images: Sequence[np.ndarray], chunk: int = 256
+    emodel, images: Sequence[np.ndarray], logits: bool = False, chunk: int = 256
 ) -> np.ndarray:
-    """Chunked eval-mode sweep of ``forward_features`` over a per-slice
-    sequence of equal-length datasets (the class-statistics sweep,
-    FedDG-GA's gap); each chunk is stacked on its own, never the whole
-    datasets.  Chunk boundaries are part of the bitwise contract: slice
-    ``k`` equals the same chunks swept through the template model."""
+    """Chunked eval-mode sweep of ``emodel``'s embeddings (its logits with
+    ``logits``) over a per-slice sequence of equal-length datasets (the
+    class-statistics sweep, FedDG-GA's gap); each chunk is stacked on its
+    own, never the whole datasets.  Chunk boundaries are part of the
+    bitwise contract: slice ``k`` equals the same chunks swept through the
+    template model (a step-sized chunk changes the digests).
+
+    The chunks run through ``emodel``'s workspace, whose forward buffers
+    grow to a chunk where that is larger than a step and are reused by
+    every later step and sweep: on the trainer's clone this reads a lower
+    peak RSS, and a faster sweep, than a copy of the model with arrays of
+    its own, which takes every chunk's buffers in fresh pages."""
+    emodel.eval()
+    forward = emodel.forward if logits else emodel.forward_features
     parts = [
-        forward_features(np.stack([part[start : start + chunk] for part in images]))
+        forward(np.stack([part[start : start + chunk] for part in images]))
         for start in range(0, len(images[0]), chunk)
     ]
+    emodel.train()
     return np.concatenate(parts, axis=1)

@@ -15,7 +15,9 @@ class SGD:
     This is the optimizer used by every federated client in the paper's
     experiments; weight decay here acts on parameters (standard L2), distinct
     from PARDON's representation-space regularizer (Eq. 8, the ``pair_l2``
-    term).
+    term).  :meth:`step` writes each parameter's scaled update over its
+    spent gradient, so without weight decay a step allocates nothing, and
+    ``grad`` holds that update until the next ``zero_grad``.
     """
 
     def __init__(
@@ -47,7 +49,7 @@ class SGD:
                 update = velocity
             else:
                 update = grad
-            param.data -= self.lr * update
+            param.data -= np.multiply(self.lr, update, out=param.grad)
 
     def zero_grad(self) -> None:
         for param in self.parameters:

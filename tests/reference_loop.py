@@ -43,7 +43,7 @@ from repro.fl.strategy import class_stats
 from repro.nn import Conv2d, FeatureClassifierModel, Flatten, Linear, ReLU, Sequential
 from repro.nn.conv import weight_matrix
 from repro.nn.functional import softmax
-from repro.nn.layers import in_memory_order, memory_axes
+from repro.nn.layers import memory_axes
 from repro.nn.module import Module, Parameter
 
 
@@ -199,6 +199,14 @@ class ScalarLinear(Module):
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=0)
         return grad_output @ self.weight.data.T
+
+
+def in_memory_order(x: np.ndarray, axes: tuple[int, ...] | None) -> np.ndarray:
+    """``x`` (same shape, same values) laid out in memory in ``axes`` order."""
+    if axes is None:
+        return x
+    inverse = sorted(range(len(axes)), key=axes.__getitem__)
+    return np.ascontiguousarray(x.transpose(axes)).transpose(inverse)
 
 
 class ScalarFlatten(Module):

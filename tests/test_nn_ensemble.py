@@ -40,6 +40,7 @@ from repro.fl import (
     run_prepare,
     shm_supported,
 )
+from repro.fl.strategy import Strategy
 from repro.fl import compute as fl_compute
 from repro.fl.net.executor import RemoteExecutor
 from repro.nn import (
@@ -58,15 +59,15 @@ from repro.nn import (
     load_state_broadcast,
     load_state_stack,
 )
-from repro.nn import conv
 from repro.nn.conv import im2col
 from repro.nn.ensemble import _CONVERTERS, ensemble_cross_entropy
 from repro.nn.losses import CrossEntropyLoss
-from repro.nn.module import Module
+from repro.nn.module import Module, architecture_signature
 from repro.utils.rng import SeedTree
 from tests import reference_loop
 from tests.gradcheck import check_module_gradients
 from tests.test_fl_net import thread_agents
+from tests.test_nn_workspace import _nbytes
 
 needs_shm = pytest.mark.skipif(
     not shm_supported(), reason="platform has no POSIX shared memory"
@@ -111,9 +112,10 @@ def _assert_matches_oracle(model, x, grad_out, params=None, index=None):
     oracle.backward_params(take(grad_out))
     oracle_param_grads = dict(oracle.named_parameters())
 
-    out = model.forward(x)
+    # Copies: on a model with a workspace the next forward reuses both.
+    out = model.forward(x).copy()
     model.zero_grad()
-    grad_in = model.backward(grad_out)
+    grad_in = model.backward(grad_out).copy()
     grads = {name: p.grad.copy() for name, p in model.named_parameters()}
     model.zero_grad()
     model.forward(x)
@@ -133,18 +135,29 @@ def _assert_matches_oracle(model, x, grad_out, params=None, index=None):
 
 def _assert_slicewise_equal(factory, x_shape, seed=0, k=K):
     """Slice ``k`` of a stack of K differently-weighted templates, and each
-    template on its own, compute bitwise what the layer oracle does."""
+    template on its own, compute bitwise what the layer oracle does: on
+    fresh arrays, then again through a workspace each."""
     templates = _perturbed_variants(factory, k, seed)
-    emodel = ensemble_of(templates[0], k)
     states = [template.state_dict() for template in templates]
-    if states[0]:
-        load_state_stack(emodel, states)
+
+    def stack():
+        emodel = ensemble_of(templates[0], k)
+        if states[0]:
+            load_state_stack(emodel, states)
+        return emodel
+
+    emodel = stack()
     rng = np.random.default_rng(seed + 100)
     x = rng.normal(size=(k,) + x_shape)
     grad_out = rng.normal(size=emodel.forward(x).shape)
-    for index, template in enumerate(templates):
-        _assert_matches_oracle(emodel, x, grad_out, params=template, index=index)
-        _assert_matches_oracle(template, x[index], grad_out[index])
+    for workspace in (False, True):
+        if workspace:
+            emodel = stack()
+            for model in (emodel, *templates):
+                model.attach_workspace()
+        for index, template in enumerate(templates):
+            _assert_matches_oracle(emodel, x, grad_out, params=template, index=index)
+            _assert_matches_oracle(template, x[index], grad_out[index])
 
 
 class TestLayerParity:
@@ -357,6 +370,193 @@ class TestGeneratedLayers:
         _assert_slicewise_equal(
             lambda rng: _build_layers(layers, rng), shape, seed=len(layers), k=k
         )
+
+
+class _MethodObjective(Strategy):
+    """A CLI method's objective on a drawn architecture: its term list, a
+    second view (a seeded perturbation of the client's images) when the
+    method trains on one, and fixed per-class targets when it has the
+    class channel.  Per-batch re-styling (CCST, MixStyle) is left out: its
+    style bank and encoder need the suites' image shapes."""
+
+    def __init__(self, method, config, embed_dim, num_classes):
+        super().__init__(config)
+        template = METHODS[method](local_config=config)
+        self.objective = template.objective
+        self._two_views = type(template).local_views is not Strategy.local_views
+        if template.class_targets is not None:
+            rng = np.random.default_rng(embed_dim)
+            self.class_targets = {
+                label: rng.normal(size=embed_dim) for label in range(num_classes)
+            }
+
+    def local_views(self, client, rng):
+        if not self._two_views:
+            return None
+        images = client.dataset.images
+        return images + 0.1 * rng.normal(size=images.shape)
+
+
+def _sibling(layers, shape):
+    """``layers`` with the first conv whose (stride, padding) can change
+    without changing its output size changed so: the same parameter names
+    and shapes, another forward pass.  ``None`` when no conv can."""
+    height, width = shape[2:]
+    for index, layer in enumerate(layers):
+        if layer[0] != "conv":
+            continue
+        _, cin, cout, kernel, stride, padding, bias = layer
+        size = lambda n, s, p: (n + 2 * p - kernel) // s + 1  # noqa: E731
+        for new_stride in (1, 2):
+            for new_padding in (0, 1, 2):
+                if (
+                    (new_stride, new_padding) != (stride, padding)
+                    and kernel <= min(height, width) + 2 * new_padding
+                    and size(height, new_stride, new_padding)
+                    == size(height, stride, padding)
+                    and size(width, new_stride, new_padding)
+                    == size(width, stride, padding)
+                ):
+                    changed = ("conv", cin, cout, kernel, new_stride, new_padding, bias)
+                    return layers[:index] + (changed,) + layers[index + 1 :]
+        height, width = size(height, stride, padding), size(width, stride, padding)
+    return None
+
+
+@st.composite
+def trainer_runs(draw):
+    """What :func:`layer_stacks` draws, plus per run a batch size, a number
+    of local epochs, a CLI method, a stack size and a per-client row count
+    (tail batches included): ``(architectures, runs)`` with runs
+    ``(architecture index, k, rows, batch_size, epochs, method)``.  The
+    architectures are 1-2 drawn stacks, each followed by its sibling (one
+    conv's stride/padding changed, names and shapes kept) when it has one."""
+    architectures = []
+    for _ in range(draw(st.integers(1, 2))):
+        layers, shape, _ = draw(layer_stacks())
+        architectures.append((layers, shape[1:]))
+        sibling = _sibling(layers, shape)
+        if sibling is not None:
+            architectures.append((sibling, shape[1:]))
+    runs = [
+        (
+            index,
+            draw(st.integers(1, 4)),
+            draw(st.integers(1, 7)),
+            draw(st.integers(1, 4)),
+            draw(st.integers(1, 2)),
+            draw(st.sampled_from(sorted(METHODS))),
+        )
+        for index in [
+            *range(len(architectures)),
+            *draw(st.lists(st.integers(0, len(architectures) - 1), max_size=3)),
+        ]
+    ]
+    return architectures, runs
+
+
+def _drawn_model(layers, seed, num_classes=3):
+    rng = np.random.default_rng(seed)
+    features = _build_layers(layers, rng)
+    embed_dim = features.layers[-1].out_features
+    model = FeatureClassifierModel(
+        features, Linear(embed_dim, num_classes, rng=rng), embed_dim
+    )
+    for param in model.parameters():
+        param.data += 0.1 * rng.normal(size=param.shape)
+    return model
+
+
+def _as_bytes(value):
+    """An update's fields as bytes, through nested dicts and tuples: a
+    drawn objective may diverge, and a NaN must equal itself."""
+    if isinstance(value, dict):
+        return tuple((key, _as_bytes(item)) for key, item in value.items())
+    if isinstance(value, tuple):
+        return tuple(_as_bytes(item) for item in value)
+    return np.asarray(value).tobytes()
+
+
+def _assert_same_bytes(got, want):
+    def fields(update):
+        return (
+            update.client_id,
+            update.num_samples,
+            _as_bytes((update.loss, update.state, update.payload)),
+        )
+
+    assert [fields(update) for update in got] == [fields(update) for update in want]
+
+
+class TestGeneratedTrainer:
+    """Drawn architectures, stack sizes, row counts, batch sizes, epochs and
+    CLI objectives through one trainer: every run equals a fresh trainer's
+    and the scalar reference loop's, bitwise, whatever ran before it."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(trainer_runs())
+    # The 5x5 input at padding 1 and its 3x3 output at padding 2 both pad
+    # to 7x7, and the first conv's sibling (stride 2, padding 2) keeps its
+    # 3x3 output: the clone of one must not train the other.
+    @example(
+        (
+            [
+                (
+                    (
+                        ("conv", 2, 2, 5, 1, 1, True),
+                        ("conv", 2, 2, 3, 1, 2, True),
+                        ("flatten",),
+                        ("linear", 50, 3, True),
+                    ),
+                    (2, 5, 5),
+                ),
+                (
+                    (
+                        ("conv", 2, 2, 5, 2, 2, True),
+                        ("conv", 2, 2, 3, 1, 2, True),
+                        ("flatten",),
+                        ("linear", 50, 3, True),
+                    ),
+                    (2, 5, 5),
+                ),
+            ],
+            [
+                (0, 3, 5, 2, 1, "pardon"),
+                (1, 2, 5, 2, 2, "fedavg"),
+                (0, 1, 3, 2, 1, "fpl"),
+            ],
+        )
+    )
+    def test_one_trainer_matches_fresh_trainers_and_the_loop(self, case):
+        architectures, runs = case
+        backend = EnsembleBackend()
+        for index, k, rows, batch_size, epochs, method in runs:
+            layers, image_shape = architectures[index]
+            config = LocalTrainingConfig(batch_size=batch_size, local_epochs=epochs)
+            model = _drawn_model(layers, seed=index)
+            strategy = _MethodObjective(method, config, model.embed_dim, 3)
+            seeds = [500 + position for position in range(k)]
+
+            def train(run):
+                clients = _toy_clients(
+                    (rows,) * k, num_classes=3, image_shape=image_shape, seed=index
+                )
+                return run(strategy, model, model.state_dict(), clients, 0, seeds)
+
+            shared = train(backend.run_group)
+            _assert_same_bytes(shared, train(EnsembleBackend().run_group))
+            _assert_same_bytes(shared, train(reference_loop.run_loop))
+            # An equal architecture with equal weights trains identically
+            # on the clone the first one left behind.
+            twin = _drawn_model(layers, seed=index)
+            assert architecture_signature(twin) == architecture_signature(model)
+            clients = _toy_clients(
+                (rows,) * k, num_classes=3, image_shape=image_shape, seed=index
+            )
+            _assert_same_bytes(
+                backend.run_group(strategy, twin, twin.state_dict(), clients, 0, seeds),
+                shared,
+            )
 
 
 class TestPredictLogitsDigest:
@@ -1096,66 +1296,79 @@ class TestIm2colScratch:
         ref_cols, _ = im2col(padded, kernel=3, stride=1, padding=0)
         assert np.array_equal(cols, ref_cols)
 
-    # Shaped like one pacs_* round of the perf benchmark: two conv layers, each
-    # seeing the stacked train batch, the train tail, the 256-image eval chunk
-    # and an eval tail (NCHW input shapes; kernel 3, stride 2, padding 1).
-    ROUND_SHAPES = [
-        (batch, channels, side, side)
-        for batch in (320, 120, 256, 88)
-        for channels, side in ((3, 16), (16, 8))
-    ]
+    # Shaped like one pacs_* round of the perf benchmark: the stacked train
+    # batch, the train tail, the 256-image eval chunk and an eval tail
+    # through two conv layers (kernel 3, stride 2, padding 1).
+    ROUND_BATCHES = (320, 120, 256, 88)
 
-    def test_one_rounds_shapes_do_not_evict_each_other(self, monkeypatch):
-        monkeypatch.setattr(conv, "_PAD_SCRATCH", {})
-        for shape in self.ROUND_SHAPES:
-            im2col(np.ones(shape), kernel=3, stride=2, padding=1)
-        first_round = dict(conv._PAD_SCRATCH)
-        assert len(first_round) == len(self.ROUND_SHAPES)
+    @staticmethod
+    def _conv_pair(seed=0):
+        rng = np.random.default_rng(seed)
+        return Sequential(
+            Conv2d(3, 16, kernel_size=3, stride=2, padding=1, rng=rng),
+            ReLU(),
+            Conv2d(16, 32, kernel_size=3, stride=2, padding=1, rng=rng),
+        )
+
+    def _round(self, model):
+        for batch in self.ROUND_BATCHES:
+            out = model.forward(np.ones((batch, 3, 16, 16)))
+            model.backward(np.ones(out.shape))
+
+    def test_a_rounds_shapes_reuse_one_buffer_per_role(self):
+        model = self._conv_pair()
+        workspace = model.attach_workspace()
+        self._round(model)
+        first_round = dict(workspace._buffers)
         # Other shapes arrive between rounds (style encoders, probes) ...
         for side in (5, 7, 9):
             im2col(np.ones((4, 3, side, side)), kernel=3, stride=1, padding=1)
-        # ... and the next round still finds every one of its buffers.
-        for shape in self.ROUND_SHAPES:
-            im2col(np.ones(shape), kernel=3, stride=2, padding=1)
-        for key, buffer in first_round.items():
-            assert conv._PAD_SCRATCH[key] is buffer
+        # ... and the next round finds every one of its buffers, and no more.
+        self._round(model)
+        assert workspace._buffers == first_round
+        roles = {role for _, role in first_round}
+        assert roles == {"pad", "cols", "out", "weights", "mask"}
 
-    def test_scratch_is_byte_bounded_with_lru_eviction(self, monkeypatch):
-        float64 = np.dtype(np.float64)
-        monkeypatch.setattr(conv, "_PAD_SCRATCH", {})
-        monkeypatch.setattr(conv, "_PAD_SCRATCH_MAX_BYTES", 3 * 16 * float64.itemsize)
-        conv._padded_scratch((4, 4), 1, float64)
-        conv._padded_scratch((4, 4, 1), 1, float64)
-        conv._padded_scratch((4, 4, 1, 1), 1, float64)
-        conv._padded_scratch((4, 4), 1, float64)  # refreshed: now most recent
-        conv._padded_scratch((2, 8), 1, float64)  # evicts (4, 4, 1), the oldest
-        assert [key[0] for key in conv._PAD_SCRATCH] == [(4, 4, 1, 1), (4, 4), (2, 8)]
-        held = sum(buffer.nbytes for buffer in conv._PAD_SCRATCH.values())
-        assert held <= conv._PAD_SCRATCH_MAX_BYTES
-        # A buffer over the whole budget is handed out but never retained.
-        big = conv._padded_scratch((4, 4, 4), 1, float64)
-        assert big.shape == (4, 4, 4) and not big.any()
-        assert ((4, 4, 4), 1, float64.str) not in conv._PAD_SCRATCH
-        assert len(conv._PAD_SCRATCH) == 3
+    def test_the_workspace_is_sized_by_the_largest_step(self):
+        model = self._conv_pair()
+        workspace = model.attach_workspace()
+        self._round(model)
+        largest = self._conv_pair()
+        alone = largest.attach_workspace()
+        out = largest.forward(np.ones((max(self.ROUND_BATCHES), 3, 16, 16)))
+        largest.backward(np.ones(out.shape))
+        assert _nbytes(workspace) == _nbytes(alone)
 
-    def test_same_shape_im2col_from_two_threads_is_exact(self):
+    def test_two_models_never_share_a_buffer(self):
+        models = [self._conv_pair(seed) for seed in (0, 1)]
+        workspaces = [model.attach_workspace() for model in models]
+        for model in models:
+            self._round(model)
+        for mine in workspaces[0]._buffers.values():
+            for theirs in workspaces[1]._buffers.values():
+                assert not np.shares_memory(mine, theirs)
+
+    def test_same_shape_steps_of_two_models_on_two_threads_are_exact(self):
         """The server's evaluation thread and training share shapes (an eval
-        tail chunk is a train tail batch), so a pad buffer visible to both
-        would hand one thread the other's input between its interior write
-        and its gather."""
-        shape = (120, 12, 8, 8)  # conv2's input for a 120-image tail
+        tail chunk is a train tail batch); each runs its own model, so
+        neither can see the other's input between its pad write and its
+        gather."""
+        shape = (120, 3, 16, 16)
         inputs = [
             np.random.default_rng(seed).normal(size=shape) for seed in (0, 1)
         ]
-        expected = [im2col(x, kernel=3, stride=2, padding=1)[0] for x in inputs]
+        expected = [self._conv_pair().forward(x) for x in inputs]
+        models = [self._conv_pair() for _ in inputs]
+        for model in models:
+            model.attach_workspace()
         wrong: list[tuple[int, int]] = []
         start = threading.Barrier(2)
 
         def hammer(index):
             start.wait(timeout=30)
             for iteration in range(200):
-                cols, _ = im2col(inputs[index], kernel=3, stride=2, padding=1)
-                if not np.array_equal(cols, expected[index]):
+                out = models[index].forward(inputs[index])
+                if not np.array_equal(out, expected[index]):
                     wrong.append((index, iteration))
 
         interval = sys.getswitchinterval()
@@ -1172,14 +1385,3 @@ class TestIm2colScratch:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-
-    def test_other_threads_leave_the_main_threads_pool_alone(self, monkeypatch):
-        monkeypatch.setattr(conv, "_PAD_SCRATCH", {})
-        x = np.ones((2, 3, 8, 8))
-        thread = threading.Thread(target=im2col, args=(x, 3, 1, 1))
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert conv._PAD_SCRATCH == {}
-        im2col(x, kernel=3, stride=1, padding=1)
-        assert len(conv._PAD_SCRATCH) == 1
