@@ -18,7 +18,7 @@ import numpy as np
 from common import emit, is_fast_mode
 
 from repro.data import synthetic_pacs
-from repro.nn import CrossEntropyLoss, SGD, build_cnn_model
+from repro.nn import SGD, build_cnn_model, cross_entropy
 from repro.privacy import run_reconstruction_attack
 from repro.style import FrozenConvEncoder, InvertibleEncoder
 from repro.utils.tables import format_table
@@ -30,7 +30,6 @@ def _train_judge(suite, rng):
     """Task classifier used by the inception-score analogue."""
     pool = suite.merged(list(range(suite.num_domains)))
     model = build_cnn_model(suite.image_shape, suite.num_classes, rng=rng)
-    criterion = CrossEntropyLoss()
     optimizer = SGD(model.parameters(), lr=0.02, momentum=0.9)
     epochs = 2 if is_fast_mode() else 6
     n = len(pool)
@@ -41,8 +40,8 @@ def _train_judge(suite, rng):
             idx = order[start : start + 32]
             model.zero_grad()
             logits = model.forward(pool.images[idx])
-            criterion.forward(logits, pool.labels[idx])
-            model.backward(grad_logits=criterion.backward())
+            _, grad = cross_entropy(logits, pool.labels[idx])
+            model.backward(grad_logits=grad)
             optimizer.step()
     return model
 

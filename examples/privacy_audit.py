@@ -17,7 +17,7 @@ Run:  python examples/privacy_audit.py
 import numpy as np
 
 from repro.data import synthetic_pacs
-from repro.nn import SGD, CrossEntropyLoss, build_cnn_model
+from repro.nn import SGD, build_cnn_model, cross_entropy
 from repro.privacy import run_reconstruction_attack
 from repro.style import InvertibleEncoder
 
@@ -28,7 +28,6 @@ def train_judge(suite):
     model = build_cnn_model(
         suite.image_shape, suite.num_classes, rng=np.random.default_rng(1)
     )
-    criterion = CrossEntropyLoss()
     optimizer = SGD(model.parameters(), lr=0.02, momentum=0.9)
     shuffle = np.random.default_rng(0)
     for _ in range(4):
@@ -36,8 +35,8 @@ def train_judge(suite):
         for start in range(0, len(pool), 32):
             idx = order[start : start + 32]
             model.zero_grad()
-            criterion.forward(model.forward(pool.images[idx]), pool.labels[idx])
-            model.backward(grad_logits=criterion.backward())
+            _, grad = cross_entropy(model.forward(pool.images[idx]), pool.labels[idx])
+            model.backward(grad_logits=grad)
             optimizer.step()
     return model
 

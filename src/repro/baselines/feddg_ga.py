@@ -22,7 +22,7 @@ import numpy as np
 from repro.fl.client import Client
 from repro.fl.executor import ClientUpdate
 from repro.fl.strategy import LocalTrainingConfig, Strategy
-from repro.nn.ensemble import ensemble_cross_entropy
+from repro.nn.losses import ensemble_cross_entropy
 from repro.nn.module import Module
 from repro.nn.objective import ensemble_dataset_embeddings
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.synthetic import LabeledDataset
-from repro.nn.losses import CrossEntropyLoss
+from repro.nn.losses import cross_entropy
 from repro.nn.models import FeatureClassifierModel
 from repro.nn.serialize import StateDict, flatten_state, unflatten_state
 
@@ -73,7 +73,7 @@ def _dataset_loss(model: FeatureClassifierModel, dataset: LabeledDataset) -> flo
     if len(dataset) == 0:
         return 0.0
     logits = model.predict_logits(dataset.images, batch_size=256)
-    return CrossEntropyLoss().forward(logits, dataset.labels)
+    return cross_entropy(logits, dataset.labels)[0]
 
 
 def loss_landscape_slice(

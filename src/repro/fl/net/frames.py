@@ -19,14 +19,14 @@ commit only as ``recv_into`` writes them: a peer that announces a large
 frame and stops costs the bytes it sent, not the bytes it announced.
 
 The sans-io :class:`FrameDecoder` parses any byte chunks — down to one
-byte at a time — for the request/response helpers (:func:`recv_frame`,
-the tcp blob server's asyncio :func:`read_frame` / :func:`write_frame`)
-and the fragmentation tests.
+byte at a time — for the request/response helper :func:`recv_frame` and
+the fragmentation tests.  The tcp blob server reads and writes the same
+frames over asyncio streams (:mod:`repro.fl.net.transport`), the one
+place that imports asyncio.
 """
 
 from __future__ import annotations
 
-import asyncio
 import mmap
 import os
 import socket
@@ -44,8 +44,6 @@ __all__ = [
     "send_frame",
     "recv_frame",
     "recv_payload",
-    "read_frame",
-    "write_frame",
 ]
 
 _HEADER = struct.Struct(">I")
@@ -268,40 +266,3 @@ class FrameStream:
         """Write one frame (payload: ``parts`` back to back) to the peer;
         returns bytes on the wire."""
         return send_frame(self._sock, *parts)
-
-
-# -- asyncio shims -------------------------------------------------------------
-
-
-async def read_frame(reader: asyncio.StreamReader) -> "bytes | None":
-    """Read one frame from an asyncio stream; ``None`` on clean EOF."""
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameError(
-            f"peer closed mid-frame with {len(exc.partial)} header bytes"
-        ) from exc
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame header announces {length} bytes, over the {MAX_FRAME_BYTES} cap"
-        )
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError(
-            f"peer closed mid-frame: {len(exc.partial)}/{length} payload bytes"
-        ) from exc
-
-
-async def write_frame(writer: asyncio.StreamWriter, *parts: object) -> int:
-    """Write one frame, whose payload is ``parts`` back to back, to an
-    asyncio stream and drain; returns wire bytes.  The parts are written
-    as they are, never joined."""
-    views = frame_views(parts)
-    for view in views:
-        writer.write(view)
-    await writer.drain()
-    return sum(view.nbytes for view in views)

@@ -28,7 +28,13 @@ import struct
 import threading
 from dataclasses import dataclass
 
-from repro.fl.net.frames import FrameError, recv_payload, send_frame
+from repro.fl.net.frames import (
+    MAX_FRAME_BYTES,
+    FrameError,
+    frame_views,
+    recv_payload,
+    send_frame,
+)
 from repro.fl.transport import Transport
 from repro.utils.logging import get_logger
 
@@ -52,6 +58,7 @@ _BLOB_ID = struct.Struct(">Q")
 #: What a worker reads of a reply before the blob: the frame's length
 #: prefix and the status byte.
 _REPLY_HEAD = struct.Struct(">Ic")
+_FRAME_LENGTH = struct.Struct(">I")
 
 
 def parse_endpoint(
@@ -88,6 +95,45 @@ class TcpHandle:
     port: int
     blob_id: int
     length: int
+
+
+# The blob server's asyncio frame shims.  asyncio (and the ssl it imports)
+# loads only when a blob server runs: every other process imports this
+# package without it.
+
+
+async def _read_frame(reader) -> "bytes | None":
+    """Read one frame from an asyncio stream; ``None`` on clean EOF."""
+    import asyncio
+
+    try:
+        header = await reader.readexactly(_FRAME_LENGTH.size)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None
+        raise FrameError(
+            f"peer closed mid-frame with {len(exc.partial)} header bytes"
+        ) from exc
+    (length,) = _FRAME_LENGTH.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(
+            f"frame header announces {length} bytes, over the {MAX_FRAME_BYTES} cap"
+        )
+    try:
+        return await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise FrameError(
+            f"peer closed mid-frame: {len(exc.partial)}/{length} payload bytes"
+        ) from exc
+
+
+async def _write_frame(writer, *parts: object) -> None:
+    """Write one frame, whose payload is ``parts`` back to back, to an
+    asyncio stream and drain.  The parts are written as they are, never
+    joined."""
+    for view in frame_views(parts):
+        writer.write(view)
+    await writer.drain()
 
 
 class _BlobServer:
@@ -160,11 +206,9 @@ class _BlobServer:
     # -- request handling ----------------------------------------------------
 
     async def _serve_connection(self, reader, writer) -> None:
-        from repro.fl.net.frames import FrameError, read_frame, write_frame
-
         try:
             while True:
-                frame = await read_frame(reader)
+                frame = await _read_frame(reader)
                 if frame is None:
                     break
                 op, body = frame[:1], frame[1:]
@@ -173,9 +217,9 @@ class _BlobServer:
                     with self._lock:
                         blob = self._store.get(blob_id)
                     if blob is None:
-                        await write_frame(writer, _MISSING)
+                        await _write_frame(writer, _MISSING)
                     else:
-                        await write_frame(writer, _FOUND, blob)
+                        await _write_frame(writer, _FOUND, blob)
                 else:
                     break
         except (FrameError, ConnectionError, OSError):

@@ -9,7 +9,7 @@ the loss functions PARDON's objective is built from.
 from repro.nn.module import Module, Parameter, Sequential, architecture_signature
 from repro.nn.layers import Flatten, Linear, ReLU, Tanh
 from repro.nn.conv import Conv2d
-from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.losses import cross_entropy, mse
 from repro.nn.optim import SGD, Adam
 from repro.nn.models import (
     FeatureClassifierModel,
@@ -44,8 +44,8 @@ __all__ = [
     "Tanh",
     "Flatten",
     "Conv2d",
-    "CrossEntropyLoss",
-    "MSELoss",
+    "cross_entropy",
+    "mse",
     "SGD",
     "Adam",
     "FeatureClassifierModel",

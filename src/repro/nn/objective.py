@@ -29,7 +29,9 @@ because ``x * 1.0 == x`` in IEEE-754.  Every term is written once, over
 the ``(K, ...)`` stacks (K = 1 is one client).  A term whose math does not
 vectorize bitwise loops over the slices inside that one form: ``class_align``
 takes each slice's in-batch class means, ``proto_nce`` runs
-:func:`prototype_nce` per slice.
+:func:`prototype_nce` per slice.  No term holds a loss object: each
+computes its value and gradient in place, or takes both from a function of
+:mod:`repro.nn.losses` (``ce``, ``triplet_style``, ``pair_l2``).
 
 Terms treat externally supplied references (the strategy's fused
 ``class_targets``: FPL's prototypes, FedAlign's alignment targets) and
@@ -44,12 +46,12 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.nn.ensemble import (
-    EnsembleEmbeddingL2Loss,
-    EnsembleTripletStyleLoss,
-    ensemble_cross_entropy,
-)
 from repro.nn.functional import softmax
+from repro.nn.losses import (
+    embedding_l2_loss,
+    ensemble_cross_entropy,
+    triplet_style_loss,
+)
 
 __all__ = [
     "CompositeObjective",
@@ -293,44 +295,48 @@ class ProtoNCETerm(ObjectiveTerm):
         return losses
 
 
+def _two_view_term(
+    ctx: EnsembleStepContext, weight: float, loss: Callable, *args: Any
+) -> np.ndarray:
+    """``weight`` times ``loss(anchors, positives, *args)`` on a two-view
+    batch, its two gradient stacks added to the halves they belong to."""
+    batch = ctx.batch
+    losses, grad_anchor, grad_positive = loss(
+        ctx.embeddings[:, :batch], ctx.embeddings[:, batch:], *args
+    )
+    ctx.grad_embedding[:, :batch] += weight * grad_anchor
+    ctx.grad_embedding[:, batch:] += weight * grad_positive
+    return weight * losses
+
+
 class TripletStyleTerm(ObjectiveTerm):
-    """PARDON's triplet loss between the primary view (anchors) and the
-    second view (positives); requires a two-view batch."""
+    """PARDON's triplet loss (Eq. 7, :func:`triplet_style_loss`) between the
+    primary view (anchors) and the second view (positives); requires a
+    two-view batch.  No hinge by default, as Eq. 7 is written and PARDON
+    trains; ``hinge=True`` is the FaceNet ablation."""
 
     name = "triplet_style"
 
-    def __init__(self, margin: float = 1.0, hinge: bool = True) -> None:
+    def __init__(self, margin: float = 1.0, hinge: bool = False) -> None:
+        if margin < 0:
+            raise ValueError(f"margin must be non-negative, got {margin}")
         self.margin = margin
         self.hinge = hinge
 
     def apply_ensemble(self, ctx: EnsembleStepContext, weight: float) -> np.ndarray:
-        batch = ctx.batch
-        triplet = EnsembleTripletStyleLoss(margin=self.margin, hinge=self.hinge)
-        losses = triplet.forward(
-            ctx.embeddings[:, :batch], ctx.embeddings[:, batch:], ctx.labels
+        return _two_view_term(
+            ctx, weight, triplet_style_loss, ctx.labels, self.margin, self.hinge
         )
-        grad_anchor, grad_positive = triplet.backward()
-        ctx.grad_embedding[:, :batch] += weight * grad_anchor
-        ctx.grad_embedding[:, batch:] += weight * grad_positive
-        return weight * losses
 
 
 class PairNormTerm(ObjectiveTerm):
     """PARDON's embedding-L2 regularizer over both halves of a two-view
-    batch (Eq. 8)."""
+    batch (Eq. 8, :func:`embedding_l2_loss`)."""
 
     name = "pair_l2"
 
     def apply_ensemble(self, ctx: EnsembleStepContext, weight: float) -> np.ndarray:
-        batch = ctx.batch
-        regularizer = EnsembleEmbeddingL2Loss()
-        losses = regularizer.forward(
-            ctx.embeddings[:, :batch], ctx.embeddings[:, batch:]
-        )
-        grad_anchor, grad_positive = regularizer.backward()
-        ctx.grad_embedding[:, :batch] += weight * grad_anchor
-        ctx.grad_embedding[:, batch:] += weight * grad_positive
-        return weight * losses
+        return _two_view_term(ctx, weight, embedding_l2_loss)
 
 
 class ConsistencyTerm(ObjectiveTerm):

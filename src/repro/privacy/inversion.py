@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn.layers import Linear, ReLU, Tanh
-from repro.nn.losses import MSELoss
+from repro.nn.losses import mse
 from repro.nn.module import Sequential
 from repro.nn.optim import Adam
 from repro.style.adain import per_sample_style_stats
@@ -107,9 +107,8 @@ class StyleInversionGenerator:
         self.network.zero_grad()
         flat = self.network.forward(style_vectors) * self.output_scale
         targets = target_images.reshape(target_images.shape[0], -1)
-        criterion = MSELoss()
-        loss = criterion.forward(flat, targets)
-        self.network.backward(criterion.backward() * self.output_scale)
+        loss, grad = mse(flat, targets)
+        self.network.backward(grad * self.output_scale)
         optimizer.step()
         return loss
 

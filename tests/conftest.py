@@ -8,9 +8,10 @@ from hypothesis import settings
 
 from repro.utils.rng import SeedTree
 
-# ``--hypothesis-profile=ci``: the budget CI runs the generated-layer and
-# generated-trainer tests (tests/test_nn_ensemble.py::TestGeneratedLayers,
-# ::TestGeneratedTrainer) at, as its own step.
+# ``--hypothesis-profile=ci``: the budget CI runs the generated-layer,
+# generated-loss and generated-trainer tests
+# (tests/test_nn_ensemble.py::TestGeneratedLayers, ::TestGeneratedTrainer,
+# tests/test_nn_losses.py::TestGeneratedLosses) at, as its own step.
 # Tier-1 keeps Hypothesis' default profile.
 settings.register_profile("ci", derandomize=True, max_examples=1000, deadline=None)
 

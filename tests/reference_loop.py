@@ -335,7 +335,7 @@ class StepContext:
 
 class TripletStyleLoss:
     """One client's paper Eq. 7, the scalar form of
-    :class:`repro.nn.ensemble.EnsembleTripletStyleLoss`."""
+    :func:`repro.nn.losses.triplet_style_loss`."""
 
     def __init__(
         self,
@@ -444,7 +444,7 @@ class TripletStyleLoss:
 
 class EmbeddingL2Loss:
     """One client's paper Eq. 8, the scalar form of
-    :class:`repro.nn.ensemble.EnsembleEmbeddingL2Loss`."""
+    :func:`repro.nn.losses.embedding_l2_loss`."""
 
     def __init__(self) -> None:
         self._grads: tuple[np.ndarray, np.ndarray] | None = None

@@ -1014,6 +1014,21 @@ def _names(node, name):
 
 
 class TestTcpTransport:
+    def test_importing_the_package_loads_no_asyncio(self):
+        """asyncio, and the ssl it imports, load only when a blob server
+        runs: the server, pool workers and agents import the package
+        without them."""
+        script = (
+            "import sys, repro, repro.fl.net.agent, repro.fl.net.transport; "
+            "sys.exit(sorted({'asyncio', 'ssl'} & set(sys.modules)) or 0)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_parse_endpoint_forms(self):
         assert parse_endpoint(None) == ("127.0.0.1", 0)
         assert parse_endpoint("9999") == ("127.0.0.1", 9999)

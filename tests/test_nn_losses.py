@@ -1,13 +1,18 @@
-"""Tests for loss functions, including finite-difference checks of the
-triplet loss — the heart of PARDON's contrastive mechanism.  The Eq. 7 /
-Eq. 8 losses exist only over ``(K, ...)`` stacks; they are checked here on
-a stack of one client."""
+"""Tests for the loss functions of ``repro.nn.losses``, including
+finite-difference checks of the triplet loss — the heart of PARDON's
+contrastive mechanism.  The Eq. 7 / Eq. 8 losses take ``(K, ...)`` stacks:
+the hand-valued cases run them on a stack of one client, and drawn batches
+hold every slice of a K-stack, and a stack of one, bitwise to the scalar
+oracle in ``tests/reference_loop.py``."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import nn
-from repro.nn.ensemble import EnsembleEmbeddingL2Loss, EnsembleTripletStyleLoss
+from repro.nn.losses import embedding_l2_loss, triplet_style_loss
+from tests import reference_loop
 from tests.reference_loop import log_softmax
 from tests.gradcheck import numeric_gradient
 
@@ -16,104 +21,95 @@ class TestCrossEntropy:
     def test_matches_manual_computation(self, rng):
         logits = rng.normal(size=(4, 3))
         labels = np.array([0, 2, 1, 2])
-        loss = nn.CrossEntropyLoss().forward(logits, labels)
+        loss, _ = nn.cross_entropy(logits, labels)
         manual = -log_softmax(logits)[np.arange(4), labels].mean()
         np.testing.assert_allclose(loss, manual)
 
     def test_gradient_matches_fd(self, rng):
         logits = rng.normal(size=(3, 4))
         labels = np.array([1, 0, 3])
-        criterion = nn.CrossEntropyLoss()
-        criterion.forward(logits, labels)
-        analytic = criterion.backward()
-        numeric = numeric_gradient(
-            lambda: nn.CrossEntropyLoss().forward(logits, labels), logits
-        )
+        _, analytic = nn.cross_entropy(logits, labels)
+        numeric = numeric_gradient(lambda: nn.cross_entropy(logits, labels)[0], logits)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
     def test_perfect_prediction_near_zero_loss(self):
         logits = np.array([[100.0, 0.0], [0.0, 100.0]])
-        loss = nn.CrossEntropyLoss().forward(logits, np.array([0, 1]))
+        loss, _ = nn.cross_entropy(logits, np.array([0, 1]))
         assert loss < 1e-8
 
     def test_rejects_batch_mismatch(self, rng):
         with pytest.raises(ValueError):
-            nn.CrossEntropyLoss().forward(rng.normal(size=(3, 2)), np.array([0, 1]))
+            nn.cross_entropy(rng.normal(size=(3, 2)), np.array([0, 1]))
 
     @pytest.mark.parametrize("label", [-1, 2], ids=["negative", "too_large"])
     def test_rejects_out_of_range_labels(self, label, rng):
         """A negative label must not index the last class from the end."""
         with pytest.raises(ValueError, match="out of range"):
-            nn.CrossEntropyLoss().forward(rng.normal(size=(2, 2)), np.array([0, label]))
+            nn.cross_entropy(rng.normal(size=(2, 2)), np.array([0, label]))
 
 
-def one_client(criterion, *arrays):
-    """``criterion``'s loss on a stack of one client (K = 1)."""
-    (loss,) = criterion.forward(*(np.asarray(a)[None] for a in arrays))
-    return loss
+def one_client(loss, *arrays, **params):
+    """``(loss, grad_anchors, grad_transferred)`` of ``loss`` on a stack of
+    one client (K = 1)."""
+    losses, grad_a, grad_t = loss(*(np.asarray(a)[None] for a in arrays), **params)
+    return losses[0], grad_a[0], grad_t[0]
 
 
-def one_client_grads(criterion):
-    """The single slice of ``criterion``'s two gradient stacks."""
-    grad_a, grad_t = criterion.backward()
-    return grad_a[0], grad_t[0]
+def unit(rows):
+    """``rows`` scaled to unit L2 norm, where the triplet's normalization
+    is the identity up to rounding."""
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 class TestTripletStyleLoss:
-    """Paper Eq. 7 through :class:`EnsembleTripletStyleLoss`, one client."""
+    """Paper Eq. 7 through :func:`triplet_style_loss`, one client."""
 
-    def test_hinge_zero_when_negatives_far_and_positive_close(self, rng):
-        anchors = rng.normal(size=(4, 8))
-        anchors[2:] += 100.0  # well-separated classes
-        transferred = anchors.copy()  # positives exactly at anchors
-        labels = np.array([0, 0, 1, 1])
-        loss = one_client(
-            EnsembleTripletStyleLoss(margin=1.0, hinge=True, normalize=False),
-            anchors, transferred, labels,
+    # Two classes on opposite unit axes, each positive exactly at its
+    # anchor: every negative lies at squared distance 2 or 4 (mean 3).
+    SEPARATED = np.eye(8)[[0, 1, 0, 1]] * np.array([[1.0], [1.0], [-1.0], [-1.0]])
+
+    def test_hinge_zero_when_negatives_far_and_positive_close(self):
+        anchors = self.SEPARATED
+        loss, _, _ = one_client(
+            triplet_style_loss, anchors, anchors.copy(), np.array([0, 0, 1, 1]),
+            margin=1.0, hinge=True,
         )
         assert loss == 0.0
 
-    def test_no_hinge_rewards_far_negatives(self, rng):
+    def test_no_hinge_rewards_far_negatives(self):
         """Without the hinge (the paper's Eq. 7 as written) the same
         configuration yields a negative loss — pushing negatives farther
         keeps paying off."""
-        anchors = rng.normal(size=(4, 8))
-        anchors[2:] += 100.0
-        transferred = anchors.copy()
-        labels = np.array([0, 0, 1, 1])
-        loss = one_client(
-            EnsembleTripletStyleLoss(margin=1.0, hinge=False, normalize=False),
-            anchors, transferred, labels,
+        anchors = self.SEPARATED
+        loss, _, _ = one_client(
+            triplet_style_loss, anchors, anchors.copy(), np.array([0, 0, 1, 1]),
+            margin=1.0, hinge=False,
         )
         assert loss < 0.0
 
     def test_positive_when_negative_closer_than_positive(self):
-        anchors = np.array([[0.0, 0.0], [10.0, 10.0]])
-        transferred = np.array([[5.0, 5.0], [0.1, 0.1]])  # other-class is closer
+        anchors = np.array([[1.0, 0.0], [0.0, 1.0]])
+        transferred = np.array([[0.0, 1.0], [1.0, 0.0]])  # other-class is closer
         labels = np.array([0, 1])
-        loss = one_client(
-            EnsembleTripletStyleLoss(margin=0.5, normalize=False),
-            anchors, transferred, labels,
+        loss, _, _ = one_client(
+            triplet_style_loss, anchors, transferred, labels, margin=0.5, hinge=False
         )
         assert loss > 0.0
 
     @pytest.mark.parametrize("hinge", [False, True])
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_gradients_match_fd(self, hinge, normalize, rng):
+    def test_gradients_match_fd(self, hinge, rng):
         anchors = rng.normal(size=(5, 4))
         transferred = rng.normal(size=(5, 4))
         labels = np.array([0, 1, 0, 2, 1])
-        criterion = EnsembleTripletStyleLoss(
-            margin=2.0, hinge=hinge, normalize=normalize
+        params = dict(margin=2.0, hinge=hinge)
+        _, grad_a, grad_t = one_client(
+            triplet_style_loss, anchors, transferred, labels, **params
         )
-        one_client(criterion, anchors, transferred, labels)
-        grad_a, grad_t = one_client_grads(criterion)
 
         def loss_fn():
             return one_client(
-                EnsembleTripletStyleLoss(margin=2.0, hinge=hinge, normalize=normalize),
-                anchors, transferred, labels,
-            )
+                triplet_style_loss, anchors, transferred, labels, **params
+            )[0]
 
         numeric_a = numeric_gradient(loss_fn, anchors)
         numeric_t = numeric_gradient(loss_fn, transferred)
@@ -126,9 +122,8 @@ class TestTripletStyleLoss:
         anchors = rng.normal(size=(6, 8)) * 1e6
         transferred = rng.normal(size=(6, 8)) * 1e-6
         labels = np.array([0, 1, 2, 0, 1, 2])
-        loss = one_client(
-            EnsembleTripletStyleLoss(margin=0.0, normalize=True),
-            anchors, transferred, labels,
+        loss, _, _ = one_client(
+            triplet_style_loss, anchors, transferred, labels, margin=0.0, hinge=False
         )
         assert -4.0 <= loss <= 4.0
 
@@ -138,68 +133,68 @@ class TestTripletStyleLoss:
         anchors = rng.normal(size=(4, 6))
         transferred = rng.normal(size=(4, 6))
         labels = np.array([0, 1, 0, 1])
-        criterion = EnsembleTripletStyleLoss(normalize=True)
-        one_client(criterion, anchors, transferred, labels)
-        grad_a, grad_t = one_client_grads(criterion)
+        _, grad_a, grad_t = one_client(
+            triplet_style_loss, anchors, transferred, labels, margin=1.0, hinge=False
+        )
         radial_a = np.sum(grad_a * anchors, axis=1)
         radial_t = np.sum(grad_t * transferred, axis=1)
         np.testing.assert_allclose(radial_a, 0.0, atol=1e-10)
         np.testing.assert_allclose(radial_t, 0.0, atol=1e-10)
 
     def test_single_class_batch_has_no_negative_term(self, rng):
-        """All-same-class batch: loss reduces to hinge(positive + margin)."""
-        anchors = rng.normal(size=(3, 4))
-        transferred = rng.normal(size=(3, 4))
+        """All-same-class batch: loss reduces to the mean positive term."""
+        anchors = unit(rng.normal(size=(3, 4)))
+        transferred = unit(rng.normal(size=(3, 4)))
         labels = np.zeros(3, dtype=int)
-        loss = one_client(
-            EnsembleTripletStyleLoss(margin=0.0, normalize=False),
-            anchors, transferred, labels,
+        loss, _, _ = one_client(
+            triplet_style_loss, anchors, transferred, labels, margin=0.0, hinge=False
         )
         expected = np.sum((anchors - transferred) ** 2) / 3
         np.testing.assert_allclose(loss, expected)
 
     def test_empty_batch(self):
-        criterion = EnsembleTripletStyleLoss()
-        loss = one_client(criterion, np.zeros((0, 4)), np.zeros((0, 4)), np.zeros(0))
+        loss, grad_a, grad_t = one_client(
+            triplet_style_loss, np.zeros((0, 4)), np.zeros((0, 4)), np.zeros(0),
+            margin=1.0, hinge=False,
+        )
         assert loss == 0.0
-        grad_a, grad_t = one_client_grads(criterion)
         assert grad_a.shape == (0, 4) and grad_t.shape == (0, 4)
 
-    def test_negative_margin_rejected(self):
-        with pytest.raises(ValueError):
-            EnsembleTripletStyleLoss(margin=-1.0)
-
-    def test_minimizing_pulls_anchor_to_positive(self, rng):
-        """Gradient descent on the loss moves anchors toward their positives
-        and away from other-class transferred samples."""
-        anchors = np.array([[0.0, 0.0], [4.0, 4.0]])
-        transferred = np.array([[2.0, 0.0], [2.0, 4.0]])
+    def test_minimizing_pulls_anchor_to_positive(self):
+        """Gradient descent on the loss moves an anchor that starts nearer
+        the other class's transferred sample to its own positive."""
+        anchors = np.array([[-0.6, 0.8], [0.0, -1.0]])
+        transferred = np.array([[1.0, 0.0], [-1.0, 0.0]])
         labels = np.array([0, 1])
-        criterion = EnsembleTripletStyleLoss(margin=10.0, normalize=False)
+
+        def distances():
+            return [np.linalg.norm(anchors[0] - t) for t in transferred]
+
+        dist_pos_0, dist_neg_0 = distances()
+        assert dist_pos_0 > dist_neg_0
         for _ in range(50):
-            one_client(criterion, anchors, transferred, labels)
-            grad_a, _ = one_client_grads(criterion)
+            _, grad_a, _ = one_client(
+                triplet_style_loss, anchors, transferred, labels,
+                margin=10.0, hinge=False,
+            )
             anchors -= 0.05 * grad_a
-        dist_pos_0 = np.linalg.norm(anchors[0] - transferred[0])
-        dist_neg_0 = np.linalg.norm(anchors[0] - transferred[1])
+        dist_pos_0, dist_neg_0 = distances()
         assert dist_pos_0 < dist_neg_0
 
 
 class TestEmbeddingL2:
-    """Paper Eq. 8 through :class:`EnsembleEmbeddingL2Loss`, one client."""
+    """Paper Eq. 8 through :func:`embedding_l2_loss`, one client."""
 
     def test_value(self, rng):
         a = rng.normal(size=(3, 4))
         t = rng.normal(size=(3, 4))
-        loss = one_client(EnsembleEmbeddingL2Loss(), a, t)
+        loss, _, _ = one_client(embedding_l2_loss, a, t)
         np.testing.assert_allclose(loss, (np.sum(a**2) + np.sum(t**2)) / 3)
 
     def test_gradients(self, rng):
         a = rng.normal(size=(3, 4))
         t = rng.normal(size=(3, 4))
-        criterion = EnsembleEmbeddingL2Loss()
-        one_client(criterion, a, t)
-        grad_a, grad_t = one_client_grads(criterion)
+        _, grad_a, grad_t = one_client(embedding_l2_loss, a, t)
         np.testing.assert_allclose(grad_a, 2 * a / 3)
         np.testing.assert_allclose(grad_t, 2 * t / 3)
 
@@ -208,10 +203,65 @@ class TestMSE:
     def test_value_and_gradient(self, rng):
         pred = rng.normal(size=(4, 5))
         target = rng.normal(size=(4, 5))
-        criterion = nn.MSELoss()
-        loss = criterion.forward(pred, target)
+        loss, grad = nn.mse(pred, target)
         np.testing.assert_allclose(loss, np.mean((pred - target) ** 2))
-        numeric = numeric_gradient(
-            lambda: nn.MSELoss().forward(pred, target), pred
-        )
-        np.testing.assert_allclose(criterion.backward(), numeric, rtol=1e-5, atol=1e-8)
+        numeric = numeric_gradient(lambda: nn.mse(pred, target)[0], pred)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-8)
+
+
+@st.composite
+def embedding_stacks(draw):
+    """``(anchors, transferred, labels, margin, hinge)``: ``(K, B, d)``
+    stacks of K 1-4 clients, batch 0-6 and d 1-5 at a drawn scale, with
+    labels from 1-3 classes (so one-class batches are drawn too)."""
+    stack = draw(st.integers(1, 4))
+    batch = draw(st.integers(0, 6))
+    dim = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((1e-6, 1.0, 1e3)))
+    anchors = rng.normal(size=(stack, batch, dim)) * scale
+    transferred = rng.normal(size=(stack, batch, dim)) * scale
+    labels = rng.integers(0, draw(st.integers(1, 3)), size=(stack, batch))
+    margin = draw(st.floats(0.0, 4.0))
+    return anchors, transferred, labels, margin, draw(st.booleans())
+
+
+class TestGeneratedLosses:
+    """Drawn batches: each slice of the Eq. 7 and Eq. 8 functions, on a
+    K-stack and on a stack of one, is bitwise the scalar oracle
+    (``reference_loop.TripletStyleLoss`` / ``EmbeddingL2Loss``): the loss
+    and both gradients."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(embedding_stacks())
+    def test_every_slice_matches_the_scalar_oracle(self, case):
+        anchors, transferred, labels, margin, hinge = case
+
+        def forms(a, t, y):
+            return {
+                "triplet": triplet_style_loss(a, t, y, margin, hinge),
+                "l2": embedding_l2_loss(a, t),
+            }
+
+        stacked = forms(anchors, transferred, labels)
+        for index in range(anchors.shape[0]):
+            a, t, y = anchors[index], transferred[index], labels[index]
+            triplet = reference_loop.TripletStyleLoss(margin=margin, hinge=hinge)
+            l2 = reference_loop.EmbeddingL2Loss()
+            oracle = {
+                "triplet": (triplet.forward(a, t, y), *triplet.backward()),
+                "l2": (l2.forward(a, t), *l2.backward()),
+            }
+            alone = forms(a[None], t[None], y[None])
+            for name, (loss, grad_a, grad_t) in oracle.items():
+                for where, got, row in (
+                    (f"slice {index}", stacked[name], index),
+                    ("stack of one", alone[name], 0),
+                ):
+                    assert got[0][row] == loss, f"{name}, {where}: loss"
+                    assert np.array_equal(got[1][row], grad_a), (
+                        f"{name}, {where}: anchor gradient"
+                    )
+                    assert np.array_equal(got[2][row], grad_t), (
+                        f"{name}, {where}: transferred gradient"
+                    )

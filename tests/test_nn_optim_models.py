@@ -291,12 +291,10 @@ class TestModels:
         model = nn.build_mlp_model((3, 4, 4), num_classes=3, rng=rng)
         x = rng.normal(size=(2, 3, 4, 4))
         labels = np.array([0, 2])
-        criterion = nn.CrossEntropyLoss()
-
         model.zero_grad()
         logits = model.forward(x)
-        criterion.forward(logits, labels)
-        model.backward(grad_logits=criterion.backward())
+        _, grad = nn.cross_entropy(logits, labels)
+        model.backward(grad_logits=grad)
         grads_via_model = {
             name: p.grad.copy() for name, p in model.named_parameters()
         }
@@ -305,8 +303,7 @@ class TestModels:
         model.zero_grad()
         z = model.forward_features(x)
         logits = model.forward_logits(z)
-        criterion.forward(logits, labels)
-        grad_z = model.classifier.backward(criterion.backward())
+        grad_z = model.classifier.backward(nn.cross_entropy(logits, labels)[1])
         model.features.backward(grad_z)
         for name, param in model.named_parameters():
             np.testing.assert_allclose(param.grad, grads_via_model[name])
@@ -374,15 +371,14 @@ class TestModels:
         model = nn.build_mlp_model((1, 4, 4), num_classes=2, rng=rng, hidden_dim=16)
         x = rng.normal(size=(64, 1, 4, 4))
         labels = (x.mean(axis=(1, 2, 3)) > 0).astype(int)
-        criterion = nn.CrossEntropyLoss()
         optimizer = nn.SGD(model.parameters(), lr=0.5)
         first_loss = None
         for _ in range(60):
             model.zero_grad()
             logits = model.forward(x)
-            loss = criterion.forward(logits, labels)
+            loss, grad = nn.cross_entropy(logits, labels)
             if first_loss is None:
                 first_loss = loss
-            model.backward(grad_logits=criterion.backward())
+            model.backward(grad_logits=grad)
             optimizer.step()
         assert loss < first_loss * 0.5

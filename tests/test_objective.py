@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from tests.gradcheck import numeric_gradient
+from repro.core import PardonStrategy
 from repro.data.synthetic import LabeledDataset
 from repro.fl.strategy import LocalTrainingConfig
 from repro.nn.ensemble import ensemble_of, ensemble_state_dicts
@@ -83,6 +84,26 @@ class TestRegistry:
         term = make_term("proto_nce", temperature=0.25)
         assert isinstance(term, ProtoNCETerm)
         assert term.temperature == 0.25
+
+    def test_triplet_term_refuses_a_negative_margin(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_term("triplet_style", margin=-1.0)
+
+    def test_triplet_default_is_the_term_pardon_trains(self):
+        """``make_term("triplet_style")`` is Eq. 7 as written and as PARDON
+        trains it (no hinge): the losses and gradients of PARDON's own
+        term, on a batch where the hinged ablation differs."""
+        bindings = PardonStrategy().objective.bindings
+        pardon = {binding.name: binding.term for binding in bindings}["triplet_style"]
+        ablation = make_term("triplet_style", hinge=True)
+        results = []
+        for term in (make_term("triplet_style"), pardon, ablation):
+            ctx = make_context(np.random.default_rng(5), batch=6, views=2)
+            results.append((term.apply_ensemble(ctx, 2.0), ctx.grad_embedding))
+        (default, grad), (trained, trained_grad), (hinged, _) = results
+        assert np.array_equal(default, trained)
+        assert np.array_equal(grad, trained_grad)
+        assert not np.array_equal(default, hinged)
 
     def test_make_term_unknown_name(self):
         with pytest.raises(ValueError, match="unknown objective term"):

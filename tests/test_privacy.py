@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.data import synthetic_pacs
-from repro.nn import build_mlp_model, CrossEntropyLoss, SGD
+from repro.nn import build_mlp_model, cross_entropy, SGD
 from repro.privacy import (
     client_style_vectors,
     fid_score,
@@ -26,7 +26,6 @@ def train_judge(rng):
     """A small classifier on the suite, used by the IS-like metric."""
     train = SUITE.merged([0, 1, 2, 3])
     model = build_mlp_model(SUITE.image_shape, SUITE.num_classes, rng=rng)
-    criterion = CrossEntropyLoss()
     optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
     n = len(train)
     shuffle = np.random.default_rng(0)
@@ -36,8 +35,8 @@ def train_judge(rng):
             idx = order[start : start + 32]
             model.zero_grad()
             logits = model.forward(train.images[idx])
-            criterion.forward(logits, train.labels[idx])
-            model.backward(grad_logits=criterion.backward())
+            _, grad = cross_entropy(logits, train.labels[idx])
+            model.backward(grad_logits=grad)
             optimizer.step()
     return model
 
